@@ -7,12 +7,14 @@
 // contention; TTAS spins locally while TAS storms the line; tickets are
 // FIFO-fair) carry over to algorithm-level throughput and fairness.
 //
-// In the model pipeline (ARCHITECTURE.md) this package is a sibling of
-// internal/workload: both drive internal/atomics on the simulated
-// coherence substrate and feed results to the harness. MODEL.md §6
-// (algorithms as access multisets) is the analytical counterpart of
-// running these apps; Run accepts the same Metrics switch as
-// workload.Config for per-cell observability.
+// In the model pipeline (ARCHITECTURE.md) this package sits on top of
+// internal/workload: Run is a thin adapter over the pooled cell runtime
+// (workload.RunCell), which owns the engine, memory, threads, window,
+// metrics, checking and faults, while this package's driver steps the
+// structure. Every structure keeps one operation context per thread
+// with its continuations bound once, so app cells allocate nothing per
+// operation. MODEL.md §6 (algorithms as access multisets) is the
+// analytical counterpart of running these apps.
 package apps
 
 import (
@@ -42,6 +44,10 @@ type Thread struct {
 	// lastSeen caches the last observed value of the app's CAS target,
 	// the usual optimization in retry loops.
 	lastSeen uint64
+	// start and done belong to the cell runtime's app driver: when the
+	// thread's current operation began, and its completion callback.
+	start sim.Time
+	done  func()
 }
 
 // App is one concurrent algorithm. Step performs a single high-level
@@ -62,18 +68,54 @@ type RetryStats interface {
 	Attempts() uint64
 }
 
+// threadOp returns thread th's operation context from ctxs, building
+// it with mk the first time the thread steps. Threads are closed-loop —
+// one operation in flight each — so one context per thread, with its
+// continuations bound once as method values, keeps a structure's
+// operations allocation-free (the pattern dequeOp and the big atomic's
+// pooled contexts follow too). A continuation must call done last: done
+// may start the thread's next operation on the same context.
+func threadOp[T any](ctxs *[]*T, th *Thread, mk func() *T) *T {
+	for len(*ctxs) <= th.ID {
+		*ctxs = append(*ctxs, nil)
+	}
+	o := (*ctxs)[th.ID]
+	if o == nil {
+		o = mk()
+		(*ctxs)[th.ID] = o
+	}
+	return o
+}
+
 // FAACounter increments a shared counter with one fetch-and-add.
 type FAACounter struct {
 	mem *atomics.Memory
+	ops []*faaOp
 }
+
+// faaOp is one thread's in-flight increment.
+type faaOp struct {
+	done  func()
+	addFn func(atomics.Result)
+}
+
+func (o *faaOp) added(atomics.Result) { o.done() }
 
 // NewFAACounter returns the FAA-based counter.
 func NewFAACounter(mem *atomics.Memory) *FAACounter { return &FAACounter{mem: mem} }
 
 func (c *FAACounter) Name() string { return "counter-faa" }
 
+func (c *FAACounter) newOp() *faaOp {
+	o := &faaOp{}
+	o.addFn = o.added
+	return o
+}
+
 func (c *FAACounter) Step(th *Thread, done func()) {
-	c.mem.FetchAndAdd(th.Core, counterLine, 1, func(atomics.Result) { done() })
+	o := threadOp(&c.ops, th, c.newOp)
+	o.done = done
+	c.mem.FetchAndAdd(th.Core, counterLine, 1, o.addFn)
 }
 
 // Value returns the counter's current value (for correctness checks).
@@ -85,6 +127,17 @@ func (c *FAACounter) Value() uint64 { return c.mem.System().Value(counterLine) }
 type CASCounter struct {
 	mem      *atomics.Memory
 	attempts uint64
+	ops      []*casOp
+}
+
+// casOp is one thread's in-flight increment: the expected value of the
+// CAS in flight.
+type casOp struct {
+	c        *CASCounter
+	th       *Thread
+	done     func()
+	expected uint64
+	casFn    func(atomics.Result)
 }
 
 // NewCASCounter returns the CAS-loop counter.
@@ -95,18 +148,32 @@ func (c *CASCounter) Name() string { return "counter-cas" }
 // Attempts counts CAS issues, successful or not (RetryStats).
 func (c *CASCounter) Attempts() uint64 { return c.attempts }
 
+func (c *CASCounter) newOp() *casOp {
+	o := &casOp{c: c}
+	o.casFn = o.cased
+	return o
+}
+
 func (c *CASCounter) Step(th *Thread, done func()) {
-	expected := th.lastSeen
-	c.attempts++
-	c.mem.CompareAndSwap(th.Core, counterLine, expected, expected+1, func(r atomics.Result) {
-		if r.OK {
-			th.lastSeen = expected + 1
-			done()
-			return
-		}
-		th.lastSeen = r.Old
-		c.Step(th, done) // retry with the freshly observed value
-	})
+	o := threadOp(&c.ops, th, c.newOp)
+	o.th, o.done = th, done
+	o.issue()
+}
+
+func (o *casOp) issue() {
+	o.expected = o.th.lastSeen
+	o.c.attempts++
+	o.c.mem.CompareAndSwap(o.th.Core, counterLine, o.expected, o.expected+1, o.casFn)
+}
+
+func (o *casOp) cased(r atomics.Result) {
+	if r.OK {
+		o.th.lastSeen = o.expected + 1
+		o.done()
+		return
+	}
+	o.th.lastSeen = r.Old
+	o.issue() // retry with the freshly observed value
 }
 
 // Value returns the counter's current value.
@@ -122,6 +189,23 @@ type TreiberStack struct {
 	pops     uint64
 	empties  uint64
 	attempts uint64
+	ops      []*stackOp
+}
+
+// stackOp is one thread's in-flight push or pop: the node being pushed
+// and the top it was linked to, or the top and successor a pop saw.
+type stackOp struct {
+	s         *TreiberStack
+	th        *Thread
+	done      func()
+	id        uint64
+	top, next uint64
+
+	pushStoredFn func(atomics.Result)
+	pushCASFn    func(atomics.Result)
+	popTopFn     func(atomics.Result)
+	popNodeFn    func(atomics.Result)
+	popCASFn     func(atomics.Result)
 }
 
 // NewTreiberStack returns a stack pre-seeded with depth nodes so pops
@@ -161,151 +245,280 @@ func (s *TreiberStack) alloc() uint64 {
 	return id
 }
 
+func (s *TreiberStack) newOp() *stackOp {
+	o := &stackOp{s: s}
+	o.pushStoredFn = o.pushStored
+	o.pushCASFn = o.pushCAS
+	o.popTopFn = o.popTop
+	o.popNodeFn = o.popNode
+	o.popCASFn = o.popCAS
+	return o
+}
+
 func (s *TreiberStack) Step(th *Thread, done func()) {
+	o := threadOp(&s.ops, th, s.newOp)
+	o.th, o.done = th, done
 	if th.RNG.Float64() < 0.5 {
-		s.push(th, done)
+		o.id = s.alloc()
+		// Seed the first attempt with the thread's cached view of top.
+		o.pushAttempt(th.lastSeen)
 	} else {
-		s.pop(th, done)
+		o.pop()
 	}
 }
 
-func (s *TreiberStack) push(th *Thread, done func()) {
-	id := s.alloc()
-	var attempt func(oldTop uint64)
-	attempt = func(oldTop uint64) {
-		// Write node.next = oldTop (the node line is private until the
-		// CAS publishes it).
-		s.mem.StoreOp(th.Core, s.nodeLine(id), oldTop, func(atomics.Result) {
-			s.attempts++
-			s.mem.CompareAndSwap(th.Core, topLine, oldTop, id, func(r atomics.Result) {
-				if r.OK {
-					s.pushes++
-					done()
-					return
-				}
-				attempt(r.Old)
-			})
-		})
+// pushAttempt writes node.next = oldTop (the node line is private
+// until the CAS publishes it), then CASes the top pointer.
+func (o *stackOp) pushAttempt(oldTop uint64) {
+	o.top = oldTop
+	o.s.mem.StoreOp(o.th.Core, o.s.nodeLine(o.id), oldTop, o.pushStoredFn)
+}
+
+func (o *stackOp) pushStored(atomics.Result) {
+	o.s.attempts++
+	o.s.mem.CompareAndSwap(o.th.Core, topLine, o.top, o.id, o.pushCASFn)
+}
+
+func (o *stackOp) pushCAS(r atomics.Result) {
+	if r.OK {
+		o.s.pushes++
+		o.done()
+		return
 	}
-	// Seed the first attempt with the thread's cached view of top.
-	attempt(th.lastSeen)
+	o.pushAttempt(r.Old)
 }
 
-func (s *TreiberStack) pop(th *Thread, done func()) {
-	s.mem.LoadOp(th.Core, topLine, func(r atomics.Result) {
-		top := r.Old
-		if top == 0 {
-			s.empties++
-			done() // empty pop still counts as a completed operation
-			return
-		}
-		// Read the node to find its successor — this line may be dirty
-		// in the pusher's cache, which is exactly the traffic pattern
-		// that makes stacks expensive under contention.
-		s.mem.LoadOp(th.Core, s.nodeLine(top), func(rn atomics.Result) {
-			next := rn.Old
-			s.attempts++
-			s.mem.CompareAndSwap(th.Core, topLine, top, next, func(rc atomics.Result) {
-				if rc.OK {
-					th.lastSeen = next
-					s.pops++
-					done()
-					return
-				}
-				th.lastSeen = rc.Old
-				s.pop(th, done)
-			})
-		})
-	})
+func (o *stackOp) pop() {
+	o.s.mem.LoadOp(o.th.Core, topLine, o.popTopFn)
 }
 
-// Lock abstracts a spinlock for the lock comparison experiments. An
+func (o *stackOp) popTop(r atomics.Result) {
+	o.top = r.Old
+	if o.top == 0 {
+		o.s.empties++
+		o.done() // empty pop still counts as a completed operation
+		return
+	}
+	// Read the node to find its successor — this line may be dirty
+	// in the pusher's cache, which is exactly the traffic pattern
+	// that makes stacks expensive under contention.
+	o.s.mem.LoadOp(o.th.Core, o.s.nodeLine(o.top), o.popNodeFn)
+}
+
+func (o *stackOp) popNode(rn atomics.Result) {
+	o.next = rn.Old
+	o.s.attempts++
+	o.s.mem.CompareAndSwap(o.th.Core, topLine, o.top, o.next, o.popCASFn)
+}
+
+func (o *stackOp) popCAS(rc atomics.Result) {
+	if rc.OK {
+		o.th.lastSeen = o.next
+		o.s.pops++
+		o.done()
+		return
+	}
+	o.th.lastSeen = rc.Old
+	o.pop()
+}
+
+// mutex is implemented by the mutual-exclusion locks, whose every
+// completed acquire-release cycle increments the protected data line
+// exactly once; Run verifies that after every lock cell.
+type mutex interface{ mutex() }
+
+// lockKind selects a spinlock's acquisition protocol.
+type lockKind uint8
+
+const (
+	lockTAS lockKind = iota
+	lockTTAS
+	lockTTASBackoff
+	lockTicket
+)
+
+// lockApp is a spinlock for the lock comparison experiments. An
 // acquire-release cycle with a critical-section update of a shared data
 // line is one Step.
 type lockApp struct {
 	name     string
+	kind     lockKind
 	mem      *atomics.Memory
 	crit     sim.Time
 	eng      *sim.Engine
 	attempts uint64
-	acquire  func(th *Thread, locked func())
-	release  func(th *Thread, released func())
+	// base and max bound lock-ttas-backoff's exponential backoff.
+	base, max sim.Time
+	ops       []*lockOp
+}
+
+// lockOp is one thread's in-flight acquire-release cycle: the backoff
+// of a TTAS-backoff acquisition, and a ticket lock's ticket and the
+// last serving value its spin observed.
+type lockOp struct {
+	l       *lockApp
+	th      *Thread
+	done    func()
+	backoff sim.Time
+	ticket  uint64
+	last    uint64
+	seen    bool
+
+	tasFn      func(atomics.Result)
+	testFn     func()
+	loadFn     func(atomics.Result)
+	ttasFn     func(atomics.Result)
+	ticketFn   func(atomics.Result)
+	serveFn    func(atomics.Result)
+	critFn     func(atomics.Result)
+	releaseFn  func()
+	releasedFn func(atomics.Result)
 }
 
 func (l *lockApp) Name() string { return l.name }
+
+func (l *lockApp) mutex() {}
 
 // Attempts counts acquisition-loop iterations: TAS issues for the
 // test-and-set family, serving-counter refetches (reads observing a
 // new value, i.e. line transfers) for the ticket lock (RetryStats).
 func (l *lockApp) Attempts() uint64 { return l.attempts }
 
-func (l *lockApp) Step(th *Thread, done func()) {
-	l.acquire(th, func() {
-		// Critical section: update the protected data, hold, release.
-		l.mem.FetchAndAdd(th.Core, dataLine, 1, func(atomics.Result) {
-			finish := func() { l.release(th, done) }
-			if l.crit > 0 {
-				l.eng.Schedule(l.crit, finish)
-			} else {
-				finish()
-			}
-		})
-	})
+func (l *lockApp) newOp() *lockOp {
+	o := &lockOp{l: l}
+	o.tasFn = o.tasDone
+	o.testFn = o.test
+	o.loadFn = o.loaded
+	o.ttasFn = o.ttasDone
+	o.ticketFn = o.ticketTaken
+	o.serveFn = o.served
+	o.critFn = o.critDone
+	o.releaseFn = o.release
+	o.releasedFn = o.released
+	return o
 }
+
+func (l *lockApp) Step(th *Thread, done func()) {
+	o := threadOp(&l.ops, th, l.newOp)
+	o.th, o.done = th, done
+	switch l.kind {
+	case lockTAS:
+		o.spin()
+	case lockTTAS:
+		o.test()
+	case lockTTASBackoff:
+		o.backoff = l.base
+		o.test()
+	case lockTicket:
+		l.mem.FetchAndAdd(th.Core, ticketLine, 1, o.ticketFn)
+	}
+}
+
+// spin is one test-and-set acquisition attempt.
+func (o *lockOp) spin() {
+	o.l.attempts++
+	o.l.mem.TestAndSet(o.th.Core, lockLine, o.tasFn)
+}
+
+func (o *lockOp) tasDone(r atomics.Result) {
+	if r.Old == 0 {
+		o.locked()
+		return
+	}
+	o.spin()
+}
+
+// test reads the lock line (spinning on the shared copy) before a
+// test-and-set attempt.
+func (o *lockOp) test() {
+	o.l.mem.LoadOp(o.th.Core, lockLine, o.loadFn)
+}
+
+func (o *lockOp) loaded(r atomics.Result) {
+	if r.Old != 0 {
+		o.test() // spin on the shared copy
+		return
+	}
+	o.l.attempts++
+	o.l.mem.TestAndSet(o.th.Core, lockLine, o.ttasFn)
+}
+
+func (o *lockOp) ttasDone(r atomics.Result) {
+	if r.Old == 0 {
+		o.locked()
+		return
+	}
+	if o.l.kind != lockTTASBackoff {
+		o.test()
+		return
+	}
+	wait := o.th.RNG.Duration(o.backoff) + o.backoff/2
+	o.backoff *= 2
+	if o.backoff > o.l.max {
+		o.backoff = o.l.max
+	}
+	o.l.eng.Schedule(wait, o.testFn)
+}
+
+func (o *lockOp) ticketTaken(r atomics.Result) {
+	o.ticket = r.Old
+	o.seen, o.last = false, 0
+	o.l.mem.LoadOp(o.th.Core, servingLine, o.serveFn)
+}
+
+func (o *lockOp) served(rs atomics.Result) {
+	// Count serving-line refetches, not raw spin reads: between
+	// handoffs a waiter re-reads its local Shared copy (no line
+	// traffic), so only reads that observe a new serving value — a
+	// refetch after the holder's invalidating bump — are attempts in
+	// the conflict model's sense.
+	if !o.seen || rs.Old != o.last {
+		o.seen, o.last = true, rs.Old
+		o.l.attempts++
+	}
+	if rs.Old == o.ticket {
+		o.th.lastSeen = o.ticket
+		o.locked()
+		return
+	}
+	o.l.mem.LoadOp(o.th.Core, servingLine, o.serveFn)
+}
+
+// locked runs the critical section: update the protected data, hold,
+// release.
+func (o *lockOp) locked() {
+	o.l.mem.FetchAndAdd(o.th.Core, dataLine, 1, o.critFn)
+}
+
+func (o *lockOp) critDone(atomics.Result) {
+	if o.l.crit > 0 {
+		o.l.eng.Schedule(o.l.crit, o.releaseFn)
+	} else {
+		o.release()
+	}
+}
+
+func (o *lockOp) release() {
+	if o.l.kind == lockTicket {
+		o.l.mem.StoreOp(o.th.Core, servingLine, o.th.lastSeen+1, o.releasedFn)
+		return
+	}
+	o.l.mem.StoreOp(o.th.Core, lockLine, 0, o.releasedFn)
+}
+
+func (o *lockOp) released(atomics.Result) { o.done() }
 
 // NewTASLock returns a test-and-set spinlock: every acquisition attempt
 // is an RFO on the lock line (the line-bouncing worst case).
 func NewTASLock(eng *sim.Engine, mem *atomics.Memory, crit sim.Time) App {
-	l := &lockApp{name: "lock-tas", mem: mem, crit: crit, eng: eng}
-	l.acquire = func(th *Thread, locked func()) {
-		var spin func()
-		spin = func() {
-			l.attempts++
-			mem.TestAndSet(th.Core, lockLine, func(r atomics.Result) {
-				if r.Old == 0 {
-					locked()
-					return
-				}
-				spin()
-			})
-		}
-		spin()
-	}
-	l.release = func(th *Thread, released func()) {
-		mem.StoreOp(th.Core, lockLine, 0, func(atomics.Result) { released() })
-	}
-	return l
+	return &lockApp{name: "lock-tas", kind: lockTAS, mem: mem, crit: crit, eng: eng}
 }
 
 // NewTTASLock returns a test-and-test-and-set spinlock: waiters spin on
 // local shared copies (reads) and only attempt the RFO when the lock
 // looks free — the model-guided fix for TAS.
 func NewTTASLock(eng *sim.Engine, mem *atomics.Memory, crit sim.Time) App {
-	l := &lockApp{name: "lock-ttas", mem: mem, crit: crit, eng: eng}
-	l.acquire = func(th *Thread, locked func()) {
-		var test func()
-		test = func() {
-			mem.LoadOp(th.Core, lockLine, func(r atomics.Result) {
-				if r.Old != 0 {
-					test() // spin on the shared copy
-					return
-				}
-				l.attempts++
-				mem.TestAndSet(th.Core, lockLine, func(r2 atomics.Result) {
-					if r2.Old == 0 {
-						locked()
-						return
-					}
-					test()
-				})
-			})
-		}
-		test()
-	}
-	l.release = func(th *Thread, released func()) {
-		mem.StoreOp(th.Core, lockLine, 0, func(atomics.Result) { released() })
-	}
-	return l
+	return &lockApp{name: "lock-ttas", kind: lockTTAS, mem: mem, crit: crit, eng: eng}
 }
 
 // NewTTASBackoffLock returns a TTAS lock with capped exponential
@@ -315,76 +528,14 @@ func NewTTASLock(eng *sim.Engine, mem *atomics.Memory, crit sim.Time) App {
 // transfer, so spacing retries out trades a little handoff latency for
 // far fewer bounces.
 func NewTTASBackoffLock(eng *sim.Engine, mem *atomics.Memory, crit, base, max sim.Time) App {
-	l := &lockApp{name: "lock-ttas-backoff", mem: mem, crit: crit, eng: eng}
-	l.acquire = func(th *Thread, locked func()) {
-		backoff := base
-		var test func()
-		test = func() {
-			mem.LoadOp(th.Core, lockLine, func(r atomics.Result) {
-				if r.Old != 0 {
-					test()
-					return
-				}
-				l.attempts++
-				mem.TestAndSet(th.Core, lockLine, func(r2 atomics.Result) {
-					if r2.Old == 0 {
-						locked()
-						return
-					}
-					wait := th.RNG.Duration(backoff) + backoff/2
-					backoff *= 2
-					if backoff > max {
-						backoff = max
-					}
-					eng.Schedule(wait, test)
-				})
-			})
-		}
-		test()
-	}
-	l.release = func(th *Thread, released func()) {
-		mem.StoreOp(th.Core, lockLine, 0, func(atomics.Result) { released() })
-	}
-	return l
+	return &lockApp{name: "lock-ttas-backoff", kind: lockTTASBackoff, mem: mem, crit: crit, eng: eng, base: base, max: max}
 }
 
 // NewTicketLock returns a ticket spinlock: one FAA takes a ticket, then
 // the thread spins reading the serving counter — FIFO-fair by
 // construction, which the fairness experiment demonstrates.
 func NewTicketLock(eng *sim.Engine, mem *atomics.Memory, crit sim.Time) App {
-	l := &lockApp{name: "lock-ticket", mem: mem, crit: crit, eng: eng}
-	l.acquire = func(th *Thread, locked func()) {
-		mem.FetchAndAdd(th.Core, ticketLine, 1, func(r atomics.Result) {
-			ticket := r.Old
-			// Count serving-line refetches, not raw spin reads: between
-			// handoffs a waiter re-reads its local Shared copy (no line
-			// traffic), so only reads that observe a new serving value —
-			// a refetch after the holder's invalidating bump — are
-			// attempts in the conflict model's sense.
-			seen := false
-			var last uint64
-			var wait func()
-			wait = func() {
-				mem.LoadOp(th.Core, servingLine, func(rs atomics.Result) {
-					if !seen || rs.Old != last {
-						seen, last = true, rs.Old
-						l.attempts++
-					}
-					if rs.Old == ticket {
-						th.lastSeen = ticket
-						locked()
-						return
-					}
-					wait()
-				})
-			}
-			wait()
-		})
-	}
-	l.release = func(th *Thread, released func()) {
-		mem.StoreOp(th.Core, servingLine, th.lastSeen+1, func(atomics.Result) { released() })
-	}
-	return l
+	return &lockApp{name: "lock-ticket", kind: lockTicket, mem: mem, crit: crit, eng: eng}
 }
 
 // DataValue returns the protected data line's value, for verifying

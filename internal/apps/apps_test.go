@@ -1,6 +1,7 @@
 package apps
 
 import (
+	"strings"
 	"testing"
 
 	"atomicsmodel/internal/atomics"
@@ -129,6 +130,9 @@ func TestLocksProvideMutualExclusion(t *testing.T) {
 		{"ttas", func(e *sim.Engine, m *atomics.Memory) App { return NewTTASLock(e, m, 0) }},
 		{"ticket", func(e *sim.Engine, m *atomics.Memory) App { return NewTicketLock(e, m, 0) }},
 	} {
+		// Run itself verifies that the protected data line holds one
+		// update per completed cycle (plus at most one per thread cut
+		// off mid-section) and fails the cell otherwise.
 		res, err := Run(appCfg(machine.Ideal(8), 8, mk.build))
 		if err != nil {
 			t.Fatalf("%s: %v", mk.name, err)
@@ -136,16 +140,32 @@ func TestLocksProvideMutualExclusion(t *testing.T) {
 		if res.Ops == 0 {
 			t.Fatalf("%s: no lock cycles measured", mk.name)
 		}
-		// Each completed cycle increments the protected data exactly
-		// once; mutual exclusion means no lost updates. Cycles cut off
-		// by the horizon may have incremented without completing, so
-		// the data value may exceed completed cycles by at most the
-		// thread count.
-		got := DataValue(res.Mem)
-		if got < res.TotalOps || got > res.TotalOps+8 {
-			t.Fatalf("%s: data value %d vs completed cycles %d (lost updates?)",
-				mk.name, got, res.TotalOps)
-		}
+	}
+}
+
+// breachLock is a "lock" that excludes nothing: each Step
+// read-modify-writes the protected data line non-atomically, so
+// concurrent threads lose updates.
+type breachLock struct{ mem *atomics.Memory }
+
+func (breachLock) Name() string { return "lock-none" }
+
+func (breachLock) mutex() {}
+
+func (b breachLock) Step(th *Thread, done func()) {
+	b.mem.LoadOp(th.Core, dataLine, func(r atomics.Result) {
+		b.mem.StoreOp(th.Core, dataLine, r.Old+1, func(atomics.Result) { done() })
+	})
+}
+
+// TestLockBreachFailsCell pins the post-run mutual-exclusion check: a
+// lock cell whose protected data lost updates must fail.
+func TestLockBreachFailsCell(t *testing.T) {
+	_, err := Run(appCfg(machine.Ideal(8), 8, func(e *sim.Engine, m *atomics.Memory) App {
+		return breachLock{mem: m}
+	}))
+	if err == nil || !strings.Contains(err.Error(), "mutual exclusion breached") {
+		t.Fatalf("Run error = %v, want a mutual-exclusion breach", err)
 	}
 }
 

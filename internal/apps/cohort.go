@@ -36,6 +36,24 @@ type CohortLock struct {
 	// many local handoffs it has consumed (bookkeeping mirrors the
 	// simulated lock words; it never substitutes for them).
 	passCount int
+	ops       []*cohortOp
+}
+
+// cohortOp is one thread's in-flight acquire-release cycle on its
+// socket's cohort.
+type cohortOp struct {
+	l      *CohortLock
+	th     *Thread
+	done   func()
+	socket int
+
+	localFn     func(atomics.Result)
+	globalFn    func(atomics.Result)
+	casFn       func(atomics.Result)
+	critFn      func(atomics.Result)
+	finishFn    func()
+	surrenderFn func(atomics.Result)
+	releasedFn  func(atomics.Result)
 }
 
 // NewCohortLock builds the lock for machine-described socket mapping.
@@ -48,6 +66,8 @@ func NewCohortLock(eng *sim.Engine, mem *atomics.Memory, socketOf func(core int)
 
 func (l *CohortLock) Name() string { return "lock-cohort" }
 
+func (l *CohortLock) mutex() {}
+
 // Handoffs reports same-socket global-lock passes (the cross-socket
 // traffic avoided).
 func (l *CohortLock) Handoffs() uint64 { return l.handoffs }
@@ -59,73 +79,95 @@ func (l *CohortLock) localLine(socket int) coherence.LineID {
 	return cohortLocalBase + coherence.LineID(socket)*512
 }
 
-func (l *CohortLock) Step(th *Thread, done func()) {
-	socket := l.socketOf(th.Core)
-	l.acquireLocal(th, socket, func(globalHeld bool) {
-		finishCrit := func() {
-			l.cycles++
-			l.release(th, socket, done)
-		}
-		// Critical section: update shared data.
-		l.mem.FetchAndAdd(th.Core, dataLine, 1, func(atomics.Result) {
-			if l.crit > 0 {
-				l.eng.Schedule(l.crit, finishCrit)
-			} else {
-				finishCrit()
-			}
-		})
-		_ = globalHeld
-	})
+func (l *CohortLock) newOp() *cohortOp {
+	o := &cohortOp{l: l}
+	o.localFn = o.localTAS
+	o.globalFn = o.globalLoaded
+	o.casFn = o.globalCAS
+	o.critFn = o.critDone
+	o.finishFn = o.finishCrit
+	o.surrenderFn = o.surrendered
+	o.releasedFn = o.released
+	return o
 }
 
-// acquireLocal spins on the socket's local lock line; the winner checks
+func (l *CohortLock) Step(th *Thread, done func()) {
+	o := threadOp(&l.ops, th, l.newOp)
+	o.th, o.done = th, done
+	o.socket = l.socketOf(th.Core)
+	o.spinLocal()
+}
+
+// spinLocal spins on the socket's local lock line; the winner checks
 // whether its cohort already owns the global lock (value == socket+1)
 // and otherwise acquires it.
-func (l *CohortLock) acquireLocal(th *Thread, socket int, locked func(globalHeld bool)) {
-	var spinLocal func()
-	spinLocal = func() {
-		l.attempts++
-		l.mem.TestAndSet(th.Core, l.localLine(socket), func(r atomics.Result) {
-			if r.Old != 0 {
-				spinLocal()
-				return
-			}
-			// Local lock held. Does the cohort hold the global lock?
-			l.mem.LoadOp(th.Core, cohortGlobalLine, func(rg atomics.Result) {
-				if rg.Old == uint64(socket+1) {
-					locked(true) // inherited via local handoff
-					return
-				}
-				l.acquireGlobal(th, socket, locked)
-			})
-		})
+func (o *cohortOp) spinLocal() {
+	o.l.attempts++
+	o.l.mem.TestAndSet(o.th.Core, o.l.localLine(o.socket), o.localFn)
+}
+
+func (o *cohortOp) localTAS(r atomics.Result) {
+	if r.Old != 0 {
+		o.spinLocal()
+		return
 	}
-	spinLocal()
+	// Local lock held. Does the cohort hold the global lock?
+	o.l.mem.LoadOp(o.th.Core, cohortGlobalLine, o.globalFn)
 }
 
-func (l *CohortLock) acquireGlobal(th *Thread, socket int, locked func(bool)) {
-	l.attempts++
-	l.mem.CompareAndSwap(th.Core, cohortGlobalLine, 0, uint64(socket+1), func(r atomics.Result) {
-		if !r.OK {
-			l.acquireGlobal(th, socket, locked)
-			return
-		}
-		l.passCount = 0
-		locked(false)
-	})
+func (o *cohortOp) globalLoaded(rg atomics.Result) {
+	if rg.Old == uint64(o.socket+1) {
+		o.locked() // inherited via local handoff
+		return
+	}
+	o.acquireGlobal()
 }
 
-// release hands off within the socket when the budget allows (keep the
-// global lock, free the local one), else surrenders both.
-func (l *CohortLock) release(th *Thread, socket int, done func()) {
+func (o *cohortOp) acquireGlobal() {
+	o.l.attempts++
+	o.l.mem.CompareAndSwap(o.th.Core, cohortGlobalLine, 0, uint64(o.socket+1), o.casFn)
+}
+
+func (o *cohortOp) globalCAS(r atomics.Result) {
+	if !r.OK {
+		o.acquireGlobal()
+		return
+	}
+	o.l.passCount = 0
+	o.locked()
+}
+
+// locked runs the critical section: update shared data.
+func (o *cohortOp) locked() {
+	o.l.mem.FetchAndAdd(o.th.Core, dataLine, 1, o.critFn)
+}
+
+func (o *cohortOp) critDone(atomics.Result) {
+	if o.l.crit > 0 {
+		o.l.eng.Schedule(o.l.crit, o.finishFn)
+	} else {
+		o.finishCrit()
+	}
+}
+
+// finishCrit releases: it hands off within the socket when the budget
+// allows (keep the global lock, free the local one), else surrenders
+// both.
+func (o *cohortOp) finishCrit() {
+	l := o.l
+	l.cycles++
 	l.passCount++
 	if l.passCount < l.MaxHandoffs {
 		l.handoffs++
-		l.mem.StoreOp(th.Core, l.localLine(socket), 0, func(atomics.Result) { done() })
+		l.mem.StoreOp(o.th.Core, l.localLine(o.socket), 0, o.releasedFn)
 		return
 	}
 	// Surrender the global lock first, then the local one.
-	l.mem.StoreOp(th.Core, cohortGlobalLine, 0, func(atomics.Result) {
-		l.mem.StoreOp(th.Core, l.localLine(socket), 0, func(atomics.Result) { done() })
-	})
+	l.mem.StoreOp(o.th.Core, cohortGlobalLine, 0, o.surrenderFn)
 }
+
+func (o *cohortOp) surrendered(atomics.Result) {
+	o.l.mem.StoreOp(o.th.Core, o.l.localLine(o.socket), 0, o.releasedFn)
+}
+
+func (o *cohortOp) released(atomics.Result) { o.done() }

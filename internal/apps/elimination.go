@@ -28,6 +28,31 @@ type EliminationStack struct {
 	slots  int
 	window sim.Time
 	elims  uint64
+	ops    []*elimOp
+}
+
+// elimOp is one thread's in-flight push or pop: the node being pushed,
+// the top it was linked to (and the fresh top a failed CAS returned),
+// the top and successor a pop saw, and the collision slot in use.
+type elimOp struct {
+	s         *EliminationStack
+	th        *Thread
+	done      func()
+	id        uint64
+	top, next uint64
+	freshTop  uint64
+	slot      coherence.LineID
+
+	pushStoredFn func(atomics.Result)
+	pushCASFn    func(atomics.Result)
+	parkedFn     func(atomics.Result)
+	windowFn     func()
+	withdrawFn   func(atomics.Result)
+	matchedFn    func(atomics.Result)
+	popTopFn     func(atomics.Result)
+	popNodeFn    func(atomics.Result)
+	popCASFn     func(atomics.Result)
+	probeFn      func(atomics.Result)
 }
 
 // NewEliminationStack returns an elimination stack seeded with depth
@@ -59,102 +84,133 @@ func (s *EliminationStack) slot(th *Thread) coherence.LineID {
 	return elimBase + coherence.LineID(th.RNG.Intn(s.slots))*256
 }
 
+func (s *EliminationStack) newOp() *elimOp {
+	o := &elimOp{s: s}
+	o.pushStoredFn = o.pushStored
+	o.pushCASFn = o.pushCAS
+	o.parkedFn = o.parked
+	o.windowFn = o.windowUp
+	o.withdrawFn = o.withdraw
+	o.matchedFn = o.matched
+	o.popTopFn = o.popTop
+	o.popNodeFn = o.popNode
+	o.popCASFn = o.popCAS
+	o.probeFn = o.probed
+	return o
+}
+
 func (s *EliminationStack) Step(th *Thread, done func()) {
+	o := threadOp(&s.ops, th, s.newOp)
+	o.th, o.done = th, done
 	if th.RNG.Float64() < 0.5 {
-		s.pushElim(th, done)
+		o.id = s.alloc()
+		o.pushAttempt(th.lastSeen)
 	} else {
-		s.popElim(th, done)
+		o.pop()
 	}
 }
 
-// pushElim attempts one Treiber push; on CAS failure it tries to park
-// in a collision slot before retrying.
-func (s *EliminationStack) pushElim(th *Thread, done func()) {
-	id := s.alloc()
-	var attempt func(oldTop uint64)
-	attempt = func(oldTop uint64) {
-		s.mem.StoreOp(th.Core, s.nodeLine(id), oldTop, func(atomics.Result) {
-			s.attempts++
-			s.mem.CompareAndSwap(th.Core, topLine, oldTop, id, func(r atomics.Result) {
-				if r.OK {
-					s.pushes++
-					done()
-					return
-				}
-				s.parkPush(th, r.Old, id, attempt, done)
-			})
-		})
-	}
-	attempt(th.lastSeen)
+// pushAttempt is one Treiber push attempt; on CAS failure the push
+// tries to park in a collision slot before retrying.
+func (o *elimOp) pushAttempt(oldTop uint64) {
+	o.top = oldTop
+	o.s.mem.StoreOp(o.th.Core, o.s.nodeLine(o.id), oldTop, o.pushStoredFn)
 }
 
-// parkPush parks a failed push in a slot for one window; a matching pop
+func (o *elimOp) pushStored(atomics.Result) {
+	o.s.attempts++
+	o.s.mem.CompareAndSwap(o.th.Core, topLine, o.top, o.id, o.pushCASFn)
+}
+
+func (o *elimOp) pushCAS(r atomics.Result) {
+	if r.OK {
+		o.s.pushes++
+		o.done()
+		return
+	}
+	o.park(r.Old)
+}
+
+// park parks a failed push in a slot for one window; a matching pop
 // eliminates it, otherwise the push withdraws and retries on the stack.
-func (s *EliminationStack) parkPush(th *Thread, freshTop, id uint64, retry func(uint64), done func()) {
-	slot := s.slot(th)
-	s.mem.CompareAndSwap(th.Core, slot, slotEmpty, slotPusher, func(r atomics.Result) {
-		if !r.OK {
-			// Slot busy: go straight back to the stack.
-			retry(freshTop)
-			return
-		}
-		s.eng.Schedule(s.window, func() {
-			s.mem.CompareAndSwap(th.Core, slot, slotPusher, slotEmpty, func(r2 atomics.Result) {
-				if r2.OK {
-					// No partner came: withdraw and retry on the stack.
-					retry(freshTop)
-					return
-				}
-				// A popper matched us (slot says so): reset the slot
-				// and finish — the pair never touched the top pointer.
-				s.mem.StoreOp(th.Core, slot, slotEmpty, func(atomics.Result) {
-					s.elims++
-					s.pushes++
-					done()
-				})
-			})
-		})
-	})
+func (o *elimOp) park(freshTop uint64) {
+	o.freshTop = freshTop
+	o.slot = o.s.slot(o.th)
+	o.s.mem.CompareAndSwap(o.th.Core, o.slot, slotEmpty, slotPusher, o.parkedFn)
 }
 
-// popElim attempts one Treiber pop; on CAS failure it probes a slot for
+func (o *elimOp) parked(r atomics.Result) {
+	if !r.OK {
+		// Slot busy: go straight back to the stack.
+		o.pushAttempt(o.freshTop)
+		return
+	}
+	o.s.eng.Schedule(o.s.window, o.windowFn)
+}
+
+func (o *elimOp) windowUp() {
+	o.s.mem.CompareAndSwap(o.th.Core, o.slot, slotPusher, slotEmpty, o.withdrawFn)
+}
+
+func (o *elimOp) withdraw(r atomics.Result) {
+	if r.OK {
+		// No partner came: withdraw and retry on the stack.
+		o.pushAttempt(o.freshTop)
+		return
+	}
+	// A popper matched us (slot says so): reset the slot and finish —
+	// the pair never touched the top pointer.
+	o.s.mem.StoreOp(o.th.Core, o.slot, slotEmpty, o.matchedFn)
+}
+
+func (o *elimOp) matched(atomics.Result) {
+	o.s.elims++
+	o.s.pushes++
+	o.done()
+}
+
+// pop is one Treiber pop attempt; on CAS failure it probes a slot for
 // a waiting pusher before retrying.
-func (s *EliminationStack) popElim(th *Thread, done func()) {
-	s.mem.LoadOp(th.Core, topLine, func(r atomics.Result) {
-		top := r.Old
-		if top == 0 {
-			s.empties++
-			done()
-			return
-		}
-		s.mem.LoadOp(th.Core, s.nodeLine(top), func(rn atomics.Result) {
-			next := rn.Old
-			s.attempts++
-			s.mem.CompareAndSwap(th.Core, topLine, top, next, func(rc atomics.Result) {
-				if rc.OK {
-					th.lastSeen = next
-					s.pops++
-					done()
-					return
-				}
-				th.lastSeen = rc.Old
-				s.probePop(th, done)
-			})
-		})
-	})
+func (o *elimOp) pop() {
+	o.s.mem.LoadOp(o.th.Core, topLine, o.popTopFn)
 }
 
-// probePop checks one slot for a waiting pusher; a hit eliminates the
-// pair, a miss retries on the stack.
-func (s *EliminationStack) probePop(th *Thread, done func()) {
-	slot := s.slot(th)
-	s.mem.CompareAndSwap(th.Core, slot, slotPusher, slotMatched, func(r atomics.Result) {
-		if r.OK {
-			s.elims++
-			s.pops++
-			done()
-			return
-		}
-		s.popElim(th, done)
-	})
+func (o *elimOp) popTop(r atomics.Result) {
+	o.top = r.Old
+	if o.top == 0 {
+		o.s.empties++
+		o.done()
+		return
+	}
+	o.s.mem.LoadOp(o.th.Core, o.s.nodeLine(o.top), o.popNodeFn)
+}
+
+func (o *elimOp) popNode(rn atomics.Result) {
+	o.next = rn.Old
+	o.s.attempts++
+	o.s.mem.CompareAndSwap(o.th.Core, topLine, o.top, o.next, o.popCASFn)
+}
+
+func (o *elimOp) popCAS(rc atomics.Result) {
+	if rc.OK {
+		o.th.lastSeen = o.next
+		o.s.pops++
+		o.done()
+		return
+	}
+	o.th.lastSeen = rc.Old
+	// Probe one slot for a waiting pusher: a hit eliminates the pair, a
+	// miss retries on the stack.
+	o.slot = o.s.slot(o.th)
+	o.s.mem.CompareAndSwap(o.th.Core, o.slot, slotPusher, slotMatched, o.probeFn)
+}
+
+func (o *elimOp) probed(r atomics.Result) {
+	if r.OK {
+		o.s.elims++
+		o.s.pops++
+		o.done()
+		return
+	}
+	o.pop()
 }

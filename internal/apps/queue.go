@@ -25,6 +25,29 @@ type MSQueue struct {
 	dequeues uint64
 	empties  uint64
 	attempts uint64
+	ops      []*queueOp
+}
+
+// queueOp is one thread's in-flight enqueue or dequeue: the node being
+// enqueued and the head, tail and successor the current attempt read.
+type queueOp struct {
+	q                *MSQueue
+	th               *Thread
+	done             func()
+	id               uint64
+	head, tail, next uint64
+
+	enqInitFn  func(atomics.Result)
+	enqTailFn  func(atomics.Result)
+	enqNextFn  func(atomics.Result)
+	enqHelpFn  func(atomics.Result)
+	enqLinkFn  func(atomics.Result)
+	enqSwingFn func(atomics.Result)
+	deqHeadFn  func(atomics.Result)
+	deqTailFn  func(atomics.Result)
+	deqNextFn  func(atomics.Result)
+	deqHelpFn  func(atomics.Result)
+	deqSwingFn func(atomics.Result)
 }
 
 // NewMSQueue returns a queue pre-seeded with depth elements (plus the
@@ -67,6 +90,22 @@ func (q *MSQueue) node(id uint64) coherence.LineID {
 	return qNodeBase + coherence.LineID(id)
 }
 
+func (q *MSQueue) newOp() *queueOp {
+	o := &queueOp{q: q}
+	o.enqInitFn = o.enqInit
+	o.enqTailFn = o.enqTail
+	o.enqNextFn = o.enqNext
+	o.enqHelpFn = o.enqHelped
+	o.enqLinkFn = o.enqLinked
+	o.enqSwingFn = o.enqSwung
+	o.deqHeadFn = o.deqHead
+	o.deqTailFn = o.deqTail
+	o.deqNextFn = o.deqNext
+	o.deqHelpFn = o.deqHelped
+	o.deqSwingFn = o.deqSwung
+	return o
+}
+
 func (q *MSQueue) Step(th *Thread, done func()) {
 	if th.RNG.Float64() < 0.5 {
 		q.enqueue(th, done)
@@ -75,74 +114,100 @@ func (q *MSQueue) Step(th *Thread, done func()) {
 	}
 }
 
+// op binds thread th's operation context to a new operation.
+func (q *MSQueue) op(th *Thread, done func()) *queueOp {
+	o := threadOp(&q.ops, th, q.newOp)
+	o.th, o.done = th, done
+	return o
+}
+
 func (q *MSQueue) enqueue(th *Thread, done func()) {
-	id := q.alloc()
+	o := q.op(th, done)
+	o.id = q.alloc()
 	// Initialize the new node's next pointer (private line until
 	// published by the CAS on its predecessor).
-	q.mem.StoreOp(th.Core, q.node(id), 0, func(atomics.Result) {
-		q.enqueueLoop(th, id, done)
-	})
+	q.mem.StoreOp(th.Core, q.node(o.id), 0, o.enqInitFn)
 }
 
-func (q *MSQueue) enqueueLoop(th *Thread, id uint64, done func()) {
-	q.mem.LoadOp(th.Core, tailLine, func(rt atomics.Result) {
-		tail := rt.Old
-		q.mem.LoadOp(th.Core, q.node(tail), func(rn atomics.Result) {
-			next := rn.Old
-			if next != 0 {
-				// Tail lags: help swing it, then retry.
-				q.mem.CompareAndSwap(th.Core, tailLine, tail, next, func(atomics.Result) {
-					q.enqueueLoop(th, id, done)
-				})
-				return
-			}
-			q.attempts++
-			q.mem.CompareAndSwap(th.Core, q.node(tail), 0, id, func(rc atomics.Result) {
-				if !rc.OK {
-					q.enqueueLoop(th, id, done)
-					return
-				}
-				// Published; swing the tail (best effort — failure means
-				// someone helped already).
-				q.mem.CompareAndSwap(th.Core, tailLine, tail, id, func(atomics.Result) {
-					q.enqueues++
-					done()
-				})
-			})
-		})
-	})
+func (q *MSQueue) dequeue(th *Thread, done func()) { q.op(th, done).dequeue() }
+
+func (o *queueOp) enqInit(atomics.Result) { o.enqueueLoop() }
+
+func (o *queueOp) enqueueLoop() {
+	o.q.mem.LoadOp(o.th.Core, tailLine, o.enqTailFn)
 }
 
-func (q *MSQueue) dequeue(th *Thread, done func()) {
-	q.mem.LoadOp(th.Core, headLine, func(rh atomics.Result) {
-		head := rh.Old
-		q.mem.LoadOp(th.Core, tailLine, func(rt atomics.Result) {
-			tail := rt.Old
-			q.mem.LoadOp(th.Core, q.node(head), func(rn atomics.Result) {
-				next := rn.Old
-				if next == 0 {
-					// Empty (only the dummy remains).
-					q.empties++
-					done()
-					return
-				}
-				if head == tail {
-					// Tail lags behind a concurrent enqueue: help.
-					q.mem.CompareAndSwap(th.Core, tailLine, tail, next, func(atomics.Result) {
-						q.dequeue(th, done)
-					})
-					return
-				}
-				q.attempts++
-				q.mem.CompareAndSwap(th.Core, headLine, head, next, func(rc atomics.Result) {
-					if !rc.OK {
-						q.dequeue(th, done)
-						return
-					}
-					q.dequeues++
-					done()
-				})
-			})
-		})
-	})
+func (o *queueOp) enqTail(rt atomics.Result) {
+	o.tail = rt.Old
+	o.q.mem.LoadOp(o.th.Core, o.q.node(o.tail), o.enqNextFn)
+}
+
+func (o *queueOp) enqNext(rn atomics.Result) {
+	o.next = rn.Old
+	if o.next != 0 {
+		// Tail lags: help swing it, then retry.
+		o.q.mem.CompareAndSwap(o.th.Core, tailLine, o.tail, o.next, o.enqHelpFn)
+		return
+	}
+	o.q.attempts++
+	o.q.mem.CompareAndSwap(o.th.Core, o.q.node(o.tail), 0, o.id, o.enqLinkFn)
+}
+
+func (o *queueOp) enqHelped(atomics.Result) { o.enqueueLoop() }
+
+func (o *queueOp) enqLinked(rc atomics.Result) {
+	if !rc.OK {
+		o.enqueueLoop()
+		return
+	}
+	// Published; swing the tail (best effort — failure means someone
+	// helped already).
+	o.q.mem.CompareAndSwap(o.th.Core, tailLine, o.tail, o.id, o.enqSwingFn)
+}
+
+func (o *queueOp) enqSwung(atomics.Result) {
+	o.q.enqueues++
+	o.done()
+}
+
+func (o *queueOp) dequeue() {
+	o.q.mem.LoadOp(o.th.Core, headLine, o.deqHeadFn)
+}
+
+func (o *queueOp) deqHead(rh atomics.Result) {
+	o.head = rh.Old
+	o.q.mem.LoadOp(o.th.Core, tailLine, o.deqTailFn)
+}
+
+func (o *queueOp) deqTail(rt atomics.Result) {
+	o.tail = rt.Old
+	o.q.mem.LoadOp(o.th.Core, o.q.node(o.head), o.deqNextFn)
+}
+
+func (o *queueOp) deqNext(rn atomics.Result) {
+	o.next = rn.Old
+	if o.next == 0 {
+		// Empty (only the dummy remains).
+		o.q.empties++
+		o.done()
+		return
+	}
+	if o.head == o.tail {
+		// Tail lags behind a concurrent enqueue: help.
+		o.q.mem.CompareAndSwap(o.th.Core, tailLine, o.tail, o.next, o.deqHelpFn)
+		return
+	}
+	o.q.attempts++
+	o.q.mem.CompareAndSwap(o.th.Core, headLine, o.head, o.next, o.deqSwingFn)
+}
+
+func (o *queueOp) deqHelped(atomics.Result) { o.dequeue() }
+
+func (o *queueOp) deqSwung(rc atomics.Result) {
+	if !rc.OK {
+		o.dequeue()
+		return
+	}
+	o.q.dequeues++
+	o.done()
 }

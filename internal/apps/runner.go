@@ -6,11 +6,11 @@ import (
 	"atomicsmodel/internal/atomics"
 	"atomicsmodel/internal/coherence"
 	"atomicsmodel/internal/faults"
-	"atomicsmodel/internal/invariant"
 	"atomicsmodel/internal/machine"
 	"atomicsmodel/internal/metrics"
 	"atomicsmodel/internal/sim"
 	"atomicsmodel/internal/stats"
+	"atomicsmodel/internal/workload"
 )
 
 // RunConfig parameterizes an application benchmark.
@@ -47,11 +47,6 @@ type RunResult struct {
 	Latency        *stats.Histogram
 	ThroughputMops float64
 	Jain, MinMax   float64
-	// Mem is the memory the app ran on, for post-run correctness
-	// checks (counter values, lock data). It is excluded from the JSON
-	// encoding used by the harness resume cache; table assembly must
-	// not depend on it.
-	Mem *atomics.Memory `json:"-"`
 	// TotalOps counts operations completed over the whole run
 	// including warmup, for invariant checks against app state.
 	TotalOps uint64
@@ -82,7 +77,10 @@ func (r *RunResult) CellStats() (sim.Time, uint64) {
 	return 0, r.Ops
 }
 
-// Run executes one application benchmark.
+// Run executes one application benchmark on the pooled cell runtime
+// (workload.RunCell): the runtime owns the engine, memory, threads,
+// window, metrics, checking and faults, and the app driver below runs
+// the structure's operations on it.
 func Run(cfg RunConfig) (*RunResult, error) {
 	if cfg.Machine == nil || cfg.Build == nil {
 		return nil, fmt.Errorf("apps: Machine and Build are required")
@@ -93,108 +91,91 @@ func Run(cfg RunConfig) (*RunResult, error) {
 	if err := cfg.Machine.Validate(); err != nil {
 		return nil, fmt.Errorf("apps: %w", err)
 	}
-	if cfg.Placement == nil {
-		cfg.Placement = machine.Compact{}
-	}
-	if cfg.Warmup <= 0 {
-		cfg.Warmup = 20 * sim.Microsecond
-	}
-	if cfg.Duration <= 0 {
-		cfg.Duration = 200 * sim.Microsecond
-	}
-	slots, err := cfg.Placement.Place(cfg.Machine, cfg.Threads)
+	d := &driver{build: cfg.Build}
+	c, err := workload.RunCell(workload.Config{
+		Machine:   cfg.Machine,
+		Arbiter:   cfg.Arbiter,
+		Placement: cfg.Placement,
+		Threads:   cfg.Threads,
+		Warmup:    cfg.Warmup,
+		Duration:  cfg.Duration,
+		Seed:      cfg.Seed,
+		Metrics:   cfg.Metrics,
+		Check:     cfg.Check,
+		Faults:    cfg.Faults,
+	}, d)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("apps: %w", err)
 	}
-	eng := sim.NewEngine()
-	mem, err := atomics.NewMemory(eng, cfg.Machine, cfg.Arbiter)
-	if err != nil {
-		return nil, err
-	}
-	app := cfg.Build(eng, mem)
-	var reg *metrics.Registry
-	if cfg.Metrics {
-		reg = metrics.New()
-	}
-	mem.System().InstallMetrics(reg) // nil registry = off
-	var chk *invariant.Checker
-	if cfg.Check {
-		chk = invariant.Install(eng, mem.System())
-	}
-	cfg.Faults.Install(eng, mem)
-	mThreadOps := reg.Vector(metrics.WorkThreadOps, cfg.Threads)
-
-	end := cfg.Warmup + cfg.Duration
-	measuring := false
-	var ops, totalOps uint64
-	perOps := make([]uint64, cfg.Threads)
-	lat := stats.NewHistogram()
-
-	root := sim.NewRNG(cfg.Seed)
-	var loop func(th *Thread)
-	loop = func(th *Thread) {
-		if eng.Now() >= end {
-			return
-		}
-		start := eng.Now()
-		app.Step(th, func() {
-			totalOps++
-			if measuring && eng.Now() <= end {
-				ops++
-				perOps[th.ID]++
-				mThreadOps.Inc(th.ID)
-				lat.Record(eng.Now() - start)
-			}
-			loop(th)
-		})
-	}
-	for i := 0; i < cfg.Threads; i++ {
-		th := &Thread{ID: i, Core: cfg.Machine.CoreOf(slots[i]), RNG: root.Split()}
-		eng.Schedule(th.RNG.Duration(10*sim.Nanosecond), func() { loop(th) })
-	}
-	var procAtMeasure uint64
-	eng.At(cfg.Warmup, func() {
-		measuring = true
-		procAtMeasure = eng.Processed()
-		reg.Reset()
-	})
-	eng.Run(end)
-
-	if chk != nil {
-		if err := chk.Finalize(); err != nil {
-			return nil, fmt.Errorf("apps: %w", err)
-		}
-	} else if err := mem.System().CheckInvariants(); err != nil {
-		return nil, fmt.Errorf("apps: coherence invariant violated: %w", err)
-	}
+	defer c.Release()
+	ops, perOps := c.Ops(), c.PerThreadOps()
 	res := &RunResult{
-		App:            app.Name(),
+		App:            d.app.Name(),
 		Threads:        cfg.Threads,
 		Ops:            ops,
 		PerThreadOps:   perOps,
-		Latency:        lat,
-		ThroughputMops: stats.Throughput(ops, cfg.Duration) / 1e6,
+		Latency:        c.Latency(),
+		ThroughputMops: stats.Throughput(ops, c.Duration()) / 1e6,
 		Jain:           stats.JainIndex(perOps),
 		MinMax:         stats.MinMaxRatio(perOps),
-		Mem:            mem,
-		TotalOps:       totalOps,
+		TotalOps:       c.TotalOps(),
 	}
 	// Structure-specific counters ride along when the app exposes them,
 	// so table assembly and the conflict model can consume them from the
 	// cached cell JSON alone.
-	if rs, ok := app.(RetryStats); ok {
+	if rs, ok := d.app.(RetryStats); ok {
 		res.Attempts = rs.Attempts()
 	}
-	if es, ok := app.(interface{ Eliminations() uint64 }); ok {
+	if es, ok := d.app.(interface{ Eliminations() uint64 }); ok {
 		res.Eliminations = es.Eliminations()
 	}
-	if vs, ok := app.(interface{ Violations() int }); ok {
+	if vs, ok := d.app.(interface{ Violations() int }); ok {
 		res.Violations = vs.Violations()
 	}
-	if reg != nil {
-		reg.Counter(metrics.SimEvents).Add(eng.Processed() - procAtMeasure)
-		reg.Counter(metrics.SimQueuePeak).Add(uint64(eng.MaxPending()))
+	if _, ok := d.app.(mutex); ok {
+		// Each completed acquire-release cycle increments the protected
+		// data exactly once, so mutual exclusion means no lost update.
+		// Cycles the horizon cut off inside the critical section may
+		// have incremented without completing: at most one per thread.
+		v := DataValue(c.Memory())
+		if v < res.TotalOps || v > res.TotalOps+uint64(cfg.Threads) {
+			return nil, fmt.Errorf("apps: %s: mutual exclusion breached: data value %d outside [%d, %d]",
+				res.App, v, res.TotalOps, res.TotalOps+uint64(cfg.Threads))
+		}
+	}
+	if reg := c.Registry(); reg != nil {
 		res.Metrics = reg.Snapshot()
 	}
 	return res, nil
+}
+
+// driver runs an App's operations on the cell runtime: each runtime
+// thread gets an app Thread whose completion callback is built once per
+// cell, so a Step passes the structure no fresh closure.
+type driver struct {
+	build   func(eng *sim.Engine, mem *atomics.Memory) App
+	app     App
+	threads []*Thread
+}
+
+// Setup builds the structure on the reset memory and the app threads on
+// the runtime's placed, seeded threads.
+func (d *driver) Setup(c *workload.Cell) error {
+	eng := c.Engine()
+	d.app = d.build(eng, c.Memory())
+	wts := c.Threads()
+	d.threads = make([]*Thread, len(wts))
+	for i, wt := range wts {
+		th := &Thread{ID: wt.ID, Core: wt.Core, RNG: wt.RNG}
+		th.done = func() { c.Done(wt, eng.Now()-th.start) }
+		d.threads[i] = th
+	}
+	return nil
+}
+
+// Step starts one operation of the structure for the thread.
+func (d *driver) Step(c *workload.Cell, wt *workload.Thread) {
+	th := d.threads[wt.ID]
+	th.start = c.Engine().Now()
+	d.app.Step(th, th.done)
 }

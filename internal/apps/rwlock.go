@@ -59,42 +59,75 @@ func (c *rwCommon) Violations() int { return c.violations }
 // Ops reports completed read and write sections.
 func (c *rwCommon) Ops() (reads, writes uint64) { return c.reads, c.writes }
 
+// rwOp is one thread's in-flight section on a reader-writer lock: the
+// critical-section and release tail both locks share. Each lock binds
+// its own release for read and write sections when it builds the
+// context.
+type rwOp struct {
+	c    *rwCommon
+	th   *Thread
+	done func()
+
+	releaseRead, releaseWrite       func()
+	readDataFn, writeDataFn         func(atomics.Result)
+	exitReadFn, exitWriteFn         func()
+	readReleasedFn, writeReleasedFn func(atomics.Result)
+}
+
+func (o *rwOp) bind(c *rwCommon, releaseRead, releaseWrite func()) {
+	o.c = c
+	o.releaseRead, o.releaseWrite = releaseRead, releaseWrite
+	o.readDataFn, o.writeDataFn = o.readData, o.writeData
+	o.exitReadFn, o.exitWriteFn = o.exitRead, o.exitWrite
+	o.readReleasedFn, o.writeReleasedFn = o.readReleased, o.writeReleased
+}
+
 // criticalRead performs the protected read section then releases.
-func (c *rwCommon) criticalRead(th *Thread, release func(func()), done func()) {
-	c.enterRead()
-	c.mem.LoadOp(th.Core, rwDataLine, func(atomics.Result) {
-		finish := func() {
-			c.exitRead()
-			release(func() {
-				c.reads++
-				done()
-			})
-		}
-		if c.crit > 0 {
-			c.eng.Schedule(c.crit, finish)
-		} else {
-			finish()
-		}
-	})
+func (o *rwOp) criticalRead() {
+	o.c.enterRead()
+	o.c.mem.LoadOp(o.th.Core, rwDataLine, o.readDataFn)
+}
+
+func (o *rwOp) readData(atomics.Result) {
+	if o.c.crit > 0 {
+		o.c.eng.Schedule(o.c.crit, o.exitReadFn)
+	} else {
+		o.exitRead()
+	}
+}
+
+func (o *rwOp) exitRead() {
+	o.c.exitRead()
+	o.releaseRead()
+}
+
+func (o *rwOp) readReleased(atomics.Result) {
+	o.c.reads++
+	o.done()
 }
 
 // criticalWrite performs the protected update then releases.
-func (c *rwCommon) criticalWrite(th *Thread, release func(func()), done func()) {
-	c.enterWrite()
-	c.mem.FetchAndAdd(th.Core, rwDataLine, 1, func(atomics.Result) {
-		finish := func() {
-			c.exitWrite()
-			release(func() {
-				c.writes++
-				done()
-			})
-		}
-		if c.crit > 0 {
-			c.eng.Schedule(c.crit, finish)
-		} else {
-			finish()
-		}
-	})
+func (o *rwOp) criticalWrite() {
+	o.c.enterWrite()
+	o.c.mem.FetchAndAdd(o.th.Core, rwDataLine, 1, o.writeDataFn)
+}
+
+func (o *rwOp) writeData(atomics.Result) {
+	if o.c.crit > 0 {
+		o.c.eng.Schedule(o.c.crit, o.exitWriteFn)
+	} else {
+		o.exitWrite()
+	}
+}
+
+func (o *rwOp) exitWrite() {
+	o.c.exitWrite()
+	o.releaseWrite()
+}
+
+func (o *rwOp) writeReleased(atomics.Result) {
+	o.c.writes++
+	o.done()
 }
 
 // CentralRWLock is the textbook single-word reader-writer spinlock:
@@ -104,62 +137,95 @@ func (c *rwCommon) criticalWrite(th *Thread, release func(func()), done func()) 
 // about.
 type CentralRWLock struct {
 	rwCommon
+	ops []*centralOp
+}
+
+// centralOp is one thread's in-flight section on the central lock: the
+// lock word a read acquisition observed.
+type centralOp struct {
+	rwOp
+	l *CentralRWLock
+	v uint64
+
+	rLoadFn, rCASFn, wLoadFn, wCASFn func(atomics.Result)
 }
 
 // NewCentralRWLock returns the one-line reader-writer lock; readFrac of
 // the Steps are read sections, crit is the section length.
 func NewCentralRWLock(eng *sim.Engine, mem *atomics.Memory, readFrac float64, crit sim.Time) *CentralRWLock {
-	return &CentralRWLock{rwCommon{mem: mem, eng: eng, readFrac: readFrac, crit: crit}}
+	return &CentralRWLock{rwCommon: rwCommon{mem: mem, eng: eng, readFrac: readFrac, crit: crit}}
 }
 
 func (l *CentralRWLock) Name() string { return "rwlock-central" }
 
+func (l *CentralRWLock) newOp() *centralOp {
+	o := &centralOp{l: l}
+	o.bind(&l.rwCommon, o.readRelease, o.writeRelease)
+	o.rLoadFn, o.rCASFn = o.readLoaded, o.readCAS
+	o.wLoadFn, o.wCASFn = o.writeLoaded, o.writeCAS
+	return o
+}
+
 func (l *CentralRWLock) Step(th *Thread, done func()) {
+	o := threadOp(&l.ops, th, l.newOp)
+	o.th, o.done = th, done
 	if th.RNG.Float64() < l.readFrac {
-		l.readAcquire(th, done)
+		o.readAcquire()
 	} else {
-		l.writeAcquire(th, done)
+		o.writeAcquire()
 	}
 }
 
-func (l *CentralRWLock) readAcquire(th *Thread, done func()) {
-	l.mem.LoadOp(th.Core, rwLockLine, func(r atomics.Result) {
-		v := r.Old
-		if v&1 == 1 {
-			l.readAcquire(th, done) // writer active: spin on shared copy
-			return
-		}
-		l.attempts++
-		l.mem.CompareAndSwap(th.Core, rwLockLine, v, v+2, func(rc atomics.Result) {
-			if !rc.OK {
-				l.readAcquire(th, done)
-				return
-			}
-			l.criticalRead(th, func(released func()) {
-				// Release: subtract 2 (add the two's complement).
-				l.mem.FetchAndAdd(th.Core, rwLockLine, ^uint64(1), func(atomics.Result) { released() })
-			}, done)
-		})
-	})
+func (o *centralOp) readAcquire() {
+	o.l.mem.LoadOp(o.th.Core, rwLockLine, o.rLoadFn)
 }
 
-func (l *CentralRWLock) writeAcquire(th *Thread, done func()) {
-	l.mem.LoadOp(th.Core, rwLockLine, func(r atomics.Result) {
-		if r.Old != 0 {
-			l.writeAcquire(th, done) // busy: spin
-			return
-		}
-		l.attempts++
-		l.mem.CompareAndSwap(th.Core, rwLockLine, 0, 1, func(rc atomics.Result) {
-			if !rc.OK {
-				l.writeAcquire(th, done)
-				return
-			}
-			l.criticalWrite(th, func(released func()) {
-				l.mem.StoreOp(th.Core, rwLockLine, 0, func(atomics.Result) { released() })
-			}, done)
-		})
-	})
+func (o *centralOp) readLoaded(r atomics.Result) {
+	o.v = r.Old
+	if o.v&1 == 1 {
+		o.readAcquire() // writer active: spin on shared copy
+		return
+	}
+	o.l.attempts++
+	o.l.mem.CompareAndSwap(o.th.Core, rwLockLine, o.v, o.v+2, o.rCASFn)
+}
+
+func (o *centralOp) readCAS(rc atomics.Result) {
+	if !rc.OK {
+		o.readAcquire()
+		return
+	}
+	o.criticalRead()
+}
+
+// readRelease subtracts 2 (adds the two's complement).
+func (o *centralOp) readRelease() {
+	o.l.mem.FetchAndAdd(o.th.Core, rwLockLine, ^uint64(1), o.readReleasedFn)
+}
+
+func (o *centralOp) writeAcquire() {
+	o.l.mem.LoadOp(o.th.Core, rwLockLine, o.wLoadFn)
+}
+
+func (o *centralOp) writeLoaded(r atomics.Result) {
+	if r.Old != 0 {
+		o.writeAcquire() // busy: spin
+		return
+	}
+	o.l.attempts++
+	o.l.mem.CompareAndSwap(o.th.Core, rwLockLine, 0, 1, o.wCASFn)
+}
+
+func (o *centralOp) writeCAS(rc atomics.Result) {
+	if !rc.OK {
+		o.writeAcquire()
+		return
+	}
+	o.criticalWrite()
+}
+
+func (o *centralOp) writeRelease() {
+	o.l.mem.StoreOp(o.th.Core, rwLockLine, 0, o.writeReleasedFn)
 }
 
 // DistributedRWLock is the big-reader design: each thread announces
@@ -170,12 +236,24 @@ func (l *CentralRWLock) writeAcquire(th *Thread, done func()) {
 type DistributedRWLock struct {
 	rwCommon
 	slots int
+	ops   []*distOp
+}
+
+// distOp is one thread's in-flight section on the distributed lock:
+// the reader slot a writer's scan has reached.
+type distOp struct {
+	rwOp
+	l *DistributedRWLock
+	i int
+
+	flagFn, announcedFn, recheckFn, withdrawnFn func(atomics.Result)
+	flagTASFn, scanFn                           func(atomics.Result)
 }
 
 // NewDistributedRWLock returns the per-reader-slot lock for up to slots
 // reader threads (thread IDs index the slots).
 func NewDistributedRWLock(eng *sim.Engine, mem *atomics.Memory, slots int, readFrac float64, crit sim.Time) *DistributedRWLock {
-	return &DistributedRWLock{rwCommon{mem: mem, eng: eng, readFrac: readFrac, crit: crit}, slots}
+	return &DistributedRWLock{rwCommon: rwCommon{mem: mem, eng: eng, readFrac: readFrac, crit: crit}, slots: slots}
 }
 
 func (l *DistributedRWLock) Name() string { return "rwlock-distributed" }
@@ -184,64 +262,89 @@ func (l *DistributedRWLock) slot(id int) coherence.LineID {
 	return rwSlotBase + coherence.LineID(id)*512
 }
 
+func (l *DistributedRWLock) newOp() *distOp {
+	o := &distOp{l: l}
+	o.bind(&l.rwCommon, o.readRelease, o.writeRelease)
+	o.flagFn, o.announcedFn = o.flagLoaded, o.announced
+	o.recheckFn, o.withdrawnFn = o.rechecked, o.withdrawn
+	o.flagTASFn, o.scanFn = o.flagTAS, o.scanned
+	return o
+}
+
 func (l *DistributedRWLock) Step(th *Thread, done func()) {
+	o := threadOp(&l.ops, th, l.newOp)
+	o.th, o.done = th, done
 	if th.RNG.Float64() < l.readFrac {
-		l.readAcquire(th, done)
+		o.readAcquire()
 	} else {
-		l.writeAcquire(th, done)
+		o.writeAcquire()
 	}
 }
 
-func (l *DistributedRWLock) readAcquire(th *Thread, done func()) {
-	l.mem.LoadOp(th.Core, rwFlagLine, func(r atomics.Result) {
-		if r.Old != 0 {
-			l.readAcquire(th, done) // writer present: spin on the flag
-			return
-		}
-		// Announce, then re-check the flag (Dekker-style handshake).
-		l.attempts++
-		l.mem.StoreOp(th.Core, l.slot(th.ID), 1, func(atomics.Result) {
-			l.mem.LoadOp(th.Core, rwFlagLine, func(r2 atomics.Result) {
-				if r2.Old != 0 {
-					// A writer raced in: withdraw and retry.
-					l.mem.StoreOp(th.Core, l.slot(th.ID), 0, func(atomics.Result) {
-						l.readAcquire(th, done)
-					})
-					return
-				}
-				l.criticalRead(th, func(released func()) {
-					l.mem.StoreOp(th.Core, l.slot(th.ID), 0, func(atomics.Result) { released() })
-				}, done)
-			})
-		})
-	})
+func (o *distOp) readAcquire() {
+	o.l.mem.LoadOp(o.th.Core, rwFlagLine, o.flagFn)
 }
 
-func (l *DistributedRWLock) writeAcquire(th *Thread, done func()) {
-	l.attempts++
-	l.mem.TestAndSet(th.Core, rwFlagLine, func(r atomics.Result) {
-		if r.Old != 0 {
-			l.writeAcquire(th, done) // another writer holds the flag
-			return
-		}
-		l.scanSlots(th, 0, done)
-	})
-}
-
-// scanSlots waits for every announced reader to drain, then runs the
-// write section.
-func (l *DistributedRWLock) scanSlots(th *Thread, i int, done func()) {
-	if i == l.slots {
-		l.criticalWrite(th, func(released func()) {
-			l.mem.StoreOp(th.Core, rwFlagLine, 0, func(atomics.Result) { released() })
-		}, done)
+func (o *distOp) flagLoaded(r atomics.Result) {
+	if r.Old != 0 {
+		o.readAcquire() // writer present: spin on the flag
 		return
 	}
-	l.mem.LoadOp(th.Core, l.slot(i), func(r atomics.Result) {
-		if r.Old != 0 {
-			l.scanSlots(th, i, done) // reader still inside: spin on its slot
-			return
-		}
-		l.scanSlots(th, i+1, done)
-	})
+	// Announce, then re-check the flag (Dekker-style handshake).
+	o.l.attempts++
+	o.l.mem.StoreOp(o.th.Core, o.l.slot(o.th.ID), 1, o.announcedFn)
+}
+
+func (o *distOp) announced(atomics.Result) {
+	o.l.mem.LoadOp(o.th.Core, rwFlagLine, o.recheckFn)
+}
+
+func (o *distOp) rechecked(r2 atomics.Result) {
+	if r2.Old != 0 {
+		// A writer raced in: withdraw and retry.
+		o.l.mem.StoreOp(o.th.Core, o.l.slot(o.th.ID), 0, o.withdrawnFn)
+		return
+	}
+	o.criticalRead()
+}
+
+func (o *distOp) withdrawn(atomics.Result) { o.readAcquire() }
+
+func (o *distOp) readRelease() {
+	o.l.mem.StoreOp(o.th.Core, o.l.slot(o.th.ID), 0, o.readReleasedFn)
+}
+
+func (o *distOp) writeAcquire() {
+	o.l.attempts++
+	o.l.mem.TestAndSet(o.th.Core, rwFlagLine, o.flagTASFn)
+}
+
+func (o *distOp) flagTAS(r atomics.Result) {
+	if r.Old != 0 {
+		o.writeAcquire() // another writer holds the flag
+		return
+	}
+	o.i = 0
+	o.scan()
+}
+
+// scan waits for every announced reader to drain, then runs the write
+// section.
+func (o *distOp) scan() {
+	if o.i == o.l.slots {
+		o.criticalWrite()
+		return
+	}
+	o.l.mem.LoadOp(o.th.Core, o.l.slot(o.i), o.scanFn)
+}
+
+func (o *distOp) scanned(r atomics.Result) {
+	if r.Old == 0 {
+		o.i++
+	} // else a reader is still inside: spin on its slot
+	o.scan()
+}
+
+func (o *distOp) writeRelease() {
+	o.l.mem.StoreOp(o.th.Core, rwFlagLine, 0, o.writeReleasedFn)
 }

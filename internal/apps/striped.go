@@ -22,6 +22,19 @@ type StripedCounter struct {
 	ReadFraction float64
 	reads        uint64
 	incs         uint64
+	ops          []*stripedOp
+}
+
+// stripedOp is one thread's in-flight increment or read sweep: the
+// next stripe to load and the running sum.
+type stripedOp struct {
+	c      *StripedCounter
+	th     *Thread
+	done   func()
+	i      int
+	sum    uint64
+	incFn  func(atomics.Result)
+	loadFn func(atomics.Result)
 }
 
 // NewStripedCounter returns a counter sharded over the given number of
@@ -52,27 +65,42 @@ func (c *StripedCounter) Value() uint64 {
 	return sum
 }
 
-func (c *StripedCounter) Step(th *Thread, done func()) {
-	if th.RNG.Float64() < c.ReadFraction {
-		c.readAll(th, 0, 0, done)
-		return
-	}
-	line := c.stripe(th.ID % c.stripes)
-	c.mem.FetchAndAdd(th.Core, line, 1, func(atomics.Result) {
-		c.incs++
-		done()
-	})
+func (c *StripedCounter) newOp() *stripedOp {
+	o := &stripedOp{c: c}
+	o.incFn = o.incremented
+	o.loadFn = o.loaded
+	return o
 }
 
-// readAll loads every stripe sequentially (a consistent snapshot is not
-// promised, matching real striped counters).
-func (c *StripedCounter) readAll(th *Thread, i int, sum uint64, done func()) {
-	if i == c.stripes {
-		c.reads++
-		done()
+func (c *StripedCounter) Step(th *Thread, done func()) {
+	o := threadOp(&c.ops, th, c.newOp)
+	o.th, o.done = th, done
+	if th.RNG.Float64() < c.ReadFraction {
+		o.i, o.sum = 0, 0
+		o.readNext()
 		return
 	}
-	c.mem.LoadOp(th.Core, c.stripe(i), func(r atomics.Result) {
-		c.readAll(th, i+1, sum+r.Old, done)
-	})
+	c.mem.FetchAndAdd(th.Core, c.stripe(th.ID%c.stripes), 1, o.incFn)
+}
+
+func (o *stripedOp) incremented(atomics.Result) {
+	o.c.incs++
+	o.done()
+}
+
+// readNext loads the next stripe of a sweep over all of them (a
+// consistent snapshot is not promised, matching real striped counters).
+func (o *stripedOp) readNext() {
+	if o.i == o.c.stripes {
+		o.c.reads++
+		o.done()
+		return
+	}
+	o.c.mem.LoadOp(o.th.Core, o.c.stripe(o.i), o.loadFn)
+}
+
+func (o *stripedOp) loaded(r atomics.Result) {
+	o.i++
+	o.sum += r.Old
+	o.readNext()
 }

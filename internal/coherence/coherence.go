@@ -915,12 +915,12 @@ func (s *System) serveNext(l *lineState) {
 }
 
 // scheduleDone schedules a request's completion callback fn after d, on
-// the express lane when it can and otherwise in the line's home shard.
+// the express lane when it can and otherwise on the engine's heap.
 // The event belongs to the request's issuer, not to whichever event
 // happens to grant it (a completion grants the next waiter).
 func (s *System) scheduleDone(req *request, d sim.Time, fn func()) {
 	if !s.eng.TryExpressAs(req.owner, d, fn) {
-		s.eng.ScheduleShardAs(req.owner, req.line.home, d, fn)
+		s.eng.ScheduleAs(req.owner, d, fn)
 	}
 }
 
@@ -1333,7 +1333,8 @@ func (s *System) Directory(id LineID) LineDirectory {
 
 // Reset returns the system to its just-constructed state — no lines, no
 // hooks, zeroed counters — while keeping every allocation (request
-// pool, directory entries, queue arrays, network tables) for reuse. A
+// pool, up to the finished run's count of directory entries, queue
+// arrays, network tables) for reuse. A
 // reset system behaves byte-identically to a freshly built one with the
 // same engine, params, and arbiter; the cell pool (internal/workload)
 // relies on this to run cells without per-cell allocation. The caller
@@ -1341,13 +1342,24 @@ func (s *System) Directory(id LineID) LineDirectory {
 // (a RandomArbiter's RNG stream).
 func (s *System) Reset() {
 	// Newest first, so the oldest line is popped first next run.
-	for i := len(s.lineOrder) - 1; i >= 0; i-- {
+	touched := len(s.lineOrder)
+	for i := touched - 1; i >= 0; i-- {
 		l := s.lineOrder[i]
 		l.reset()
 		s.lineFree = append(s.lineFree, l)
 		s.lineOrder[i] = nil
 	}
 	s.lineOrder = s.lineOrder[:0]
+	// Pool no more entries than this run touched: a cell over thousands
+	// of lines (a stack's nodes, a deque's buffers) must not stay
+	// resident behind every later cell over a handful. The entries
+	// dropped are the leftovers at the bottom of the stack, which this
+	// run did not reuse.
+	if extra := len(s.lineFree) - touched; extra > 0 {
+		n := copy(s.lineFree, s.lineFree[extra:])
+		clear(s.lineFree[n:])
+		s.lineFree = s.lineFree[:n]
+	}
 	clear(s.lines)
 	s.lastLine = nil
 	s.tracer = nil

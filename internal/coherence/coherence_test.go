@@ -496,3 +496,34 @@ func TestTracerSeesEveryAccess(t *testing.T) {
 		t.Fatalf("tracer saw %d events, want 3", n)
 	}
 }
+
+// TestResetPoolsOnlyTouchedLines pins Reset's line-state bound: the
+// pool keeps at most as many free entries as the finished run touched,
+// so a run over many lines followed by a run over few leaves only the
+// smaller count pooled — and a repeat of the small run takes every
+// entry it needs from the pool.
+func TestResetPoolsOnlyTouchedLines(t *testing.T) {
+	_, s := testSystem(t, nil)
+	touch := func(n int) {
+		for i := 0; i < n; i++ {
+			s.SetValue(LineID(100+i), 1)
+		}
+	}
+	touch(1000)
+	s.Reset()
+	if got := len(s.lineFree); got != 1000 {
+		t.Fatalf("after a 1000-line run: %d pooled line states, want 1000", got)
+	}
+	touch(10)
+	s.Reset()
+	if got := len(s.lineFree); got != 10 {
+		t.Fatalf("after a 10-line run: %d pooled line states, want 10", got)
+	}
+	allocs := testing.AllocsPerRun(5, func() {
+		touch(10)
+		s.Reset()
+	})
+	if allocs != 0 {
+		t.Fatalf("a repeated 10-line run allocates %v times, want 0", allocs)
+	}
+}

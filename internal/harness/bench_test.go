@@ -3,6 +3,7 @@ package harness
 import (
 	"testing"
 
+	"atomicsmodel/internal/apps"
 	"atomicsmodel/internal/atomics"
 	"atomicsmodel/internal/machine"
 	"atomicsmodel/internal/sim"
@@ -55,10 +56,36 @@ func benchFullCell(b *testing.B, edit func(*workload.Config)) {
 	}
 }
 
+// BenchmarkAppCell measures one complete app cell on the pooled cell
+// runtime at quick-run length: the XeonE5 ticket lock (a spin read per
+// waiter per handoff) and the work-stealing deques (the A suite's most
+// event-heavy structure), 8 threads each. An app cell allocates its
+// structure, per-thread contexts and result once per cell and nothing
+// per operation, so allocs/op is a small per-cell constant.
+func BenchmarkAppCell(b *testing.B) {
+	for _, structure := range []string{"lock-ticket", "ws-deque"} {
+		b.Run(structure, func(b *testing.B) {
+			sp := apps.Spec{Structure: structure, Threads: 8,
+				WarmupPS: 10 * sim.Microsecond, DurationPS: 100 * sim.Microsecond, Seed: 1}
+			cfg, err := sp.RunConfig(machine.XeonE5())
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := apps.Run(cfg); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
 // TestFullCellsDoNotAllocate pins the steady state of every cell shape
 // the fast-forward layer runs — the contended FAA cell of
 // BenchmarkFullCell, loads, fences, private lines, and metrics-on
-// cells — at zero allocations per cell once the runner pool, the
+// cells — at zero allocations per cell once the cell pool, the
 // memoizer's scratch, and the recycled Result are warm.
 func TestFullCellsDoNotAllocate(t *testing.T) {
 	m := machine.XeonE5()

@@ -94,25 +94,3 @@ func collectMetrics(t *testing.T, e *Experiment, o Options) (string, string) {
 	}
 	return renderTables(t, tables), string(raw)
 }
-
-// TestShardCountInvariance proves cell results are invariant to the
-// engine's event-queue shard count: the sharded heaps merge by global
-// (timestamp, sequence) order, so any shard count must reproduce the
-// single-heap schedule exactly. F3 covers the closed-loop contention
-// sweep; F9 adds an open-loop cell shape.
-func TestShardCountInvariance(t *testing.T) {
-	defer workload.SetEngineShards(0)
-	ids := []string{"F3", "F9"}
-	var base string
-	for _, shards := range []int{1, 2, 8} {
-		workload.SetEngineShards(shards)
-		got := renderAll(t, quickOpts(), ids)
-		if shards == 1 {
-			base = got
-			continue
-		}
-		if got != base {
-			t.Fatalf("shards=%d output differs from shards=1:\n--- 1 ---\n%s\n--- %d ---\n%s", shards, base, shards, got)
-		}
-	}
-}

@@ -19,8 +19,9 @@ import (
 // This file is the parallel cell scheduler. A "cell" is one independent
 // simulation: one (machine, threads, primitive, ...) configuration run
 // to completion on its own engine. Cells never share mutable state —
-// every cell builds a fresh engine, memory, and RNG from its own
-// derived seed — so the scheduler may run them in any order on any
+// every cell runs on an engine and memory reset to their just-built
+// state (internal/workload's cell pool) with RNGs from its own derived
+// seed — so the scheduler may run them in any order on any
 // number of workers. Determinism is preserved by construction: results
 // are written into an index-addressed slot per cell and consumed in
 // index order, so the assembled tables are byte-identical to a serial

@@ -7,35 +7,30 @@
 // is what lets the repository reproduce the paper's experiments bit-for-bit
 // across runs, something raw hardware measurements cannot do.
 //
-// # Sharded queue and the deterministic merge rule
+// # One heap and an express lane
 //
-// Internally the queue is split into S independent binary min-heaps
-// ("shards") plus an express lane (below). Every event carries a globally
-// unique, monotonically assigned sequence number, and the dispatcher always
-// pops the event with the minimum (timestamp, sequence) pair across all
-// shard heads. Because the sequence numbers are assigned at scheduling time
-// independent of shard placement, the merged pop order is exactly the pop
-// order of a single global heap: shard count and shard assignment can never
-// change results, only the cost profile — push/pop sift within a shard is
-// O(log N/S) and the merge scan is O(S) over shard heads. Callers that know
-// a natural partition (the coherence layer shards by a line's home
-// directory) use ScheduleShard/AtShard; everything else lands in shard 0.
+// Internally the queue is one binary min-heap ordered by (timestamp,
+// sequence) plus an express lane (below). Every event carries a unique,
+// monotonically assigned sequence number, so the pop order is a strict
+// total order. One heap rather than several merged ones: closed-loop
+// cells keep about one event per thread pending, too few for shallower
+// sifts to repay a merge scan (DESIGN.md has the measurements).
 //
 // # Express lane
 //
-// TryExpress schedules an event on a plain FIFO slice instead of a heap
-// when its (timestamp, sequence) pair is known to be >= the lane's current
-// tail, which holds for the common "schedule the completion of the service
-// I am starting right now" pattern. The dispatcher merges the lane head
-// with the shard heads under the same (timestamp, sequence) rule, so an
-// express event runs at exactly the instant and position a heap event
-// would — it just skips both sift paths. Callers must fall back to
-// Schedule/ScheduleShard when TryExpress declines.
+// TryExpress schedules an event on a plain FIFO slice instead of the
+// heap when its (timestamp, sequence) pair is known to be >= the lane's
+// current tail, which holds for the common "schedule the completion of
+// the service I am starting right now" pattern. The dispatcher merges
+// the lane head with the heap head under the same (timestamp, sequence)
+// rule, so an express event runs at exactly the instant and position a
+// heap event would — it just skips both sift paths. Callers must fall
+// back to Schedule when TryExpress declines.
 //
 // # Owners and fast-forward hooks
 //
 // Every event carries an owner: the small integer a caller names with
-// ScheduleShardAs/TryExpressAs, or otherwise the owner of the event
+// ScheduleAs/TryExpressAs, or otherwise the owner of the event
 // being dispatched when it was scheduled (so a simulated thread's whole
 // causal chain stays attributed to it), or NoOwner outside dispatch.
 // Owners never affect ordering; they let the analytic fast-forward layer
@@ -60,7 +55,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
-	"math/bits"
 	"slices"
 )
 
@@ -105,10 +99,9 @@ func (t Time) String() string {
 
 // event is a scheduled callback. seq breaks ties so that events scheduled
 // earlier at the same instant run first (stable, deterministic ordering),
-// and — because it is globally unique across shards — defines the total
-// order the sharded merge reproduces. Its low ownerBits bits hold the
+// and — because it is unique — makes the dispatch order total. Its low ownerBits bits hold the
 // event's owner tag (owner+1, 0 for NoOwner) beneath the sequence
-// number proper, so the tag costs no space in the heaps and cannot
+// number proper, so the tag costs no space in the heap and cannot
 // disturb the order: sequence numbers are unique, so the packed values
 // compare exactly as the sequence numbers do.
 type event struct {
@@ -199,37 +192,25 @@ func (h *eventHeap) pop() event {
 	return top
 }
 
-// maxShards bounds the shard count: the dispatcher scans every shard
-// head per pop, so past a few dozen shards the merge scan would cost
-// more than the sift depth it saves.
-const maxShards = 64
-
 // expressBacklog bounds the express lane. The lane is meant for
 // imminent events; if a caller somehow parks this many events on it the
-// engine pushes further ones through the heaps so the lane's linear
+// engine pushes further ones through the heap so the lane's linear
 // scan-free pop stays cheap.
 const expressBacklog = 64
 
-// Engine is a discrete-event simulator. The zero value is ready to use
-// (one shard). Engines are not safe for concurrent use; a simulation is
+// Engine is a discrete-event simulator. The zero value is ready to use.
+// Engines are not safe for concurrent use; a simulation is
 // a single-threaded interleaving of events by construction.
 type Engine struct {
 	now Time
 	seq uint64
-	// shards are the per-partition heaps; extra is lazily grown so the
-	// zero-value Engine (shard 0 only) keeps working.
-	shards []eventHeap
+	// heap holds every scheduled event not on the express lane.
+	heap eventHeap
 	// express is the FIFO lane: entries are (at, seq)-nondecreasing, the
 	// live window is express[exHead:].
 	express []event
 	exHead  int
-	// occupied is a bitmask of shards with queued events (bit s ↔
-	// shards[s] non-empty; maxShards = 64 makes one word enough). The
-	// dispatcher's merge scan walks only set bits, so sparse queues —
-	// the common case, a closed-loop cell idles at one or two pending
-	// events — pay for the shards they use, not the shards they have.
-	occupied uint64
-	// pending counts queued events across all shards and the lane;
+	// pending counts queued events on the heap and the lane;
 	// maxPending is its high-water mark (see MaxPending).
 	pending    int
 	maxPending int
@@ -296,30 +277,8 @@ func (e *Engine) SetMonotoneCheck(report func(err error)) { e.monotone = report 
 // schedule events.
 func (e *Engine) SetIdleHook(fn func()) { e.idleHook = fn }
 
-// NewEngine returns an engine with its clock at zero and one shard.
+// NewEngine returns an engine with its clock at zero.
 func NewEngine() *Engine { return &Engine{} }
-
-// NewEngineSharded returns an engine whose event queue is split into n
-// independent shards (clamped to [1, 64]) merged deterministically by
-// the global (timestamp, sequence) order. Results are identical for
-// every n; only the queueing cost profile changes.
-func NewEngineSharded(n int) *Engine {
-	if n < 1 {
-		n = 1
-	}
-	if n > maxShards {
-		n = maxShards
-	}
-	return &Engine{shards: make([]eventHeap, n)}
-}
-
-// Shards reports the engine's shard count.
-func (e *Engine) Shards() int {
-	if len(e.shards) == 0 {
-		return 1
-	}
-	return len(e.shards)
-}
 
 // Now returns the current simulated time.
 func (e *Engine) Now() Time { return e.now }
@@ -344,49 +303,33 @@ func (e *Engine) nextSeq(tag int32) uint64 {
 
 // Schedule runs fn after delay d (d may be zero; negative delays are
 // clamped to zero so that callers computing d from latencies never move
-// the clock backwards). The event lands in shard 0.
-func (e *Engine) Schedule(d Time, fn func()) { e.ScheduleShard(0, d, fn) }
+// the clock backwards).
+func (e *Engine) Schedule(d Time, fn func()) { e.scheduleTag(e.cur, d, fn) }
 
-// ScheduleShard is Schedule with an explicit queue shard. The shard
-// index is reduced modulo the shard count; it affects cost only, never
-// ordering.
-func (e *Engine) ScheduleShard(shard int, d Time, fn func()) {
-	e.scheduleTag(e.cur, shard, d, fn)
+// ScheduleAs is Schedule with an explicit owner instead of the
+// inherited one.
+func (e *Engine) ScheduleAs(owner int32, d Time, fn func()) {
+	e.scheduleTag(ownerTag(owner), d, fn)
 }
 
-// ScheduleShardAs is ScheduleShard with an explicit owner instead of
-// the inherited one.
-func (e *Engine) ScheduleShardAs(owner int32, shard int, d Time, fn func()) {
-	e.scheduleTag(ownerTag(owner), shard, d, fn)
-}
-
-func (e *Engine) scheduleTag(tag int32, shard int, d Time, fn func()) {
+func (e *Engine) scheduleTag(tag int32, d Time, fn func()) {
 	if e.perturb != nil {
 		d = e.perturb(d)
 	}
 	if d < 0 {
 		d = 0
 	}
-	e.atTag(tag, shard, e.now+d, fn)
+	e.atTag(tag, e.now+d, fn)
 }
 
 // At runs fn at absolute time t. Times before Now are clamped to Now.
-// The event lands in shard 0.
-func (e *Engine) At(t Time, fn func()) { e.AtShard(0, t, fn) }
+func (e *Engine) At(t Time, fn func()) { e.atTag(e.cur, t, fn) }
 
-// AtShard is At with an explicit queue shard.
-func (e *Engine) AtShard(shard int, t Time, fn func()) { e.atTag(e.cur, shard, t, fn) }
-
-func (e *Engine) atTag(tag int32, shard int, t Time, fn func()) {
+func (e *Engine) atTag(tag int32, t Time, fn func()) {
 	if t < e.now {
 		t = e.now
 	}
-	if len(e.shards) == 0 {
-		e.shards = make([]eventHeap, 1)
-	}
-	s := shard % len(e.shards)
-	e.shards[s].push(event{at: t, seq: e.nextSeq(tag), fn: fn})
-	e.occupied |= 1 << uint(s)
+	e.heap.push(event{at: t, seq: e.nextSeq(tag), fn: fn})
 	e.pending++
 	if e.pending > e.maxPending {
 		e.maxPending = e.pending
@@ -438,14 +381,14 @@ func (e *Engine) tryExpressTag(tag int32, d Time, fn func()) bool {
 
 // MaxPending reports the largest number of events that were ever queued
 // at once — the schedule's burstiness, exported into metrics snapshots
-// (internal/metrics) as "sim.queue_peak". The count spans all shards
-// and the express lane. Fast-forward leaves it exact: the layer only
+// (internal/metrics) as "sim.queue_peak". The count spans the heap and
+// the express lane. Fast-forward leaves it exact: the layer only
 // elides whole cycles of an exactly periodic schedule, whose peak the
 // simulated cycles already reached.
 func (e *Engine) MaxPending() int { return e.maxPending }
 
-// Pending reports the number of events waiting to run, across all
-// shards and the express lane.
+// Pending reports the number of events waiting to run, on the heap and
+// the express lane.
 func (e *Engine) Pending() int { return e.pending }
 
 // QueueTimeIntegral reports ∫ pending(t) dt over dispatched time: the
@@ -471,8 +414,8 @@ func (e *Engine) Stop() { e.stopped = true }
 // and reports whether it could. Unowned events (fixed-time markers such
 // as a measurement boundary) keep their time, so the fast-forward layer
 // can translate an exactly periodic schedule over the elided cycles
-// while the boundary it is running toward stays put. Shards holding an
-// unowned event are re-sorted (a sorted slice is a valid heap), since a
+// while the boundary it is running toward stays put. A heap holding an
+// unowned event is re-sorted (a sorted slice is a valid heap), since a
 // translated event may now order after the marker. It declines —
 // changing nothing — when an unowned event sits on the express lane,
 // whose time order a partial translation could break. delta must be
@@ -491,19 +434,16 @@ func (e *Engine) ShiftPending(delta Time) bool {
 	for i := range lane {
 		lane[i].at += delta
 	}
-	for s := range e.shards {
-		h := e.shards[s]
-		fixed := false
-		for i := range h {
-			if h[i].tag() == 0 {
-				fixed = true
-				continue
-			}
-			h[i].at += delta
+	fixed := false
+	for i := range e.heap {
+		if e.heap[i].tag() == 0 {
+			fixed = true
+			continue
 		}
-		if fixed {
-			slices.SortFunc(h, eventOrder)
-		}
+		e.heap[i].at += delta
+	}
+	if fixed {
+		slices.SortFunc(e.heap, eventOrder)
 	}
 	return true
 }
@@ -547,10 +487,8 @@ func (e *Engine) AppendCycleKey(dst []byte) []byte {
 	for _, ev := range e.express[e.exHead:] {
 		s = append(s, event{at: ev.at, seq: ev.seq})
 	}
-	for _, h := range e.shards {
-		for _, ev := range h {
-			s = append(s, event{at: ev.at, seq: ev.seq})
-		}
+	for _, ev := range e.heap {
+		s = append(s, event{at: ev.at, seq: ev.seq})
 	}
 	slices.SortFunc(s, eventOrder)
 	for i := range s {
@@ -568,24 +506,21 @@ func (e *Engine) AppendCycleKey(dst []byte) []byte {
 
 // queue sources for peekMin.
 const (
-	srcNone    = -2
-	srcExpress = -1
+	srcNone = iota
+	srcExpress
+	srcHeap
 )
 
 // peekMin locates the minimum (at, seq) event across the express lane
-// and every shard head. src is srcExpress, a shard index, or srcNone.
+// head and the heap root. src is srcExpress, srcHeap, or srcNone.
 func (e *Engine) peekMin() (at Time, seq uint64, src int) {
 	src = srcNone
 	if e.exHead < len(e.express) {
 		ev := &e.express[e.exHead]
 		at, seq, src = ev.at, ev.seq, srcExpress
 	}
-	for occ := e.occupied; occ != 0; occ &= occ - 1 {
-		s := bits.TrailingZeros64(occ)
-		h := e.shards[s]
-		if src == srcNone || h[0].before(at, seq) {
-			at, seq, src = h[0].at, h[0].seq, s
-		}
+	if len(e.heap) > 0 && (src == srcNone || e.heap[0].before(at, seq)) {
+		at, seq, src = e.heap[0].at, e.heap[0].seq, srcHeap
 	}
 	return at, seq, src
 }
@@ -622,11 +557,7 @@ func (e *Engine) popNext(limit Time) (event, bool) {
 		}
 		return ev, true
 	}
-	ev := e.shards[src].pop()
-	if len(e.shards[src]) == 0 {
-		e.occupied &^= 1 << uint(src)
-	}
-	return ev, true
+	return e.heap.pop(), true
 }
 
 // dispatch runs events up to and including limit.
@@ -681,24 +612,18 @@ func (e *Engine) Drain() Time {
 }
 
 // Reset returns the engine to its initial state — clock at zero, no
-// pending events, all hooks removed — while keeping the shard layout
-// and every queue's allocated capacity. It is the arena-style teardown
+// pending events, all hooks removed — while keeping every queue's
+// allocated capacity. It is the arena-style teardown
 // the cell pool (internal/workload) relies on: reusing an engine across
 // cells is byte-identical to building a fresh one.
 func (e *Engine) Reset() {
-	for s := range e.shards {
-		h := e.shards[s]
-		for i := range h {
-			h[i] = event{}
-		}
-		e.shards[s] = h[:0]
-	}
+	clear(e.heap)
+	e.heap = e.heap[:0]
 	for i := e.exHead; i < len(e.express); i++ {
 		e.express[i] = event{}
 	}
 	e.express = e.express[:0]
 	e.exHead = 0
-	e.occupied = 0
 	e.now, e.seq, e.processed = 0, 0, 0
 	e.pending, e.maxPending = 0, 0
 	e.pendIntegral = 0

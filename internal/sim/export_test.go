@@ -5,11 +5,7 @@ package sim
 // (an event timestamped in the past) the monotonicity checker guards
 // against; no production path can create it.
 func (e *Engine) PushRaw(at Time, fn func()) {
-	if len(e.shards) == 0 {
-		e.shards = make([]eventHeap, 1)
-	}
-	e.shards[0].push(event{at: at, seq: e.nextSeq(0), fn: fn})
-	e.occupied |= 1
+	e.heap.push(event{at: at, seq: e.nextSeq(0), fn: fn})
 	e.pending++
 	if e.pending > e.maxPending {
 		e.maxPending = e.pending

@@ -115,7 +115,7 @@ const (
 	thOp                 // operation in flight
 )
 
-// memoState is the per-runner scratch for the memoizer. All slices are
+// memoState is the per-cell scratch for the memoizer. All slices are
 // reused across runs, so an armed memoizer allocates only on its first
 // few cycles ever.
 type memoState struct {
@@ -165,13 +165,20 @@ type memoState struct {
 	njs            []float64
 }
 
-// memoVerdict reports why cfg's steady state cannot be memoized — the
+// memoVerdict reports why the steady state of cfg under drv cannot be
+// memoized — "app" for a driver other than the primitive loop, else the
 // first disqualifying knob as a short reason — or "" when it can: the
 // schedule must be a closed loop with no per-op randomness, a
 // value-independent primitive, a stateless FIFO grant order, and no
 // state or observer outside the fingerprint. Any number of lines,
 // shared or private, and constant think time are fine.
-func memoVerdict(cfg *Config) string {
+func memoVerdict(cfg *Config, drv Driver) string {
+	if _, ok := drv.(primitives); !ok {
+		// A structure's operations branch on line values and draw
+		// per-operation randomness, and its state lives outside the
+		// fingerprint.
+		return "app"
+	}
 	m := cfg.Machine
 	switch {
 	case cfg.Primitive == atomics.CAS || cfg.Primitive == atomics.CAS2:
@@ -205,12 +212,12 @@ func memoVerdict(cfg *Config) string {
 
 // memoSetup lists the lines an armed run touches, for the fingerprint:
 // the shared lines once, or every thread's private lines.
-func (r *runner) memoSetup() {
-	m := &r.memo
+func (c *Cell) memoSetup() {
+	m := &c.memo
 	m.lines = m.lines[:0]
-	for _, th := range r.threads[:r.cfg.Threads] {
+	for _, th := range c.threads[:c.cfg.Threads] {
 		m.lines = append(m.lines, th.lines...)
-		if r.cfg.Mode != LowContention {
+		if c.cfg.Mode != LowContention {
 			break
 		}
 	}
@@ -221,8 +228,8 @@ func (r *runner) memoSetup() {
 // past the startup stagger in the pre-warmup pass, past the warmup
 // marker's own probe (taken at an instant the cycle never revisits) in
 // the post-warmup pass — and every elided event must precede bound.
-func (r *runner) memoArm(skip int, bound sim.Time) {
-	m := &r.memo
+func (c *Cell) memoArm(skip int, bound sim.Time) {
+	m := &c.memo
 	m.phase = memoCapture
 	m.skip, m.bound = skip, bound
 	m.attempts = 0
@@ -231,15 +238,15 @@ func (r *runner) memoArm(skip int, bound sim.Time) {
 	// recurred within a handful of rotations was taken mid-transient.
 	// Keeping the search bound proportional to the cell's size makes a
 	// failed capture cheap enough to retry.
-	m.searchLim = uint64(4*r.cfg.Threads*r.cfg.Lines + 64)
-	r.mem.System().SetTracer(r.traceRecFn)
+	m.searchLim = uint64(4*c.cfg.Threads*c.cfg.Lines + 64)
+	c.mem.System().SetTracer(c.traceRecFn)
 }
 
 // cycleHead appends the cheap part of the fingerprint: the pending
 // queue and every thread's per-operation state.
-func (r *runner) cycleHead(dst []byte) []byte {
-	dst = r.eng.AppendCycleKey(dst)
-	for _, th := range r.threads[:r.cfg.Threads] {
+func (c *Cell) cycleHead(dst []byte) []byte {
+	dst = c.eng.AppendCycleKey(dst)
+	for _, th := range c.threads[:c.cfg.Threads] {
 		span := byte(0)
 		if th.inSpan {
 			span = 1
@@ -252,50 +259,50 @@ func (r *runner) cycleHead(dst []byte) []byte {
 
 // keyRecurs reports whether the cell is back in the state fingerprinted
 // at cycle start, comparing the cheap head before building the rest.
-func (r *runner) keyRecurs() bool {
-	m := &r.memo
-	if r.eng.Owner() != m.owner {
+func (c *Cell) keyRecurs() bool {
+	m := &c.memo
+	if c.eng.Owner() != m.owner {
 		return false
 	}
-	m.tmp = r.cycleHead(m.tmp[:0])
+	m.tmp = c.cycleHead(m.tmp[:0])
 	if !bytes.Equal(m.tmp, m.key[:m.head]) {
 		return false
 	}
-	m.tmp = r.mem.System().AppendCycleKey(m.tmp, m.lines)
+	m.tmp = c.mem.System().AppendCycleKey(m.tmp, m.lines)
 	return bytes.Equal(m.tmp, m.key)
 }
 
 // memoBase records the counter baselines at a cycle boundary.
-func (r *runner) memoBase() {
-	m := &r.memo
-	m.t0 = r.eng.Now()
-	m.p0 = r.eng.Processed()
-	m.qt0 = r.eng.QueueTimeIntegral()
-	m.opsB, m.attB, m.failB = r.ops, r.attempts, r.failures
-	m.perOpsB = append(m.perOpsB[:0], r.perOps...)
-	m.cohB = r.mem.System().Stats()
+func (c *Cell) memoBase() {
+	m := &c.memo
+	m.t0 = c.eng.Now()
+	m.p0 = c.eng.Processed()
+	m.qt0 = c.eng.QueueTimeIntegral()
+	m.opsB, m.attB, m.failB = c.ops, c.attempts, c.failures
+	m.perOpsB = append(m.perOpsB[:0], c.perOps...)
+	m.cohB = c.mem.System().Stats()
 	if m.latB == nil {
 		m.latB, m.slatB = stats.NewHistogram(), stats.NewHistogram()
 	}
-	r.lat.CopyInto(m.latB)
-	r.slat.CopyInto(m.slatB)
-	if r.reg != nil {
+	c.lat.CopyInto(m.latB)
+	c.slat.CopyInto(m.slatB)
+	if c.reg != nil {
 		if m.regB == nil {
 			m.regB = metrics.New()
 		}
-		r.reg.CopyInto(m.regB)
+		c.reg.CopyInto(m.regB)
 	}
 }
 
 // memoCapture takes the starting fingerprint of a (re)started cycle
 // search at the current event boundary.
-func (r *runner) memoCapture() {
-	m := &r.memo
-	m.owner = r.eng.Owner()
-	m.key = r.cycleHead(m.key[:0])
+func (c *Cell) memoCapture() {
+	m := &c.memo
+	m.owner = c.eng.Owner()
+	m.key = c.cycleHead(m.key[:0])
 	m.head = len(m.key)
-	m.key = r.mem.System().AppendCycleKey(m.key, m.lines)
-	r.memoBase()
+	m.key = c.mem.System().AppendCycleKey(m.key, m.lines)
+	c.memoBase()
 	m.nA, m.shapeA = 0, shapeSeed
 	m.phase = memoRecord
 }
@@ -303,17 +310,17 @@ func (r *runner) memoCapture() {
 // traceRec is the tracer of an armed memoizer: it folds each access
 // into the current cycle's shape hash (and, while verifying, records
 // its energy charge) before charging the meter as usual.
-func (r *runner) traceRec(ev coherence.TraceEvent) {
-	m := &r.memo
+func (c *Cell) traceRec(ev coherence.TraceEvent) {
+	m := &c.memo
 	switch m.phase {
 	case memoRecord:
 		m.nA++
 		m.shapeA = traceShape(m.shapeA, ev)
 	case memoVerify:
 		m.shapeB = traceShape(m.shapeB, ev)
-		m.njs = append(m.njs, r.meter.EventNJ(ev))
+		m.njs = append(m.njs, c.meter.EventNJ(ev))
 	}
-	r.meter.Observe(ev)
+	c.meter.Observe(ev)
 }
 
 // shapeSeed and shapePrime are the 64-bit FNV offset basis and prime.
@@ -346,16 +353,16 @@ func traceShape(h uint64, ev coherence.TraceEvent) uint64 {
 // restoring the plain tracer. Correctness is unaffected — the cell
 // simply simulates every event (and the post-warmup pass still arms
 // even if the pre-warmup pass gave up).
-func (r *runner) memoAbort() {
-	r.memo.phase = memoDone
-	r.mem.System().SetTracer(r.traceFn)
+func (c *Cell) memoAbort() {
+	c.memo.phase = memoDone
+	c.mem.System().SetTracer(c.traceFn)
 }
 
 // probe is the engine idle hook of an armed memoizer; it runs between
 // events with a clean stack, the only place pending events may be
 // translated and the clock jumped.
-func (r *runner) probe() {
-	m := &r.memo
+func (c *Cell) probe() {
+	m := &c.memo
 	if m.phase == memoOff || m.phase == memoDone {
 		return
 	}
@@ -364,10 +371,10 @@ func (r *runner) probe() {
 		return
 	}
 	if m.phase == memoCapture {
-		r.memoCapture()
+		c.memoCapture()
 		return
 	}
-	if r.eng.Processed()-m.p0 > m.searchLim {
+	if c.eng.Processed()-m.p0 > m.searchLim {
 		// The fingerprint did not recur: it was taken mid-transient
 		// (e.g. a cold-miss fill still in service while the warm threads
 		// spin through the search budget) or the schedule is aperiodic.
@@ -381,59 +388,59 @@ func (r *runner) probe() {
 			m.phase = memoCapture
 			return
 		}
-		r.memoAbort()
+		c.memoAbort()
 		return
 	}
-	if !r.keyRecurs() {
+	if !c.keyRecurs() {
 		return
 	}
 	if m.phase == memoRecord {
 		// First recurrence: one whole cycle is on record. Measure it,
 		// rebase, and demand an identical second cycle.
-		m.period = r.eng.Processed() - m.p0
-		m.dur = r.eng.Now() - m.t0
-		m.dQT = r.eng.QueueTimeIntegral() - m.qt0
-		m.dOps = r.ops - m.opsB
-		m.dAtt = r.attempts - m.attB
-		m.dFail = r.failures - m.failB
+		m.period = c.eng.Processed() - m.p0
+		m.dur = c.eng.Now() - m.t0
+		m.dQT = c.eng.QueueTimeIntegral() - m.qt0
+		m.dOps = c.ops - m.opsB
+		m.dAtt = c.attempts - m.attB
+		m.dFail = c.failures - m.failB
 		m.dPerOps = m.dPerOps[:0]
 		for i, b := range m.perOpsB {
-			m.dPerOps = append(m.dPerOps, r.perOps[i]-b)
+			m.dPerOps = append(m.dPerOps, c.perOps[i]-b)
 		}
-		m.dCoh = subStats(r.mem.System().Stats(), m.cohB)
-		r.memoBase()
+		m.dCoh = subStats(c.mem.System().Stats(), m.cohB)
+		c.memoBase()
 		m.shapeB, m.njs = shapeSeed, m.njs[:0]
 		m.phase = memoVerify
 		return
 	}
-	r.memoJump()
+	c.memoJump()
 }
 
 // memoJump verifies the second recorded cycle against the first and, on
 // an exact match, applies the remaining whole cycles analytically.
-func (r *runner) memoJump() {
-	m := &r.memo
-	eng, sys := r.eng, r.mem.System()
+func (c *Cell) memoJump() {
+	m := &c.memo
+	eng, sys := c.eng, c.mem.System()
 	now := eng.Now()
 
 	ok := eng.Processed()-m.p0 == m.period &&
 		now-m.t0 == m.dur &&
 		eng.QueueTimeIntegral()-m.qt0 == m.dQT &&
-		r.ops-m.opsB == m.dOps &&
-		r.attempts-m.attB == m.dAtt &&
-		r.failures-m.failB == m.dFail &&
+		c.ops-m.opsB == m.dOps &&
+		c.attempts-m.attB == m.dAtt &&
+		c.failures-m.failB == m.dFail &&
 		subStats(sys.Stats(), m.cohB) == m.dCoh &&
 		len(m.njs) == m.nA && m.shapeB == m.shapeA
 	if ok {
 		for i, b := range m.perOpsB {
-			if r.perOps[i]-b != m.dPerOps[i] {
+			if c.perOps[i]-b != m.dPerOps[i] {
 				ok = false
 				break
 			}
 		}
 	}
 	if !ok || m.dur <= 0 {
-		r.memoAbort()
+		c.memoAbort()
 		return
 	}
 
@@ -444,36 +451,36 @@ func (r *runner) memoJump() {
 	// as in the unskipped run.
 	k := uint64((m.bound - 1 - now) / m.dur)
 	if k < 1 {
-		r.memoAbort()
+		c.memoAbort()
 		return
 	}
 	jump := sim.Time(k) * m.dur
 	if !eng.ShiftPending(jump) {
-		r.memoAbort()
+		c.memoAbort()
 		return
 	}
 
-	r.ops += m.dOps * k
-	r.attempts += m.dAtt * k
-	r.failures += m.dFail * k
+	c.ops += m.dOps * k
+	c.attempts += m.dAtt * k
+	c.failures += m.dFail * k
 	for i := range m.dPerOps {
-		r.perOps[i] += m.dPerOps[i] * k
+		c.perOps[i] += m.dPerOps[i] * k
 	}
-	r.lat.AddScaledDiff(m.latB, k)
-	r.slat.AddScaledDiff(m.slatB, k)
+	c.lat.AddScaledDiff(m.latB, k)
+	c.slat.AddScaledDiff(m.slatB, k)
 	sys.AddScaledStats(m.dCoh, k)
-	if r.reg != nil {
-		r.reg.AddScaledDiff(m.regB, k)
+	if c.reg != nil {
+		c.reg.AddScaledDiff(m.regB, k)
 	}
 	// Replay the energy additions of each elided cycle in simulated
 	// order; the meter's float accumulator then holds exactly the sum
 	// the unskipped run would have produced. The per-event charges were
 	// recorded during verification, so the replay is a pure addition
 	// loop.
-	r.meter.Replay(m.njs, k)
+	c.meter.Replay(m.njs, k)
 
-	r.mem.ShiftInFlight(jump)
+	c.mem.ShiftInFlight(jump)
 	eng.JumpClock(now+jump, k*m.period, m.dQT*sim.Time(k))
 	m.jumps++
-	r.memoAbort() // restores the tracer; phase = done
+	c.memoAbort() // restores the tracer; phase = done
 }

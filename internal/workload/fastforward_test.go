@@ -21,7 +21,7 @@ func TestMemoVerdict(t *testing.T) {
 		if err := cfg.fillDefaults(); err != nil {
 			t.Fatal(err)
 		}
-		return memoVerdict(&cfg)
+		return memoVerdict(&cfg, primitives{})
 	}
 
 	for _, p := range atomics.All() {
@@ -109,14 +109,27 @@ func TestMemoVerdict(t *testing.T) {
 			t.Errorf("%s: verdict %q, want %q", k.name, got, k.want)
 		}
 	}
+
+	// Any other driver — an app structure — is named as such, even on
+	// a configuration the primitive loop could memoize.
+	cfg := quickCfg(m, atomics.FAA, 8)
+	if got := memoVerdict(&cfg, otherDriver{}); got != "app" {
+		t.Errorf("app driver: verdict %q, want \"app\"", got)
+	}
 }
 
+// otherDriver stands in for a driver from another package.
+type otherDriver struct{}
+
+func (otherDriver) Setup(*Cell) error   { return nil }
+func (otherDriver) Step(*Cell, *Thread) {}
+
 // lastRunJumps reports how many jumps the memoizer took in the last
-// cell run on m: the runner it ran on is the last one released to m's
+// cell run on m: the cell it ran on is the last one released to m's
 // pool.
 func lastRunJumps(m *machine.Machine) int {
 	pi, _ := cellPools.Load(m)
-	p := pi.(*runnerPool)
+	p := pi.(*cellPool)
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	return p.free[len(p.free)-1].memo.jumps

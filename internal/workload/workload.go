@@ -7,23 +7,22 @@
 // per-thread fairness, and energy over a warmed-up window.
 //
 // In the model pipeline (ARCHITECTURE.md) this package is the main
-// benchmark driver: it assembles a machine description, a fresh
-// simulation engine and an atomics.Memory into one measured cell, the
-// simulated realization of the closed system MODEL.md §2 models
-// analytically (§5 for the open-loop variant). Config.Metrics switches
-// on the per-cell observability registry (internal/metrics).
+// benchmark driver: its pooled cell runtime (cell.go) joins a machine
+// description, a reset simulation engine and an atomics.Memory into one
+// measured cell — for its own primitive workloads, the simulated
+// realization of the closed system MODEL.md §2 models analytically (§5
+// for the open-loop variant), and for the app structures of
+// internal/apps alike. Config.Metrics switches on the per-cell
+// observability registry (internal/metrics).
 package workload
 
 import (
 	"fmt"
-	"reflect"
-	"sync"
 
 	"atomicsmodel/internal/atomics"
 	"atomicsmodel/internal/coherence"
 	"atomicsmodel/internal/energy"
 	"atomicsmodel/internal/faults"
-	"atomicsmodel/internal/invariant"
 	"atomicsmodel/internal/machine"
 	"atomicsmodel/internal/metrics"
 	"atomicsmodel/internal/sim"
@@ -226,243 +225,42 @@ func (r *Result) SuccessRate() float64 {
 	return float64(r.Ops) / float64(r.Attempts)
 }
 
-// thread is one simulated worker.
-type thread struct {
-	id   int
-	core int
-	rng  *sim.RNG
-	// lines this thread operates on (shared or private per Mode).
-	lines []coherence.LineID
-	next  int
-	// state says what the thread's one pending event is (thStart,
-	// thThink, thOp); the fast-forward fingerprint reads it.
-	state uint8
-	// lastSeen drives the CAS expected value.
-	lastSeen uint64
-	// spanStart marks the start of the current CAS retry span.
-	spanStart sim.Time
-	inSpan    bool
-	// expected is the CAS expected value captured at issue time, read by
-	// the prebaked casDone callback. Valid in closed-loop runs, where a
-	// thread has at most one operation in flight.
-	expected uint64
-	// Prebaked per-thread callbacks, built once when the thread object is
-	// created (thread objects live as long as their pooled runner) so the
-	// hot issue/complete loop does not allocate a closure per operation.
-	opDone    func(atomics.Result)
-	casDone   func(atomics.Result)
-	operateFn func()
-	stepFn    func()
+// primitives is the driver of a workload cell: each step of a thread is
+// optional think time and one atomic primitive on the thread's next
+// line. Its per-thread context lives on Thread and its accounting on
+// Cell, next to the cycle memoizer that fingerprints both.
+type primitives struct{}
+
+// Setup installs the energy meter's tracer, registers the workload's
+// own instruments, and resets every thread's operation context.
+func (primitives) Setup(c *Cell) error {
+	c.mem.System().SetTracer(c.traceFn)
+	c.mFailures = c.reg.Counter(metrics.WorkCASFailures)
+	c.mReads = c.reg.Counter(metrics.WorkReads)
+	c.mRMWs = c.reg.Counter(metrics.WorkRMWs)
+	for i, th := range c.Threads() {
+		th.next, th.lastSeen, th.expected = 0, 0, 0
+		th.spanStart, th.inSpan = 0, false
+		th.state = thStart
+		c.linesFor(th, i)
+	}
+	return nil
 }
 
-type runner struct {
-	cfg   Config
-	eng   *sim.Engine
-	mem   *atomics.Memory
-	meter *energy.Meter
+// Step runs one think-then-operate iteration of a thread.
+func (primitives) Step(c *Cell, th *Thread) { c.think(th) }
 
-	// threads holds every thread object ever built for this runner;
-	// a run uses the first cfg.Threads of them. Thread objects (and
-	// their prebaked closures) survive pooling.
-	threads   []*thread
-	measuring bool
-	endAt     sim.Time
-
-	ops      uint64
-	attempts uint64
-	failures uint64
-	perOps   []uint64
-	lat      *stats.Histogram
-	slat     *stats.Histogram
-
-	// Measurement-window baselines captured by warmupFn.
-	cohAtMeasure  coherence.Stats
-	procAtMeasure uint64
-	qtAtMeasure   sim.Time
-	warmupFn      func()
-	// root seeds the per-thread RNG streams; coreSeen is scratch for
-	// counting distinct cores. Both are reused across runs.
-	root     *sim.RNG
-	coreSeen []bool
-	// traceFn is the meter's Observe bound once at build time; taking
-	// the method value per run would allocate a closure per cell.
-	traceFn func(coherence.TraceEvent)
-
-	// Steady-state cycle memoizer (fastforward.go). memoArmed is the
-	// per-run eligibility verdict; probeFn and traceRecFn are the
-	// prebaked engine idle hook and recording tracer.
-	memo       memoState
-	memoArmed  bool
-	probeFn    func()
-	traceRecFn func(coherence.TraceEvent)
-	// Placement cache: sweeps run many cells with the same policy and
-	// thread count on one machine, so the slot assignment (a pure
-	// function of those) is reused instead of recomputed.
-	lastPlacement machine.Placement
-	lastThreads   int
-	lastSlots     []int
-
-	// Optional metrics instruments (nil when Config.Metrics is off; all
-	// operations on them are nil-safe no-ops). regPool is the runner's
-	// own registry, recycled for every metrics-on cell it runs.
-	regPool    *metrics.Registry
-	reg        *metrics.Registry
-	mThreadOps *metrics.Vector
-	mFailures  *metrics.Counter
-	mReads     *metrics.Counter
-	mRMWs      *metrics.Counter
-}
-
-// cellPools recycles runners per machine description (keyed by the
-// *machine.Machine pointer, because the coherence parameters and dense
-// topology tables baked into a pooled system are machine-specific).
-// Acquiring a pooled runner resets its engine, memory, and meter to
-// their just-built state, so a reused cell is byte-identical to a fresh
-// one — teardown is a handful of pointer resets instead of discarding
-// the event queues, request pools, directory entries, and thread
-// closures to the GC. This is what holds steady-state cells at zero
-// allocations on the simulation path.
-//
-// A plain mutex-guarded freelist rather than sync.Pool: the runtime
-// clears sync.Pool contents on GC cycles, which would silently discard
-// warmed-up cells mid-sweep and re-pay the full build cost. The
-// freelist is bounded by the peak number of concurrent cells per
-// machine, which the parallel scheduler already caps at GOMAXPROCS.
-var cellPools sync.Map // *machine.Machine -> *runnerPool
-
-type runnerPool struct {
-	mu   sync.Mutex
-	free []*runner
-}
-
-func acquireRunner(m *machine.Machine) (*runner, error) {
-	pi, ok := cellPools.Load(m)
-	if !ok {
-		pi, _ = cellPools.LoadOrStore(m, &runnerPool{})
+// think runs one think-then-operate iteration of a thread.
+func (c *Cell) think(th *Thread) {
+	think := c.cfg.LocalWork
+	if think > 0 && c.cfg.WorkJitter {
+		think = th.RNG.Exp(think)
 	}
-	p := pi.(*runnerPool)
-	p.mu.Lock()
-	var r *runner
-	if n := len(p.free); n > 0 {
-		r = p.free[n-1]
-		p.free[n-1] = nil
-		p.free = p.free[:n-1]
-	}
-	p.mu.Unlock()
-	if r != nil {
-		r.eng.Reset()
-		r.mem.Reset()
-		r.meter.Reset()
-		return r, nil
-	}
-	return newRunner(m)
-}
-
-func releaseRunner(m *machine.Machine, r *runner) {
-	if pi, ok := cellPools.Load(m); ok {
-		p := pi.(*runnerPool)
-		p.mu.Lock()
-		p.free = append(p.free, r)
-		p.mu.Unlock()
-	}
-}
-
-// engineShardOverride, when nonzero, replaces the topology-derived
-// event-queue shard count for newly built runners (see SetEngineShards).
-var engineShardOverride int
-
-// SetEngineShards forces every subsequently built cell engine to n
-// event-queue shards (0 restores the topology-derived default) and
-// drops all pooled runners, which were built with the old layout. It is
-// a test hook: the determinism suite uses it to prove cell results are
-// invariant to the shard count.
-func SetEngineShards(n int) {
-	engineShardOverride = n
-	cellPools.Range(func(k, _ any) bool {
-		cellPools.Delete(k)
-		return true
-	})
-}
-
-// newRunner builds the per-cell simulation state for machine m: the
-// sharded engine (one queue shard per topology node, so a line's
-// completion traffic stays in its home directory's shard), the memory
-// with its coherence system, and the energy meter.
-func newRunner(m *machine.Machine) (*runner, error) {
-	shards := m.CoherenceParams().Topo.Nodes()
-	if engineShardOverride > 0 {
-		shards = engineShardOverride
-	}
-	eng := sim.NewEngineSharded(shards)
-	mem, err := atomics.NewMemory(eng, m, nil)
-	if err != nil {
-		return nil, err
-	}
-	r := &runner{eng: eng, mem: mem, meter: energy.NewMeter(m), root: sim.NewRNG(0)}
-	r.traceFn = r.meter.Observe
-	r.warmupFn = func() {
-		r.measuring = true
-		r.meter.Reset()
-		r.cohAtMeasure = r.mem.System().Stats()
-		r.procAtMeasure = r.eng.Processed()
-		r.qtAtMeasure = r.eng.QueueTimeIntegral()
-		// Zero the instruments so the snapshot, like every other
-		// reported number, covers exactly the measured window.
-		r.reg.Reset()
-		if r.memoArmed {
-			// Re-arm the cycle memoizer for the measured window,
-			// skipping this probe: it sits at the warmup boundary, an
-			// instant the cycle never revisits.
-			r.memoArm(1, r.endAt)
-		}
-	}
-	r.probeFn = r.probe
-	r.traceRecFn = r.traceRec
-	return r, nil
-}
-
-// placeThreads resolves thread placement, reusing the previous run's
-// slot assignment when the policy and thread count repeat (placement is
-// a pure function of machine, policy, and count; the machine is fixed
-// by the pool key).
-func (r *runner) placeThreads(cfg *Config) ([]int, error) {
-	if r.lastSlots != nil && r.lastThreads == cfg.Threads && placementEqual(r.lastPlacement, cfg.Placement) {
-		return r.lastSlots, nil
-	}
-	slots, err := cfg.Placement.Place(cfg.Machine, cfg.Threads)
-	if err != nil {
-		return nil, err
-	}
-	r.lastPlacement, r.lastThreads, r.lastSlots = cfg.Placement, cfg.Threads, slots
-	return slots, nil
-}
-
-// placementEqual reports whether two placement values are the same
-// policy, without panicking on uncomparable dynamic types.
-func placementEqual(a, b machine.Placement) bool {
-	ta := reflect.TypeOf(a)
-	if ta == nil || ta != reflect.TypeOf(b) || !ta.Comparable() {
-		return false
-	}
-	return a == b
-}
-
-// ensureThreads grows the runner's thread set to n objects, building
-// each new thread's prebaked callbacks exactly once.
-func (r *runner) ensureThreads(n int) {
-	for len(r.threads) < n {
-		th := &thread{id: len(r.threads)}
-		th.opDone = func(res atomics.Result) { r.complete(th, res, true) }
-		th.casDone = func(res atomics.Result) {
-			th.lastSeen = res.Old
-			if res.OK {
-				th.lastSeen = th.expected + 1
-			}
-			r.complete(th, res, res.OK)
-		}
-		th.operateFn = func() { r.operate(th) }
-		th.stepFn = func() { r.step(th) }
-		r.threads = append(r.threads, th)
+	if think > 0 {
+		th.state = thThink
+		c.eng.Schedule(think, th.operateFn)
+	} else {
+		c.operate(th)
 	}
 }
 
@@ -480,154 +278,22 @@ func RunReusing(cfg Config, recycle *Result) (*Result, error) {
 	if err := cfg.fillDefaults(); err != nil {
 		return nil, err
 	}
-	r, err := acquireRunner(cfg.Machine)
+	c, err := runCell(cfg, primitives{}, recycle)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("workload: %w", err)
 	}
-	slots, err := r.placeThreads(&cfg)
-	if err != nil {
-		return nil, err
+	eng, reg := c.eng, c.reg
+	cohEnd := c.mem.System().Stats()
+	numCores := c.mem.System().Params().NumCores
+	if cap(c.coreSeen) < numCores {
+		c.coreSeen = make([]bool, numCores)
 	}
-	eng, mem := r.eng, r.mem
-	mem.System().SetArbiter(cfg.Arbiter)
-	mem.System().SetTracer(r.traceFn)
-	var reg *metrics.Registry
-	if cfg.Metrics {
-		if r.regPool == nil {
-			r.regPool = metrics.New()
-		}
-		reg = r.regPool
-		reg.Recycle()
-	}
-	r.reg = reg
-	mem.System().InstallMetrics(reg) // nil registry = off
-	var chk *invariant.Checker
-	if cfg.Check {
-		chk = invariant.Install(eng, mem.System())
-	}
-	cfg.Faults.Install(eng, mem)
-
-	r.cfg = cfg
-	r.measuring = false
-	r.endAt = cfg.Warmup + cfg.Duration
-	r.memo.phase, r.memo.jumps = memoOff, 0
-	r.memoArmed = fastForwardOn && memoVerdict(&cfg) == ""
-	r.ops, r.attempts, r.failures = 0, 0, 0
-	r.cohAtMeasure = coherence.Stats{}
-	r.procAtMeasure = 0
-	r.qtAtMeasure = 0
-	r.mThreadOps = reg.Vector(metrics.WorkThreadOps, cfg.Threads)
-	r.mFailures = reg.Counter(metrics.WorkCASFailures)
-	r.mReads = reg.Counter(metrics.WorkReads)
-	r.mRMWs = reg.Counter(metrics.WorkRMWs)
-
-	// Measurement buffers escape into the Result, so they are fresh
-	// unless the caller handed back a recycled Result to reuse.
-	if recycle != nil && cap(recycle.PerThreadOps) >= cfg.Threads {
-		r.perOps = recycle.PerThreadOps[:cfg.Threads]
-		for i := range r.perOps {
-			r.perOps[i] = 0
-		}
-	} else {
-		r.perOps = make([]uint64, cfg.Threads)
-	}
-	if recycle != nil && recycle.Latency != nil {
-		r.lat = recycle.Latency
-		r.lat.Reset()
-	} else {
-		r.lat = stats.NewHistogram()
-	}
-	if recycle != nil && recycle.SuccessLatency != nil {
-		r.slat = recycle.SuccessLatency
-		r.slat.Reset()
-	} else {
-		r.slat = stats.NewHistogram()
-	}
-
-	r.ensureThreads(cfg.Threads)
-	r.root.Reseed(cfg.Seed)
-	for i := 0; i < cfg.Threads; i++ {
-		th := r.threads[i]
-		th.core = cfg.Machine.CoreOf(slots[i])
-		if th.rng == nil {
-			th.rng = r.root.Split()
-		} else {
-			r.root.SplitInto(th.rng)
-		}
-		th.next, th.lastSeen, th.expected = 0, 0, 0
-		th.spanStart, th.inSpan = 0, false
-		th.state = thStart
-		r.linesFor(th, i)
-	}
-	if r.memoArmed {
-		r.memoSetup()
-		eng.SetIdleHook(r.probeFn)
-		// Pre-warmup pass: the warmup marker stays pending and bounds
-		// the jump; skip past the startup stagger and the cold-miss fill
-		// (about one rotation) before fingerprinting — a capture taken
-		// too early just fails its bounded search and is retaken.
-		r.memoArm(cfg.Threads+4, cfg.Warmup)
-	}
-
-	// Stagger thread starts by a few ns so the initial convoy is not an
-	// artifact of simultaneous issue. Open-loop threads instead run an
-	// arrival process that issues without waiting for completions.
-	for _, th := range r.threads[:cfg.Threads] {
-		th := th
-		if cfg.OpenLoop {
-			// The closure reads the interarrival through r.cfg rather
-			// than cfg so that cfg (a large struct) is not captured —
-			// capturing it would force the whole Config to the heap on
-			// every call, open-loop or not.
-			var arrive func()
-			arrive = func() {
-				if eng.Now() >= r.endAt {
-					return
-				}
-				r.operate(th)
-				eng.Schedule(th.rng.Exp(r.cfg.OpenLoopInterarrival), arrive)
-			}
-			eng.Schedule(th.rng.Exp(r.cfg.OpenLoopInterarrival), arrive)
-			continue
-		}
-		// The step is owned by the thread, and so, through the engine's
-		// owner inheritance, is every event of its closed loop.
-		eng.ScheduleShardAs(int32(th.id), 0, th.rng.Duration(10*sim.Nanosecond), th.stepFn)
-	}
-
-	eng.At(cfg.Warmup, r.warmupFn)
-
-	eng.Run(r.endAt)
-
-	if r.memoArmed {
-		// The run may have ended mid-recording; put the plain tracer
-		// back before the runner returns to the pool.
-		mem.System().SetTracer(r.traceFn)
-		eng.SetIdleHook(nil)
-	}
-
-	if chk != nil {
-		// Finalize subsumes CheckInvariants and adds the online ledgers.
-		if err := chk.Finalize(); err != nil {
-			return nil, fmt.Errorf("workload: %w", err)
-		}
-	} else if err := mem.System().CheckInvariants(); err != nil {
-		return nil, fmt.Errorf("workload: coherence invariant violated: %w", err)
-	}
-
-	cohEnd := mem.System().Stats()
-	numCores := mem.System().Params().NumCores
-	if cap(r.coreSeen) < numCores {
-		r.coreSeen = make([]bool, numCores)
-	}
-	coreSeen := r.coreSeen[:numCores]
-	for i := range coreSeen {
-		coreSeen[i] = false
-	}
+	coreSeen := c.coreSeen[:numCores]
+	clear(coreSeen)
 	coresUsed := 0
-	for _, th := range r.threads[:cfg.Threads] {
-		if !coreSeen[th.core] {
-			coreSeen[th.core] = true
+	for _, th := range c.Threads() {
+		if !coreSeen[th.Core] {
+			coreSeen[th.Core] = true
 			coresUsed++
 		}
 	}
@@ -640,24 +306,22 @@ func RunReusing(cfg Config, recycle *Result) (*Result, error) {
 	}
 	*res = Result{
 		Config:         cfg,
-		Ops:            r.ops,
-		Attempts:       r.attempts,
-		Failures:       r.failures,
-		PerThreadOps:   r.perOps,
-		Latency:        r.lat,
-		SuccessLatency: r.slat,
+		Ops:            c.ops,
+		Attempts:       c.attempts,
+		Failures:       c.failures,
+		PerThreadOps:   c.perOps,
+		Latency:        c.lat,
+		SuccessLatency: c.slat,
 		MeasuredFor:    cfg.Duration,
-		ThroughputMops: stats.Throughput(r.ops, cfg.Duration) / 1e6,
-		Jain:           stats.JainIndex(r.perOps),
-		CoV:            stats.CoV(r.perOps),
-		MinMax:         stats.MinMaxRatio(r.perOps),
-		Energy:         r.meter.Report(cfg.Duration, cfg.Threads, coresUsed, r.ops),
-		Coh:            subStats(cohEnd, r.cohAtMeasure),
+		ThroughputMops: stats.Throughput(c.ops, cfg.Duration) / 1e6,
+		Jain:           stats.JainIndex(c.perOps),
+		CoV:            stats.CoV(c.perOps),
+		MinMax:         stats.MinMaxRatio(c.perOps),
+		Energy:         c.meter.Report(cfg.Duration, cfg.Threads, coresUsed, c.ops),
+		Coh:            subStats(cohEnd, c.cohAtMeasure),
 	}
 	if reg != nil {
-		reg.Counter(metrics.SimEvents).Add(eng.Processed() - r.procAtMeasure)
-		reg.Counter(metrics.SimQueuePeak).Add(uint64(eng.MaxPending()))
-		reg.Counter(metrics.SimQueueTime).Add(uint64(eng.QueueTimeIntegral() - r.qtAtMeasure))
+		reg.Counter(metrics.SimQueueTime).Add(uint64(eng.QueueTimeIntegral() - c.qtAtMeasure))
 		reg.Counter(metrics.WorkWindow).Add(uint64(cfg.Duration))
 		if snap == nil {
 			snap = &metrics.Snapshot{}
@@ -667,126 +331,124 @@ func RunReusing(cfg Config, recycle *Result) (*Result, error) {
 	// An open-loop run keeps issuing without waiting, so past saturation
 	// its backlog of requests, operation contexts and events grows with
 	// the window; Reset would keep all of it pooled for the rest of the
-	// process, and every later cycle key would scan it. Such a runner is
+	// process, and every later cycle key would scan it. Such a cell is
 	// left to the GC instead. Closed-loop runs hold at most one operation
 	// per thread in flight, so their pools stay the size of the cell.
 	if !cfg.OpenLoop {
-		releaseRunner(cfg.Machine, r)
+		c.Release()
 	}
 	return res, nil
+}
+
+// startArrivals runs thread th's open-loop arrival process: operations
+// issue at exponentially distributed inter-arrival times whether or not
+// earlier ones have completed.
+func (c *Cell) startArrivals(th *Thread) {
+	var arrive func()
+	arrive = func() {
+		if c.eng.Now() >= c.endAt {
+			return
+		}
+		c.operate(th)
+		c.eng.Schedule(th.RNG.Exp(c.cfg.OpenLoopInterarrival), arrive)
+	}
+	c.eng.Schedule(th.RNG.Exp(c.cfg.OpenLoopInterarrival), arrive)
 }
 
 // linesFor assigns the lines thread i operates on, reusing the thread's
 // line slice. Shared lines start at ID 1; private regions are spaced
 // far apart so home nodes spread.
-func (r *runner) linesFor(th *thread, i int) {
+func (c *Cell) linesFor(th *Thread, i int) {
 	out := th.lines[:0]
-	switch r.cfg.Mode {
+	switch c.cfg.Mode {
 	case LowContention:
 		base := coherence.LineID(1_000_000 + i*4096)
-		for j := 0; j < r.cfg.Lines; j++ {
+		for j := 0; j < c.cfg.Lines; j++ {
 			out = append(out, base+coherence.LineID(j))
 		}
 	default:
-		for j := 0; j < r.cfg.Lines; j++ {
+		for j := 0; j < c.cfg.Lines; j++ {
 			out = append(out, coherence.LineID(1+j))
 		}
 	}
 	th.lines = out
 }
 
-// step runs one think-then-operate iteration of a thread.
-func (r *runner) step(th *thread) {
-	if r.eng.Now() >= r.endAt {
-		return
-	}
-	think := r.cfg.LocalWork
-	if think > 0 && r.cfg.WorkJitter {
-		think = th.rng.Exp(think)
-	}
-	if think > 0 {
-		th.state = thThink
-		r.eng.Schedule(think, th.operateFn)
-	} else {
-		r.operate(th)
-	}
-}
-
-func (r *runner) operate(th *thread) {
-	if r.eng.Now() >= r.endAt {
+// operate issues one primitive on the thread's next line.
+func (c *Cell) operate(th *Thread) {
+	if c.eng.Now() >= c.endAt {
 		return
 	}
 	th.state = thOp
 	line := th.lines[th.next]
 	th.next = (th.next + 1) % len(th.lines)
 
-	p := r.cfg.Primitive
-	if r.cfg.Mode == ReadWriteMix && th.rng.Float64() < r.cfg.ReadFraction {
+	p := c.cfg.Primitive
+	if c.cfg.Mode == ReadWriteMix && th.RNG.Float64() < c.cfg.ReadFraction {
 		p = atomics.Load
 	}
 	if p == atomics.Load {
-		r.mReads.Inc()
+		c.mReads.Inc()
 	} else {
-		r.mRMWs.Inc()
+		c.mRMWs.Inc()
 	}
 
 	switch p {
 	case atomics.CAS, atomics.CAS2:
 		if !th.inSpan {
 			th.inSpan = true
-			th.spanStart = r.eng.Now()
+			th.spanStart = c.eng.Now()
 		}
 		expected := th.lastSeen
-		if r.cfg.OpenLoop {
+		if c.cfg.OpenLoop {
 			// Open-loop threads can have several CASes in flight, each
 			// needing the expected value it was issued with — so this
 			// path keeps the per-op closure.
-			r.mem.Do(p, th.core, line, expected, expected+1, func(res atomics.Result) {
+			c.mem.Do(p, th.Core, line, expected, expected+1, func(res atomics.Result) {
 				th.lastSeen = res.Old
 				if res.OK {
 					th.lastSeen = expected + 1
 				}
-				r.complete(th, res, res.OK)
+				c.complete(th, res, res.OK)
 			})
 			return
 		}
 		th.expected = expected
-		r.mem.Do(p, th.core, line, expected, expected+1, th.casDone)
+		c.mem.Do(p, th.Core, line, expected, expected+1, th.casDone)
 	default:
-		r.mem.Do(p, th.core, line, 1, 0, th.opDone)
+		c.mem.Do(p, th.Core, line, 1, 0, th.opDone)
 	}
 }
 
 // complete records one finished attempt and schedules the next step.
-func (r *runner) complete(th *thread, res atomics.Result, ok bool) {
-	if r.measuring && r.eng.Now() <= r.endAt {
-		r.attempts++
-		r.lat.Record(res.Latency)
-		if ok {
-			r.ops++
-			r.perOps[th.id]++
-			r.mThreadOps.Inc(th.id)
-		} else {
-			r.failures++
-			r.mFailures.Inc()
+func (c *Cell) complete(th *Thread, res atomics.Result, ok bool) {
+	if c.record(th, res.Latency, ok) {
+		c.attempts++
+		if !ok {
+			c.failures++
+			c.mFailures.Inc()
 		}
 		if ok && th.inSpan {
-			r.slat.Record(r.eng.Now() - th.spanStart)
+			c.slat.Record(c.eng.Now() - th.spanStart)
 		}
 	}
 	if ok {
 		th.inSpan = false
 	}
-	if r.cfg.OpenLoop {
+	if c.cfg.OpenLoop {
 		// Arrivals drive issue; completions do not chain.
 		return
 	}
-	if (r.cfg.Primitive == atomics.CAS || r.cfg.Primitive == atomics.CAS2) && r.cfg.CASRetryLoop && !ok {
+	if (c.cfg.Primitive == atomics.CAS || c.cfg.Primitive == atomics.CAS2) && c.cfg.CASRetryLoop && !ok {
 		// Retry immediately (the failed CAS already told us the value).
-		r.operate(th)
+		c.operate(th)
 		return
 	}
-	r.step(th)
+	// The loop continues directly, not through the runtime's driver
+	// dispatch: this is the hottest call of a live workload cell.
+	if c.eng.Now() < c.endAt {
+		c.think(th)
+	}
 }
 
 func subStats(a, b coherence.Stats) coherence.Stats {

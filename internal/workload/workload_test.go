@@ -364,15 +364,15 @@ func TestOpenLoopAboveSaturationExplodes(t *testing.T) {
 }
 
 // TestOpenLoopRunnerNotPooled pins the pool policy: a closed-loop run
-// returns its runner to the machine's pool, an open-loop run (whose
-// backlog past saturation would stay in the runner's pools) does not.
+// returns its cell to the machine's pool, an open-loop run (whose
+// backlog past saturation would stay in the cell's pools) does not.
 func TestOpenLoopRunnerNotPooled(t *testing.T) {
 	pooled := func(m *machine.Machine) int {
 		pi, ok := cellPools.Load(m)
 		if !ok {
 			return 0
 		}
-		p := pi.(*runnerPool)
+		p := pi.(*cellPool)
 		p.mu.Lock()
 		defer p.mu.Unlock()
 		return len(p.free)
@@ -385,13 +385,13 @@ func TestOpenLoopRunnerNotPooled(t *testing.T) {
 		t.Fatal(err)
 	}
 	if n := pooled(m); n != 0 {
-		t.Fatalf("open-loop run left %d pooled runner(s), want 0", n)
+		t.Fatalf("open-loop run left %d pooled cell(s), want 0", n)
 	}
 	if _, err := Run(quickCfg(m, atomics.FAA, 8)); err != nil {
 		t.Fatal(err)
 	}
 	if n := pooled(m); n != 1 {
-		t.Fatalf("closed-loop run left %d pooled runner(s), want 1", n)
+		t.Fatalf("closed-loop run left %d pooled cell(s), want 1", n)
 	}
 }
 

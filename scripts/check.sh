@@ -18,8 +18,8 @@
 # smoke (submit → poll → dedup → SIGTERM drain), a bench smoke
 # enforcing the simulation path's allocation budget, and short
 # native-fuzz passes over the run-log parsers, topology hop
-# computation, the machine and workload spec loaders, and the sharded
-# event-queue merge. Run from the repo root.
+# computation, the machine and workload spec loaders, and the event
+# queue's express-lane merge. Run from the repo root.
 set -eu
 
 echo "== go build ./..."
@@ -321,15 +321,24 @@ awk '/BenchmarkFullCell/ { if ($(NF-1) + 0 > 20) exit 1 }' "$dir/bench_cell.txt"
     echo "full-cell allocations regressed (allocs/op > 20 at 100 iterations)" >&2
     exit 1
 }
+# An app cell allocates its structure, per-thread contexts and result
+# once per cell (about 100-200 objects) and nothing per operation; a
+# per-operation allocation adds thousands per cell.
+go test -run XXX -bench 'BenchmarkAppCell$' -benchtime 100x -benchmem \
+    ./internal/harness | tee "$dir/bench_app.txt"
+awk '/BenchmarkAppCell/ { if ($(NF-1) + 0 > 400) exit 1 }' "$dir/bench_app.txt" || {
+    echo "app-cell allocations regressed (allocs/op > 400 at 100 iterations)" >&2
+    exit 1
+}
 
-echo "== fuzz smoke (runlog parsers, topology hops, machine/workload/app specs, shard merge)"
+echo "== fuzz smoke (runlog parsers, topology hops, machine/workload/app specs, express-lane merge)"
 go test -run FuzzNothing -fuzz FuzzCacheLoad -fuzztime 5s ./internal/runlog > /dev/null
 go test -run FuzzNothing -fuzz FuzzManifestValidate -fuzztime 5s ./internal/runlog > /dev/null
 go test -run FuzzNothing -fuzz FuzzHops -fuzztime 5s ./internal/topology > /dev/null
 go test -run FuzzNothing -fuzz FuzzSpecLoad -fuzztime 5s ./internal/machine > /dev/null
 go test -run FuzzNothing -fuzz FuzzWorkloadSpecLoad -fuzztime 5s ./internal/workload > /dev/null
 go test -run FuzzNothing -fuzz FuzzAppSpecLoad -fuzztime 5s ./internal/apps > /dev/null
-go test -run FuzzNothing -fuzz FuzzShardMerge -fuzztime 5s ./internal/sim > /dev/null
+go test -run FuzzNothing -fuzz FuzzExpressLaneOrder -fuzztime 5s ./internal/sim > /dev/null
 go test -run FuzzNothing -fuzz FuzzJobSpecLoad -fuzztime 5s ./internal/jobs > /dev/null
 
 echo "ok"
