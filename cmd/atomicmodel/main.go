@@ -32,6 +32,7 @@ import (
 
 	"atomicsmodel/internal/apps"
 	"atomicsmodel/internal/atomics"
+	"atomicsmodel/internal/cli"
 	"atomicsmodel/internal/core"
 	"atomicsmodel/internal/machine"
 	"atomicsmodel/internal/predict"
@@ -40,41 +41,27 @@ import (
 )
 
 func main() {
+	machSel := cli.MachineFlags(flag.CommandLine, "XeonE5")
+	appSel := cli.AppFlags(flag.CommandLine, ": predict object throughput via the conflict model instead of querying a primitive")
 	var (
-		machNames = flag.String("machines", "", "comma-separated registered machine names (default: XeonE5)")
-		machAlt   = flag.String("machine", "", "alias for -machines")
-		machFiles = flag.String("machinefile", "", "comma-separated JSON machine spec files to query alongside -machines")
 		primName  = flag.String("primitive", "FAA", "primitive: CAS, FAA, SWAP, TAS, Load, Store")
 		threads   = flag.Int("threads", 8, "number of threads")
 		placeName = flag.String("placement", "compact", "placement: compact, scatter, smt-first, socket-0")
 		workStr   = flag.String("work", "0s", "local work between ops (Go duration, e.g. 200ns)")
 		compare   = flag.Bool("compare", false, "also run the simulator and report error")
 		lowMode   = flag.Bool("low", false, "predict the low-contention (private lines) setting")
-		apNames   = flag.String("apps", "", "comma-separated registered app spec names: predict object throughput via the conflict model instead of querying a primitive")
-		apFiles   = flag.String("appfile", "", "comma-separated JSON app spec files, alongside -apps")
 	)
 	flag.Parse()
 
-	names := *machNames
-	if *machAlt != "" {
-		if names != "" {
-			names += ","
-		}
-		names += *machAlt
-	}
-	if names == "" && *machFiles == "" {
-		names = "XeonE5"
-	}
-	machines, err := machine.Select(names, *machFiles)
+	machines, err := machSel.Select()
 	if err != nil {
 		fatal(err)
 	}
-
-	if *apNames != "" || *apFiles != "" {
-		specs, err := apps.SelectSpecs(*apNames, *apFiles)
-		if err != nil {
-			fatal(err)
-		}
+	specs, err := appSel.Select()
+	if err != nil {
+		fatal(err)
+	}
+	if specs != nil {
 		for i, m := range machines {
 			if i > 0 {
 				fmt.Println()

@@ -18,144 +18,23 @@
 package main
 
 import (
-	"errors"
 	"flag"
 	"fmt"
 	"os"
-	"runtime"
-	"runtime/pprof"
 	"strings"
 
-	"atomicsmodel/internal/apps"
+	"atomicsmodel/internal/cli"
 	"atomicsmodel/internal/harness"
-	"atomicsmodel/internal/machine"
-	"atomicsmodel/internal/runlog"
-	"atomicsmodel/internal/workload"
 )
 
 func main() {
-	var (
-		out     = flag.String("o", "report.md", "output Markdown file ('-' for stdout)")
-		quick   = flag.Bool("quick", false, "trimmed sweeps")
-		seed    = flag.Uint64("seed", 42, "base seed")
-		par     = flag.Int("par", runtime.NumCPU(), "max concurrent simulation cells (results are identical for any value)")
-		expIDs  = flag.String("exp", "", "comma-separated experiment IDs (default: all)")
-		withMet = flag.Bool("metrics", false, "collect per-cell coherence/sim metrics and append a breakdown section")
-		check   = flag.Bool("check", false, "audit coherence/engine invariants in every cell; a violation fails the cell with a deterministic report")
-		machs   = flag.String("machines", "", "comma-separated registered machine names (default: the paper pair)")
-		machAlt = flag.String("machine", "", "alias for -machines")
-		machFil = flag.String("machinefile", "", "comma-separated JSON machine spec files to run alongside -machines")
-		wlNames = flag.String("workloads", "", "comma-separated registered workload spec names to run as the W suite (replaces the default experiment list unless -exp is given)")
-		wlFiles = flag.String("workloadfile", "", "comma-separated JSON workload spec files to run alongside -workloads")
-		apNames = flag.String("apps", "", "comma-separated registered app spec names to run as the A suite (replaces the default experiment list unless -exp is given)")
-		apFiles = flag.String("appfile", "", "comma-separated JSON app spec files to run alongside -apps")
-		fleet   = flag.Bool("fleet", false, "fleet sweep: run the selected workloads across every registered machine with per-cell bottleneck verdicts (see BOTTLENECKS.md)")
-		knee    = flag.Float64("knee", 0.9, "utilization threshold for fleet knee detection")
-		cpuProf = flag.String("cpuprofile", "", "write a CPU profile to this file")
-		memProf = flag.String("memprofile", "", "write an allocation profile to this file on exit")
-
-		manifestDir = flag.String("manifest", "", "run directory for a structured manifest (manifest.jsonl + cells.jsonl); truncates a previous run")
-		resumeDir   = flag.String("resume", "", "resume a previous -manifest run directory: replay cached cells, re-run only missing or failed ones")
-	)
+	sweep := cli.SweepFlags(flag.CommandLine)
+	out := flag.String("o", "report.md", "output Markdown file ('-' for stdout)")
 	flag.Parse()
 
-	if *cpuProf != "" {
-		f, err := os.Create(*cpuProf)
-		if err != nil {
-			fatal(err)
-		}
-		defer f.Close()
-		if err := pprof.StartCPUProfile(f); err != nil {
-			fatal(err)
-		}
-		defer pprof.StopCPUProfile()
-	}
-
-	opts := harness.Options{Quick: *quick, Seed: *seed, Par: *par, Check: *check}
-	if *withMet {
-		opts.Metrics = &harness.MetricsCollector{}
-	}
-	switch {
-	case *manifestDir != "" && *resumeDir != "":
-		fatal(errors.New("-manifest and -resume are mutually exclusive (resume reuses the run directory)"))
-	case *manifestDir != "" || *resumeDir != "":
-		dir, open := *manifestDir, runlog.Create
-		if *resumeDir != "" {
-			dir, open = *resumeDir, runlog.Append
-		}
-		w, err := open(dir)
-		if err != nil {
-			fatal(err)
-		}
-		c, err := runlog.OpenCache(dir)
-		if err != nil {
-			fatal(err)
-		}
-		opts.Manifest, opts.Cache = w, c
-	}
-	names := *machs
-	if *machAlt != "" {
-		if names != "" {
-			names += ","
-		}
-		names += *machAlt
-	}
-	if names != "" || *machFil != "" {
-		ms, err := machine.Select(names, *machFil)
-		if err != nil {
-			fatal(err)
-		}
-		opts.Machines = ms
-	}
-	var wlSpecs []*workload.Spec
-	if *wlNames != "" || *wlFiles != "" {
-		ws, err := workload.SelectSpecs(*wlNames, *wlFiles)
-		if err != nil {
-			fatal(err)
-		}
-		wlSpecs = ws
-	}
-	var appSpecs []*apps.Spec
-	if *apNames != "" || *apFiles != "" {
-		as, err := apps.SelectSpecs(*apNames, *apFiles)
-		if err != nil {
-			fatal(err)
-		}
-		appSpecs = as
-	}
-
-	// -exp selects registered experiments; a workload or app selection
-	// appends its suite. With only workloads/apps given, just those
-	// suites run; with neither, every registered experiment runs.
-	var exps []*harness.Experiment
-	if *expIDs != "" {
-		for _, id := range strings.Split(*expIDs, ",") {
-			e, err := harness.ByID(strings.TrimSpace(id))
-			if err != nil {
-				fatal(err)
-			}
-			exps = append(exps, e)
-		}
-	} else if wlSpecs == nil && appSpecs == nil && !*fleet {
-		exps = harness.All()
-	}
-	if *fleet {
-		// A fleet sweep takes the selected workloads, defaulting to the
-		// high-faa preset when none are named.
-		specs := wlSpecs
-		if specs == nil {
-			s, err := workload.SpecByName("high-faa")
-			if err != nil {
-				fatal(err)
-			}
-			specs = []*workload.Spec{s}
-		}
-		exps = append(exps, harness.FleetExperiment(specs, *knee))
-	} else if wlSpecs != nil {
-		exps = append(exps, harness.WorkloadExperiment(wlSpecs))
-	}
-	if appSpecs != nil {
-		exps = append(exps, harness.AppExperiment(appSpecs))
+	opts, exps, err := sweep.Setup("atomicreport", os.Stderr)
+	if err != nil {
+		fatal(err)
 	}
 
 	w := os.Stdout
@@ -169,7 +48,7 @@ func main() {
 	}
 
 	fmt.Fprintf(w, "# atomicsmodel experiment report\n\n")
-	fmt.Fprintf(w, "Generated by `atomicreport` (seed %d, quick=%v).\n\n", *seed, *quick)
+	fmt.Fprintf(w, "Generated by `atomicreport` (seed %d, quick=%v).\n\n", sweep.Seed(), sweep.Quick())
 	fmt.Fprintf(w, "Reproduction of *Modeling the Performance of Atomic Primitives on Modern Architectures* (ICPP 2019); see DESIGN.md for scope and substitutions.\n\n")
 
 	var failed []string
@@ -215,27 +94,8 @@ func main() {
 		fmt.Printf("wrote %s (%d experiments)\n", *out, len(exps))
 	}
 
-	if opts.Cache != nil {
-		if err := opts.Cache.Close(); err != nil {
-			fatal(err)
-		}
-	}
-	if opts.Manifest != nil {
-		if err := opts.Manifest.Close(); err != nil {
-			fatal(err)
-		}
-	}
-
-	if *memProf != "" {
-		f, err := os.Create(*memProf)
-		if err != nil {
-			fatal(err)
-		}
-		defer f.Close()
-		runtime.GC()
-		if err := pprof.WriteHeapProfile(f); err != nil {
-			fatal(err)
-		}
+	if err := sweep.Finish(opts); err != nil {
+		fatal(err)
 	}
 
 	if len(failed) > 0 {

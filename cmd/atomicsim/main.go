@@ -27,53 +27,30 @@
 package main
 
 import (
-	"errors"
 	"flag"
 	"fmt"
 	"os"
 	"path/filepath"
-	"runtime"
-	"runtime/pprof"
 	"strings"
 	"time"
 
-	"atomicsmodel/internal/apps"
+	"atomicsmodel/internal/cli"
 	"atomicsmodel/internal/faults"
 	"atomicsmodel/internal/harness"
-	"atomicsmodel/internal/machine"
 	"atomicsmodel/internal/runlog"
-	"atomicsmodel/internal/workload"
 )
 
 func main() {
+	sweep := cli.SweepFlags(flag.CommandLine)
 	var (
-		expID   = flag.String("exp", "", "comma-separated experiment IDs to run (default: all)")
-		machs   = flag.String("machines", "", "comma-separated registered machine names (default: the paper pair; see -machines list on a bad name)")
-		machAlt = flag.String("machine", "", "alias for -machines")
-		machFil = flag.String("machinefile", "", "comma-separated JSON machine spec files to run alongside -machines")
-		wlNames = flag.String("workloads", "", "comma-separated registered workload spec names to run as the W suite (replaces the default experiment list unless -exp is given)")
-		wlFiles = flag.String("workloadfile", "", "comma-separated JSON workload spec files to run alongside -workloads")
-		apNames = flag.String("apps", "", "comma-separated registered app spec names to run as the A suite (replaces the default experiment list unless -exp is given)")
-		apFiles = flag.String("appfile", "", "comma-separated JSON app spec files to run alongside -apps")
-		fleet   = flag.Bool("fleet", false, "fleet sweep: run the selected workloads across every registered machine with per-cell bottleneck verdicts (see BOTTLENECKS.md)")
-		knee    = flag.Float64("knee", 0.9, "utilization threshold for fleet knee detection")
-		quick   = flag.Bool("quick", false, "trimmed sweeps and shorter simulated durations")
-		seed    = flag.Uint64("seed", 42, "base random seed")
-		par     = flag.Int("par", runtime.NumCPU(), "max concurrent simulation cells (results are identical for any value)")
 		quiet   = flag.Bool("quiet", false, "suppress per-experiment progress on stderr")
-		withMet = flag.Bool("metrics", false, "collect per-cell coherence/sim metrics and append breakdown tables")
 		csvDir  = flag.String("csv", "", "directory to write per-table CSV files into")
 		doPlot  = flag.Bool("plot", false, "render ASCII charts for figure-shaped tables")
 		logY    = flag.Bool("logy", false, "use a logarithmic Y axis for plots")
 		listIDs = flag.Bool("list", false, "list experiments and exit")
-		cpuProf = flag.String("cpuprofile", "", "write a CPU profile to this file")
-		memProf = flag.String("memprofile", "", "write an allocation profile to this file on exit")
 
-		manifestDir = flag.String("manifest", "", "run directory for a structured manifest (manifest.jsonl + cells.jsonl); truncates a previous run")
-		resumeDir   = flag.String("resume", "", "resume a previous -manifest run directory: replay cached cells, re-run only missing or failed ones")
-		checkDir    = flag.String("checkmanifest", "", "validate a run directory's manifest and cache, print a summary, and exit")
+		checkDir = flag.String("checkmanifest", "", "validate a run directory's manifest and cache, print a summary, and exit")
 
-		check       = flag.Bool("check", false, "audit coherence/engine invariants in every cell; a violation fails the cell with a deterministic report")
 		faultSpec   = flag.String("faults", "", "inject deterministic faults: comma-separated seed=N,jitter=PCT,panic=N[@CELL],casfail=N,sleep=DUR@CELL")
 		cellTimeout = flag.Duration("celltimeout", 0, "wall-clock watchdog deadline per simulation cell (0 = none)")
 		cellRetries = flag.Int("cellretries", 0, "extra attempts for a failed cell before giving up")
@@ -96,108 +73,21 @@ func main() {
 		return
 	}
 
-	if *cpuProf != "" {
-		f, err := os.Create(*cpuProf)
-		if err != nil {
-			fatal(err)
-		}
-		defer f.Close()
-		if err := pprof.StartCPUProfile(f); err != nil {
-			fatal(err)
-		}
-		defer pprof.StopCPUProfile()
-	}
-
-	opts := harness.Options{
-		Quick: *quick, Seed: *seed, Par: *par,
-		Check: *check, CellTimeout: *cellTimeout, CellRetries: *cellRetries,
-	}
-	if *withMet {
-		opts.Metrics = &harness.MetricsCollector{}
-	}
+	var plan *faults.Plan
 	if *faultSpec != "" {
-		plan, err := faults.Parse(*faultSpec)
+		p, err := faults.Parse(*faultSpec)
 		if err != nil {
 			fatal(err)
 		}
-		opts.Faults = plan
+		plan = p
 	}
-	switch {
-	case *manifestDir != "" && *resumeDir != "":
-		fatal(errors.New("-manifest and -resume are mutually exclusive (resume reuses the run directory)"))
-	case *manifestDir != "":
-		attachRunDir(&opts, *manifestDir, false)
-	case *resumeDir != "":
-		attachRunDir(&opts, *resumeDir, true)
-		if !*quiet {
-			fmt.Fprintf(os.Stderr, "resume: %d cached cells loaded from %s\n", opts.Cache.Loaded(), *resumeDir)
-		}
+	opts, exps, err := sweep.Setup("atomicsim", os.Stderr)
+	if err != nil {
+		fatal(err)
 	}
-	names := *machs
-	if *machAlt != "" {
-		if names != "" {
-			names += ","
-		}
-		names += *machAlt
-	}
-	if names != "" || *machFil != "" {
-		ms, err := machine.Select(names, *machFil)
-		if err != nil {
-			fatal(err)
-		}
-		opts.Machines = ms
-	}
-
-	var wlSpecs []*workload.Spec
-	if *wlNames != "" || *wlFiles != "" {
-		ws, err := workload.SelectSpecs(*wlNames, *wlFiles)
-		if err != nil {
-			fatal(err)
-		}
-		wlSpecs = ws
-	}
-
-	var appSpecs []*apps.Spec
-	if *apNames != "" || *apFiles != "" {
-		as, err := apps.SelectSpecs(*apNames, *apFiles)
-		if err != nil {
-			fatal(err)
-		}
-		appSpecs = as
-	}
-
-	// -exp selects registered experiments; a workload or app selection
-	// appends its suite. With only workloads/apps given, just those
-	// suites run; with neither, every registered experiment runs.
-	var exps []*harness.Experiment
-	if *expID != "" {
-		for _, id := range strings.Split(*expID, ",") {
-			e, err := harness.ByID(strings.TrimSpace(id))
-			if err != nil {
-				fatal(err)
-			}
-			exps = append(exps, e)
-		}
-	} else if wlSpecs == nil && appSpecs == nil && !*fleet {
-		exps = harness.All()
-	}
-	if *fleet {
-		// A fleet sweep takes the selected workloads, defaulting to the
-		// high-faa preset when none are named.
-		specs := wlSpecs
-		if specs == nil {
-			s, err := workload.SpecByName("high-faa")
-			if err != nil {
-				fatal(err)
-			}
-			specs = []*workload.Spec{s}
-		}
-		exps = append(exps, harness.FleetExperiment(specs, *knee))
-	} else if wlSpecs != nil {
-		exps = append(exps, harness.WorkloadExperiment(wlSpecs))
-	}
-	if appSpecs != nil {
-		exps = append(exps, harness.AppExperiment(appSpecs))
+	opts.Faults, opts.CellTimeout, opts.CellRetries = plan, *cellTimeout, *cellRetries
+	if dir := sweep.ResumeDir(); dir != "" && !*quiet {
+		fmt.Fprintf(os.Stderr, "resume: %d cached cells loaded from %s\n", opts.Cache.Loaded(), dir)
 	}
 
 	suiteStart := time.Now()
@@ -273,27 +163,8 @@ func main() {
 		}
 	}
 
-	if opts.Cache != nil {
-		if err := opts.Cache.Close(); err != nil {
-			fatal(err)
-		}
-	}
-	if opts.Manifest != nil {
-		if err := opts.Manifest.Close(); err != nil {
-			fatal(err)
-		}
-	}
-
-	if *memProf != "" {
-		f, err := os.Create(*memProf)
-		if err != nil {
-			fatal(err)
-		}
-		defer f.Close()
-		runtime.GC()
-		if err := pprof.WriteHeapProfile(f); err != nil {
-			fatal(err)
-		}
+	if err := sweep.Finish(opts); err != nil {
+		fatal(err)
 	}
 
 	if len(failed) > 0 {
@@ -301,34 +172,6 @@ func main() {
 			len(failed), strings.Join(failed, ","))
 		os.Exit(1)
 	}
-}
-
-// attachRunDir opens a run directory's manifest and cell cache on opts.
-// resume=false starts a fresh run (truncating a previous one); true
-// appends to the manifest and keeps the cache so completed cells replay.
-func attachRunDir(opts *harness.Options, dir string, resume bool) {
-	open := runlog.Create
-	if resume {
-		open = runlog.Append
-	}
-	w, err := open(dir)
-	if err != nil {
-		fatal(err)
-	}
-	c, err := runlog.OpenCache(dir)
-	if err != nil {
-		fatal(err)
-	}
-	// Quarantined cache lines are dropped, not fatal — say what was
-	// dropped so the recomputation is explained, not mysterious.
-	for _, q := range c.Quarantined() {
-		if q.Key != "" {
-			fmt.Fprintf(os.Stderr, "atomicsim: quarantined cells.jsonl line %d (key %q): %s; cell will be recomputed\n", q.Line, q.Key, q.Reason)
-		} else {
-			fmt.Fprintf(os.Stderr, "atomicsim: quarantined cells.jsonl line %d: %s; cell will be recomputed\n", q.Line, q.Reason)
-		}
-	}
-	opts.Manifest, opts.Cache = w, c
 }
 
 func writeCSV(dir, id string, idx int, t *harness.Table) error {

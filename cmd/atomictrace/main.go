@@ -39,6 +39,7 @@ import (
 
 	"atomicsmodel/internal/apps"
 	"atomicsmodel/internal/atomics"
+	"atomicsmodel/internal/cli"
 	"atomicsmodel/internal/coherence"
 	"atomicsmodel/internal/machine"
 	"atomicsmodel/internal/sim"
@@ -46,40 +47,26 @@ import (
 )
 
 func main() {
+	machSel := cli.MachineFlags(flag.CommandLine, "XeonE5")
+	appSel := cli.AppFlags(flag.CommandLine, " (exactly one): trace the structure's hot line instead of a bare primitive")
 	var (
-		machNames = flag.String("machines", "", "comma-separated registered machine names (default: XeonE5)")
-		machAlt   = flag.String("machine", "", "alias for -machines")
-		machFiles = flag.String("machinefile", "", "comma-separated JSON machine spec files to trace alongside -machines")
-		primName  = flag.String("primitive", "FAA", "primitive to trace")
-		threads   = flag.Int("threads", 8, "number of contending threads")
-		ops       = flag.Int("ops", 200, "operations per thread to trace")
-		arbName   = flag.String("arbiter", "fifo", "line arbitration: fifo, random, locality")
-		chrome    = flag.String("chrome", "", "also write a Chrome trace_event JSON timeline to this file (view in chrome://tracing or Perfetto)")
-		apNames   = flag.String("apps", "", "registered app spec name: trace the structure's hot line instead of a bare primitive")
-		apFiles   = flag.String("appfile", "", "JSON app spec file, alternative to -apps")
+		primName = flag.String("primitive", "FAA", "primitive to trace")
+		threads  = flag.Int("threads", 8, "number of contending threads")
+		ops      = flag.Int("ops", 200, "operations per thread to trace")
+		arbName  = flag.String("arbiter", "fifo", "line arbitration: fifo, random, locality")
+		chrome   = flag.String("chrome", "", "also write a Chrome trace_event JSON timeline to this file (view in chrome://tracing or Perfetto)")
 	)
 	flag.Parse()
 
-	names := *machNames
-	if *machAlt != "" {
-		if names != "" {
-			names += ","
-		}
-		names += *machAlt
-	}
-	if names == "" && *machFiles == "" {
-		names = "XeonE5"
-	}
-	machines, err := machine.Select(names, *machFiles)
+	machines, err := machSel.Select()
 	if err != nil {
 		fatal(err)
 	}
-
-	if *apNames != "" || *apFiles != "" {
-		specs, err := apps.SelectSpecs(*apNames, *apFiles)
-		if err != nil {
-			fatal(err)
-		}
+	specs, err := appSel.Select()
+	if err != nil {
+		fatal(err)
+	}
+	if specs != nil {
 		if len(specs) != 1 {
 			fatal(fmt.Errorf("tracing wants exactly one app spec, got %d", len(specs)))
 		}
@@ -93,17 +80,9 @@ func main() {
 			pt = pt.Clone()
 			pt.Threads = *threads
 		}
-		for _, m := range machines {
-			chromeFile := *chrome
-			if chromeFile != "" && len(machines) > 1 {
-				ext := filepath.Ext(chromeFile)
-				chromeFile = chromeFile[:len(chromeFile)-len(ext)] + "." + m.Name + ext
-			}
-			if len(machines) > 1 {
-				fmt.Printf("# machine %s\n", m.Name)
-			}
+		perMachine(machines, *chrome, func(m *machine.Machine, chromeFile string) {
 			traceApp(m, pt, *ops, chromeFile)
-		}
+		})
 		return
 	}
 
@@ -111,16 +90,25 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
+	perMachine(machines, *chrome, func(m *machine.Machine, chromeFile string) {
+		traceMachine(m, p, *threads, *ops, *arbName, chromeFile)
+	})
+}
+
+// perMachine runs trace once per machine. With several machines, each
+// CSV section gets a "# machine" header and each Chrome timeline its
+// own file, the machine name inserted before the extension.
+func perMachine(machines []*machine.Machine, chrome string, trace func(m *machine.Machine, chromeFile string)) {
 	for _, m := range machines {
-		chromeFile := *chrome
-		if chromeFile != "" && len(machines) > 1 {
-			ext := filepath.Ext(chromeFile)
-			chromeFile = chromeFile[:len(chromeFile)-len(ext)] + "." + m.Name + ext
-		}
+		chromeFile := chrome
 		if len(machines) > 1 {
+			if chromeFile != "" {
+				ext := filepath.Ext(chromeFile)
+				chromeFile = chromeFile[:len(chromeFile)-len(ext)] + "." + m.Name + ext
+			}
 			fmt.Printf("# machine %s\n", m.Name)
 		}
-		traceMachine(m, p, *threads, *ops, *arbName, chromeFile)
+		trace(m, chromeFile)
 	}
 }
 

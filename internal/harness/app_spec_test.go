@@ -95,7 +95,7 @@ func TestAppSpecDistinctCacheNamespace(t *testing.T) {
 func TestAppCellKeyCarriesDigest(t *testing.T) {
 	m := machine.Ideal(8)
 	sp := apps.Spec{Structure: "treiber-stack", Threads: 4, Seed: 7}
-	c, err := newAppCell(m, sp)
+	c, err := appKind.cell(m, sp)
 	if err != nil {
 		t.Fatal(err)
 	}

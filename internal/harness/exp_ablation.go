@@ -49,28 +49,24 @@ func runF13(o Options) ([]*Table, error) {
 		sweep = []int{8, 16}
 	}
 	machines := o.machines()
-	var cells []workloadCell
+	cells := workloadKind.newCells()
 	for _, m := range machines {
 		for _, n := range sweep {
 			if n > m.NumHWThreads() {
 				continue
 			}
 			for _, a := range arbs {
-				sp := o.baseSpec()
+				sp := workloadKind.base(o)
 				sp.Primitive = atomics.FAA.String()
 				sp.Arbiter = a.arb
 				sp.ArbiterSkips = a.skips
 				sp.Threads = n
 				sp.Seed = o.Seed + uint64(n)
-				c, err := newWorkloadCell(m, sp)
-				if err != nil {
-					return nil, err
-				}
-				cells = append(cells, c)
+				cells.add(m, sp)
 			}
 		}
 	}
-	results, err := runWorkloadCells(o, cells)
+	results, err := cells.run(o)
 	if err != nil {
 		return nil, err
 	}
@@ -137,26 +133,22 @@ func runF14(o Options) ([]*Table, error) {
 		return nil, err
 	}
 
-	var mixCells []workloadCell
+	mixCells := workloadKind.newCells()
+	mixCells.keyPrefix = "mix/"
 	for _, p := range pairs {
 		for _, rf := range fracs {
 			for _, m := range []*machine.Machine{p.base, p.mesif} {
-				sp := o.baseSpec()
+				sp := workloadKind.base(o)
 				sp.Primitive = atomics.FAA.String()
 				sp.Mode = workload.ReadWriteMix.String()
 				sp.ReadFraction = rf
 				sp.Threads = 16
 				sp.Seed = o.Seed
-				c, err := newWorkloadCell(m, sp)
-				if err != nil {
-					return nil, err
-				}
-				c.key = "mix/" + c.key
-				mixCells = append(mixCells, c)
+				mixCells.add(m, sp)
 			}
 		}
 	}
-	mixes, err := runWorkloadCells(o, mixCells)
+	mixes, err := mixCells.run(o)
 	if err != nil {
 		return nil, err
 	}
@@ -171,20 +163,16 @@ func runF14(o Options) ([]*Table, error) {
 		}
 		topoMachines = append(topoMachines, m)
 	}
-	var topoCells []workloadCell
+	topoCells := workloadKind.newCells()
+	topoCells.keyPrefix = "topo/"
 	for _, m := range topoMachines {
-		sp := o.baseSpec()
+		sp := workloadKind.base(o)
 		sp.Primitive = atomics.FAA.String()
 		sp.Threads = 16
 		sp.Seed = o.Seed
-		c, err := newWorkloadCell(m, sp)
-		if err != nil {
-			return nil, err
-		}
-		c.key = "topo/" + c.key
-		topoCells = append(topoCells, c)
+		topoCells.add(m, sp)
 	}
-	topoRes, err := runWorkloadCells(o, topoCells)
+	topoRes, err := topoCells.run(o)
 	if err != nil {
 		return nil, err
 	}
@@ -269,25 +257,21 @@ func runF15(o Options) ([]*Table, error) {
 			eligible = append(eligible, m)
 		}
 	}
-	var cells []appCell
+	cells := appKind.newCells()
 	for _, m := range eligible {
 		for _, sc := range stripeCounts {
 			for _, reads := range []float64{0, 0.05} {
-				sp := o.baseAppSpec()
+				sp := appKind.base(o)
 				sp.Structure = "counter-striped"
 				sp.Threads = threads
 				sp.Stripes = sc
 				sp.ReadFraction = reads
 				sp.Seed = o.Seed
-				c, err := newAppCell(m, sp)
-				if err != nil {
-					return nil, err
-				}
-				cells = append(cells, c)
+				cells.add(m, sp)
 			}
 		}
 	}
-	results, err := runAppCells(o, cells)
+	results, err := cells.run(o)
 	if err != nil {
 		return nil, err
 	}

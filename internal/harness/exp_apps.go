@@ -25,23 +25,19 @@ func init() {
 func runF9(o Options) ([]*Table, error) {
 	machines := o.machines()
 	// Two cells per row: the FAA counter and the CAS-loop counter.
-	var cells []appCell
+	cells := appKind.newCells()
 	for _, m := range machines {
 		for _, n := range o.threadSweep(m) {
 			for _, structure := range []string{"counter-faa", "counter-cas"} {
-				sp := o.baseAppSpec()
+				sp := appKind.base(o)
 				sp.Structure = structure
 				sp.Threads = n
 				sp.Seed = o.Seed + uint64(n)
-				c, err := newAppCell(m, sp)
-				if err != nil {
-					return nil, err
-				}
-				cells = append(cells, c)
+				cells.add(m, sp)
 			}
 		}
 	}
-	results, err := runAppCells(o, cells)
+	results, err := cells.run(o)
 	if err != nil {
 		return nil, err
 	}
@@ -99,27 +95,23 @@ func runF10(o Options) ([]*Table, error) {
 		return variants
 	}
 	machines := o.machines()
-	var cells []appCell
+	cells := appKind.newCells()
 	for _, m := range machines {
 		for _, n := range o.threadSweep(m) {
 			if n < 2 {
 				continue
 			}
 			for _, v := range variantsFor(m) {
-				sp := o.baseAppSpec()
+				sp := appKind.base(o)
 				sp.Structure = v.structure
 				sp.Threads = n
 				sp.CritPS = crit
 				sp.Seed = o.Seed + uint64(n)
-				c, err := newAppCell(m, sp)
-				if err != nil {
-					return nil, err
-				}
-				cells = append(cells, c)
+				cells.add(m, sp)
 			}
 		}
 	}
-	results, err := runAppCells(o, cells)
+	results, err := cells.run(o)
 	if err != nil {
 		return nil, err
 	}

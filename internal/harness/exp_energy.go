@@ -26,24 +26,20 @@ func runF6(o Options) ([]*Table, error) {
 		{atomics.CAS, workload.HighContention},
 		{atomics.FAA, workload.LowContention},
 	}
-	var wcells []workloadCell
+	wcells := workloadKind.newCells()
 	for _, m := range machines {
 		for _, n := range o.threadSweep(m) {
 			for _, c := range cells {
-				sp := o.baseSpec()
+				sp := workloadKind.base(o)
 				sp.Primitive = c.p.String()
 				sp.Mode = c.mode.String()
 				sp.Threads = n
 				sp.Seed = o.Seed + uint64(n)
-				wc, err := newWorkloadCell(m, sp)
-				if err != nil {
-					return nil, err
-				}
-				wcells = append(wcells, wc)
+				wcells.add(m, sp)
 			}
 		}
 	}
-	results, err := runWorkloadCells(o, wcells)
+	results, err := wcells.run(o)
 	if err != nil {
 		return nil, err
 	}

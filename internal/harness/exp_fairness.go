@@ -29,37 +29,29 @@ func runF5(o Options) ([]*Table, error) {
 		{"loc-bounded", "locality", 64},
 	}
 	machines := o.machines()
-	var cells []workloadCell
+	cells := workloadKind.newCells()
 	for _, m := range machines {
 		for _, n := range o.threadSweep(m) {
 			if n < 2 {
 				continue
 			}
 			for _, a := range arbs {
-				sp := o.baseSpec()
+				sp := workloadKind.base(o)
 				sp.Primitive = atomics.FAA.String()
 				sp.Arbiter = a.arb
 				sp.ArbiterSkips = a.skips
 				sp.Threads = n
 				sp.Seed = o.Seed + uint64(n)
-				c, err := newWorkloadCell(m, sp)
-				if err != nil {
-					return nil, err
-				}
-				cells = append(cells, c)
+				cells.add(m, sp)
 			}
-			sp := o.baseSpec()
+			sp := workloadKind.base(o)
 			sp.Primitive = atomics.CAS.String()
 			sp.Threads = n
 			sp.Seed = o.Seed + uint64(n)
-			c, err := newWorkloadCell(m, sp)
-			if err != nil {
-				return nil, err
-			}
-			cells = append(cells, c)
+			cells.add(m, sp)
 		}
 	}
-	results, err := runWorkloadCells(o, cells)
+	results, err := cells.run(o)
 	if err != nil {
 		return nil, err
 	}

@@ -69,44 +69,7 @@ func runFleetSweep(o Options, specs []*workload.Spec, threshold float64) ([]*Tab
 		o.Metrics = &MetricsCollector{}
 	}
 
-	type group struct {
-		m      *machine.Machine
-		spec   *workload.Spec
-		points []*workload.Spec
-	}
-	var groups []group
-	var cells []workloadCell
-	for _, m := range machines {
-		for _, s := range specs {
-			if err := s.Validate(); err != nil {
-				return nil, err
-			}
-			g := group{m: m, spec: s}
-			for _, pt := range s.Expand() {
-				if pt.Threads > m.NumHWThreads() {
-					continue
-				}
-				cell := *pt
-				if cell.WarmupPS == 0 {
-					cell.WarmupPS = o.warmup()
-				}
-				if cell.DurationPS == 0 {
-					cell.DurationPS = o.duration()
-				}
-				if cell.Seed == 0 {
-					cell.Seed = o.Seed + uint64(cell.Threads)
-				}
-				c, err := newWorkloadCell(m, cell)
-				if err != nil {
-					return nil, err
-				}
-				g.points = append(g.points, c.spec)
-				cells = append(cells, c)
-			}
-			groups = append(groups, g)
-		}
-	}
-	results, err := runWorkloadCells(o, cells)
+	groups, err := workloadKind.suite(o, specs, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -123,16 +86,14 @@ func runFleetSweep(o Options, specs []*workload.Spec, threshold float64) ([]*Tab
 	}
 	summaries := map[*workload.Spec][]fleetRow{}
 	var tables []*Table
-	k := 0
 	for _, g := range groups {
 		t := NewTable(
 			fmt.Sprintf("FLEET (%s): %s", g.m.Name, g.spec.Label()),
 			"threads", "Mops", "dir util", "line util", "link util", "queue avg", "bottleneck")
 		var points []bottleneck.Point
 		row := fleetRow{machine: g.m.Name}
-		for _, pt := range g.points {
-			res := results[k]
-			k++
+		for i, pt := range g.points {
+			res := g.results[i]
 			rep, aerr := bottleneck.Analyze(res.Metrics)
 			if aerr != nil {
 				return nil, fmt.Errorf("fleet cell %s/%s t=%d: %w", g.m.Name, g.spec.Label(), pt.Threads, aerr)
@@ -147,9 +108,7 @@ func runFleetSweep(o Options, specs []*workload.Spec, threshold float64) ([]*Tab
 				row.verdict = v
 			}
 		}
-		if len(g.points) == 0 {
-			t.AddNote("no point of this spec fits %s's %d hardware threads", g.m.Name, g.m.NumHWThreads())
-		} else {
+		if len(g.points) > 0 {
 			kn, kr, ku := bottleneck.Knee(points, threshold)
 			row.kneeThreads, row.kneeResource = kn, kr
 			if kn > 0 {
@@ -158,10 +117,8 @@ func runFleetSweep(o Options, specs []*workload.Spec, threshold float64) ([]*Tab
 			} else {
 				t.AddNote("no resource exceeds %.0f%% utilization on this ladder", threshold*100)
 			}
-			if d, derr := g.spec.Digest(); derr == nil {
-				t.AddNote("spec digest %s", d)
-			}
 		}
+		g.noteFit(t)
 		summaries[g.spec] = append(summaries[g.spec], row)
 		tables = append(tables, t)
 	}

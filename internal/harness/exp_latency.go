@@ -82,23 +82,19 @@ func runF1(o Options) ([]*Table, error) {
 func runF2(o Options) ([]*Table, error) {
 	prims := atomics.All()
 	machines := o.machines()
-	var cells []workloadCell
+	cells := workloadKind.newCells()
 	for _, m := range machines {
 		for _, n := range o.threadSweep(m) {
 			for _, p := range prims {
-				sp := o.baseSpec()
+				sp := workloadKind.base(o)
 				sp.Primitive = p.String()
 				sp.Threads = n
 				sp.Seed = o.Seed + uint64(n)
-				c, err := newWorkloadCell(m, sp)
-				if err != nil {
-					return nil, err
-				}
-				cells = append(cells, c)
+				cells.add(m, sp)
 			}
 		}
 	}
-	results, err := runWorkloadCells(o, cells)
+	results, err := cells.run(o)
 	if err != nil {
 		return nil, err
 	}

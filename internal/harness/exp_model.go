@@ -26,23 +26,19 @@ func init() {
 func runF7(o Options) ([]*Table, error) {
 	prims := []atomics.Primitive{atomics.FAA, atomics.CAS, atomics.SWAP, atomics.TAS}
 	machines := o.machines()
-	var cells []workloadCell
+	cells := workloadKind.newCells()
 	for _, m := range machines {
 		for _, p := range prims {
 			for _, n := range o.threadSweep(m) {
-				sp := o.baseSpec()
+				sp := workloadKind.base(o)
 				sp.Primitive = p.String()
 				sp.Threads = n
 				sp.Seed = o.Seed + uint64(n)
-				c, err := newWorkloadCell(m, sp)
-				if err != nil {
-					return nil, err
-				}
-				cells = append(cells, c)
+				cells.add(m, sp)
 			}
 		}
 	}
-	results, err := runWorkloadCells(o, cells)
+	results, err := cells.run(o)
 	if err != nil {
 		return nil, err
 	}

@@ -37,7 +37,7 @@ func runF19(o Options) ([]*Table, error) {
 		}
 		return core.NewDetailed(m).PredictHigh(atomics.FAA, cores, 0), nil
 	}
-	var cells []workloadCell
+	cells := workloadKind.newCells()
 	for _, m := range eligible {
 		sat, err := saturation(m)
 		if err != nil {
@@ -49,20 +49,16 @@ func runF19(o Options) ([]*Table, error) {
 			// carries it as exact integer picoseconds, so the digest (and
 			// the cell's identity) is stable across runs.
 			inter := sim.Time(float64(threads) / (offered * 1e6) * 1e12)
-			sp := o.baseSpec()
+			sp := workloadKind.base(o)
 			sp.Primitive = atomics.FAA.String()
 			sp.Threads = threads
 			sp.OpenLoop = true
 			sp.OpenLoopInterarrivalPS = inter
 			sp.Seed = o.Seed
-			c, err := newWorkloadCell(m, sp)
-			if err != nil {
-				return nil, err
-			}
-			cells = append(cells, c)
+			cells.add(m, sp)
 		}
 	}
-	results, err := runWorkloadCells(o, cells)
+	results, err := cells.run(o)
 	if err != nil {
 		return nil, err
 	}

@@ -29,11 +29,11 @@ func runF20(o Options) ([]*Table, error) {
 	// Two cells per row: central and distributed. The mutual-exclusion
 	// violation count rides in the RunResult, so the cells survive the
 	// manifest cache's JSON round trip without a wrapper.
-	var cells []appCell
+	cells := appKind.newCells()
 	for _, m := range eligible {
 		for _, rf := range fracs {
 			for _, structure := range []string{"rwlock-central", "rwlock-distributed"} {
-				sp := o.baseAppSpec()
+				sp := appKind.base(o)
 				sp.Structure = structure
 				sp.Threads = threads
 				sp.ReadFraction = rf
@@ -42,15 +42,11 @@ func runF20(o Options) ([]*Table, error) {
 					sp.Slots = threads
 				}
 				sp.Seed = o.Seed
-				c, err := newAppCell(m, sp)
-				if err != nil {
-					return nil, err
-				}
-				cells = append(cells, c)
+				cells.add(m, sp)
 			}
 		}
 	}
-	results, err := runAppCells(o, cells)
+	results, err := cells.run(o)
 	if err != nil {
 		return nil, err
 	}

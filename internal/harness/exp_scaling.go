@@ -29,26 +29,22 @@ func runF17(o Options) ([]*Table, error) {
 	// worst case the extrapolation warns about. The machine key inside
 	// each cell key distinguishes the socket counts (Xeon1S/2S/4S build
 	// from distinct specs).
-	var cells []workloadCell
+	cells := workloadKind.newCells()
 	for _, n := range threadRows {
 		for _, s := range socketCounts {
 			m := machine.XeonMultiSocket(s)
 			if n > m.NumHWThreads() {
 				continue
 			}
-			sp := o.baseSpec()
+			sp := workloadKind.base(o)
 			sp.Primitive = atomics.FAA.String()
 			sp.Placement = "scatter"
 			sp.Threads = n
 			sp.Seed = o.Seed + uint64(n)
-			c, err := newWorkloadCell(m, sp)
-			if err != nil {
-				return nil, err
-			}
-			cells = append(cells, c)
+			cells.add(m, sp)
 		}
 	}
-	results, err := runWorkloadCells(o, cells)
+	results, err := cells.run(o)
 	if err != nil {
 		return nil, err
 	}

@@ -27,28 +27,24 @@ func runF18(o Options) ([]*Table, error) {
 		{"elimination-stack", 16},
 		{"ms-queue", 0},
 	}
-	var cells []appCell
+	cells := appKind.newCells()
 	for _, m := range machines {
 		for _, n := range sweep {
 			if n > m.NumHWThreads() {
 				continue
 			}
 			for _, v := range variants {
-				sp := o.baseAppSpec()
+				sp := appKind.base(o)
 				sp.Structure = v.structure
 				sp.Threads = n
 				sp.Depth = 256
 				sp.Slots = v.slots
 				sp.Seed = o.Seed + uint64(n)
-				c, err := newAppCell(m, sp)
-				if err != nil {
-					return nil, err
-				}
-				cells = append(cells, c)
+				cells.add(m, sp)
 			}
 		}
 	}
-	results, err := runAppCells(o, cells)
+	results, err := cells.run(o)
 	if err != nil {
 		return nil, err
 	}

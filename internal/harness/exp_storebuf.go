@@ -41,7 +41,7 @@ func runF22(o Options) ([]*Table, error) {
 		buffered := cloneWithStoreBuffer(base, 42)
 		for _, m := range []*machine.Machine{base, buffered} {
 			sp := storeSpec(o)
-			wc, err := newWorkloadCell(m, sp)
+			wc, err := workloadKind.cell(m, sp)
 			if err != nil {
 				return nil, err
 			}
@@ -92,7 +92,7 @@ func cloneWithStoreBuffer(m *machine.Machine, depth int) *machine.Machine {
 
 // storeSpec describes the 16-thread contended-store workload cell.
 func storeSpec(o Options) workload.Spec {
-	sp := o.baseSpec()
+	sp := workloadKind.base(o)
 	sp.Primitive = atomics.Store.String()
 	sp.Threads = 16
 	sp.Seed = o.Seed
@@ -103,7 +103,7 @@ func storeSpec(o Options) workload.Spec {
 // successful store throughput (Mops) at 16 threads on one line. ci is
 // the calling cell's index, for fault targeting.
 func storeWorkload(m *machine.Machine, sp workload.Spec, o Options, ci int) (latNs, mops float64, err error) {
-	res, err := runSpecCell(o, ci, m, sp)
+	res, err := workloadKind.run(o, ci, m, &sp)
 	if err != nil {
 		return 0, 0, err
 	}

@@ -33,23 +33,19 @@ func runF21(o Options) ([]*Table, error) {
 			eligible = append(eligible, m)
 		}
 	}
-	var cells []workloadCell
+	cells := workloadKind.newCells()
 	for _, m := range eligible {
 		for _, a := range arbs {
-			sp := o.baseSpec()
+			sp := workloadKind.base(o)
 			sp.Primitive = atomics.FAA.String()
 			sp.Arbiter = a.arb
 			sp.ArbiterSkips = a.skips
 			sp.Threads = threads
 			sp.Seed = o.Seed
-			c, err := newWorkloadCell(m, sp)
-			if err != nil {
-				return nil, err
-			}
-			cells = append(cells, c)
+			cells.add(m, sp)
 		}
 	}
-	results, err := runWorkloadCells(o, cells)
+	results, err := cells.run(o)
 	if err != nil {
 		return nil, err
 	}

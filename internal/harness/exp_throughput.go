@@ -38,23 +38,19 @@ func init() {
 func runF3(o Options) ([]*Table, error) {
 	prims := atomics.All()
 	machines := o.machines()
-	var cells []workloadCell
+	cells := workloadKind.newCells()
 	for _, m := range machines {
 		for _, n := range o.threadSweep(m) {
 			for _, p := range prims {
-				sp := o.baseSpec()
+				sp := workloadKind.base(o)
 				sp.Primitive = p.String()
 				sp.Threads = n
 				sp.Seed = o.Seed + uint64(n)
-				c, err := newWorkloadCell(m, sp)
-				if err != nil {
-					return nil, err
-				}
-				cells = append(cells, c)
+				cells.add(m, sp)
 			}
 		}
 	}
-	results, err := runWorkloadCells(o, cells)
+	results, err := cells.run(o)
 	if err != nil {
 		return nil, err
 	}
@@ -83,21 +79,17 @@ func runF3(o Options) ([]*Table, error) {
 
 func runF4(o Options) ([]*Table, error) {
 	machines := o.machines()
-	var cells []workloadCell
+	cells := workloadKind.newCells()
 	for _, m := range machines {
 		for _, n := range o.threadSweep(m) {
-			sp := o.baseSpec()
+			sp := workloadKind.base(o)
 			sp.Primitive = atomics.CAS.String()
 			sp.Threads = n
 			sp.Seed = o.Seed + uint64(n)
-			c, err := newWorkloadCell(m, sp)
-			if err != nil {
-				return nil, err
-			}
-			cells = append(cells, c)
+			cells.add(m, sp)
 		}
 	}
-	results, err := runWorkloadCells(o, cells)
+	results, err := cells.run(o)
 	if err != nil {
 		return nil, err
 	}
@@ -144,22 +136,18 @@ func runF8(o Options) ([]*Table, error) {
 			eligible = append(eligible, m)
 		}
 	}
-	var cells []workloadCell
+	cells := workloadKind.newCells()
 	for _, m := range eligible {
 		for _, w := range works {
-			sp := o.baseSpec()
+			sp := workloadKind.base(o)
 			sp.Primitive = atomics.FAA.String()
 			sp.Threads = threads
 			sp.LocalWorkPS = w
 			sp.Seed = o.Seed
-			c, err := newWorkloadCell(m, sp)
-			if err != nil {
-				return nil, err
-			}
-			cells = append(cells, c)
+			cells.add(m, sp)
 		}
 	}
-	results, err := runWorkloadCells(o, cells)
+	results, err := cells.run(o)
 	if err != nil {
 		return nil, err
 	}
@@ -196,23 +184,19 @@ func runF12(o Options) ([]*Table, error) {
 			eligible = append(eligible, m)
 		}
 	}
-	var cells []workloadCell
+	cells := workloadKind.newCells()
 	for _, m := range eligible {
 		for _, rf := range fracs {
-			sp := o.baseSpec()
+			sp := workloadKind.base(o)
 			sp.Primitive = atomics.FAA.String()
 			sp.Mode = workload.ReadWriteMix.String()
 			sp.ReadFraction = rf
 			sp.Threads = threads
 			sp.Seed = o.Seed
-			c, err := newWorkloadCell(m, sp)
-			if err != nil {
-				return nil, err
-			}
-			cells = append(cells, c)
+			cells.add(m, sp)
 		}
 	}
-	results, err := runWorkloadCells(o, cells)
+	results, err := cells.run(o)
 	if err != nil {
 		return nil, err
 	}

@@ -106,13 +106,13 @@ func (o Options) CellFaults(i int) *faults.CellPlan { return o.Faults.ForCell(i)
 // key: experiment ID plus every base option that changes results (the
 // seed and the Quick sweep trimming; Par never affects results). The
 // per-cell part must itself identify the machine and every swept knob.
-// Workload-driven cells get this from newWorkloadCell, whose keys are
-// machine.Key() — "Name@digest" for spec-built machines — joined with
-// "/wl@" and the workload spec's content digest (workload.Spec.Digest
-// over the defaulted canonical form), so a machine or workload spec
-// that reuses a name, or one edited between a crash and its resume,
-// occupies its own cache namespace. Hand-written cells (apps.Run,
-// probe sims) spell the machine key and their knobs out directly.
+// Spec-built cells get this from specKind.cell (spec_cells.go), whose
+// keys are machine.Key() — "Name@digest" for spec-built machines —
+// joined with "/wl@" or "/app@" and the spec's content digest (over
+// the defaulted canonical form), so a machine or spec that reuses a
+// name, or one edited between a crash and its resume, occupies its own
+// cache namespace. Hand-written cells (probe sims) spell the machine
+// key and their knobs out directly.
 // Metrics collection, invariant checking, and fault plans join the key
 // only when enabled, so existing plain caches stay valid and a
 // checked/faulted run never shares cache entries with a clean one.

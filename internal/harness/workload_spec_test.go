@@ -92,7 +92,7 @@ func TestWorkloadSpecDistinctCacheNamespace(t *testing.T) {
 func TestWorkloadCellKeyCarriesDigest(t *testing.T) {
 	m := machine.Ideal(8)
 	sp := workload.Spec{Primitive: "FAA", Threads: 4, Seed: 7}
-	c, err := newWorkloadCell(m, sp)
+	c, err := workloadKind.cell(m, sp)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -23,15 +23,14 @@
 package jobs
 
 import (
-	"bytes"
 	"encoding/json"
 	"fmt"
-	"io"
 	"strings"
 
 	"atomicsmodel/internal/apps"
 	"atomicsmodel/internal/machine"
 	"atomicsmodel/internal/runlog"
+	"atomicsmodel/internal/speckit"
 	"atomicsmodel/internal/workload"
 )
 
@@ -102,17 +101,7 @@ const maxJobApps = 64
 // trailing garbage are errors, so a typo'd knob can never be silently
 // ignored.
 func ParseSpec(data []byte) (*Spec, error) {
-	dec := json.NewDecoder(bytes.NewReader(data))
-	dec.DisallowUnknownFields()
-	var s Spec
-	if err := dec.Decode(&s); err != nil {
-		return nil, fmt.Errorf("jobs: parsing job spec: %w", err)
-	}
-	var trailer json.RawMessage
-	if err := dec.Decode(&trailer); err != io.EOF {
-		return nil, fmt.Errorf("jobs: trailing data after the job spec object")
-	}
-	return &s, nil
+	return speckit.Strict[Spec]("jobs: parsing job spec", data)
 }
 
 // Resolved is a job spec with every name resolved against the live
@@ -240,13 +229,13 @@ type jobIdentity struct {
 	// Apps is omitempty so workload-only job IDs predate the field
 	// unchanged: adding the apps layer must not invalidate every
 	// journaled job identity.
-	Apps  []string `json:"apps,omitempty"`
-	Fleet bool     `json:"fleet,omitempty"`
-	Knee      float64  `json:"knee,omitempty"`
-	Quick     bool     `json:"quick,omitempty"`
-	Metrics   bool     `json:"metrics,omitempty"`
-	Check     bool     `json:"check,omitempty"`
-	Seed      uint64   `json:"seed"`
+	Apps    []string `json:"apps,omitempty"`
+	Fleet   bool     `json:"fleet,omitempty"`
+	Knee    float64  `json:"knee,omitempty"`
+	Quick   bool     `json:"quick,omitempty"`
+	Metrics bool     `json:"metrics,omitempty"`
+	Check   bool     `json:"check,omitempty"`
+	Seed    uint64   `json:"seed"`
 }
 
 // ID returns the job's content-addressed identity: "j" plus the short

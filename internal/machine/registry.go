@@ -3,83 +3,42 @@ package machine
 import (
 	"embed"
 	"fmt"
-	"sort"
-	"strings"
-	"sync"
 
+	"atomicsmodel/internal/speckit"
 	"atomicsmodel/internal/topology"
 )
 
 // This file is the machine registry. Every built-in machine is an
-// embedded JSON spec under specs/; init loads and registers them, and
-// ByName resolves lookups case-insensitively through canonical names
-// and declared aliases. Registering a machine requires zero Go code
-// beyond the spec file: drop a JSON file in specs/ and it becomes
-// selectable by name in every CLI.
+// embedded JSON spec under specs/, resolved by ByName case-insensitively
+// through canonical names and declared aliases. Registering a machine
+// requires zero Go code beyond the spec file: drop a JSON file in
+// specs/ and it becomes selectable by name in every CLI.
 
 //go:embed specs/*.json
 var specFS embed.FS
 
-var (
-	regMu  sync.RWMutex
-	specs  = map[string]*Spec{}  // canonical name → spec
-	lookup = map[string]string{} // lowercased name/alias → canonical name
-)
-
-// Register adds a spec to the registry, verifying it builds. The spec
-// becomes resolvable by its name and aliases (case-insensitively).
-// Duplicate names or aliases are errors: a silent shadow would make
-// ByName ambiguous.
-func Register(s *Spec) error {
-	if _, err := s.Build(); err != nil {
-		return err
-	}
-	regMu.Lock()
-	defer regMu.Unlock()
-	if _, dup := specs[s.Name]; dup {
-		return fmt.Errorf("machine: duplicate registration of %q", s.Name)
-	}
-	keys := append([]string{s.Name}, s.Aliases...)
-	for _, k := range keys {
-		lk := strings.ToLower(k)
-		if owner, taken := lookup[lk]; taken {
-			return fmt.Errorf("machine: name %q of %s collides with %s", k, s.Name, owner)
-		}
-	}
-	specs[s.Name] = s.Clone()
-	for _, k := range keys {
-		lookup[strings.ToLower(k)] = s.Name
-	}
-	return nil
-}
-
-func mustRegister(s *Spec) {
-	if err := Register(s); err != nil {
-		panic(err)
-	}
-}
+var registry = speckit.NewRegistry[*Spec]("machine", "machine")
 
 func init() {
-	entries, err := specFS.ReadDir("specs")
-	if err != nil {
-		panic(fmt.Sprintf("machine: embedded specs: %v", err))
-	}
-	for _, e := range entries {
-		raw, err := specFS.ReadFile("specs/" + e.Name())
-		if err != nil {
-			panic(fmt.Sprintf("machine: embedded spec %s: %v", e.Name(), err))
-		}
-		s, err := ParseSpec(raw)
-		if err != nil {
-			panic(fmt.Sprintf("machine: embedded spec %s: %v", e.Name(), err))
-		}
-		mustRegister(s)
-	}
+	registry.MustLoad(specFS, "specs", parseBuildable, registryKeys)
 	// The crossbar ablation machine is parametric (Ideal(cores)); the
 	// registry carries the 8-core instance the CLIs' "ideal" name always
 	// meant.
-	mustRegister(idealSpec(8))
+	ideal := idealSpec(8)
+	registry.MustAdd(ideal, ideal.Name, ideal.Aliases...)
 }
+
+// parseBuildable parses a spec and rejects it unless it builds: a
+// registered machine must be runnable.
+func parseBuildable(raw []byte) (*Spec, error) {
+	s, err := ParseSpec(raw)
+	if err != nil {
+		return nil, err
+	}
+	return s, s.Validate()
+}
+
+func registryKeys(s *Spec) []string { return append([]string{s.Name}, s.Aliases...) }
 
 // idealSpec describes a small machine on an ideal crossbar. It exists
 // for model ablations: with uniform 1-hop transfers, measured
@@ -112,34 +71,12 @@ func idealSpec(cores int) *Spec {
 }
 
 // Names returns the canonical names of all registered machines, sorted.
-func Names() []string {
-	regMu.RLock()
-	defer regMu.RUnlock()
-	out := make([]string, 0, len(specs))
-	for name := range specs {
-		out = append(out, name)
-	}
-	sort.Strings(out)
-	return out
-}
+func Names() []string { return registry.Names() }
 
 // SpecByName returns a deep copy of the registered spec for the given
 // name or alias (case-insensitive). Callers mutate the copy freely to
 // derive variants.
-func SpecByName(name string) (*Spec, error) {
-	regMu.RLock()
-	defer regMu.RUnlock()
-	canonical, ok := lookup[strings.ToLower(name)]
-	if !ok {
-		names := make([]string, 0, len(specs))
-		for n := range specs {
-			names = append(names, n)
-		}
-		sort.Strings(names)
-		return nil, fmt.Errorf("machine: unknown machine %q (registered: %s)", name, strings.Join(names, ", "))
-	}
-	return specs[canonical].Clone(), nil
-}
+func SpecByName(name string) (*Spec, error) { return registry.Get(name) }
 
 // ByName builds the registered machine with the given name or alias
 // (case-insensitive). Unknown names produce an error listing every
@@ -210,42 +147,11 @@ func Ideal(cores int) *Machine {
 
 // Select resolves the machines a CLI run targets: names is a
 // comma-separated list of registered machine names (ByName), files a
-// comma-separated list of JSON spec file paths (LoadSpecFile). Either
-// may be empty; the results concatenate in the order given, names
-// first. Machines with duplicate cache identities (Machine.Key) are
-// rejected: the harness would silently fold their cells together.
+// comma-separated list of JSON spec file paths (LoadSpecFile); see
+// speckit.Select. Machines with duplicate cache identities
+// (Machine.Key) are rejected.
 func Select(names, files string) ([]*Machine, error) {
-	var out []*Machine
-	for _, name := range splitList(names) {
-		m, err := ByName(name)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, m)
-	}
-	for _, path := range splitList(files) {
-		m, err := LoadSpecFile(path)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, m)
-	}
-	seen := map[string]bool{}
-	for _, m := range out {
-		if seen[m.Key()] {
-			return nil, fmt.Errorf("machine: %s selected twice", m.Key())
-		}
-		seen[m.Key()] = true
-	}
-	return out, nil
-}
-
-func splitList(csv string) []string {
-	var out []string
-	for _, part := range strings.Split(csv, ",") {
-		if part = strings.TrimSpace(part); part != "" {
-			out = append(out, part)
-		}
-	}
-	return out
+	return speckit.Select("machine", names, files, ByName, LoadSpecFile, func(m *Machine) (string, error) {
+		return m.Key(), nil
+	})
 }

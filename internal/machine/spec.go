@@ -1,14 +1,10 @@
 package machine
 
 import (
-	"bytes"
-	"crypto/sha256"
-	"encoding/hex"
 	"encoding/json"
 	"fmt"
-	"io"
-	"os"
 
+	"atomicsmodel/internal/speckit"
 	"atomicsmodel/internal/topology"
 )
 
@@ -123,49 +119,31 @@ func (s *Spec) Canonical() ([]byte, error) {
 // the machine's identity in harness cell cache keys (Machine.Key): a
 // custom spec file that shadows a preset's name — or a tweaked spec
 // resuming over its previous self — lands in its own cache namespace.
-func (s *Spec) Digest() (string, error) {
-	raw, err := s.Canonical()
-	if err != nil {
-		return "", err
-	}
-	sum := sha256.Sum256(raw)
-	return hex.EncodeToString(sum[:])[:12], nil
-}
+func (s *Spec) Digest() (string, error) { return speckit.Digest(s) }
 
-// ParseSpec decodes a JSON machine spec. Unknown fields and trailing
-// garbage are errors: a spec file is user input, and a typo that
-// silently drops a latency constant would produce confidently wrong
-// tables.
+// ParseSpec decodes a JSON machine spec strictly (speckit.Strict).
+// Validity is Build's job.
 func ParseSpec(data []byte) (*Spec, error) {
-	dec := json.NewDecoder(bytes.NewReader(data))
-	dec.DisallowUnknownFields()
-	var s Spec
-	if err := dec.Decode(&s); err != nil {
-		return nil, fmt.Errorf("machine spec: %w", err)
-	}
-	var trailer json.RawMessage
-	if err := dec.Decode(&trailer); err != io.EOF {
-		return nil, fmt.Errorf("machine spec: trailing data after the spec object")
-	}
-	return &s, nil
+	return speckit.Strict[Spec]("machine spec", data)
 }
 
 // LoadSpecFile reads, parses, validates and builds a machine from a
 // JSON spec file (the CLIs' -machinefile path).
 func LoadSpecFile(path string) (*Machine, error) {
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		return nil, fmt.Errorf("machine spec %s: %w", path, err)
-	}
-	s, err := ParseSpec(raw)
-	if err != nil {
-		return nil, fmt.Errorf("%s: %w", path, err)
-	}
-	m, err := s.Build()
-	if err != nil {
-		return nil, fmt.Errorf("%s: %w", path, err)
-	}
-	return m, nil
+	return speckit.LoadFile("machine spec", path, func(raw []byte) (*Machine, error) {
+		s, err := ParseSpec(raw)
+		if err != nil {
+			return nil, err
+		}
+		return s.Build()
+	})
+}
+
+// Validate reports whether the spec builds: the same checks as Build,
+// without keeping the machine.
+func (s *Spec) Validate() error {
+	_, err := s.Build()
+	return err
 }
 
 // Build turns the spec into a validated *Machine: the topology is

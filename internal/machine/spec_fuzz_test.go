@@ -1,67 +1,27 @@
 package machine
 
 import (
-	"bytes"
 	"testing"
+
+	"atomicsmodel/internal/speckit"
 )
 
-// FuzzSpecLoad is a native Go fuzz target over the spec-file loading
-// path — the CLIs' -machinefile input. For arbitrary bytes it demands:
-// no panic anywhere in parse/build; any machine that Build returns
-// passes Validate (Build's contract); building twice is
-// digest-deterministic; and a parsed spec's canonical encoding is a
-// fixed point (parse → encode → parse → encode is byte-stable), which
-// is what makes the digest a usable cache identity. Run with
-// `go test -fuzz FuzzSpecLoad ./internal/machine`.
+// FuzzSpecLoad runs speckit.Property over the machine spec loading path
+// (the CLIs' -machinefile input), seeded from the registry. A machine
+// spec has no thread ladder, so its only point is itself; validity is
+// Build, which never returns a machine that fails Machine.Validate.
+// Run with `go test -fuzz FuzzSpecLoad ./internal/machine`.
 func FuzzSpecLoad(f *testing.F) {
-	for _, name := range Names() {
-		s, err := SpecByName(name)
-		if err != nil {
-			f.Fatal(err)
-		}
-		raw, err := s.Canonical()
-		if err != nil {
-			f.Fatal(err)
-		}
-		f.Add(raw)
+	for _, seed := range speckit.Seeds(registry) {
+		f.Add(seed)
 	}
 	f.Add([]byte(`{}`))
 	f.Add([]byte(`{"name":"tiny","sockets":1,"coresPerSocket":2,"threadsPerCore":1,"freqGHz":1,` +
 		`"topology":{"kind":"ring","params":{"nodes":2}},"nodeMap":{},"latencyCycles":{"l1Hit":1},"energy":{}}`))
 	f.Add([]byte(`{"name":"bad","freqGHz":-3}`))
 	f.Fuzz(func(t *testing.T, data []byte) {
-		s, err := ParseSpec(data)
-		if err != nil {
-			return // malformed input must error, not panic
-		}
-		m, err := s.Build()
-		if err != nil {
-			return // invalid spec must error, not panic
-		}
-		if err := m.Validate(); err != nil {
-			t.Fatalf("Build returned a machine that fails Validate: %v", err)
-		}
-		m2, err := s.Build()
-		if err != nil {
-			t.Fatalf("second Build of the same spec failed: %v", err)
-		}
-		if m.Key() != m2.Key() || m.SpecDigest() == "" {
-			t.Fatalf("digest not deterministic: %q vs %q", m.Key(), m2.Key())
-		}
-		raw1, err := s.Canonical()
-		if err != nil {
-			t.Fatalf("canonical encoding of a built spec failed: %v", err)
-		}
-		s2, err := ParseSpec(raw1)
-		if err != nil {
-			t.Fatalf("canonical encoding does not reparse: %v\n%s", err, raw1)
-		}
-		raw2, err := s2.Canonical()
-		if err != nil {
+		if err := speckit.Property(data, ParseSpec, func(s *Spec) []*Spec { return []*Spec{s} }); err != nil {
 			t.Fatal(err)
-		}
-		if !bytes.Equal(raw1, raw2) {
-			t.Fatalf("canonical encoding not a fixed point:\n%s\nvs\n%s", raw1, raw2)
 		}
 	})
 }

@@ -1,22 +1,15 @@
 package workload
 
 import (
-	"bytes"
-	"crypto/sha256"
 	"embed"
-	"encoding/hex"
 	"encoding/json"
 	"fmt"
-	"io"
-	"os"
-	"sort"
-	"strings"
-	"sync"
 
 	"atomicsmodel/internal/atomics"
 	"atomicsmodel/internal/coherence"
 	"atomicsmodel/internal/machine"
 	"atomicsmodel/internal/sim"
+	"atomicsmodel/internal/speckit"
 )
 
 // Spec is the declarative, serializable description of one workload
@@ -242,30 +235,13 @@ func (s *Spec) Canonical() ([]byte, error) {
 // with the machine key it is the cell's identity in harness cache keys:
 // two specs that differ in any effective knob can never alias a cache
 // entry, and two spellings of the same cell always share one.
-func (s *Spec) Digest() (string, error) {
-	raw, err := s.Canonical()
-	if err != nil {
-		return "", err
-	}
-	sum := sha256.Sum256(raw)
-	return hex.EncodeToString(sum[:])[:12], nil
-}
+func (s *Spec) Digest() (string, error) { return speckit.Digest(s) }
 
 // Expand returns the pinned single-thread-count specs this spec
 // describes: itself if Threads is set, otherwise one clone per
 // ThreadLadder point with Threads pinned and the ladder cleared.
 func (s *Spec) Expand() []*Spec {
-	if len(s.ThreadLadder) == 0 {
-		return []*Spec{s.Clone()}
-	}
-	out := make([]*Spec, 0, len(s.ThreadLadder))
-	for _, n := range s.ThreadLadder {
-		p := s.Clone()
-		p.Threads = n
-		p.ThreadLadder = nil
-		out = append(out, p)
-	}
-	return out
+	return speckit.Expand(s, s.ThreadLadder, func(p *Spec, n int) { p.Threads, p.ThreadLadder = n, nil })
 }
 
 // Config joins the spec with a machine, resolving policy names into a
@@ -278,7 +254,7 @@ func (s *Spec) Config(m *machine.Machine) (Config, error) {
 		return Config{}, err
 	}
 	if len(s.ThreadLadder) > 0 {
-		return Config{}, fmt.Errorf("workload spec %s: expand the thread ladder before building a Config", s.label())
+		return Config{}, fmt.Errorf("workload spec %s: expand the thread ladder before building a Config", s.Label())
 	}
 	d := s.Defaulted()
 	prim, err := atomics.Parse(d.Primitive)
@@ -317,8 +293,9 @@ func (s *Spec) Config(m *machine.Machine) (Config, error) {
 	}, nil
 }
 
-// label names the spec in errors and listings.
-func (s *Spec) label() string {
+// Label is the spec's display name: Name if set, else a
+// primitive/mode summary.
+func (s *Spec) Label() string {
 	if s.Name != "" {
 		return s.Name
 	}
@@ -328,10 +305,6 @@ func (s *Spec) label() string {
 	}
 	return s.Primitive + "/" + mode
 }
-
-// Label is the spec's display name: Name if set, else a
-// primitive/mode summary.
-func (s *Spec) Label() string { return s.label() }
 
 // RunSpec runs a pinned spec on the given machine and returns the
 // measured Result.
@@ -343,169 +316,54 @@ func RunSpec(s *Spec, m *machine.Machine) (*Result, error) {
 	return Run(cfg)
 }
 
-// ParseSpec decodes a JSON workload spec and validates it. Unknown
-// fields and trailing garbage are errors: a spec file is user input,
-// and a typo that silently dropped a knob would produce confidently
-// wrong cells.
+// ParseSpec decodes a JSON workload spec strictly (speckit.Strict) and
+// validates it.
 func ParseSpec(data []byte) (*Spec, error) {
-	dec := json.NewDecoder(bytes.NewReader(data))
-	dec.DisallowUnknownFields()
-	var s Spec
-	if err := dec.Decode(&s); err != nil {
-		return nil, fmt.Errorf("workload spec: %w", err)
-	}
-	var trailer json.RawMessage
-	if err := dec.Decode(&trailer); err != io.EOF {
-		return nil, fmt.Errorf("workload spec: trailing data after the spec object")
+	s, err := speckit.Strict[Spec]("workload spec", data)
+	if err != nil {
+		return nil, err
 	}
 	if err := s.Validate(); err != nil {
 		return nil, err
 	}
-	return &s, nil
+	return s, nil
 }
 
 // LoadSpecFile reads, parses and validates a workload spec from a JSON
 // file (the CLIs' -workloadfile path).
 func LoadSpecFile(path string) (*Spec, error) {
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		return nil, fmt.Errorf("workload spec %s: %w", path, err)
-	}
-	s, err := ParseSpec(raw)
-	if err != nil {
-		return nil, fmt.Errorf("%s: %w", path, err)
-	}
-	return s, nil
+	return speckit.LoadFile("workload spec", path, ParseSpec)
 }
 
-// This is the workload spec registry: every built-in workload is an
-// embedded JSON spec under specs/; init loads and registers them, and
-// SpecByName resolves lookups case-insensitively. Adding a built-in
-// workload requires zero Go code: drop a JSON file in specs/ and it
-// becomes selectable by name in every CLI's -workloads flag.
+// The workload spec registry: every built-in workload is an embedded
+// JSON spec under specs/. Adding a built-in workload requires zero Go
+// code: drop a JSON file in specs/ and it becomes selectable by name in
+// every CLI's -workloads flag.
 
 //go:embed specs/*.json
 var specFS embed.FS
 
-var (
-	specRegMu  sync.RWMutex
-	specReg    = map[string]*Spec{}  // canonical name → spec
-	specLookup = map[string]string{} // lowercased name → canonical name
-)
-
-// RegisterSpec adds a named, valid spec to the registry (name matched
-// case-insensitively by SpecByName). Duplicates are errors: a silent
-// shadow would make lookups ambiguous.
-func RegisterSpec(s *Spec) error {
-	if s.Name == "" {
-		return fmt.Errorf("workload spec: registration requires a name")
-	}
-	if err := s.Validate(); err != nil {
-		return err
-	}
-	specRegMu.Lock()
-	defer specRegMu.Unlock()
-	lk := strings.ToLower(s.Name)
-	if owner, dup := specLookup[lk]; dup {
-		return fmt.Errorf("workload spec: name %q collides with %s", s.Name, owner)
-	}
-	specReg[s.Name] = s.Clone()
-	specLookup[lk] = s.Name
-	return nil
-}
+var registry = speckit.NewRegistry[*Spec]("workload", "workload")
 
 func init() {
-	entries, err := specFS.ReadDir("specs")
-	if err != nil {
-		panic(fmt.Sprintf("workload: embedded specs: %v", err))
-	}
-	for _, e := range entries {
-		raw, err := specFS.ReadFile("specs/" + e.Name())
-		if err != nil {
-			panic(fmt.Sprintf("workload: embedded spec %s: %v", e.Name(), err))
-		}
-		s, err := ParseSpec(raw)
-		if err != nil {
-			panic(fmt.Sprintf("workload: embedded spec %s: %v", e.Name(), err))
-		}
-		if err := RegisterSpec(s); err != nil {
-			panic(fmt.Sprintf("workload: embedded spec %s: %v", e.Name(), err))
-		}
-	}
+	registry.MustLoad(specFS, "specs", ParseSpec, func(s *Spec) []string { return []string{s.Name} })
 }
 
 // SpecNames returns the canonical names of all registered workload
 // specs, sorted.
-func SpecNames() []string {
-	specRegMu.RLock()
-	defer specRegMu.RUnlock()
-	out := make([]string, 0, len(specReg))
-	for name := range specReg {
-		out = append(out, name)
-	}
-	sort.Strings(out)
-	return out
-}
+func SpecNames() []string { return registry.Names() }
 
 // SpecByName returns a deep copy of the registered spec for the given
 // name (case-insensitive). Callers mutate the copy freely.
-func SpecByName(name string) (*Spec, error) {
-	specRegMu.RLock()
-	defer specRegMu.RUnlock()
-	canonical, ok := specLookup[strings.ToLower(name)]
-	if !ok {
-		names := make([]string, 0, len(specReg))
-		for n := range specReg {
-			names = append(names, n)
-		}
-		sort.Strings(names)
-		return nil, fmt.Errorf("workload: unknown workload %q (registered: %s)", name, strings.Join(names, ", "))
-	}
-	return specReg[canonical].Clone(), nil
-}
+func SpecByName(name string) (*Spec, error) { return registry.Get(name) }
 
 // SelectSpecs resolves the workload specs a CLI run targets: names is
 // a comma-separated list of registered spec names, files a
-// comma-separated list of JSON spec file paths. Either may be empty;
-// results concatenate in the order given, names first. Specs with
-// duplicate digests are rejected: the harness would silently fold
-// their cells together.
+// comma-separated list of JSON spec file paths (speckit.Select). Specs
+// with duplicate digests are rejected.
 func SelectSpecs(names, files string) ([]*Spec, error) {
-	var out []*Spec
-	for _, name := range splitList(names) {
-		s, err := SpecByName(name)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, s)
-	}
-	for _, path := range splitList(files) {
-		s, err := LoadSpecFile(path)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, s)
-	}
-	seen := map[string]bool{}
-	for _, s := range out {
+	return speckit.Select("workload", names, files, SpecByName, LoadSpecFile, func(s *Spec) (string, error) {
 		d, err := s.Digest()
-		if err != nil {
-			return nil, err
-		}
-		if seen[d] {
-			return nil, fmt.Errorf("workload: spec %s (digest %s) selected twice", s.label(), d)
-		}
-		seen[d] = true
-	}
-	return out, nil
-}
-
-func splitList(csv string) []string {
-	var out []string
-	for _, part := range strings.Split(csv, ",") {
-		if part = strings.TrimSpace(part); part != "" {
-			out = append(out, part)
-		}
-	}
-	return out
+		return "wl@" + d, err
+	})
 }

@@ -1,29 +1,17 @@
 package workload
 
 import (
-	"bytes"
 	"testing"
+
+	"atomicsmodel/internal/speckit"
 )
 
-// FuzzWorkloadSpecLoad is a native Go fuzz target over the workload
-// spec loading path — the CLIs' -workloadfile input. For arbitrary
-// bytes it demands: no panic anywhere in parse/validate; any spec
-// ParseSpec accepts digests deterministically; its canonical encoding
-// is a fixed point (parse → encode → parse → encode is byte-stable),
-// which is what makes the digest a usable cache identity; and every
-// expanded ladder point is itself a valid, digestable spec. Run with
-// `go test -fuzz FuzzWorkloadSpecLoad ./internal/workload`.
+// FuzzWorkloadSpecLoad runs speckit.Property over the workload spec
+// loading path (the CLIs' -workloadfile input), seeded from the
+// registry. Run with `go test -fuzz FuzzWorkloadSpecLoad ./internal/workload`.
 func FuzzWorkloadSpecLoad(f *testing.F) {
-	for _, name := range SpecNames() {
-		s, err := SpecByName(name)
-		if err != nil {
-			f.Fatal(err)
-		}
-		raw, err := s.Canonical()
-		if err != nil {
-			f.Fatal(err)
-		}
-		f.Add(raw)
+	for _, seed := range speckit.Seeds(registry) {
+		f.Add(seed)
 	}
 	f.Add([]byte(`{}`))
 	f.Add([]byte(`{"primitive":"FAA","threads":4}`))
@@ -32,40 +20,8 @@ func FuzzWorkloadSpecLoad(f *testing.F) {
 	f.Add([]byte(`{"primitive":"FAA","threads":4,"openLoop":true,"openLoopInterarrivalPS":123456}`))
 	f.Add([]byte(`{"primitive":"FAA","threads":-1}`))
 	f.Fuzz(func(t *testing.T, data []byte) {
-		s, err := ParseSpec(data)
-		if err != nil {
-			return // malformed or invalid input must error, not panic
-		}
-		d1, err := s.Digest()
-		if err != nil {
-			t.Fatalf("accepted spec does not digest: %v", err)
-		}
-		d2, err := s.Digest()
-		if err != nil || d1 != d2 || d1 == "" {
-			t.Fatalf("digest not deterministic: %q vs %q (%v)", d1, d2, err)
-		}
-		raw1, err := s.Canonical()
-		if err != nil {
-			t.Fatalf("canonical encoding of an accepted spec failed: %v", err)
-		}
-		s2, err := ParseSpec(raw1)
-		if err != nil {
-			t.Fatalf("canonical encoding does not reparse: %v\n%s", err, raw1)
-		}
-		raw2, err := s2.Canonical()
-		if err != nil {
+		if err := speckit.Property(data, ParseSpec, (*Spec).Expand); err != nil {
 			t.Fatal(err)
-		}
-		if !bytes.Equal(raw1, raw2) {
-			t.Fatalf("canonical encoding not a fixed point:\n%s\nvs\n%s", raw1, raw2)
-		}
-		for _, pt := range s.Expand() {
-			if err := pt.Validate(); err != nil {
-				t.Fatalf("expanded point of an accepted spec invalid: %v", err)
-			}
-			if _, err := pt.Digest(); err != nil {
-				t.Fatalf("expanded point does not digest: %v", err)
-			}
 		}
 	})
 }

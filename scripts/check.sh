@@ -1,6 +1,8 @@
 #!/bin/sh
-# Repo checks: build, static analysis, the docs gate (every package
-# has a doc comment; no broken references in the top-level *.md files),
+# Repo checks: build, static analysis, the gofmt gate (every Go file in
+# the repo, bench/ included, is gofmt-clean), the docs gate (every
+# package has a doc comment; no broken references in the top-level
+# *.md files),
 # the full test suite and the benchmark module's tests (bench/ is its
 # own Go module), a race-detector pass over the packages with real
 # concurrency (the cell scheduler, the run log it writes through, and
@@ -18,8 +20,10 @@
 # smoke (submit → poll → dedup → SIGTERM drain), a bench smoke
 # enforcing the simulation path's allocation budget, and short
 # native-fuzz passes over the run-log parsers, topology hop
-# computation, the machine and workload spec loaders, and the event
-# queue's express-lane merge. Run from the repo root.
+# computation, the machine, workload, app and job spec loaders (the
+# first three run the one shared loader property, speckit.Property,
+# each seeded from its own registry), and the event queue's
+# express-lane merge. Run from the repo root.
 set -eu
 
 echo "== go build ./..."
@@ -27,6 +31,14 @@ go build ./...
 
 echo "== go vet ./..."
 go vet ./...
+
+echo "== gofmt -l (tracked and new Go files, bench/ included)"
+unformatted=$(gofmt -l $(git ls-files --cached --others --exclude-standard '*.go'))
+if [ -n "$unformatted" ]; then
+    echo "gofmt would reformat:" >&2
+    echo "$unformatted" >&2
+    exit 1
+fi
 
 echo "== docs check (package comments + markdown references)"
 go run ./scripts/docscheck
@@ -331,7 +343,7 @@ awk '/BenchmarkAppCell/ { if ($(NF-1) + 0 > 400) exit 1 }' "$dir/bench_app.txt" 
     exit 1
 }
 
-echo "== fuzz smoke (runlog parsers, topology hops, machine/workload/app specs, express-lane merge)"
+echo "== fuzz smoke (runlog parsers, topology hops, machine/workload/app/job specs, express-lane merge)"
 go test -run FuzzNothing -fuzz FuzzCacheLoad -fuzztime 5s ./internal/runlog > /dev/null
 go test -run FuzzNothing -fuzz FuzzManifestValidate -fuzztime 5s ./internal/runlog > /dev/null
 go test -run FuzzNothing -fuzz FuzzHops -fuzztime 5s ./internal/topology > /dev/null
