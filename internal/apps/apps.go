@@ -353,16 +353,13 @@ type lockApp struct {
 }
 
 // lockOp is one thread's in-flight acquire-release cycle: the backoff
-// of a TTAS-backoff acquisition, and a ticket lock's ticket and the
-// last serving value its spin observed.
+// of a TTAS-backoff acquisition, and a ticket lock's ticket.
 type lockOp struct {
 	l       *lockApp
 	th      *Thread
 	done    func()
 	backoff sim.Time
 	ticket  uint64
-	last    uint64
-	seen    bool
 
 	tasFn      func(atomics.Result)
 	testFn     func()
@@ -436,7 +433,8 @@ func (o *lockOp) test() {
 
 func (o *lockOp) loaded(r atomics.Result) {
 	if r.Old != 0 {
-		o.test() // spin on the shared copy
+		// Spin on the local copy until the holder's release changes it.
+		o.l.mem.AwaitChange(o.th.Core, lockLine, r.Old, nil, o.loadFn)
 		return
 	}
 	o.l.attempts++
@@ -462,26 +460,23 @@ func (o *lockOp) ttasDone(r atomics.Result) {
 
 func (o *lockOp) ticketTaken(r atomics.Result) {
 	o.ticket = r.Old
-	o.seen, o.last = false, 0
 	o.l.mem.LoadOp(o.th.Core, servingLine, o.serveFn)
 }
 
+// served takes a serving-counter read that observed a new value: the
+// first read after taking a ticket, then each read that ends a wait.
+// Only these count as attempts — between handoffs a waiter re-reads its
+// local Shared copy (no line traffic), so a read observing a new value,
+// a refetch after the holder's invalidating bump, is an attempt in the
+// conflict model's sense and a re-read is not.
 func (o *lockOp) served(rs atomics.Result) {
-	// Count serving-line refetches, not raw spin reads: between
-	// handoffs a waiter re-reads its local Shared copy (no line
-	// traffic), so only reads that observe a new serving value — a
-	// refetch after the holder's invalidating bump — are attempts in
-	// the conflict model's sense.
-	if !o.seen || rs.Old != o.last {
-		o.seen, o.last = true, rs.Old
-		o.l.attempts++
-	}
+	o.l.attempts++
 	if rs.Old == o.ticket {
 		o.th.lastSeen = o.ticket
 		o.locked()
 		return
 	}
-	o.l.mem.LoadOp(o.th.Core, servingLine, o.serveFn)
+	o.l.mem.AwaitChange(o.th.Core, servingLine, rs.Old, nil, o.serveFn)
 }
 
 // locked runs the critical section: update the protected data, hold,

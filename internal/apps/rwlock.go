@@ -181,11 +181,12 @@ func (o *centralOp) readAcquire() {
 }
 
 func (o *centralOp) readLoaded(r atomics.Result) {
-	o.v = r.Old
-	if o.v&1 == 1 {
-		o.readAcquire() // writer active: spin on shared copy
+	if r.Old&1 == 1 {
+		// Writer active: spin on the shared copy.
+		o.l.mem.AwaitChange(o.th.Core, rwLockLine, r.Old, nil, o.rLoadFn)
 		return
 	}
+	o.v = r.Old
 	o.l.attempts++
 	o.l.mem.CompareAndSwap(o.th.Core, rwLockLine, o.v, o.v+2, o.rCASFn)
 }
@@ -209,7 +210,8 @@ func (o *centralOp) writeAcquire() {
 
 func (o *centralOp) writeLoaded(r atomics.Result) {
 	if r.Old != 0 {
-		o.writeAcquire() // busy: spin
+		// Busy: spin on the shared copy.
+		o.l.mem.AwaitChange(o.th.Core, rwLockLine, r.Old, nil, o.wLoadFn)
 		return
 	}
 	o.l.attempts++
@@ -287,7 +289,8 @@ func (o *distOp) readAcquire() {
 
 func (o *distOp) flagLoaded(r atomics.Result) {
 	if r.Old != 0 {
-		o.readAcquire() // writer present: spin on the flag
+		// Writer present: spin on the flag.
+		o.l.mem.AwaitChange(o.th.Core, rwFlagLine, r.Old, nil, o.flagFn)
 		return
 	}
 	// Announce, then re-check the flag (Dekker-style handshake).
@@ -339,9 +342,12 @@ func (o *distOp) scan() {
 }
 
 func (o *distOp) scanned(r atomics.Result) {
-	if r.Old == 0 {
-		o.i++
-	} // else a reader is still inside: spin on its slot
+	if r.Old != 0 {
+		// A reader is still inside: spin on its slot.
+		o.l.mem.AwaitChange(o.th.Core, o.l.slot(o.i), r.Old, nil, o.scanFn)
+		return
+	}
+	o.i++
 	o.scan()
 }
 

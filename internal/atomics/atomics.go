@@ -148,6 +148,9 @@ type Memory struct {
 	// ones that were in flight when a run was cut off.
 	ctxPool []*opCtx
 	allCtxs []*opCtx
+	// spinPool and allSpins do the same for AwaitChange spins.
+	spinPool []*spinCtx
+	allSpins []*spinCtx
 	// casFault, when set, is consulted at every CAS serialization point;
 	// returning true forces the CAS to fail even on a matching value.
 	// Fault plans (internal/faults) use it to provoke retry storms; nil
@@ -255,6 +258,11 @@ func (mem *Memory) Reset() {
 		c.done = nil
 		mem.ctxPool = append(mem.ctxPool, c)
 	}
+	mem.spinPool = mem.spinPool[:0]
+	for _, c := range mem.allSpins {
+		c.done, c.loads = nil, nil
+		mem.spinPool = append(mem.spinPool, c)
+	}
 }
 
 // ShiftInFlight translates the issue time of every in-flight operation
@@ -324,6 +332,65 @@ func (mem *Memory) TestAndSet(core int, line coherence.LineID, done func(Result)
 func (mem *Memory) LoadOp(core int, line coherence.LineID, done func(Result)) {
 	c := mem.getCtx(Load, 0, 0, done)
 	mem.sys.Access(core, line, coherence.Read, ExecCost(mem.m, Load), nil, c.doneFn)
+}
+
+// spinCtx is one in-flight AwaitChange spin, pooled like opCtx, with
+// its per-load continuation built once per context.
+type spinCtx struct {
+	mem    *Memory
+	core   int
+	line   coherence.LineID
+	seen   uint64
+	loads  *uint64
+	done   func(Result)
+	stepFn func(coherence.AccessResult)
+}
+
+// AwaitChange spins on line from core: it issues loads back to back
+// and calls done once, with the result of the first load that observes
+// a value other than seen. The loads are exactly the LoadOps of a spin
+// loop re-issuing on seen, so every counter and event matches that
+// loop; with parking on (coherence.System.SetParking), re-reads of the
+// core's own valid copy while it holds seen run as callback-free
+// engine ticks instead (coherence.System.Await). When loads is non-nil
+// the spin reports how many loads it issued there, adding one as each
+// is issued — each follows an observation of seen, or of the caller's
+// own earlier one — and the parked re-reads as they are settled
+// (coherence.System.SettleParked), so a spin still running at the
+// horizon has counted exactly the loads the loop issued by then.
+func (mem *Memory) AwaitChange(core int, line coherence.LineID, seen uint64, loads *uint64, done func(Result)) {
+	var c *spinCtx
+	if n := len(mem.spinPool); n > 0 {
+		c = mem.spinPool[n-1]
+		mem.spinPool = mem.spinPool[:n-1]
+	} else {
+		c = &spinCtx{mem: mem}
+		c.stepFn = c.step
+		mem.allSpins = append(mem.allSpins, c)
+	}
+	c.core, c.line, c.seen, c.loads, c.done = core, line, seen, loads, done
+	c.load()
+}
+
+// load issues the spin's next load.
+func (c *spinCtx) load() {
+	if c.loads != nil {
+		*c.loads++
+	}
+	c.mem.sys.Await(c.core, c.line, ExecCost(c.mem.m, Load), c.seen, c.loads, c.stepFn)
+}
+
+// step re-issues the spin's load while it observes seen; otherwise it
+// recycles the context and reports the changed value.
+func (c *spinCtx) step(r coherence.AccessResult) {
+	if r.Value == c.seen {
+		c.load()
+		return
+	}
+	mem, done := c.mem, c.done
+	c.done, c.loads = nil, nil
+	mem.spinPool = append(mem.spinPool, c)
+	done(Result{Latency: r.Latency, Old: r.Value, OK: true, Access: r})
 }
 
 // StoreOp issues a plain store of v. With store buffering enabled the

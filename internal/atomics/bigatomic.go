@@ -30,10 +30,16 @@ type BigAtomic struct {
 	base  coherence.LineID // version line; word i lives at base+1+i
 	words int
 
-	reads         uint64
-	updates       uint64
-	readRetries   uint64 // seqlock rounds invalidated by a writer
-	commitRetries uint64 // version-acquire attempts that lost
+	reads   uint64
+	updates uint64
+	// readRetries counts every version load of a read that observed the
+	// version held (odd) — each re-read of a spinning reader's local
+	// copy included — plus each round a writer invalidated.
+	readRetries uint64
+	// commitRetries counts every version load of an update that
+	// observed the version held — again each local re-read — plus each
+	// acquire CAS that lost (the one-word baseline's value CAS too).
+	commitRetries uint64
 	torn          uint64 // mixed-generation reads (must stay 0)
 
 	readFree []*bigReadOp
@@ -52,14 +58,18 @@ func NewBigAtomic(mem *Memory, base coherence.LineID, words int) (*BigAtomic, er
 // Words returns the object's width.
 func (b *BigAtomic) Words() int { return b.words }
 
-// Stats reports completed reads and updates, seqlock read retries,
-// failed commit acquires, and torn reads (must be 0).
+// Stats reports completed reads and updates, read and commit retries
+// (see Attempts for what they count), and torn reads (must be 0).
 func (b *BigAtomic) Stats() (reads, updates, readRetries, commitRetries, torn uint64) {
 	return b.reads, b.updates, b.readRetries, b.commitRetries, b.torn
 }
 
-// Attempts counts retry-loop rounds: seqlock read rounds plus version
-// acquires, successful or not.
+// Attempts counts completed reads and updates plus their retries: every
+// version load that observed the version held, every seqlock round a
+// writer invalidated, and every version-acquire CAS that lost. A waiter
+// spinning on its local copy of a held version adds one per re-read, so
+// the count grows with the wait, not with line transfers; it is not the
+// ticket lock's refetch count (lock-ticket Attempts).
 func (b *BigAtomic) Attempts() uint64 {
 	return b.reads + b.updates + b.readRetries + b.commitRetries
 }
@@ -84,9 +94,9 @@ type bigReadOp struct {
 
 func (o *bigReadOp) start(r Result) {
 	if r.Old&1 == 1 {
-		// A writer holds the version: spin on the shared copy.
-		o.b.readRetries++
-		o.b.mem.LoadOp(o.core, o.b.base, o.startFn)
+		// A writer holds the version: spin on the shared copy. Each
+		// load follows a read of the held version, so each is a retry.
+		o.b.mem.AwaitChange(o.core, o.b.base, r.Old, &o.b.readRetries, o.startFn)
 		return
 	}
 	o.v = r.Old
@@ -173,9 +183,9 @@ type bigUpdateOp struct {
 
 func (o *bigUpdateOp) onLoad(r Result) {
 	if r.Old&1 == 1 {
-		// Locked: spin on the shared copy until the writer publishes.
-		o.b.commitRetries++
-		o.b.mem.LoadOp(o.core, o.b.base, o.loadFn)
+		// Locked: spin on the shared copy until the writer publishes;
+		// each load follows a read of the held version, a retry.
+		o.b.mem.AwaitChange(o.core, o.b.base, r.Old, &o.b.commitRetries, o.loadFn)
 		return
 	}
 	o.v = r.Old

@@ -248,9 +248,21 @@ const (
 	reqFree reqPhase = iota
 	reqQueued
 	reqService
-	reqFast // completeFast: local or pipelined read
-	reqOwn  // completeOwned: uncontended owner RFO
+	reqFast   // completeFast: local or pipelined read
+	reqOwn    // completeOwned: uncontended owner RFO
+	reqParked // a spinner parked on its valid copy (Await)
 )
+
+// parkedSpin is a spinner parked on its valid copy (see Await): the
+// request its wake completes (res.Value holds the value it waits to see
+// change), its engine chain, the chain's ticks already credited, and
+// the caller's load counter.
+type parkedSpin struct {
+	req      *request
+	park     sim.ParkID
+	credited uint64
+	loads    *uint64
+}
 
 // lineState is the directory entry plus value for one line.
 type lineState struct {
@@ -274,6 +286,8 @@ type lineState struct {
 	// grants counts services granted on this line, ever; paired with
 	// request.skipBase it yields each waiter's bypass count in O(1).
 	grants uint64
+	// parked counts the spinners parked on this line (Await).
+	parked int
 }
 
 // qlen is the number of requests waiting (the live queue window).
@@ -298,6 +312,7 @@ func (l *lineState) reset() {
 	l.queue = l.queue[:0]
 	l.qhead = 0
 	l.grants = 0
+	l.parked = 0
 }
 
 // AuditGrant is the auditor's view of one granted (serialized) service:
@@ -397,6 +412,10 @@ type System struct {
 	// of the three inputs changes.
 	fastOwn   bool
 	metricsOn bool
+	// parking enables parking spinners on their valid copies (see
+	// Await); parked lists every spinner parked now.
+	parking bool
+	parked  []parkedSpin
 
 	// Stats counters (cheap, always on).
 	nAccesses   uint64
@@ -679,11 +698,14 @@ func (s *System) Value(id LineID) uint64 { return s.line(id).value }
 // it resident at its home LLC slice (a clean eviction, with any dirty
 // data written back). Experiments use it to stage the "LLC hit" initial
 // state; it must not be called while requests to the line are in
-// flight.
+// flight. Spinners parked on the line lose their copies and wake.
 func (s *System) EvictPrivate(id LineID) {
 	l := s.line(id)
 	if l.busy || l.qlen() > 0 {
 		panic("coherence: EvictPrivate on a line with in-flight requests")
+	}
+	if l.parked > 0 {
+		s.unparkLine(l)
 	}
 	l.owner = -1
 	l.ownerDirty = false
@@ -853,6 +875,95 @@ func (s *System) Access(core int, id LineID, kind Kind, hold sim.Time, apply App
 	}
 }
 
+// SetParking turns spinner parking (see Await) on or off for
+// subsequent accesses. Parking is exact — every counter, metric and
+// event position is what the unparked run produces — but it skips the
+// per-access tracer, so Await never parks while one is installed. The
+// cell runtime (internal/workload) turns it on under the fast-forward
+// gate; Reset turns it off.
+func (s *System) SetParking(on bool) { s.parking = on }
+
+// Await issues a plain load of line id from core, exactly as
+// Access(core, id, Read, hold, nil, done) would, on behalf of a spinner
+// that re-issues the load for as long as it observes seen
+// (atomics.Memory.AwaitChange). With parking on, a load that hits the
+// core's own valid copy (as its owner or a sharer) of a line holding
+// seen does not schedule its completion: the core parks on the line as
+// an engine chain whose every period-L1Hit tick stands for one more
+// completed re-read of seen and the identical re-read it issues. The
+// spinner wakes when its copy can change — any RFO grant on the line,
+// a write to it, EvictPrivate — and the chain's pending tick becomes
+// the real completion of its last re-read, which delivers seen to done
+// at the very (time, sequence) place the unparked run delivers it.
+// Until then each tick's re-read is credited to the access counters,
+// the local-transfer metric and, when loads is non-nil, *loads —
+// settled exactly at every Stats call and on waking (SettleParked).
+func (s *System) Await(core int, id LineID, hold sim.Time, seen uint64, loads *uint64, done func(AccessResult)) {
+	if s.parking && s.tracer == nil && core >= 0 && core < s.p.NumCores {
+		l := s.line(id)
+		if l.value == seen && (l.owner == core || l.sharers.has(core)) {
+			if pid, ok := s.eng.Park(s.eng.Owner(), s.p.L1Hit); ok {
+				s.nAccesses++
+				s.nLocal++
+				s.mTransfer[SrcLocal].Inc()
+				req := s.getReq()
+				req.core, req.kind, req.done, req.line = core, Read, done, l
+				req.phase, req.owner = reqParked, s.eng.Owner()
+				req.res = AccessResult{Latency: s.p.L1Hit, Value: seen, Source: SrcLocal}
+				s.parked = append(s.parked, parkedSpin{req: req, park: pid, loads: loads})
+				l.parked++
+				return
+			}
+		}
+	}
+	s.Access(core, id, Read, hold, nil, done)
+}
+
+// SettleParked credits every parked spinner's re-reads issued so far —
+// one per tick its chain has dispatched — to the access counters, the
+// local-transfer metric and the spinner's load counter. Stats settles
+// first; a caller reading the metrics registry or a load counter
+// directly (a window boundary, the end of a run) settles before it
+// does.
+func (s *System) SettleParked() {
+	for i := range s.parked {
+		r := &s.parked[i]
+		s.creditParked(r, s.eng.ParkTicks(r.park))
+	}
+}
+
+// creditParked credits a parked spinner's re-reads up to its chain's
+// ticks count that are not credited yet.
+func (s *System) creditParked(r *parkedSpin, ticks uint64) {
+	d := ticks - r.credited
+	r.credited = ticks
+	s.nAccesses += d
+	s.nLocal += d
+	s.mTransfer[SrcLocal].Add(d)
+	if r.loads != nil {
+		*r.loads += d
+	}
+}
+
+// unparkLine wakes every spinner parked on l: each one's pending tick
+// becomes the real completion of its last re-read (a fast-path local
+// read of seen), at the tick's own (time, sequence) place.
+func (s *System) unparkLine(l *lineState) {
+	for i := len(s.parked) - 1; i >= 0; i-- {
+		r := s.parked[i]
+		if r.req.line != l {
+			continue
+		}
+		last := len(s.parked) - 1
+		s.parked[i] = s.parked[last]
+		s.parked[last] = parkedSpin{}
+		s.parked = s.parked[:last]
+		s.creditParked(&r, s.eng.Unpark(r.park, r.req.fastFn))
+		r.req.phase = reqFast
+	}
+	l.parked = 0
+}
+
 // nearestSharer returns the sharer core topologically closest to node
 // reqNode and the three-leg hop count (requester→home→forwarder→
 // requester) of a forward from it.
@@ -939,6 +1050,9 @@ func (s *System) completeService(req *request) {
 			l.value = next
 			res.Wrote = true
 			l.ownerDirty = true
+			if l.parked > 0 {
+				s.unparkLine(l)
+			}
 		}
 	}
 	if s.aud != nil {
@@ -983,6 +1097,11 @@ func (s *System) completeOwned(req *request) {
 			l.value = next
 			res.Wrote = true
 			l.ownerDirty = true
+			if l.parked > 0 {
+				// The owner's own core is the only holder, so only a
+				// hyperthread sibling can be parked here.
+				s.unparkLine(l)
+			}
 		}
 	}
 	core, kind, done := req.core, req.kind, req.done
@@ -1083,7 +1202,12 @@ func (s *System) applyDirectory(l *lineState, req *request) {
 	c := req.core
 	switch req.kind {
 	case RFO:
-		// Exclusive ownership: everyone else is invalidated.
+		// Exclusive ownership: everyone else is invalidated, and a
+		// spinner parked on the line wakes (one on the requester's own
+		// core, a hyperthread sibling, wakes too: the write is coming).
+		if l.parked > 0 {
+			s.unparkLine(l)
+		}
 		l.sharers.clear()
 		l.owner = c
 		// Dirty only once a write happens; E until then. The completion
@@ -1145,8 +1269,10 @@ type Stats struct {
 	LinkStall sim.Time
 }
 
-// Stats returns a snapshot of the counters.
+// Stats returns a snapshot of the counters, with the re-reads of
+// parked spinners settled (SettleParked) first.
 func (s *System) Stats() Stats {
+	s.SettleParked()
 	var stall sim.Time
 	if s.net != nil {
 		stall = s.net.Stalled()
@@ -1309,6 +1435,21 @@ func (s *System) CheckInvariants() error {
 			return fmt.Errorf("line %d: busy with no pending completion", id)
 		}
 	}
+	// A parked spinner stands for re-reads that each hit its own valid
+	// copy and observe the value it waits on, so both must still hold,
+	// and its chain must have exactly one pending tick.
+	for _, p := range s.parked {
+		r, l := p.req, p.req.line
+		if !l.valid || (l.owner != r.core && !l.sharers.has(r.core)) {
+			return fmt.Errorf("line %d: core %d parked without a valid copy", l.id, r.core)
+		}
+		if l.value != r.res.Value {
+			return fmt.Errorf("line %d: core %d parked on value %d, line holds %d", l.id, r.core, r.res.Value, l.value)
+		}
+		if n := s.eng.ParkEntries(p.park); n != 1 {
+			return fmt.Errorf("line %d: core %d parked with %d pending ticks, want 1", l.id, r.core, n)
+		}
+	}
 	return nil
 }
 
@@ -1364,6 +1505,11 @@ func (s *System) Reset() {
 	s.lastLine = nil
 	s.tracer = nil
 	s.aud = nil
+	// Parked spinners die with the engine's reset, like any pending
+	// event; their requests are reclaimed below.
+	clear(s.parked)
+	s.parked = s.parked[:0]
+	s.parking = false
 	// Reclaim every request, including those that were still queued or
 	// had pending completion events when the run was cut off at its
 	// horizon — the engine reset dropped those events, so the objects

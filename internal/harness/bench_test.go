@@ -57,16 +57,24 @@ func benchFullCell(b *testing.B, edit func(*workload.Config)) {
 }
 
 // BenchmarkAppCell measures one complete app cell on the pooled cell
-// runtime at quick-run length: the XeonE5 ticket lock (a spin read per
-// waiter per handoff) and the work-stealing deques (the A suite's most
-// event-heavy structure), 8 threads each. An app cell allocates its
-// structure, per-thread contexts and result once per cell and nothing
-// per operation, so allocs/op is a small per-cell constant.
+// runtime at quick-run length, 8 threads each on XeonE5: the ticket
+// lock (waiters spin on their local copy of the serving counter, so
+// most of its events are parked re-reads), the distributed reader-
+// writer lock with examples/apps/rwlock-read-mostly.json's mix (readers
+// spin on the writer flag, the writer on reader slots) and the
+// work-stealing deques (the A suite's most event-heavy structure, with
+// no spin loop). An app cell allocates its structure, per-thread
+// contexts and result once per cell and nothing per operation, so
+// allocs/op is a small per-cell constant.
 func BenchmarkAppCell(b *testing.B) {
-	for _, structure := range []string{"lock-ticket", "ws-deque"} {
-		b.Run(structure, func(b *testing.B) {
-			sp := apps.Spec{Structure: structure, Threads: 8,
-				WarmupPS: 10 * sim.Microsecond, DurationPS: 100 * sim.Microsecond, Seed: 1}
+	for _, sp := range []apps.Spec{
+		{Structure: "lock-ticket"},
+		{Structure: "rwlock-distributed", ReadFraction: 0.98, CritPS: 20 * sim.Nanosecond},
+		{Structure: "ws-deque"},
+	} {
+		b.Run(sp.Structure, func(b *testing.B) {
+			sp.Threads, sp.Seed = 8, 1
+			sp.WarmupPS, sp.DurationPS = 10*sim.Microsecond, 100*sim.Microsecond
 			cfg, err := sp.RunConfig(machine.XeonE5())
 			if err != nil {
 				b.Fatal(err)

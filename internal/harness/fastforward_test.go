@@ -3,8 +3,11 @@ package harness
 import (
 	"encoding/json"
 	"path/filepath"
+	"strings"
 	"testing"
 
+	"atomicsmodel/internal/apps"
+	"atomicsmodel/internal/machine"
 	"atomicsmodel/internal/workload"
 )
 
@@ -76,6 +79,50 @@ func TestFastForwardMetricsDifferential(t *testing.T) {
 	}
 	if slowM != fastM {
 		t.Fatalf("fast-forward changed the metrics snapshots:\n--- ff off ---\n%s\n--- ff on ---\n%s", slowM, fastM)
+	}
+}
+
+// TestFastForwardAppDifferential extends the differential to the A
+// suite, whose spin loops park under the fast-forward gate
+// (coherence.System.Await): every registered app preset plus
+// examples/apps/*.json on XeonE5 and KNL, plain and with a metrics
+// collector attached. The tables and every collected snapshot's JSON
+// must be byte-identical with fast-forward (and so parking) off and on.
+func TestFastForwardAppDifferential(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs the A suite four times")
+	}
+	files, err := filepath.Glob("../../examples/apps/*.json")
+	if err != nil || len(files) == 0 {
+		t.Fatalf("no example app specs found (err %v)", err)
+	}
+	specs, err := apps.SelectSpecs(strings.Join(apps.SpecNames(), ","), strings.Join(files, ","))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ms, err := machine.Select("XeonE5,KNL", "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	o := Options{Machines: ms, Quick: true, Seed: 42, Par: 1}
+	run := func() (tables, snaps string) {
+		plain, err := RunExperiment(AppExperiment(specs), o)
+		if err != nil {
+			t.Fatal(err)
+		}
+		metricsTables, snaps := collectMetrics(t, AppExperiment(specs), o)
+		return renderTables(t, plain) + metricsTables, snaps
+	}
+	defer workload.SetFastForward(true)
+	workload.SetFastForward(false)
+	slowT, slowM := run()
+	workload.SetFastForward(true)
+	fastT, fastM := run()
+	if slowT != fastT {
+		t.Fatalf("fast-forward changed the A-suite tables:\n--- ff off ---\n%s\n--- ff on ---\n%s", slowT, fastT)
+	}
+	if slowM != fastM {
+		t.Fatalf("fast-forward changed the A-suite metrics snapshots:\n--- ff off ---\n%s\n--- ff on ---\n%s", slowM, fastM)
 	}
 }
 

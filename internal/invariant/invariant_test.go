@@ -77,6 +77,30 @@ func TestSeededDoubleOwnerCaught(t *testing.T) {
 	}
 }
 
+// TestCorruptedParkedLineCaught parks a spinner (an owner re-reading
+// its own value) under the checker, as -check runs do, then rewrites
+// the line's value behind it with SetValue: the parked re-reads would
+// be observing a value the line no longer holds, and Finalize must
+// report it.
+func TestCorruptedParkedLineCaught(t *testing.T) {
+	eng, sys, chk := checkedSystem(t, nil)
+	sys.SetParking(true)
+	sys.Access(0, 1, coherence.RFO, 0, faa, func(coherence.AccessResult) {})
+	eng.Drain()
+	var spin func(coherence.AccessResult)
+	spin = func(r coherence.AccessResult) { sys.Await(0, 1, 0, 1, nil, spin) }
+	spin(coherence.AccessResult{})
+	if eng.Parked() != 1 {
+		t.Fatalf("%d spinners parked, want 1", eng.Parked())
+	}
+	eng.Run(eng.Now() + 20*sim.Nanosecond)
+	sys.SetValue(1, 9)
+	err := chk.Finalize()
+	if err == nil || !strings.Contains(err.Error(), "line 1: core 0 parked on value 1, line holds 9") {
+		t.Fatalf("Finalize = %v, want the parked-value violation", err)
+	}
+}
+
 func TestOnlineSingleOwnerAndRangeChecks(t *testing.T) {
 	_, _, chk := checkedSystem(t, nil)
 	chk.LineGranted(coherence.AuditGrant{

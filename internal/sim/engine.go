@@ -7,10 +7,12 @@
 // is what lets the repository reproduce the paper's experiments bit-for-bit
 // across runs, something raw hardware measurements cannot do.
 //
-// # One heap and an express lane
+// # One heap and two lanes
 //
 // Internally the queue is one binary min-heap ordered by (timestamp,
-// sequence) plus an express lane (below). Every event carries a unique,
+// sequence) plus an express lane and a park lane (below); the
+// dispatcher runs the smallest of the three heads, so a run with nothing
+// parked pays one empty-lane check per event. Every event carries a unique,
 // monotonically assigned sequence number, so the pop order is a strict
 // total order. One heap rather than several merged ones: closed-loop
 // cells keep about one event per thread pending, too few for shallower
@@ -20,12 +22,26 @@
 //
 // TryExpress schedules an event on a plain FIFO slice instead of the
 // heap when its (timestamp, sequence) pair is known to be >= the lane's
-// current tail, which holds for the common "schedule the completion of
-// the service I am starting right now" pattern. The dispatcher merges
-// the lane head with the heap head under the same (timestamp, sequence)
-// rule, so an express event runs at exactly the instant and position a
-// heap event would — it just skips both sift paths. Callers must fall
-// back to Schedule when TryExpress declines.
+// current tail, as a "schedule the completion of the service I am
+// starting right now" often is while few events are pending (DESIGN.md
+// has the measured usage). The dispatcher merges the lane head with the
+// heap head under the same (timestamp, sequence) rule, so an express
+// event runs at exactly the instant and position a heap event would —
+// it just skips both sift paths. Callers must fall back to Schedule
+// when TryExpress declines.
+//
+// # Park lane
+//
+// Park starts a parked chain: an event that would do nothing but
+// re-schedule itself every period (in internal/coherence, a core
+// re-reading its own valid copy of a line that cannot change until the
+// coherence layer wakes it). The chain is one entry on a FIFO ring;
+// dispatching it is a tick — the clock, processed-count and
+// queue-time bookkeeping of one event, then the entry re-appended one
+// period later with the next sequence number, the exact (timestamp,
+// sequence) place of the repeat it stands for. All parked chains share
+// one period, so the ring stays sorted. Unpark turns a chain's pending
+// tick into a real event at that same place.
 //
 // # Owners and fast-forward hooks
 //
@@ -119,7 +135,10 @@ const NoOwner int32 = -1
 const ownerBits = 24
 
 // tag returns the event's owner tag (owner+1; 0 means NoOwner).
-func (ev *event) tag() int32 { return int32(ev.seq & (1<<ownerBits - 1)) }
+func (ev *event) tag() int32 { return seqTag(ev.seq) }
+
+// seqTag extracts the owner tag packed beneath a sequence number.
+func seqTag(seq uint64) int32 { return int32(seq & (1<<ownerBits - 1)) }
 
 // ownerTag maps an owner to its packed tag.
 func ownerTag(owner int32) int32 {
@@ -210,8 +229,12 @@ type Engine struct {
 	// live window is express[exHead:].
 	express []event
 	exHead  int
-	// pending counts queued events on the heap and the lane;
-	// maxPending is its high-water mark (see MaxPending).
+	// parkHead and parkTail bound the park lane's live window (park,
+	// below), the one check every dispatch makes for it.
+	parkHead uint64
+	parkTail uint64
+	// pending counts queued events on the heap, the express lane and
+	// the park lane; maxPending is its high-water mark (see MaxPending).
 	pending    int
 	maxPending int
 	// pendIntegral is the time integral of the pending-event count:
@@ -250,6 +273,16 @@ type Engine struct {
 	cur int32
 	// keyScratch is AppendCycleKey's reusable sort buffer.
 	keyScratch []event
+	// park is the park lane (park.go): a ring of parked chains' next
+	// ticks, live window [parkHead, parkTail) in absolute positions
+	// (index pos&parkMask), sorted by (at, seq) because every chain
+	// shares parkPeriod. chains holds each chain's state, chainFree
+	// the IDs of unparked ones.
+	park       []parkTick
+	parkMask   uint64
+	parkPeriod Time
+	chains     []parkChain
+	chainFree  []int32
 }
 
 // SetPerturb installs a delay-perturbation hook applied to every
@@ -381,14 +414,14 @@ func (e *Engine) tryExpressTag(tag int32, d Time, fn func()) bool {
 
 // MaxPending reports the largest number of events that were ever queued
 // at once — the schedule's burstiness, exported into metrics snapshots
-// (internal/metrics) as "sim.queue_peak". The count spans the heap and
-// the express lane. Fast-forward leaves it exact: the layer only
+// (internal/metrics) as "sim.queue_peak". The count spans the heap,
+// the express lane and the parked chains' pending ticks. Fast-forward leaves it exact: the layer only
 // elides whole cycles of an exactly periodic schedule, whose peak the
 // simulated cycles already reached.
 func (e *Engine) MaxPending() int { return e.maxPending }
 
 // Pending reports the number of events waiting to run, on the heap and
-// the express lane.
+// the express lane, counting each parked chain's pending tick.
 func (e *Engine) Pending() int { return e.pending }
 
 // QueueTimeIntegral reports ∫ pending(t) dt over dispatched time: the
@@ -420,7 +453,8 @@ func (e *Engine) Stop() { e.stopped = true }
 // changing nothing — when an unowned event sits on the express lane,
 // whose time order a partial translation could break. delta must be
 // non-negative; the caller is responsible for the shifted times being
-// consistent with the subsequent JumpClock.
+// consistent with the subsequent JumpClock. Parked chains' ticks are
+// translated like owned events (an unowned one declines the shift).
 func (e *Engine) ShiftPending(delta Time) bool {
 	if delta < 0 {
 		panic("sim: ShiftPending with negative delta")
@@ -431,8 +465,16 @@ func (e *Engine) ShiftPending(delta Time) bool {
 			return false
 		}
 	}
+	for pos := e.parkHead; pos != e.parkTail; pos++ {
+		if p := &e.park[pos&e.parkMask]; p.chain >= 0 && seqTag(p.seq) == 0 {
+			return false
+		}
+	}
 	for i := range lane {
 		lane[i].at += delta
+	}
+	for pos := e.parkHead; pos != e.parkTail; pos++ {
+		e.park[pos&e.parkMask].at += delta
 	}
 	fixed := false
 	for i := range e.heap {
@@ -460,7 +502,7 @@ func eventOrder(a, b event) int {
 // the processed count and queueTime to the queue-time integral, on
 // behalf of a fast-forward layer that has already applied their other
 // effects. t must not precede the current clock or overtake any pending
-// event.
+// event (a parked chain's tick included).
 func (e *Engine) JumpClock(t Time, skipped uint64, queueTime Time) {
 	if t < e.now {
 		panic(fmt.Sprintf("sim: JumpClock backwards from %v to %v", e.now, t))
@@ -478,8 +520,9 @@ func (e *Engine) JumpClock(t Time, skipped uint64, queueTime Time) {
 // its owner and — for an owned event — its offset from now, or — for an
 // unowned one — its absolute time (a fixed marker does not move with
 // the schedule). Two instants with equal keys have queues that differ
-// only by a translation of their owned events, in the same order; what
-// each event will do is the owner's to fingerprint (internal/workload,
+// only by a translation of their owned events, in the same order (a
+// parked chain's tick is listed like any event); what each event will
+// do is the owner's to fingerprint (internal/workload,
 // internal/coherence). The sort buffer is reused, so the key costs no
 // allocation once warm.
 func (e *Engine) AppendCycleKey(dst []byte) []byte {
@@ -489,6 +532,11 @@ func (e *Engine) AppendCycleKey(dst []byte) []byte {
 	}
 	for _, ev := range e.heap {
 		s = append(s, event{at: ev.at, seq: ev.seq})
+	}
+	for pos := e.parkHead; pos != e.parkTail; pos++ {
+		if p := &e.park[pos&e.parkMask]; p.chain >= 0 {
+			s = append(s, event{at: p.at, seq: p.seq})
+		}
 	}
 	slices.SortFunc(s, eventOrder)
 	for i := range s {
@@ -509,10 +557,12 @@ const (
 	srcNone = iota
 	srcExpress
 	srcHeap
+	srcPark
 )
 
 // peekMin locates the minimum (at, seq) event across the express lane
-// head and the heap root. src is srcExpress, srcHeap, or srcNone.
+// head, the heap root and the park lane head. src is srcExpress,
+// srcHeap, srcPark, or srcNone.
 func (e *Engine) peekMin() (at Time, seq uint64, src int) {
 	src = srcNone
 	if e.exHead < len(e.express) {
@@ -522,16 +572,17 @@ func (e *Engine) peekMin() (at Time, seq uint64, src int) {
 	if len(e.heap) > 0 && (src == srcNone || e.heap[0].before(at, seq)) {
 		at, seq, src = e.heap[0].at, e.heap[0].seq, srcHeap
 	}
+	if e.parkHead != e.parkTail {
+		if p := &e.park[e.parkHead&e.parkMask]; src == srcNone || p.before(at, seq) {
+			at, seq, src = p.at, p.seq, srcPark
+		}
+	}
 	return at, seq, src
 }
 
-// popNext removes and returns the next event if its timestamp is within
-// limit.
-func (e *Engine) popNext(limit Time) (event, bool) {
-	at, _, src := e.peekMin()
-	if src == srcNone || at > limit {
-		return event{}, false
-	}
+// pop removes and returns the head event of src (srcExpress or
+// srcHeap).
+func (e *Engine) pop(src int) event {
 	e.pending--
 	if src == srcExpress {
 		ev := e.express[e.exHead]
@@ -555,9 +606,9 @@ func (e *Engine) popNext(limit Time) (event, bool) {
 			e.express = e.express[:n]
 			e.exHead = 0
 		}
-		return ev, true
+		return ev
 	}
-	return e.heap.pop(), true
+	return e.heap.pop()
 }
 
 // dispatch runs events up to and including limit.
@@ -566,14 +617,19 @@ func (e *Engine) dispatch(limit Time) {
 	e.running = true
 	e.horizon = limit
 	for !e.stopped {
-		ev, ok := e.popNext(limit)
-		if !ok {
+		at, _, src := e.peekMin()
+		if src == srcNone || at > limit {
 			break
 		}
+		if src == srcPark {
+			e.tick()
+			continue
+		}
+		ev := e.pop(src)
 		if e.monotone != nil && ev.at < e.now {
 			e.monotone(fmt.Errorf("sim: event time moved backwards: dequeued t=%v seq=%d with clock at %v", ev.at, ev.seq>>ownerBits, e.now))
 		}
-		// popNext already took the dequeued event out of pending, so the
+		// pop already took the dequeued event out of pending, so the
 		// count outstanding across [now, ev.at] is pending+1.
 		e.pendIntegral += Time(e.pending+1) * (ev.at - e.now)
 		e.now = ev.at
@@ -624,6 +680,7 @@ func (e *Engine) Reset() {
 	}
 	e.express = e.express[:0]
 	e.exHead = 0
+	e.resetPark()
 	e.now, e.seq, e.processed = 0, 0, 0
 	e.pending, e.maxPending = 0, 0
 	e.pendIntegral = 0

@@ -362,6 +362,11 @@ func runCell(cfg Config, drv Driver, recycle *Result) (*Cell, error) {
 	}
 	cfg.Faults.Install(eng, mem)
 	c.mThreadOps = reg.Vector(metrics.WorkThreadOps, cfg.Threads)
+	// Spinners park (coherence.System.Await) under the memoizer's own
+	// gate: fast-forward on and no fault plan. The coherence layer also
+	// declines while a tracer is installed, so the primitive driver's
+	// energy meter keeps it off; invariant checking keeps it on.
+	mem.System().SetParking(fastForwardOn && cfg.Faults == nil)
 
 	c.memoArmed = fastForwardOn && memoVerdict(&cfg, drv) == ""
 	if c.memoArmed {
@@ -390,6 +395,9 @@ func runCell(cfg Config, drv Driver, recycle *Result) (*Cell, error) {
 	eng.At(cfg.Warmup, c.warmupFn)
 
 	eng.Run(c.endAt)
+	// Credit the re-reads of spinners still parked at the horizon before
+	// the registry is read.
+	mem.System().SettleParked()
 
 	if c.memoArmed {
 		// The run may have ended mid-recording; put the plain tracer

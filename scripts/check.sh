@@ -23,7 +23,8 @@
 # computation, the machine, workload, app and job spec loaders (the
 # first three run the one shared loader property, speckit.Property,
 # each seeded from its own registry), and the event queue's
-# express-lane merge. Run from the repo root.
+# express-lane merge and park lane (parked spinner chains against real
+# repeat events). Run from the repo root.
 set -eu
 
 echo "== go build ./..."
@@ -343,7 +344,7 @@ awk '/BenchmarkAppCell/ { if ($(NF-1) + 0 > 400) exit 1 }' "$dir/bench_app.txt" 
     exit 1
 }
 
-echo "== fuzz smoke (runlog parsers, topology hops, machine/workload/app/job specs, express-lane merge)"
+echo "== fuzz smoke (runlog parsers, topology hops, machine/workload/app/job specs, express-lane merge, park lane)"
 go test -run FuzzNothing -fuzz FuzzCacheLoad -fuzztime 5s ./internal/runlog > /dev/null
 go test -run FuzzNothing -fuzz FuzzManifestValidate -fuzztime 5s ./internal/runlog > /dev/null
 go test -run FuzzNothing -fuzz FuzzHops -fuzztime 5s ./internal/topology > /dev/null
@@ -351,6 +352,7 @@ go test -run FuzzNothing -fuzz FuzzSpecLoad -fuzztime 5s ./internal/machine > /d
 go test -run FuzzNothing -fuzz FuzzWorkloadSpecLoad -fuzztime 5s ./internal/workload > /dev/null
 go test -run FuzzNothing -fuzz FuzzAppSpecLoad -fuzztime 5s ./internal/apps > /dev/null
 go test -run FuzzNothing -fuzz FuzzExpressLaneOrder -fuzztime 5s ./internal/sim > /dev/null
+go test -run FuzzNothing -fuzz FuzzParkedLane -fuzztime 5s ./internal/sim > /dev/null
 go test -run FuzzNothing -fuzz FuzzJobSpecLoad -fuzztime 5s ./internal/jobs > /dev/null
 
 echo "ok"
