@@ -277,6 +277,24 @@ func (mem *Memory) ShiftInFlight(delta sim.Time) {
 	mem.sys.ShiftInFlight(delta)
 }
 
+// ShiftValues adds delta to every value the primitive layer holds for
+// an operation in flight — the expected and new operands of a CAS or
+// CAS2, which are absolute line values — and to the lines ids and the
+// coherence requests in the system (coherence.System.ShiftValues), on
+// behalf of the fast-forward layer's value translation. The other
+// primitives' operands (an FAA's addend, a stored constant) are not
+// line values and stay put. Pooled contexts are shifted too,
+// harmlessly: operands are overwritten at issue.
+func (mem *Memory) ShiftValues(ids []coherence.LineID, delta uint64) {
+	for _, c := range mem.allCtxs {
+		if c.p == CAS || c.p == CAS2 {
+			c.arg1 += delta
+			c.arg2 += delta
+		}
+	}
+	mem.sys.ShiftValues(ids, delta)
+}
+
 // Machine returns the machine description this memory simulates.
 func (mem *Memory) Machine() *machine.Machine { return mem.m }
 

@@ -263,3 +263,29 @@ func TestFAAReturnValuesAreUniqueTickets(t *testing.T) {
 		}
 	}
 }
+
+// TestShiftValuesTranslatesInFlightCAS: a value shift moves a CAS in
+// flight along with its line — the CAS still succeeds, against the
+// shifted value — and leaves an FAA's addend alone.
+func TestShiftValuesTranslatesInFlightCAS(t *testing.T) {
+	eng, mem := testMemory(t)
+	const line = coherence.LineID(3)
+	mem.System().SetValue(line, 5)
+	var cas, faa *Result
+	mem.CompareAndSwap(0, line, 5, 6, func(r Result) { cas = &r })
+	mem.FetchAndAdd(1, line, 1, func(r Result) { faa = &r })
+	mem.ShiftValues([]coherence.LineID{line}, 10)
+	eng.Drain()
+	if cas == nil || faa == nil {
+		t.Fatal("operations did not complete")
+	}
+	if !cas.OK || cas.Old != 15 {
+		t.Fatalf("shifted CAS: ok=%v old=%d, want ok=true old=15", cas.OK, cas.Old)
+	}
+	if faa.Old != 16 {
+		t.Fatalf("FAA observed %d, want 16", faa.Old)
+	}
+	if v := mem.System().Value(line); v != 17 {
+		t.Fatalf("line value %d, want 17", v)
+	}
+}

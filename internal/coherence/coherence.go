@@ -1324,6 +1324,25 @@ func (s *System) ShiftInFlight(delta sim.Time) {
 	}
 }
 
+// ShiftValues adds delta to the value of every line in ids and to
+// every value a request has precomputed (the line value a fast-path or
+// parked read observed at issue) — the fast-forward layer's value
+// translation for cells whose control flow depends on line values only
+// relative to each other (internal/workload's CAS loop): the state k
+// cycles later is the current one with every value advanced by the
+// same delta. Pooled requests are shifted too, harmlessly: results are
+// overwritten at issue.
+func (s *System) ShiftValues(ids []LineID, delta uint64) {
+	for _, id := range ids {
+		if l := s.lines[id]; l != nil {
+			l.value += delta
+		}
+	}
+	for _, r := range s.allReqs {
+		r.res.Value += delta
+	}
+}
+
 // AppendCycleKey appends a compact fingerprint of the protocol state a
 // cell runs on — the lines ids plus every request in flight — to dst
 // and returns the extended slice. Two instants with equal keys (plus
@@ -1334,13 +1353,16 @@ func (s *System) ShiftInFlight(delta sim.Time) {
 // owner, phase, line, requester, and the parts of its state its
 // completion will read (issue-time offset, bypass count, precomputed
 // result). In-flight requests are listed by owner, so which pooled
-// request object carries an access does not matter. Deliberately
-// excluded are the monotonic quantities — the line value
-// (value-independent primitives only; the caller gates on that) and the
-// raw grant counter (only the per-request delta matters). Used by the
-// steady-state cycle memoizer in internal/workload; the sort buffer is
-// reused, so the key costs no allocation once warm.
-func (s *System) AppendCycleKey(dst []byte, ids []LineID) []byte {
+// request object carries an access does not matter. The raw grant
+// counter is excluded (only the per-request delta matters), and so are
+// line values unless anchor is non-nil: a value-independent primitive
+// never reads them back, while for a value-relative one (CAS) each
+// line's value and each precomputed result value enter as offsets
+// from *anchor, which advance by the same amount every cycle (see
+// ShiftValues). Used by the steady-state cycle memoizer in
+// internal/workload; the sort buffer is reused, so the key costs no
+// allocation once warm.
+func (s *System) AppendCycleKey(dst []byte, ids []LineID, anchor *uint64) []byte {
 	now := s.eng.Now()
 	for _, id := range ids {
 		l := s.lines[id]
@@ -1359,13 +1381,16 @@ func (s *System) AppendCycleKey(dst []byte, ids []LineID) []byte {
 			flags |= 4
 		}
 		dst = append(dst, flags)
+		if anchor != nil {
+			dst = appendUint64(dst, l.value-*anchor)
+		}
 		dst = appendUint64(dst, uint64(int64(l.owner)))
 		for _, w := range l.sharers.words {
 			dst = appendUint64(dst, w)
 		}
 		dst = appendUint64(dst, uint64(l.qlen()))
 		for _, r := range l.waiting() {
-			dst = appendReqKey(dst, r, now, l.grants-r.skipBase)
+			dst = appendReqKey(dst, r, now, l.grants-r.skipBase, anchor)
 		}
 	}
 	flight := s.keyReqs[:0]
@@ -1377,7 +1402,7 @@ func (s *System) AppendCycleKey(dst []byte, ids []LineID) []byte {
 	slices.SortStableFunc(flight, func(a, b *request) int { return cmp.Compare(a.owner, b.owner) })
 	for _, r := range flight {
 		dst = appendUint64(dst, uint64(r.line.id))
-		dst = appendReqKey(dst, r, now, uint64(r.skipped))
+		dst = appendReqKey(dst, r, now, uint64(r.skipped), anchor)
 	}
 	clear(flight)
 	s.keyReqs = flight
@@ -1387,7 +1412,7 @@ func (s *System) AppendCycleKey(dst []byte, ids []LineID) []byte {
 // appendReqKey appends one request's fingerprint: the fields its phase
 // defines (a fast-path request never set its hold or issue time, so
 // those would be stale), plus skip, its bypass count so far.
-func appendReqKey(dst []byte, r *request, now sim.Time, skip uint64) []byte {
+func appendReqKey(dst []byte, r *request, now sim.Time, skip uint64, anchor *uint64) []byte {
 	dst = append(dst, byte(r.phase), byte(r.kind))
 	dst = appendUint64(dst, uint64(int64(r.owner)))
 	dst = appendUint64(dst, uint64(r.core))
@@ -1396,8 +1421,14 @@ func appendReqKey(dst []byte, r *request, now sim.Time, skip uint64) []byte {
 		dst = appendUint64(dst, uint64(r.hold))
 		dst = appendUint64(dst, uint64(now-r.issued))
 		dst = appendUint64(dst, skip)
+	case reqFast, reqParked:
+		// The value was observed at issue; the other phases read it at
+		// completion.
+		if anchor != nil {
+			dst = appendUint64(dst, r.res.Value-*anchor)
+		}
 	}
-	// The result as far as it is known; Value is the excluded line value.
+	// The result as far as it is known.
 	res := &r.res
 	dst = appendUint64(dst, uint64(res.Latency))
 	dst = appendUint64(dst, uint64(res.Hops))

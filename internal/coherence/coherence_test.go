@@ -527,3 +527,36 @@ func TestResetPoolsOnlyTouchedLines(t *testing.T) {
 		t.Fatalf("a repeated 10-line run allocates %v times, want 0", allocs)
 	}
 }
+
+// TestCycleKeyValueRelative: with an anchor, the cycle key holds line
+// values and precomputed result values as offsets from it, so shifting
+// every value and the anchor together leaves the key unchanged, while
+// moving one value alone changes it. Without an anchor values are left
+// out. An in-flight read delivers its shifted value.
+func TestCycleKeyValueRelative(t *testing.T) {
+	eng, s := testSystem(t, nil)
+	ids := []LineID{16}
+	access(t, eng, s, 0, 16, RFO, 0, storeApply(3))
+	var got *AccessResult
+	s.Access(0, 16, Read, 0, nil, func(r AccessResult) { got = &r }) // local fast-path read, in flight
+	anchor := uint64(3)
+	before := string(s.AppendCycleKey(nil, ids, &anchor))
+	plain := string(s.AppendCycleKey(nil, ids, nil))
+	s.ShiftValues(ids, 100)
+	anchor += 100
+	if after := string(s.AppendCycleKey(nil, ids, &anchor)); after != before {
+		t.Fatal("a uniform value shift changed the value-relative key")
+	}
+	if after := string(s.AppendCycleKey(nil, ids, nil)); after != plain {
+		t.Fatal("a value shift changed the value-free key")
+	}
+	s.SetValue(16, 200)
+	if after := string(s.AppendCycleKey(nil, ids, &anchor)); after == before {
+		t.Fatal("moving one value left the value-relative key unchanged")
+	}
+	s.SetValue(16, 103)
+	eng.Drain()
+	if got == nil || got.Value != 103 {
+		t.Fatalf("in-flight read delivered %+v, want value 103", got)
+	}
+}

@@ -23,69 +23,126 @@ import (
 
 // Meter accumulates dynamic energy from coherence events. Install
 // Observe as the coherence system's tracer.
+//
+// The meter keeps no running float sum. It counts events per
+// provenance class — source × hops × cross-socket, the three fields
+// the charge depends on — and DynamicNJ sums count × charge over the
+// classes in one fixed order. Two runs that observe the same events in
+// any order therefore report bit-identical energy, and the
+// fast-forward layer credits k elided cycles with one integer add per
+// access of the recorded cycle (Replay), whatever k is.
 type Meter struct {
-	m         *machine.Machine
-	dynamicNJ float64
-	events    uint64
+	m      *machine.Machine
+	counts []uint64  // events per class, indexed by Class
+	nj     []float64 // the charge of each class
+	events uint64
 }
 
-// NewMeter returns a meter for machine m.
-func NewMeter(m *machine.Machine) *Meter { return &Meter{m: m} }
+// numSources is the number of coherence.Source values a class splits.
+const numSources = int(coherence.SrcDRAM) + 1
 
-// EventNJ returns the dynamic-energy charge for one coherence access by
-// provenance, without accumulating it. The fast-forward layer uses it
-// to precompute a memoized cycle's charge sequence once instead of
-// re-deriving it per elided cycle (see Replay).
-func (mt *Meter) EventNJ(ev coherence.TraceEvent) float64 {
-	e := &mt.m.Energy
-	switch ev.Result.Source {
-	case coherence.SrcLocal:
-		return e.LocalOpNJ
-	case coherence.SrcRemoteCache:
-		nj := e.LocalOpNJ + float64(ev.Result.Hops)*e.PerHopNJ
-		if ev.Result.CrossSocket {
-			nj += e.CrossSocketNJ
+// NewMeter returns a meter for machine m, with a class for every hop
+// count an access on m can travel: a transaction crosses at most three
+// legs (requester → home → owner → requester), each at most the
+// topology's diameter. Observe grows the table for anything longer, so
+// a meter fed hand-built events stays correct too.
+func NewMeter(m *machine.Machine) *Meter {
+	mt := &Meter{m: m}
+	diam := 0
+	for a := 0; a < m.Topo.Nodes(); a++ {
+		for b := 0; b < m.Topo.Nodes(); b++ {
+			diam = max(diam, m.Topo.Hops(a, b))
 		}
-		return nj
-	case coherence.SrcLLC:
-		return e.LLCNJ + float64(ev.Result.Hops)*e.PerHopNJ
-	case coherence.SrcDRAM:
-		return e.DRAMNJ + float64(ev.Result.Hops)*e.PerHopNJ
 	}
-	return 0
+	mt.grow(classOf(coherence.SrcDRAM, 3*diam, true))
+	return mt
+}
+
+// classOf is the class index of an access: hops outermost, so growing
+// the table for a longer path appends classes without renumbering.
+func classOf(src coherence.Source, hops int, cross bool) int {
+	c := (hops*numSources + int(src)) * 2
+	if cross {
+		c++
+	}
+	return c
+}
+
+// grow extends the class table to cover class index c.
+func (mt *Meter) grow(c int) {
+	e := &mt.m.Energy
+	for i := len(mt.counts); i <= c; i++ {
+		cross := i%2 == 1
+		src := coherence.Source(i / 2 % numSources)
+		hops := float64(i / 2 / numSources)
+		var nj float64
+		switch src {
+		case coherence.SrcLocal:
+			nj = e.LocalOpNJ
+		case coherence.SrcRemoteCache:
+			nj = e.LocalOpNJ + hops*e.PerHopNJ
+			if cross {
+				nj += e.CrossSocketNJ
+			}
+		case coherence.SrcLLC:
+			nj = e.LLCNJ + hops*e.PerHopNJ
+		case coherence.SrcDRAM:
+			nj = e.DRAMNJ + hops*e.PerHopNJ
+		}
+		mt.counts = append(mt.counts, 0)
+		mt.nj = append(mt.nj, nj)
+	}
+}
+
+// Class returns the provenance class of one coherence access, the
+// index Replay takes.
+func (mt *Meter) Class(ev coherence.TraceEvent) int {
+	return classOf(ev.Result.Source, ev.Result.Hops, ev.Result.CrossSocket)
 }
 
 // Observe charges the dynamic energy of one coherence access. It is
 // shaped to be used directly: sys.SetTracer(meter.Observe).
 func (mt *Meter) Observe(ev coherence.TraceEvent) {
-	mt.dynamicNJ += mt.EventNJ(ev)
+	c := mt.Class(ev)
+	if c >= len(mt.counts) {
+		mt.grow(c)
+	}
+	mt.counts[c]++
 	mt.events++
 }
 
-// Replay adds k repetitions of the per-event charge sequence njs, in
-// order. It is the fast-forward hook for elided steady-state cycles:
-// float addition is not associative, so the k-cycle total cannot be
-// computed as a product — but adding the charges in exactly the order
-// Observe would have yields a bit-identical accumulator.
-func (mt *Meter) Replay(njs []float64, k uint64) {
-	acc := mt.dynamicNJ
-	for i := uint64(0); i < k; i++ {
-		for _, nj := range njs {
-			acc += nj
-		}
+// Replay credits k repetitions of the accesses whose classes are cls —
+// the fast-forward hook for elided steady-state cycles. Counts add
+// exactly, so the result is bit-identical to observing the accesses k
+// times, at a cost independent of k.
+func (mt *Meter) Replay(cls []int, k uint64) {
+	for _, c := range cls {
+		mt.counts[c] += k
 	}
-	mt.dynamicNJ = acc
-	mt.events += k * uint64(len(njs))
+	mt.events += k * uint64(len(cls))
 }
 
-// DynamicNJ returns the accumulated dynamic energy in nanojoules.
-func (mt *Meter) DynamicNJ() float64 { return mt.dynamicNJ }
+// DynamicNJ returns the accumulated dynamic energy in nanojoules: each
+// class's count times its charge, summed in class order.
+func (mt *Meter) DynamicNJ() float64 {
+	sum := 0.0
+	for c, n := range mt.counts {
+		if n != 0 {
+			sum += float64(n) * mt.nj[c]
+		}
+	}
+	return sum
+}
 
 // Events returns the number of observed accesses.
 func (mt *Meter) Events() uint64 { return mt.events }
 
-// Reset clears the meter between experiment repetitions.
-func (mt *Meter) Reset() { mt.dynamicNJ, mt.events = 0, 0 }
+// Reset clears the meter between experiment repetitions, keeping its
+// class table.
+func (mt *Meter) Reset() {
+	clear(mt.counts)
+	mt.events = 0
+}
 
 // Report summarizes a run's energy.
 type Report struct {
@@ -113,7 +170,7 @@ func (mt *Meter) Report(duration sim.Time, threads, coresUsed int, ops uint64) R
 	r := Report{
 		StaticJ:  mt.m.Energy.StaticWattsPerCore * float64(coresUsed) * secs,
 		ActiveJ:  mt.m.Energy.ActiveWattsPerThread * float64(threads) * secs,
-		DynamicJ: mt.dynamicNJ * 1e-9,
+		DynamicJ: mt.DynamicNJ() * 1e-9,
 	}
 	r.TotalJ = r.StaticJ + r.ActiveJ + r.DynamicJ
 	if ops > 0 {

@@ -1,6 +1,7 @@
 package energy
 
 import (
+	"math"
 	"strings"
 	"testing"
 
@@ -129,11 +130,99 @@ func TestReportString(t *testing.T) {
 	}
 }
 
+// TestResetClears: Reset clears the counts but keeps the class table,
+// so a pooled meter observes without allocating.
 func TestResetClears(t *testing.T) {
-	mt := NewMeter(machine.Ideal(2))
-	mt.Observe(coherence.TraceEvent{Result: coherence.AccessResult{Source: coherence.SrcDRAM}})
+	mt := NewMeter(machine.XeonE5())
+	evs := classEvents(200, 5)
+	for _, ev := range evs {
+		mt.Observe(ev)
+	}
+	n := cap(mt.counts)
 	mt.Reset()
 	if mt.DynamicNJ() != 0 || mt.Events() != 0 {
 		t.Fatal("Reset did not clear")
+	}
+	if cap(mt.counts) != n {
+		t.Fatalf("Reset changed the class table's capacity: %d, want %d", cap(mt.counts), n)
+	}
+	if allocs := testing.AllocsPerRun(10, func() {
+		for _, ev := range evs {
+			mt.Observe(ev)
+		}
+	}); allocs != 0 {
+		t.Fatalf("Observe allocates: %.1f allocs per pass", allocs)
+	}
+}
+
+// classEvents returns n accesses spread over every source, a range of
+// hop counts and both socket sides, drawn deterministically.
+func classEvents(n int, seed uint64) []coherence.TraceEvent {
+	rng := sim.NewRNG(seed)
+	evs := make([]coherence.TraceEvent, n)
+	for i := range evs {
+		evs[i].Result = coherence.AccessResult{
+			Source:      coherence.Source(rng.Uint64() % 4),
+			Hops:        int(rng.Uint64() % 12),
+			CrossSocket: rng.Uint64()%2 == 1,
+		}
+	}
+	return evs
+}
+
+// TestObserveOrderIndependent: the meter counts per class and sums the
+// classes in a fixed order, so any permutation of the same accesses
+// reports bit-identical energy.
+func TestObserveOrderIndependent(t *testing.T) {
+	m := machine.XeonE5()
+	evs := classEvents(5000, 7)
+	ref := NewMeter(m)
+	for _, ev := range evs {
+		ref.Observe(ev)
+	}
+	rng := sim.NewRNG(11)
+	for trial := 0; trial < 5; trial++ {
+		for i := len(evs) - 1; i > 0; i-- {
+			j := int(rng.Uint64() % uint64(i+1))
+			evs[i], evs[j] = evs[j], evs[i]
+		}
+		mt := NewMeter(m)
+		for _, ev := range evs {
+			mt.Observe(ev)
+		}
+		if got, want := mt.DynamicNJ(), ref.DynamicNJ(); math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("trial %d: permuted DynamicNJ = %v, want %v bit for bit", trial, got, want)
+		}
+	}
+}
+
+// TestReplayEqualsLiveRepetitions: crediting k repetitions of a cycle's
+// classes is bit-identical to observing the cycle k times.
+func TestReplayEqualsLiveRepetitions(t *testing.T) {
+	m := machine.KNL()
+	cycle := classEvents(37, 3)
+	for _, k := range []uint64{1, 2, 17, 1000} {
+		live, replayed := NewMeter(m), NewMeter(m)
+		prefix := classEvents(5, 9)
+		cls := make([]int, len(cycle))
+		for _, ev := range prefix {
+			live.Observe(ev)
+			replayed.Observe(ev)
+		}
+		for i, ev := range cycle {
+			cls[i] = replayed.Class(ev)
+		}
+		for i := uint64(0); i < k; i++ {
+			for _, ev := range cycle {
+				live.Observe(ev)
+			}
+		}
+		replayed.Replay(cls, k)
+		if got, want := replayed.DynamicNJ(), live.DynamicNJ(); math.Float64bits(got) != math.Float64bits(want) {
+			t.Errorf("k=%d: replayed DynamicNJ = %v, live %v", k, got, want)
+		}
+		if got, want := replayed.Events(), live.Events(); got != want {
+			t.Errorf("k=%d: replayed events = %d, live %d", k, got, want)
+		}
 	}
 }

@@ -56,6 +56,32 @@ func benchFullCell(b *testing.B, edit func(*workload.Config)) {
 	}
 }
 
+// BenchmarkMemoizedCell measures the cells the fast-forward layer
+// memoizes in full F3 on XeonE5: 72-thread high-contention cells over
+// the full 20µs warmup and 200µs window, for Load, CAS, CAS2 and FAA.
+// Their cost is the fingerprint search and verify cycles plus a jump
+// whose energy credit no longer grows with the cycles it elides, so
+// this is the layer number behind the f3-xeon benchmark. With the pool
+// and the recycled Result warm, a memoized cell is allocation-free.
+func BenchmarkMemoizedCell(b *testing.B) {
+	for _, p := range []atomics.Primitive{atomics.Load, atomics.CAS, atomics.CAS2, atomics.FAA} {
+		b.Run(p.String(), func(b *testing.B) {
+			cfg := workload.Config{
+				Machine: machine.XeonE5(), Threads: 72, Primitive: p,
+				Mode: workload.HighContention, Seed: 42 + 72,
+			}
+			b.ReportAllocs()
+			var res *workload.Result
+			for i := 0; i < b.N; i++ {
+				var err error
+				if res, err = workload.RunReusing(cfg, res); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
 // BenchmarkAppCell measures one complete app cell on the pooled cell
 // runtime at quick-run length, 8 threads each on XeonE5: the ticket
 // lock (waiters spin on their local copy of the serving counter, so
@@ -92,8 +118,8 @@ func BenchmarkAppCell(b *testing.B) {
 
 // TestFullCellsDoNotAllocate pins the steady state of every cell shape
 // the fast-forward layer runs — the contended FAA cell of
-// BenchmarkFullCell, loads, fences, private lines, and metrics-on
-// cells — at zero allocations per cell once the cell pool, the
+// BenchmarkFullCell, loads, fences, CAS loops, private lines, and
+// metrics-on cells — at zero allocations per cell once the cell pool, the
 // memoizer's scratch, and the recycled Result are warm.
 func TestFullCellsDoNotAllocate(t *testing.T) {
 	m := machine.XeonE5()
@@ -104,6 +130,8 @@ func TestFullCellsDoNotAllocate(t *testing.T) {
 		{"faa", nil},
 		{"load", func(c *workload.Config) { c.Primitive = atomics.Load }},
 		{"fence", func(c *workload.Config) { c.Primitive = atomics.Fence }},
+		{"cas", func(c *workload.Config) { c.Primitive = atomics.CAS }},
+		{"cas2-retry", func(c *workload.Config) { c.Primitive, c.CASRetryLoop = atomics.CAS2, true }},
 		{"low-faa", func(c *workload.Config) { c.Mode = workload.LowContention }},
 		{"metrics-faa", func(c *workload.Config) { c.Metrics = true }},
 		{"metrics-low-faa", func(c *workload.Config) { c.Mode, c.Metrics = workload.LowContention, true }},

@@ -17,6 +17,8 @@ import (
 // with the memoizer disabled and enabled. The memoizer elides verified
 // periodic cycles analytically, so the only acceptable difference is
 // how many events the engine dispatches — never a reported number.
+// Every cell of F4 is a CAS cell, and at least one of them must have
+// jumped, so the CAS half of the differential cannot pass vacuously.
 func TestFastForwardDifferential(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs every experiment twice")
@@ -28,7 +30,14 @@ func TestFastForwardDifferential(t *testing.T) {
 	workload.SetFastForward(false)
 	slow := renderAll(t, quickOpts(), ids)
 	workload.SetFastForward(true)
-	fast := renderAll(t, quickOpts(), ids)
+	var fast string
+	for _, id := range ids {
+		before := workload.FastForwardJumps()
+		fast += renderAll(t, quickOpts(), []string{id})
+		if id == "F4" && workload.FastForwardJumps() == before {
+			t.Error("no F4 CAS cell fast-forwarded")
+		}
+	}
 	if slow != fast {
 		t.Fatalf("fast-forward changed experiment output:\n--- ff off ---\n%s\n--- ff on ---\n%s", slow, fast)
 	}

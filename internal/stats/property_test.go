@@ -12,10 +12,12 @@ import (
 
 // TestHistogramQuantileAgainstExactReference checks the histogram's
 // quantiles against exact order statistics on random data: the log
-// buckets promise ~9% relative error.
+// buckets promise ~9% relative error. The reference is the nearest-rank
+// order statistic, data[ceil(q·n)-1], the convention Quantile follows
+// (pinned by TestHistogramQuantileNearestRankConvention); a floor index
+// drifts one rank high whenever q·n is integral.
 func TestHistogramQuantileAgainstExactReference(t *testing.T) {
-	cfg := &quick.Config{MaxCount: 50}
-	if err := quick.Check(func(seed uint64, nRaw uint16) bool {
+	within := func(seed uint64, nRaw uint16) bool {
 		n := int(nRaw%2000) + 100
 		rng := sim.NewRNG(seed)
 		h := NewHistogram()
@@ -27,14 +29,21 @@ func TestHistogramQuantileAgainstExactReference(t *testing.T) {
 		}
 		sort.Float64s(data)
 		for _, q := range []float64{0.25, 0.5, 0.75, 0.9} {
-			exact := data[int(q*float64(n))]
+			exact := data[int(math.Ceil(q*float64(n)))-1]
 			got := float64(h.Quantile(q))
 			if math.Abs(got-exact)/exact > 0.15 {
+				t.Logf("seed=%#x nRaw=%#x (n=%d) q=%v: got %v, exact %v", seed, nRaw, n, q, got, exact)
 				return false
 			}
 		}
 		return true
-	}, cfg); err != nil {
+	}
+	// A floor-index reference put this input (n=192, q=0.25) 15.3% off;
+	// the nearest-rank statistic is 8.9% off.
+	if !within(0xce33aed381c94807, 0x758c) {
+		t.Error("regression input out of bounds")
+	}
+	if err := quick.Check(within, &quick.Config{MaxCount: 50}); err != nil {
 		t.Error(err)
 	}
 }

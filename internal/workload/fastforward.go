@@ -16,7 +16,15 @@
 //     next line, its CAS span flag), and the protocol state of every
 //     line the cell touches plus every request in flight — everything
 //     the simulation reads, minus the monotone counters that provably
-//     do not feed back.
+//     do not feed back (a CAS span's start is checked separately, see
+//     spansRecur). Line values are such a counter for every primitive
+//     but CAS. A CAS loop's control flow
+//     depends on values only relative to each other — the line values,
+//     each thread's lastSeen and expected (which is also the operand of
+//     its one CAS in flight) and any value a request precomputed — so
+//     a CAS cell fingerprints those as offsets from one anchor (thread
+//     0's lastSeen), whose advance per cycle is the cycle's value
+//     delta.
 //  2. When the fingerprint recurs, one cycle has been recorded: its
 //     event count, duration, queue-time integral, counter deltas, and
 //     the shape of its trace-event sequence (count and running hash).
@@ -26,15 +34,18 @@
 //     coincidental recurrence.
 //  4. Jump: multiply the integer counter deltas by the number of
 //     whole cycles that fit before the pass's boundary — result
-//     counters, latency histograms, coherence stats, and with -metrics
-//     the whole registry (counters, vectors, histograms) and the
-//     engine's queue-time integral — replay the cycle's energy
-//     additions in order (float addition is non-associative, so scaling
-//     would diverge from the simulated sum; replaying the identical
-//     addition sequence cannot), translate every pending event and
-//     in-flight request, and jump the clock, crediting the elided
-//     events. The approach to the boundary plays out live, so boundary
-//     behavior is identical to the unskipped run.
+//     counters, latency histograms, coherence stats, the energy
+//     meter's per-class event counts (energy.Meter.Replay: one integer
+//     add per recorded access, so the cost does not grow with the
+//     cycles elided, and the energy is bit-identical because the meter
+//     sums its classes in a fixed order), and with -metrics the whole
+//     registry (counters, vectors, histograms) and the engine's
+//     queue-time integral — translate every pending event, in-flight
+//     request and CAS span start in time, advance every value of a CAS
+//     cell by k times the cycle's value delta, and jump the clock,
+//     crediting the elided events. The approach to the boundary plays
+//     out live, so boundary behavior is identical to the unskipped
+//     run.
 //
 // An eligible run gets two passes. The pre-warmup pass arms once the
 // startup stagger has played out (the first accesses' cold fills make
@@ -49,10 +60,10 @@
 // cannot raise the engine's peak queue length, so MaxPending stays
 // exact too.
 //
-// Eligibility (memoVerdict) is conservative: any knob that makes an
-// operation's behavior value-dependent (CAS), draws randomness per
-// operation (jittered think time, read/write mix), is not a closed loop
-// (open-loop arrivals), or keeps state the fingerprint does not see
+// Eligibility (memoVerdict) is conservative: any knob that draws
+// randomness per operation (jittered think time, read/write mix), is
+// not a closed loop (open-loop arrivals, whose CAS operands live in
+// per-operation closures), or keeps state the fingerprint does not see
 // (non-FIFO arbiters, store buffers, finite link bandwidth, the
 // invariant checker, fault plans) disables the memoizer for that run,
 // and the verdict names the first such knob. An ineligible or aperiodic
@@ -63,6 +74,7 @@ package workload
 import (
 	"bytes"
 	"encoding/binary"
+	"sync/atomic"
 
 	"atomicsmodel/internal/atomics"
 	"atomicsmodel/internal/coherence"
@@ -84,6 +96,15 @@ func SetFastForward(on bool) { fastForwardOn = on }
 
 // FastForwardEnabled reports the current gate, for tests.
 func FastForwardEnabled() bool { return fastForwardOn }
+
+// ffJumps counts the memoizer's jumps in this process; cells run in
+// parallel, so it is atomic.
+var ffJumps atomic.Uint64
+
+// FastForwardJumps returns how many jumps the memoizer has taken in
+// this process so far (a cell takes at most two). The difference
+// across a run says whether, and how often, its cells fast-forwarded.
+func FastForwardJumps() uint64 { return ffJumps.Load() }
 
 // Memoizer phases. The probe runs between events (engine idle hook) and
 // walks: off → capture (fingerprint at the next event boundary) →
@@ -157,21 +178,39 @@ type memoState struct {
 	dPerOps           []uint64
 	dCoh              coherence.Stats
 	// Each cycle's trace events, compared by count and by a running
-	// hash of their shapes, and the verify cycle's per-event energy
-	// charges, for Replay. Nothing per event is kept beyond the charge,
-	// so a long search costs no memory.
+	// hash of their shapes, and the verify cycle's energy classes, for
+	// Replay. Nothing per event is kept beyond the class, so a long
+	// search costs no memory.
 	nA             int
 	shapeA, shapeB uint64
-	njs            []float64
+	cls            []int
+
+	// spans holds each thread's CAS span start at the current cycle's
+	// start; held marks the threads whose span ran unbroken through the
+	// recorded cycle (see spansRecur).
+	spans []sim.Time
+	held  []bool
+
+	// values is set for a CAS cell, whose fingerprint holds values
+	// relative to the anchor (anchor); a0 is the anchor at the current
+	// cycle's start and dVal its advance over the recorded cycle.
+	values bool
+	a0     uint64
+	dVal   uint64
 }
+
+// skipLastSeenShift is a mutation hook for tests: set, a jump leaves
+// every thread's lastSeen where it was, which the differential must
+// catch.
+var skipLastSeenShift bool
 
 // memoVerdict reports why the steady state of cfg under drv cannot be
 // memoized — "app" for a driver other than the primitive loop, else the
 // first disqualifying knob as a short reason — or "" when it can: the
 // schedule must be a closed loop with no per-op randomness, a
-// value-independent primitive, a stateless FIFO grant order, and no
-// state or observer outside the fingerprint. Any number of lines,
-// shared or private, and constant think time are fine.
+// stateless FIFO grant order, and no state or observer outside the
+// fingerprint. Any primitive, any number of lines, shared or private,
+// constant think time and the CAS retry loop are fine.
 func memoVerdict(cfg *Config, drv Driver) string {
 	if _, ok := drv.(primitives); !ok {
 		// A structure's operations branch on line values and draw
@@ -181,10 +220,6 @@ func memoVerdict(cfg *Config, drv Driver) string {
 	}
 	m := cfg.Machine
 	switch {
-	case cfg.Primitive == atomics.CAS || cfg.Primitive == atomics.CAS2:
-		// CAS control flow depends on the line value, which the
-		// fingerprint deliberately excludes.
-		return "cas"
 	case cfg.Mode == ReadWriteMix:
 		return "read-mix"
 	case cfg.WorkJitter && cfg.LocalWork > 0:
@@ -211,9 +246,11 @@ func memoVerdict(cfg *Config, drv Driver) string {
 }
 
 // memoSetup lists the lines an armed run touches, for the fingerprint:
-// the shared lines once, or every thread's private lines.
+// the shared lines once, or every thread's private lines. A CAS cell
+// also fingerprints values.
 func (c *Cell) memoSetup() {
 	m := &c.memo
+	m.values = c.cfg.Primitive == atomics.CAS || c.cfg.Primitive == atomics.CAS2
 	m.lines = m.lines[:0]
 	for _, th := range c.threads[:c.cfg.Threads] {
 		m.lines = append(m.lines, th.lines...)
@@ -242,10 +279,16 @@ func (c *Cell) memoArm(skip int, bound sim.Time) {
 	c.mem.System().SetTracer(c.traceRecFn)
 }
 
+// anchor is the value the fingerprint of a CAS cell holds every other
+// value relative to: thread 0's lastSeen.
+func (c *Cell) anchor() uint64 { return c.threads[0].lastSeen }
+
 // cycleHead appends the cheap part of the fingerprint: the pending
-// queue and every thread's per-operation state.
+// queue and every thread's per-operation state — for a CAS cell with
+// its values relative to the anchor.
 func (c *Cell) cycleHead(dst []byte) []byte {
 	dst = c.eng.AppendCycleKey(dst)
+	a := c.anchor()
 	for _, th := range c.threads[:c.cfg.Threads] {
 		span := byte(0)
 		if th.inSpan {
@@ -253,8 +296,22 @@ func (c *Cell) cycleHead(dst []byte) []byte {
 		}
 		dst = append(dst, th.state, span)
 		dst = binary.LittleEndian.AppendUint32(dst, uint32(th.next))
+		if c.memo.values {
+			dst = binary.LittleEndian.AppendUint64(dst, th.lastSeen-a)
+			dst = binary.LittleEndian.AppendUint64(dst, th.expected-a)
+		}
 	}
 	return dst
+}
+
+// cycleTail appends the protocol half of the fingerprint.
+func (c *Cell) cycleTail(dst []byte) []byte {
+	m := &c.memo
+	if !m.values {
+		return c.mem.System().AppendCycleKey(dst, m.lines, nil)
+	}
+	a := c.anchor()
+	return c.mem.System().AppendCycleKey(dst, m.lines, &a)
 }
 
 // keyRecurs reports whether the cell is back in the state fingerprinted
@@ -268,7 +325,7 @@ func (c *Cell) keyRecurs() bool {
 	if !bytes.Equal(m.tmp, m.key[:m.head]) {
 		return false
 	}
-	m.tmp = c.mem.System().AppendCycleKey(m.tmp, m.lines)
+	m.tmp = c.cycleTail(m.tmp)
 	return bytes.Equal(m.tmp, m.key)
 }
 
@@ -278,6 +335,11 @@ func (c *Cell) memoBase() {
 	m.t0 = c.eng.Now()
 	m.p0 = c.eng.Processed()
 	m.qt0 = c.eng.QueueTimeIntegral()
+	m.a0 = c.anchor()
+	m.spans = m.spans[:0]
+	for _, th := range c.threads[:c.cfg.Threads] {
+		m.spans = append(m.spans, th.spanStart)
+	}
 	m.opsB, m.attB, m.failB = c.ops, c.attempts, c.failures
 	m.perOpsB = append(m.perOpsB[:0], c.perOps...)
 	m.cohB = c.mem.System().Stats()
@@ -294,6 +356,35 @@ func (c *Cell) memoBase() {
 	}
 }
 
+// spansRecur reports whether every thread's CAS span evolved
+// periodically over the cycle that started at m.t0. The span's start
+// is the one piece of thread state the fingerprint leaves out, because
+// it is not a function of the periodic state: a span either restarted
+// within the cycle and has the same age again — then its age is
+// periodic — or was held unbroken through the cycle by a thread that
+// never succeeded in it, whose span age is never read (only a success
+// reads it) and keeps growing. The recorded cycle classifies each
+// thread (classify); the verify cycle must match that classification.
+func (c *Cell) spansRecur(classify bool) bool {
+	m := &c.memo
+	now := c.eng.Now()
+	if classify {
+		m.held = m.held[:0]
+	}
+	for i, th := range c.threads[:c.cfg.Threads] {
+		held := th.inSpan && th.spanStart == m.spans[i]
+		if th.inSpan && !held && now-th.spanStart != m.t0-m.spans[i] {
+			return false
+		}
+		if classify {
+			m.held = append(m.held, held)
+		} else if m.held[i] != held {
+			return false
+		}
+	}
+	return true
+}
+
 // memoCapture takes the starting fingerprint of a (re)started cycle
 // search at the current event boundary.
 func (c *Cell) memoCapture() {
@@ -301,7 +392,7 @@ func (c *Cell) memoCapture() {
 	m.owner = c.eng.Owner()
 	m.key = c.cycleHead(m.key[:0])
 	m.head = len(m.key)
-	m.key = c.mem.System().AppendCycleKey(m.key, m.lines)
+	m.key = c.cycleTail(m.key)
 	c.memoBase()
 	m.nA, m.shapeA = 0, shapeSeed
 	m.phase = memoRecord
@@ -309,7 +400,7 @@ func (c *Cell) memoCapture() {
 
 // traceRec is the tracer of an armed memoizer: it folds each access
 // into the current cycle's shape hash (and, while verifying, records
-// its energy charge) before charging the meter as usual.
+// its energy class) before charging the meter as usual.
 func (c *Cell) traceRec(ev coherence.TraceEvent) {
 	m := &c.memo
 	switch m.phase {
@@ -318,7 +409,7 @@ func (c *Cell) traceRec(ev coherence.TraceEvent) {
 		m.shapeA = traceShape(m.shapeA, ev)
 	case memoVerify:
 		m.shapeB = traceShape(m.shapeB, ev)
-		m.njs = append(m.njs, c.meter.EventNJ(ev))
+		m.cls = append(m.cls, c.meter.Class(ev))
 	}
 	c.meter.Observe(ev)
 }
@@ -332,7 +423,7 @@ const (
 // traceShape folds one trace event into a cycle's shape hash: every
 // field that feeds the meter or the histograms — all but the monotone
 // At (absolute time) and Result.Value (the line value, which grows
-// every cycle under FAA).
+// every cycle under FAA and CAS).
 func traceShape(h uint64, ev coherence.TraceEvent) uint64 {
 	res := &ev.Result
 	flags := uint64(ev.Kind) | uint64(res.Source)<<8
@@ -395,8 +486,13 @@ func (c *Cell) probe() {
 		return
 	}
 	if m.phase == memoRecord {
-		// First recurrence: one whole cycle is on record. Measure it,
-		// rebase, and demand an identical second cycle.
+		// First recurrence: one whole cycle is on record, unless a CAS
+		// span has not come round yet (a later recurrence may find it
+		// has). Measure it, rebase, and demand an identical second
+		// cycle.
+		if !c.spansRecur(true) {
+			return
+		}
 		m.period = c.eng.Processed() - m.p0
 		m.dur = c.eng.Now() - m.t0
 		m.dQT = c.eng.QueueTimeIntegral() - m.qt0
@@ -408,8 +504,9 @@ func (c *Cell) probe() {
 			m.dPerOps = append(m.dPerOps, c.perOps[i]-b)
 		}
 		m.dCoh = subStats(c.mem.System().Stats(), m.cohB)
+		m.dVal = c.anchor() - m.a0
 		c.memoBase()
-		m.shapeB, m.njs = shapeSeed, m.njs[:0]
+		m.shapeB, m.cls = shapeSeed, m.cls[:0]
 		m.phase = memoVerify
 		return
 	}
@@ -430,7 +527,8 @@ func (c *Cell) memoJump() {
 		c.attempts-m.attB == m.dAtt &&
 		c.failures-m.failB == m.dFail &&
 		subStats(sys.Stats(), m.cohB) == m.dCoh &&
-		len(m.njs) == m.nA && m.shapeB == m.shapeA
+		c.anchor()-m.a0 == m.dVal && c.spansRecur(false) &&
+		len(m.cls) == m.nA && m.shapeB == m.shapeA
 	if ok {
 		for i, b := range m.perOpsB {
 			if c.perOps[i]-b != m.dPerOps[i] {
@@ -472,15 +570,29 @@ func (c *Cell) memoJump() {
 	if c.reg != nil {
 		c.reg.AddScaledDiff(m.regB, k)
 	}
-	// Replay the energy additions of each elided cycle in simulated
-	// order; the meter's float accumulator then holds exactly the sum
-	// the unskipped run would have produced. The per-event charges were
-	// recorded during verification, so the replay is a pure addition
-	// loop.
-	c.meter.Replay(m.njs, k)
+	c.meter.Replay(m.cls, k)
 
+	// Translate the state into its k-cycles-later counterpart: every
+	// time stamp by the jump — except the start of a span held through
+	// the elided cycles, which really did start that long ago — and in
+	// a CAS cell every value by k value deltas.
 	c.mem.ShiftInFlight(jump)
+	for i, th := range c.threads[:c.cfg.Threads] {
+		if !m.held[i] {
+			th.spanStart += jump
+		}
+	}
+	if d := m.dVal * k; m.values && d != 0 {
+		c.mem.ShiftValues(m.lines, d)
+		for _, th := range c.threads[:c.cfg.Threads] {
+			if !skipLastSeenShift {
+				th.lastSeen += d
+			}
+			th.expected += d
+		}
+	}
 	eng.JumpClock(now+jump, k*m.period, m.dQT*sim.Time(k))
 	m.jumps++
+	ffJumps.Add(1)
 	c.memoAbort() // restores the tracer; phase = done
 }

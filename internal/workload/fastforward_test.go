@@ -25,22 +25,18 @@ func TestMemoVerdict(t *testing.T) {
 	}
 
 	for _, p := range atomics.All() {
-		want := ""
-		if p == atomics.CAS || p == atomics.CAS2 {
-			want = "cas"
-		}
-		if got := verdict(quickCfg(m, p, 8)); got != want {
-			t.Errorf("F3 %v: verdict %q, want %q", p, got, want)
+		if got := verdict(quickCfg(m, p, 8)); got != "" {
+			t.Errorf("F3 %v: verdict %q, want \"\"", p, got)
 		}
 	}
 
 	wantSpec := map[string]string{
 		"high-faa":       "",
-		"high-cas-retry": "cas",
+		"high-cas-retry": "",
 		"low-faa":        "",
-		"read-mix":       "cas", // a CAS read mix: the first knob wins
+		"read-mix":       "read-mix",
 		"open-loop-faa":  "open-loop",
-		"cas2-slow-path": "cas",
+		"cas2-slow-path": "jitter",
 		"scatter-low":    "",
 		"swap-ladder":    "",
 	}
@@ -93,6 +89,15 @@ func TestMemoVerdict(t *testing.T) {
 		{"jittered think time", func(c *Config) { c.LocalWork, c.WorkJitter = 20*sim.Nanosecond, true }, "jitter"},
 		{"read mix", func(c *Config) { c.Mode, c.ReadFraction = ReadWriteMix, 0.5 }, "read-mix"},
 		{"open loop", func(c *Config) { c.OpenLoop, c.OpenLoopInterarrival = true, 50*sim.Nanosecond }, "open-loop"},
+		{"cas", func(c *Config) { c.Primitive = atomics.CAS }, ""},
+		{"cas retry loop", func(c *Config) { c.Primitive, c.CASRetryLoop = atomics.CAS, true }, ""},
+		{"cas2 retry loop", func(c *Config) { c.Primitive, c.CASRetryLoop = atomics.CAS2, true }, ""},
+		{"low-contention cas", func(c *Config) { c.Primitive, c.Mode = atomics.CAS, LowContention }, ""},
+		// An open-loop CAS keeps its expected value in a per-operation
+		// closure the value shift cannot reach.
+		{"open-loop cas", func(c *Config) {
+			c.Primitive, c.OpenLoop, c.OpenLoopInterarrival = atomics.CAS, true, 50*sim.Nanosecond
+		}, "open-loop"},
 		{"metrics", func(c *Config) { c.Metrics = true }, ""},
 		{"lines", func(c *Config) { c.Lines = 4 }, ""},
 		{"explicit FIFO", func(c *Config) { c.Arbiter = coherence.FIFOArbiter{} }, ""},
@@ -135,57 +140,111 @@ func lastRunJumps(m *machine.Machine) int {
 	return p.free[len(p.free)-1].memo.jumps
 }
 
-// TestFastForwardShapesDifferential runs every cell shape the memoizer
-// accepts beyond one contended line — loads, fences, private lines,
-// several shared lines, constant think time, and metrics-on cells — on
+// ffShapes is every cell shape, an edit of an 8-thread quick FAA cell,
+// the memoizer accepts beyond one contended FAA line: loads, fences, private lines, several shared
+// lines, constant think time, metrics-on cells, and the value-relative
+// CAS and CAS2 loops, with and without the retry loop, on shared and
+// private lines (low-cas settles into all-failing rounds, whose value
+// delta is zero).
+var ffShapes = []struct {
+	name string
+	edit func(*Config)
+}{
+	{"load", func(c *Config) { c.Primitive = atomics.Load }},
+	{"fence", func(c *Config) { c.Primitive = atomics.Fence }},
+	{"low-faa", func(c *Config) { c.Mode = LowContention }},
+	{"lines4-swap", func(c *Config) { c.Primitive, c.Lines = atomics.SWAP, 4 }},
+	{"think-faa", func(c *Config) { c.LocalWork = 20 * sim.Nanosecond }},
+	{"metrics-faa", func(c *Config) { c.Metrics = true }},
+	{"metrics-low-store", func(c *Config) { c.Primitive, c.Mode, c.Metrics = atomics.Store, LowContention, true }},
+	{"metrics-load", func(c *Config) { c.Primitive, c.Metrics = atomics.Load, true }},
+	{"metrics-think-tas", func(c *Config) { c.Primitive, c.LocalWork, c.Metrics = atomics.TAS, 30*sim.Nanosecond, true }},
+	{"cas", func(c *Config) { c.Primitive = atomics.CAS }},
+	{"cas2", func(c *Config) { c.Primitive = atomics.CAS2 }},
+	{"cas-retry", func(c *Config) { c.Primitive, c.CASRetryLoop = atomics.CAS, true }},
+	{"cas-lines4", func(c *Config) { c.Primitive, c.Lines = atomics.CAS, 4 }},
+	{"think-cas", func(c *Config) { c.Primitive, c.LocalWork = atomics.CAS, 20*sim.Nanosecond }},
+	{"metrics-cas2-retry", func(c *Config) { c.Primitive, c.CASRetryLoop, c.Metrics = atomics.CAS2, true, true }},
+	{"low-think-cas", lowThinkCAS},
+	{"low-cas", func(c *Config) { c.Primitive, c.Mode = atomics.CAS, LowContention }},
+}
+
+// lowThinkCAS edits a cell into CAS on one private line per thread with
+// think time: every CAS succeeds, and a thread's lastSeen is live while
+// it thinks.
+func lowThinkCAS(c *Config) {
+	c.Primitive, c.Mode, c.Lines, c.LocalWork = atomics.CAS, LowContention, 1, 20*sim.Nanosecond
+}
+
+// ffDiff runs cfg with fast-forward off and on and returns both results'
+// JSON and the number of jumps the fast run took.
+func ffDiff(t *testing.T, cfg Config) (slow, fast string, jumps int) {
+	t.Helper()
+	defer SetFastForward(true)
+	SetFastForward(false)
+	s, err := Run(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	SetFastForward(true)
+	f, err := Run(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return resultJSON(t, s), resultJSON(t, f), lastRunJumps(cfg.Machine)
+}
+
+// TestFastForwardShapesDifferential runs every shape of ffShapes on
 // every registered machine with fast-forward off and on, and requires
 // byte-identical Result JSON (counters, both latency histograms,
 // energy, coherence stats, metrics snapshot). It also requires the
 // memoizer to have actually jumped in every shape, so a silently
 // ineligible shape cannot pass vacuously.
 func TestFastForwardShapesDifferential(t *testing.T) {
-	defer SetFastForward(true)
-	shapes := []struct {
-		name string
-		edit func(*Config)
-	}{
-		{"load", func(c *Config) { c.Primitive = atomics.Load }},
-		{"fence", func(c *Config) { c.Primitive = atomics.Fence }},
-		{"low-faa", func(c *Config) { c.Mode = LowContention }},
-		{"lines4-swap", func(c *Config) { c.Primitive, c.Lines = atomics.SWAP, 4 }},
-		{"think-faa", func(c *Config) { c.LocalWork = 20 * sim.Nanosecond }},
-		{"metrics-faa", func(c *Config) { c.Metrics = true }},
-		{"metrics-low-store", func(c *Config) { c.Primitive, c.Mode, c.Metrics = atomics.Store, LowContention, true }},
-		{"metrics-load", func(c *Config) { c.Primitive, c.Metrics = atomics.Load, true }},
-		{"metrics-think-tas", func(c *Config) { c.Primitive, c.LocalWork, c.Metrics = atomics.TAS, 30*sim.Nanosecond, true }},
-	}
 	for _, name := range machine.Names() {
 		m, err := machine.ByName(name)
 		if err != nil {
 			t.Fatal(err)
 		}
 		threads := min(8, m.NumHWThreads())
-		for _, sh := range shapes {
+		for _, sh := range ffShapes {
 			cfg := quickCfg(m, atomics.FAA, threads)
 			sh.edit(&cfg)
-			SetFastForward(false)
-			slow, err := Run(cfg)
-			if err != nil {
-				t.Fatalf("%s/%s: %v", name, sh.name, err)
-			}
-			SetFastForward(true)
-			fast, err := Run(cfg)
-			if err != nil {
-				t.Fatalf("%s/%s: %v", name, sh.name, err)
-			}
+			slow, fast, jumps := ffDiff(t, cfg)
 			// The 5µs warmup can be too short for the pre-warmup pass
 			// on the slower machines; the measured window never is.
-			if lastRunJumps(m) == 0 {
+			if jumps == 0 {
 				t.Errorf("%s/%s: the memoizer never jumped", name, sh.name)
 			}
-			if s, f := resultJSON(t, slow), resultJSON(t, fast); s != f {
-				t.Errorf("%s/%s: fast-forward changed the result\noff: %s\non:  %s", name, sh.name, s, f)
+			if slow != fast {
+				t.Errorf("%s/%s: fast-forward changed the result\noff: %s\non:  %s", name, sh.name, slow, fast)
 			}
+		}
+	}
+}
+
+// TestFastForwardValueShiftMutation proves the differential sees the
+// value translation: with a jump that leaves every thread's lastSeen
+// unshifted, the low-think-cas shape must come out different on every
+// machine. That shape keeps lastSeen live across a jump — a thinking
+// thread's next expected value — and every CAS of it would succeed, so
+// a stale lastSeen shows as failures (in contended shapes the next CAS
+// of a thinking thread tends to fail either way, masking the defect).
+func TestFastForwardValueShiftMutation(t *testing.T) {
+	defer func() { skipLastSeenShift = false }()
+	skipLastSeenShift = true
+	for _, name := range machine.Names() {
+		m, err := machine.ByName(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg := quickCfg(m, atomics.FAA, min(8, m.NumHWThreads()))
+		lowThinkCAS(&cfg)
+		slow, fast, jumps := ffDiff(t, cfg)
+		if jumps == 0 {
+			t.Errorf("%s: the mutated memoizer never jumped", name)
+		} else if slow == fast {
+			t.Errorf("%s: a jump that skips the lastSeen shift went unnoticed", name)
 		}
 	}
 }

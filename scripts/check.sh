@@ -334,6 +334,15 @@ awk '/BenchmarkFullCell/ { if ($(NF-1) + 0 > 20) exit 1 }' "$dir/bench_cell.txt"
     echo "full-cell allocations regressed (allocs/op > 20 at 100 iterations)" >&2
     exit 1
 }
+# The cells the memoizer fast-forwards in full F3 (72 threads, full
+# window; Load, CAS, CAS2, FAA) hold the same budget: the memoizer's
+# scratch is pooled with the cell, so a jump allocates nothing.
+go test -run XXX -bench 'BenchmarkMemoizedCell$' -benchtime 100x -benchmem \
+    ./internal/harness | tee "$dir/bench_memo.txt"
+awk '/BenchmarkMemoizedCell/ { if ($(NF-1) + 0 > 20) exit 1 }' "$dir/bench_memo.txt" || {
+    echo "memoized-cell allocations regressed (allocs/op > 20 at 100 iterations)" >&2
+    exit 1
+}
 # An app cell allocates its structure, per-thread contexts and result
 # once per cell (about 100-200 objects) and nothing per operation; a
 # per-operation allocation adds thousands per cell.
