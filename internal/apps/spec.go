@@ -12,6 +12,7 @@ import (
 	"atomicsmodel/internal/machine"
 	"atomicsmodel/internal/sim"
 	"atomicsmodel/internal/speckit"
+	"atomicsmodel/internal/workload"
 )
 
 // Spec is the declarative, serializable description of one
@@ -105,7 +106,6 @@ type Spec struct {
 // ceiling; container depths and widths are bounded well above any
 // plausible benchmark — a spec beyond them is a typo, not a plan.
 const (
-	maxSpecThreads = 1 << 16
 	maxSpecDepth   = 1 << 16
 	maxSpecStripes = 1 << 12
 	maxSpecSlots   = 1 << 10
@@ -339,30 +339,11 @@ func (s *Spec) Validate() error {
 	if err != nil {
 		return err
 	}
-	switch {
-	case s.Threads == 0 && len(s.ThreadLadder) == 0:
-		return fmt.Errorf("app spec: one of threads or threadLadder is required")
-	case s.Threads != 0 && len(s.ThreadLadder) != 0:
-		return fmt.Errorf("app spec: threads and threadLadder are mutually exclusive")
-	case s.Threads < 0 || s.Threads > maxSpecThreads:
-		return fmt.Errorf("app spec: threads = %d (want 1..%d)", s.Threads, maxSpecThreads)
+	if err := speckit.CheckThreads("app spec", s.Threads, s.ThreadLadder); err != nil {
+		return err
 	}
-	prev := 0
-	for _, n := range s.ThreadLadder {
-		if n <= prev || n > maxSpecThreads {
-			return fmt.Errorf("app spec: threadLadder %v must be strictly increasing in 1..%d", s.ThreadLadder, maxSpecThreads)
-		}
-		prev = n
-	}
-	if _, err := machine.PlacementByName(s.Placement); err != nil {
-		return fmt.Errorf("app spec: %w", err)
-	}
-	arb := s.Arbiter
-	if arb == "" {
-		arb = "fifo"
-	}
-	if _, err := coherence.NewByName(arb, s.ArbiterSkips, 0); err != nil {
-		return fmt.Errorf("app spec: %w", err)
+	if _, _, err := workload.Policies("app spec", s.Placement, s.Arbiter, s.ArbiterSkips, 0); err != nil {
+		return err
 	}
 	// Ineffective knobs are rejected: they would fork the digest (and
 	// the resume-cache identity) without changing the simulation.
@@ -398,14 +379,15 @@ func (s *Spec) Validate() error {
 		return fmt.Errorf("app spec: slots = %d (want 0..%d)", s.Slots, maxSpecSlots)
 	case s.Words < 0 || s.Words > maxSpecWords:
 		return fmt.Errorf("app spec: words = %d (want 0..%d)", s.Words, maxSpecWords)
-	case s.Handoffs < 0 || s.Handoffs > maxSpecThreads:
-		return fmt.Errorf("app spec: handoffs = %d (want 0..%d)", s.Handoffs, maxSpecThreads)
+	case s.Handoffs < 0 || s.Handoffs > speckit.MaxThreads:
+		return fmt.Errorf("app spec: handoffs = %d (want 0..%d)", s.Handoffs, speckit.MaxThreads)
 	case s.ReadFraction < 0 || s.ReadFraction > 1:
 		return fmt.Errorf("app spec: readFraction %v out of [0,1]", s.ReadFraction)
 	case s.CritPS < 0 || s.BackoffBasePS < 0 || s.BackoffMaxPS < 0 || s.WindowPS < 0:
 		return fmt.Errorf("app spec: negative time knob")
-	case s.WarmupPS < 0 || s.DurationPS < 0:
-		return fmt.Errorf("app spec: negative warmupPS/durationPS")
+	}
+	if err := speckit.CheckWindow("app spec", s.WarmupPS, s.DurationPS); err != nil {
+		return err
 	}
 	if info.knobs&knobBackoff != 0 {
 		base, max := s.BackoffBasePS, s.BackoffMaxPS
@@ -452,12 +434,7 @@ func (s *Spec) Defaulted() *Spec {
 		return out
 	}
 	out.Structure = info.name
-	if out.Placement == "" {
-		out.Placement = "compact"
-	}
-	if out.Arbiter == "" {
-		out.Arbiter = "fifo"
-	}
+	workload.DefaultPolicies(&out.Placement, &out.Arbiter)
 	if info.knobs&knobDepth != 0 && out.Depth == 0 {
 		if info.name == "ws-deque" {
 			out.Depth = defaultDequeDepth
@@ -495,12 +472,7 @@ func (s *Spec) Defaulted() *Spec {
 	if info.knobs&knobWindow != 0 && out.WindowPS == 0 {
 		out.WindowPS = defaultElimWindow
 	}
-	if out.WarmupPS == 0 {
-		out.WarmupPS = 20 * sim.Microsecond
-	}
-	if out.DurationPS == 0 {
-		out.DurationPS = 200 * sim.Microsecond
-	}
+	speckit.DefaultWindow(&out.WarmupPS, &out.DurationPS)
 	return out
 }
 
@@ -563,11 +535,7 @@ func (s *Spec) RunConfig(m *machine.Machine) (RunConfig, error) {
 	if err := d.CheckMachine(m); err != nil {
 		return RunConfig{}, err
 	}
-	place, err := machine.PlacementByName(d.Placement)
-	if err != nil {
-		return RunConfig{}, err
-	}
-	arb, err := coherence.NewByName(d.Arbiter, d.ArbiterSkips, d.Seed)
+	place, arb, err := workload.Policies("app spec", d.Placement, d.Arbiter, d.ArbiterSkips, d.Seed)
 	if err != nil {
 		return RunConfig{}, err
 	}

@@ -20,9 +20,9 @@ func TestRunCellsContextPreCanceled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	ran := 0
-	err := RunCellsContext(ctx, Options{Par: 1}, 4, func(i int) error {
+	_, err := fanout(Options{Par: 1, Context: ctx}, 4, func(i int) (int, error) {
 		ran++
-		return nil
+		return i, nil
 	})
 	if ran != 0 {
 		t.Fatalf("%d cells ran under a dead context", ran)
@@ -44,18 +44,18 @@ func TestRunCellsContextPreCanceled(t *testing.T) {
 func TestRunCellsContextDeadline(t *testing.T) {
 	ctx, cancel := context.WithDeadline(context.Background(), time.Now().Add(-time.Second))
 	defer cancel()
-	err := RunCellsContext(ctx, Options{Par: 1}, 1, func(i int) error { return nil })
+	_, err := fanout(Options{Par: 1, Context: ctx}, 1, func(i int) (int, error) { return i, nil })
 	if !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("err = %v, want context.DeadlineExceeded through the cell error", err)
 	}
 }
 
-// TestRunCellsNilContextUnchanged: the ctx-free entry points must not
-// change behavior — a nil Options.Context means run everything.
+// TestRunCellsNilContextUnchanged: a nil Options.Context means
+// context.Background() — run everything.
 func TestRunCellsNilContextUnchanged(t *testing.T) {
 	ran := 0
-	if err := RunCells(Options{Par: 1}, 3, func(i int) error { ran++; return nil }); err != nil || ran != 3 {
-		t.Fatalf("RunCells = (%v, %d cells), want (nil, 3)", err, ran)
+	if _, err := fanout(Options{Par: 1}, 3, func(i int) (int, error) { ran++; return i, nil }); err != nil || ran != 3 {
+		t.Fatalf("fanout = (%v, %d cells), want (nil, 3)", err, ran)
 	}
 }
 
@@ -75,9 +75,9 @@ func TestFanoutKeyedContextCancelMidRun(t *testing.T) {
 	defer cancel()
 
 	type res struct{ V int }
-	o := Options{Par: 1, Exp: "CTX", Manifest: w}
+	o := Options{Par: 1, Exp: "CTX", Manifest: w, Context: ctx}
 	specs := []int{10, 20, 30}
-	_, ferr := FanoutKeyedContext(ctx, o, specs,
+	_, ferr := FanoutKeyed(o, specs,
 		func(s int) string { return "cell" + itoaCtx(s) },
 		func(i int, s int) (res, error) {
 			if i == 0 {
@@ -112,15 +112,21 @@ func TestFanoutKeyedContextCancelMidRun(t *testing.T) {
 	}
 }
 
-// TestFanoutContextHonorsStampedContext: the Context field works when
-// stamped directly on Options too (the path the jobs server uses).
+// TestFanoutContextHonorsStampedContext: a context stamped on the
+// Options handed to RunExperiment (the path the jobs server uses)
+// reaches a registered figure's cells: none runs, and the run fails
+// with the context's error.
 func TestFanoutContextHonorsStampedContext(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	o := Options{Par: 1, Context: ctx}
-	_, err := Fanout(o, []int{1, 2}, func(i, s int) (int, error) { return s, nil })
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("stamped-context Fanout = %v, want context.Canceled", err)
+	e, err := ByID("F3")
+	if err != nil {
+		t.Fatal(err)
+	}
+	o := quickOpts()
+	o.Context = ctx
+	if _, err := RunExperiment(e, o); !errors.Is(err, context.Canceled) {
+		t.Fatalf("stamped-context RunExperiment = %v, want context.Canceled", err)
 	}
 }
 

@@ -1,6 +1,7 @@
 package harness
 
 import (
+	"atomicsmodel/internal/apps"
 	"atomicsmodel/internal/atomics"
 	"atomicsmodel/internal/coherence"
 	"atomicsmodel/internal/core"
@@ -10,11 +11,46 @@ import (
 )
 
 func init() {
+	// F13's policies are all stateless, so the spec seed only feeds the
+	// workload's own streams.
+	f13Arbs := []arbiter{{"fifo", "fifo", 0}, {"locality", "locality", 0}, {"loc-skip16", "locality", 16}, {"loc-skip256", "locality", 256}}
+	f13Cols := []string{"threads"}
+	for _, a := range f13Arbs {
+		f13Cols = append(f13Cols, a.name+" Mops", a.name+" Jain")
+	}
 	Register(&Experiment{
 		ID:    "F13",
 		Title: "Arbitration ablation: throughput vs fairness trade-off",
 		Claim: "locality-biased arbitration shortens transfers (higher throughput) at the price of starvation; a skip bound recovers fairness",
-		Run:   runF13,
+		Run: figure[workload.Spec, *workload.Result, int]{
+			kind:  workloadKind,
+			title: "F13 (%s): FAA under different line arbitration policies",
+			cols:  columns(append(f13Cols, "locality model Mops", "locality model Jain")...),
+			rows: func(o Options, m *machine.Machine) []int {
+				return fitting(m, pick(o, []int{8, 16, 24, 36}, []int{8, 16}))
+			},
+			cells: func(o Options, _ *machine.Machine, n int) []workload.Spec {
+				var out []workload.Spec
+				for _, a := range f13Arbs {
+					out = append(out, a.faa(workloadKind.at(o, n)))
+				}
+				return out
+			},
+			row: func(t *Table, m *machine.Machine, n int, res wlResults) error {
+				row := []string{itoa(n)}
+				for _, r := range res {
+					row = append(row, f2(r.ThroughputMops), f3(r.Jain))
+				}
+				cores, err := coresFor(m, nil, n)
+				if err != nil {
+					return err
+				}
+				pred := core.NewDetailed(m).PredictHighArb(atomics.FAA, cores, 0, core.ArbLocality)
+				t.AddRow(append(row, f2(pred.ThroughputMops), f3(pred.Jain))...)
+				return nil
+			},
+			note: "locality grants the nearest requester: shorter transfers, starved far cores; the model predicts the resulting monopoly",
+		}.run,
 	})
 	Register(&Experiment{
 		ID:    "F14",
@@ -26,96 +62,60 @@ func init() {
 		ID:    "F15",
 		Title: "Contention spreading: striped counters vs one hot line",
 		Claim: "the model's remedy for a hot line is to split it; striping converts the high-contention setting into the low-contention one",
-		Run:   runF15,
+		Run: func(o Options) ([]*Table, error) {
+			var base float64 // the 1-stripe write-only rate, each table's first row
+			return figure[apps.Spec, *apps.RunResult, int]{
+				kind:  appKind,
+				title: "F15 (%s): striped counter, 16 writers",
+				cols:  columns("stripes", "increments (Mops)", "speedup vs 1", "with 5% reads (Mops)"),
+				fits:  fitsThreads(16),
+				rows: func(o Options, _ *machine.Machine) []int {
+					return pick(o, []int{1, 2, 4, 8, 16, 32}, []int{1, 4, 16})
+				},
+				cells: func(o Options, _ *machine.Machine, stripes int) []apps.Spec {
+					var out []apps.Spec
+					for _, reads := range []float64{0, 0.05} {
+						sp := appKind.fixed(o, 16)
+						sp.Structure = "counter-striped"
+						sp.Stripes, sp.ReadFraction = stripes, reads
+						out = append(out, sp)
+					}
+					return out
+				},
+				row: func(t *Table, _ *machine.Machine, stripes int, res appResults) error {
+					writeOnly, withReads := res[0], res[1]
+					if stripes == 1 {
+						base = writeOnly.ThroughputMops
+					}
+					t.AddRow(itoa(stripes), f2(writeOnly.ThroughputMops),
+						f2(writeOnly.ThroughputMops/base), f2(withReads.ThroughputMops))
+					return nil
+				},
+				note: "16 stripes for 16 writers = private lines = the low-contention setting",
+			}.run(o)
+		},
 	})
-}
-
-func runF13(o Options) ([]*Table, error) {
-	// All four policies are stateless (fifo and the locality variants),
-	// so the spec seed only feeds the workload's own streams, exactly as
-	// before the spec port.
-	arbs := []struct {
-		name  string // display name
-		arb   string // spec policy name
-		skips int
-	}{
-		{"fifo", "fifo", 0},
-		{"locality", "locality", 0},
-		{"loc-skip16", "locality", 16},
-		{"loc-skip256", "locality", 256},
-	}
-	sweep := []int{8, 16, 24, 36}
-	if o.Quick {
-		sweep = []int{8, 16}
-	}
-	machines := o.machines()
-	cells := workloadKind.newCells()
-	for _, m := range machines {
-		for _, n := range sweep {
-			if n > m.NumHWThreads() {
-				continue
-			}
-			for _, a := range arbs {
-				sp := workloadKind.base(o)
-				sp.Primitive = atomics.FAA.String()
-				sp.Arbiter = a.arb
-				sp.ArbiterSkips = a.skips
-				sp.Threads = n
-				sp.Seed = o.Seed + uint64(n)
-				cells.add(m, sp)
-			}
-		}
-	}
-	results, err := cells.run(o)
-	if err != nil {
-		return nil, err
-	}
-
-	var tables []*Table
-	k := 0
-	for _, m := range machines {
-		md := core.NewDetailed(m)
-		cols := []string{"threads"}
-		for _, a := range arbs {
-			cols = append(cols, a.name+" Mops", a.name+" Jain")
-		}
-		cols = append(cols, "locality model Mops", "locality model Jain")
-		t := NewTable("F13 ("+m.Name+"): FAA under different line arbitration policies", cols...)
-		for _, n := range sweep {
-			if n > m.NumHWThreads() {
-				continue
-			}
-			row := []string{itoa(n)}
-			for range arbs {
-				res := results[k]
-				k++
-				row = append(row, f2(res.ThroughputMops), f3(res.Jain))
-			}
-			cores, err := coresFor(m, nil, n)
-			if err != nil {
-				return nil, err
-			}
-			pred := md.PredictHighArb(atomics.FAA, cores, 0, core.ArbLocality)
-			row = append(row, f2(pred.ThroughputMops), f3(pred.Jain))
-			t.AddRow(row...)
-		}
-		t.AddNote("locality grants the nearest requester: shorter transfers, starved far cores; the model predicts the resulting monopoly")
-		tables = append(tables, t)
-	}
-	return tables, nil
 }
 
 func runF14(o Options) ([]*Table, error) {
 	machines := o.machines()
-	fracs := []float64{0.9, 0.99}
 
 	// This runner mixes cell shapes (latency probes, mix runs, the
 	// crossbar table), so it issues three keyed fan-outs: every cell gets
 	// a stable config key and participates in the manifest/resume cache.
-	type pair struct{ base, mesif *machine.Machine }
+	// The 16-thread mix rows (and the crossbar row) drop on machines too
+	// small for them; the cold-read probe runs everywhere.
+	const threads = 16
+	type pair struct {
+		base, mesif *machine.Machine
+		fracs       []float64 // the mix rows the machine fits
+	}
 	pairs := make([]pair, len(machines))
 	for i, base := range machines {
-		pairs[i] = pair{base, cloneWithForwarding(base)}
+		pairs[i] = pair{base: base, mesif: cloneWithForwarding(base)}
+		if threads <= base.NumHWThreads() {
+			pairs[i].fracs = []float64{0.9, 0.99}
+		}
 	}
 
 	// Cold read of a Shared line, one probe per protocol variant. The
@@ -136,14 +136,12 @@ func runF14(o Options) ([]*Table, error) {
 	mixCells := workloadKind.newCells()
 	mixCells.keyPrefix = "mix/"
 	for _, p := range pairs {
-		for _, rf := range fracs {
+		for _, rf := range p.fracs {
 			for _, m := range []*machine.Machine{p.base, p.mesif} {
-				sp := workloadKind.base(o)
+				sp := workloadKind.fixed(o, threads)
 				sp.Primitive = atomics.FAA.String()
 				sp.Mode = workload.ReadWriteMix.String()
 				sp.ReadFraction = rf
-				sp.Threads = 16
-				sp.Seed = o.Seed
 				mixCells.add(m, sp)
 			}
 		}
@@ -158,7 +156,7 @@ func runF14(o Options) ([]*Table, error) {
 	ideal := machine.Ideal(16)
 	var topoMachines []*machine.Machine
 	for _, m := range append(append([]*machine.Machine{}, machines...), ideal) {
-		if m.NumHWThreads() < 16 {
+		if m.NumHWThreads() < threads {
 			continue
 		}
 		topoMachines = append(topoMachines, m)
@@ -166,10 +164,8 @@ func runF14(o Options) ([]*Table, error) {
 	topoCells := workloadKind.newCells()
 	topoCells.keyPrefix = "topo/"
 	for _, m := range topoMachines {
-		sp := workloadKind.base(o)
+		sp := workloadKind.fixed(o, threads)
 		sp.Primitive = atomics.FAA.String()
-		sp.Threads = 16
-		sp.Seed = o.Seed
 		topoCells.add(m, sp)
 	}
 	topoRes, err := topoCells.run(o)
@@ -178,19 +174,20 @@ func runF14(o Options) ([]*Table, error) {
 	}
 
 	var tables []*Table
-	for i, base := range machines {
-		t := NewTable("F14 ("+base.Name+"): protocol ablation (MESI vs MESIF forwarding)",
+	for i, p := range pairs {
+		t := NewTable("F14 ("+p.base.Name+"): protocol ablation (MESI vs MESIF forwarding)",
 			"measurement", "MESI", "MESIF", "delta")
 		a, b := lats[2*i], lats[2*i+1]
 		t.AddRow("cold read of S line (ns)", ns(a), ns(b),
 			pct((b.Nanoseconds()-a.Nanoseconds())/a.Nanoseconds()*100))
-		for fi, rf := range fracs {
-			ra, rb := mixes[(i*len(fracs)+fi)*2], mixes[(i*len(fracs)+fi)*2+1]
+		for _, rf := range p.fracs {
+			ra, rb := mixes[0], mixes[1]
+			mixes = mixes[2:]
 			delta := 0.0
 			if ra.ThroughputMops > 0 {
 				delta = (rb.ThroughputMops - ra.ThroughputMops) / ra.ThroughputMops * 100
 			}
-			t.AddRow(fmtReadMix(rf)+" x16 (Mops)", f2(ra.ThroughputMops), f2(rb.ThroughputMops), pct(delta))
+			t.AddRow(f2(rf*100)+"% reads x16 (Mops)", f2(ra.ThroughputMops), f2(rb.ThroughputMops), pct(delta))
 		}
 		t.AddNote("forwarding shortens cold reads of Shared lines; RMW-heavy mixes purge sharers before forwarding can help")
 		tables = append(tables, t)
@@ -212,10 +209,6 @@ func cloneWithForwarding(m *machine.Machine) *machine.Machine {
 	c.Name = m.Name + "+F"
 	c.ForwardSharer = true
 	return &c
-}
-
-func fmtReadMix(rf float64) string {
-	return f2(rf*100) + "% reads"
 }
 
 // sharedReadLatency stages a line Shared in two mid-machine caches and
@@ -243,56 +236,4 @@ func sharedReadLatency(m *machine.Machine) (sim.Time, error) {
 	mem.LoadOp(reader, line, func(r atomics.Result) { out = r.Latency })
 	eng.Drain()
 	return out, nil
-}
-
-func runF15(o Options) ([]*Table, error) {
-	stripeCounts := []int{1, 2, 4, 8, 16, 32}
-	if o.Quick {
-		stripeCounts = []int{1, 4, 16}
-	}
-	const threads = 16
-	var eligible []*machine.Machine
-	for _, m := range o.machines() {
-		if threads <= m.NumHWThreads() {
-			eligible = append(eligible, m)
-		}
-	}
-	cells := appKind.newCells()
-	for _, m := range eligible {
-		for _, sc := range stripeCounts {
-			for _, reads := range []float64{0, 0.05} {
-				sp := appKind.base(o)
-				sp.Structure = "counter-striped"
-				sp.Threads = threads
-				sp.Stripes = sc
-				sp.ReadFraction = reads
-				sp.Seed = o.Seed
-				cells.add(m, sp)
-			}
-		}
-	}
-	results, err := cells.run(o)
-	if err != nil {
-		return nil, err
-	}
-
-	var tables []*Table
-	k := 0
-	for _, m := range eligible {
-		t := NewTable("F15 ("+m.Name+"): striped counter, 16 writers",
-			"stripes", "increments (Mops)", "speedup vs 1", "with 5% reads (Mops)")
-		var base float64
-		for _, sc := range stripeCounts {
-			writeOnly, withReads := results[k], results[k+1]
-			k += 2
-			if sc == 1 {
-				base = writeOnly.ThroughputMops
-			}
-			t.AddRow(itoa(sc), f2(writeOnly.ThroughputMops),
-				f2(writeOnly.ThroughputMops/base), f2(withReads.ThroughputMops))
-		}
-		t.AddNote("16 stripes for 16 writers = private lines = the low-contention setting")
-		tables = append(tables, t)
-	}
-	return tables, nil
 }

@@ -19,6 +19,9 @@ func init() {
 	})
 }
 
+// stormThreads is F16's storm size; two victim threads run beside it.
+const stormThreads = 12
+
 // runF16 runs, for each machine and link occupancy, a 12-thread FAA
 // storm on one hot line concurrently with a 2-thread ping-pong victim
 // on an unrelated line, and reports how the victim's latency degrades
@@ -29,8 +32,14 @@ func runF16(o Options) ([]*Table, error) {
 	if o.Quick {
 		occupancies = []float64{0, 2, 8}
 	}
-	machines := o.machines()
 	// Each storm-and-victim run is one custom simulation — one cell.
+	// Machines without room for the storm and both victims sit out.
+	var machines []*machine.Machine
+	for _, m := range o.machines() {
+		if stormThreads+2 <= m.NumHWThreads() {
+			machines = append(machines, m)
+		}
+	}
 	type spec struct {
 		base *machine.Machine
 		occ  float64
@@ -91,7 +100,6 @@ func stormAndVictim(m *machine.Machine, o Options) (stormMops, victimLatNs, stal
 		stormLine  coherence.LineID = 1
 		victimLine coherence.LineID = 2
 	)
-	stormThreads := 12
 	slots, err := (machine.Compact{}).Place(m, stormThreads+2)
 	if err != nil {
 		return 0, 0, 0, err

@@ -2,7 +2,7 @@ package harness
 
 import (
 	"atomicsmodel/internal/atomics"
-	"atomicsmodel/internal/core"
+	"atomicsmodel/internal/machine"
 	"atomicsmodel/internal/workload"
 )
 
@@ -11,60 +11,41 @@ func init() {
 		ID:    "F6",
 		Title: "Energy per operation vs thread count (high and low contention)",
 		Claim: "contention wastes energy: J/op grows with threads when the line serializes, stays flat when it does not",
-		Run:   runF6,
+		Run: figure[workload.Spec, *workload.Result, int]{
+			kind:  workloadKind,
+			title: "F6 (%s): energy per successful op (nJ)",
+			cols:  columns("threads", "FAA high", "model FAA high", "CAS high", "FAA low", "avg power high (W)"),
+			rows:  Options.threadSweep,
+			// Three cells per row: FAA high, CAS high, FAA low.
+			cells: func(o Options, _ *machine.Machine, n int) []workload.Spec {
+				var out []workload.Spec
+				for _, c := range []struct {
+					p    atomics.Primitive
+					mode workload.Mode
+				}{
+					{atomics.FAA, workload.HighContention},
+					{atomics.CAS, workload.HighContention},
+					{atomics.FAA, workload.LowContention},
+				} {
+					sp := workloadKind.at(o, n)
+					sp.Primitive, sp.Mode = c.p.String(), c.mode.String()
+					out = append(out, sp)
+				}
+				return out
+			},
+			row: func(t *Table, m *machine.Machine, n int, res wlResults) error {
+				pred, err := predictHigh(m, atomics.FAA, n, 0)
+				if err != nil {
+					return err
+				}
+				faaHigh, casHigh, faaLow := res[0], res[1], res[2]
+				t.AddRow(itoa(n),
+					f1(faaHigh.Energy.PerOpNJ), f1(pred.EnergyPerOpNJ),
+					f1(casHigh.Energy.PerOpNJ), f1(faaLow.Energy.PerOpNJ),
+					f1(faaHigh.Energy.AvgPowerW))
+				return nil
+			},
+			note: "high contention: threads spin while one op progresses, so J/op grows ~linearly",
+		}.run,
 	})
-}
-
-func runF6(o Options) ([]*Table, error) {
-	machines := o.machines()
-	// Three cells per row: FAA high, CAS high, FAA low.
-	cells := []struct {
-		p    atomics.Primitive
-		mode workload.Mode
-	}{
-		{atomics.FAA, workload.HighContention},
-		{atomics.CAS, workload.HighContention},
-		{atomics.FAA, workload.LowContention},
-	}
-	wcells := workloadKind.newCells()
-	for _, m := range machines {
-		for _, n := range o.threadSweep(m) {
-			for _, c := range cells {
-				sp := workloadKind.base(o)
-				sp.Primitive = c.p.String()
-				sp.Mode = c.mode.String()
-				sp.Threads = n
-				sp.Seed = o.Seed + uint64(n)
-				wcells.add(m, sp)
-			}
-		}
-	}
-	results, err := wcells.run(o)
-	if err != nil {
-		return nil, err
-	}
-
-	var tables []*Table
-	k := 0
-	for _, m := range machines {
-		md := core.NewDetailed(m)
-		t := NewTable("F6 ("+m.Name+"): energy per successful op (nJ)",
-			"threads", "FAA high", "model FAA high", "CAS high", "FAA low", "avg power high (W)")
-		for _, n := range o.threadSweep(m) {
-			cores, err := coresFor(m, nil, n)
-			if err != nil {
-				return nil, err
-			}
-			faaHigh, casHigh, faaLow := results[k], results[k+1], results[k+2]
-			k += 3
-			pred := md.PredictHigh(atomics.FAA, cores, 0)
-			t.AddRow(itoa(n),
-				f1(faaHigh.Energy.PerOpNJ), f1(pred.EnergyPerOpNJ),
-				f1(casHigh.Energy.PerOpNJ), f1(faaLow.Energy.PerOpNJ),
-				f1(faaHigh.Energy.AvgPowerW))
-		}
-		t.AddNote("high contention: threads spin while one op progresses, so J/op grows ~linearly")
-		tables = append(tables, t)
-	}
-	return tables, nil
 }

@@ -5,6 +5,7 @@ import (
 
 	"atomicsmodel/internal/bottleneck"
 	"atomicsmodel/internal/machine"
+	"atomicsmodel/internal/speckit"
 	"atomicsmodel/internal/workload"
 )
 
@@ -41,15 +42,7 @@ func fleetMachines(o Options) ([]*machine.Machine, error) {
 	if len(o.Machines) > 0 {
 		return o.Machines, nil
 	}
-	var ms []*machine.Machine
-	for _, name := range machine.Names() {
-		m, err := machine.ByName(name)
-		if err != nil {
-			return nil, err
-		}
-		ms = append(ms, m)
-	}
-	return ms, nil
+	return speckit.ByNames(machine.Names(), machine.ByName)
 }
 
 // runFleetSweep runs every spec ladder on every fleet machine and rolls

@@ -18,7 +18,9 @@ func init() {
 		ID:    "F2",
 		Title: "High-contention per-operation latency vs thread count",
 		Claim: "latency in the high-contention setting grows linearly with threads (serialized line ownership)",
-		Run:   runF2,
+		Run: primitiveFigure("F2 (%s): mean per-op latency under high contention", " (ns)",
+			func(r *workload.Result) string { return ns(r.Latency.Mean()) },
+			"per-attempt latency; loads are near-flat (shared copies), RMWs serialize on the line").run,
 	})
 }
 
@@ -74,48 +76,6 @@ func runF1(o Options) ([]*Table, error) {
 			t.AddRow(row...)
 		}
 		t.AddNote("machine: %s", m.String())
-		tables = append(tables, t)
-	}
-	return tables, nil
-}
-
-func runF2(o Options) ([]*Table, error) {
-	prims := atomics.All()
-	machines := o.machines()
-	cells := workloadKind.newCells()
-	for _, m := range machines {
-		for _, n := range o.threadSweep(m) {
-			for _, p := range prims {
-				sp := workloadKind.base(o)
-				sp.Primitive = p.String()
-				sp.Threads = n
-				sp.Seed = o.Seed + uint64(n)
-				cells.add(m, sp)
-			}
-		}
-	}
-	results, err := cells.run(o)
-	if err != nil {
-		return nil, err
-	}
-
-	var tables []*Table
-	k := 0
-	for _, m := range machines {
-		cols := []string{"threads"}
-		for _, p := range prims {
-			cols = append(cols, p.String()+" (ns)")
-		}
-		t := NewTable("F2 ("+m.Name+"): mean per-op latency under high contention", cols...)
-		for _, n := range o.threadSweep(m) {
-			row := []string{itoa(n)}
-			for range prims {
-				row = append(row, ns(results[k].Latency.Mean()))
-				k++
-			}
-			t.AddRow(row...)
-		}
-		t.AddNote("per-attempt latency; loads are near-flat (shared copies), RMWs serialize on the line")
 		tables = append(tables, t)
 	}
 	return tables, nil

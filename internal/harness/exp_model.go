@@ -5,7 +5,9 @@ import (
 
 	"atomicsmodel/internal/atomics"
 	"atomicsmodel/internal/core"
+	"atomicsmodel/internal/machine"
 	"atomicsmodel/internal/stats"
+	"atomicsmodel/internal/workload"
 )
 
 func init() {
@@ -25,63 +27,61 @@ func init() {
 
 func runF7(o Options) ([]*Table, error) {
 	prims := []atomics.Primitive{atomics.FAA, atomics.CAS, atomics.SWAP, atomics.TAS}
-	machines := o.machines()
-	cells := workloadKind.newCells()
-	for _, m := range machines {
-		for _, p := range prims {
-			for _, n := range o.threadSweep(m) {
-				sp := workloadKind.base(o)
-				sp.Primitive = p.String()
-				sp.Threads = n
-				sp.Seed = o.Seed + uint64(n)
-				cells.add(m, sp)
-			}
-		}
-	}
-	results, err := cells.run(o)
-	if err != nil {
-		return nil, err
-	}
-
-	var tables []*Table
 	summary := NewTable("F7 summary: mean absolute percentage error of throughput predictions",
 		"machine", "primitive", "detailed MAPE", "simple MAPE")
-	k := 0
-	for _, m := range machines {
-		det := core.NewDetailed(m)
-		simp, _, err := core.Calibrate(m)
-		if err != nil {
-			return nil, err
-		}
-		t := NewTable("F7 ("+m.Name+"): model vs simulation, high contention",
-			"primitive", "threads", "sim (Mops)", "detailed (Mops)", "err",
-			"simple (Mops)", "err", "sim lat (ns)", "detailed lat (ns)")
-		for _, p := range prims {
-			var simX, detX, simpX []float64
+	// One row per primitive, its cells the machine's thread sweep; each
+	// renders a table row per thread count and a summary row. The simple
+	// model is calibrated once per machine, on its table's first row.
+	var simp *core.Model
+	tables, err := figure[workload.Spec, *workload.Result, atomics.Primitive]{
+		kind:  workloadKind,
+		title: "F7 (%s): model vs simulation, high contention",
+		cols: columns("primitive", "threads", "sim (Mops)", "detailed (Mops)", "err",
+			"simple (Mops)", "err", "sim lat (ns)", "detailed lat (ns)"),
+		rows: func(Options, *machine.Machine) []atomics.Primitive { return prims },
+		cells: func(o Options, m *machine.Machine, p atomics.Primitive) []workload.Spec {
+			var out []workload.Spec
 			for _, n := range o.threadSweep(m) {
-				res := results[k]
-				k++
+				sp := workloadKind.at(o, n)
+				sp.Primitive = p.String()
+				out = append(out, sp)
+			}
+			return out
+		},
+		row: func(t *Table, m *machine.Machine, p atomics.Primitive, res wlResults) error {
+			if p == prims[0] {
+				var err error
+				if simp, _, err = core.Calibrate(m); err != nil {
+					return err
+				}
+			}
+			det := core.NewDetailed(m)
+			var simX, detX, simpX []float64
+			for i, n := range o.threadSweep(m) {
+				r := res[i]
 				cores, err := coresFor(m, nil, n)
 				if err != nil {
-					return nil, err
+					return err
 				}
 				pd := det.PredictHigh(p, cores, 0)
 				ps := simp.PredictHigh(p, cores, 0)
-				simX = append(simX, res.ThroughputMops)
+				simX = append(simX, r.ThroughputMops)
 				detX = append(detX, pd.ThroughputMops)
 				simpX = append(simpX, ps.ThroughputMops)
-				t.AddRow(p.String(), itoa(n), f2(res.ThroughputMops),
-					f2(pd.ThroughputMops), pct(relErr(pd.ThroughputMops, res.ThroughputMops)),
-					f2(ps.ThroughputMops), pct(relErr(ps.ThroughputMops, res.ThroughputMops)),
-					ns(res.Latency.Mean()), ns(pd.AttemptLatency))
+				t.AddRow(p.String(), itoa(n), f2(r.ThroughputMops),
+					f2(pd.ThroughputMops), pct(relErr(pd.ThroughputMops, r.ThroughputMops)),
+					f2(ps.ThroughputMops), pct(relErr(ps.ThroughputMops, r.ThroughputMops)),
+					ns(r.Latency.Mean()), ns(pd.AttemptLatency))
 			}
 			summary.AddRow(m.Name, p.String(),
 				pct(stats.MeanAbsPctError(detX, simX)), pct(stats.MeanAbsPctError(simpX, simX)))
-		}
-		tables = append(tables, t)
+			return nil
+		},
+	}.run(o)
+	if err != nil {
+		return nil, err
 	}
-	tables = append(tables, summary)
-	return tables, nil
+	return append(tables, summary), nil
 }
 
 func relErr(pred, meas float64) float64 {
@@ -104,11 +104,7 @@ func runT2(o Options) ([]*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		n16 := 16
-		if n16 > m.NumCores() {
-			n16 = m.NumCores()
-		}
-		c16, err := coresFor(m, nil, n16)
+		c16, err := coresFor(m, nil, min(16, m.NumCores()))
 		if err != nil {
 			return nil, err
 		}
@@ -117,11 +113,4 @@ func runT2(o Options) ([]*Table, error) {
 	}
 	t.AddNote("t_local: FAA on an owned line; t_same/t_cross: FAA on a line dirty in a remote cache")
 	return []*Table{t}, nil
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

@@ -83,17 +83,13 @@ func runF11(o Options) ([]*Table, error) {
 		for _, n := range sweep {
 			row := []string{itoa(n)}
 			for _, p := range placements {
-				slots, err := p.Place(m, n)
+				cores, err := coresFor(m, p, n)
 				if err != nil {
 					row = append(row, "-", "-")
 					continue
 				}
 				res := results[k]
 				k++
-				cores := make([]int, n)
-				for i, s := range slots {
-					cores[i] = m.CoreOf(s)
-				}
 				pred := md.PredictHigh(atomics.FAA, cores, 0)
 				row = append(row, f2(res.ThroughputMops), f2(pred.ThroughputMops))
 			}

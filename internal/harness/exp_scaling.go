@@ -36,11 +36,9 @@ func runF17(o Options) ([]*Table, error) {
 			if n > m.NumHWThreads() {
 				continue
 			}
-			sp := workloadKind.base(o)
+			sp := workloadKind.at(o, n)
 			sp.Primitive = atomics.FAA.String()
 			sp.Placement = "scatter"
-			sp.Threads = n
-			sp.Seed = o.Seed + uint64(n)
 			cells.add(m, sp)
 		}
 	}
@@ -61,13 +59,9 @@ func runF17(o Options) ([]*Table, error) {
 			}
 			res := results[k]
 			k++
-			slots, err := (machine.Scatter{}).Place(m, n)
+			cores, err := coresFor(m, machine.Scatter{}, n)
 			if err != nil {
 				return nil, err
-			}
-			cores := make([]int, n)
-			for i, sl := range slots {
-				cores[i] = m.CoreOf(sl)
 			}
 			pred := core.NewDetailed(m).PredictHigh(atomics.FAA, cores, 0)
 			xsock := 0.0

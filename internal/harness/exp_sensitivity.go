@@ -2,7 +2,6 @@ package harness
 
 import (
 	"atomicsmodel/internal/atomics"
-	"atomicsmodel/internal/core"
 	"atomicsmodel/internal/machine"
 	"atomicsmodel/internal/sim"
 )
@@ -44,12 +43,13 @@ func runT3(o Options) ([]*Table, error) {
 					row = append(row, "-")
 					continue
 				}
-				baseX := predictAt(base, n)
+				// n fits (checked above), so neither prediction can fail.
+				baseX, _ := predictHigh(base, atomics.FAA, n, 0)
 				pert := *base
 				pert.Lat = base.Lat
 				k.set(&pert.Lat, 1.10)
-				pertX := predictAt(&pert, n)
-				elasticity := (pertX - baseX) / baseX / 0.10 * 100
+				pertX, _ := predictHigh(&pert, atomics.FAA, n, 0)
+				elasticity := (pertX.ThroughputMops - baseX.ThroughputMops) / baseX.ThroughputMops / 0.10 * 100
 				row = append(row, pct(elasticity))
 			}
 			t.AddRow(row...)
@@ -61,11 +61,3 @@ func runT3(o Options) ([]*Table, error) {
 }
 
 func scale(v sim.Time, f float64) sim.Time { return sim.Time(float64(v) * f) }
-
-func predictAt(m *machine.Machine, n int) float64 {
-	cores, err := coresFor(m, nil, n)
-	if err != nil {
-		return 0
-	}
-	return core.NewDetailed(m).PredictHigh(atomics.FAA, cores, 0).ThroughputMops
-}

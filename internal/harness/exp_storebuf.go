@@ -36,11 +36,17 @@ func runF22(o Options) ([]*Table, error) {
 		spec  workload.Spec // store probes only
 		key   string
 	}
+	// The 16-thread store rows drop on machines too small for them; the
+	// single-thread burst probes run everywhere.
 	var specs []probe
 	for _, base := range machines {
 		buffered := cloneWithStoreBuffer(base, 42)
 		for _, m := range []*machine.Machine{base, buffered} {
-			sp := storeSpec(o)
+			sp := workloadKind.fixed(o, 16)
+			sp.Primitive = atomics.Store.String()
+			if sp.Threads > m.NumHWThreads() {
+				continue
+			}
 			wc, err := workloadKind.cell(m, sp)
 			if err != nil {
 				return nil, err
@@ -55,26 +61,36 @@ func runF22(o Options) ([]*Table, error) {
 		return s.key
 	}, func(ci int, s probe) (cell, error) {
 		var c cell
-		var err error
 		if s.burst {
+			var err error
 			c.FAANs, c.FenceNs, err = burstThenOrder(s.m)
-		} else {
-			c.LatNs, c.Mops, err = storeWorkload(s.m, s.spec, o, ci)
+			return c, err
 		}
-		return c, err
+		// Mean thread-visible store latency and successful store
+		// throughput at 16 threads on one line.
+		res, err := workloadKind.run(o, ci, s.m, &s.spec)
+		if err != nil {
+			return c, err
+		}
+		c.LatNs, c.Mops = res.Latency.Mean().Nanoseconds(), res.ThroughputMops
+		return c, nil
 	})
 	if err != nil {
 		return nil, err
 	}
 
 	var tables []*Table
-	for i, base := range machines {
-		sStore, bStore := results[4*i], results[4*i+1]
-		sBurst, bBurst := results[4*i+2], results[4*i+3]
+	for _, base := range machines {
 		t := NewTable("F22 ("+base.Name+"): synchronous stores vs TSO store buffer",
 			"measurement", "synchronous", "buffered (depth 42)")
-		t.AddRow("store latency seen by thread, 16t (ns)", f1(sStore.LatNs), f1(bStore.LatNs))
-		t.AddRow("store throughput, 16t (Mops)", f2(sStore.Mops), f2(bStore.Mops))
+		if !specs[0].burst { // this machine's store probes were built
+			sStore, bStore := results[0], results[1]
+			specs, results = specs[2:], results[2:]
+			t.AddRow("store latency seen by thread, 16t (ns)", f1(sStore.LatNs), f1(bStore.LatNs))
+			t.AddRow("store throughput, 16t (Mops)", f2(sStore.Mops), f2(bStore.Mops))
+		}
+		sBurst, bBurst := results[0], results[1]
+		specs, results = specs[2:], results[2:]
 		t.AddRow("FAA elapsed after 8-store burst (ns)", f1(sBurst.FAANs), f1(bBurst.FAANs))
 		t.AddRow("Fence elapsed after 8-store burst (ns)", f1(sBurst.FenceNs), f1(bBurst.FenceNs))
 		t.AddNote("buffered stores retire at L1 speed; the line still bounds throughput via the drain; locked RMWs inherit the burst's drain time")
@@ -88,26 +104,6 @@ func cloneWithStoreBuffer(m *machine.Machine, depth int) *machine.Machine {
 	c.Name = m.Name + "+SB"
 	c.StoreBufferDepth = depth
 	return &c
-}
-
-// storeSpec describes the 16-thread contended-store workload cell.
-func storeSpec(o Options) workload.Spec {
-	sp := workloadKind.base(o)
-	sp.Primitive = atomics.Store.String()
-	sp.Threads = 16
-	sp.Seed = o.Seed
-	return sp
-}
-
-// storeWorkload measures mean thread-visible store latency (ns) and
-// successful store throughput (Mops) at 16 threads on one line. ci is
-// the calling cell's index, for fault targeting.
-func storeWorkload(m *machine.Machine, sp workload.Spec, o Options, ci int) (latNs, mops float64, err error) {
-	res, err := workloadKind.run(o, ci, m, &sp)
-	if err != nil {
-		return 0, 0, err
-	}
-	return res.Latency.Mean().Nanoseconds(), res.ThroughputMops, nil
 }
 
 // burstThenOrder issues 8 stores to private lines then one FAA on a hot

@@ -23,9 +23,8 @@ type Options struct {
 	// as canceled). Cells already computing run to completion — a cell
 	// is the preemption granularity, exactly like the watchdog. Nil
 	// means context.Background(): the pre-context behavior, bit for
-	// bit. RunCellsContext/FanoutContext/FanoutKeyedContext stamp this
-	// field; long-running drivers (the atomicd job server) use it to
-	// enforce per-job deadlines and cancellation.
+	// bit. Drivers stamp this field before RunExperiment; the atomicd
+	// job server uses it to enforce per-job deadlines and cancellation.
 	Context context.Context
 	// Machines to evaluate; nil means machine.All().
 	Machines []*machine.Machine

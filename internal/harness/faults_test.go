@@ -28,7 +28,7 @@ func TestWatchdogTimesOutHungCell(t *testing.T) {
 	o.Par = 4
 	o.CellTimeout = 50 * time.Millisecond
 	o.Faults = &faults.Plan{Seed: 1, SleepCell: 1, SleepFor: 5 * time.Second}
-	_, err := Fanout(o, make([]int, 4), func(i, _ int) (int, error) { return i, nil })
+	_, err := fanout(o, 4, func(i int) (int, error) { return i, nil })
 	if err == nil {
 		t.Fatal("hung cell not timed out")
 	}
@@ -44,7 +44,7 @@ func TestWatchdogTimesOutHungCell(t *testing.T) {
 func TestWatchdogLeavesFastCellsAlone(t *testing.T) {
 	o := quickOpts()
 	o.CellTimeout = 10 * time.Second
-	res, err := Fanout(o, make([]int, 8), func(i, _ int) (int, error) { return i * i, nil })
+	res, err := fanout(o, 8, func(i int) (int, error) { return i * i, nil })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -58,7 +58,7 @@ func TestRetryRecoversTransientFailure(t *testing.T) {
 	o.Par = 1
 	o.CellRetries = 2
 	var attempts atomic.Int64
-	res, err := Fanout(o, make([]int, 3), func(i, _ int) (int, error) {
+	res, err := fanout(o, 3, func(i int) (int, error) {
 		if i == 1 && attempts.Add(1) == 1 {
 			return 0, errors.New("transient")
 		}
@@ -76,7 +76,7 @@ func TestRetriesExhaustedReportAttempts(t *testing.T) {
 	o := quickOpts()
 	o.Par = 1
 	o.CellRetries = 2
-	_, err := Fanout(o, make([]int, 2), func(i, _ int) (int, error) {
+	_, err := fanout(o, 2, func(i int) (int, error) {
 		if i == 1 {
 			panic("persistent fault")
 		}
@@ -100,7 +100,7 @@ func TestZeroRetriesPreserveSingleAttemptErrors(t *testing.T) {
 	o := quickOpts()
 	o.Par = 1
 	boom := errors.New("one-shot failure")
-	_, err := Fanout(o, make([]int, 2), func(i, _ int) (int, error) {
+	_, err := fanout(o, 2, func(i int) (int, error) {
 		if i == 0 {
 			return 0, boom
 		}

@@ -2,7 +2,6 @@ package harness
 
 import (
 	"bytes"
-	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -40,14 +39,6 @@ func (o Options) par() int {
 		return o.Par
 	}
 	return runtime.GOMAXPROCS(0)
-}
-
-// progress reports cell completion to the Options.Progress callback, if
-// any. RunCells serializes calls, so callbacks need no locking.
-func (o Options) progress(done, total int) {
-	if o.Progress != nil {
-		o.Progress(done, total)
-	}
 }
 
 // CellPanicError is a panic recovered from one cell, converted into a
@@ -154,14 +145,14 @@ func safeCell(i int, fn func(i int) error) (err error) {
 	return fn(i)
 }
 
-// RunCells executes fn(0), fn(1), ..., fn(n-1) on up to o.par()
+// runCells executes fn(0), fn(1), ..., fn(n-1) on up to o.par()
 // workers. Each index is claimed exactly once. A cell that panics is
 // recovered into a *CellPanicError instead of crashing the process. On
 // error the workers stop claiming new cells, already-claimed cells
 // finish, and the error with the lowest index is returned — the same
 // one a serial in-order run would have hit first, so error behavior is
 // deterministic too.
-func RunCells(o Options, n int, fn func(i int) error) error {
+func runCells(o Options, n int, fn func(i int) error) error {
 	if n <= 0 {
 		return nil
 	}
@@ -169,16 +160,8 @@ func RunCells(o Options, n int, fn func(i int) error) error {
 	if workers > n {
 		workers = n
 	}
-	if workers <= 1 {
-		for i := 0; i < n; i++ {
-			if err := safeCell(i, fn); err != nil {
-				return err
-			}
-			o.progress(i+1, n)
-		}
-		return nil
-	}
-
+	// One code path for every worker count: Par 1 is the same pool with
+	// one worker, so the par-invariance tests exercise what runs.
 	errs := make([]error, n)
 	var next, done atomic.Int64
 	var failed atomic.Bool
@@ -216,46 +199,6 @@ func RunCells(o Options, n int, fn func(i int) error) error {
 	return nil
 }
 
-// RunCellsContext is RunCells bounded by ctx: a cell whose turn comes
-// after ctx is done fails with a *CellCanceledError instead of running,
-// so a canceled or deadline-exceeded run aborts promptly between cells
-// instead of running to completion. RunCells is the ctx-free wrapper
-// (it honors an Options.Context stamped by a caller further up).
-func RunCellsContext(ctx context.Context, o Options, n int, fn func(i int) error) error {
-	o.Context = ctx
-	return RunCells(o, n, func(i int) error {
-		if cerr := o.canceled(i); cerr != nil {
-			return cerr
-		}
-		return fn(i)
-	})
-}
-
-// FanoutContext is Fanout bounded by ctx; see RunCellsContext.
-func FanoutContext[S, R any](ctx context.Context, o Options, specs []S, f func(i int, spec S) (R, error)) ([]R, error) {
-	o.Context = ctx
-	return Fanout(o, specs, f)
-}
-
-// FanoutKeyedContext is FanoutKeyed bounded by ctx; see RunCellsContext.
-// Canceled cells are recorded in the manifest (canceled=true) under
-// their config key, so a resumed or re-submitted run can tell "never
-// ran because the job was canceled" from "ran and failed".
-func FanoutKeyedContext[S, R any](ctx context.Context, o Options, specs []S, key func(spec S) string, f func(i int, spec S) (R, error)) ([]R, error) {
-	o.Context = ctx
-	return FanoutKeyed(o, specs, key, f)
-}
-
-// Fanout runs f over every spec on the cell scheduler and returns the
-// results in spec order. f receives the spec's index so it can derive
-// per-cell seeds or labels without capturing loop variables. Cells are
-// anonymous: they are recorded in the manifest by index but never
-// cached. Runners whose cells should participate in resume use
-// FanoutKeyed instead.
-func Fanout[S, R any](o Options, specs []S, f func(i int, spec S) (R, error)) ([]R, error) {
-	return FanoutKeyed(o, specs, nil, f)
-}
-
 // cellStats is implemented by result types that can report the
 // simulated measurement window and completed-operation count for the
 // manifest. *workload.Result and *apps.RunResult implement it.
@@ -263,33 +206,37 @@ type cellStats interface {
 	CellStats() (simTime sim.Time, ops uint64)
 }
 
-// FanoutKeyed is Fanout plus cell identity: key(spec) names the cell's
-// full configuration (machine, thread count, primitive, every swept
-// knob — anything that changes its result). The key is combined with
-// the experiment ID and base options into a config key that addresses
-// the manifest and the resume cache:
+// FanoutKeyed runs f over every spec on the cell scheduler and returns
+// the results in spec order; f receives the spec's index so it can
+// derive per-cell seeds or fault targets. It is the harness's one
+// fan-out entry point: figure values reach it through specCells, and
+// probe runners that are not spec-shaped call it directly.
+//
+// key(spec) names the cell's full configuration (machine, thread count,
+// primitive, every swept knob — anything that changes its result). The
+// key is combined with the experiment ID and base options into a config
+// key that addresses the manifest and the resume cache:
 //
 //   - with Options.Manifest set, every cell appends a structured record
 //     (key, result digest, wall time, ops, error/panic);
 //   - with Options.Cache set, a cell whose key is already cached
 //     replays the stored result instead of re-simulating, and fresh
-//     results are stored for the next run.
+//     results are stored for the next run;
+//   - with Options.Context set, a cell whose turn comes after the
+//     context is done fails with a *CellCanceledError instead of
+//     running, and is recorded in the manifest as canceled.
 //
 // Cached results must be substitutable for fresh ones, so when a cache
 // is attached the fresh result is round-tripped through its JSON
 // encoding and the re-encoding is required to be byte-identical; a
 // result type that loses information in JSON is reported as an error
 // rather than silently producing tables that a resumed run could not
-// reproduce. With a nil key function FanoutKeyed degrades to plain
-// Fanout: cells run every time and are manifested by index only.
+// reproduce.
 func FanoutKeyed[S, R any](o Options, specs []S, key func(spec S) string, f func(i int, spec S) (R, error)) ([]R, error) {
 	out := make([]R, len(specs))
-	err := RunCells(o, len(specs), func(i int) error {
+	err := runCells(o, len(specs), func(i int) error {
 		start := time.Now()
-		var k string
-		if key != nil {
-			k = o.cellKey(key(specs[i]))
-		}
+		k := o.cellKey(key(specs[i]))
 
 		// Cancellation is checked between cells, never inside one: a
 		// canceled cell is recorded in the manifest (it has a key and a
@@ -301,7 +248,7 @@ func FanoutKeyed[S, R any](o Options, specs []S, key func(spec S) string, f func
 		}
 
 		// Resume path: replay the cached result for this config key.
-		if k != "" && o.Cache != nil {
+		if o.Cache != nil {
 			if raw, digest, ok := o.Cache.Get(k); ok {
 				var r R
 				if err := json.Unmarshal(raw, &r); err == nil {
@@ -321,7 +268,7 @@ func FanoutKeyed[S, R any](o Options, specs []S, key func(spec S) string, f func
 		}
 
 		digest := ""
-		if k != "" && (o.Cache != nil || o.Manifest != nil) {
+		if o.Cache != nil || o.Manifest != nil {
 			raw, merr := json.Marshal(r)
 			if merr != nil {
 				return fmt.Errorf("cell %q: encoding result: %w", k, merr)
@@ -404,9 +351,10 @@ func computeCell[S, R any](o Options, i int, spec S, f func(i int, spec S) (R, e
 // channel nobody reads.
 func guardedCell[S, R any](o Options, i int, spec S, f func(i int, spec S) (R, error)) (R, error) {
 	run := func() (r R, err error) {
-		// Recover here as well as in RunCells so the panic is attributed
-		// to this cell's key in the manifest; RunCells' own recover
-		// guards direct (un-keyed) callers.
+		// Recover here as well as in runCells so the panic is attributed
+		// to this cell's key in the manifest; runCells' own recover
+		// guards the scheduler's bookkeeping around the compute (the key
+		// function, result encoding, cache and manifest writes).
 		defer func() {
 			if p := recover(); p != nil {
 				err = &CellPanicError{Cell: i, Value: p, Stack: string(debug.Stack())}

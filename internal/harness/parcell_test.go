@@ -10,12 +10,23 @@ import (
 	"atomicsmodel/internal/machine"
 )
 
+// fanout runs f on n cells through FanoutKeyed, the one fan-out entry
+// point, keying each cell by its index the way runners key by content.
+func fanout[R any](o Options, n int, f func(i int) (R, error)) ([]R, error) {
+	specs := make([]int, n)
+	for i := range specs {
+		specs[i] = i
+	}
+	return FanoutKeyed(o, specs, func(s int) string { return fmt.Sprintf("cell=%d", s) },
+		func(i, _ int) (R, error) { return f(i) })
+}
+
 func TestRunCellsCoversEveryIndexOnce(t *testing.T) {
 	for _, par := range []int{1, 3, 8, 100} {
 		hits := make([]atomic.Int32, 50)
-		err := RunCells(Options{Par: par}, len(hits), func(i int) error {
+		_, err := fanout(Options{Par: par}, len(hits), func(i int) (int, error) {
 			hits[i].Add(1)
-			return nil
+			return i, nil
 		})
 		if err != nil {
 			t.Fatalf("par=%d: %v", par, err)
@@ -31,14 +42,14 @@ func TestRunCellsCoversEveryIndexOnce(t *testing.T) {
 func TestRunCellsReturnsLowestIndexError(t *testing.T) {
 	wantErr := errors.New("cell 3 failed")
 	for _, par := range []int{1, 4} {
-		err := RunCells(Options{Par: par}, 20, func(i int) error {
+		_, err := fanout(Options{Par: par}, 20, func(i int) (int, error) {
 			switch i {
 			case 3:
-				return wantErr
+				return 0, wantErr
 			case 7:
-				return errors.New("cell 7 failed")
+				return 0, errors.New("cell 7 failed")
 			}
-			return nil
+			return i, nil
 		})
 		if err == nil {
 			t.Fatalf("par=%d: error swallowed", par)
@@ -54,13 +65,13 @@ func TestRunCellsReturnsLowestIndexError(t *testing.T) {
 func TestRunCellsProgress(t *testing.T) {
 	var calls int
 	last := -1
-	err := RunCells(Options{Par: 1, Progress: func(done, total int) {
+	_, err := fanout(Options{Par: 1, Progress: func(done, total int) {
 		calls++
 		if total != 10 || done <= last {
 			t.Fatalf("progress(%d, %d) after done=%d", done, total, last)
 		}
 		last = done
-	}}, 10, func(int) error { return nil })
+	}}, 10, func(i int) (int, error) { return i, nil })
 	if err != nil || calls != 10 {
 		t.Fatalf("err=%v calls=%d", err, calls)
 	}
@@ -71,9 +82,10 @@ func TestFanoutOrdersResults(t *testing.T) {
 	for i := range specs {
 		specs[i] = i * i
 	}
-	out, err := Fanout(Options{Par: 8}, specs, func(i, spec int) (string, error) {
-		return fmt.Sprintf("%d:%d", i, spec), nil
-	})
+	out, err := FanoutKeyed(Options{Par: 8}, specs, func(spec int) string { return itoa(spec) },
+		func(i, spec int) (string, error) {
+			return fmt.Sprintf("%d:%d", i, spec), nil
+		})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"sort"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -16,38 +17,55 @@ import (
 // isolation (panics become deterministic per-cell errors), the
 // structured manifest, and resume (cached cells replay byte-identically).
 
+// TestRunCellsRecoversPanicDeterministically covers both panic guards:
+// a panic in a cell's compute (recovered where the manifest can still
+// attribute it to the cell's key) and one in the scheduler's own
+// bookkeeping around it, here the key function (recovered by the
+// worker loop). Either way the process survives and the failure is a
+// deterministic *CellPanicError.
 func TestRunCellsRecoversPanicDeterministically(t *testing.T) {
-	var msgs []string
-	for _, par := range []int{1, 8} {
-		err := RunCells(Options{Par: par}, 16, func(i int) error {
-			switch i {
-			case 3:
-				panic("kaboom")
-			case 9:
-				return errors.New("cell 9 failed")
+	for _, where := range []string{"compute", "key"} {
+		var msgs []string
+		for _, par := range []int{1, 8} {
+			specs := make([]int, 16)
+			for i := range specs {
+				specs[i] = i
 			}
-			return nil
-		})
-		if err == nil {
-			t.Fatalf("par=%d: panic swallowed", par)
+			_, err := FanoutKeyed(Options{Par: par}, specs, func(s int) string {
+				if where == "key" && s == 3 {
+					panic("kaboom")
+				}
+				return itoa(s)
+			}, func(i, _ int) (int, error) {
+				switch {
+				case where == "compute" && i == 3:
+					panic("kaboom")
+				case i == 9:
+					return 0, errors.New("cell 9 failed")
+				}
+				return i, nil
+			})
+			if err == nil {
+				t.Fatalf("%s par=%d: panic swallowed", where, par)
+			}
+			var pe *CellPanicError
+			if !errors.As(err, &pe) {
+				t.Fatalf("%s par=%d: got %T, want *CellPanicError", where, par, err)
+			}
+			if pe.Cell != 3 || pe.Stack == "" {
+				t.Fatalf("%s par=%d: cell=%d stack=%d bytes", where, par, pe.Cell, len(pe.Stack))
+			}
+			msgs = append(msgs, err.Error())
 		}
-		var pe *CellPanicError
-		if !errors.As(err, &pe) {
-			t.Fatalf("par=%d: got %T, want *CellPanicError", par, err)
+		// The error text must be identical on the serial and parallel
+		// schedulers (so it excludes the stack), and the lowest-index
+		// failure must win over the later plain error.
+		if msgs[0] != msgs[1] {
+			t.Fatalf("%s: par=1 and par=8 disagree:\n%s\n%s", where, msgs[0], msgs[1])
 		}
-		if pe.Cell != 3 || pe.Stack == "" {
-			t.Fatalf("par=%d: cell=%d stack=%d bytes", par, pe.Cell, len(pe.Stack))
+		if want := "cell 3 panicked: kaboom"; msgs[0] != want {
+			t.Fatalf("%s: got %q, want %q", where, msgs[0], want)
 		}
-		msgs = append(msgs, err.Error())
-	}
-	// The error text must be identical on the serial and parallel
-	// schedulers (so it excludes the stack), and the lowest-index
-	// failure must win over the later plain error.
-	if msgs[0] != msgs[1] {
-		t.Fatalf("par=1 and par=8 disagree:\n%s\n%s", msgs[0], msgs[1])
-	}
-	if want := "cell 3 panicked: kaboom"; msgs[0] != want {
-		t.Fatalf("got %q, want %q", msgs[0], want)
 	}
 }
 
@@ -55,7 +73,7 @@ func TestErrorCellDeterministicAcrossPar(t *testing.T) {
 	run := func(par int) string {
 		o := quickOpts()
 		o.Par = par
-		_, err := Fanout(o, make([]int, 32), func(i, _ int) (int, error) {
+		_, err := fanout(o, 32, func(i int) (int, error) {
 			if i >= 5 {
 				return 0, fmt.Errorf("cell %d: simulated mid-experiment failure", i)
 			}
@@ -281,6 +299,7 @@ func TestResumeMatchesFreshForAllExperiments(t *testing.T) {
 	if plain != freshRun {
 		t.Fatal("attaching manifest+cache changed rendered tables")
 	}
+	checkCellKeys(t, dir, filepath.Join("testdata", "quick_cell_keys.txt"))
 
 	w2, err := runlog.Append(dir)
 	if err != nil {
@@ -312,4 +331,44 @@ func TestResumeMatchesFreshForAllExperiments(t *testing.T) {
 	} else if !strings.Contains(summary, "0 failed") {
 		t.Fatalf("Validate: %s", summary)
 	}
+}
+
+// checkCellKeys compares the (experiment, cell index, key) triples of
+// the run manifest in dir, sorted, against the pinned list in golden.
+// A cell's index is its -faults …@CELL target and its key is its resume
+// cache address, so a refactor that reorders or re-keys cells would
+// silently orphan every existing resume cache; this pin makes it loud.
+// The pin is only regenerated for an intentional, documented key change.
+func checkCellKeys(t *testing.T, dir, golden string) {
+	t.Helper()
+	recs := readCellRecords(t, dir)
+	sort.Slice(recs, func(i, j int) bool {
+		if ki, kj := orderKey(recs[i].Exp), orderKey(recs[j].Exp); ki != kj {
+			return ki < kj
+		}
+		if recs[i].Cell != recs[j].Cell {
+			return recs[i].Cell < recs[j].Cell
+		}
+		// Runners with several fan-outs (F14) reuse cell indices.
+		return recs[i].Key < recs[j].Key
+	})
+	var sb strings.Builder
+	for _, r := range recs {
+		fmt.Fprintf(&sb, "%s %d %s\n", r.Exp, r.Cell, r.Key)
+	}
+	got := sb.String()
+	want, err := os.ReadFile(golden)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got == string(want) {
+		return
+	}
+	gl, wl := strings.Split(got, "\n"), strings.Split(string(want), "\n")
+	for i := 0; i < len(gl) && i < len(wl); i++ {
+		if gl[i] != wl[i] {
+			t.Fatalf("cell identities differ from %s at line %d:\n got  %s\n want %s", golden, i+1, gl[i], wl[i])
+		}
+	}
+	t.Fatalf("cell identities differ from %s: %d lines, want %d", golden, len(gl), len(wl))
 }

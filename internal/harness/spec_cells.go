@@ -75,14 +75,22 @@ type specCell[S any] struct {
 	key  string
 }
 
-// base returns a spec pinned to this option set's measurement window;
-// runners fill in the swept knobs and the per-cell seed.
-func (k specKind[S, R]) base(o Options) S {
+// pinned returns a spec pinned to this option set's measurement
+// window, n threads and seed; runners fill in the swept knobs.
+func (k specKind[S, R]) pinned(o Options, n int, seed uint64) S {
 	var s S
-	_, warmup, duration, _ := k.knobs(&s)
-	*warmup, *duration = o.warmup(), o.duration()
+	threads, warmup, duration, sd := k.knobs(&s)
+	*threads, *warmup, *duration, *sd = n, o.warmup(), o.duration(), seed
 	return s
 }
+
+// at is pinned with the sweep seed o.Seed+n, so every point of a thread
+// ladder draws its own streams.
+func (k specKind[S, R]) at(o Options, n int) S { return k.pinned(o, n, o.Seed+uint64(n)) }
+
+// fixed is pinned with the base seed, for figures that sweep some
+// other knob at one thread count.
+func (k specKind[S, R]) fixed(o Options, n int) S { return k.pinned(o, n, o.Seed) }
 
 // cell validates and keys one cell. The spec must be pinned (single
 // thread count) and carry its full effective configuration — including

@@ -11,27 +11,22 @@ import (
 )
 
 // TestQuickSweepGolden renders the full -quick experiment suite per
-// paper machine exactly the way `atomicsim -quick -quiet -machines <M>`
-// prints it and compares byte-for-byte against a golden file captured
-// before machines became declarative specs. This is the regression
-// gate for the whole refactor: spec-built machines must reproduce the
-// legacy constructors' tables to the byte, across every experiment.
+// registered machine exactly the way `atomicsim -quick -quiet -machines <M>`
+// prints it and compares byte-for-byte against a golden file. This is
+// the regression gate for every refactor of the runners: the paper
+// machines pin the headline tables, and the small Ideal8 pins the skip
+// paths (rows dropped for lack of hardware threads, lock variants a
+// single socket does not get, experiments a machine sits out).
+// TestGoldensCoverRegistry keeps the list in step with the registry.
 //
-// To regenerate after an intentional change:
+// To regenerate after an intentional change, for each machine M:
 //
-//	go run ./cmd/atomicsim -quick -quiet -machines XeonE5 > internal/harness/testdata/quick_sweep_xeone5.golden
-//	go run ./cmd/atomicsim -quick -quiet -machines KNL   > internal/harness/testdata/quick_sweep_knl.golden
+//	go run ./cmd/atomicsim -quick -quiet -machines M > internal/harness/testdata/quick_sweep_<m>.golden
 func TestQuickSweepGolden(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs the full quick suite twice")
 	}
-	for _, tc := range []struct {
-		name   string
-		golden string
-	}{
-		{"XeonE5", "quick_sweep_xeone5.golden"},
-		{"KNL", "quick_sweep_knl.golden"},
-	} {
+	for _, tc := range sweepGoldens {
 		t.Run(tc.name, func(t *testing.T) {
 			t.Parallel()
 			m, err := machine.ByName(tc.name)
@@ -66,6 +61,33 @@ func TestQuickSweepGolden(t *testing.T) {
 					around(got, diverge(got, string(want))))
 			}
 		})
+	}
+}
+
+// sweepGoldens names one quick-sweep golden per registered machine.
+var sweepGoldens = []struct {
+	name   string
+	golden string
+}{
+	{"XeonE5", "quick_sweep_xeone5.golden"},
+	{"KNL", "quick_sweep_knl.golden"},
+	{"EPYC", "quick_sweep_epyc.golden"},
+	{"Grace", "quick_sweep_grace.golden"},
+	{"XeonSP", "quick_sweep_xeonsp.golden"},
+	{"Ideal8", "quick_sweep_ideal8.golden"},
+}
+
+// TestGoldensCoverRegistry fails when a machine is registered without a
+// quick-sweep golden, so a new preset cannot skip the byte-exact gate.
+func TestGoldensCoverRegistry(t *testing.T) {
+	have := map[string]bool{}
+	for _, tc := range sweepGoldens {
+		have[tc.name] = true
+	}
+	for _, name := range machine.Names() {
+		if !have[name] {
+			t.Errorf("machine %s has no quick-sweep golden in sweepGoldens", name)
+		}
 	}
 }
 

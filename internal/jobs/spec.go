@@ -154,12 +154,9 @@ func (s *Spec) Resolve() (*Resolved, error) {
 		r.Seed = DefaultSeed
 	}
 
-	for _, name := range s.Machines {
-		m, err := machine.ByName(strings.TrimSpace(name))
-		if err != nil {
-			return nil, fmt.Errorf("jobs: %w", err)
-		}
-		r.Machines = append(r.Machines, m)
+	var err error
+	if r.Machines, err = speckit.ByNames(s.Machines, machine.ByName); err != nil {
+		return nil, fmt.Errorf("jobs: %w", err)
 	}
 	if s.MachineSpec != nil {
 		m, err := s.MachineSpec.Build()
@@ -170,24 +167,16 @@ func (s *Spec) Resolve() (*Resolved, error) {
 	}
 	if len(r.Machines) == 0 {
 		if s.Fleet {
-			for _, name := range machine.Names() {
-				m, err := machine.ByName(name)
-				if err != nil {
-					return nil, fmt.Errorf("jobs: %w", err)
-				}
-				r.Machines = append(r.Machines, m)
+			if r.Machines, err = speckit.ByNames(machine.Names(), machine.ByName); err != nil {
+				return nil, fmt.Errorf("jobs: %w", err)
 			}
 		} else {
 			r.Machines = machine.All()
 		}
 	}
 
-	for _, name := range s.Workloads {
-		w, err := workload.SpecByName(strings.TrimSpace(name))
-		if err != nil {
-			return nil, fmt.Errorf("jobs: %w", err)
-		}
-		r.Specs = append(r.Specs, w)
+	if r.Specs, err = speckit.ByNames(s.Workloads, workload.SpecByName); err != nil {
+		return nil, fmt.Errorf("jobs: %w", err)
 	}
 	if s.WorkloadSpec != nil {
 		if err := s.WorkloadSpec.Validate(); err != nil {
@@ -196,12 +185,8 @@ func (s *Spec) Resolve() (*Resolved, error) {
 		r.Specs = append(r.Specs, s.WorkloadSpec)
 	}
 
-	for _, name := range s.Apps {
-		a, err := apps.SpecByName(strings.TrimSpace(name))
-		if err != nil {
-			return nil, fmt.Errorf("jobs: %w", err)
-		}
-		r.AppSpecs = append(r.AppSpecs, a)
+	if r.AppSpecs, err = speckit.ByNames(s.Apps, apps.SpecByName); err != nil {
+		return nil, fmt.Errorf("jobs: %w", err)
 	}
 	if s.AppSpec != nil {
 		if err := s.AppSpec.Validate(); err != nil {

@@ -4,8 +4,10 @@
 // cache keys, job IDs), and every registered kind is a table of
 // embedded JSON files resolved by name. This package holds what those
 // kinds share: strict decoding, the digest, the registry, CLI
-// selection, and thread-ladder expansion. Each kind keeps its own
-// fields, validation, defaults and error prefix.
+// selection, thread-ladder expansion, and the knobs workload and app
+// specs have in common (thread count or ladder, measurement window).
+// Each kind keeps its own fields, validation, defaults and error
+// prefix.
 package speckit
 
 import (
@@ -203,6 +205,20 @@ func Select[T any](pkg, names, files string, byName, load func(string) (T, error
 	return out, nil
 }
 
+// ByNames resolves each name, surrounding spaces trimmed, with get, in
+// order; the first failure is returned as is.
+func ByNames[T any](names []string, get func(string) (T, error)) ([]T, error) {
+	var out []T
+	for _, name := range names {
+		v, err := get(strings.TrimSpace(name))
+		if err != nil {
+			return nil, err
+		}
+		out = append(out, v)
+	}
+	return out, nil
+}
+
 // Expand returns the pinned specs a thread ladder describes: a clone of
 // s when the ladder is empty, otherwise one clone per rung with pin
 // applied, which sets the rung's thread count and clears the ladder.
@@ -217,4 +233,51 @@ func Expand[T Cloner[T]](s T, ladder []int, pin func(p T, threads int)) []T {
 		out = append(out, p)
 	}
 	return out
+}
+
+// MaxThreads bounds spec-declared thread counts and ladder points; it
+// matches the machine layer's hardware-thread ceiling — a spec beyond
+// it is a typo, not a plan.
+const MaxThreads = 1 << 16
+
+// CheckThreads validates a spec's threads/threadLadder pair: exactly
+// one is set, the count is in 1..MaxThreads, and the ladder strictly
+// increases within that range. Errors start with prefix.
+func CheckThreads(prefix string, threads int, ladder []int) error {
+	switch {
+	case threads == 0 && len(ladder) == 0:
+		return fmt.Errorf("%s: one of threads or threadLadder is required", prefix)
+	case threads != 0 && len(ladder) != 0:
+		return fmt.Errorf("%s: threads and threadLadder are mutually exclusive", prefix)
+	case threads < 0 || threads > MaxThreads:
+		return fmt.Errorf("%s: threads = %d (want 1..%d)", prefix, threads, MaxThreads)
+	}
+	prev := 0
+	for _, n := range ladder {
+		if n <= prev || n > MaxThreads {
+			return fmt.Errorf("%s: threadLadder %v must be strictly increasing in 1..%d", prefix, ladder, MaxThreads)
+		}
+		prev = n
+	}
+	return nil
+}
+
+// CheckWindow rejects a negative measurement window (picoseconds).
+// Errors start with prefix.
+func CheckWindow[T ~int64](prefix string, warmup, duration T) error {
+	if warmup < 0 || duration < 0 {
+		return fmt.Errorf("%s: negative warmupPS/durationPS", prefix)
+	}
+	return nil
+}
+
+// DefaultWindow makes a zero measurement window explicit: 20µs of
+// warmup and 200µs measured, in picoseconds.
+func DefaultWindow[T ~int64](warmup, duration *T) {
+	if *warmup == 0 {
+		*warmup = 20_000_000
+	}
+	if *duration == 0 {
+		*duration = 200_000_000
+	}
 }

@@ -97,11 +97,6 @@ type Spec struct {
 	Seed uint64 `json:"seed,omitempty"`
 }
 
-// maxSpecThreads bounds spec-declared thread counts and ladder points;
-// it matches the machine layer's hardware-thread ceiling — a spec
-// beyond it is a typo, not a plan.
-const maxSpecThreads = 1 << 16
-
 // maxSpecLines bounds the per-group line count.
 const maxSpecLines = 1 << 20
 
@@ -130,30 +125,11 @@ func (s *Spec) Validate() error {
 	if err != nil {
 		return fmt.Errorf("workload spec: %w", err)
 	}
-	switch {
-	case s.Threads == 0 && len(s.ThreadLadder) == 0:
-		return fmt.Errorf("workload spec: one of threads or threadLadder is required")
-	case s.Threads != 0 && len(s.ThreadLadder) != 0:
-		return fmt.Errorf("workload spec: threads and threadLadder are mutually exclusive")
-	case s.Threads < 0 || s.Threads > maxSpecThreads:
-		return fmt.Errorf("workload spec: threads = %d (want 1..%d)", s.Threads, maxSpecThreads)
+	if err := speckit.CheckThreads("workload spec", s.Threads, s.ThreadLadder); err != nil {
+		return err
 	}
-	prev := 0
-	for _, n := range s.ThreadLadder {
-		if n <= prev || n > maxSpecThreads {
-			return fmt.Errorf("workload spec: threadLadder %v must be strictly increasing in 1..%d", s.ThreadLadder, maxSpecThreads)
-		}
-		prev = n
-	}
-	if _, err := machine.PlacementByName(s.Placement); err != nil {
-		return fmt.Errorf("workload spec: %w", err)
-	}
-	arb := s.Arbiter
-	if arb == "" {
-		arb = "fifo"
-	}
-	if _, err := coherence.NewByName(arb, s.ArbiterSkips, 0); err != nil {
-		return fmt.Errorf("workload spec: %w", err)
+	if _, _, err := Policies("workload spec", s.Placement, s.Arbiter, s.ArbiterSkips, 0); err != nil {
+		return err
 	}
 	if s.Lines < 0 || s.Lines > maxSpecLines {
 		return fmt.Errorf("workload spec: lines = %d (want 0..%d)", s.Lines, maxSpecLines)
@@ -184,10 +160,35 @@ func (s *Spec) Validate() error {
 	if !s.OpenLoop && s.OpenLoopInterarrivalPS != 0 {
 		return fmt.Errorf("workload spec: openLoopInterarrivalPS %d has no effect without openLoop", s.OpenLoopInterarrivalPS)
 	}
-	if s.WarmupPS < 0 || s.DurationPS < 0 {
-		return fmt.Errorf("workload spec: negative warmupPS/durationPS")
+	return speckit.CheckWindow("workload spec", s.WarmupPS, s.DurationPS)
+}
+
+// Policies resolves a spec's placement and arbiter names into the
+// policies a run uses; "" takes the defaults, compact and fifo. Errors
+// start with prefix. Workload and app specs both validate and resolve
+// their policies here (Validate with seed 0, discarding the values).
+func Policies(prefix, placement, arbiter string, skips int, seed uint64) (machine.Placement, coherence.Arbiter, error) {
+	DefaultPolicies(&placement, &arbiter)
+	place, err := machine.PlacementByName(placement)
+	if err != nil {
+		return nil, nil, fmt.Errorf("%s: %w", prefix, err)
 	}
-	return nil
+	arb, err := coherence.NewByName(arbiter, skips, seed)
+	if err != nil {
+		return nil, nil, fmt.Errorf("%s: %w", prefix, err)
+	}
+	return place, arb, nil
+}
+
+// DefaultPolicies makes empty placement and arbiter names explicit:
+// compact and fifo.
+func DefaultPolicies(placement, arbiter *string) {
+	if *placement == "" {
+		*placement = "compact"
+	}
+	if *arbiter == "" {
+		*arbiter = "fifo"
+	}
 }
 
 // Defaulted returns a copy with every defaultable field made explicit:
@@ -199,12 +200,7 @@ func (s *Spec) Defaulted() *Spec {
 	if out.Mode == "" {
 		out.Mode = HighContention.String()
 	}
-	if out.Placement == "" {
-		out.Placement = "compact"
-	}
-	if out.Arbiter == "" {
-		out.Arbiter = "fifo"
-	}
+	DefaultPolicies(&out.Placement, &out.Arbiter)
 	if out.Lines == 0 {
 		if out.Mode == LowContention.String() {
 			out.Lines = 16
@@ -212,12 +208,7 @@ func (s *Spec) Defaulted() *Spec {
 			out.Lines = 1
 		}
 	}
-	if out.WarmupPS == 0 {
-		out.WarmupPS = 20 * sim.Microsecond
-	}
-	if out.DurationPS == 0 {
-		out.DurationPS = 200 * sim.Microsecond
-	}
+	speckit.DefaultWindow(&out.WarmupPS, &out.DurationPS)
 	return out
 }
 
@@ -265,11 +256,7 @@ func (s *Spec) Config(m *machine.Machine) (Config, error) {
 	if err != nil {
 		return Config{}, err
 	}
-	place, err := machine.PlacementByName(d.Placement)
-	if err != nil {
-		return Config{}, err
-	}
-	arb, err := coherence.NewByName(d.Arbiter, d.ArbiterSkips, d.Seed)
+	place, arb, err := Policies("workload spec", d.Placement, d.Arbiter, d.ArbiterSkips, d.Seed)
 	if err != nil {
 		return Config{}, err
 	}

@@ -24,7 +24,8 @@
 # first three run the one shared loader property, speckit.Property,
 # each seeded from its own registry), and the event queue's
 # express-lane merge and park lane (parked spinner chains against real
-# repeat events). Run from the repo root.
+# repeat events), and finally prints the non-test Go line count per
+# package (scripts/loc.sh) without gating on it. Run from the repo root.
 set -eu
 
 echo "== go build ./..."
@@ -363,5 +364,8 @@ go test -run FuzzNothing -fuzz FuzzAppSpecLoad -fuzztime 5s ./internal/apps > /d
 go test -run FuzzNothing -fuzz FuzzExpressLaneOrder -fuzztime 5s ./internal/sim > /dev/null
 go test -run FuzzNothing -fuzz FuzzParkedLane -fuzztime 5s ./internal/sim > /dev/null
 go test -run FuzzNothing -fuzz FuzzJobSpecLoad -fuzztime 5s ./internal/jobs > /dev/null
+
+echo "== non-test Go lines per package (informational, not gated)"
+sh scripts/loc.sh
 
 echo "ok"
