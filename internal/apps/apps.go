@@ -536,6 +536,3 @@ func NewTicketLock(eng *sim.Engine, mem *atomics.Memory, crit sim.Time) App {
 // DataValue returns the protected data line's value, for verifying
 // mutual exclusion delivered exactly one update per completed cycle.
 func DataValue(mem *atomics.Memory) uint64 { return mem.System().Value(dataLine) }
-
-// CounterValue returns the shared counter value.
-func CounterValue(mem *atomics.Memory) uint64 { return mem.System().Value(counterLine) }

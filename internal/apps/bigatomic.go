@@ -32,9 +32,6 @@ func NewBigAtomicApp(mem *atomics.Memory, words int, readFrac float64) (*BigAtom
 
 func (a *BigAtomicApp) Name() string { return "big-atomic" }
 
-// Object exposes the underlying big atomic (stats, torn-read checks).
-func (a *BigAtomicApp) Object() *atomics.BigAtomic { return a.obj }
-
 // Attempts counts completed operations plus read and commit retries
 // (RetryStats); see atomics.BigAtomic.Attempts for what a retry is.
 func (a *BigAtomicApp) Attempts() uint64 { return a.obj.Attempts() }

@@ -437,14 +437,8 @@ func (mem *Memory) FenceOp(core int, done func(Result)) {
 }
 
 // fence starts a fence's pipeline drain once its store buffer is empty.
-// The express lane gives the completion exactly the (time, sequence)
-// position Schedule would.
 func (c *opCtx) fence() {
-	eng := c.mem.sys.Engine()
-	d := ExecCost(c.mem.m, Fence)
-	if !eng.TryExpress(d, c.fenceEndFn) {
-		eng.Schedule(d, c.fenceEndFn)
-	}
+	c.mem.sys.Engine().Schedule(ExecCost(c.mem.m, Fence), c.fenceEndFn)
 }
 
 // fenceEnd completes a fence: it recycles the context and reports the

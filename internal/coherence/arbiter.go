@@ -22,9 +22,10 @@ type Arbiter interface {
 
 // StatelessArbiter is an optional marker for arbiters whose Pick
 // neither mutates state nor draws randomness, so a pick from a
-// single-element queue can be elided entirely. The coherence layer's
-// analytic uncontended fast path requires it: that path grants without
-// calling Pick, which would desynchronize a stateful arbiter's stream
+// single-element queue can be elided entirely. Under such an arbiter an
+// access to an idle line is granted directly, without queueing or
+// calling Pick (System.Access); a stateful arbiter keeps the queued
+// path, since eliding its pick would desynchronize its stream
 // (RandomArbiter consumes one RNG draw even for a singleton queue).
 type StatelessArbiter interface {
 	// StatelessPick is a marker; it is never called.

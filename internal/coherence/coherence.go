@@ -13,7 +13,9 @@
 // lives, plus the execution occupancy the requester declares (the cycles
 // a locked instruction holds the line). Which queued request is served
 // next is decided by a pluggable Arbiter — the source of the fairness
-// differences the paper studies.
+// differences the paper studies. Every serialized access passes through
+// one grant; on an idle line under a stateless arbiter it is granted
+// without queueing, with the queued path's observations.
 //
 // In the model pipeline (ARCHITECTURE.md), this package sits between
 // the machine descriptions (internal/machine supplies Params;
@@ -232,11 +234,9 @@ type request struct {
 	// line is the line this request is currently operating on.
 	line *lineState
 	// completeFn finalizes a granted (serialized) service; fastFn
-	// finalizes a fast-path access that never queued; ownFn finalizes an
-	// uncontended owner RFO that bypassed the arbiter.
+	// finalizes a fast-path access that never queued.
 	completeFn func()
 	fastFn     func()
-	ownFn      func()
 }
 
 // reqPhase is where a request is in its life: pooled, waiting in a line
@@ -249,7 +249,6 @@ const (
 	reqQueued
 	reqService
 	reqFast   // completeFast: local or pipelined read
-	reqOwn    // completeOwned: uncontended owner RFO
 	reqParked // a spinner parked on its valid copy (Await)
 )
 
@@ -352,7 +351,8 @@ type AuditComplete struct {
 // (internal/invariant implements it). All methods are called
 // synchronously from the simulation; they must not issue accesses.
 type Auditor interface {
-	// LineEnqueued fires when a request joins a line's queue (fast-path
+	// LineEnqueued fires when a request joins a line's queue, and with
+	// queueLen 1 before a direct grant on an idle line (fast-path
 	// accesses that never serialize do not enqueue).
 	LineEnqueued(id LineID, queueLen int)
 	// LineGranted fires after a grant's directory transition.
@@ -405,13 +405,10 @@ type System struct {
 	// workloads hammer one line (or a handful), so most accesses skip
 	// the map entirely.
 	lastLine *lineState
-	// fastOwn gates the analytic uncontended-owner RFO path: it requires
-	// an arbiter with no pick side effects (StatelessArbiter), no
-	// auditor, and no metrics registry, because that path bypasses the
-	// grant machinery those consumers observe. Recomputed whenever one
-	// of the three inputs changes.
-	fastOwn   bool
-	metricsOn bool
+	// directGrant is set, together with arb, when the arbiter is a
+	// StatelessArbiter: an access to an idle line is then granted
+	// without queueing (see Access).
+	directGrant bool
 	// parking enables parking spinners on their valid copies (see
 	// Await); parked lists every spinner parked now.
 	parking bool
@@ -462,9 +459,6 @@ func NewSystem(eng *sim.Engine, p Params, arb Arbiter) (*System, error) {
 	if err := p.validate(); err != nil {
 		return nil, err
 	}
-	if arb == nil {
-		arb = FIFOArbiter{}
-	}
 	if p.LinkOccupancy > 0 {
 		if _, ok := p.Topo.(topology.Router); !ok {
 			return nil, fmt.Errorf("coherence: LinkOccupancy requires a routable topology, %s is not", p.Topo.Name())
@@ -477,22 +471,14 @@ func NewSystem(eng *sim.Engine, p Params, arb Arbiter) (*System, error) {
 	s := &System{
 		eng:    eng,
 		p:      p,
-		arb:    arb,
 		lines:  make(map[LineID]*lineState),
 		net:    newNetwork(&p),
 		topo:   topology.NewDense(p.Topo),
 		nodeOf: nodeOf,
 	}
 	s.thops, s.tcross, s.tn = s.topo.Tables()
-	s.recomputeFastOwn()
+	s.SetArbiter(arb)
 	return s, nil
-}
-
-// recomputeFastOwn re-derives the uncontended-owner fast-path gate; see
-// the fastOwn field.
-func (s *System) recomputeFastOwn() {
-	_, stateless := s.arb.(StatelessArbiter)
-	s.fastOwn = stateless && s.aud == nil && !s.metricsOn
 }
 
 // getReq takes a request from the pool (or allocates one, wiring its
@@ -506,7 +492,6 @@ func (s *System) getReq() *request {
 	r := &request{}
 	r.completeFn = func() { s.completeService(r) }
 	r.fastFn = func() { s.completeFast(r) }
-	r.ownFn = func() { s.completeOwned(r) }
 	s.allReqs = append(s.allReqs, r)
 	return r
 }
@@ -568,13 +553,8 @@ func (s *System) SetTracer(fn func(TraceEvent)) { s.tracer = fn }
 
 // SetAuditor installs a protocol auditor (nil removes it). With no
 // auditor installed every audit site is a single nil check, keeping the
-// access path allocation-free and byte-identical in behavior. An
-// auditor needs per-grant visibility, so installing one also disables
-// the uncontended-owner fast path.
-func (s *System) SetAuditor(a Auditor) {
-	s.aud = a
-	s.recomputeFastOwn()
-}
+// access path allocation-free and byte-identical in behavior.
+func (s *System) SetAuditor(a Auditor) { s.aud = a }
 
 // Arbiter returns the line arbiter the system grants with.
 func (s *System) Arbiter() Arbiter { return s.arb }
@@ -630,12 +610,6 @@ func (s *System) InstallMetrics(r *metrics.Registry) {
 			s.mOccLink = nil
 		}
 	}
-	// Metrics consumers want one observation per queue/grant event, so
-	// the uncontended-owner fast path turns itself off while a registry
-	// is installed (a nil registry keeps every handle nil and the layer
-	// off).
-	s.metricsOn = r != nil
-	s.recomputeFastOwn()
 }
 
 // SetArbiter replaces the line arbiter (nil means FIFO). Pooled systems
@@ -646,7 +620,7 @@ func (s *System) SetArbiter(arb Arbiter) {
 		arb = FIFOArbiter{}
 	}
 	s.arb = arb
-	s.recomputeFastOwn()
+	_, s.directGrant = arb.(StatelessArbiter)
 }
 
 // Engine returns the simulation engine the system schedules on.
@@ -738,39 +712,7 @@ func (s *System) Access(core int, id LineID, kind Kind, hold sim.Time, apply App
 		req.core, req.kind, req.done, req.line = core, kind, done, l
 		req.phase, req.owner = reqFast, s.eng.Owner()
 		req.res = AccessResult{Latency: s.p.L1Hit, Value: l.value, Source: SrcLocal}
-		s.scheduleDone(req, s.p.L1Hit, req.fastFn)
-		return
-	}
-
-	// Analytic uncontended-owner path: an RFO by the core that already
-	// holds the line exclusively, with no service in flight and nobody
-	// queued, serializes trivially — the arbiter has one choice and the
-	// cost is the closed-form L1 hit plus the instruction's occupancy
-	// (the paper's uncontended constant). Bypass the queue/grant
-	// machinery and schedule the completion directly; every observable
-	// effect (counters, directory transition, grant count, value
-	// application, trace event, result fields) mirrors the slow path
-	// exactly, so results are byte-identical. The fastOwn gate keeps
-	// this off whenever an auditor, metrics registry, or stateful
-	// arbiter needs to see the grant; the sharers/valid checks keep it
-	// off in deliberately corrupted directory states (BreakLine).
-	if kind == RFO && s.fastOwn && l.owner == core && !l.busy &&
-		l.qhead == len(l.queue) && l.valid && l.sharers.empty() {
-		s.nAccesses++
-		s.nLocal++
-		if s.maxQueueLen < 1 {
-			s.maxQueueLen = 1
-		}
-		l.busy = true
-		l.grants++
-		l.ownerDirty = false // E until the apply writes, like applyDirectory
-		req := s.getReq()
-		req.core, req.kind, req.done, req.line = core, kind, done, l
-		req.phase, req.owner = reqOwn, s.eng.Owner()
-		req.apply = apply
-		cost := s.p.L1Hit + hold
-		req.res = AccessResult{Latency: cost, Source: SrcLocal}
-		s.scheduleDone(req, cost, req.ownFn)
+		s.eng.ScheduleAs(req.owner, s.p.L1Hit, req.fastFn)
 		return
 	}
 
@@ -835,7 +777,7 @@ func (s *System) Access(core int, id LineID, kind Kind, hold sim.Time, apply App
 		req.core, req.kind, req.done, req.line = core, kind, done, l
 		req.phase, req.owner = reqFast, s.eng.Owner()
 		req.res = res
-		s.scheduleDone(req, cost, req.fastFn)
+		s.eng.ScheduleAs(req.owner, cost, req.fastFn)
 		return
 	}
 
@@ -844,6 +786,21 @@ func (s *System) Access(core int, id LineID, kind Kind, hold sim.Time, apply App
 	req.phase, req.owner = reqQueued, s.eng.Owner()
 	req.apply, req.done, req.issued = apply, done, s.eng.Now()
 	req.skipBase = l.grants
+	qlen := l.qlen() + 1
+	if qlen > s.maxQueueLen {
+		s.maxQueueLen = qlen
+	}
+	s.mQueueDepth.Observe(uint64(qlen))
+	if s.aud != nil {
+		s.aud.LineEnqueued(id, qlen)
+	}
+	if s.directGrant && !l.busy {
+		// An idle line has nobody waiting (a waiter is granted the moment
+		// the line frees), so a stateless arbiter's only pick is this
+		// request: grant it without the queue round trip.
+		s.grant(l, req)
+		return
+	}
 	if l.qhead > 0 && l.qhead == len(l.queue) {
 		// The window emptied: rewind so the backing array is reused.
 		l.qhead = 0
@@ -862,14 +819,6 @@ func (s *System) Access(core int, id LineID, kind Kind, hold sim.Time, apply App
 		l.qhead = 0
 	}
 	l.queue = append(l.queue, req)
-	qlen := l.qlen()
-	if qlen > s.maxQueueLen {
-		s.maxQueueLen = qlen
-	}
-	s.mQueueDepth.Observe(uint64(qlen))
-	if s.aud != nil {
-		s.aud.LineEnqueued(id, qlen)
-	}
 	if !l.busy {
 		s.serveNext(l)
 	}
@@ -982,13 +931,13 @@ func (s *System) nearestSharer(l *lineState, reqNode int) (core, hops int, ok bo
 	return best, bestHops, true
 }
 
-// serveNext grants the arbiter's pick and schedules its completion.
+// serveNext grants the arbiter's pick from l's queue, or frees the line
+// when nobody waits.
 func (s *System) serveNext(l *lineState) {
 	if l.qhead == len(l.queue) {
 		l.busy = false
 		return
 	}
-	l.busy = true
 	idx := s.arb.Pick(s, l)
 	req := l.queue[l.qhead+idx]
 	// Remove the pick while preserving arrival order: shift the idx
@@ -997,11 +946,19 @@ func (s *System) serveNext(l *lineState) {
 	copy(l.queue[l.qhead+1:l.qhead+idx+1], l.queue[l.qhead:l.qhead+idx])
 	l.queue[l.qhead] = nil
 	l.qhead++
+	s.grant(l, req)
+}
+
+// grant starts req's service on l — the line's serialization point:
+// it prices the transfer from the directory state, applies the
+// directory transition, and schedules the completion. The line stays
+// busy until the completion hands it to the next waiter.
+func (s *System) grant(l *lineState, req *request) {
+	l.busy = true
 	req.skipped = int(l.grants - req.skipBase)
 	l.grants++
 
-	cost, res := s.serviceCost(l, req)
-	req.res = res
+	cost := s.serviceCost(l, req)
 	req.line = l
 	req.phase = reqService
 	s.applyDirectory(l, req)
@@ -1022,17 +979,9 @@ func (s *System) serveNext(l *lineState) {
 	// dropped by the vector's bounds check).
 	total := cost + req.hold
 	s.mOccLine.Add(int(l.id), uint64(total))
-	s.scheduleDone(req, total, req.completeFn)
-}
-
-// scheduleDone schedules a request's completion callback fn after d, on
-// the express lane when it can and otherwise on the engine's heap.
-// The event belongs to the request's issuer, not to whichever event
-// happens to grant it (a completion grants the next waiter).
-func (s *System) scheduleDone(req *request, d sim.Time, fn func()) {
-	if !s.eng.TryExpressAs(req.owner, d, fn) {
-		s.eng.ScheduleAs(req.owner, d, fn)
-	}
+	// The completion belongs to the request's issuer, not to whichever
+	// event happens to grant it (a completion grants the next waiter).
+	s.eng.ScheduleAs(req.owner, total, req.completeFn)
 }
 
 // completeService finalizes a granted request at its completion instant:
@@ -1081,39 +1030,12 @@ func (s *System) completeFast(req *request) {
 	s.finish(l, core, kind, &res, done)
 }
 
-// completeOwned finalizes an uncontended-owner RFO (see Access): it is
-// completeService specialized to the case where the queue was empty and
-// the pick forced at grant time, so the latency and bypass bookkeeping
-// are precomputed constants. The busy flag stays set through the
-// callback and the trailing serveNext hands the line over, exactly as
-// the slow path does — an access the callback issues must observe the
-// line mid-service, not idle.
-func (s *System) completeOwned(req *request) {
-	l := req.line
-	res := req.res
-	res.Value = l.value
-	if req.apply != nil {
-		if next, write := req.apply(l.value); write {
-			l.value = next
-			res.Wrote = true
-			l.ownerDirty = true
-			if l.parked > 0 {
-				// The owner's own core is the only holder, so only a
-				// hyperthread sibling can be parked here.
-				s.unparkLine(l)
-			}
-		}
-	}
-	core, kind, done := req.core, req.kind, req.done
-	s.putReq(req)
-	s.finish(l, core, kind, &res, done)
-	s.serveNext(l)
-}
-
-// serviceCost computes the transfer latency and provenance for a granted
-// request, based on the directory state before the request is applied.
-func (s *System) serviceCost(l *lineState, req *request) (sim.Time, AccessResult) {
-	var res AccessResult
+// serviceCost computes the transfer latency of a granted request and
+// records its provenance in req.res, based on the directory state before
+// the request is applied.
+func (s *System) serviceCost(l *lineState, req *request) sim.Time {
+	res := &req.res
+	*res = AccessResult{}
 	c := req.core
 	cNode := s.nodeOf[c]
 
@@ -1125,7 +1047,7 @@ func (s *System) serviceCost(l *lineState, req *request) (sim.Time, AccessResult
 		s.nLocal++
 		s.nAccesses++
 		s.mTransfer[SrcLocal].Inc()
-		return s.p.L1Hit, res
+		return s.p.L1Hit
 
 	case req.kind == Read && l.sharers.has(c):
 		// Shared hit that raced with a queued service; still local.
@@ -1133,7 +1055,7 @@ func (s *System) serviceCost(l *lineState, req *request) (sim.Time, AccessResult
 		s.nLocal++
 		s.nAccesses++
 		s.mTransfer[SrcLocal].Inc()
-		return s.p.L1Hit, res
+		return s.p.L1Hit
 
 	case l.owner >= 0:
 		// Dirty/exclusive in another core's cache: home forwards the
@@ -1154,7 +1076,7 @@ func (s *System) serviceCost(l *lineState, req *request) (sim.Time, AccessResult
 		s.nAccesses++
 		s.mTransfer[SrcRemoteCache].Inc()
 		s.totalHops += uint64(hops)
-		return cost, res
+		return cost
 
 	case l.valid:
 		// Clean at home LLC; request + data each travel the home
@@ -1180,7 +1102,7 @@ func (s *System) serviceCost(l *lineState, req *request) (sim.Time, AccessResult
 		s.nAccesses++
 		s.mTransfer[SrcLLC].Inc()
 		s.totalHops += uint64(hops)
-		return cost, res
+		return cost
 
 	default:
 		// Cold: fetch from DRAM through the home memory controller,
@@ -1193,7 +1115,7 @@ func (s *System) serviceCost(l *lineState, req *request) (sim.Time, AccessResult
 		s.nAccesses++
 		s.mTransfer[SrcDRAM].Inc()
 		s.totalHops += uint64(hops)
-		return cost, res
+		return cost
 	}
 }
 
@@ -1562,8 +1484,6 @@ func (s *System) Reset() {
 	s.mQueueDepth, s.mQueuedBehind = nil, nil
 	// occRouter survives: it is immutable precomputed topology state.
 	s.mOccDir, s.mOccLine, s.mOccLink = nil, nil, nil
-	s.metricsOn = false
-	s.recomputeFastOwn()
 	if s.net != nil {
 		s.net.Reset()
 	}

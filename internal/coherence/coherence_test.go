@@ -1,8 +1,11 @@
 package coherence
 
 import (
+	"fmt"
+	"slices"
 	"testing"
 
+	"atomicsmodel/internal/metrics"
 	"atomicsmodel/internal/sim"
 	"atomicsmodel/internal/topology"
 )
@@ -125,6 +128,54 @@ func TestOwnedRFOIsLocal(t *testing.T) {
 	res := access(t, eng, s, 3, 16, RFO, 0, storeApply(2))
 	if res.Source != SrcLocal || res.Latency != 1*sim.Nanosecond {
 		t.Fatalf("owned RFO: %+v, want local 1ns", res)
+	}
+}
+
+// logAuditor records the auditor calls it sees, in order.
+type logAuditor struct{ log []string }
+
+func (a *logAuditor) LineEnqueued(id LineID, n int) {
+	a.log = append(a.log, fmt.Sprintf("enqueued %d len=%d", id, n))
+}
+func (a *logAuditor) LineGranted(g AuditGrant) {
+	a.log = append(a.log, fmt.Sprintf("granted %d core=%d queue=%d skipped=%d", g.Line, g.Core, g.QueueLen, g.Skipped))
+}
+func (a *logAuditor) AccessCompleted(c AuditComplete) {
+	a.log = append(a.log, fmt.Sprintf("completed %d core=%d wrote=%v", c.Line, c.Core, c.Wrote))
+}
+func (a *logAuditor) ValueSeeded(LineID, uint64) {}
+
+// TestDirectGrantObservations pins the contract of the direct grant: an
+// uncontended RFO on an idle line (here by its owner) skips the queue
+// under a stateless arbiter, yet an auditor and a metrics registry see
+// exactly what the queued path — which a stateful arbiter still takes —
+// shows them for a one-deep queue.
+func TestDirectGrantObservations(t *testing.T) {
+	for _, arb := range []Arbiter{FIFOArbiter{}, NewRandomArbiter(1)} {
+		eng, s := testSystem(t, arb)
+		access(t, eng, s, 3, 16, RFO, 0, storeApply(1))
+		aud, reg := &logAuditor{}, metrics.New()
+		s.SetAuditor(aud)
+		s.InstallMetrics(reg)
+		res := access(t, eng, s, 3, 16, RFO, 0, storeApply(2))
+		want := []string{"enqueued 16 len=1", "granted 16 core=3 queue=0 skipped=0", "completed 16 core=3 wrote=true"}
+		if !slices.Equal(aud.log, want) {
+			t.Errorf("%s: auditor saw %q, want %q", arb.Name(), aud.log, want)
+		}
+		if h := reg.Histogram(metrics.CohQueueDepth); h.Count() != 1 || h.Max() != 1 {
+			t.Errorf("%s: queue depth observed %d times, max %d; want once, 1", arb.Name(), h.Count(), h.Max())
+		}
+		if res.Source != SrcLocal || res.Latency != sim.Nanosecond || res.QueuedBehind != 0 {
+			t.Errorf("%s: owned RFO %+v, want local 1ns, queued behind 0", arb.Name(), res)
+		}
+		if st := s.Stats(); st.MaxQueueLen != 1 {
+			t.Errorf("%s: max queue length %d, want 1", arb.Name(), st.MaxQueueLen)
+		}
+		// Only the stateful arbiter's accesses went through the queue.
+		_, stateless := arb.(StatelessArbiter)
+		if queued := s.lines[16].queue != nil; queued == stateless {
+			t.Errorf("%s: line queue used = %v, want %v", arb.Name(), queued, !stateless)
+		}
 	}
 }
 

@@ -72,16 +72,6 @@ func (nw *network) transit(at sim.Time, a, b int) sim.Time {
 	return t - at
 }
 
-// trip chains message legs through the given node sequence and returns
-// the total transit delay from at.
-func (nw *network) trip(at sim.Time, nodes ...int) sim.Time {
-	t := at
-	for i := 1; i < len(nodes); i++ {
-		t += nw.transit(t, nodes[i-1], nodes[i])
-	}
-	return t - at
-}
-
 // Stalled reports the cumulative time messages spent waiting for links.
 func (nw *network) Stalled() sim.Time { return nw.stalled }
 

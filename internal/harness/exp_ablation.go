@@ -127,7 +127,7 @@ func runF14(o Options) ([]*Table, error) {
 	lats, err := FanoutKeyed(o, latMachines, func(m *machine.Machine) string {
 		return "sharedlat/" + m.Key()
 	}, func(_ int, m *machine.Machine) (sim.Time, error) {
-		return sharedReadLatency(m)
+		return sharedReadLatency(m, o.CheckOn())
 	})
 	if err != nil {
 		return nil, err
@@ -214,9 +214,9 @@ func cloneWithForwarding(m *machine.Machine) *machine.Machine {
 // sharedReadLatency stages a line Shared in two mid-machine caches and
 // measures a cold read from an adjacent core: the access MESIF
 // accelerates (the sharer sits next door; the home slice does not).
-func sharedReadLatency(m *machine.Machine) (sim.Time, error) {
-	eng := sim.NewEngine()
-	mem, err := atomics.NewMemory(eng, m, nil)
+// check audits the probe (see newProbe).
+func sharedReadLatency(m *machine.Machine, check bool) (sim.Time, error) {
+	eng, mem, audit, err := newProbe(m, check)
 	if err != nil {
 		return 0, err
 	}
@@ -235,5 +235,5 @@ func sharedReadLatency(m *machine.Machine) (sim.Time, error) {
 	step(func(done func()) { mem.LoadOp(sharerB, line, func(atomics.Result) { done() }) })
 	mem.LoadOp(reader, line, func(r atomics.Result) { out = r.Latency })
 	eng.Drain()
-	return out, nil
+	return out, audit()
 }

@@ -5,7 +5,6 @@ import (
 
 	"atomicsmodel/internal/atomics"
 	"atomicsmodel/internal/coherence"
-	"atomicsmodel/internal/invariant"
 	"atomicsmodel/internal/machine"
 	"atomicsmodel/internal/sim"
 )
@@ -87,14 +86,9 @@ func runF16(o Options) ([]*Table, error) {
 // mean per-op latency (ns), and the fraction of total simulated time
 // messages spent stalled on links.
 func stormAndVictim(m *machine.Machine, o Options) (stormMops, victimLatNs, stallShare float64, err error) {
-	eng := sim.NewEngine()
-	mem, err := atomics.NewMemory(eng, m, nil)
+	eng, mem, audit, err := newProbe(m, o.CheckOn())
 	if err != nil {
 		return 0, 0, 0, err
-	}
-	var chk *invariant.Checker
-	if o.CheckOn() {
-		chk = invariant.Install(eng, mem.System())
 	}
 	const (
 		stormLine  coherence.LineID = 1
@@ -157,11 +151,7 @@ func stormAndVictim(m *machine.Machine, o Options) (stormMops, victimLatNs, stal
 		stallAtWarm = mem.System().Stats().LinkStall
 	})
 	eng.Run(end)
-	if chk != nil {
-		if err := chk.Finalize(); err != nil {
-			return 0, 0, 0, err
-		}
-	} else if err := mem.System().CheckInvariants(); err != nil {
+	if err := audit(); err != nil {
 		return 0, 0, 0, err
 	}
 	if victimN == 0 {

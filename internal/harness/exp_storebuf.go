@@ -63,7 +63,7 @@ func runF22(o Options) ([]*Table, error) {
 		var c cell
 		if s.burst {
 			var err error
-			c.FAANs, c.FenceNs, err = burstThenOrder(s.m)
+			c.FAANs, c.FenceNs, err = burstThenOrder(s.m, o.CheckOn())
 			return c, err
 		}
 		// Mean thread-visible store latency and successful store
@@ -108,11 +108,11 @@ func cloneWithStoreBuffer(m *machine.Machine, depth int) *machine.Machine {
 
 // burstThenOrder issues 8 stores to private lines then one FAA on a hot
 // line, and separately 8 stores then a fence; it reports the elapsed
-// simulated time from the FAA/fence issue to its completion.
-func burstThenOrder(m *machine.Machine) (faaNs, fenceNs float64, err error) {
+// simulated time from the FAA/fence issue to its completion. check
+// audits both probes (see newProbe).
+func burstThenOrder(m *machine.Machine, check bool) (faaNs, fenceNs float64, err error) {
 	measure := func(op func(mem *atomics.Memory, eng *sim.Engine, done func())) (float64, error) {
-		eng := sim.NewEngine()
-		mem, err := atomics.NewMemory(eng, m, nil)
+		eng, mem, audit, err := newProbe(m, check)
 		if err != nil {
 			return 0, err
 		}
@@ -127,7 +127,7 @@ func burstThenOrder(m *machine.Machine) (faaNs, fenceNs float64, err error) {
 		var elapsed sim.Time
 		op(mem, eng, func() { elapsed = eng.Now() - start })
 		eng.Drain()
-		return elapsed.Nanoseconds(), nil
+		return elapsed.Nanoseconds(), audit()
 	}
 	faaNs, err = measure(func(mem *atomics.Memory, eng *sim.Engine, done func()) {
 		mem.FetchAndAdd(0, 7, 1, func(atomics.Result) { done() })

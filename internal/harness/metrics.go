@@ -55,13 +55,16 @@ func (mc *MetricsCollector) record(cm CellMetrics) {
 }
 
 // Cells returns every collected snapshot sorted by experiment display
-// order, then cell index — the deterministic order the tables use.
+// order, then cell index — the deterministic order the tables use. An
+// experiment that fans out more than once reuses cell indices; its
+// fan-outs run one after another, so the stable sort keeps tied cells
+// in fan-out order.
 func (mc *MetricsCollector) Cells() []CellMetrics {
 	mc.mu.Lock()
 	out := make([]CellMetrics, len(mc.cells))
 	copy(out, mc.cells)
 	mc.mu.Unlock()
-	sort.Slice(out, func(i, j int) bool {
+	sort.SliceStable(out, func(i, j int) bool {
 		if out[i].Exp != out[j].Exp {
 			ki, kj := orderKey(out[i].Exp), orderKey(out[j].Exp)
 			if ki != kj {

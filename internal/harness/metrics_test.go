@@ -2,6 +2,8 @@ package harness
 
 import (
 	"encoding/json"
+	"fmt"
+	"math/rand/v2"
 	"strings"
 	"testing"
 
@@ -34,23 +36,51 @@ func collectMetricsStr(t *testing.T, id string, o Options) (string, string) {
 	return renderTables(t, tables), string(raw)
 }
 
+// TestMetricsDeterministicAcrossPar covers F3 and F14, whose several
+// fan-outs reuse cell indices.
 func TestMetricsDeterministicAcrossPar(t *testing.T) {
-	o1 := quickOpts()
-	o1.Par = 1
-	t1, m1 := collectMetricsStr(t, "F3", o1)
+	for _, id := range []string{"F3", "F14"} {
+		o1 := quickOpts()
+		o1.Par = 1
+		t1, m1 := collectMetricsStr(t, id, o1)
 
-	o8 := quickOpts()
-	o8.Par = 8
-	t8, m8 := collectMetricsStr(t, "F3", o8)
+		o8 := quickOpts()
+		o8.Par = 8
+		t8, m8 := collectMetricsStr(t, id, o8)
 
-	if t1 != t8 {
-		t.Fatal("result tables differ between par=1 and par=8 with metrics on")
+		if t1 != t8 {
+			t.Fatalf("%s: result tables differ between par=1 and par=8 with metrics on", id)
+		}
+		if m1 != m8 {
+			t.Fatalf("%s: metrics snapshots differ between par=1 and par=8:\n--- par=1 ---\n%s\n--- par=8 ---\n%s", id, m1, m8)
+		}
+		if len(m1) == 0 || m1 == "null" {
+			t.Fatalf("%s: no metrics collected", id)
+		}
 	}
-	if m1 != m8 {
-		t.Fatalf("metrics snapshots differ between par=1 and par=8:\n--- par=1 ---\n%s\n--- par=8 ---\n%s", m1, m8)
+}
+
+// TestMetricsCellsKeepFanoutOrder records three fan-outs of one
+// experiment that reuse the same cell indices, each delivered in a
+// shuffled completion order: Cells must list every index's cells in
+// fan-out order.
+func TestMetricsCellsKeepFanoutOrder(t *testing.T) {
+	const n = 24
+	var mc MetricsCollector
+	for f, seed := range []uint64{1, 2, 3} {
+		order := rand.New(rand.NewPCG(seed, 0)).Perm(n)
+		for _, c := range order {
+			mc.record(CellMetrics{Exp: "F14", Cell: c, Label: fmt.Sprintf("fanout%d/%d", f, c)})
+		}
 	}
-	if len(m1) == 0 || m1 == "null" {
-		t.Fatal("no metrics collected")
+	cells := mc.Cells()
+	if len(cells) != 3*n {
+		t.Fatalf("got %d cells, want %d", len(cells), 3*n)
+	}
+	for i, cm := range cells {
+		if want := fmt.Sprintf("fanout%d/%d", i%3, i/3); cm.Label != want {
+			t.Fatalf("cell %d is %s, want %s", i, cm.Label, want)
+		}
 	}
 }
 

@@ -20,15 +20,17 @@
 //
 // # Express lane
 //
-// TryExpress schedules an event on a plain FIFO slice instead of the
-// heap when its (timestamp, sequence) pair is known to be >= the lane's
-// current tail, as a "schedule the completion of the service I am
-// starting right now" often is while few events are pending (DESIGN.md
-// has the measured usage). The dispatcher merges the lane head with the
-// heap head under the same (timestamp, sequence) rule, so an express
-// event runs at exactly the instant and position a heap event would —
-// it just skips both sift paths. Callers must fall back to Schedule
-// when TryExpress declines.
+// Schedule puts an event on a plain FIFO slice instead of the heap when
+// its (timestamp, sequence) pair is known to be >= the lane's current
+// tail, as a "schedule the completion of the service I am starting
+// right now" often is while few events are pending: the engine is
+// dispatching, the event lands within the active horizon, at or after
+// the lane's tail, and the lane has room. The dispatcher merges the
+// lane head with the heap head under the same (timestamp, sequence)
+// rule, so an express event runs at exactly the instant and position a
+// heap event would — it just skips both sift paths. Callers never see
+// the choice; At always uses the heap. Forcing the lane off costs full
+// F3 on XeonE5 about 7% (DESIGN.md has the measurements).
 //
 // # Park lane
 //
@@ -46,7 +48,7 @@
 // # Owners and fast-forward hooks
 //
 // Every event carries an owner: the small integer a caller names with
-// ScheduleAs/TryExpressAs, or otherwise the owner of the event
+// ScheduleAs, or otherwise the owner of the event
 // being dispatched when it was scheduled (so a simulated thread's whole
 // causal chain stays attributed to it), or NoOwner outside dispatch.
 // Owners never affect ordering; they let the analytic fast-forward layer
@@ -247,7 +249,7 @@ type Engine struct {
 	processed uint64
 	stopped   bool
 	// running and horizon describe the active Run/Drain call, for
-	// TryExpress validity checks.
+	// Schedule's express-lane test.
 	running bool
 	horizon Time
 	// perturb, when set, rewrites every relative delay passed to
@@ -288,9 +290,9 @@ type Engine struct {
 // SetPerturb installs a delay-perturbation hook applied to every
 // Schedule call (nil removes it). The hook must be deterministic for
 // reproducible fault injection; negative results are clamped to zero
-// like any other delay. While a perturbation hook is installed
-// TryExpress always declines, so a possibly stateful hook is consulted
-// exactly once per scheduled event.
+// like any other delay. The hook runs before Schedule picks the heap or
+// the express lane, so a possibly stateful hook is consulted exactly
+// once per scheduled event.
 func (e *Engine) SetPerturb(fn func(d Time) Time) { e.perturb = fn }
 
 // SetEventHook installs a per-event hook run before each event's
@@ -336,7 +338,9 @@ func (e *Engine) nextSeq(tag int32) uint64 {
 
 // Schedule runs fn after delay d (d may be zero; negative delays are
 // clamped to zero so that callers computing d from latencies never move
-// the clock backwards).
+// the clock backwards). During dispatch an event that fits the express
+// lane (see the package doc) skips the heap; either way it runs at the
+// same (timestamp, sequence) place.
 func (e *Engine) Schedule(d Time, fn func()) { e.scheduleTag(e.cur, d, fn) }
 
 // ScheduleAs is Schedule with an explicit owner instead of the
@@ -352,10 +356,18 @@ func (e *Engine) scheduleTag(tag int32, d Time, fn func()) {
 	if d < 0 {
 		d = 0
 	}
-	e.atTag(tag, e.now+d, fn)
+	t := e.now + d
+	if n := len(e.express); e.running && t <= e.horizon &&
+		(n == e.exHead || (t >= e.express[n-1].at && n-e.exHead < expressBacklog)) {
+		e.express = append(e.express, event{at: t, seq: e.nextSeq(tag), fn: fn})
+		e.addPending()
+		return
+	}
+	e.atTag(tag, t, fn)
 }
 
 // At runs fn at absolute time t. Times before Now are clamped to Now.
+// At never takes the express lane.
 func (e *Engine) At(t Time, fn func()) { e.atTag(e.cur, t, fn) }
 
 func (e *Engine) atTag(tag int32, t Time, fn func()) {
@@ -363,53 +375,16 @@ func (e *Engine) atTag(tag int32, t Time, fn func()) {
 		t = e.now
 	}
 	e.heap.push(event{at: t, seq: e.nextSeq(tag), fn: fn})
+	e.addPending()
+}
+
+// addPending counts one more queued event and tracks the high-water
+// mark.
+func (e *Engine) addPending() {
 	e.pending++
 	if e.pending > e.maxPending {
 		e.maxPending = e.pending
 	}
-}
-
-// TryExpress schedules fn after delay d on the express lane and reports
-// whether it could. It declines — and schedules nothing — when the
-// engine is not inside Run/Drain, a perturbation hook is installed
-// (the hook may be stateful, and it must be consulted exactly once per
-// event, by the Schedule fallback), the event would land past the
-// active horizon, it would break the lane's time order, or the lane is
-// full. On success the event is dispatched with exactly the
-// (timestamp, sequence) position a Schedule call would have produced.
-func (e *Engine) TryExpress(d Time, fn func()) bool { return e.tryExpressTag(e.cur, d, fn) }
-
-// TryExpressAs is TryExpress with an explicit owner instead of the
-// inherited one.
-func (e *Engine) TryExpressAs(owner int32, d Time, fn func()) bool {
-	return e.tryExpressTag(ownerTag(owner), d, fn)
-}
-
-func (e *Engine) tryExpressTag(tag int32, d Time, fn func()) bool {
-	if !e.running || e.perturb != nil {
-		return false
-	}
-	if d < 0 {
-		d = 0
-	}
-	t := e.now + d
-	if t > e.horizon {
-		return false
-	}
-	if n := len(e.express); n > e.exHead {
-		if t < e.express[n-1].at {
-			return false
-		}
-		if n-e.exHead >= expressBacklog {
-			return false
-		}
-	}
-	e.express = append(e.express, event{at: t, seq: e.nextSeq(tag), fn: fn})
-	e.pending++
-	if e.pending > e.maxPending {
-		e.maxPending = e.pending
-	}
-	return true
 }
 
 // MaxPending reports the largest number of events that were ever queued

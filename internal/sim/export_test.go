@@ -6,8 +6,5 @@ package sim
 // against; no production path can create it.
 func (e *Engine) PushRaw(at Time, fn func()) {
 	e.heap.push(event{at: at, seq: e.nextSeq(0), fn: fn})
-	e.pending++
-	if e.pending > e.maxPending {
-		e.maxPending = e.pending
-	}
+	e.addPending()
 }

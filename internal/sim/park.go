@@ -63,10 +63,7 @@ func (e *Engine) Park(owner int32, period Time) (ParkID, bool) {
 	e.chains[id] = parkChain{pos: e.parkTail}
 	e.park[e.parkTail&e.parkMask] = parkTick{at: e.now + period, seq: e.nextSeq(ownerTag(owner)), chain: id}
 	e.parkTail++
-	e.pending++
-	if e.pending > e.maxPending {
-		e.maxPending = e.pending
-	}
+	e.addPending()
 	return ParkID(id), true
 }
 

@@ -79,7 +79,7 @@ func (r *parkRun) unpark(k int, fn func()) {
 // replayParked drives one engine through the schedule data encodes.
 // Every byte is an initial event (absolute time, compressed into a
 // narrow range to force ties) whose callback, by the byte's value,
-// spawns a Schedule, TryExpress or At child, parks a chain, or unparks
+// spawns a Schedule, ScheduleAs or At child, parks a chain, or unparks
 // one; an unparked chain's callback may spawn in turn.
 func replayParked(data []byte, parked bool) *parkRun {
 	r := &parkRun{e: NewEngine(), parked: parked, period: Time(data[0]%4+1) * Nanosecond}
@@ -92,9 +92,7 @@ func replayParked(data []byte, parked bool) *parkRun {
 		case 0:
 			r.e.Schedule(d, child)
 		case 1:
-			if !r.e.TryExpress(d, child) {
-				r.e.Schedule(d, child)
-			}
+			r.e.ScheduleAs(int32(i%5), d, child)
 		case 2:
 			r.e.At(r.e.Now()+d, child)
 		case 3, 4:

@@ -6,9 +6,11 @@ import (
 
 // FuzzExpressLaneOrder feeds arbitrary event sets — timestamps
 // compressed into a narrow range to force ties, children spawned
-// mid-run — to two engines, one routing every eligible child through
-// the express lane, and requires both to execute in exactly the same
-// order: the lane must merge with the heap under the heap's own
+// mid-run — to engines that schedule every child through Schedule,
+// which routes each eligible one through the express lane (one of them
+// under an identity perturbation hook), and to a heap-only reference
+// that schedules it with At(now+d). All must execute in exactly the
+// same order: the lane must merge with the heap under the heap's own
 // (timestamp, sequence) rule no matter how adversarial the schedule.
 func FuzzExpressLaneOrder(f *testing.F) {
 	f.Add([]byte{0, 0, 1, 1, 2, 2})
@@ -18,8 +20,11 @@ func FuzzExpressLaneOrder(f *testing.F) {
 		if len(data) > 2048 {
 			data = data[:2048]
 		}
-		replay := func(express bool) []int {
+		replay := func(express, perturbed bool) []int {
 			e := NewEngine()
+			if perturbed {
+				e.SetPerturb(func(d Time) Time { return d })
+			}
 			var order []int
 			for i, b := range data {
 				i, b := i, b
@@ -30,8 +35,10 @@ func FuzzExpressLaneOrder(f *testing.F) {
 					if i%4 == 0 {
 						child := -i - 1
 						fn := func() { order = append(order, child) }
-						if !express || !e.TryExpress(Time(b%3)*Nanosecond, fn) {
+						if express {
 							e.Schedule(Time(b%3)*Nanosecond, fn)
+						} else {
+							e.At(e.Now()+Time(b%3)*Nanosecond, fn)
 						}
 					}
 				})
@@ -39,8 +46,12 @@ func FuzzExpressLaneOrder(f *testing.F) {
 			e.Run(Second)
 			return order
 		}
-		if ref, got := replay(false), replay(true); !equalInts(got, ref) {
+		ref := replay(false, false)
+		if got := replay(true, false); !equalInts(got, ref) {
 			t.Fatalf("express-lane replay diverges from heap-only replay\nref: %v\ngot: %v", ref, got)
+		}
+		if got := replay(true, true); !equalInts(got, ref) {
+			t.Fatalf("perturbed express-lane replay diverges from heap-only replay\nref: %v\ngot: %v", ref, got)
 		}
 	})
 }

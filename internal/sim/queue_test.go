@@ -5,10 +5,11 @@ import (
 )
 
 // runScript schedules a deterministic pseudo-random event set on e —
-// including events that schedule children mid-run, on the express lane
-// when express is set — and returns the order in which event ids
-// executed. The schedule depends only on seed, so any two engines given
-// the same seed must replay identically.
+// including events that schedule children mid-run, through Schedule
+// (which takes the express lane when the child fits it) when express is
+// set and through At(now+d) (always the heap) otherwise — and returns
+// the order in which event ids executed. The schedule depends only on
+// seed, so any two engines given the same seed must replay identically.
 func runScript(e *Engine, seed uint64, n int, express bool) []int {
 	r := NewRNG(seed)
 	var order []int
@@ -24,8 +25,10 @@ func runScript(e *Engine, seed uint64, n int, express bool) []int {
 			if spawn {
 				childID := -myID
 				fn := func() { order = append(order, childID) }
-				if !express || !e.TryExpress(childDelay, fn) {
+				if express {
 					e.Schedule(childDelay, fn)
+				} else {
+					e.At(e.Now()+childDelay, fn)
 				}
 			}
 		})
@@ -34,8 +37,12 @@ func runScript(e *Engine, seed uint64, n int, express bool) []int {
 	return order
 }
 
-// TestExpressLaneEquivalence checks that routing eligible events through
-// TryExpress instead of the heap changes nothing about execution order.
+// laneLen is the number of events waiting on the express lane.
+func laneLen(e *Engine) int { return len(e.express) - e.exHead }
+
+// TestExpressLaneEquivalence checks that Schedule routing eligible
+// events through the express lane changes nothing about execution order
+// against a heap-only replay, with and without a perturbation hook.
 func TestExpressLaneEquivalence(t *testing.T) {
 	for _, seed := range []uint64{3, 99} {
 		plain := runScript(NewEngine(), seed, 400, false)
@@ -43,55 +50,75 @@ func TestExpressLaneEquivalence(t *testing.T) {
 		if !equalInts(plain, express) {
 			t.Fatalf("seed %d: express-lane order diverges from heap order", seed)
 		}
+		// A perturbed engine takes the lane too; the identity hook must
+		// leave the order untouched.
+		e := NewEngine()
+		e.SetPerturb(func(d Time) Time { return d })
+		if !equalInts(plain, runScript(e, seed, 400, true)) {
+			t.Fatalf("seed %d: perturbed express-lane order diverges from heap order", seed)
+		}
 	}
 }
 
-// TestExpressLaneRejections pins the decline conditions: outside Run,
-// with a perturbation hook installed, past the horizon, and out of time
-// order.
+// TestExpressLaneRejections pins when Schedule takes the lane: during
+// dispatch, within the horizon and in the lane's time order. It stays
+// on the heap outside Run, past the horizon and out of order, and At
+// never takes it. A perturbed engine takes the lane with the perturbed
+// delay, consulting the hook once per event.
 func TestExpressLaneRejections(t *testing.T) {
 	e := NewEngine()
-	if e.TryExpress(0, func() {}) {
-		t.Fatal("TryExpress accepted outside Run")
+	e.Schedule(0, func() {})
+	if laneLen(e) != 0 {
+		t.Fatal("Schedule took the lane outside Run")
 	}
 	e.Schedule(Nanosecond, func() {
-		if !e.TryExpress(Nanosecond, func() {}) {
-			t.Error("TryExpress rejected a plain in-horizon event")
+		e.Schedule(Nanosecond, func() {})
+		if laneLen(e) != 1 {
+			t.Error("Schedule kept a plain in-horizon event off the lane")
 		}
 		// Earlier than the lane tail just scheduled above.
-		if e.TryExpress(0, func() {}) {
-			t.Error("TryExpress accepted an out-of-order event")
+		e.Schedule(0, func() {})
+		if laneLen(e) != 1 {
+			t.Error("Schedule put an out-of-order event on the lane")
 		}
-		if e.TryExpress(Second, func() {}) {
-			t.Error("TryExpress accepted an event past the horizon")
+		e.Schedule(Second, func() {})
+		if laneLen(e) != 1 {
+			t.Error("Schedule put an event past the horizon on the lane")
+		}
+		e.At(e.Now()+2*Nanosecond, func() {})
+		if laneLen(e) != 1 {
+			t.Error("At put an event on the lane")
 		}
 	})
 	e.Run(10 * Nanosecond)
 
 	e2 := NewEngine()
-	e2.SetPerturb(func(d Time) Time { return d })
+	calls := 0
+	e2.SetPerturb(func(d Time) Time { calls++; return 2 * d })
+	var at Time
 	e2.Schedule(0, func() {
-		if e2.TryExpress(Nanosecond, func() {}) {
-			t.Error("TryExpress accepted with a perturbation hook installed")
+		e2.Schedule(Nanosecond, func() { at = e2.Now() })
+		if laneLen(e2) != 1 {
+			t.Error("Schedule kept a perturbed in-horizon event off the lane")
 		}
 	})
 	e2.Run(Second)
+	if calls != 2 || at != 2*Nanosecond {
+		t.Fatalf("perturb hook ran %d times and the lane event at %v, want 2 and 2ns", calls, at)
+	}
 }
 
-// TestExpressLaneBacklogCap verifies the lane pushes overflow back to
-// the caller once its backlog bound is hit, and that pending/processed
+// TestExpressLaneBacklogCap verifies Schedule sends overflow to the
+// heap once the lane's backlog bound is hit, and that pending/processed
 // accounting still matches.
 func TestExpressLaneBacklogCap(t *testing.T) {
 	e := NewEngine()
-	accepted, ran := 0, 0
+	ran, accepted := 0, 0
 	e.Schedule(0, func() {
 		for i := 0; i < expressBacklog+10; i++ {
-			if e.TryExpress(Nanosecond, func() { ran++ }) {
-				accepted++
-			} else {
-				e.Schedule(Nanosecond, func() { ran++ })
-			}
+			e.Schedule(Nanosecond, func() { ran++ })
 		}
+		accepted = laneLen(e)
 	})
 	e.Run(Second)
 	if accepted != expressBacklog {
@@ -111,9 +138,10 @@ func TestPendingAccounting(t *testing.T) {
 	e := NewEngine()
 	e.At(0, func() {
 		for i := 0; i < 5; i++ {
-			if !e.TryExpress(Nanosecond, func() {}) {
-				t.Error("TryExpress declined an in-order event")
-			}
+			e.Schedule(Nanosecond, func() {})
+		}
+		if laneLen(e) != 5 {
+			t.Errorf("lane holds %d in-order events, want 5", laneLen(e))
 		}
 	})
 	for i := 1; i < 10; i++ {

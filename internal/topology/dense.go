@@ -41,9 +41,6 @@ func NewDense(t Topology) *Dense {
 	return d
 }
 
-// Base returns the wrapped topology.
-func (d *Dense) Base() Topology { return d.base }
-
 // Tables exposes the raw hop and cross-socket matrices (row-major,
 // n*n entries). The coherence simulator's innermost loops index them
 // directly, skipping the node-range checks of the accessor methods;

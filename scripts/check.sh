@@ -8,7 +8,8 @@
 # concurrency (the cell scheduler, the run log it writes through, and
 # the hottest pooled data structures in the coherence layer), smoke
 # runs of the atomicsim CLI exercising the manifest/resume path and the
-# observability layer (-metrics tables, -chrome traces) end to end,
+# observability layer (-metrics tables, byte-identical at -par 1 and
+# -par 4, and -chrome traces) end to end,
 # a full invariant-checked sweep, a cache-corruption/quarantine smoke,
 # a custom-machine-spec smoke (-machinefile load, digest-keyed resume,
 # spec round trip), a workload-spec smoke (-workloadfile load,
@@ -22,9 +23,9 @@
 # native-fuzz passes over the run-log parsers, topology hop
 # computation, the machine, workload, app and job spec loaders (the
 # first three run the one shared loader property, speckit.Property,
-# each seeded from its own registry), and the event queue's
-# express-lane merge and park lane (parked spinner chains against real
-# repeat events), and finally prints the non-test Go line count per
+# each seeded from its own registry), and the event queue's express
+# lane (Schedule against a heap-only reference) and park lane (parked
+# spinner chains against real repeat events), and finally prints the non-test Go line count per
 # package (scripts/loc.sh) without gating on it. Run from the repo root.
 set -eu
 
@@ -88,6 +89,15 @@ head -n "$(wc -l < "$dir/fresh.txt")" "$dir/metrics.txt" | cmp - "$dir/fresh.txt
 go run ./cmd/atomictrace -threads 4 -ops 20 -chrome "$dir/trace.json" \
     > /dev/null 2>&1
 grep -q '"traceEvents"' "$dir/trace.json"
+# Metrics tables must not depend on the worker count: cells complete in
+# any order, and experiments that fan out more than once reuse cell
+# indices, so this pins the row order of every experiment's table.
+go run ./cmd/atomicsim -quick -quiet -metrics -par 1 > "$dir/metrics_p1.txt"
+go run ./cmd/atomicsim -quick -quiet -metrics -par 4 > "$dir/metrics_p4.txt"
+cmp "$dir/metrics_p1.txt" "$dir/metrics_p4.txt" || {
+    echo "-metrics output differs between -par 1 and -par 4" >&2
+    exit 1
+}
 
 echo "== invariant-checked sweep (-check must change nothing and find nothing)"
 go run ./cmd/atomicsim -quick -quiet > "$dir/plain.txt"
@@ -354,7 +364,7 @@ awk '/BenchmarkAppCell/ { if ($(NF-1) + 0 > 400) exit 1 }' "$dir/bench_app.txt" 
     exit 1
 }
 
-echo "== fuzz smoke (runlog parsers, topology hops, machine/workload/app/job specs, express-lane merge, park lane)"
+echo "== fuzz smoke (runlog parsers, topology hops, machine/workload/app/job specs, Schedule's express lane vs heap-only, park lane)"
 go test -run FuzzNothing -fuzz FuzzCacheLoad -fuzztime 5s ./internal/runlog > /dev/null
 go test -run FuzzNothing -fuzz FuzzManifestValidate -fuzztime 5s ./internal/runlog > /dev/null
 go test -run FuzzNothing -fuzz FuzzHops -fuzztime 5s ./internal/topology > /dev/null
