@@ -162,16 +162,9 @@ func traceApp(m *machine.Machine, sp *apps.Spec, ops int, chrome string) {
 // summary, and optional Chrome timeline; atomictrace repeats it per
 // selected machine.
 func traceMachine(m *machine.Machine, p atomics.Primitive, threads, ops int, arbName, chrome string) {
-	var arb coherence.Arbiter
-	switch arbName {
-	case "fifo":
-		arb = coherence.FIFOArbiter{}
-	case "random":
-		arb = coherence.NewRandomArbiter(42)
-	case "locality":
-		arb = &coherence.LocalityArbiter{}
-	default:
-		fatal(fmt.Errorf("unknown arbiter %q", arbName))
+	arb, err := coherence.NewByName(arbName, 0, 42)
+	if err != nil {
+		fatal(err)
 	}
 	slots, err := (machine.Compact{}).Place(m, threads)
 	if err != nil {

@@ -23,9 +23,13 @@
 // (internal/atomics drives Access). serviceCost implements the same
 // per-state transfer table MODEL.md §1 states and §2 takes
 // expectations over — F7 holds simulator and model against each
-// other. Optional per-event instrumentation hooks into
-// internal/metrics via InstallMetrics; with no registry installed the
-// handles are nil and the access path is unchanged.
+// other. The system is the one place accesses are counted: Stats
+// counts them by source as they are issued, and the ledger (Classes)
+// counts each completed one by provenance class, which energy and the
+// window's metrics read when a measured window closes. Optional
+// per-event instrumentation — queueing histograms and occupancy —
+// hooks into internal/metrics via InstallMetrics; with no registry
+// installed the handles are nil and the access path is unchanged.
 package coherence
 
 import (
@@ -84,6 +88,28 @@ func (s Source) String() string {
 		return "dram"
 	}
 	return "unknown"
+}
+
+// numSources is the number of Source values a class splits.
+const numSources = int(SrcDRAM) + 1
+
+// ClassOf is the provenance class of an access: its data source, the
+// hops its transaction travelled and whether the transfer crossed a
+// socket — the fields its energy charge depends on (internal/energy).
+// Class 0 is the local hit. Hops are outermost, so the classes of
+// shorter paths keep their indices whatever the longest path is.
+func ClassOf(src Source, hops int, cross bool) int {
+	c := (hops*numSources + int(src)) * 2
+	if cross {
+		c++
+	}
+	return c
+}
+
+// ClassFields returns the source, hops and cross-socket flag of class
+// c, inverting ClassOf.
+func ClassFields(c int) (src Source, hops int, cross bool) {
+	return Source(c / 2 % numSources), c / 2 / numSources, c%2 == 1
 }
 
 // Params configures a coherent memory system.
@@ -190,8 +216,9 @@ type AccessResult struct {
 	CrossSocket bool
 }
 
-// TraceEvent is emitted once per completed access for energy accounting
-// and debugging.
+// TraceEvent is emitted once per completed access to the tracer, for
+// line traces (internal/trace) and the cycle memoizer's shape hash
+// (internal/workload).
 type TraceEvent struct {
 	Line   LineID
 	Core   int
@@ -424,14 +451,15 @@ type System struct {
 	totalHops   uint64
 	nCrossSock  uint64
 	maxQueueLen int
+	// classes is the access ledger: completed accesses per provenance
+	// class (ClassOf), sized at NewSystem for the longest transaction
+	// the topology allows — three legs of at most its diameter each.
+	classes []uint64
 
 	// Optional per-event metrics (see internal/metrics). All handles are
 	// nil until InstallMetrics; nil handles make every increment below a
 	// single-branch no-op, which is the "instrumented-off" fast path the
 	// bench suite holds at 0 allocs/op.
-	mTransfer     [4]*metrics.Counter // indexed by Source
-	mInval        *metrics.Counter
-	mCross        *metrics.Counter
 	mQueueDepth   *metrics.Histogram
 	mQueuedBehind *metrics.Histogram
 	// Duration-weighted occupancy vectors (see internal/metrics names
@@ -477,6 +505,7 @@ func NewSystem(eng *sim.Engine, p Params, arb Arbiter) (*System, error) {
 		nodeOf: nodeOf,
 	}
 	s.thops, s.tcross, s.tn = s.topo.Tables()
+	s.classes = make([]uint64, ClassOf(SrcDRAM, 3*int(slices.Max(s.thops)), true)+1)
 	s.SetArbiter(arb)
 	return s, nil
 }
@@ -548,7 +577,7 @@ func (s *System) pathCost(proc sim.Time, nodes [4]int, n int) (total sim.Time, h
 	return t - now, hops
 }
 
-// SetTracer installs a per-access callback (e.g. the energy meter).
+// SetTracer installs a per-access callback (nil removes it).
 func (s *System) SetTracer(fn func(TraceEvent)) { s.tracer = fn }
 
 // SetAuditor installs a protocol auditor (nil removes it). With no
@@ -572,18 +601,13 @@ func (s *System) BreakLine(id LineID, ghost int) {
 	s.line(id).sharers.add(ghost)
 }
 
-// InstallMetrics registers the coherence layer's instruments on r and
-// starts feeding them: line transfers by source, invalidations,
-// cross-socket transfers, and the directory queueing histograms. A nil
-// registry (the default state) keeps every handle nil and the layer
-// off; see internal/metrics for the naming scheme.
+// InstallMetrics registers the coherence layer's per-event instruments
+// on r and starts feeding them: the directory queueing histograms and
+// the occupancy vectors. (Its transfer counters are published from
+// Stats when a window closes; see Stats.Publish.) A nil registry (the
+// default state) keeps every handle nil and the layer off; see
+// internal/metrics for the naming scheme.
 func (s *System) InstallMetrics(r *metrics.Registry) {
-	s.mTransfer[SrcLocal] = r.Counter(metrics.CohTransferLocal)
-	s.mTransfer[SrcRemoteCache] = r.Counter(metrics.CohTransferRemote)
-	s.mTransfer[SrcLLC] = r.Counter(metrics.CohTransferLLC)
-	s.mTransfer[SrcDRAM] = r.Counter(metrics.CohTransferDRAM)
-	s.mInval = r.Counter(metrics.CohInvalidations)
-	s.mCross = r.Counter(metrics.CohCrossSocket)
 	s.mQueueDepth = r.Histogram(metrics.CohQueueDepth)
 	s.mQueuedBehind = r.Histogram(metrics.CohQueuedBehind)
 	// Occupancy vectors: directory busy time per home node, line busy
@@ -707,7 +731,6 @@ func (s *System) Access(core int, id LineID, kind Kind, hold sim.Time, apply App
 	if kind == Read && (l.owner == core || l.sharers.has(core)) {
 		s.nAccesses++
 		s.nLocal++
-		s.mTransfer[SrcLocal].Inc()
 		req := s.getReq()
 		req.core, req.kind, req.done, req.line = core, kind, done, l
 		req.phase, req.owner = reqFast, s.eng.Owner()
@@ -760,14 +783,12 @@ func (s *System) Access(core int, id LineID, kind Kind, hold sim.Time, apply App
 		s.mOccDir.Add(l.home, uint64(s.p.DirLookup))
 		l.sharers.add(core)
 		s.nAccesses++
-		s.mTransfer[res.Source].Inc()
 		if res.Source == SrcLLC {
 			s.nLLC++
 		} else {
 			s.nRemote++
 			if res.CrossSocket {
 				s.nCrossSock++
-				s.mCross.Inc()
 			}
 		}
 		s.totalHops += uint64(res.Hops)
@@ -845,8 +866,9 @@ func (s *System) SetParking(on bool) { s.parking = on }
 // the real completion of its last re-read, which delivers seen to done
 // at the very (time, sequence) place the unparked run delivers it.
 // Until then each tick's re-read is credited to the access counters,
-// the local-transfer metric and, when loads is non-nil, *loads —
-// settled exactly at every Stats call and on waking (SettleParked).
+// the ledger's class 0 and, when loads is non-nil, *loads — settled
+// exactly at every Stats and Classes call and on waking
+// (SettleParked).
 func (s *System) Await(core int, id LineID, hold sim.Time, seen uint64, loads *uint64, done func(AccessResult)) {
 	if s.parking && s.tracer == nil && core >= 0 && core < s.p.NumCores {
 		l := s.line(id)
@@ -854,7 +876,6 @@ func (s *System) Await(core int, id LineID, hold sim.Time, seen uint64, loads *u
 			if pid, ok := s.eng.Park(s.eng.Owner(), s.p.L1Hit); ok {
 				s.nAccesses++
 				s.nLocal++
-				s.mTransfer[SrcLocal].Inc()
 				req := s.getReq()
 				req.core, req.kind, req.done, req.line = core, Read, done, l
 				req.phase, req.owner = reqParked, s.eng.Owner()
@@ -870,10 +891,9 @@ func (s *System) Await(core int, id LineID, hold sim.Time, seen uint64, loads *u
 
 // SettleParked credits every parked spinner's re-reads issued so far —
 // one per tick its chain has dispatched — to the access counters, the
-// local-transfer metric and the spinner's load counter. Stats settles
-// first; a caller reading the metrics registry or a load counter
-// directly (a window boundary, the end of a run) settles before it
-// does.
+// ledger's class 0 (each tick completes one local hit) and the
+// spinner's load counter. Stats and Classes settle first; a caller
+// reading a load counter directly settles before it does.
 func (s *System) SettleParked() {
 	for i := range s.parked {
 		r := &s.parked[i]
@@ -888,7 +908,7 @@ func (s *System) creditParked(r *parkedSpin, ticks uint64) {
 	r.credited = ticks
 	s.nAccesses += d
 	s.nLocal += d
-	s.mTransfer[SrcLocal].Add(d)
+	s.classes[0] += d
 	if r.loads != nil {
 		*r.loads += d
 	}
@@ -1046,7 +1066,6 @@ func (s *System) serviceCost(l *lineState, req *request) sim.Time {
 		res.Source = SrcLocal
 		s.nLocal++
 		s.nAccesses++
-		s.mTransfer[SrcLocal].Inc()
 		return s.p.L1Hit
 
 	case req.kind == Read && l.sharers.has(c):
@@ -1054,7 +1073,6 @@ func (s *System) serviceCost(l *lineState, req *request) sim.Time {
 		res.Source = SrcLocal
 		s.nLocal++
 		s.nAccesses++
-		s.mTransfer[SrcLocal].Inc()
 		return s.p.L1Hit
 
 	case l.owner >= 0:
@@ -1067,14 +1085,12 @@ func (s *System) serviceCost(l *lineState, req *request) sim.Time {
 		if cross {
 			cost += s.p.CrossSocketPenalty
 			s.nCrossSock++
-			s.mCross.Inc()
 		}
 		res.Source = SrcRemoteCache
 		res.Hops = hops
 		res.CrossSocket = cross
 		s.nRemote++
 		s.nAccesses++
-		s.mTransfer[SrcRemoteCache].Inc()
 		s.totalHops += uint64(hops)
 		return cost
 
@@ -1093,14 +1109,12 @@ func (s *System) serviceCost(l *lineState, req *request) sim.Time {
 			if others > 0 {
 				cost += s.p.InvalidateCost
 				s.nInvals++
-				s.mInval.Inc()
 			}
 		}
 		res.Source = SrcLLC
 		res.Hops = hops
 		s.nLLC++
 		s.nAccesses++
-		s.mTransfer[SrcLLC].Inc()
 		s.totalHops += uint64(hops)
 		return cost
 
@@ -1113,7 +1127,6 @@ func (s *System) serviceCost(l *lineState, req *request) sim.Time {
 		res.Hops = hops
 		s.nDRAM++
 		s.nAccesses++
-		s.mTransfer[SrcDRAM].Inc()
 		s.totalHops += uint64(hops)
 		return cost
 	}
@@ -1167,6 +1180,7 @@ func (s *System) applyDirectory(l *lineState, req *request) {
 // accesses the callback issues); passing a pointer avoids one more
 // struct copy per access on the hottest path in the simulator.
 func (s *System) finish(l *lineState, core int, kind Kind, res *AccessResult, done func(AccessResult)) {
+	s.classes[ClassOf(res.Source, res.Hops, res.CrossSocket)]++
 	if s.tracer != nil {
 		s.tracer(TraceEvent{Line: l.id, Core: core, Kind: kind, Result: *res, At: s.eng.Now()})
 	}
@@ -1213,12 +1227,56 @@ func (s *System) Stats() Stats {
 	}
 }
 
-// AddScaledStats adds k copies of the counter delta d — the hook the
-// steady-state cycle memoizer (internal/workload) uses to credit the
-// accesses of elided cycles exactly as if they had been simulated.
-// MaxQueueLen is a maximum, not an accumulator, so it is untouched; a
-// periodic schedule cannot raise it past the recorded cycle's value.
-func (s *System) AddScaledStats(d Stats, k uint64) {
+// Sub returns the counter delta from the earlier snapshot b to st.
+// MaxQueueLen is a maximum, not an accumulator, so the delta keeps
+// st's.
+func (st Stats) Sub(b Stats) Stats {
+	return Stats{
+		Accesses:    st.Accesses - b.Accesses,
+		LocalHits:   st.LocalHits - b.LocalHits,
+		RemoteXfers: st.RemoteXfers - b.RemoteXfers,
+		LLCFills:    st.LLCFills - b.LLCFills,
+		DRAMFills:   st.DRAMFills - b.DRAMFills,
+		Invals:      st.Invals - b.Invals,
+		TotalHops:   st.TotalHops - b.TotalHops,
+		CrossSocket: st.CrossSocket - b.CrossSocket,
+		MaxQueueLen: st.MaxQueueLen,
+		LinkStall:   st.LinkStall - b.LinkStall,
+	}
+}
+
+// Publish adds the counter delta d of a measured window to r as the
+// coherence layer's transfer, invalidation and cross-socket counters.
+// They are read from the access counters when the window closes, not
+// kept per access. A nil registry publishes nothing.
+func (d Stats) Publish(r *metrics.Registry) {
+	r.Counter(metrics.CohTransferLocal).Add(d.LocalHits)
+	r.Counter(metrics.CohTransferRemote).Add(d.RemoteXfers)
+	r.Counter(metrics.CohTransferLLC).Add(d.LLCFills)
+	r.Counter(metrics.CohTransferDRAM).Add(d.DRAMFills)
+	r.Counter(metrics.CohInvalidations).Add(d.Invals)
+	r.Counter(metrics.CohCrossSocket).Add(d.CrossSocket)
+}
+
+// Classes returns the access ledger: the accesses completed so far per
+// provenance class (ClassOf), with the re-reads of parked spinners
+// settled (SettleParked) first. The slice is the system's own and keeps
+// counting; a caller keeping a baseline copies it.
+func (s *System) Classes() []uint64 {
+	s.SettleParked()
+	return s.classes
+}
+
+// AddScaledStats adds k copies of the counter delta d and of the
+// ledger delta classes — the hook the steady-state cycle memoizer
+// (internal/workload) uses to credit the accesses of elided cycles
+// exactly as if they had been simulated. MaxQueueLen is a maximum, not
+// an accumulator, so it is untouched; a periodic schedule cannot raise
+// it past the recorded cycle's value.
+func (s *System) AddScaledStats(d Stats, classes []uint64, k uint64) {
+	for c, n := range classes {
+		s.classes[c] += n * k
+	}
 	s.nAccesses += d.Accesses * k
 	s.nLocal += d.LocalHits * k
 	s.nRemote += d.RemoteXfers * k
@@ -1479,8 +1537,7 @@ func (s *System) Reset() {
 	s.nAccesses, s.nLocal, s.nRemote, s.nLLC, s.nDRAM = 0, 0, 0, 0, 0
 	s.nInvals, s.totalHops, s.nCrossSock = 0, 0, 0
 	s.maxQueueLen = 0
-	s.mTransfer = [4]*metrics.Counter{}
-	s.mInval, s.mCross = nil, nil
+	clear(s.classes)
 	s.mQueueDepth, s.mQueuedBehind = nil, nil
 	// occRouter survives: it is immutable precomputed topology state.
 	s.mOccDir, s.mOccLine, s.mOccLink = nil, nil, nil

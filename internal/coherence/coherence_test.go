@@ -548,6 +548,79 @@ func TestTracerSeesEveryAccess(t *testing.T) {
 	}
 }
 
+// TestClassesCountEveryCompletion drives accesses down every path —
+// the L1 fast path, a pipelined LLC read, a MESIF forward, and granted
+// services from the requester's own cache, another core's in and across
+// sockets, the LLC and DRAM — and requires the ledger to grow by
+// exactly one count per completion, in the class of the access's own
+// result. Reset clears it.
+func TestClassesCountEveryCompletion(t *testing.T) {
+	eng := sim.NewEngine()
+	s, err := NewSystem(eng, Params{
+		NumCores:           8,
+		Topo:               topology.NewDualRing(4, 2),
+		NodeOf:             func(c int) int { return c },
+		L1Hit:              1 * sim.Nanosecond,
+		DirLookup:          2 * sim.Nanosecond,
+		HopLatency:         1 * sim.Nanosecond,
+		CrossSocketPenalty: 5 * sim.Nanosecond,
+		LLCHit:             40 * sim.Nanosecond,
+		DRAM:               60 * sim.Nanosecond,
+		InvalidateCost:     3 * sim.Nanosecond,
+		ForwardSharer:      true,
+	}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const id LineID = 16
+	steps := []struct {
+		core  int
+		kind  Kind
+		evict bool // EvictPrivate first
+		src   Source
+		cross bool
+	}{
+		{0, RFO, false, SrcDRAM, false},        // cold fill
+		{0, RFO, false, SrcLocal, false},       // owner's granted RFO
+		{0, Read, false, SrcLocal, false},      // L1 fast path
+		{1, RFO, false, SrcRemoteCache, false}, // owner forward, same socket
+		{5, RFO, false, SrcRemoteCache, true},  // owner forward, across sockets
+		{6, Read, false, SrcRemoteCache, false},
+		{7, Read, false, SrcRemoteCache, false}, // MESIF forward from a sharer
+		{2, RFO, false, SrcLLC, false},          // LLC fill invalidating sharers
+		{3, Read, true, SrcLLC, false},          // pipelined LLC read
+	}
+	prev := slices.Clone(s.Classes())
+	for i, st := range steps {
+		if st.evict {
+			s.EvictPrivate(id)
+		}
+		var apply Apply
+		if st.kind == RFO {
+			apply = storeApply(uint64(i))
+		}
+		res := access(t, eng, s, st.core, id, st.kind, 0, apply)
+		if res.Source != st.src || res.CrossSocket != st.cross {
+			t.Fatalf("step %d: source %v cross %v, want %v %v", i, res.Source, res.CrossSocket, st.src, st.cross)
+		}
+		want := slices.Clone(prev)
+		want[ClassOf(res.Source, res.Hops, res.CrossSocket)]++
+		if got := s.Classes(); !slices.Equal(got, want) {
+			t.Fatalf("step %d (%v, %d hops): ledger %v, want %v", i, res.Source, res.Hops, got, want)
+		}
+		prev = slices.Clone(s.Classes())
+	}
+	if src, hops, cross := ClassFields(ClassOf(SrcRemoteCache, 9, true)); src != SrcRemoteCache || hops != 9 || !cross {
+		t.Errorf("ClassFields does not invert ClassOf: %v %d %v", src, hops, cross)
+	}
+	s.Reset()
+	for c, n := range s.Classes() {
+		if n != 0 {
+			t.Fatalf("class %d holds %d after Reset", c, n)
+		}
+	}
+}
+
 // TestResetPoolsOnlyTouchedLines pins Reset's line-state bound: the
 // pool keeps at most as many free entries as the finished run touched,
 // so a run over many lines followed by a run over few leaves only the

@@ -122,6 +122,14 @@ func runFuzz(t *testing.T, arb Arbiter, seed uint64) {
 	if completed != issued {
 		t.Fatalf("%s seed %d: %d/%d ops completed", arb.Name(), seed, completed, issued)
 	}
+	var counted uint64
+	for _, n := range s.Classes() {
+		counted += n
+	}
+	if counted != uint64(completed) || counted != s.Stats().Accesses {
+		t.Fatalf("%s seed %d: ledger counts %d accesses, %d completed, stats %d",
+			arb.Name(), seed, counted, completed, s.Stats().Accesses)
+	}
 	if err := s.CheckInvariants(); err != nil {
 		t.Fatalf("%s seed %d: %v", arb.Name(), seed, err)
 	}

@@ -5,7 +5,6 @@ import (
 	"strings"
 	"testing"
 
-	"atomicsmodel/internal/metrics"
 	"atomicsmodel/internal/sim"
 )
 
@@ -41,9 +40,10 @@ func (sp *spinner) issue() {
 
 // parkScript runs one spin scenario on line 16 of the test system with
 // parking on or off and returns its log: what the spinner saw and when,
-// its load count, and at every probe the settled counters, the local
-// transfer metric and the engine's counts — everything parking must
-// leave unchanged. Core 1 spins on value 1, held as owner (it won a
+// its load count, and at every probe the settled counters, the access
+// ledger and the engine's counts — everything parking must leave
+// unchanged (a parked spinner's re-reads land in the ledger's class 0
+// as they are settled). Core 1 spins on value 1, held as owner (it won a
 // TAS, like a TTAS waiter after its failed one) or as a sharer (core 0
 // wrote 1, core 1 read it). With parking on, each probe also asserts
 // whether the spinner is parked. The script: two other
@@ -59,8 +59,6 @@ func (sp *spinner) issue() {
 func parkScript(t *testing.T, parking, owner bool, trigger string) []string {
 	t.Helper()
 	eng, s := testSystem(t, nil)
-	reg := metrics.New()
-	s.InstallMetrics(reg)
 	const id LineID = 16
 	tas := func(uint64) (uint64, bool) { return 1, true }
 	if owner {
@@ -75,8 +73,8 @@ func parkScript(t *testing.T, parking, owner bool, trigger string) []string {
 	probe := func(at sim.Time, wantParked bool) {
 		eng.At(at, func() {
 			st := s.Stats()
-			log = append(log, fmt.Sprintf("t=%v loads=%d stats=%+v local=%d processed=%d pending=%d",
-				eng.Now(), sp.loads, st, reg.Counter(metrics.CohTransferLocal).Value(), eng.Processed(), eng.Pending()))
+			log = append(log, fmt.Sprintf("t=%v loads=%d stats=%+v ledger=%v processed=%d pending=%d",
+				eng.Now(), sp.loads, st, ledger(s), eng.Processed(), eng.Pending()))
 			if parking && (eng.Parked() == 1) != wantParked {
 				t.Errorf("owner=%v %s: at %v parked=%d, want parked=%v", owner, trigger, eng.Now(), eng.Parked(), wantParked)
 			}
@@ -110,13 +108,24 @@ func parkScript(t *testing.T, parking, owner bool, trigger string) []string {
 	return log
 }
 
+// ledger renders the non-zero classes of s's access ledger.
+func ledger(s *System) string {
+	var sb strings.Builder
+	for c, n := range s.Classes() {
+		if n != 0 {
+			fmt.Fprintf(&sb, " %d:%d", c, n)
+		}
+	}
+	return sb.String()
+}
+
 // TestParkedSpinnerWakesExactly runs every scenario of parkScript with
 // parking on and off and requires identical logs: another core's RFO
 // grant, EvictPrivate and a sibling's write wake a parked spinner,
 // other cores' reads (an M→S downgrade of the owner's line, a pipelined
 // LLC read adding a sharer) do not, a spinner parked as the owner
-// behaves like one parked as a sharer, and every counter, metric and
-// engine count matches the unparked run at each probe.
+// behaves like one parked as a sharer, and every counter, ledger class
+// and engine count matches the unparked run at each probe.
 func TestParkedSpinnerWakesExactly(t *testing.T) {
 	for _, owner := range []bool{false, true} {
 		for _, trigger := range []string{"rfo", "evict", "sibling"} {

@@ -39,6 +39,8 @@ import (
 	"math"
 
 	"atomicsmodel/internal/atomics"
+	"atomicsmodel/internal/coherence"
+	"atomicsmodel/internal/energy"
 	"atomicsmodel/internal/machine"
 	"atomicsmodel/internal/sim"
 	"atomicsmodel/internal/topology"
@@ -316,20 +318,18 @@ func (md *Model) energyPerOpLow(n int, pred Prediction) float64 {
 	return watts/(pred.ThroughputMops*1e6)*1e9 + e.LocalOpNJ
 }
 
-// pairEnergyNJ mirrors the energy meter's per-event charging for a
-// transfer from owner o to requester c.
+// pairEnergyNJ is the simulator's charge (energy.ChargeNJ) for a
+// transfer from owner o to requester c: a local hit when they are one
+// core, else a forward from o's cache over the three-leg path through
+// the line's home.
 func (md *Model) pairEnergyNJ(o, c int) float64 {
-	e := md.m.Energy
 	if o == c {
-		return e.LocalOpNJ
+		return energy.ChargeNJ(&md.m.Energy, coherence.ClassOf(coherence.SrcLocal, 0, false))
 	}
 	no, nc := md.m.NodeOf(o), md.m.NodeOf(c)
 	hops := md.m.Topo.Hops(nc, md.home) + md.m.Topo.Hops(md.home, no) + md.m.Topo.Hops(no, nc)
-	nj := e.LocalOpNJ + float64(hops)*e.PerHopNJ
-	if md.m.Topo.CrossSocket(no, nc) {
-		nj += e.CrossSocketNJ
-	}
-	return nj
+	cls := coherence.ClassOf(coherence.SrcRemoteCache, hops, md.m.Topo.CrossSocket(no, nc))
+	return energy.ChargeNJ(&md.m.Energy, cls)
 }
 
 // LowLatency predicts the latency of a single primitive whose line is

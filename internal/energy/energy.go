@@ -1,16 +1,18 @@
 // Package energy models the power and energy accounting the paper does
-// with RAPL counters. The meter subscribes to coherence trace events and
-// charges a per-event dynamic energy by provenance (local hit, remote
-// transfer per hop, cross-socket, LLC, DRAM), then adds static power
+// with RAPL counters. It prices the coherence layer's access ledger: a
+// dynamic charge per access by provenance class (local hit, remote
+// transfer per hop, cross-socket, LLC, DRAM), then static power
 // integrated over the run for every active core and thread. Absolute
 // joules are synthetic; the reproduced quantity is the *shape* of
 // energy-per-operation versus thread count and contention level.
 //
-// In the model pipeline (ARCHITECTURE.md) the meter is an observer:
-// it subscribes to coherence trace events the same way internal/trace
-// does, and internal/workload resets it at the warmup boundary so the
-// reading covers the measured window. MODEL.md §5 states the
-// analytical counterpart the F6 experiment compares against.
+// In the model pipeline (ARCHITECTURE.md) energy is a reading, not an
+// observer: internal/coherence counts each completed access once per
+// class, internal/workload takes the ledger at the warmup boundary and
+// again when the measured window closes, and NewReport prices the
+// difference. MODEL.md §5 states the analytical counterpart the F6
+// experiment compares against, and its per-pair charge (internal/core)
+// is ChargeNJ too.
 package energy
 
 import (
@@ -21,127 +23,42 @@ import (
 	"atomicsmodel/internal/sim"
 )
 
-// Meter accumulates dynamic energy from coherence events. Install
-// Observe as the coherence system's tracer.
-//
-// The meter keeps no running float sum. It counts events per
-// provenance class — source × hops × cross-socket, the three fields
-// the charge depends on — and DynamicNJ sums count × charge over the
-// classes in one fixed order. Two runs that observe the same events in
-// any order therefore report bit-identical energy, and the
-// fast-forward layer credits k elided cycles with one integer add per
-// access of the recorded cycle (Replay), whatever k is.
-type Meter struct {
-	m      *machine.Machine
-	counts []uint64  // events per class, indexed by Class
-	nj     []float64 // the charge of each class
-	events uint64
-}
-
-// numSources is the number of coherence.Source values a class splits.
-const numSources = int(coherence.SrcDRAM) + 1
-
-// NewMeter returns a meter for machine m, with a class for every hop
-// count an access on m can travel: a transaction crosses at most three
-// legs (requester → home → owner → requester), each at most the
-// topology's diameter. Observe grows the table for anything longer, so
-// a meter fed hand-built events stays correct too.
-func NewMeter(m *machine.Machine) *Meter {
-	mt := &Meter{m: m}
-	diam := 0
-	for a := 0; a < m.Topo.Nodes(); a++ {
-		for b := 0; b < m.Topo.Nodes(); b++ {
-			diam = max(diam, m.Topo.Hops(a, b))
+// ChargeNJ is the dynamic energy, in nanojoules, of one access of
+// provenance class c (coherence.ClassOf) on a machine with energy
+// table e: a local hit costs LocalOpNJ; a transfer from another cache
+// adds PerHopNJ per hop and, across sockets, CrossSocketNJ; LLC and
+// DRAM fills cost LLCNJ or DRAMNJ plus their hops.
+func ChargeNJ(e *machine.Energies, c int) float64 {
+	src, hops, cross := coherence.ClassFields(c)
+	h := float64(hops)
+	switch src {
+	case coherence.SrcRemoteCache:
+		nj := e.LocalOpNJ + h*e.PerHopNJ
+		if cross {
+			nj += e.CrossSocketNJ
 		}
+		return nj
+	case coherence.SrcLLC:
+		return e.LLCNJ + h*e.PerHopNJ
+	case coherence.SrcDRAM:
+		return e.DRAMNJ + h*e.PerHopNJ
 	}
-	mt.grow(classOf(coherence.SrcDRAM, 3*diam, true))
-	return mt
+	return e.LocalOpNJ
 }
 
-// classOf is the class index of an access: hops outermost, so growing
-// the table for a longer path appends classes without renumbering.
-func classOf(src coherence.Source, hops int, cross bool) int {
-	c := (hops*numSources + int(src)) * 2
-	if cross {
-		c++
-	}
-	return c
-}
-
-// grow extends the class table to cover class index c.
-func (mt *Meter) grow(c int) {
-	e := &mt.m.Energy
-	for i := len(mt.counts); i <= c; i++ {
-		cross := i%2 == 1
-		src := coherence.Source(i / 2 % numSources)
-		hops := float64(i / 2 / numSources)
-		var nj float64
-		switch src {
-		case coherence.SrcLocal:
-			nj = e.LocalOpNJ
-		case coherence.SrcRemoteCache:
-			nj = e.LocalOpNJ + hops*e.PerHopNJ
-			if cross {
-				nj += e.CrossSocketNJ
-			}
-		case coherence.SrcLLC:
-			nj = e.LLCNJ + hops*e.PerHopNJ
-		case coherence.SrcDRAM:
-			nj = e.DRAMNJ + hops*e.PerHopNJ
-		}
-		mt.counts = append(mt.counts, 0)
-		mt.nj = append(mt.nj, nj)
-	}
-}
-
-// Class returns the provenance class of one coherence access, the
-// index Replay takes.
-func (mt *Meter) Class(ev coherence.TraceEvent) int {
-	return classOf(ev.Result.Source, ev.Result.Hops, ev.Result.CrossSocket)
-}
-
-// Observe charges the dynamic energy of one coherence access. It is
-// shaped to be used directly: sys.SetTracer(meter.Observe).
-func (mt *Meter) Observe(ev coherence.TraceEvent) {
-	c := mt.Class(ev)
-	if c >= len(mt.counts) {
-		mt.grow(c)
-	}
-	mt.counts[c]++
-	mt.events++
-}
-
-// Replay credits k repetitions of the accesses whose classes are cls —
-// the fast-forward hook for elided steady-state cycles. Counts add
-// exactly, so the result is bit-identical to observing the accesses k
-// times, at a cost independent of k.
-func (mt *Meter) Replay(cls []int, k uint64) {
-	for _, c := range cls {
-		mt.counts[c] += k
-	}
-	mt.events += k * uint64(len(cls))
-}
-
-// DynamicNJ returns the accumulated dynamic energy in nanojoules: each
-// class's count times its charge, summed in class order.
-func (mt *Meter) DynamicNJ() float64 {
+// dynamicNJ prices the accesses a coherence ledger (coherence.System.
+// Classes) counted since base, an earlier copy of it: each class's
+// count delta times its charge, summed in class order. The sum depends
+// only on the counts, so two runs whose accesses complete in any order
+// report bit-identical energy.
+func dynamicNJ(e *machine.Energies, classes, base []uint64) float64 {
 	sum := 0.0
-	for c, n := range mt.counts {
-		if n != 0 {
-			sum += float64(n) * mt.nj[c]
+	for c, n := range classes {
+		if n -= base[c]; n != 0 {
+			sum += float64(n) * ChargeNJ(e, c)
 		}
 	}
 	return sum
-}
-
-// Events returns the number of observed accesses.
-func (mt *Meter) Events() uint64 { return mt.events }
-
-// Reset clears the meter between experiment repetitions, keeping its
-// class table.
-func (mt *Meter) Reset() {
-	clear(mt.counts)
-	mt.events = 0
 }
 
 // Report summarizes a run's energy.
@@ -162,15 +79,16 @@ type Report struct {
 	AvgPowerW float64
 }
 
-// Report computes the energy report for a run of the given duration
-// with the given number of placed threads (on coresUsed distinct
-// cores) that completed ops operations.
-func (mt *Meter) Report(duration sim.Time, threads, coresUsed int, ops uint64) Report {
+// NewReport computes the energy report of a window on machine m in
+// which the ledger went from base to classes, with the given number of
+// placed threads (on coresUsed distinct cores) completing ops
+// operations over duration.
+func NewReport(m *machine.Machine, classes, base []uint64, duration sim.Time, threads, coresUsed int, ops uint64) Report {
 	secs := duration.Seconds()
 	r := Report{
-		StaticJ:  mt.m.Energy.StaticWattsPerCore * float64(coresUsed) * secs,
-		ActiveJ:  mt.m.Energy.ActiveWattsPerThread * float64(threads) * secs,
-		DynamicJ: mt.DynamicNJ() * 1e-9,
+		StaticJ:  m.Energy.StaticWattsPerCore * float64(coresUsed) * secs,
+		ActiveJ:  m.Energy.ActiveWattsPerThread * float64(threads) * secs,
+		DynamicJ: dynamicNJ(&m.Energy, classes, base) * 1e-9,
 	}
 	r.TotalJ = r.StaticJ + r.ActiveJ + r.DynamicJ
 	if ops > 0 {

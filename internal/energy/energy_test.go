@@ -2,6 +2,7 @@ package energy
 
 import (
 	"math"
+	"slices"
 	"strings"
 	"testing"
 
@@ -11,42 +12,37 @@ import (
 	"atomicsmodel/internal/sim"
 )
 
-func TestObserveChargesBySource(t *testing.T) {
-	m := machine.XeonE5()
-	mt := NewMeter(m)
-	mk := func(src coherence.Source, hops int, cross bool) coherence.TraceEvent {
-		return coherence.TraceEvent{Result: coherence.AccessResult{Source: src, Hops: hops, CrossSocket: cross}}
+func TestChargePerClass(t *testing.T) {
+	e := &machine.XeonE5().Energy
+	charge := func(src coherence.Source, hops int, cross bool) float64 {
+		return ChargeNJ(e, coherence.ClassOf(src, hops, cross))
 	}
-	mt.Observe(mk(coherence.SrcLocal, 0, false))
-	local := mt.DynamicNJ()
-	if local != m.Energy.LocalOpNJ {
-		t.Fatalf("local charge = %v", local)
+	local := charge(coherence.SrcLocal, 0, false)
+	if local != e.LocalOpNJ || ChargeNJ(e, 0) != local {
+		t.Fatalf("local charge = %v, want %v", local, e.LocalOpNJ)
 	}
-	mt.Reset()
-	mt.Observe(mk(coherence.SrcRemoteCache, 10, false))
-	intra := mt.DynamicNJ()
-	mt.Reset()
-	mt.Observe(mk(coherence.SrcRemoteCache, 10, true))
-	cross := mt.DynamicNJ()
+	intra := charge(coherence.SrcRemoteCache, 10, false)
+	cross := charge(coherence.SrcRemoteCache, 10, true)
+	if intra != e.LocalOpNJ+10*e.PerHopNJ || cross != intra+e.CrossSocketNJ {
+		t.Fatalf("remote charges %v, %v", intra, cross)
+	}
 	if !(local < intra && intra < cross) {
 		t.Fatalf("energy ordering local(%v) < intra(%v) < cross(%v) violated", local, intra, cross)
 	}
-	mt.Reset()
-	mt.Observe(mk(coherence.SrcDRAM, 4, false))
-	if mt.DynamicNJ() <= 0 {
-		t.Fatal("DRAM charge missing")
+	if got := charge(coherence.SrcLLC, 4, false); got != e.LLCNJ+4*e.PerHopNJ {
+		t.Fatalf("LLC charge = %v", got)
 	}
-	if mt.Events() != 1 {
-		t.Fatalf("events = %d", mt.Events())
+	if got := charge(coherence.SrcDRAM, 4, false); got != e.DRAMNJ+4*e.PerHopNJ || got <= 0 {
+		t.Fatalf("DRAM charge = %v", got)
 	}
 }
 
 func TestReportComposition(t *testing.T) {
 	m := machine.Ideal(4) // 1 W static/core, 1 W active/thread
-	mt := NewMeter(m)
-	rep := mt.Report(sim.Second, 2, 2, 1000)
-	if rep.StaticJ != 2 || rep.ActiveJ != 2 {
-		t.Fatalf("static=%v active=%v, want 2,2", rep.StaticJ, rep.ActiveJ)
+	none := make([]uint64, 8)
+	rep := NewReport(m, none, none, sim.Second, 2, 2, 1000)
+	if rep.StaticJ != 2 || rep.ActiveJ != 2 || rep.DynamicJ != 0 {
+		t.Fatalf("static=%v active=%v dynamic=%v, want 2,2,0", rep.StaticJ, rep.ActiveJ, rep.DynamicJ)
 	}
 	if rep.TotalJ != 4 {
 		t.Fatalf("total=%v", rep.TotalJ)
@@ -59,63 +55,46 @@ func TestReportComposition(t *testing.T) {
 		t.Fatalf("power = %v", rep.AvgPowerW)
 	}
 	// Zero ops and zero duration degrade gracefully.
-	empty := mt.Report(0, 0, 0, 0)
+	empty := NewReport(m, none, none, 0, 0, 0, 0)
 	if empty.PerOpNJ != 0 || empty.AvgPowerW != 0 {
 		t.Fatalf("degenerate report: %+v", empty)
 	}
 }
 
-func TestMeterIntegratesWithSimulation(t *testing.T) {
-	eng := sim.NewEngine()
+// TestLedgerPricesSimulation prices a coherence system's ledger:
+// ping-ponging a line between sockets costs more dynamic energy than
+// the same number of operations on one core.
+func TestLedgerPricesSimulation(t *testing.T) {
 	m := machine.XeonE5()
-	mem, err := atomics.NewMemory(eng, m, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	mt := NewMeter(m)
-	mem.System().SetTracer(mt.Observe)
-
-	// Ping-pong a line between sockets: every op after the first is a
-	// cross-socket transfer and must cost more than local ops.
-	done := 0
-	var issue func(core int, n int)
-	issue = func(core, n int) {
-		if n == 0 {
-			return
+	dynamic := func(cores ...int) float64 {
+		eng := sim.NewEngine()
+		mem, err := atomics.NewMemory(eng, m, nil)
+		if err != nil {
+			t.Fatal(err)
 		}
-		mem.FetchAndAdd(core, 1, 1, func(atomics.Result) {
-			done++
-			issue(core, n-1)
-		})
-	}
-	issue(0, 50)  // socket 0
-	issue(20, 50) // socket 1
-	eng.Drain()
-	if done != 100 {
-		t.Fatalf("ops done = %d", done)
-	}
-	crossNJ := mt.DynamicNJ()
-
-	// Same op count on a single core: all local after warm-up.
-	mt2 := NewMeter(m)
-	eng2 := sim.NewEngine()
-	mem2, _ := atomics.NewMemory(eng2, m, nil)
-	mem2.System().SetTracer(mt2.Observe)
-	issue2 := func() {
-		n := 100
-		var next func(atomics.Result)
-		next = func(atomics.Result) {
-			n--
-			if n > 0 {
-				mem2.FetchAndAdd(0, 1, 1, next)
+		base := make([]uint64, len(mem.System().Classes()))
+		done := 0
+		var issue func(core, n int)
+		issue = func(core, n int) {
+			if n == 0 {
+				return
 			}
+			mem.FetchAndAdd(core, 1, 1, func(atomics.Result) {
+				done++
+				issue(core, n-1)
+			})
 		}
-		mem2.FetchAndAdd(0, 1, 1, next)
+		for _, c := range cores {
+			issue(c, 100/len(cores))
+		}
+		eng.Drain()
+		if done != 100 {
+			t.Fatalf("ops done = %d", done)
+		}
+		return dynamicNJ(&m.Energy, mem.System().Classes(), base)
 	}
-	issue2()
-	eng2.Drain()
-	localNJ := mt2.DynamicNJ()
-
+	crossNJ := dynamic(0, 20) // one core per socket
+	localNJ := dynamic(0)
 	if crossNJ <= localNJ {
 		t.Fatalf("cross-socket dynamic energy (%v nJ) should exceed local (%v nJ)", crossNJ, localNJ)
 	}
@@ -123,106 +102,92 @@ func TestMeterIntegratesWithSimulation(t *testing.T) {
 
 func TestReportString(t *testing.T) {
 	m := machine.Ideal(2)
-	rep := NewMeter(m).Report(sim.Second, 1, 1, 10)
-	s := rep.String()
+	none := make([]uint64, 2)
+	s := NewReport(m, none, none, sim.Second, 1, 1, 10).String()
 	if !strings.Contains(s, "nJ/op") || !strings.Contains(s, "W") {
 		t.Errorf("String() = %q", s)
 	}
 }
 
-// TestResetClears: Reset clears the counts but keeps the class table,
-// so a pooled meter observes without allocating.
-func TestResetClears(t *testing.T) {
-	mt := NewMeter(machine.XeonE5())
-	evs := classEvents(200, 5)
-	for _, ev := range evs {
-		mt.Observe(ev)
-	}
-	n := cap(mt.counts)
-	mt.Reset()
-	if mt.DynamicNJ() != 0 || mt.Events() != 0 {
-		t.Fatal("Reset did not clear")
-	}
-	if cap(mt.counts) != n {
-		t.Fatalf("Reset changed the class table's capacity: %d, want %d", cap(mt.counts), n)
-	}
-	if allocs := testing.AllocsPerRun(10, func() {
-		for _, ev := range evs {
-			mt.Observe(ev)
-		}
-	}); allocs != 0 {
-		t.Fatalf("Observe allocates: %.1f allocs per pass", allocs)
-	}
-}
+// ledgerLen covers every class classEvents draws.
+var ledgerLen = coherence.ClassOf(coherence.SrcDRAM, 11, true) + 1
 
-// classEvents returns n accesses spread over every source, a range of
-// hop counts and both socket sides, drawn deterministically.
-func classEvents(n int, seed uint64) []coherence.TraceEvent {
+// classEvents returns the classes of n accesses spread over every
+// source, a range of hop counts and both socket sides, drawn
+// deterministically.
+func classEvents(n int, seed uint64) []int {
 	rng := sim.NewRNG(seed)
-	evs := make([]coherence.TraceEvent, n)
-	for i := range evs {
-		evs[i].Result = coherence.AccessResult{
-			Source:      coherence.Source(rng.Uint64() % 4),
-			Hops:        int(rng.Uint64() % 12),
-			CrossSocket: rng.Uint64()%2 == 1,
-		}
+	cls := make([]int, n)
+	for i := range cls {
+		cls[i] = coherence.ClassOf(coherence.Source(rng.Uint64()%4), int(rng.Uint64()%12), rng.Uint64()%2 == 1)
 	}
-	return evs
+	return cls
 }
 
-// TestObserveOrderIndependent: the meter counts per class and sums the
-// classes in a fixed order, so any permutation of the same accesses
-// reports bit-identical energy.
-func TestObserveOrderIndependent(t *testing.T) {
-	m := machine.XeonE5()
-	evs := classEvents(5000, 7)
-	ref := NewMeter(m)
-	for _, ev := range evs {
-		ref.Observe(ev)
+// count adds one access per entry of cls to ledger.
+func count(ledger []uint64, cls []int) {
+	for _, c := range cls {
+		ledger[c]++
+	}
+}
+
+// TestDynamicNJOrderIndependent: the ledger counts per class and
+// dynamicNJ sums the classes in a fixed order, so any permutation of
+// the same accesses prices bit-identically.
+func TestDynamicNJOrderIndependent(t *testing.T) {
+	e := &machine.XeonE5().Energy
+	cls := classEvents(5000, 7)
+	zero := make([]uint64, ledgerLen)
+	ref := make([]uint64, ledgerLen)
+	count(ref, cls)
+	want := dynamicNJ(e, ref, zero)
+	if want <= 0 {
+		t.Fatalf("dynamicNJ = %v", want)
 	}
 	rng := sim.NewRNG(11)
 	for trial := 0; trial < 5; trial++ {
-		for i := len(evs) - 1; i > 0; i-- {
+		for i := len(cls) - 1; i > 0; i-- {
 			j := int(rng.Uint64() % uint64(i+1))
-			evs[i], evs[j] = evs[j], evs[i]
+			cls[i], cls[j] = cls[j], cls[i]
 		}
-		mt := NewMeter(m)
-		for _, ev := range evs {
-			mt.Observe(ev)
-		}
-		if got, want := mt.DynamicNJ(), ref.DynamicNJ(); math.Float64bits(got) != math.Float64bits(want) {
-			t.Fatalf("trial %d: permuted DynamicNJ = %v, want %v bit for bit", trial, got, want)
+		ledger := make([]uint64, ledgerLen)
+		count(ledger, cls)
+		if got := dynamicNJ(e, ledger, zero); math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("trial %d: permuted dynamicNJ = %v, want %v bit for bit", trial, got, want)
 		}
 	}
 }
 
-// TestReplayEqualsLiveRepetitions: crediting k repetitions of a cycle's
-// classes is bit-identical to observing the cycle k times.
-func TestReplayEqualsLiveRepetitions(t *testing.T) {
-	m := machine.KNL()
+// TestDynamicNJPricesDelta: dynamicNJ prices only what the ledger
+// counted since base, and a ledger credited k repetitions of a cycle's
+// class delta at once (the cycle memoizer's jump) prices bit-identically
+// to one that counted the k repetitions access by access.
+func TestDynamicNJPricesDelta(t *testing.T) {
+	e := &machine.KNL().Energy
+	zero := make([]uint64, ledgerLen)
+	base := make([]uint64, ledgerLen)
+	count(base, classEvents(50, 9))
 	cycle := classEvents(37, 3)
+	delta := make([]uint64, ledgerLen)
+	count(delta, cycle)
 	for _, k := range []uint64{1, 2, 17, 1000} {
-		live, replayed := NewMeter(m), NewMeter(m)
-		prefix := classEvents(5, 9)
-		cls := make([]int, len(cycle))
-		for _, ev := range prefix {
-			live.Observe(ev)
-			replayed.Observe(ev)
-		}
-		for i, ev := range cycle {
-			cls[i] = replayed.Class(ev)
-		}
+		live, jumped := slices.Clone(base), slices.Clone(base)
 		for i := uint64(0); i < k; i++ {
-			for _, ev := range cycle {
-				live.Observe(ev)
-			}
+			count(live, cycle)
 		}
-		replayed.Replay(cls, k)
-		if got, want := replayed.DynamicNJ(), live.DynamicNJ(); math.Float64bits(got) != math.Float64bits(want) {
-			t.Errorf("k=%d: replayed DynamicNJ = %v, live %v", k, got, want)
+		for c, n := range delta {
+			jumped[c] += n * k
 		}
-		if got, want := replayed.Events(), live.Events(); got != want {
-			t.Errorf("k=%d: replayed events = %d, live %d", k, got, want)
+		got, want := dynamicNJ(e, jumped, base), dynamicNJ(e, live, base)
+		if math.Float64bits(got) != math.Float64bits(want) {
+			t.Errorf("k=%d: jumped dynamicNJ = %v, live %v", k, got, want)
+		}
+		scaled := make([]uint64, ledgerLen)
+		for c, n := range delta {
+			scaled[c] = n * k
+		}
+		if alone := dynamicNJ(e, scaled, zero); math.Float64bits(alone) != math.Float64bits(want) {
+			t.Errorf("k=%d: the delta alone prices %v, against base %v", k, alone, want)
 		}
 	}
 }

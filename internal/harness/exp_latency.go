@@ -26,25 +26,24 @@ func init() {
 
 func runF1(o Options) ([]*Table, error) {
 	machines := o.machines()
-	statesFor := func(m *machine.Machine) []workload.LineState {
-		var states []workload.LineState
-		for _, st := range workload.AllLineStates() {
-			if st == workload.StateRemoteOtherSocket && m.Sockets < 2 {
-				continue
-			}
-			states = append(states, st)
-		}
-		return states
-	}
 	type spec struct {
 		m  *machine.Machine
 		p  atomics.Primitive
 		st workload.LineState
 	}
 	var specs []spec
-	for _, m := range machines {
+	// states[i] lists the line states machine i has, decided once for
+	// its cells and its table's columns.
+	states := make([][]workload.LineState, len(machines))
+	for i, m := range machines {
+		for _, st := range workload.AllLineStates() {
+			if st == workload.StateRemoteOtherSocket && m.Sockets < 2 {
+				continue
+			}
+			states[i] = append(states[i], st)
+		}
 		for _, p := range atomics.All() {
-			for _, st := range statesFor(m) {
+			for _, st := range states[i] {
 				specs = append(specs, spec{m, p, st})
 			}
 		}
@@ -60,16 +59,15 @@ func runF1(o Options) ([]*Table, error) {
 
 	var tables []*Table
 	k := 0
-	for _, m := range machines {
-		states := statesFor(m)
+	for i, m := range machines {
 		cols := []string{"primitive"}
-		for _, st := range states {
+		for _, st := range states[i] {
 			cols = append(cols, st.String()+" (ns)")
 		}
 		t := NewTable("F1 ("+m.Name+"): single-op latency by line state", cols...)
 		for _, p := range atomics.All() {
 			row := []string{p.String()}
-			for range states {
+			for range states[i] {
 				row = append(row, ns(lats[k]))
 				k++
 			}

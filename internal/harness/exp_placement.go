@@ -40,20 +40,26 @@ func runF11(o Options) ([]*Table, error) {
 		eligible = append(eligible, m)
 	}
 	// Only placements that can place n threads become cells; the others
-	// render as "-". Place is pure, so the assembly loop below makes the
-	// same skip decisions in the same order.
+	// render as "-". cell records each decision in assembly order: the
+	// index of the (machine, n, placement) cell, or -1 for a "-".
 	type spec struct {
-		m *machine.Machine
-		n int
-		p machine.Placement
+		m     *machine.Machine
+		n     int
+		p     machine.Placement
+		cores []int
 	}
 	var specs []spec
+	var cell []int
 	for _, m := range eligible {
 		for _, n := range sweep {
 			for _, p := range placements {
-				if _, err := p.Place(m, n); err == nil {
-					specs = append(specs, spec{m, n, p})
+				cores, err := coresFor(m, p, n)
+				if err != nil {
+					cell = append(cell, -1)
+					continue
 				}
+				cell = append(cell, len(specs))
+				specs = append(specs, spec{m, n, p, cores})
 			}
 		}
 	}
@@ -82,16 +88,15 @@ func runF11(o Options) ([]*Table, error) {
 		t := NewTable("F11 ("+m.Name+"): FAA throughput by placement, high contention", cols...)
 		for _, n := range sweep {
 			row := []string{itoa(n)}
-			for _, p := range placements {
-				cores, err := coresFor(m, p, n)
-				if err != nil {
+			for range placements {
+				i := cell[k]
+				k++
+				if i < 0 {
 					row = append(row, "-", "-")
 					continue
 				}
-				res := results[k]
-				k++
-				pred := md.PredictHigh(atomics.FAA, cores, 0)
-				row = append(row, f2(res.ThroughputMops), f2(pred.ThroughputMops))
+				pred := md.PredictHigh(atomics.FAA, specs[i].cores, 0)
+				row = append(row, f2(results[i].ThroughputMops), f2(pred.ThroughputMops))
 			}
 			t.AddRow(row...)
 		}

@@ -106,7 +106,7 @@ func replayJournal(path string) ([]*RecoveredJob, []runlog.Quarantine, error) {
 	byID := map[string]*RecoveredJob{}
 	var order []*RecoveredJob
 	var quarantined []runlog.Quarantine
-	lines := splitLines(b)
+	lines := runlog.SplitLines(b)
 	for i, line := range lines {
 		if len(line) == 0 {
 			continue
@@ -212,23 +212,6 @@ func (j *Journal) Close() error {
 		err = cerr
 	}
 	return err
-}
-
-// splitLines mirrors runlog's splitter: newline-separated, final
-// unterminated fragment kept (it is the torn-write case).
-func splitLines(b []byte) [][]byte {
-	var out [][]byte
-	start := 0
-	for i, c := range b {
-		if c == '\n' {
-			out = append(out, b[start:i])
-			start = i + 1
-		}
-	}
-	if start < len(b) {
-		out = append(out, b[start:])
-	}
-	return out
 }
 
 // ValidateJournal replays a run directory's job journal and returns a

@@ -2,6 +2,7 @@ package jobs
 
 import (
 	"encoding/json"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -235,4 +236,70 @@ func readFile(t *testing.T, path string) []byte {
 		t.Fatal(err)
 	}
 	return b
+}
+
+// FuzzJournalReplay feeds arbitrary bytes to the job journal's replay.
+// The contract under corruption is quarantine, never crash: OpenJournal
+// must succeed on any input; every quarantined line must name a real
+// line and a reason; every recovered job must carry a spec that parses,
+// a unique ID and a state a restarted daemon can act on; and
+// ValidateJournal must count the same jobs. Run with
+// `go test -fuzz FuzzJournalReplay ./internal/jobs`.
+func FuzzJournalReplay(f *testing.F) {
+	raw := []byte(`{"workloads":["high-faa"],"quick":true}`)
+	submit := `{"type":"job","id":"jA","spec":` + string(raw) + `,"digest":"` + runlog.Digest(raw) + `"}` + "\n"
+	f.Add([]byte(""))
+	f.Add([]byte(submit))
+	f.Add([]byte(submit + `{"type":"done","id":"jA","digest":"cafecafecafecafe"}` + "\n"))
+	f.Add([]byte(submit + `{"type":"failed","id":"jA","error":"deadline"}` + "\n" + submit))
+	f.Add([]byte(submit + `{"type":"done","id":"jGHOST"}` + "\n" + `{"type":"alien"}` + "\n"))
+	f.Add([]byte(`{"type":"job","id":"jB","spec":{},"digest":"0000000000000000"}` + "\n"))
+	f.Add([]byte(submit + `{"type":"job","id":"jT","sp` /* torn */))
+	f.Add([]byte("\n\n\x00garbage\n{\n"))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		dir := t.TempDir()
+		if err := os.WriteFile(filepath.Join(dir, journalFile), data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		j, jobs, quarantined, err := OpenJournal(dir)
+		if err != nil {
+			t.Fatalf("OpenJournal failed on corrupt input instead of quarantining: %v", err)
+		}
+		defer j.Close()
+		lines := len(runlog.SplitLines(data))
+		for _, q := range quarantined {
+			if q.Line < 1 || q.Line > lines || q.Reason == "" {
+				t.Fatalf("malformed quarantine record %+v for %d lines", q, lines)
+			}
+		}
+		seen := map[string]bool{}
+		counts := map[State]int{}
+		for _, job := range jobs {
+			if seen[job.ID] {
+				t.Fatalf("job %q recovered twice", job.ID)
+			}
+			seen[job.ID] = true
+			if job.Spec == nil {
+				t.Fatalf("job %q recovered without a spec", job.ID)
+			}
+			if _, err := ParseSpec(job.Raw); err != nil {
+				t.Fatalf("job %q recovered with a spec that does not parse: %v", job.ID, err)
+			}
+			switch job.State {
+			case StateQueued, StateDone, StateFailed:
+				counts[job.State]++
+			default:
+				t.Fatalf("job %q recovered in state %q", job.ID, job.State)
+			}
+		}
+		summary, err := ValidateJournal(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := fmt.Sprintf("journal ok: %d jobs (%d done, %d failed, %d pending)",
+			len(jobs), counts[StateDone], counts[StateFailed], counts[StateQueued])
+		if !strings.HasPrefix(summary, want) {
+			t.Fatalf("ValidateJournal = %q, want %q", summary, want)
+		}
+	})
 }

@@ -59,9 +59,9 @@ type Latencies struct {
 	ExecStore sim.Time
 }
 
-// Energies is the per-event energy table (nanojoules) plus static power
-// (watts) used by the energy meter. Only relative magnitudes matter for
-// reproducing the paper's energy figures.
+// Energies is the per-access energy table (nanojoules) plus static power
+// (watts) that internal/energy prices a run with. Only relative
+// magnitudes matter for reproducing the paper's energy figures.
 // The JSON tags are the field names machine spec files use.
 type Energies struct {
 	// StaticWattsPerCore models leakage and uncore power amortized per

@@ -37,7 +37,7 @@ func FuzzCacheLoad(f *testing.F) {
 		}
 		// Whatever survived must be internally consistent.
 		var lines [][]byte
-		for _, l := range splitLines(data) {
+		for _, l := range SplitLines(data) {
 			lines = append(lines, l)
 		}
 		for _, line := range lines {

@@ -374,7 +374,7 @@ func loadCacheFile(dir string) (map[string]cacheEntry, []Quarantine, error) {
 		}
 		return nil, nil, err
 	}
-	lines := splitLines(b)
+	lines := SplitLines(b)
 	for i, line := range lines {
 		if len(line) == 0 {
 			continue
@@ -472,7 +472,10 @@ func (c *Cache) Close() error {
 	return err
 }
 
-func splitLines(b []byte) [][]byte {
+// SplitLines splits a JSON-lines file into its lines: newline-
+// separated, with a final unterminated fragment kept as the last line
+// (the torn-write case every replaying reader quarantines).
+func SplitLines(b []byte) [][]byte {
 	var out [][]byte
 	start := 0
 	for i, c := range b {
@@ -500,7 +503,7 @@ func Validate(dir string) (string, error) {
 		return "", err
 	}
 	var cells, exps, runs, failed, torn int
-	lines := splitLines(b)
+	lines := SplitLines(b)
 	for i, line := range lines {
 		if len(line) == 0 {
 			continue

@@ -7,7 +7,6 @@ import (
 
 	"atomicsmodel/internal/atomics"
 	"atomicsmodel/internal/coherence"
-	"atomicsmodel/internal/energy"
 	"atomicsmodel/internal/invariant"
 	"atomicsmodel/internal/machine"
 	"atomicsmodel/internal/metrics"
@@ -73,15 +72,14 @@ type Thread struct {
 	stepFn    func()
 }
 
-// Cell is the pooled runtime of one machine: the engine, memory and
-// energy meter a cell runs on, and the run's accounting. A Cell is
-// handed to its Driver for the duration of one run.
+// Cell is the pooled runtime of one machine: the engine and memory a
+// cell runs on, and the run's accounting. A Cell is handed to its
+// Driver for the duration of one run.
 type Cell struct {
-	cfg   Config
-	drv   Driver
-	eng   *sim.Engine
-	mem   *atomics.Memory
-	meter *energy.Meter
+	cfg Config
+	drv Driver
+	eng *sim.Engine
+	mem *atomics.Memory
 
 	// threads holds every thread object ever built for this cell; a run
 	// uses the first cfg.Threads of them. Thread objects (and their
@@ -104,18 +102,18 @@ type Cell struct {
 	failures uint64
 	slat     *stats.Histogram
 
-	// Measurement-window baselines captured by warmupFn.
+	// Measurement-window baselines captured by warmupFn, and the
+	// window's coherence counter delta, read when it closes.
 	cohAtMeasure  coherence.Stats
+	clsAtMeasure  []uint64
 	procAtMeasure uint64
 	qtAtMeasure   sim.Time
 	warmupFn      func()
+	coh           coherence.Stats
 	// root seeds the per-thread RNG streams; coreSeen is scratch for
 	// counting distinct cores. Both are reused across runs.
 	root     *sim.RNG
 	coreSeen []bool
-	// traceFn is the meter's Observe bound once at build time; taking
-	// the method value per run would allocate a closure per cell.
-	traceFn func(coherence.TraceEvent)
 
 	// Steady-state cycle memoizer (fastforward.go). memoArmed is the
 	// per-run eligibility verdict; probeFn and traceRecFn are the
@@ -134,19 +132,17 @@ type Cell struct {
 	// Optional metrics instruments (nil when Config.Metrics is off; all
 	// operations on them are nil-safe no-ops). regPool is the cell's
 	// own registry, recycled for every metrics-on run.
-	regPool    *metrics.Registry
-	reg        *metrics.Registry
-	mThreadOps *metrics.Vector
-	mFailures  *metrics.Counter
-	mReads     *metrics.Counter
-	mRMWs      *metrics.Counter
+	regPool *metrics.Registry
+	reg     *metrics.Registry
+	mReads  *metrics.Counter
+	mRMWs   *metrics.Counter
 }
 
 // cellPools recycles cells per machine description (keyed by the
 // *machine.Machine pointer, because the coherence parameters and dense
 // topology tables baked into a pooled system are machine-specific).
-// Acquiring a pooled cell resets its engine, memory, and meter to
-// their just-built state, so a reused cell is byte-identical to a fresh
+// Acquiring a pooled cell resets its engine and memory to their
+// just-built state, so a reused cell is byte-identical to a fresh
 // one — teardown is a handful of pointer resets instead of discarding
 // the event queue, request pools, directory entries, and thread
 // closures to the GC. This is what holds steady-state cells at zero
@@ -182,7 +178,6 @@ func acquireCell(m *machine.Machine) (*Cell, error) {
 	if c != nil {
 		c.eng.Reset()
 		c.mem.Reset()
-		c.meter.Reset()
 		return c, nil
 	}
 	return newCell(m)
@@ -200,20 +195,19 @@ func (c *Cell) Release() {
 	}
 }
 
-// newCell builds the runtime for machine m: the engine, the memory with
-// its coherence system, and the energy meter.
+// newCell builds the runtime for machine m: the engine and the memory
+// with its coherence system.
 func newCell(m *machine.Machine) (*Cell, error) {
 	eng := sim.NewEngine()
 	mem, err := atomics.NewMemory(eng, m, nil)
 	if err != nil {
 		return nil, err
 	}
-	c := &Cell{eng: eng, mem: mem, meter: energy.NewMeter(m), root: sim.NewRNG(0)}
-	c.traceFn = c.meter.Observe
+	c := &Cell{eng: eng, mem: mem, root: sim.NewRNG(0)}
 	c.warmupFn = func() {
 		c.measuring = true
-		c.meter.Reset()
 		c.cohAtMeasure = c.mem.System().Stats()
+		c.clsAtMeasure = append(c.clsAtMeasure[:0], c.mem.System().Classes()...)
 		c.procAtMeasure = c.eng.Processed()
 		c.qtAtMeasure = c.eng.QueueTimeIntegral()
 		// Zero the instruments so the snapshot, like every other
@@ -318,6 +312,7 @@ func runCell(cfg Config, drv Driver, recycle *Result) (*Cell, error) {
 	c.memo.phase, c.memo.jumps = memoOff, 0
 	c.ops, c.total, c.attempts, c.failures = 0, 0, 0, 0
 	c.cohAtMeasure = coherence.Stats{}
+	c.clsAtMeasure = append(c.clsAtMeasure[:0], mem.System().Classes()...)
 	c.procAtMeasure = 0
 	c.qtAtMeasure = 0
 
@@ -361,11 +356,11 @@ func runCell(cfg Config, drv Driver, recycle *Result) (*Cell, error) {
 		chk = invariant.Install(eng, mem.System())
 	}
 	cfg.Faults.Install(eng, mem)
-	c.mThreadOps = reg.Vector(metrics.WorkThreadOps, cfg.Threads)
 	// Spinners park (coherence.System.Await) under the memoizer's own
 	// gate: fast-forward on and no fault plan. The coherence layer also
-	// declines while a tracer is installed, so the primitive driver's
-	// energy meter keeps it off; invariant checking keeps it on.
+	// declines while a tracer is installed, which in a cell is only
+	// while a memoizer pass records a cycle's shape; invariant checking
+	// keeps it on.
 	mem.System().SetParking(fastForwardOn && cfg.Faults == nil)
 
 	c.memoArmed = fastForwardOn && memoVerdict(&cfg, drv) == ""
@@ -395,16 +390,9 @@ func runCell(cfg Config, drv Driver, recycle *Result) (*Cell, error) {
 	eng.At(cfg.Warmup, c.warmupFn)
 
 	eng.Run(c.endAt)
-	// Credit the re-reads of spinners still parked at the horizon before
-	// the registry is read.
-	mem.System().SettleParked()
-
-	if c.memoArmed {
-		// The run may have ended mid-recording; put the plain tracer
-		// back before the cell returns to the pool.
-		mem.System().SetTracer(c.traceFn)
-		eng.SetIdleHook(nil)
-	}
+	// The window closes. Stats settles the re-reads of spinners still
+	// parked at the horizon, which the drivers' load counters take too.
+	c.coh = mem.System().Stats().Sub(c.cohAtMeasure)
 
 	if chk != nil {
 		// Finalize subsumes CheckInvariants and adds the online ledgers.
@@ -415,6 +403,12 @@ func runCell(cfg Config, drv Driver, recycle *Result) (*Cell, error) {
 		return nil, fmt.Errorf("coherence invariant violated: %w", err)
 	}
 	if reg != nil {
+		// What the runtime counts anyway is published once, here.
+		c.coh.Publish(reg)
+		ops := reg.Vector(metrics.WorkThreadOps, cfg.Threads)
+		for i, n := range c.perOps {
+			ops.Add(i, n)
+		}
 		reg.Counter(metrics.SimEvents).Add(eng.Processed() - c.procAtMeasure)
 		reg.Counter(metrics.SimQueuePeak).Add(uint64(eng.MaxPending()))
 	}
@@ -444,7 +438,6 @@ func (c *Cell) record(th *Thread, lat sim.Time, ok bool) bool {
 	if ok {
 		c.ops++
 		c.perOps[th.ID]++
-		c.mThreadOps.Inc(th.ID)
 	}
 	return true
 }

@@ -26,26 +26,27 @@
 //     0's lastSeen), whose advance per cycle is the cycle's value
 //     delta.
 //  2. When the fingerprint recurs, one cycle has been recorded: its
-//     event count, duration, queue-time integral, counter deltas, and
-//     the shape of its trace-event sequence (count and running hash).
+//     event count, duration, queue-time integral, counter deltas (the
+//     coherence access ledger's class by class among them), and a
+//     running hash of the shapes of its trace events.
 //  3. Record a second cycle and require it to match the first exactly
-//     (trace events by count and shape hash, counters delta-by-delta).
-//     Two independent matches plus the state fingerprint rule out
-//     coincidental recurrence.
+//     (counters delta-by-delta, ledger class by class, and the shape
+//     hash). Two independent matches plus the state fingerprint rule
+//     out coincidental recurrence.
 //  4. Jump: multiply the integer counter deltas by the number of
 //     whole cycles that fit before the pass's boundary — result
-//     counters, latency histograms, coherence stats, the energy
-//     meter's per-class event counts (energy.Meter.Replay: one integer
-//     add per recorded access, so the cost does not grow with the
-//     cycles elided, and the energy is bit-identical because the meter
-//     sums its classes in a fixed order), and with -metrics the whole
-//     registry (counters, vectors, histograms) and the engine's
-//     queue-time integral — translate every pending event, in-flight
-//     request and CAS span start in time, advance every value of a CAS
-//     cell by k times the cycle's value delta, and jump the clock,
-//     crediting the elided events. The approach to the boundary plays
-//     out live, so boundary behavior is identical to the unskipped
-//     run.
+//     counters, latency histograms, coherence stats and the ledger's
+//     per-class counts (coherence.System.AddScaledStats: one integer
+//     add per class, so the cost does not grow with the cycles
+//     elided, and the energy priced from the ledger is bit-identical
+//     because it sums its classes in a fixed order), and with -metrics
+//     the whole registry (counters, vectors, histograms) and the
+//     engine's queue-time integral — translate every pending event,
+//     in-flight request and CAS span start in time, advance every
+//     value of a CAS cell by k times the cycle's value delta, and jump
+//     the clock, crediting the elided events. The approach to the
+//     boundary plays out live, so boundary behavior is identical to
+//     the unskipped run.
 //
 // An eligible run gets two passes. The pre-warmup pass arms once the
 // startup stagger has played out (the first accesses' cold fills make
@@ -55,7 +56,7 @@
 // event, fingerprinted by its absolute time and left in place by
 // sim.ShiftPending. The post-warmup pass re-arms at the warmup boundary
 // and jumps toward the end of the measured window. Both passes apply
-// the identical set of counter/energy effects, so the state at every
+// the identical set of counter effects, so the state at every
 // boundary matches the unskipped run bit-for-bit. A periodic schedule
 // cannot raise the engine's peak queue length, so MaxPending stays
 // exact too.
@@ -168,6 +169,7 @@ type memoState struct {
 	failB       uint64
 	perOpsB     []uint64
 	cohB        coherence.Stats
+	clsB        []uint64
 	latB, slatB *stats.Histogram
 	regB        *metrics.Registry
 
@@ -177,13 +179,12 @@ type memoState struct {
 	dOps, dAtt, dFail uint64
 	dPerOps           []uint64
 	dCoh              coherence.Stats
-	// Each cycle's trace events, compared by count and by a running
-	// hash of their shapes, and the verify cycle's energy classes, for
-	// Replay. Nothing per event is kept beyond the class, so a long
-	// search costs no memory.
-	nA             int
+	// dCls is the recorded cycle's ledger delta, class by class, and
+	// shapeA and shapeB are the two cycles' running hashes of their
+	// trace events' shapes. Nothing is kept per event, so a long search
+	// costs no memory.
+	dCls           []uint64
 	shapeA, shapeB uint64
-	cls            []int
 
 	// spans holds each thread's CAS span start at the current cycle's
 	// start; held marks the threads whose span ran unbroken through the
@@ -343,6 +344,7 @@ func (c *Cell) memoBase() {
 	m.opsB, m.attB, m.failB = c.ops, c.attempts, c.failures
 	m.perOpsB = append(m.perOpsB[:0], c.perOps...)
 	m.cohB = c.mem.System().Stats()
+	m.clsB = append(m.clsB[:0], c.mem.System().Classes()...)
 	if m.latB == nil {
 		m.latB, m.slatB = stats.NewHistogram(), stats.NewHistogram()
 	}
@@ -394,24 +396,20 @@ func (c *Cell) memoCapture() {
 	m.head = len(m.key)
 	m.key = c.cycleTail(m.key)
 	c.memoBase()
-	m.nA, m.shapeA = 0, shapeSeed
+	m.shapeA = shapeSeed
 	m.phase = memoRecord
 }
 
 // traceRec is the tracer of an armed memoizer: it folds each access
-// into the current cycle's shape hash (and, while verifying, records
-// its energy class) before charging the meter as usual.
+// into the current cycle's shape hash.
 func (c *Cell) traceRec(ev coherence.TraceEvent) {
 	m := &c.memo
 	switch m.phase {
 	case memoRecord:
-		m.nA++
 		m.shapeA = traceShape(m.shapeA, ev)
 	case memoVerify:
 		m.shapeB = traceShape(m.shapeB, ev)
-		m.cls = append(m.cls, c.meter.Class(ev))
 	}
-	c.meter.Observe(ev)
 }
 
 // shapeSeed and shapePrime are the 64-bit FNV offset basis and prime.
@@ -421,7 +419,7 @@ const (
 )
 
 // traceShape folds one trace event into a cycle's shape hash: every
-// field that feeds the meter or the histograms — all but the monotone
+// field that feeds the ledger or the histograms — all but the monotone
 // At (absolute time) and Result.Value (the line value, which grows
 // every cycle under FAA and CAS).
 func traceShape(h uint64, ev coherence.TraceEvent) uint64 {
@@ -441,12 +439,12 @@ func traceShape(h uint64, ev coherence.TraceEvent) uint64 {
 }
 
 // memoAbort stands the memoizer down for the rest of the pass,
-// restoring the plain tracer. Correctness is unaffected — the cell
-// simply simulates every event (and the post-warmup pass still arms
-// even if the pre-warmup pass gave up).
+// removing its tracer. Correctness is unaffected — the cell simply
+// simulates every event (and the post-warmup pass still arms even if
+// the pre-warmup pass gave up).
 func (c *Cell) memoAbort() {
 	c.memo.phase = memoDone
-	c.mem.System().SetTracer(c.traceFn)
+	c.mem.System().SetTracer(nil)
 }
 
 // probe is the engine idle hook of an armed memoizer; it runs between
@@ -503,10 +501,14 @@ func (c *Cell) probe() {
 		for i, b := range m.perOpsB {
 			m.dPerOps = append(m.dPerOps, c.perOps[i]-b)
 		}
-		m.dCoh = subStats(c.mem.System().Stats(), m.cohB)
+		m.dCoh = c.mem.System().Stats().Sub(m.cohB)
+		m.dCls = m.dCls[:0]
+		for i, n := range c.mem.System().Classes() {
+			m.dCls = append(m.dCls, n-m.clsB[i])
+		}
 		m.dVal = c.anchor() - m.a0
 		c.memoBase()
-		m.shapeB, m.cls = shapeSeed, m.cls[:0]
+		m.shapeB = shapeSeed
 		m.phase = memoVerify
 		return
 	}
@@ -526,17 +528,11 @@ func (c *Cell) memoJump() {
 		c.ops-m.opsB == m.dOps &&
 		c.attempts-m.attB == m.dAtt &&
 		c.failures-m.failB == m.dFail &&
-		subStats(sys.Stats(), m.cohB) == m.dCoh &&
+		sys.Stats().Sub(m.cohB) == m.dCoh &&
 		c.anchor()-m.a0 == m.dVal && c.spansRecur(false) &&
-		len(m.cls) == m.nA && m.shapeB == m.shapeA
-	if ok {
-		for i, b := range m.perOpsB {
-			if c.perOps[i]-b != m.dPerOps[i] {
-				ok = false
-				break
-			}
-		}
-	}
+		m.shapeB == m.shapeA &&
+		deltaEqual(c.perOps, m.perOpsB, m.dPerOps) &&
+		deltaEqual(sys.Classes(), m.clsB, m.dCls)
 	if !ok || m.dur <= 0 {
 		c.memoAbort()
 		return
@@ -566,11 +562,10 @@ func (c *Cell) memoJump() {
 	}
 	c.lat.AddScaledDiff(m.latB, k)
 	c.slat.AddScaledDiff(m.slatB, k)
-	sys.AddScaledStats(m.dCoh, k)
+	sys.AddScaledStats(m.dCoh, m.dCls, k)
 	if c.reg != nil {
 		c.reg.AddScaledDiff(m.regB, k)
 	}
-	c.meter.Replay(m.cls, k)
 
 	// Translate the state into its k-cycles-later counterpart: every
 	// time stamp by the jump — except the start of a span held through
@@ -594,5 +589,16 @@ func (c *Cell) memoJump() {
 	eng.JumpClock(now+jump, k*m.period, m.dQT*sim.Time(k))
 	m.jumps++
 	ffJumps.Add(1)
-	c.memoAbort() // restores the tracer; phase = done
+	c.memoAbort() // removes the tracer; phase = done
+}
+
+// deltaEqual reports whether every counter of now grew by exactly
+// delta since base.
+func deltaEqual(now, base, delta []uint64) bool {
+	for i, b := range base {
+		if now[i]-b != delta[i] {
+			return false
+		}
+	}
+	return true
 }

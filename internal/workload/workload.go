@@ -231,11 +231,9 @@ func (r *Result) SuccessRate() float64 {
 // Cell, next to the cycle memoizer that fingerprints both.
 type primitives struct{}
 
-// Setup installs the energy meter's tracer, registers the workload's
-// own instruments, and resets every thread's operation context.
+// Setup registers the workload's own instruments and resets every
+// thread's operation context.
 func (primitives) Setup(c *Cell) error {
-	c.mem.System().SetTracer(c.traceFn)
-	c.mFailures = c.reg.Counter(metrics.WorkCASFailures)
 	c.mReads = c.reg.Counter(metrics.WorkReads)
 	c.mRMWs = c.reg.Counter(metrics.WorkRMWs)
 	for i, th := range c.Threads() {
@@ -283,7 +281,6 @@ func RunReusing(cfg Config, recycle *Result) (*Result, error) {
 		return nil, fmt.Errorf("workload: %w", err)
 	}
 	eng, reg := c.eng, c.reg
-	cohEnd := c.mem.System().Stats()
 	numCores := c.mem.System().Params().NumCores
 	if cap(c.coreSeen) < numCores {
 		c.coreSeen = make([]bool, numCores)
@@ -317,10 +314,12 @@ func RunReusing(cfg Config, recycle *Result) (*Result, error) {
 		Jain:           stats.JainIndex(c.perOps),
 		CoV:            stats.CoV(c.perOps),
 		MinMax:         stats.MinMaxRatio(c.perOps),
-		Energy:         c.meter.Report(cfg.Duration, cfg.Threads, coresUsed, c.ops),
-		Coh:            subStats(cohEnd, c.cohAtMeasure),
+		Energy: energy.NewReport(cfg.Machine, c.mem.System().Classes(), c.clsAtMeasure,
+			cfg.Duration, cfg.Threads, coresUsed, c.ops),
+		Coh: c.coh,
 	}
 	if reg != nil {
+		reg.Counter(metrics.WorkCASFailures).Add(c.failures)
 		reg.Counter(metrics.SimQueueTime).Add(uint64(eng.QueueTimeIntegral() - c.qtAtMeasure))
 		reg.Counter(metrics.WorkWindow).Add(uint64(cfg.Duration))
 		if snap == nil {
@@ -426,7 +425,6 @@ func (c *Cell) complete(th *Thread, res atomics.Result, ok bool) {
 		c.attempts++
 		if !ok {
 			c.failures++
-			c.mFailures.Inc()
 		}
 		if ok && th.inSpan {
 			c.slat.Record(c.eng.Now() - th.spanStart)
@@ -448,20 +446,5 @@ func (c *Cell) complete(th *Thread, res atomics.Result, ok bool) {
 	// dispatch: this is the hottest call of a live workload cell.
 	if c.eng.Now() < c.endAt {
 		c.think(th)
-	}
-}
-
-func subStats(a, b coherence.Stats) coherence.Stats {
-	return coherence.Stats{
-		Accesses:    a.Accesses - b.Accesses,
-		LocalHits:   a.LocalHits - b.LocalHits,
-		RemoteXfers: a.RemoteXfers - b.RemoteXfers,
-		LLCFills:    a.LLCFills - b.LLCFills,
-		DRAMFills:   a.DRAMFills - b.DRAMFills,
-		Invals:      a.Invals - b.Invals,
-		TotalHops:   a.TotalHops - b.TotalHops,
-		CrossSocket: a.CrossSocket - b.CrossSocket,
-		MaxQueueLen: a.MaxQueueLen,
-		LinkStall:   a.LinkStall - b.LinkStall,
 	}
 }

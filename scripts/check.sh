@@ -364,10 +364,12 @@ awk '/BenchmarkAppCell/ { if ($(NF-1) + 0 > 400) exit 1 }' "$dir/bench_app.txt" 
     exit 1
 }
 
-echo "== fuzz smoke (runlog parsers, topology hops, machine/workload/app/job specs, Schedule's express lane vs heap-only, park lane)"
+echo "== fuzz smoke (runlog parsers, job journal replay, topology hops, coherence value chains, machine/workload/app/job specs, Schedule's express lane vs heap-only, park lane)"
 go test -run FuzzNothing -fuzz FuzzCacheLoad -fuzztime 5s ./internal/runlog > /dev/null
 go test -run FuzzNothing -fuzz FuzzManifestValidate -fuzztime 5s ./internal/runlog > /dev/null
+go test -run FuzzNothing -fuzz FuzzJournalReplay -fuzztime 5s ./internal/jobs > /dev/null
 go test -run FuzzNothing -fuzz FuzzHops -fuzztime 5s ./internal/topology > /dev/null
+go test -run FuzzNothing -fuzz FuzzProtocolValueChain -fuzztime 5s ./internal/coherence > /dev/null
 go test -run FuzzNothing -fuzz FuzzSpecLoad -fuzztime 5s ./internal/machine > /dev/null
 go test -run FuzzNothing -fuzz FuzzWorkloadSpecLoad -fuzztime 5s ./internal/workload > /dev/null
 go test -run FuzzNothing -fuzz FuzzAppSpecLoad -fuzztime 5s ./internal/apps > /dev/null
