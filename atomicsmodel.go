@@ -222,15 +222,7 @@ func MeasureStateLatency(m *Machine, p Primitive, st LineState) (Time, error) {
 // PlaceCompact returns the physical cores of n compactly placed
 // threads — the form model predictions consume.
 func PlaceCompact(m *Machine, n int) ([]int, error) {
-	slots, err := (machine.Compact{}).Place(m, n)
-	if err != nil {
-		return nil, err
-	}
-	cores := make([]int, n)
-	for i, s := range slots {
-		cores[i] = m.CoreOf(s)
-	}
-	return cores, nil
+	return machine.PlaceCores(m, nil, n)
 }
 
 // Application benchmarks (counters, stacks, locks).

@@ -139,8 +139,8 @@ func main() {
 	}
 
 	// Graceful degradation on shutdown: stop admitting first (readyz
-	// flips to 503, submits shed), let accepted jobs finish, then flush
-	// and close the journal and cache. A second signal — or the drain
+	// flips to 503, submits shed), let accepted jobs finish, then close
+	// the journal and cache. A second signal — or the drain
 	// timeout — cuts it short; the write-ahead journal makes that safe.
 	drainCtx, cancel := context.WithTimeout(context.Background(), *drainTO)
 	go func() {

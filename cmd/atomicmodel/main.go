@@ -96,13 +96,9 @@ func main() {
 // query prints the model's answer (and optionally the simulator's) for
 // one machine; atomicmodel repeats it per selected machine.
 func query(m *machine.Machine, p atomics.Primitive, pl machine.Placement, work sim.Time, workDur time.Duration, threads int, compare, lowMode bool) {
-	slots, err := pl.Place(m, threads)
+	cores, err := machine.PlaceCores(m, pl, threads)
 	if err != nil {
 		fatal(err)
-	}
-	cores := make([]int, threads)
-	for i, s := range slots {
-		cores[i] = m.CoreOf(s)
 	}
 
 	det := core.NewDetailed(m)

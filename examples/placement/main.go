@@ -36,13 +36,9 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		slots, err := p.Place(m, threads)
+		cores, err := machine.PlaceCores(m, p, threads)
 		if err != nil {
 			log.Fatal(err)
-		}
-		cores := make([]int, threads)
-		for i, s := range slots {
-			cores[i] = m.CoreOf(s)
 		}
 		pred := model.PredictHigh(atomicsmodel.FAA, cores, 0)
 		xsock := float64(res.Coh.CrossSocket) / float64(res.Ops)

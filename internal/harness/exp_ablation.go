@@ -41,7 +41,7 @@ func init() {
 				for _, r := range res {
 					row = append(row, f2(r.ThroughputMops), f3(r.Jain))
 				}
-				cores, err := coresFor(m, nil, n)
+				cores, err := machine.PlaceCores(m, nil, n)
 				if err != nil {
 					return err
 				}

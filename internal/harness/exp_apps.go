@@ -37,7 +37,7 @@ func init() {
 			},
 			row: func(t *Table, m *machine.Machine, n int, res appResults) error {
 				faa, cas := res[0], res[1]
-				cores, err := coresFor(m, nil, n)
+				cores, err := machine.PlaceCores(m, nil, n)
 				if err != nil {
 					return err
 				}

@@ -59,7 +59,7 @@ func runF7(o Options) ([]*Table, error) {
 			var simX, detX, simpX []float64
 			for i, n := range o.threadSweep(m) {
 				r := res[i]
-				cores, err := coresFor(m, nil, n)
+				cores, err := machine.PlaceCores(m, nil, n)
 				if err != nil {
 					return err
 				}
@@ -100,11 +100,11 @@ func runT2(o Options) ([]*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		c2, err := coresFor(m, nil, min(2, m.NumCores()))
+		c2, err := machine.PlaceCores(m, nil, min(2, m.NumCores()))
 		if err != nil {
 			return nil, err
 		}
-		c16, err := coresFor(m, nil, min(16, m.NumCores()))
+		c16, err := machine.PlaceCores(m, nil, min(16, m.NumCores()))
 		if err != nil {
 			return nil, err
 		}

@@ -53,7 +53,7 @@ func runF11(o Options) ([]*Table, error) {
 	for _, m := range eligible {
 		for _, n := range sweep {
 			for _, p := range placements {
-				cores, err := coresFor(m, p, n)
+				cores, err := machine.PlaceCores(m, p, n)
 				if err != nil {
 					cell = append(cell, -1)
 					continue

@@ -59,7 +59,7 @@ func runF17(o Options) ([]*Table, error) {
 			}
 			res := results[k]
 			k++
-			cores, err := coresFor(m, machine.Scatter{}, n)
+			cores, err := machine.PlaceCores(m, machine.Scatter{}, n)
 			if err != nil {
 				return nil, err
 			}

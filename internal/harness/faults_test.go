@@ -1,6 +1,7 @@
 package harness
 
 import (
+	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -96,22 +97,53 @@ func TestRetriesExhaustedReportAttempts(t *testing.T) {
 	}
 }
 
-func TestZeroRetriesPreserveSingleAttemptErrors(t *testing.T) {
+// TestCanceledRetriesReportAttemptsMade: a context canceled inside the
+// first attempt stops the retries, and the error (and so the
+// manifest's attempts field) counts the one attempt made, not the
+// budget.
+func TestCanceledRetriesReportAttemptsMade(t *testing.T) {
 	o := quickOpts()
 	o.Par = 1
-	boom := errors.New("one-shot failure")
-	_, err := fanout(o, 2, func(i int) (int, error) {
-		if i == 0 {
-			return 0, boom
-		}
-		return i, nil
+	o.CellRetries = 3
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	o.Context = ctx
+	calls := 0
+	_, err := fanout(o, 1, func(i int) (int, error) {
+		calls++
+		cancel()
+		return 0, errors.New("failed while canceled")
 	})
-	if !errors.Is(err, boom) {
-		t.Fatalf("err = %v, want the original error", err)
-	}
 	var re *CellRetriedError
-	if errors.As(err, &re) {
-		t.Fatalf("single-attempt error wrapped in CellRetriedError: %v", err)
+	if !errors.As(err, &re) || re.Attempts != 1 || calls != 1 {
+		t.Fatalf("got %v (%T) after %d calls, want CellRetriedError with 1 attempt", err, err, calls)
+	}
+}
+
+// TestZeroRetriesPreserveSingleAttemptErrors: with no retry budget —
+// zero, or a negative value the CLIs pass through unchecked — the cell
+// still runs once and its error comes back unwrapped.
+func TestZeroRetriesPreserveSingleAttemptErrors(t *testing.T) {
+	for _, retries := range []int{0, -1} {
+		o := quickOpts()
+		o.Par = 1
+		o.CellRetries = retries
+		boom := errors.New("one-shot failure")
+		calls := 0
+		_, err := fanout(o, 2, func(i int) (int, error) {
+			if i == 0 {
+				calls++
+				return 0, boom
+			}
+			return i, nil
+		})
+		if !errors.Is(err, boom) || calls != 1 {
+			t.Fatalf("CellRetries %d: err = %v after %d calls, want the original error after 1", retries, err, calls)
+		}
+		var re *CellRetriedError
+		if errors.As(err, &re) {
+			t.Fatalf("CellRetries %d: single-attempt error wrapped in CellRetriedError: %v", retries, err)
+		}
 	}
 }
 

@@ -156,7 +156,7 @@ func (a arbiter) faa(sp workload.Spec) workload.Spec {
 // predictHigh is the detailed model's high-contention prediction for
 // primitive p on n compactly placed threads with local work w.
 func predictHigh(m *machine.Machine, p atomics.Primitive, n int, w sim.Time) (core.Prediction, error) {
-	cores, err := coresFor(m, nil, n)
+	cores, err := machine.PlaceCores(m, nil, n)
 	if err != nil {
 		return core.Prediction{}, err
 	}

@@ -25,23 +25,6 @@ func newProbe(m *machine.Machine, check bool) (eng *sim.Engine, mem *atomics.Mem
 	return eng, mem, audit, nil
 }
 
-// coresFor places n threads with p (nil = compact) and returns their
-// physical cores in thread order.
-func coresFor(m *machine.Machine, p machine.Placement, n int) ([]int, error) {
-	if p == nil {
-		p = machine.Compact{}
-	}
-	slots, err := p.Place(m, n)
-	if err != nil {
-		return nil, err
-	}
-	cores := make([]int, n)
-	for i, s := range slots {
-		cores[i] = m.CoreOf(s)
-	}
-	return cores, nil
-}
-
 func f2(v float64) string  { return fmt.Sprintf("%.2f", v) }
 func f3(v float64) string  { return fmt.Sprintf("%.3f", v) }
 func f1(v float64) string  { return fmt.Sprintf("%.1f", v) }

@@ -84,7 +84,8 @@ func (e *CellTimeoutError) Error() string {
 type CellRetriedError struct {
 	// Cell is the failing cell's index.
 	Cell int
-	// Attempts is the total number of attempts made (1 + retries).
+	// Attempts is the number of attempts actually made: 1 + retries,
+	// or fewer when the run's context was canceled in between.
 	Attempts int
 	// Last is the final attempt's error.
 	Last error
@@ -312,34 +313,27 @@ func FanoutKeyed[S, R any](o Options, specs []S, key func(spec S) string, f func
 // leave a half-written record behind. With CellTimeout and CellRetries
 // both zero this is exactly the old single-attempt panic guard.
 func computeCell[S, R any](o Options, i int, spec S, f func(i int, spec S) (R, error)) (R, error) {
-	var last error
-	for attempt := 0; ; attempt++ {
-		if attempt > 0 {
-			// Bounded linear backoff before each retry: enough to let a
-			// transient resource squeeze (the usual cause of a wall-clock
-			// timeout) pass, small enough not to dominate the run.
-			time.Sleep(time.Duration(attempt) * cellRetryBackoff)
-		}
+	for attempts := 1; ; attempts++ {
 		r, err := guardedCell(o, i, spec, f)
 		if err == nil {
 			return r, nil
 		}
-		last = err
-		if attempt >= o.CellRetries {
-			break
+		// The first attempt always runs, whatever CellRetries says. A
+		// canceled run must not burn its remaining attempts: the retry
+		// budget is for transient failures, not for outliving the
+		// caller's deadline.
+		if attempts > o.CellRetries || (o.Context != nil && o.Context.Err() != nil) {
+			var zero R
+			if o.CellRetries > 0 {
+				return zero, &CellRetriedError{Cell: i, Attempts: attempts, Last: err}
+			}
+			return zero, err
 		}
-		// A canceled run must not burn its remaining attempts: the
-		// retry budget is for transient failures, not for outliving
-		// the caller's deadline.
-		if o.Context != nil && o.Context.Err() != nil {
-			break
-		}
+		// Bounded linear backoff before each retry: enough to let a
+		// transient resource squeeze (the usual cause of a wall-clock
+		// timeout) pass, small enough not to dominate the run.
+		time.Sleep(time.Duration(attempts) * cellRetryBackoff)
 	}
-	var zero R
-	if o.CellRetries > 0 {
-		return zero, &CellRetriedError{Cell: i, Attempts: o.CellRetries + 1, Last: last}
-	}
-	return zero, last
 }
 
 // guardedCell runs f(i, spec) once with panic recovery and, when

@@ -1,12 +1,9 @@
 package jobs
 
 import (
-	"bufio"
 	"encoding/json"
 	"fmt"
-	"os"
 	"path/filepath"
-	"sync"
 
 	"atomicsmodel/internal/runlog"
 )
@@ -22,12 +19,16 @@ import (
 // replay from the shared cell cache, so recovery converges instead of
 // starting over).
 //
-// Like the runlog files it imitates, the journal is append-only and
-// corruption-tolerant: a torn final line is the normal residue of a
-// kill and is dropped silently-but-reported, an unparseable interior
-// line or a submit record whose digest no longer matches its payload
-// is quarantined (runlog.Quarantine) rather than trusted, and a
-// terminal record for an unknown job is quarantined too.
+// The journal is a runlog.Log, like the manifest and the cell cache
+// beside it: one Write per record, read back by runlog.ReadLog, and
+// ended at a record boundary on reopen. It is corruption-tolerant: the
+// torn final line of a kill is dropped but reported, and an
+// unparseable line, a submit record whose digest no longer matches its
+// payload, or a terminal record for an unknown job is quarantined
+// (runlog.Quarantine) rather than trusted. The daemon opens the
+// journal only under the run directory's writer lock, which New takes
+// first with the cell cache, so no second daemon repairs or appends to
+// a live one's journal.
 
 // journalFile is the job journal's name inside the run directory.
 const journalFile = "jobs.jsonl"
@@ -67,179 +68,125 @@ type RecoveredJob struct {
 }
 
 // Journal appends job records to <dir>/jobs.jsonl. Methods are safe
-// for concurrent use; every record is flushed before the append
+// for concurrent use; every record is written before the append
 // returns, so an admitted job is durable before its client hears 202.
-type Journal struct {
-	mu sync.Mutex
-	f  *os.File
-	w  *bufio.Writer
-}
+type Journal struct{ log *runlog.Log }
 
-// OpenJournal replays any existing job journal in dir and opens it for
-// appending. It returns the recovered jobs in first-submission order
-// and the quarantined (corrupt) lines; neither is an error.
+// OpenJournal replays any existing job journal in dir, which must
+// exist, and opens it for appending. It returns the recovered jobs in
+// first-submission order and the quarantined (corrupt) lines; neither
+// is an error.
 func OpenJournal(dir string) (*Journal, []*RecoveredJob, []runlog.Quarantine, error) {
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return nil, nil, nil, err
-	}
-	path := filepath.Join(dir, journalFile)
-	jobs, quarantined, err := replayJournal(path)
+	r := &journalReplay{byID: map[string]*RecoveredJob{}}
+	log, torn, err := runlog.OpenLog(filepath.Join(dir, journalFile), r.record)
 	if err != nil {
 		return nil, nil, nil, err
 	}
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	return &Journal{f: f, w: bufio.NewWriter(f)}, jobs, quarantined, nil
+	return &Journal{log}, r.order, r.quarantinedWith(torn), nil
 }
 
-// replayJournal folds the journal's records into per-job final states.
-func replayJournal(path string) ([]*RecoveredJob, []runlog.Quarantine, error) {
-	b, err := os.ReadFile(path)
-	if err != nil {
-		if os.IsNotExist(err) {
-			return nil, nil, nil
-		}
-		return nil, nil, err
-	}
-	byID := map[string]*RecoveredJob{}
-	var order []*RecoveredJob
-	var quarantined []runlog.Quarantine
-	lines := runlog.SplitLines(b)
-	for i, line := range lines {
-		if len(line) == 0 {
-			continue
-		}
-		var rec journalRecord
-		if err := json.Unmarshal(line, &rec); err != nil {
-			reason := fmt.Sprintf("unparseable record: %v", err)
-			if i == len(lines)-1 {
-				reason = "torn final write (killed daemon)"
-			}
-			quarantined = append(quarantined, runlog.Quarantine{Line: i + 1, Reason: reason})
-			continue
-		}
-		switch rec.Type {
-		case recSubmit:
-			if got := runlog.Digest(rec.Spec); got != rec.Digest {
-				quarantined = append(quarantined, runlog.Quarantine{
-					Line: i + 1, Key: rec.ID,
-					Reason: fmt.Sprintf("spec digest mismatch: stored %s, payload hashes to %s", rec.Digest, got),
-				})
-				continue
-			}
-			spec, err := ParseSpec(rec.Spec)
-			if err != nil {
-				// Well-formed line, digest intact, but the spec no
-				// longer parses (schema drift between versions):
-				// quarantine rather than crash the daemon.
-				quarantined = append(quarantined, runlog.Quarantine{
-					Line: i + 1, Key: rec.ID,
-					Reason: fmt.Sprintf("journaled spec no longer parses: %v", err),
-				})
-				continue
-			}
-			if j, ok := byID[rec.ID]; ok {
-				// Resubmission after a terminal state: the job is
-				// pending again, under the resubmitted spec's policy.
-				j.Spec, j.Raw = spec, rec.Spec
-				j.State, j.ResultDigest, j.Error = StateQueued, "", ""
-				continue
-			}
-			j := &RecoveredJob{ID: rec.ID, Spec: spec, Raw: rec.Spec, State: StateQueued}
-			byID[rec.ID] = j
-			order = append(order, j)
-		case recDone, recFailed:
-			j, ok := byID[rec.ID]
-			if !ok {
-				quarantined = append(quarantined, runlog.Quarantine{
-					Line: i + 1, Key: rec.ID,
-					Reason: "terminal record for a job with no submit record",
-				})
-				continue
-			}
-			if rec.Type == recDone {
-				j.State, j.ResultDigest, j.Error = StateDone, rec.Digest, ""
-			} else {
-				j.State, j.ResultDigest, j.Error = StateFailed, "", rec.Error
-			}
-		default:
-			quarantined = append(quarantined, runlog.Quarantine{
-				Line: i + 1, Reason: fmt.Sprintf("unknown record type %q", rec.Type),
-			})
-		}
-	}
-	return order, quarantined, nil
+// journalReplay folds the journal's records into per-job final states.
+type journalReplay struct {
+	byID        map[string]*RecoveredJob
+	order       []*RecoveredJob
+	quarantined []runlog.Quarantine
 }
 
-func (j *Journal) emit(rec journalRecord) error {
-	b, err := json.Marshal(rec)
-	if err != nil {
-		return err
+// quarantine sets line n aside as untrusted. It returns nil, so a
+// replay step can end with it and the replay goes on.
+func (r *journalReplay) quarantine(n int, id, reason string) error {
+	r.quarantined = append(r.quarantined, runlog.Quarantine{Line: n, Key: id, Reason: reason})
+	return nil
+}
+
+// record replays journal line n.
+func (r *journalReplay) record(n int, line []byte) error {
+	var rec journalRecord
+	if err := json.Unmarshal(line, &rec); err != nil {
+		return r.quarantine(n, "", fmt.Sprintf("unparseable record: %v", err))
 	}
-	b = append(b, '\n')
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	if _, err := j.w.Write(b); err != nil {
-		return err
+	switch rec.Type {
+	case recSubmit:
+		if got := runlog.Digest(rec.Spec); got != rec.Digest {
+			return r.quarantine(n, rec.ID, fmt.Sprintf("spec digest mismatch: stored %s, payload hashes to %s", rec.Digest, got))
+		}
+		spec, err := ParseSpec(rec.Spec)
+		if err != nil {
+			// Well-formed line, digest intact, but the spec no longer
+			// parses (schema drift between versions): quarantine
+			// rather than crash the daemon.
+			return r.quarantine(n, rec.ID, fmt.Sprintf("journaled spec no longer parses: %v", err))
+		}
+		if j, ok := r.byID[rec.ID]; ok {
+			// Resubmission after a terminal state: the job is pending
+			// again, under the resubmitted spec's policy.
+			j.Spec, j.Raw = spec, rec.Spec
+			j.State, j.ResultDigest, j.Error = StateQueued, "", ""
+			return nil
+		}
+		j := &RecoveredJob{ID: rec.ID, Spec: spec, Raw: rec.Spec, State: StateQueued}
+		r.byID[rec.ID] = j
+		r.order = append(r.order, j)
+	case recDone, recFailed:
+		j, ok := r.byID[rec.ID]
+		if !ok {
+			return r.quarantine(n, rec.ID, "terminal record for a job with no submit record")
+		}
+		if rec.Type == recDone {
+			j.State, j.ResultDigest, j.Error = StateDone, rec.Digest, ""
+		} else {
+			j.State, j.ResultDigest, j.Error = StateFailed, "", rec.Error
+		}
+	default:
+		return r.quarantine(n, "", fmt.Sprintf("unknown record type %q", rec.Type))
 	}
-	// Flush per record: the write-ahead property is the whole point.
-	return j.w.Flush()
+	return nil
+}
+
+// quarantinedWith returns the quarantined lines, the torn final line
+// (if any) last.
+func (r *journalReplay) quarantinedWith(torn int) []runlog.Quarantine {
+	if torn > 0 {
+		r.quarantine(torn, "", "torn final write (killed daemon)")
+	}
+	return r.quarantined
 }
 
 // Submit journals an admitted job before it is enqueued.
 func (j *Journal) Submit(id string, spec json.RawMessage) error {
-	return j.emit(journalRecord{Type: recSubmit, ID: id, Spec: spec, Digest: runlog.Digest(spec)})
+	return j.log.Append(journalRecord{Type: recSubmit, ID: id, Spec: spec, Digest: runlog.Digest(spec)})
 }
 
 // Done journals a completed job and its result digest.
 func (j *Journal) Done(id, resultDigest string) error {
-	return j.emit(journalRecord{Type: recDone, ID: id, Digest: resultDigest})
+	return j.log.Append(journalRecord{Type: recDone, ID: id, Digest: resultDigest})
 }
 
 // Failed journals a terminally failed job.
 func (j *Journal) Failed(id, msg string) error {
-	return j.emit(journalRecord{Type: recFailed, ID: id, Error: msg})
+	return j.log.Append(journalRecord{Type: recFailed, ID: id, Error: msg})
 }
 
-// Close flushes and closes the journal.
-func (j *Journal) Close() error {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	err := j.w.Flush()
-	if cerr := j.f.Close(); err == nil {
-		err = cerr
-	}
-	return err
-}
+// Close closes the journal and returns its first failed write.
+func (j *Journal) Close() error { return j.log.Close() }
 
 // ValidateJournal replays a run directory's job journal and returns a
 // one-line summary (the check behind `atomicd -checkjournal`). Pending
 // jobs are jobs a restarted daemon would re-run; a drained daemon
 // leaves zero of them.
 func ValidateJournal(dir string) (string, error) {
-	path := filepath.Join(dir, journalFile)
-	if _, err := os.Stat(path); err != nil {
+	r := &journalReplay{byID: map[string]*RecoveredJob{}}
+	_, torn, err := runlog.ReadLog(filepath.Join(dir, journalFile), r.record)
+	if err != nil {
 		return "", fmt.Errorf("jobs: %w", err)
 	}
-	jobs, quarantined, err := replayJournal(path)
-	if err != nil {
-		return "", err
-	}
-	var done, failed, pending int
+	jobs, quarantined := r.order, r.quarantinedWith(torn)
+	n := map[State]int{} // a replayed job is queued (pending), done or failed
 	for _, j := range jobs {
-		switch j.State {
-		case StateDone:
-			done++
-		case StateFailed:
-			failed++
-		default:
-			pending++
-		}
+		n[j.State]++
 	}
 	s := fmt.Sprintf("journal ok: %d jobs (%d done, %d failed, %d pending)",
-		len(jobs), done, failed, pending)
+		len(jobs), n[StateDone], n[StateFailed], n[StateQueued])
 	if len(quarantined) > 0 {
 		s += fmt.Sprintf("; %d line(s) quarantined", len(quarantined))
 	}

@@ -1,6 +1,7 @@
 package jobs
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"os"
@@ -120,6 +121,35 @@ func TestJournalTornFinalWrite(t *testing.T) {
 	}
 	if len(quarantined) != 1 || !strings.Contains(quarantined[0].Reason, "torn") {
 		t.Fatalf("quarantine = %+v, want one torn-final-write entry", quarantined)
+	}
+}
+
+// TestJournalSubmitAfterTornTail: a daemon killed mid-submit, then
+// restarted, admits jNEW, and crashes again. The reopen must have cut
+// the fragment, so the next replay recovers jNEW as well as jOK.
+func TestJournalSubmitAfterTornTail(t *testing.T) {
+	dir := t.TempDir()
+	j, _, _ := openForTest(t, dir)
+	raw := specRaw(t, `{"workloads":["high-faa"]}`)
+	j.Submit("jOK", raw)
+	j.Submit("jTORN", raw)
+	j.Close()
+	if err := faults.TearFinalLine(filepath.Join(dir, journalFile)); err != nil {
+		t.Fatal(err)
+	}
+	j2, _, _ := openForTest(t, dir)
+	if err := j2.Submit("jNEW", raw); err != nil {
+		t.Fatal(err)
+	}
+	j2.Close()
+
+	j3, jobs, quarantined := openForTest(t, dir)
+	defer j3.Close()
+	if ids := jobIDs(jobs); len(ids) != 2 || ids[0] != "jOK" || ids[1] != "jNEW" {
+		t.Fatalf("recovered %v, want [jOK jNEW]", ids)
+	}
+	if len(quarantined) != 0 {
+		t.Fatalf("second reopen quarantined %+v, want nothing", quarantined)
 	}
 }
 
@@ -265,8 +295,10 @@ func FuzzJournalReplay(f *testing.F) {
 		if err != nil {
 			t.Fatalf("OpenJournal failed on corrupt input instead of quarantining: %v", err)
 		}
-		defer j.Close()
-		lines := len(runlog.SplitLines(data))
+		lines := bytes.Count(data, []byte{'\n'})
+		if len(data) > 0 && data[len(data)-1] != '\n' {
+			lines++
+		}
 		for _, q := range quarantined {
 			if q.Line < 1 || q.Line > lines || q.Reason == "" {
 				t.Fatalf("malformed quarantine record %+v for %d lines", q, lines)
@@ -300,6 +332,34 @@ func FuzzJournalReplay(f *testing.F) {
 			len(jobs), counts[StateDone], counts[StateFailed], counts[StateQueued])
 		if !strings.HasPrefix(summary, want) {
 			t.Fatalf("ValidateJournal = %q, want %q", summary, want)
+		}
+
+		// The open ended the journal at a record boundary, so one
+		// submit and a reopen recover every job the first open did,
+		// plus the submitted one.
+		recovered := map[string]string{}
+		for _, job := range jobs {
+			recovered[job.ID] = fmt.Sprintf("%s %s %s %q", job.State, job.Raw, job.ResultDigest, job.Error)
+		}
+		if err := j.Submit("jAPPENDED", raw); err != nil {
+			t.Fatal(err)
+		}
+		recovered["jAPPENDED"] = fmt.Sprintf("%s %s  %q", StateQueued, raw, "")
+		if err := j.Close(); err != nil {
+			t.Fatal(err)
+		}
+		j2, jobs2, _, err := OpenJournal(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer j2.Close()
+		if len(jobs2) != len(recovered) {
+			t.Fatalf("reopen recovered %v, want %d jobs", jobIDs(jobs2), len(recovered))
+		}
+		for _, job := range jobs2 {
+			if got := fmt.Sprintf("%s %s %s %q", job.State, job.Raw, job.ResultDigest, job.Error); got != recovered[job.ID] {
+				t.Fatalf("reopen recovered job %q as %s, want %s", job.ID, got, recovered[job.ID])
+			}
 		}
 	})
 }

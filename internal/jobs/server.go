@@ -552,9 +552,10 @@ func (s *Server) Draining() bool {
 }
 
 // retryBackoff computes the sleep before retry attempt k (1-based):
-// capped exponential backoff with full jitter, so a burst of failed
-// jobs does not retry in lockstep. Wall-clock policy only — it can
-// never affect results.
+// exponential backoff capped at 5 s, with equal jitter (a uniform draw
+// from the upper half of the step), so a burst of failed jobs does not
+// retry in lockstep and no sleep passes the cap. Wall-clock policy
+// only — it can never affect results.
 func retryBackoff(attempt int) time.Duration {
 	const (
 		base = 100 * time.Millisecond
@@ -564,7 +565,7 @@ func retryBackoff(attempt int) time.Duration {
 	if d > cap || d <= 0 {
 		d = cap
 	}
-	return time.Duration(rand.Int63n(int64(d)) + int64(d)/2)
+	return d/2 + time.Duration(rand.Int63n(int64(d/2)+1))
 }
 
 // runJob executes one job under the full robustness stack: per-job
@@ -665,7 +666,7 @@ func (s *Server) executeOnce(ctx context.Context, j *job) (text []byte, err erro
 			if s.cfg.Faults.ShouldCrash(n) {
 				// The armed crash hook: SIGKILL semantics at a
 				// deterministic point. No drain, no journal terminal
-				// record, no cache flush beyond the per-Put flushes
+				// record, no cache write beyond the per-Put writes
 				// that already happened — exactly what recovery must
 				// survive.
 				s.cfg.Log.Printf("faults: daemon crash hook firing after %d cells", n)
@@ -730,7 +731,7 @@ func (s *Server) storeResult(id string, text []byte) (string, error) {
 // Drain performs the graceful shutdown: stop admitting, let every
 // accepted job finish (each is journaled, so even a drain cut short by
 // ctx loses nothing — unfinished jobs recover on the next start), then
-// stop the workers and flush and close the journal and cache. Returns
+// stop the workers and close the journal and cache. Returns
 // ctx.Err() when the deadline cut the drain short.
 func (s *Server) Drain(ctx context.Context) error {
 	s.mu.Lock()
@@ -759,10 +760,11 @@ func (s *Server) Drain(ctx context.Context) error {
 		// process is exiting).
 		drainErr = ctx.Err()
 	}
-	if err := s.cache.Close(); err != nil && drainErr == nil {
+	// Journal first: the cache's Close drops the directory lock.
+	if err := s.journal.Close(); err != nil && drainErr == nil {
 		drainErr = err
 	}
-	if err := s.journal.Close(); err != nil && drainErr == nil {
+	if err := s.cache.Close(); err != nil && drainErr == nil {
 		drainErr = err
 	}
 	return drainErr

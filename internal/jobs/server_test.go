@@ -467,7 +467,7 @@ func TestServerHTTPValidation(t *testing.T) {
 func TestRetryBackoffBounded(t *testing.T) {
 	for attempt := 1; attempt < 20; attempt++ {
 		d := retryBackoff(attempt)
-		if d <= 0 || d > 10*time.Second {
+		if d <= 0 || d > 5*time.Second {
 			t.Fatalf("retryBackoff(%d) = %v, want a bounded positive delay", attempt, d)
 		}
 	}

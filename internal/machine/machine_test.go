@@ -194,6 +194,30 @@ func TestScatterPlacement(t *testing.T) {
 	}
 }
 
+// TestPlaceCores: a nil placement is Compact, and cores come back in
+// thread order, one CoreOf per placed slot.
+func TestPlaceCores(t *testing.T) {
+	m := XeonE5()
+	for _, p := range []Placement{nil, Scatter{}} {
+		cores, err := PlaceCores(m, p, 40)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if p == nil {
+			p = Compact{}
+		}
+		slots, _ := p.Place(m, 40)
+		for i, s := range slots {
+			if cores[i] != m.CoreOf(s) {
+				t.Fatalf("%s: thread %d on core %d, want %d", p.Name(), i, cores[i], m.CoreOf(s))
+			}
+		}
+	}
+	if _, err := PlaceCores(m, nil, 1000); err == nil {
+		t.Fatal("PlaceCores accepted more threads than the machine has")
+	}
+}
+
 func TestSMTFirstPlacement(t *testing.T) {
 	m := KNL()
 	slots, err := SMTFirst{}.Place(m, 8)

@@ -23,6 +23,23 @@ func checkCapacity(m *Machine, n int) error {
 	return nil
 }
 
+// PlaceCores places n threads with p (nil means Compact) and returns
+// their physical cores in thread order, the form that model
+// predictions and workload cells consume.
+func PlaceCores(m *Machine, p Placement, n int) ([]int, error) {
+	if p == nil {
+		p = Compact{}
+	}
+	slots, err := p.Place(m, n)
+	if err != nil {
+		return nil, err
+	}
+	for i, s := range slots {
+		slots[i] = m.CoreOf(s) // Place returns a fresh slice
+	}
+	return slots, nil
+}
+
 // Compact fills cores in index order (socket 0 first), one hyperthread
 // per core, and only starts using second hyperthreads when every core
 // has one thread. This is the paper's default pinning: contention stays

@@ -370,13 +370,9 @@ func ForSpec(m *machine.Machine, s *apps.Spec, q Quantities) (float64, error) {
 	if err != nil {
 		return 0, err
 	}
-	slots, err := place.Place(m, d.Threads)
+	cores, err := machine.PlaceCores(m, place, d.Threads)
 	if err != nil {
 		return 0, err
-	}
-	cores := make([]int, len(slots))
-	for i, hw := range slots {
-		cores[i] = m.CoreOf(hw)
 	}
 	return Throughput(core.NewDetailed(m), steps, cores, q)
 }

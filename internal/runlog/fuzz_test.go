@@ -29,26 +29,40 @@ func FuzzCacheLoad(f *testing.F) {
 		if err != nil {
 			t.Fatalf("OpenCache failed on corrupt input instead of quarantining: %v", err)
 		}
-		defer c.Close()
 		for _, q := range c.Quarantined() {
 			if q.Line <= 0 || q.Reason == "" {
 				t.Fatalf("malformed quarantine record: %+v", q)
 			}
 		}
 		// Whatever survived must be internally consistent.
-		var lines [][]byte
-		for _, l := range SplitLines(data) {
-			lines = append(lines, l)
-		}
-		for _, line := range lines {
-			var e cacheEntry
-			if json.Unmarshal(line, &e) != nil || e.Key == "" {
-				continue
+		want := map[string]string{}
+		for k, e := range c.entries {
+			if Digest(e.Value) != e.Digest {
+				t.Fatalf("served entry %q with digest %q over payload hashing to %q", k, e.Digest, Digest(e.Value))
 			}
-			if v, digest, ok := c.Get(e.Key); ok {
-				if Digest(v) != digest {
-					t.Fatalf("served entry %q with digest %q over payload hashing to %q", e.Key, digest, Digest(v))
-				}
+			want[k] = string(e.Value)
+		}
+		// The open ended the file at a record boundary, so one append
+		// and a reopen recover every entry the first open did, plus the
+		// appended one.
+		if _, err := c.Put("fuzz|appended", json.RawMessage(`{"v":2}`)); err != nil {
+			t.Fatal(err)
+		}
+		want["fuzz|appended"] = `{"v":2}`
+		if err := c.Close(); err != nil {
+			t.Fatal(err)
+		}
+		c2, err := OpenCache(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer c2.Close()
+		if c2.Len() != len(want) {
+			t.Fatalf("reopen recovered %d entries, want %d", c2.Len(), len(want))
+		}
+		for k, v := range want {
+			if got, _, ok := c2.Get(k); !ok || string(got) != v {
+				t.Fatalf("reopen lost entry %q: got %s, %v; want %s", k, got, ok, v)
 			}
 		}
 	})

@@ -4,8 +4,7 @@ package runlog
 
 import "os"
 
-// Non-unix platforms get no advisory locking: OpenCache degrades to
-// the historical single-process contract rather than failing to build.
+// Non-unix platforms get no advisory locking: the writer lock degrades
+// to the historical single-process contract rather than failing to
+// build.
 func flockExclusive(*os.File) error { return nil }
-
-func flockRelease(*os.File) {}

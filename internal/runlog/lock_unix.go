@@ -8,14 +8,9 @@ import (
 )
 
 // flockExclusive takes a non-blocking exclusive advisory lock on f.
-// flock locks belong to the open file description, so they vanish with
-// the process — a SIGKILL'd owner can never leave the cache wedged.
+// flock locks belong to the open file description, so they go with its
+// close or the process — a SIGKILL'd owner can never leave the
+// directory wedged.
 func flockExclusive(f *os.File) error {
 	return syscall.Flock(int(f.Fd()), syscall.LOCK_EX|syscall.LOCK_NB)
-}
-
-// flockRelease drops the advisory lock (closing f would too; explicit
-// release keeps Close-order bugs from extending the critical section).
-func flockRelease(f *os.File) {
-	_ = syscall.Flock(int(f.Fd()), syscall.LOCK_UN)
 }

@@ -206,3 +206,85 @@ func TestValidateReportsQuarantinedCacheLines(t *testing.T) {
 		t.Fatalf("summary %q does not surface the quarantine", summary)
 	}
 }
+
+// TestManifestResumeAfterTornTail: a run killed while writing its
+// summary, then resumed. The resumed run's records must not land on
+// the fragment, or -checkmanifest fails on an interior line.
+func TestManifestResumeAfterTornTail(t *testing.T) {
+	dir := t.TempDir()
+	for i, open := range []func(string) (*Writer, error){Create, Append} {
+		w, err := open(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := w.Cell(CellRecord{Exp: "F3", Cell: i, Key: key(i)}); err != nil {
+			t.Fatal(err)
+		}
+		if err := w.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := faults.TearFinalLine(filepath.Join(dir, manifestFile)); err != nil {
+		t.Fatal(err)
+	}
+	w, err := Append(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Cell(CellRecord{Exp: "F3", Cell: 2, Key: key(2)}); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	summary, err := Validate(dir)
+	if err != nil {
+		t.Fatalf("resumed manifest rejected: %v", err)
+	}
+	if !strings.Contains(summary, "3 cells (0 failed), 2 run summaries") || strings.Contains(summary, "torn") {
+		t.Fatalf("summary %q, want both complete runs and all 3 cells, nothing torn", summary)
+	}
+}
+
+// TestCacheAppendAfterTornTail: the cell recomputed after a torn tail
+// must replay on the next resume, and nothing is quarantined twice.
+func TestCacheAppendAfterTornTail(t *testing.T) {
+	dir := t.TempDir()
+	path := seedCache(t, dir, 3)
+	if err := faults.TearFinalLine(path); err != nil {
+		t.Fatal(err)
+	}
+	c, err := OpenCache(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if q := c.Quarantined(); len(q) != 1 || q[0].Line != 3 {
+		t.Fatalf("first reopen quarantined %+v, want the torn line 3", q)
+	}
+	if _, err := c.Put(key(2), json.RawMessage(`{"v":200}`)); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Close(); err != nil {
+		t.Fatal(err)
+	}
+	c2, err := OpenCache(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c2.Close()
+	if q := c2.Quarantined(); len(q) != 0 {
+		t.Fatalf("second reopen quarantined %+v, want nothing", q)
+	}
+	if v, _, ok := c2.Get(key(2)); !ok || string(v) != `{"v":200}` || c2.Loaded() != 3 {
+		t.Fatalf("recomputed cell = (%s, %v), %d loaded; want it replayed among 3", v, ok, c2.Loaded())
+	}
+}
+
+func readBytes(t *testing.T, path string) []byte {
+	t.Helper()
+	b, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b
+}

@@ -14,8 +14,21 @@
 //	                 re-simulating, so only missing, failed, or changed
 //	                 cells run again.
 //
-// Both files are append-only and tolerate a truncated final line, so a
-// run killed mid-write loses at most the cell that was being recorded.
+// Both files, and the job journal atomicd keeps beside them
+// (internal/jobs), are one Log each: append-only, one Write per
+// record, read back by one reader (ReadLog). A run killed mid-write
+// leaves at most a torn final line, and loses only the record it was
+// writing. The reader reports that line instead of passing it on, and
+// a writable open ends the file at a record boundary before its first
+// append: it terminates a final line that parses and cuts one that
+// does not. So the next record never lands on a fragment.
+//
+// One writer lock (cells.lock) guards a run directory. Create and
+// Append take it before they remove, truncate or repair anything, and
+// the run holds it until its Writer and Cache are both closed:
+// OpenCache joins the lock of a live Writer on the same directory. So
+// a second run pointed at a live directory fails with "locked by pid
+// N" and leaves its files alone.
 //
 // In the model pipeline (ARCHITECTURE.md) this package is the
 // persistence arm of the observability layer: the harness's cell
@@ -26,7 +39,6 @@
 package runlog
 
 import (
-	"bufio"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
@@ -123,8 +135,8 @@ func Digest(b []byte) string {
 // concurrent use by scheduler workers.
 type Writer struct {
 	mu      sync.Mutex
-	f       *os.File
-	w       *bufio.Writer
+	log     *Log
+	lock    *dirLock
 	start   time.Time
 	resumed bool
 
@@ -137,7 +149,7 @@ const (
 	cacheFile    = "cells.jsonl"
 )
 
-// Create starts a fresh run directory: it truncates any existing
+// Create starts a fresh run directory: it removes any existing
 // manifest and cell cache so stale results cannot leak into a new run.
 func Create(dir string) (*Writer, error) {
 	return newWriter(dir, false)
@@ -149,39 +161,33 @@ func Append(dir string) (*Writer, error) {
 	return newWriter(dir, true)
 }
 
-func newWriter(dir string, resume bool) (*Writer, error) {
-	if err := os.MkdirAll(dir, 0o755); err != nil {
+// newWriter takes the directory's writer lock before it removes or
+// repairs files, and holds it until Close; the run's OpenCache on the
+// same directory joins it.
+func newWriter(dir string, resume bool) (w *Writer, err error) {
+	lock, err := lockDir(dir, false)
+	if err != nil {
 		return nil, err
 	}
-	mode := os.O_CREATE | os.O_WRONLY
-	if resume {
-		mode |= os.O_APPEND
-	} else {
-		mode |= os.O_TRUNC
-		// A fresh run invalidates the cache too: OpenCache on this
+	defer func() {
+		if err != nil {
+			lock.release()
+		}
+	}()
+	if !resume {
+		// A fresh run starts both files over: OpenCache on this
 		// directory must not see another run's cells.
-		if err := os.Remove(filepath.Join(dir, cacheFile)); err != nil && !os.IsNotExist(err) {
-			return nil, err
+		for _, name := range []string{manifestFile, cacheFile} {
+			if err := os.Remove(filepath.Join(dir, name)); err != nil && !os.IsNotExist(err) {
+				return nil, err
+			}
 		}
 	}
-	f, err := os.OpenFile(filepath.Join(dir, manifestFile), mode, 0o644)
+	log, _, err := OpenLog(filepath.Join(dir, manifestFile), nil)
 	if err != nil {
 		return nil, err
 	}
-	return &Writer{f: f, w: bufio.NewWriter(f), start: time.Now(), resumed: resume}, nil
-}
-
-func (w *Writer) emit(v interface{}) error {
-	b, err := json.Marshal(v)
-	if err != nil {
-		return err
-	}
-	b = append(b, '\n')
-	if _, err := w.w.Write(b); err != nil {
-		return err
-	}
-	// Flush per record: a killed run keeps everything recorded so far.
-	return w.w.Flush()
+	return &Writer{log: log, lock: lock, start: time.Now(), resumed: resume}, nil
 }
 
 // Cell records one completed or failed cell.
@@ -196,7 +202,7 @@ func (w *Writer) Cell(r CellRecord) error {
 	if r.Error != "" {
 		w.failedCells++
 	}
-	return w.emit(r)
+	return w.log.Append(r)
 }
 
 // Totals returns the cell counters accumulated so far: total cells,
@@ -217,14 +223,17 @@ func (w *Writer) Exp(r ExpRecord) error {
 	if r.Error != "" {
 		w.failedExps++
 	}
-	return w.emit(r)
+	return w.log.Append(r)
 }
 
-// Close writes the trailing run summary and closes the manifest.
+// Close writes the trailing run summary, closes the manifest and
+// releases the Writer's hold on the directory lock. It returns the
+// first failed write of the run, if any.
 func (w *Writer) Close() error {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	err := w.emit(RunRecord{
+	// A failed write is sticky: Close below returns it.
+	_ = w.log.Append(RunRecord{
 		Type:        TypeRun,
 		Experiments: w.exps,
 		Failed:      w.failedExps,
@@ -234,10 +243,8 @@ func (w *Writer) Close() error {
 		WallMS:      float64(time.Since(w.start)) / float64(time.Millisecond),
 		Resumed:     w.resumed,
 	})
-	if cerr := w.f.Close(); err == nil {
-		err = cerr
-	}
-	return err
+	defer w.lock.release()
+	return w.log.Close()
 }
 
 // cacheEntry is one line of cells.jsonl.
@@ -269,18 +276,13 @@ type Quarantine struct {
 // <dir>/cells.jsonl as they are stored; the newest entry for a key
 // wins on load.
 //
-// A writable cache holds an advisory file lock (<dir>/cells.lock) for
-// its whole lifetime, so two processes can never interleave appends
-// into cells.jsonl: the second OpenCache on a live directory fails
-// with a "locked by pid N" error instead of silently corrupting the
-// log. Concurrent readers use OpenCacheReadOnly, which takes no lock
+// A writable cache holds the directory's writer lock until Close, so
+// two runs never interleave appends. OpenCacheReadOnly takes no lock
 // and refuses Put.
 type Cache struct {
 	mu          sync.Mutex
-	f           *os.File
-	w           *bufio.Writer
-	lock        *os.File
-	readOnly    bool
+	log         *Log // nil when read-only
+	lock        *dirLock
 	entries     map[string]cacheEntry
 	loaded      int
 	quarantined []Quarantine
@@ -312,41 +314,28 @@ func (c *Cache) Stats() CacheStats {
 // OpenCacheReadOnly.
 var ErrReadOnly = fmt.Errorf("runlog: cache is open read-only")
 
-// lockFile is the advisory lock guarding cells.jsonl writers. The file
-// holds the owning process's pid (for the error message); the lock
-// itself is a kernel flock on the open descriptor, so it cannot
-// outlive a crashed owner. The file is deliberately never removed —
-// unlinking a lock file races a concurrent opener onto a dead inode.
-const lockFile = "cells.lock"
-
 // OpenCache loads any existing cell cache in dir and opens it for
-// appending, taking the directory's writer lock. Corruption is
-// quarantined rather than fatal: a truncated final line (killed run),
-// an unparseable line (bad disk, editor mishap), and an entry whose
-// stored digest no longer matches its payload (bit rot) are each
-// recorded in Quarantined and excluded from the cache, so the affected
-// cells recompute instead of replaying garbage or crashing the run. A
-// directory whose writer lock is already held (another live process)
-// fails with an error naming the holder's pid.
+// appending, taking the directory's writer lock or joining the one a
+// live Writer on dir holds. Corruption is quarantined rather than
+// fatal: a torn final line (killed run), an unparseable line (bad
+// disk, editor mishap), and an entry whose stored digest no longer
+// matches its payload (bit rot) are each recorded in Quarantined and
+// excluded from the cache, so the affected cells recompute instead of
+// replaying garbage or crashing the run. A directory whose writer lock
+// another run holds fails with an error naming the holder's pid.
 func OpenCache(dir string) (*Cache, error) {
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return nil, err
-	}
-	lock, err := acquireLock(dir)
+	lock, err := lockDir(dir, true)
 	if err != nil {
 		return nil, err
 	}
-	entries, quarantined, err := loadCacheFile(dir)
+	c := &Cache{lock: lock, entries: map[string]cacheEntry{}}
+	log, torn, err := OpenLog(filepath.Join(dir, cacheFile), c.replay)
 	if err != nil {
-		releaseLock(lock)
+		lock.release()
 		return nil, err
 	}
-	f, err := os.OpenFile(filepath.Join(dir, cacheFile), os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
-	if err != nil {
-		releaseLock(lock)
-		return nil, err
-	}
-	return &Cache{f: f, w: bufio.NewWriter(f), lock: lock, entries: entries, loaded: len(entries), quarantined: quarantined}, nil
+	c.log = log
+	return c.loadedWith(torn), nil
 }
 
 // OpenCacheReadOnly loads the cell cache in dir without taking the
@@ -355,51 +344,37 @@ func OpenCache(dir string) (*Cache, error) {
 // ErrReadOnly. A missing cache loads as empty, like OpenCache on a
 // fresh directory.
 func OpenCacheReadOnly(dir string) (*Cache, error) {
-	entries, quarantined, err := loadCacheFile(dir)
-	if err != nil {
+	c := &Cache{entries: map[string]cacheEntry{}}
+	_, torn, err := ReadLog(filepath.Join(dir, cacheFile), c.replay)
+	if err != nil && !os.IsNotExist(err) {
 		return nil, err
 	}
-	return &Cache{readOnly: true, entries: entries, loaded: len(entries), quarantined: quarantined}, nil
+	return c.loadedWith(torn), nil
 }
 
-// loadCacheFile parses cells.jsonl into live entries plus quarantined
-// corrupt lines; a missing file is an empty cache.
-func loadCacheFile(dir string) (map[string]cacheEntry, []Quarantine, error) {
-	entries := map[string]cacheEntry{}
-	var quarantined []Quarantine
-	b, err := os.ReadFile(filepath.Join(dir, cacheFile))
-	if err != nil {
-		if os.IsNotExist(err) {
-			return entries, nil, nil
-		}
-		return nil, nil, err
-	}
-	lines := SplitLines(b)
-	for i, line := range lines {
-		if len(line) == 0 {
-			continue
-		}
-		var e cacheEntry
-		if err := json.Unmarshal(line, &e); err != nil {
-			reason := fmt.Sprintf("unparseable entry: %v", err)
-			if i == len(lines)-1 {
-				reason = "torn final write (killed run)"
-			}
-			quarantined = append(quarantined, Quarantine{Line: i + 1, Reason: reason})
-			continue
-		}
-		if got := Digest(e.Value); got != e.Digest {
-			quarantined = append(quarantined, Quarantine{
-				Line:   i + 1,
-				Key:    e.Key,
-				Reason: fmt.Sprintf("digest mismatch: stored %s, payload hashes to %s", e.Digest, got),
-			})
-			continue
-		}
+// replay loads one cells.jsonl line into the cache, or quarantines it.
+func (c *Cache) replay(n int, line []byte) error {
+	var e cacheEntry
+	if err := json.Unmarshal(line, &e); err != nil {
+		c.quarantined = append(c.quarantined, Quarantine{Line: n, Reason: fmt.Sprintf("unparseable entry: %v", err)})
+	} else if got := Digest(e.Value); got != e.Digest {
+		c.quarantined = append(c.quarantined, Quarantine{Line: n, Key: e.Key,
+			Reason: fmt.Sprintf("digest mismatch: stored %s, payload hashes to %s", e.Digest, got)})
+	} else {
 		e.fromDisk = true
-		entries[e.Key] = e
+		c.entries[e.Key] = e
 	}
-	return entries, quarantined, nil
+	return nil
+}
+
+// loadedWith finishes a load: it quarantines the torn final line, if
+// any, and counts the entries read from disk.
+func (c *Cache) loadedWith(torn int) *Cache {
+	if torn > 0 {
+		c.quarantined = append(c.quarantined, Quarantine{Line: torn, Reason: "torn final write (killed run)"})
+	}
+	c.loaded = len(c.entries)
+	return c
 }
 
 // Quarantined returns the corrupt lines isolated when the cache was
@@ -426,26 +401,17 @@ func (c *Cache) Get(key string) (json.RawMessage, string, bool) {
 
 // Put stores a cell result under key and returns its digest.
 func (c *Cache) Put(key string, value json.RawMessage) (string, error) {
-	if c.readOnly {
+	if c.log == nil {
 		return "", ErrReadOnly
 	}
 	e := cacheEntry{Key: key, Digest: Digest(value), Value: value}
-	b, err := json.Marshal(e)
-	if err != nil {
-		return "", err
-	}
-	b = append(b, '\n')
 	c.mu.Lock()
-	defer c.mu.Unlock()
 	c.entries[key] = e
-	if _, err := c.w.Write(b); err != nil {
-		return "", err
-	}
-	return e.Digest, c.w.Flush()
+	c.mu.Unlock()
+	return e.Digest, c.log.Append(e)
 }
 
-// Len returns the number of cached cells; Loaded returns how many of
-// them were read from disk at open time.
+// Len returns the number of cached cells.
 func (c *Cache) Len() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -456,38 +422,14 @@ func (c *Cache) Len() int {
 // was opened (before this run added any).
 func (c *Cache) Loaded() int { return c.loaded }
 
-// Close flushes and closes the cache's append log and releases the
-// directory's writer lock. Closing a read-only cache is a no-op.
+// Close closes the cache's append log and releases the directory's
+// writer lock. Closing a read-only cache is a no-op.
 func (c *Cache) Close() error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.readOnly {
+	if c.log == nil {
 		return nil
 	}
-	err := c.w.Flush()
-	if cerr := c.f.Close(); err == nil {
-		err = cerr
-	}
-	releaseLock(c.lock)
-	return err
-}
-
-// SplitLines splits a JSON-lines file into its lines: newline-
-// separated, with a final unterminated fragment kept as the last line
-// (the torn-write case every replaying reader quarantines).
-func SplitLines(b []byte) [][]byte {
-	var out [][]byte
-	start := 0
-	for i, c := range b {
-		if c == '\n' {
-			out = append(out, b[start:i])
-			start = i + 1
-		}
-	}
-	if start < len(b) {
-		out = append(out, b[start:])
-	}
-	return out
+	defer c.lock.release()
+	return c.log.Close()
 }
 
 // Validate parses a run directory's manifest and cell cache and returns
@@ -498,26 +440,14 @@ func SplitLines(b []byte) [][]byte {
 // recompute it. Interior corruption still fails loudly, and quarantined
 // cache lines are surfaced in the summary.
 func Validate(dir string) (string, error) {
-	b, err := os.ReadFile(filepath.Join(dir, manifestFile))
-	if err != nil {
-		return "", err
-	}
-	var cells, exps, runs, failed, torn int
-	lines := SplitLines(b)
-	for i, line := range lines {
-		if len(line) == 0 {
-			continue
-		}
+	var cells, exps, runs, failed int
+	_, torn, err := ReadLog(filepath.Join(dir, manifestFile), func(n int, line []byte) error {
 		var rec struct {
 			Type  string `json:"type"`
 			Error string `json:"error"`
 		}
 		if err := json.Unmarshal(line, &rec); err != nil {
-			if i == len(lines)-1 {
-				torn++
-				continue
-			}
-			return "", fmt.Errorf("runlog: %s line %d: %w", manifestFile, i+1, err)
+			return fmt.Errorf("runlog: %s line %d: %w", manifestFile, n, err)
 		}
 		switch rec.Type {
 		case TypeCell:
@@ -530,8 +460,12 @@ func Validate(dir string) (string, error) {
 		case TypeRun:
 			runs++
 		default:
-			return "", fmt.Errorf("runlog: %s line %d: unknown record type %q", manifestFile, i+1, rec.Type)
+			return fmt.Errorf("runlog: %s line %d: unknown record type %q", manifestFile, n, rec.Type)
 		}
+		return nil
+	})
+	if err != nil {
+		return "", err
 	}
 	if runs == 0 {
 		return "", fmt.Errorf("runlog: %s has no run summary (run did not complete)", manifestFile)

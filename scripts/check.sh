@@ -7,7 +7,9 @@
 # own Go module), a race-detector pass over the packages with real
 # concurrency (the cell scheduler, the run log it writes through, and
 # the hottest pooled data structures in the coherence layer), smoke
-# runs of the atomicsim CLI exercising the manifest/resume path and the
+# runs of the atomicsim CLI exercising the manifest/resume path (a
+# fresh run, its resume, and a resume after both logs were torn
+# mid-append) and the
 # observability layer (-metrics tables, byte-identical at -par 1 and
 # -par 4, and -chrome traces) end to end,
 # a full invariant-checked sweep, a cache-corruption/quarantine smoke,
@@ -76,6 +78,39 @@ go run ./cmd/atomicsim -checkmanifest "$dir/run"
 grep -q '"type":"cell"' "$dir/run/manifest.jsonl"
 grep -q '"type":"run"' "$dir/run/manifest.jsonl"
 grep -q '"cached":true' "$dir/run/manifest.jsonl"
+
+echo "== torn-tail resume smoke (both logs torn mid-append, then resumed twice)"
+# A run killed mid-append leaves a torn final line in manifest.jsonl and
+# cells.jsonl. The resume must recompute the lost cell and match the
+# fresh tables, and must end both files at a record boundary before it
+# appends: the manifest then validates, and a second resume finds
+# nothing left to quarantine.
+cp -r "$dir/run" "$dir/tornrun"
+for f in manifest.jsonl cells.jsonl; do
+    p="$dir/tornrun/$f"
+    size=$(wc -c < "$p")
+    last=$(tail -n 1 "$p" | wc -c)
+    head -c $((size - last / 2 - 1)) "$p" > "$p.tmp"
+    mv "$p.tmp" "$p"
+done
+go run ./cmd/atomicsim -quick -quiet -exp F3 -machine XeonE5 \
+    -resume "$dir/tornrun" > "$dir/torn_resumed.txt" 2> "$dir/torn.log"
+grep -q 'torn final write' "$dir/torn.log" || {
+    echo "torn cache line was not reported" >&2
+    exit 1
+}
+cmp "$dir/fresh.txt" "$dir/torn_resumed.txt" || {
+    echo "tables resumed after a torn tail differ from the fresh run" >&2
+    exit 1
+}
+go run ./cmd/atomicsim -checkmanifest "$dir/tornrun"
+go run ./cmd/atomicsim -quick -quiet -exp F3 -machine XeonE5 \
+    -resume "$dir/tornrun" > /dev/null 2> "$dir/torn2.log"
+if grep -q 'quarantined' "$dir/torn2.log"; then
+    echo "second resume after a torn tail quarantined again:" >&2
+    cat "$dir/torn2.log" >&2
+    exit 1
+fi
 
 echo "== observability smoke run (-metrics tables, -chrome trace)"
 go run ./cmd/atomicsim -quick -quiet -exp F3 -machine XeonE5 -metrics \
