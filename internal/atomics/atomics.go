@@ -130,8 +130,6 @@ type Result struct {
 	Old uint64
 	// OK reports CAS success; it is always true for other primitives.
 	OK bool
-	// Access carries coherence-level detail (source, hops, queueing).
-	Access coherence.AccessResult
 }
 
 // Memory binds a machine description to a coherence system and exposes
@@ -209,7 +207,7 @@ func (c *opCtx) complete(r coherence.AccessResult) {
 	c.done = nil
 	mem.ctxPool = append(mem.ctxPool, c)
 	if done != nil {
-		done(Result{Latency: r.Latency, Old: r.Value, OK: r.Wrote || !p.IsRMW(), Access: r})
+		done(Result{Latency: r.Latency, Old: r.Value, OK: r.Wrote || !p.IsRMW()})
 	}
 }
 
@@ -352,6 +350,20 @@ func (mem *Memory) LoadOp(core int, line coherence.LineID, done func(Result)) {
 	mem.sys.Access(core, line, coherence.Read, ExecCost(mem.m, Load), nil, c.doneFn)
 }
 
+// SpinLoad issues one plain load from core, exactly as LoadOp does, for
+// a loop that issues its next load the moment this one completes. With
+// parking on (coherence.System.SetParking), a load that hits the core's
+// own valid copy of a line holding seen parks the loop
+// (coherence.System.Await): its re-reads run as callback-free engine
+// ticks, each one credited to *loads as it is settled
+// (coherence.System.SettleParked), and done receives only the
+// completion the loop wakes with. Unparked, done receives every
+// completion and *loads stays put.
+func (mem *Memory) SpinLoad(core int, line coherence.LineID, seen uint64, loads *uint64, done func(Result)) {
+	c := mem.getCtx(Load, 0, 0, done)
+	mem.sys.Await(core, line, ExecCost(mem.m, Load), seen, loads, c.doneFn)
+}
+
 // spinCtx is one in-flight AwaitChange spin, pooled like opCtx, with
 // its per-load continuation built once per context.
 type spinCtx struct {
@@ -408,7 +420,7 @@ func (c *spinCtx) step(r coherence.AccessResult) {
 	mem, done := c.mem, c.done
 	c.done, c.loads = nil, nil
 	mem.spinPool = append(mem.spinPool, c)
-	done(Result{Latency: r.Latency, Old: r.Value, OK: true, Access: r})
+	done(Result{Latency: r.Latency, Old: r.Value, OK: true})
 }
 
 // StoreOp issues a plain store of v. With store buffering enabled the

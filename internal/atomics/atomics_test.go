@@ -207,12 +207,16 @@ func TestFailedCASStillTransfersLine(t *testing.T) {
 	eng, mem := testMemory(t)
 	mem.System().SetValue(1, 5)
 	run(t, eng, func(done func(Result)) { mem.FetchAndAdd(0, 1, 0, done) }) // owner: core 0
+	before := mem.System().Stats()
 	r := run(t, eng, func(done func(Result)) { mem.CompareAndSwap(3, 1, 999, 1, done) })
 	if r.OK {
 		t.Fatal("CAS should have failed")
 	}
-	if r.Access.Source != coherence.SrcRemoteCache {
-		t.Fatalf("failed CAS source = %v, want remote transfer", r.Access.Source)
+	if d := mem.System().Stats().Sub(before); d.Accesses != 1 || d.RemoteXfers != 1 {
+		t.Fatalf("failed CAS: %d accesses, %d remote transfers; want one remote transfer", d.Accesses, d.RemoteXfers)
+	}
+	if dir := mem.System().Directory(1); dir.Owner != 3 {
+		t.Fatalf("failed CAS left the line owned by core %d, want 3", dir.Owner)
 	}
 }
 

@@ -901,6 +901,21 @@ func (s *System) SettleParked() {
 	}
 }
 
+// ParkedIssuedAt counts the parked spinners whose chains ticked at t.
+// Each such tick completed one re-read and stands for the identical
+// re-read issued at t; a caller whose loop stops issuing at t (a
+// workload loop at the end of its window) takes those back from the
+// access counters.
+func (s *System) ParkedIssuedAt(t sim.Time) uint64 {
+	var n uint64
+	for _, r := range s.parked {
+		if s.eng.ParkTicks(r.park) > 0 && s.eng.ParkDue(r.park) == t+s.p.L1Hit {
+			n++
+		}
+	}
+	return n
+}
+
 // creditParked credits a parked spinner's re-reads up to its chain's
 // ticks count that are not credited yet.
 func (s *System) creditParked(r *parkedSpin, ticks uint64) {
@@ -1430,9 +1445,12 @@ func appendUint64(dst []byte, v uint64) []byte {
 
 // CheckInvariants validates directory consistency for all lines. It is
 // called by tests after every workload; violations indicate protocol
-// bugs, so it returns a descriptive error rather than panicking.
+// bugs, so it returns a descriptive error rather than panicking. Lines
+// are checked in the order they were first touched, so with several
+// broken lines the error always names the same one.
 func (s *System) CheckInvariants() error {
-	for id, l := range s.lines {
+	for _, l := range s.lineOrder {
+		id := l.id
 		if l.owner >= 0 && !l.sharers.empty() {
 			return fmt.Errorf("line %d: owner %d coexists with %d sharers", id, l.owner, l.sharers.count())
 		}

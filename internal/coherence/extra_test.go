@@ -1,6 +1,7 @@
 package coherence
 
 import (
+	"strings"
 	"testing"
 
 	"atomicsmodel/internal/sim"
@@ -163,5 +164,30 @@ func TestReadOrderingAgainstQueuedRFO(t *testing.T) {
 	// issued: the read must queue and observe the post-write value.
 	if readVal != 6 {
 		t.Fatalf("read observed %d, want 6 (serialized after in-flight RFO)", readVal)
+	}
+}
+
+// TestCheckInvariantsReportsDeterministically breaks eight lines of 50
+// fresh systems: every system must report the same violation, the one
+// on the line touched first.
+func TestCheckInvariantsReportsDeterministically(t *testing.T) {
+	var first string
+	for i := 0; i < 50; i++ {
+		_, s := testSystem(t, nil)
+		for k := 1; k <= 8; k++ {
+			s.BreakLine(LineID(97*k), k%8)
+		}
+		err := s.CheckInvariants()
+		if err == nil {
+			t.Fatal("eight broken lines passed the check")
+		}
+		if i == 0 {
+			first = err.Error()
+			if !strings.HasPrefix(first, "line 97:") {
+				t.Fatalf("report %q does not name the first line broken, 97", first)
+			}
+		} else if err.Error() != first {
+			t.Fatalf("system %d reported %q, system 0 %q", i, err, first)
+		}
 	}
 }

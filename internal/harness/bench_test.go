@@ -56,13 +56,16 @@ func benchFullCell(b *testing.B, edit func(*workload.Config)) {
 	}
 }
 
-// BenchmarkMemoizedCell measures the cells the fast-forward layer
-// memoizes in full F3 on XeonE5: 72-thread high-contention cells over
-// the full 20µs warmup and 200µs window, for Load, CAS, CAS2 and FAA.
-// Their cost is the fingerprint search and verify cycles plus a jump
-// whose energy credit no longer grows with the cycles it elides, so
-// this is the layer number behind the f3-xeon benchmark. With the pool
-// and the recycled Result warm, a memoized cell is allocation-free.
+// BenchmarkMemoizedCell measures the 72-thread high-contention cells of
+// full F3 on XeonE5 that fast-forward takes, over the full 20µs warmup
+// and 200µs window, for Load, CAS, CAS2 and FAA. The CAS, CAS2 and FAA
+// cells are memoized: their cost is the fingerprint search and verify
+// cycles plus a jump whose energy credit does not grow with the cycles
+// it elides. The Load cell parks instead (atomics.Memory.SpinLoad): its cost
+// is the start-up convoy behind the cold fill, after which every
+// thread's re-reads are one parked chain the engine crosses in closed
+// form. These are the layer numbers behind the f3-xeon benchmark. With
+// the pool and the recycled Result warm, each cell is allocation-free.
 func BenchmarkMemoizedCell(b *testing.B) {
 	for _, p := range []atomics.Primitive{atomics.Load, atomics.CAS, atomics.CAS2, atomics.FAA} {
 		b.Run(p.String(), func(b *testing.B) {

@@ -80,13 +80,21 @@ func (r *parkRun) unpark(k int, fn func()) {
 // Every byte is an initial event (absolute time, compressed into a
 // narrow range to force ties) whose callback, by the byte's value,
 // spawns a Schedule, ScheduleAs or At child, parks a chain, or unparks
-// one; an unparked chain's callback may spawn in turn.
+// one; an unparked chain's callback may spawn in turn. data[0] picks
+// the 1–4ns period and, from 128 up, spreads every event time and
+// delay 250 times wider: gaps of microseconds between real events,
+// which the parked engine crosses in closed form (Engine.jumpTicks)
+// over thousands of ticks.
 func replayParked(data []byte, parked bool) *parkRun {
 	r := &parkRun{e: NewEngine(), parked: parked, period: Time(data[0]%4+1) * Nanosecond}
+	unit := Nanosecond
+	if data[0] >= 128 {
+		unit *= 250
+	}
 	var act func(i int, b byte)
 	act = func(i int, b byte) {
 		r.record("ev")
-		d := Time(b%5) * Nanosecond
+		d := Time(b%5) * unit
 		child := func() { r.record("child") }
 		switch b % 6 {
 		case 0:
@@ -110,12 +118,12 @@ func replayParked(data []byte, parked bool) *parkRun {
 		i, b := i, b
 		fn := func() { act(i, b) }
 		if i%3 == 0 {
-			r.e.ScheduleAs(int32(i%9), Time(b%32)*Nanosecond, fn)
+			r.e.ScheduleAs(int32(i%9), Time(b%32)*unit, fn)
 		} else {
-			r.e.At(Time(b%32)*Nanosecond, fn)
+			r.e.At(Time(b%32)*unit, fn)
 		}
 	}
-	r.e.Run(48 * Nanosecond)
+	r.e.Run(48 * unit)
 	r.log = append(r.log, fmt.Sprintf("now=%d processed=%d qt=%d peak=%d pending=%d",
 		r.e.Now(), r.e.Processed(), r.e.QueueTimeIntegral(), r.e.MaxPending(), r.e.Pending()))
 	return r
@@ -132,12 +140,22 @@ func FuzzParkedLane(f *testing.F) {
 	f.Add([]byte{1, 4, 4, 4, 5, 5, 5, 23, 29, 0, 1, 2})
 	f.Add([]byte{3, 255, 3, 255, 4, 200, 5, 10, 9, 15, 21, 27})
 	f.Add([]byte{2, 10, 200, 10, 200, 10, 200, 10, 201, 207, 213})
+	// Microsecond gaps: jumps of thousands of ticks, across parks,
+	// unparks and re-parks.
+	f.Add([]byte{128, 3, 9, 3, 15, 5, 21, 31})
+	f.Add([]byte{131, 4, 4, 4, 5, 5, 5, 23, 29, 0, 1, 2})
+	f.Add([]byte{130, 3, 255, 3, 255, 4, 200, 5, 10, 9, 15, 21, 27})
+	f.Add([]byte{129, 10, 200, 10, 200, 10, 200, 10, 201, 207, 213, 4, 16})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) < 2 {
 			return
 		}
-		if len(data) > 512 {
-			data = data[:512]
+		// The reference dispatches every tick of every chain, so wide
+		// schedules keep fewer chains.
+		if n := 512; data[0] >= 128 && len(data) > 64 {
+			data = data[:64]
+		} else if len(data) > n {
+			data = data[:n]
 		}
 		ref, got := replayParked(data, false), replayParked(data, true)
 		if len(ref.log) != len(got.log) {
@@ -241,5 +259,93 @@ func TestParkLaneGrowsAndWraps(t *testing.T) {
 	}
 	if e.Pending() != len(ids)/2 {
 		t.Fatalf("pending = %d, want %d", e.Pending(), len(ids)/2)
+	}
+}
+
+// TestParkJumpTie pins the equal-last-tick tie by hand. Chain a parks
+// at 0 and ticks at 2, 4, 6, ...; the event at 6 runs before a's tick
+// there (its sequence number is older) and parks chain b, whose first
+// tick is at 8. The event at 101 bounds a jump over both chains: a
+// ticks 48 times and b 47, both last at 100. Tick by tick, a's tick at
+// 8 took its number at 6, after b parked, so b precedes a at every
+// shared instant, and both chains' ticks due at 102 wake in the order
+// b, a. A merge that broke the tie by ring order would wake a first.
+func TestParkJumpTie(t *testing.T) {
+	for _, parked := range []bool{false, true} {
+		r := &parkRun{e: NewEngine(), parked: parked, period: 2 * Nanosecond}
+		r.park(0)
+		r.e.At(6*Nanosecond, func() { r.park(1) })
+		r.e.At(101*Nanosecond, func() {
+			r.unpark(0, func() { r.record("a") })
+			r.unpark(1, func() { r.record("b") })
+		})
+		r.e.Drain()
+		want := "[unpark 0 after 50 ticks unpark 1 after 47 ticks b:1@102000 a:0@102000]"
+		if got := fmt.Sprint(r.log); got != want {
+			t.Errorf("parked=%v: log %s, want %s", parked, got, want)
+		}
+		if r.e.Processed() != 2+50+47+2 {
+			t.Errorf("parked=%v: %d events processed, want 101", parked, r.e.Processed())
+		}
+	}
+}
+
+// TestParkJumpStandsDown checks that the closed-form jump stands down
+// under an event hook and an idle hook: each must see every tick as a
+// dispatch of its own, the event hook with consecutive counts.
+func TestParkJumpStandsDown(t *testing.T) {
+	for _, hook := range []string{"event", "idle"} {
+		e := NewEngine()
+		var calls uint64
+		switch hook {
+		case "event":
+			e.SetEventHook(func(n uint64) {
+				if calls++; n != calls {
+					t.Fatalf("event hook saw count %d at call %d", n, calls)
+				}
+			})
+		case "idle":
+			e.SetIdleHook(func() { calls++ })
+		}
+		if _, ok := e.Park(0, Nanosecond); !ok {
+			t.Fatal("Park declined")
+		}
+		e.At(Microsecond, func() {})
+		e.Run(2 * Microsecond)
+		if calls != e.Processed() || calls != 2001 {
+			t.Errorf("%s hook: %d calls for %d events, want 2001 each", hook, calls, e.Processed())
+		}
+	}
+}
+
+// TestParkJumpCrossesGap checks what one jump leaves behind: a gap of
+// a microsecond between real events, crossed by three chains, ends
+// with the clock on the last tick before the next event, every tick
+// counted, and the queue-time integral that tick-by-tick dispatch
+// accrues.
+func TestParkJumpCrossesGap(t *testing.T) {
+	run := func(hook bool) *Engine {
+		e := NewEngine()
+		if hook {
+			e.SetIdleHook(func() {}) // forces tick-by-tick dispatch
+		}
+		for i := int32(0); i < 3; i++ {
+			e.At(Time(i)*Nanosecond, func() { e.Park(i, 3*Nanosecond) })
+		}
+		e.At(Microsecond, func() {})
+		e.Run(Microsecond)
+		return e
+	}
+	ref, got := run(true), run(false)
+	if got.Now() != ref.Now() || got.Processed() != ref.Processed() ||
+		got.QueueTimeIntegral() != ref.QueueTimeIntegral() || got.Pending() != ref.Pending() {
+		t.Fatalf("jump: now %v processed %d qt %d pending %d; tick by tick: now %v processed %d qt %d pending %d",
+			got.Now(), got.Processed(), got.QueueTimeIntegral(), got.Pending(),
+			ref.Now(), ref.Processed(), ref.QueueTimeIntegral(), ref.Pending())
+	}
+	for id := ParkID(0); id < 3; id++ {
+		if got.ParkTicks(id) != ref.ParkTicks(id) {
+			t.Errorf("chain %d: %d ticks, tick by tick %d", id, got.ParkTicks(id), ref.ParkTicks(id))
+		}
 	}
 }

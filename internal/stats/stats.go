@@ -118,6 +118,23 @@ func (h *Histogram) Record(v sim.Time) {
 	}
 }
 
+// RecordN adds n observations of v at once, exactly as n Record calls
+// would.
+func (h *Histogram) RecordN(v sim.Time, n uint64) {
+	if n == 0 {
+		return
+	}
+	h.counts[bucketOf(v)] += n
+	h.n += n
+	h.sum += v * sim.Time(n)
+	if v < h.min {
+		h.min = v
+	}
+	if v > h.max {
+		h.max = v
+	}
+}
+
 // Count returns the number of observations.
 func (h *Histogram) Count() uint64 { return h.n }
 

@@ -63,11 +63,17 @@ type Thread struct {
 	// the prebaked casDone callback. Valid in closed-loop runs, where a
 	// thread has at most one operation in flight.
 	expected uint64
+	// loads counts the re-reads of a parked Load loop (Cell.parkLoads),
+	// as its parked chain settles them; loadsAtMeasure is the count at
+	// the warmup marker.
+	loads          uint64
+	loadsAtMeasure uint64
 	// Prebaked per-thread callbacks, built once when the thread object is
 	// created (thread objects live as long as their pooled cell) so the
 	// hot issue/complete loop does not allocate a closure per operation.
 	opDone    func(atomics.Result)
 	casDone   func(atomics.Result)
+	loadDone  func(atomics.Result)
 	operateFn func()
 	stepFn    func()
 }
@@ -87,6 +93,10 @@ type Cell struct {
 	threads   []*Thread
 	measuring bool
 	endAt     sim.Time
+	// parkLoads says the primitive driver issues its loads through
+	// atomics.Memory.SpinLoad, whose parked re-reads the window credits
+	// when it closes (creditParkedLoads).
+	parkLoads bool
 
 	// Per-thread op accounting (record): ops and perOps count measured
 	// operations, total every operation completed over the whole run,
@@ -210,6 +220,12 @@ func newCell(m *machine.Machine) (*Cell, error) {
 		c.clsAtMeasure = append(c.clsAtMeasure[:0], c.mem.System().Classes()...)
 		c.procAtMeasure = c.eng.Processed()
 		c.qtAtMeasure = c.eng.QueueTimeIntegral()
+		if c.parkLoads {
+			// Stats above settled every parked re-read so far.
+			for _, th := range c.Threads() {
+				th.loadsAtMeasure = th.loads
+			}
+		}
 		// Zero the instruments so the snapshot, like every other
 		// reported number, covers exactly the measured window.
 		c.reg.Reset()
@@ -264,6 +280,10 @@ func (c *Cell) ensureThreads(n int) {
 			}
 			c.complete(th, res, res.OK)
 		}
+		th.loadDone = func(res atomics.Result) {
+			th.lastSeen = res.Old
+			c.complete(th, res, true)
+		}
 		th.operateFn = func() { c.operate(th) }
 		th.stepFn = func() { c.step(th) }
 		c.threads = append(c.threads, th)
@@ -307,7 +327,7 @@ func runCell(cfg Config, drv Driver, recycle *Result) (*Cell, error) {
 	}
 	c.reg = reg
 	c.cfg, c.drv = cfg, drv
-	c.measuring = false
+	c.measuring, c.parkLoads = false, false
 	c.endAt = cfg.Warmup + cfg.Duration
 	c.memo.phase, c.memo.jumps = memoOff, 0
 	c.ops, c.total, c.attempts, c.failures = 0, 0, 0, 0
@@ -357,11 +377,10 @@ func runCell(cfg Config, drv Driver, recycle *Result) (*Cell, error) {
 	}
 	cfg.Faults.Install(eng, mem)
 	// Spinners park (coherence.System.Await) under the memoizer's own
-	// gate: fast-forward on and no fault plan. The coherence layer also
-	// declines while a tracer is installed, which in a cell is only
-	// while a memoizer pass records a cycle's shape; invariant checking
-	// keeps it on.
-	mem.System().SetParking(fastForwardOn && cfg.Faults == nil)
+	// gate (parkingOn). The coherence layer also declines while a
+	// tracer is installed, which in a cell is only while a memoizer
+	// pass records a cycle's shape; invariant checking keeps it on.
+	mem.System().SetParking(parkingOn(&cfg))
 
 	c.memoArmed = fastForwardOn && memoVerdict(&cfg, drv) == ""
 	if c.memoArmed {
@@ -393,6 +412,9 @@ func runCell(cfg Config, drv Driver, recycle *Result) (*Cell, error) {
 	// The window closes. Stats settles the re-reads of spinners still
 	// parked at the horizon, which the drivers' load counters take too.
 	c.coh = mem.System().Stats().Sub(c.cohAtMeasure)
+	if c.parkLoads {
+		c.creditParkedLoads()
+	}
 
 	if chk != nil {
 		// Finalize subsumes CheckInvariants and adds the online ledgers.
@@ -414,6 +436,10 @@ func runCell(cfg Config, drv Driver, recycle *Result) (*Cell, error) {
 	}
 	return c, nil
 }
+
+// parkingOn is the gate under which spinners park: fast-forward on
+// and no fault plan, whose event hook counts every dispatch.
+func parkingOn(cfg *Config) bool { return fastForwardOn && cfg.Faults == nil }
 
 // step starts thread th's next operation while the window is open.
 func (c *Cell) step(th *Thread) {

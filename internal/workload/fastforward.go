@@ -67,9 +67,10 @@
 // per-operation closures), or keeps state the fingerprint does not see
 // (non-FIFO arbiters, store buffers, finite link bandwidth, the
 // invariant checker, fault plans) disables the memoizer for that run,
-// and the verdict names the first such knob. An ineligible or aperiodic
-// cell runs every event as before; the differential tests prove
-// byte-identical results either way.
+// and the verdict names the first such knob. A Load loop on one line
+// with no think time is refused too: it parks instead (loopParks). An
+// ineligible or aperiodic cell runs every event as before; the
+// differential tests prove byte-identical results either way.
 package workload
 
 import (
@@ -120,14 +121,6 @@ const (
 	memoDone
 )
 
-// maxCaptureAttempts bounds how many times a pass may re-take its
-// starting fingerprint after a failed search before standing down. With
-// the doubling pauses between attempts, the last one starts about 2^8
-// search bounds into the pass: far enough to outwait a start-up convoy
-// of 72 threads whose warm threads spin through thousands of
-// local-hit loads while the cold ones queue.
-const maxCaptureAttempts = 8
-
 // Thread states: what a thread's one pending event is, which the
 // fingerprint must tell apart (a start-up step thinks before it
 // operates; a think timer operates directly).
@@ -144,10 +137,11 @@ type memoState struct {
 	phase int
 	jumps int // jumps taken this run (0, 1 or 2)
 	// Pass parameters (memoArm): probes to skip before the first
-	// capture, re-capture budget, the cycle-search event bound, and the
-	// time every elided event must precede.
+	// capture, whether the pass has re-taken its capture, the
+	// cycle-search event bound, and the time every elided event must
+	// precede.
 	skip      int
-	attempts  int
+	retaken   bool
 	searchLim uint64
 	bound     sim.Time
 
@@ -242,6 +236,10 @@ func memoVerdict(cfg *Config, drv Driver) string {
 		return "check"
 	case cfg.Faults != nil:
 		return "faults"
+	case loopParks(cfg):
+		// Its warm threads park (atomics.Memory.SpinLoad), and a
+		// recording pass's tracer would keep them from it.
+		return "parked-load"
 	}
 	return ""
 }
@@ -270,7 +268,7 @@ func (c *Cell) memoArm(skip int, bound sim.Time) {
 	m := &c.memo
 	m.phase = memoCapture
 	m.skip, m.bound = skip, bound
-	m.attempts = 0
+	m.retaken = false
 	// The steady cycle is one rotation of the closed loop — a few
 	// events per thread and line — so a fingerprint that has not
 	// recurred within a handful of rotations was taken mid-transient.
@@ -465,15 +463,13 @@ func (c *Cell) probe() {
 	}
 	if c.eng.Processed()-m.p0 > m.searchLim {
 		// The fingerprint did not recur: it was taken mid-transient
-		// (e.g. a cold-miss fill still in service while the warm threads
-		// spin through the search budget) or the schedule is aperiodic.
-		// Re-fingerprint a few times before standing down: at once the
-		// first time, then after letting the cell run unprobed for a
-		// doubling stretch, so a long transient is outwaited without
-		// paying for probes.
-		if m.phase == memoRecord && m.attempts < maxCaptureAttempts {
-			m.skip = int(m.searchLim) * (1<<m.attempts - 1)
-			m.attempts++
+		// (the cold-miss fill of the first accesses, say) or the
+		// schedule is aperiodic. Re-fingerprint once, at once, before
+		// standing down: by then the fill has played out. Waiting
+		// longer pays only for a start-up convoy like the 72-thread
+		// Load cell's, which parks instead (loopParks).
+		if m.phase == memoRecord && !m.retaken {
+			m.retaken = true
 			m.phase = memoCapture
 			return
 		}

@@ -25,8 +25,12 @@ func TestMemoVerdict(t *testing.T) {
 	}
 
 	for _, p := range atomics.All() {
-		if got := verdict(quickCfg(m, p, 8)); got != "" {
-			t.Errorf("F3 %v: verdict %q, want \"\"", p, got)
+		want := ""
+		if p == atomics.Load {
+			want = "parked-load"
+		}
+		if got := verdict(quickCfg(m, p, 8)); got != want {
+			t.Errorf("F3 %v: verdict %q, want %q", p, got, want)
 		}
 	}
 
@@ -106,6 +110,14 @@ func TestMemoVerdict(t *testing.T) {
 		{"bandwidth", func(c *Config) { c.Machine = &narrow }, "bandwidth"},
 		{"check", func(c *Config) { c.Check = true }, "check"},
 		{"faults", func(c *Config) { c.Faults = &faults.CellPlan{} }, "faults"},
+		// A Load loop that re-reads one line back to back parks instead;
+		// any think time or a second line keeps it memoizable.
+		{"load", func(c *Config) { c.Primitive = atomics.Load }, "parked-load"},
+		{"low-contention load", func(c *Config) { c.Primitive, c.Mode, c.Lines = atomics.Load, LowContention, 1 }, "parked-load"},
+		{"load with metrics", func(c *Config) { c.Primitive, c.Metrics = atomics.Load, true }, "parked-load"},
+		{"load with think time", func(c *Config) { c.Primitive, c.LocalWork = atomics.Load, 20*sim.Nanosecond }, ""},
+		{"load on four lines", func(c *Config) { c.Primitive, c.Lines = atomics.Load, 4 }, ""},
+		{"load with faults", func(c *Config) { c.Primitive, c.Faults = atomics.Load, &faults.CellPlan{} }, "faults"},
 	}
 	for _, k := range knobs {
 		cfg := quickCfg(m, atomics.FAA, 8)
@@ -129,23 +141,38 @@ type otherDriver struct{}
 func (otherDriver) Setup(*Cell) error   { return nil }
 func (otherDriver) Step(*Cell, *Thread) {}
 
-// lastRunJumps reports how many jumps the memoizer took in the last
-// cell run on m: the cell it ran on is the last one released to m's
-// pool.
-func lastRunJumps(m *machine.Machine) int {
+// lastCell returns the cell the last run on m ran on: the last one
+// released to m's pool.
+func lastCell(m *machine.Machine) *Cell {
 	pi, _ := cellPools.Load(m)
 	p := pi.(*cellPool)
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	return p.free[len(p.free)-1].memo.jumps
+	return p.free[len(p.free)-1]
+}
+
+// lastRunJumps reports how many jumps the memoizer took in the last
+// cell run on m.
+func lastRunJumps(m *machine.Machine) int { return lastCell(m).memo.jumps }
+
+// lastRunParked reports how many re-reads the last cell run on m
+// parked, over all its threads.
+func lastRunParked(m *machine.Machine) uint64 {
+	c := lastCell(m)
+	var n uint64
+	for _, th := range c.Threads() {
+		n += th.loads
+	}
+	return n
 }
 
 // ffShapes is every cell shape, an edit of an 8-thread quick FAA cell,
-// the memoizer accepts beyond one contended FAA line: loads, fences, private lines, several shared
-// lines, constant think time, metrics-on cells, and the value-relative
-// CAS and CAS2 loops, with and without the retry loop, on shared and
-// private lines (low-cas settles into all-failing rounds, whose value
-// delta is zero).
+// that fast-forward takes beyond one contended FAA line: the parked
+// Load loop (plain and metrics-on), and for the memoizer fences,
+// private lines, several shared lines, constant think time, metrics-on
+// cells, and the value-relative CAS and CAS2 loops, with and without
+// the retry loop, on shared and private lines (low-cas settles into
+// all-failing rounds, whose value delta is zero).
 var ffShapes = []struct {
 	name string
 	edit func(*Config)
@@ -177,9 +204,13 @@ func lowThinkCAS(c *Config) {
 }
 
 // ffDiff runs cfg with fast-forward off and on and returns both results'
-// JSON and the number of jumps the fast run took.
-func ffDiff(t *testing.T, cfg Config) (slow, fast string, jumps int) {
+// JSON and what fast-forward took in the fast run: the number of
+// memoizer jumps, or for a parked Load loop the re-reads it parked.
+func ffDiff(t *testing.T, cfg Config) (slow, fast string, took uint64) {
 	t.Helper()
+	if err := cfg.fillDefaults(); err != nil {
+		t.Fatal(err)
+	}
 	defer SetFastForward(true)
 	SetFastForward(false)
 	s, err := Run(cfg)
@@ -191,14 +222,18 @@ func ffDiff(t *testing.T, cfg Config) (slow, fast string, jumps int) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return resultJSON(t, s), resultJSON(t, f), lastRunJumps(cfg.Machine)
+	if loopParks(&cfg) {
+		return resultJSON(t, s), resultJSON(t, f), lastRunParked(cfg.Machine)
+	}
+	return resultJSON(t, s), resultJSON(t, f), uint64(lastRunJumps(cfg.Machine))
 }
 
 // TestFastForwardShapesDifferential runs every shape of ffShapes on
 // every registered machine with fast-forward off and on, and requires
 // byte-identical Result JSON (counters, both latency histograms,
 // energy, coherence stats, metrics snapshot). It also requires the
-// memoizer to have actually jumped in every shape, so a silently
+// memoizer to have actually jumped in every memoized shape, and the
+// Load loop to have parked in the parked shapes, so a silently
 // ineligible shape cannot pass vacuously.
 func TestFastForwardShapesDifferential(t *testing.T) {
 	for _, name := range machine.Names() {
@@ -210,10 +245,15 @@ func TestFastForwardShapesDifferential(t *testing.T) {
 		for _, sh := range ffShapes {
 			cfg := quickCfg(m, atomics.FAA, threads)
 			sh.edit(&cfg)
-			slow, fast, jumps := ffDiff(t, cfg)
+			if err := cfg.fillDefaults(); err != nil {
+				t.Fatal(err)
+			}
+			slow, fast, took := ffDiff(t, cfg)
 			// The 5µs warmup can be too short for the pre-warmup pass
 			// on the slower machines; the measured window never is.
-			if jumps == 0 {
+			if took == 0 && loopParks(&cfg) {
+				t.Errorf("%s/%s: the cell never parked", name, sh.name)
+			} else if took == 0 {
 				t.Errorf("%s/%s: the memoizer never jumped", name, sh.name)
 			}
 			if slow != fast {
@@ -246,5 +286,30 @@ func TestFastForwardValueShiftMutation(t *testing.T) {
 		} else if slow == fast {
 			t.Errorf("%s: a jump that skips the lastSeen shift went unnoticed", name)
 		}
+	}
+}
+
+// TestParkedLoadEndMutation proves the differential sees the window's
+// end: with the access each parked tick at the end credited left in,
+// the load shapes must come out different on at least one machine —
+// one whose chains tick exactly at the end.
+func TestParkedLoadEndMutation(t *testing.T) {
+	defer func() { skipEndRetract = false }()
+	skipEndRetract = true
+	caught := 0
+	for _, name := range machine.Names() {
+		m, err := machine.ByName(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg := quickCfg(m, atomics.Load, min(8, m.NumHWThreads()))
+		if slow, fast, parked := ffDiff(t, cfg); parked == 0 {
+			t.Errorf("%s: the mutated Load loop never parked", name)
+		} else if slow != fast {
+			caught++
+		}
+	}
+	if caught == 0 {
+		t.Error("a parked Load loop that keeps its end-of-window accesses went unnoticed on every machine")
 	}
 }

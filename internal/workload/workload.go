@@ -236,8 +236,10 @@ type primitives struct{}
 func (primitives) Setup(c *Cell) error {
 	c.mReads = c.reg.Counter(metrics.WorkReads)
 	c.mRMWs = c.reg.Counter(metrics.WorkRMWs)
+	c.parkLoads = parkingOn(&c.cfg) && loopParks(&c.cfg)
 	for i, th := range c.Threads() {
 		th.next, th.lastSeen, th.expected = 0, 0, 0
+		th.loads, th.loadsAtMeasure = 0, 0
 		th.spanStart, th.inSpan = 0, false
 		th.state = thStart
 		c.linesFor(th, i)
@@ -415,8 +417,55 @@ func (c *Cell) operate(th *Thread) {
 		th.expected = expected
 		c.mem.Do(p, th.Core, line, expected, expected+1, th.casDone)
 	default:
+		if p == atomics.Load && c.parkLoads {
+			c.mem.SpinLoad(th.Core, line, th.lastSeen, &th.loads, th.loadDone)
+			return
+		}
 		c.mem.Do(p, th.Core, line, 1, 0, th.opDone)
 	}
+}
+
+// loopParks reports whether cfg's loop re-reads one line back to back —
+// loads on one line with no think time in a closed loop, with no read
+// mix — so that a thread holding a valid copy can park on it
+// (atomics.Memory.SpinLoad) under the parking gate.
+func loopParks(cfg *Config) bool {
+	return cfg.Primitive == atomics.Load && cfg.Mode != ReadWriteMix && cfg.Lines == 1 &&
+		cfg.LocalWork == 0 && !cfg.OpenLoop
+}
+
+// skipEndRetract is a mutation hook for tests: set, a parked Load
+// loop keeps the access its ticks at the window's end credited, which
+// the differential must catch.
+var skipEndRetract bool
+
+// creditParkedLoads closes the window of a parked Load loop. Each
+// parked re-read a thread's chain ticked after the warmup marker
+// completed one measured load of L1Hit latency, exactly what record
+// counts for a live one, and issued the next load. The one exception
+// is a tick at the window's end: the unparked loop records a
+// completion that lands exactly there but issues nothing after it, so
+// the access each such tick credited is taken back, and it counts no
+// read.
+func (c *Cell) creditParkedLoads() {
+	var n uint64
+	for _, th := range c.Threads() {
+		d := th.loads - th.loadsAtMeasure
+		c.perOps[th.ID] += d
+		c.total += th.loads
+		n += d
+	}
+	c.ops += n
+	c.attempts += n
+	sys := c.mem.System()
+	c.lat.RecordN(sys.Params().L1Hit, n)
+	end := sys.ParkedIssuedAt(c.endAt)
+	if skipEndRetract {
+		end = 0
+	}
+	c.mReads.Add(n - end)
+	c.coh.Accesses -= end
+	c.coh.LocalHits -= end
 }
 
 // complete records one finished attempt and schedules the next step.
