@@ -118,7 +118,8 @@ type Prediction = core.Prediction
 func NewModel(m *Machine) *Model { return core.NewDetailed(m) }
 
 // AlgoStep describes one memory access of a concurrent algorithm's
-// operation, for Model.PredictAlgorithm (composite predictions).
+// operation, for the composite model (Model.Compose, and its blind
+// form Model.PredictAlgorithm).
 type AlgoStep = core.AlgoStep
 
 // Line sentinels for AlgoStep.
@@ -279,16 +280,13 @@ func AppExperiment(specs []*AppSpec) *Experiment {
 }
 
 // Conflict-based throughput prediction for concurrent objects
-// (internal/predict): primitive service times composed over an
-// operation's line accesses, with contended steps expanded by a retry
-// factor.
-type (
-	// PredictStep is one access of an object's operation.
-	PredictStep = predict.Step
-	// PredictQuantities are the measured (or assumed) per-structure
-	// inputs: retry factor and elimination fraction.
-	PredictQuantities = predict.Quantities
-)
+// (internal/predict): each structure's operation is a recipe of
+// AlgoSteps, evaluated by the composite model (Model.Compose) with its
+// retry steps expanded by a measured or assumed retry factor.
+
+// PredictQuantities are the measured (or assumed) per-structure
+// inputs: retry factor and elimination fraction.
+type PredictQuantities = predict.Quantities
 
 // MeasuredQuantities extracts the conflict model's inputs from a
 // finished app run (attempts per op, eliminations per op).

@@ -236,6 +236,15 @@ func NewMemory(eng *sim.Engine, m *machine.Machine, arb coherence.Arbiter) (*Mem
 	return &Memory{sys: sys, m: m, bufDepth: m.StoreBufferDepth}, nil
 }
 
+// Rebind points the memory at m, a machine of the same content as the
+// one it was built from (equal Key, latencies, forwarding, link
+// occupancy and store-buffer depth): a pooled memory reused for
+// another value of the same machine reads that value, not the one it
+// was built for.
+func (mem *Memory) Rebind(m *machine.Machine) {
+	mem.m, mem.bufDepth = m, m.StoreBufferDepth
+}
+
 // System exposes the underlying coherence system (stats, tracer, setup).
 func (mem *Memory) System() *coherence.System { return mem.sys }
 

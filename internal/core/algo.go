@@ -14,21 +14,25 @@ import (
 type AlgoStep struct {
 	// Primitive performed by this step.
 	Primitive atomics.Primitive
-	// Line identifies which contended line the step touches.
-	// PrivateLine marks a per-thread line (local, no cross-thread
-	// traffic); MigratoryLine marks per-element lines that transfer
-	// between threads (a pop reading the pusher's node) — they pay a
-	// transfer latency but are not a shared serialization point.
+	// Line identifies which contended line the step touches. Only
+	// identity and distinctness matter: each line is an independent
+	// serial resource. PrivateLine marks a per-thread line (local, no
+	// cross-thread traffic); MigratoryLine marks per-element lines that
+	// transfer between threads (a pop reading the pusher's node) — they
+	// pay a transfer latency but are not a shared serialization point.
 	Line int
 	// Retry marks a step inside a repeat-until-success loop (a CAS
 	// loop body — typically the gating CAS plus the re-reads it
-	// retries with): under contention the loop body executes
-	// ~1/successRate ≈ n times per operation, each iteration paying
-	// the step's full service.
+	// retries with): it executes the retry factor's number of times
+	// per completed operation, each execution paying its full service.
 	Retry bool
 	// Weight scales the step for operation mixes (0.5 = half the
 	// operations perform this step). Zero means 1.
 	Weight float64
+	// Hold is serial time each execution of the step keeps the line
+	// busy beyond the primitive's own service: the critical section
+	// the step's line protects.
+	Hold sim.Time
 }
 
 // Line sentinels for AlgoStep.
@@ -40,27 +44,31 @@ const (
 	MigratoryLine = -2
 )
 
-// PredictAlgorithm predicts the aggregate operation throughput of an
-// algorithm whose every operation performs the given steps, when the
-// given cores run it back-to-back (think time work between operations).
+// Compose predicts the aggregate operation throughput of an algorithm
+// whose every operation performs the given steps, when the given cores
+// run it back to back (think time work between operations) and each
+// Retry step executes retry times per completed operation (a retry
+// factor below 1 counts as 1).
 //
-// The model composes exactly the paper's primitive-level reasoning:
-// each contended line is a serial resource whose per-operation
-// occupancy is the sum of the services of the steps touching it (retry
-// steps count 1/p times); the line with the largest occupancy is the
-// bottleneck; private steps add latency but overlap across threads, so
-// they only matter when the system is not saturated.
-func (md *Model) PredictAlgorithm(steps []AlgoStep, cores []int, work sim.Time) (Prediction, error) {
+// The model composes the paper's primitive-level reasoning: each
+// contended line is a serial resource whose per-operation occupancy is
+// the sum of the services of the steps touching it; the line with the
+// largest occupancy is the bottleneck; every step, private and
+// migratory ones too, adds to the latency path of one operation, so
+// the population bound n/(path+work) caps the rate when the bottleneck
+// is not saturated.
+func (md *Model) Compose(steps []AlgoStep, cores []int, work sim.Time, retry float64) (Prediction, error) {
 	n := len(cores)
 	pred := Prediction{Threads: n, SuccessRate: 1, Jain: 1}
 	if n == 0 {
 		return pred, nil
 	}
-	// Occupancy per operation of each contended line, plus the
-	// latency-path length of one operation.
-	occupancy := map[int]sim.Time{}
-	var pathLen sim.Time
+	if retry < 1 {
+		retry = 1
+	}
 	retries := 1.0
+	occupancy := map[int]float64{}
+	var path float64
 	for _, st := range steps {
 		if st.Line < MigratoryLine {
 			return pred, fmt.Errorf("core: invalid line %d in algorithm step", st.Line)
@@ -73,54 +81,57 @@ func (md *Model) PredictAlgorithm(steps []AlgoStep, cores []int, work sim.Time) 
 			return pred, fmt.Errorf("core: negative step weight %v", w)
 		}
 		attempts := w
-		if st.Retry && n > 1 {
-			attempts = w * float64(n) // FIFO blind-retry: 1/p with p = 1/n
-			retries = float64(n)
+		if st.Retry {
+			attempts = w * retry
+			retries = retry
 		}
-		switch {
-		case st.Line >= 0:
-			s := md.ServiceTime(st.Primitive, cores)
-			occupancy[st.Line] += sim.Time(attempts * float64(s))
-			pathLen += sim.Time(attempts * float64(s))
-		case st.Line == MigratoryLine:
-			// Transfer latency without a shared serialization point.
-			s := md.ServiceTime(st.Primitive, cores)
-			pathLen += sim.Time(w * float64(s))
-		default:
-			// Private access: warmed per-thread line, local cost.
-			s := md.ServiceTime(st.Primitive, cores[:1])
-			pathLen += sim.Time(w * float64(s))
+		// A private access hits the thread's own warmed line; the
+		// others pay the contending cores' transfer.
+		on := cores
+		if st.Line == PrivateLine {
+			on = cores[:1]
 		}
+		s := float64(md.ServiceTime(st.Primitive, on) + st.Hold)
+		if st.Line >= 0 {
+			occupancy[st.Line] += attempts * s
+		}
+		path += attempts * s
 	}
-	var bottleneck sim.Time
+	var bottleneck float64
 	for _, occ := range occupancy {
 		if occ > bottleneck {
 			bottleneck = occ
 		}
 	}
-	pred.ServiceTime = bottleneck
-	if bottleneck == 0 {
-		// Fully private algorithm: every thread proceeds independently.
-		perThread := 1 / float64(pathLen+work)
-		pred.ThroughputMops = perThread * float64(n) * 1e12 / 1e6
-		pred.AttemptsMops = pred.ThroughputMops * retries
-		pred.AttemptLatency = pathLen
-		return pred, nil
+	cycle := path + float64(work)
+	if cycle <= 0 {
+		return pred, fmt.Errorf("core: algorithm has no latency path and no think time")
 	}
-	// Closed system: population bound n/(pathLen+work) against the
-	// bottleneck line's service rate 1/bottleneck.
-	rate := 1 / float64(bottleneck)
-	if pop := float64(n) / float64(pathLen+work); pop < rate {
-		rate = pop
+	// Closed system: the population bound against the bottleneck
+	// line's service rate.
+	rate := float64(n) / cycle
+	if bottleneck > 0 {
+		if serial := 1 / bottleneck; serial < rate {
+			rate = serial
+		}
 	}
+	pred.ServiceTime = sim.Time(bottleneck)
 	pred.ThroughputMops = rate * 1e12 / 1e6
 	pred.AttemptsMops = pred.ThroughputMops * retries
 	pred.SuccessRate = 1 / retries
 	pred.AttemptLatency = sim.Time(float64(n)/rate) - work
-	pred.EnergyPerOpNJ = 0 // composite energy is not modeled
-	if retries > 1 {
-		// The winner-keeps-winning dynamics of blind retry loops.
-		pred.Jain = 1 / float64(n)
+	return pred, nil // composite energy is not modeled
+}
+
+// PredictAlgorithm is Compose with the blind retry factor: with no
+// measurement, a FIFO retry loop succeeds once per n attempts, so
+// every Retry step executes n times per operation, and the
+// winner-keeps-winning dynamics of blind retry loops predict a Jain
+// index of 1/n.
+func (md *Model) PredictAlgorithm(steps []AlgoStep, cores []int, work sim.Time) (Prediction, error) {
+	pred, err := md.Compose(steps, cores, work, float64(len(cores)))
+	if err == nil && pred.SuccessRate < 1 {
+		pred.Jain = 1 / float64(len(cores))
 	}
-	return pred, nil
+	return pred, err
 }

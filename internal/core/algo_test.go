@@ -201,3 +201,79 @@ func TestPredictAlgorithmValidation(t *testing.T) {
 		t.Error("empty inputs should degrade gracefully")
 	}
 }
+
+func TestComposeNoLatencyPath(t *testing.T) {
+	// Threads with nothing to do and no think time have no finite
+	// rate: the model must say so rather than predict +Inf.
+	md := NewDetailed(machine.XeonE5())
+	cores := compactCores(machine.XeonE5(), 4)
+	if p, err := md.PredictAlgorithm(nil, cores, 0); err == nil {
+		t.Errorf("empty recipe at 4 threads: %v Mops, want an error", p.ThroughputMops)
+	}
+	// Think time alone is a finite cycle: n/work.
+	p, err := md.PredictAlgorithm(nil, cores, 10*sim.Microsecond)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := 4.0 / (10 * sim.Microsecond).Seconds() / 1e6; math.Abs(p.ThroughputMops-want) > 1e-9 {
+		t.Errorf("think-time-only rate = %v Mops, want %v", p.ThroughputMops, want)
+	}
+}
+
+func TestComposeRetryFactor(t *testing.T) {
+	// PredictAlgorithm is Compose at the blind factor n; a measured
+	// factor between 1 and n lands between the conflict-free and the
+	// blind predictions, and a factor below 1 counts as 1.
+	m := machine.XeonE5()
+	md := NewDetailed(m)
+	cores := compactCores(m, 8)
+	steps := []AlgoStep{
+		{Primitive: atomics.Load, Line: 0, Retry: true},
+		{Primitive: atomics.CAS, Line: 0, Retry: true},
+	}
+	blind, err := md.PredictAlgorithm(steps, cores, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	atN, err := md.Compose(steps, cores, 0, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if atN.ThroughputMops != blind.ThroughputMops || atN.SuccessRate != 1.0/8 {
+		t.Errorf("Compose at n = %+v, PredictAlgorithm = %+v", atN, blind)
+	}
+	if blind.Jain != 1.0/8 || atN.Jain != 1 {
+		t.Errorf("Jain: blind %v, measured %v; want 1/8 and 1", blind.Jain, atN.Jain)
+	}
+	free, err := md.Compose(steps, cores, 0, 0.5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mid, err := md.Compose(steps, cores, 0, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !(free.ThroughputMops > mid.ThroughputMops && mid.ThroughputMops > blind.ThroughputMops) {
+		t.Errorf("retry 1/3/8: %v, %v, %v Mops; want strictly decreasing",
+			free.ThroughputMops, mid.ThroughputMops, blind.ThroughputMops)
+	}
+	if free.SuccessRate != 1 || math.Abs(mid.AttemptsMops-3*mid.ThroughputMops) > 1e-9 {
+		t.Errorf("retry 1: success %v; retry 3: attempts %v for %v ops", free.SuccessRate, mid.AttemptsMops, mid.ThroughputMops)
+	}
+}
+
+func TestComposeHold(t *testing.T) {
+	// A critical section held on the line adds to its occupancy: a
+	// saturated lock's rate is 1/(service+hold).
+	m := machine.XeonE5()
+	md := NewDetailed(m)
+	cores := compactCores(m, 16)
+	const hold = 50 * sim.Nanosecond
+	p, err := md.Compose([]AlgoStep{{Primitive: atomics.Store, Line: 0, Hold: hold}}, cores, 0, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := md.ServiceTime(atomics.Store, cores) + hold; p.ServiceTime != want {
+		t.Errorf("occupancy %v, want %v", p.ServiceTime, want)
+	}
+}

@@ -28,7 +28,7 @@
 // MODEL.md states every equation this package implements, in the same
 // order; ARCHITECTURE.md carries the equation-to-symbol index (§1 →
 // LowLatency, §2 → ServiceTime/PredictHigh, §3 → CASSuccessRateFIFO/
-// Random, §4 → PredictHighArb, §6 → PredictAlgorithm, §7 →
+// Random, §4 → PredictHighArb, §6 → Compose/PredictAlgorithm, §7 →
 // NewSimple/Calibrate). In the pipeline this package is a consumer of
 // machine descriptions only — it never touches the simulator, which is
 // what makes F7's model-vs-simulation comparison meaningful.

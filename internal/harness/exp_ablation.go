@@ -214,9 +214,9 @@ func cloneWithForwarding(m *machine.Machine) *machine.Machine {
 // sharedReadLatency stages a line Shared in two mid-machine caches and
 // measures a cold read from an adjacent core: the access MESIF
 // accelerates (the sharer sits next door; the home slice does not).
-// check audits the probe (see newProbe).
+// check audits the probe (see workload.NewProbe).
 func sharedReadLatency(m *machine.Machine, check bool) (sim.Time, error) {
-	eng, mem, audit, err := newProbe(m, check)
+	eng, mem, audit, err := workload.NewProbe(m, check)
 	if err != nil {
 		return 0, err
 	}

@@ -7,6 +7,7 @@ import (
 	"atomicsmodel/internal/coherence"
 	"atomicsmodel/internal/machine"
 	"atomicsmodel/internal/sim"
+	"atomicsmodel/internal/workload"
 )
 
 func init() {
@@ -86,7 +87,7 @@ func runF16(o Options) ([]*Table, error) {
 // mean per-op latency (ns), and the fraction of total simulated time
 // messages spent stalled on links.
 func stormAndVictim(m *machine.Machine, o Options) (stormMops, victimLatNs, stallShare float64, err error) {
-	eng, mem, audit, err := newProbe(m, o.CheckOn())
+	eng, mem, audit, err := workload.NewProbe(m, o.CheckOn())
 	if err != nil {
 		return 0, 0, 0, err
 	}

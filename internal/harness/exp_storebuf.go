@@ -109,10 +109,10 @@ func cloneWithStoreBuffer(m *machine.Machine, depth int) *machine.Machine {
 // burstThenOrder issues 8 stores to private lines then one FAA on a hot
 // line, and separately 8 stores then a fence; it reports the elapsed
 // simulated time from the FAA/fence issue to its completion. check
-// audits both probes (see newProbe).
+// audits both probes (see workload.NewProbe).
 func burstThenOrder(m *machine.Machine, check bool) (faaNs, fenceNs float64, err error) {
 	measure := func(op func(mem *atomics.Memory, eng *sim.Engine, done func())) (float64, error) {
-		eng, mem, audit, err := newProbe(m, check)
+		eng, mem, audit, err := workload.NewProbe(m, check)
 		if err != nil {
 			return 0, err
 		}

@@ -1,9 +1,10 @@
 // Package predict implements the conflict-based throughput model for
-// the concurrent objects in internal/apps: an application's operation
-// is a multiset of accesses over contended lines (exactly the framing
-// of core.PredictAlgorithm), but the retry expansion is driven by
-// *measured* quantities — the structure's observed attempts per
-// completed operation — instead of the blind 1/p ≈ n worst case.
+// the concurrent objects in internal/apps: each structure's operation
+// is a recipe of core.AlgoStep accesses over contended lines, evaluated
+// by core.Model.Compose — the one composite model (MODEL.md §6) — with
+// the retry expansion driven by *measured* quantities (the structure's
+// observed attempts per completed operation) instead of the blind
+// 1/p ≈ n worst case of core.PredictAlgorithm.
 //
 // This is the paper-family methodology of Atalar, Renaud-Goud and
 // Tsigas: measure the cheap, stable per-structure quantities (retry
@@ -20,30 +21,7 @@ import (
 	"atomicsmodel/internal/atomics"
 	"atomicsmodel/internal/core"
 	"atomicsmodel/internal/machine"
-	"atomicsmodel/internal/sim"
 )
-
-// Step is one access an operation performs on a line. It mirrors
-// core.AlgoStep (same Line sentinels) and adds HoldPS: serial time the
-// operation keeps the line's owner busy beyond the primitive's own
-// service — a lock's critical section.
-type Step struct {
-	Primitive atomics.Primitive
-	// Line is the contended-line index (recipe-local; only identity and
-	// distinctness matter), core.PrivateLine for per-thread lines, or
-	// core.MigratoryLine for per-element lines that transfer between
-	// threads without forming a shared serialization point.
-	Line int
-	// Retry scales the step by the measured retry factor: it sits in
-	// the structure's repeat-until-success loop, so it executes
-	// RetryFactor times per completed operation.
-	Retry bool
-	// Weight scales the step for operation mixes (0 means 1).
-	Weight float64
-	// HoldPS is extra serial occupancy per execution of the step
-	// (picoseconds): the critical section the step's line protects.
-	HoldPS sim.Time
-}
 
 // Quantities are the measured per-structure inputs the conflict model
 // consumes: cheap scalars one simulation (or one hardware run) yields.
@@ -100,7 +78,7 @@ const (
 // accesses one operation performs, with weights resolved from the
 // spec's mix knobs and the measured quantities. The spec is defaulted
 // internally, so callers may pass the sparse form.
-func Steps(s *apps.Spec, q Quantities) ([]Step, error) {
+func Steps(s *apps.Spec, q Quantities) ([]core.AlgoStep, error) {
 	if err := s.Validate(); err != nil {
 		return nil, err
 	}
@@ -113,23 +91,23 @@ func Steps(s *apps.Spec, q Quantities) ([]Step, error) {
 	crit := d.CritPS
 	switch d.Structure {
 	case "counter-faa":
-		return []Step{{Primitive: atomics.FAA, Line: hotLine}}, nil
+		return []core.AlgoStep{{Primitive: atomics.FAA, Line: hotLine}}, nil
 	case "counter-cas":
 		// Each retry round re-reads the counter and issues the CAS.
-		return []Step{
+		return []core.AlgoStep{
 			{Primitive: atomics.Load, Line: hotLine, Retry: true},
 			{Primitive: atomics.CAS, Line: hotLine, Retry: true},
 		}, nil
 	case "counter-striped":
 		// Writes FAA one stripe (uniform over stripes); reads sweep all
 		// of them. Each stripe is its own serial resource.
-		steps := make([]Step, 0, 2*d.Stripes)
+		steps := make([]core.AlgoStep, 0, 2*d.Stripes)
 		for i := 0; i < d.Stripes; i++ {
 			if wf > 0 {
-				steps = append(steps, Step{Primitive: atomics.FAA, Line: hotLine + i, Weight: wf / float64(d.Stripes)})
+				steps = append(steps, core.AlgoStep{Primitive: atomics.FAA, Line: hotLine + i, Weight: wf / float64(d.Stripes)})
 			}
 			if rf > 0 {
-				steps = append(steps, Step{Primitive: atomics.Load, Line: hotLine + i, Weight: rf})
+				steps = append(steps, core.AlgoStep{Primitive: atomics.Load, Line: hotLine + i, Weight: rf})
 			}
 		}
 		return steps, nil
@@ -141,11 +119,11 @@ func Steps(s *apps.Spec, q Quantities) ([]Step, error) {
 		// hot-line traffic of two operations.
 		main := treiberSteps(1 - q.ElimFraction)
 		if q.ElimFraction > 0 {
-			main = append(main, Step{Primitive: atomics.CAS, Line: core.MigratoryLine, Weight: q.ElimFraction})
+			main = append(main, core.AlgoStep{Primitive: atomics.CAS, Line: core.MigratoryLine, Weight: q.ElimFraction})
 		}
 		return main, nil
 	case "ms-queue":
-		return []Step{
+		return []core.AlgoStep{
 			// Enqueue half: read the tail, link the next pointer on the
 			// tail node (per-node line), swing the tail.
 			{Primitive: atomics.Load, Line: auxLine, Weight: 0.5},
@@ -157,56 +135,56 @@ func Steps(s *apps.Spec, q Quantities) ([]Step, error) {
 			{Primitive: atomics.CAS, Line: hotLine, Weight: 0.5, Retry: true},
 		}, nil
 	case "lock-tas":
-		return []Step{
+		return []core.AlgoStep{
 			{Primitive: atomics.TAS, Line: hotLine, Retry: true},
-			{Primitive: atomics.Store, Line: hotLine, HoldPS: crit},
+			{Primitive: atomics.Store, Line: hotLine, Hold: crit},
 		}, nil
 	case "lock-ttas", "lock-ttas-backoff":
 		// The spin re-reads ride the retry factor with the TAS; backoff
 		// shrinks the measured factor rather than the recipe.
-		return []Step{
+		return []core.AlgoStep{
 			{Primitive: atomics.Load, Line: hotLine, Retry: true},
 			{Primitive: atomics.TAS, Line: hotLine, Retry: true},
-			{Primitive: atomics.Store, Line: hotLine, HoldPS: crit},
+			{Primitive: atomics.Store, Line: hotLine, Hold: crit},
 		}, nil
 	case "lock-ticket":
 		// FAA takes a ticket wait-free; the serving-word spin is the
 		// retry loop; the holder bumps serving after the section.
-		return []Step{
+		return []core.AlgoStep{
 			{Primitive: atomics.FAA, Line: auxLine},
 			{Primitive: atomics.Load, Line: hotLine, Retry: true},
-			{Primitive: atomics.Store, Line: hotLine, HoldPS: crit},
+			{Primitive: atomics.Store, Line: hotLine, Hold: crit},
 		}, nil
 	case "lock-cohort":
 		// The local TAS carries the spin; the global CAS is amortized
 		// over the cohort's hand-off budget.
-		return []Step{
+		return []core.AlgoStep{
 			{Primitive: atomics.CAS, Line: auxLine, Weight: 1 / float64(d.Handoffs)},
 			{Primitive: atomics.TAS, Line: hotLine, Retry: true},
-			{Primitive: atomics.Store, Line: hotLine, HoldPS: crit},
+			{Primitive: atomics.Store, Line: hotLine, Hold: crit},
 		}, nil
 	case "rwlock-central":
-		steps := []Step{
+		steps := []core.AlgoStep{
 			{Primitive: atomics.CAS, Line: hotLine, Retry: true},
 		}
 		if rf > 0 {
 			// Readers hold concurrently, so only their count updates
 			// occupy the lock word; the section itself overlaps.
-			steps = append(steps, Step{Primitive: atomics.FAA, Line: hotLine, Weight: rf})
+			steps = append(steps, core.AlgoStep{Primitive: atomics.FAA, Line: hotLine, Weight: rf})
 		}
 		if wf > 0 {
-			steps = append(steps, Step{Primitive: atomics.Store, Line: hotLine, Weight: wf, HoldPS: crit})
+			steps = append(steps, core.AlgoStep{Primitive: atomics.Store, Line: hotLine, Weight: wf, Hold: crit})
 		}
 		return steps, nil
 	case "rwlock-distributed":
-		steps := []Step{}
+		steps := []core.AlgoStep{}
 		if rf > 0 {
 			// Readers announce on their own slot and check the writer
 			// flag; the announce rounds ride the retry factor.
 			steps = append(steps,
-				Step{Primitive: atomics.Store, Line: core.PrivateLine, Weight: rf, Retry: true},
-				Step{Primitive: atomics.Load, Line: auxLine, Weight: rf},
-				Step{Primitive: atomics.Store, Line: core.PrivateLine, Weight: rf},
+				core.AlgoStep{Primitive: atomics.Store, Line: core.PrivateLine, Weight: rf, Retry: true},
+				core.AlgoStep{Primitive: atomics.Load, Line: auxLine, Weight: rf},
+				core.AlgoStep{Primitive: atomics.Store, Line: core.PrivateLine, Weight: rf},
 			)
 		}
 		if wf > 0 {
@@ -215,10 +193,10 @@ func Steps(s *apps.Spec, q Quantities) ([]Step, error) {
 				slots = d.Threads
 			}
 			steps = append(steps,
-				Step{Primitive: atomics.TAS, Line: auxLine, Weight: wf, Retry: true},
+				core.AlgoStep{Primitive: atomics.TAS, Line: auxLine, Weight: wf, Retry: true},
 				// The writer sweeps every reader slot (per-slot lines).
-				Step{Primitive: atomics.Load, Line: core.MigratoryLine, Weight: wf * float64(slots)},
-				Step{Primitive: atomics.Store, Line: auxLine, Weight: wf, HoldPS: crit},
+				core.AlgoStep{Primitive: atomics.Load, Line: core.MigratoryLine, Weight: wf * float64(slots)},
+				core.AlgoStep{Primitive: atomics.Store, Line: auxLine, Weight: wf, Hold: crit},
 			)
 		}
 		return steps, nil
@@ -226,7 +204,7 @@ func Steps(s *apps.Spec, q Quantities) ([]Step, error) {
 		// Owner pushes and takes run on owner-private lines; only the
 		// last-element race and steals CAS a top pointer — per-victim
 		// lines, so they migrate without one shared bottleneck.
-		return []Step{
+		return []core.AlgoStep{
 			{Primitive: atomics.Load, Line: core.PrivateLine, Weight: 1.5},
 			{Primitive: atomics.Store, Line: core.PrivateLine, Weight: 1.5},
 			{Primitive: atomics.Load, Line: core.MigratoryLine, Weight: 0.5},
@@ -236,39 +214,39 @@ func Steps(s *apps.Spec, q Quantities) ([]Step, error) {
 		if d.Words == 1 {
 			// Single-word baseline: the classic CAS loop, plus plain
 			// loads for the read fraction.
-			steps := []Step{}
+			steps := []core.AlgoStep{}
 			if rf > 0 {
-				steps = append(steps, Step{Primitive: atomics.Load, Line: wordBase, Weight: rf})
+				steps = append(steps, core.AlgoStep{Primitive: atomics.Load, Line: wordBase, Weight: rf})
 			}
 			if wf > 0 {
 				steps = append(steps,
-					Step{Primitive: atomics.Load, Line: wordBase, Weight: wf, Retry: true},
-					Step{Primitive: atomics.CAS, Line: wordBase, Weight: wf, Retry: true},
+					core.AlgoStep{Primitive: atomics.Load, Line: wordBase, Weight: wf, Retry: true},
+					core.AlgoStep{Primitive: atomics.CAS, Line: wordBase, Weight: wf, Retry: true},
 				)
 			}
 			return steps, nil
 		}
-		steps := []Step{
+		steps := []core.AlgoStep{
 			// Both paths start at the version line; the seqlock rounds
 			// and failed acquires ride the retry factor.
 			{Primitive: atomics.Load, Line: hotLine, Retry: true},
 		}
 		if wf > 0 {
 			steps = append(steps,
-				Step{Primitive: atomics.CAS2, Line: hotLine, Weight: wf, Retry: true},
-				Step{Primitive: atomics.Store, Line: hotLine, Weight: wf},
+				core.AlgoStep{Primitive: atomics.CAS2, Line: hotLine, Weight: wf, Retry: true},
+				core.AlgoStep{Primitive: atomics.Store, Line: hotLine, Weight: wf},
 			)
 		}
 		if rf > 0 {
 			// The read's closing version re-check.
-			steps = append(steps, Step{Primitive: atomics.Load, Line: hotLine, Weight: rf})
+			steps = append(steps, core.AlgoStep{Primitive: atomics.Load, Line: hotLine, Weight: rf})
 		}
 		for i := 0; i < d.Words; i++ {
 			if rf > 0 {
-				steps = append(steps, Step{Primitive: atomics.Load, Line: wordBase + i, Weight: rf})
+				steps = append(steps, core.AlgoStep{Primitive: atomics.Load, Line: wordBase + i, Weight: rf})
 			}
 			if wf > 0 {
-				steps = append(steps, Step{Primitive: atomics.Store, Line: wordBase + i, Weight: wf})
+				steps = append(steps, core.AlgoStep{Primitive: atomics.Store, Line: wordBase + i, Weight: wf})
 			}
 		}
 		return steps, nil
@@ -278,8 +256,8 @@ func Steps(s *apps.Spec, q Quantities) ([]Step, error) {
 
 // treiberSteps is the Treiber stack recipe at the given hot-line
 // weight (50/50 push-pop; node lines are per-element).
-func treiberSteps(w float64) []Step {
-	return []Step{
+func treiberSteps(w float64) []core.AlgoStep {
+	return []core.AlgoStep{
 		{Primitive: atomics.Store, Line: core.MigratoryLine, Weight: 0.5 * w},
 		{Primitive: atomics.Load, Line: hotLine, Retry: true, Weight: w},
 		{Primitive: atomics.Load, Line: core.MigratoryLine, Weight: 0.5 * w},
@@ -287,85 +265,16 @@ func treiberSteps(w float64) []Step {
 	}
 }
 
-// Throughput evaluates the conflict model: per-line occupancy with
-// retry steps expanded by the measured factor, the max-occupancy line
-// as the bottleneck, and the closed-system population bound as the
-// ceiling. Returns predicted throughput in Mops.
-func Throughput(md *core.Model, steps []Step, cores []int, q Quantities) (float64, error) {
-	n := len(cores)
-	if n == 0 {
-		return 0, nil
-	}
-	rf := q.RetryFactor
-	if rf < 1 {
-		rf = 1
-	}
-	occupancy := map[int]float64{}
-	var path float64
-	for _, st := range steps {
-		if st.Line < core.MigratoryLine {
-			return 0, fmt.Errorf("predict: invalid line %d in recipe step", st.Line)
-		}
-		w := st.Weight
-		if w == 0 {
-			w = 1
-		}
-		if w < 0 {
-			return 0, fmt.Errorf("predict: negative step weight %v", w)
-		}
-		attempts := w
-		if st.Retry {
-			attempts = w * rf
-		}
-		switch {
-		case st.Line >= 0:
-			s := float64(md.ServiceTime(st.Primitive, cores) + st.HoldPS)
-			occupancy[st.Line] += attempts * s
-			path += attempts * s
-		case st.Line == core.MigratoryLine:
-			// Transfer latency without a shared serialization point.
-			s := float64(md.ServiceTime(st.Primitive, cores) + st.HoldPS)
-			path += attempts * s
-		default:
-			// Private access: warmed per-thread line, local cost.
-			s := float64(md.ServiceTime(st.Primitive, cores[:1]) + st.HoldPS)
-			path += attempts * s
-		}
-	}
-	var bottleneck float64
-	for _, occ := range occupancy {
-		if occ > bottleneck {
-			bottleneck = occ
-		}
-	}
-	if path <= 0 {
-		return 0, fmt.Errorf("predict: recipe has no latency path")
-	}
-	rate := float64(n) / path // closed-system population bound
-	if bottleneck > 0 {
-		if serial := 1 / bottleneck; serial < rate {
-			rate = serial
-		}
-	}
-	return rate * 1e12 / 1e6, nil
-}
-
 // ForSpec predicts a pinned app spec's throughput on a machine from
 // the given quantities: it resolves the spec's placement into cores,
 // builds the recipe, and evaluates it against the machine's detailed
 // service-time model. Returns Mops.
 func ForSpec(m *machine.Machine, s *apps.Spec, q Quantities) (float64, error) {
-	if err := s.Validate(); err != nil {
-		return 0, err
-	}
-	if len(s.ThreadLadder) > 0 {
-		return 0, fmt.Errorf("predict: expand the thread ladder before predicting")
-	}
-	d := s.Defaulted()
-	steps, err := Steps(d, q)
+	steps, err := Steps(s, q)
 	if err != nil {
 		return 0, err
 	}
+	d := s.Defaulted()
 	place, err := machine.PlacementByName(d.Placement)
 	if err != nil {
 		return 0, err
@@ -374,5 +283,6 @@ func ForSpec(m *machine.Machine, s *apps.Spec, q Quantities) (float64, error) {
 	if err != nil {
 		return 0, err
 	}
-	return Throughput(core.NewDetailed(m), steps, cores, q)
+	pred, err := core.NewDetailed(m).Compose(steps, cores, 0, q.RetryFactor)
+	return pred.ThroughputMops, err
 }

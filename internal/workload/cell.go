@@ -82,10 +82,11 @@ type Thread struct {
 // cell runs on, and the run's accounting. A Cell is handed to its
 // Driver for the duration of one run.
 type Cell struct {
-	cfg Config
-	drv Driver
-	eng *sim.Engine
-	mem *atomics.Memory
+	cfg  Config
+	drv  Driver
+	eng  *sim.Engine
+	mem  *atomics.Memory
+	pool *cellPool // the freelist Release returns the cell to
 
 	// threads holds every thread object ever built for this cell; a run
 	// uses the first cfg.Threads of them. Thread objects (and their
@@ -148,35 +149,67 @@ type Cell struct {
 	mRMWs   *metrics.Counter
 }
 
-// cellPools recycles cells per machine description (keyed by the
-// *machine.Machine pointer, because the coherence parameters and dense
-// topology tables baked into a pooled system are machine-specific).
-// Acquiring a pooled cell resets its engine and memory to their
-// just-built state, so a reused cell is byte-identical to a fresh
-// one — teardown is a handful of pointer resets instead of discarding
-// the event queue, request pools, directory entries, and thread
-// closures to the GC. This is what holds steady-state cells at zero
-// allocations on the simulation path. Workload and app cells share one
-// pool per machine.
+// cellPools recycles cells per machine content. Acquiring a pooled
+// cell resets its engine and memory to their just-built state, so a
+// reused cell is byte-identical to a fresh one — teardown is a handful
+// of pointer resets instead of discarding the event queue, request
+// pools, directory entries, and thread closures to the GC. This is
+// what holds steady-state cells at zero allocations on the simulation
+// path. Workload and app cells share one pool per machine content.
 //
-// A plain mutex-guarded freelist rather than sync.Pool: the runtime
+// The key is what a pooled cell bakes in (poolKey), not the
+// *machine.Machine pointer: machine.ByName and every spec build return
+// a new value, so a pointer key would add a pool per value and never
+// free it, and an edit to a machine after it ran a cell would reuse a
+// cell built on the old parameters.
+//
+// Plain mutex-guarded freelists rather than sync.Pool: the runtime
 // clears sync.Pool contents on GC cycles, which would silently discard
-// warmed-up cells mid-sweep and re-pay the full build cost. The
-// freelist is bounded by the peak number of concurrent cells per
-// machine, which the parallel scheduler already caps at GOMAXPROCS.
-var cellPools sync.Map // *machine.Machine -> *cellPool
+// warmed-up cells mid-sweep and re-pay the full build cost. Each
+// freelist holds as many cells as ever ran at once on its machine
+// content — at most the parallel scheduler's worker count — and the
+// pools live for the process.
+var (
+	poolsMu   sync.Mutex
+	cellPools = map[poolKey]*cellPool{}
+)
+
+// poolKey identifies the machine content a pooled cell is built for:
+// the halves of the machine's Key (the spec digest covers the layout,
+// topology and latencies as built) plus the exported fields a caller
+// can still edit on a built machine that the coherence system or the
+// memory bakes in. It holds the halves rather than Key's
+// concatenation so that building it does not allocate.
+type poolKey struct {
+	name, digest  string
+	lat           machine.Latencies
+	forwardSharer bool
+	linkOccupancy sim.Time
+	storeBuffer   int
+}
+
+func poolKeyOf(m *machine.Machine) poolKey {
+	return poolKey{m.Name, m.SpecDigest(), m.Lat, m.ForwardSharer, m.LinkOccupancy, m.StoreBufferDepth}
+}
 
 type cellPool struct {
 	mu   sync.Mutex
 	free []*Cell
 }
 
+// acquireCell takes a cell for m from its pool, or builds one. A
+// pooled cell may have been built for another machine value of the
+// same content; its memory is rebound to m, so the run reads only the
+// caller's machine.
 func acquireCell(m *machine.Machine) (*Cell, error) {
-	pi, ok := cellPools.Load(m)
-	if !ok {
-		pi, _ = cellPools.LoadOrStore(m, &cellPool{})
+	k := poolKeyOf(m)
+	poolsMu.Lock()
+	p := cellPools[k]
+	if p == nil {
+		p = &cellPool{}
+		cellPools[k] = p
 	}
-	p := pi.(*cellPool)
+	poolsMu.Unlock()
 	p.mu.Lock()
 	var c *Cell
 	if n := len(p.free); n > 0 {
@@ -188,21 +221,25 @@ func acquireCell(m *machine.Machine) (*Cell, error) {
 	if c != nil {
 		c.eng.Reset()
 		c.mem.Reset()
+		c.mem.Rebind(m)
 		return c, nil
 	}
-	return newCell(m)
+	c, err := newCell(m)
+	if err != nil {
+		return nil, err
+	}
+	c.pool = p
+	return c, nil
 }
 
-// Release returns the cell to its machine's pool. The caller must have
-// read everything it needs: the next run resets the engine and memory.
+// Release returns the cell to its pool. The caller must have read
+// everything it needs: the next run resets the engine and memory.
 func (c *Cell) Release() {
 	c.drv = nil // an app driver holds its structure: do not keep it alive
-	if pi, ok := cellPools.Load(c.cfg.Machine); ok {
-		p := pi.(*cellPool)
-		p.mu.Lock()
-		p.free = append(p.free, c)
-		p.mu.Unlock()
-	}
+	p := c.pool
+	p.mu.Lock()
+	p.free = append(p.free, c)
+	p.mu.Unlock()
 }
 
 // newCell builds the runtime for machine m: the engine and the memory
@@ -243,8 +280,8 @@ func newCell(m *machine.Machine) (*Cell, error) {
 
 // placeThreads resolves thread placement, reusing the previous run's
 // slot assignment when the policy and thread count repeat (placement is
-// a pure function of machine, policy, and count; the machine is fixed
-// by the pool key).
+// a pure function of machine, policy, and count; the machine's layout
+// is fixed by the pool key).
 func (c *Cell) placeThreads(cfg *Config) ([]int, error) {
 	if c.lastSlots != nil && c.lastThreads == cfg.Threads && placementEqual(c.lastPlacement, cfg.Placement) {
 		return c.lastSlots, nil
@@ -385,7 +422,6 @@ func runCell(cfg Config, drv Driver, recycle *Result) (*Cell, error) {
 	c.memoArmed = fastForwardOn && memoVerdict(&cfg, drv) == ""
 	if c.memoArmed {
 		c.memoSetup()
-		eng.SetIdleHook(c.probeFn)
 		// Pre-warmup pass: the warmup marker stays pending and bounds
 		// the jump; skip past the startup stagger and the cold-miss fill
 		// (about one rotation) before fingerprinting — a capture taken

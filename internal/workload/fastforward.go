@@ -260,7 +260,8 @@ func (c *Cell) memoSetup() {
 }
 
 // memoArm starts (or restarts) a memoization pass and installs the
-// recording tracer. skip consumes probes before the first capture —
+// engine idle hook (probe) and the recording tracer for the pass's
+// lifetime. skip consumes probes before the first capture —
 // past the startup stagger in the pre-warmup pass, past the warmup
 // marker's own probe (taken at an instant the cycle never revisits) in
 // the post-warmup pass — and every elided event must precede bound.
@@ -275,6 +276,7 @@ func (c *Cell) memoArm(skip int, bound sim.Time) {
 	// Keeping the search bound proportional to the cell's size makes a
 	// failed capture cheap enough to retry.
 	m.searchLim = uint64(4*c.cfg.Threads*c.cfg.Lines + 64)
+	c.eng.SetIdleHook(c.probeFn)
 	c.mem.System().SetTracer(c.traceRecFn)
 }
 
@@ -437,22 +439,21 @@ func traceShape(h uint64, ev coherence.TraceEvent) uint64 {
 }
 
 // memoAbort stands the memoizer down for the rest of the pass,
-// removing its tracer. Correctness is unaffected — the cell simply
-// simulates every event (and the post-warmup pass still arms even if
-// the pre-warmup pass gave up).
+// removing its idle hook and tracer. Correctness is unaffected — the
+// cell simply simulates every event, and the engine may jump parked
+// ticks again (the post-warmup pass still arms even if the pre-warmup
+// pass gave up).
 func (c *Cell) memoAbort() {
 	c.memo.phase = memoDone
+	c.eng.SetIdleHook(nil)
 	c.mem.System().SetTracer(nil)
 }
 
-// probe is the engine idle hook of an armed memoizer; it runs between
-// events with a clean stack, the only place pending events may be
-// translated and the clock jumped.
+// probe is the engine idle hook of a memoizer pass, installed from
+// memoArm to memoAbort; it runs between events with a clean stack, the
+// only place pending events may be translated and the clock jumped.
 func (c *Cell) probe() {
 	m := &c.memo
-	if m.phase == memoOff || m.phase == memoDone {
-		return
-	}
 	if m.skip > 0 {
 		m.skip--
 		return
@@ -585,7 +586,7 @@ func (c *Cell) memoJump() {
 	eng.JumpClock(now+jump, k*m.period, m.dQT*sim.Time(k))
 	m.jumps++
 	ffJumps.Add(1)
-	c.memoAbort() // removes the tracer; phase = done
+	c.memoAbort() // removes the hook and the tracer; phase = done
 }
 
 // deltaEqual reports whether every counter of now grew by exactly

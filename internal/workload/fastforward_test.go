@@ -142,10 +142,11 @@ func (otherDriver) Setup(*Cell) error   { return nil }
 func (otherDriver) Step(*Cell, *Thread) {}
 
 // lastCell returns the cell the last run on m ran on: the last one
-// released to m's pool.
+// released to m's pool (the package's tests run one at a time).
 func lastCell(m *machine.Machine) *Cell {
-	pi, _ := cellPools.Load(m)
-	p := pi.(*cellPool)
+	poolsMu.Lock()
+	p := cellPools[poolKeyOf(m)]
+	poolsMu.Unlock()
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	return p.free[len(p.free)-1]

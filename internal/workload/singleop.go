@@ -70,22 +70,41 @@ func MeasureStateLatency(m *machine.Machine, p atomics.Primitive, st LineState) 
 	return MeasureStateLatencyChecked(m, p, st, false)
 }
 
+// NewProbe builds the private engine and memory of a hand-driven probe
+// cell: F1's state probes and the harness's single-shot probes. audit
+// is the probe's closing audit, run whether or not checking is on:
+// with check set (-check) it installs an invariant checker and audit
+// runs the checker's final audit; otherwise audit runs the directory's
+// own invariant check, as every pooled cell does.
+func NewProbe(m *machine.Machine, check bool) (eng *sim.Engine, mem *atomics.Memory, audit func() error, err error) {
+	if err := m.Validate(); err != nil {
+		return nil, nil, nil, fmt.Errorf("workload: %w", err)
+	}
+	eng = sim.NewEngine()
+	if mem, err = atomics.NewMemory(eng, m, nil); err != nil {
+		return nil, nil, nil, err
+	}
+	audit = mem.System().CheckInvariants
+	if check {
+		audit = invariant.Install(eng, mem.System()).Finalize
+	}
+	return eng, mem, audit, nil
+}
+
 // MeasureStateLatencyChecked is MeasureStateLatency with an optional
 // invariant checker on the probe's engine and coherence system, so
-// `-check` runs audit the single-op probes too.
+// `-check` runs audit the single-op probes online too.
 func MeasureStateLatencyChecked(m *machine.Machine, p atomics.Primitive, st LineState, check bool) (sim.Time, error) {
-	if err := m.Validate(); err != nil {
-		return 0, fmt.Errorf("workload: %w", err)
-	}
-	eng := sim.NewEngine()
-	mem, err := atomics.NewMemory(eng, m, nil)
+	eng, mem, audit, err := NewProbe(m, check)
 	if err != nil {
 		return 0, err
 	}
-	var chk *invariant.Checker
-	if check {
-		chk = invariant.Install(eng, mem.System())
-	}
+	return measureState(m, eng, mem, audit, p, st)
+}
+
+// measureState stages the probe's line in state st, issues p on it
+// from core 0 and returns the latency, once the probe passes audit.
+func measureState(m *machine.Machine, eng *sim.Engine, mem *atomics.Memory, audit func() error, p atomics.Primitive, st LineState) (sim.Time, error) {
 	const line coherence.LineID = 77
 	measured, sameSocket, otherSocket := 0, m.CoresPerSocket/2, -1
 	if m.Sockets > 1 {
@@ -124,10 +143,8 @@ func MeasureStateLatencyChecked(m *machine.Machine, p atomics.Primitive, st Line
 	}
 
 	res := doOp(measured, p)
-	if chk != nil {
-		if err := chk.Finalize(); err != nil {
-			return 0, fmt.Errorf("workload: %w", err)
-		}
+	if err := audit(); err != nil {
+		return 0, fmt.Errorf("workload: %w", err)
 	}
 	return res.Latency, nil
 }

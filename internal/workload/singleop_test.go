@@ -105,3 +105,20 @@ func TestLineStateStrings(t *testing.T) {
 		t.Error("unknown state")
 	}
 }
+
+// TestStateProbeAudits: F1's state probe runs the closing audit every
+// simulation runs, with checking off too, so a corrupted directory
+// fails the probe instead of yielding a latency.
+func TestStateProbeAudits(t *testing.T) {
+	m := machine.XeonE5()
+	for _, check := range []bool{false, true} {
+		eng, mem, audit, err := NewProbe(m, check)
+		if err != nil {
+			t.Fatal(err)
+		}
+		mem.System().BreakLine(5, 3) // a line the probe never touches
+		if lat, err := measureState(m, eng, mem, audit, atomics.FAA, StateRemoteSameSocket); err == nil {
+			t.Errorf("check=%v: broken directory measured %v, want the audit error", check, lat)
+		}
+	}
+}

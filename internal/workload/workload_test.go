@@ -368,16 +368,18 @@ func TestOpenLoopAboveSaturationExplodes(t *testing.T) {
 // backlog past saturation would stay in the cell's pools) does not.
 func TestOpenLoopRunnerNotPooled(t *testing.T) {
 	pooled := func(m *machine.Machine) int {
-		pi, ok := cellPools.Load(m)
-		if !ok {
+		poolsMu.Lock()
+		p := cellPools[poolKeyOf(m)]
+		poolsMu.Unlock()
+		if p == nil {
 			return 0
 		}
-		p := pi.(*cellPool)
 		p.mu.Lock()
 		defer p.mu.Unlock()
 		return len(p.free)
 	}
-	m := machine.XeonE5() // a fresh machine: its own pool
+	m := machine.XeonE5()
+	m.Name = "XeonE5-open-loop-pool" // content no other test runs: its own pool
 	open := quickCfg(m, atomics.FAA, 8)
 	open.OpenLoop = true
 	open.OpenLoopInterarrival = 100 * sim.Nanosecond

@@ -1,5 +1,6 @@
 #!/bin/sh
-# Repo checks: build, static analysis, the gofmt gate (every Go file in
+# Repo checks: build, static analysis (the root module and the bench
+# module), the gofmt gate (every Go file in
 # the repo, bench/ included, is gofmt-clean), the docs gate (every
 # package has a doc comment; no broken references in the top-level
 # *.md files),
@@ -36,6 +37,10 @@ go build ./...
 
 echo "== go vet ./..."
 go vet ./...
+
+echo "== (cd bench && go vet ./...)"
+# bench/ is its own module, which the root go vet does not reach.
+(cd bench && go vet ./...)
 
 echo "== gofmt -l (tracked and new Go files, bench/ included)"
 unformatted=$(gofmt -l $(git ls-files --cached --others --exclude-standard '*.go'))
