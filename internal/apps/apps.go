@@ -189,23 +189,28 @@ type TreiberStack struct {
 	pops     uint64
 	empties  uint64
 	attempts uint64
-	ops      []*stackOp
+	// elim is the collision array a failed top CAS diverts to, set
+	// when the stack is an EliminationStack's core; nil otherwise.
+	elim *EliminationStack
+	ops  []*stackOp
 }
 
 // stackOp is one thread's in-flight push or pop: the node being pushed
 // and the top it was linked to, or the top and successor a pop saw.
+// freshTop and slot belong to the elimination diversion: the top a
+// failed push CAS returned and the collision slot in use.
 type stackOp struct {
 	s         *TreiberStack
 	th        *Thread
 	done      func()
 	id        uint64
 	top, next uint64
+	freshTop  uint64
+	slot      coherence.LineID
 
-	pushStoredFn func(atomics.Result)
-	pushCASFn    func(atomics.Result)
-	popTopFn     func(atomics.Result)
-	popNodeFn    func(atomics.Result)
-	popCASFn     func(atomics.Result)
+	pushStoredFn, pushCASFn, popTopFn, popNodeFn, popCASFn func(atomics.Result)
+	parkedFn, withdrawFn, matchedFn, probeFn               func(atomics.Result)
+	windowFn                                               func()
 }
 
 // NewTreiberStack returns a stack pre-seeded with depth nodes so pops
@@ -252,6 +257,9 @@ func (s *TreiberStack) newOp() *stackOp {
 	o.popTopFn = o.popTop
 	o.popNodeFn = o.popNode
 	o.popCASFn = o.popCAS
+	if s.elim != nil {
+		o.bindElim()
+	}
 	return o
 }
 
@@ -283,6 +291,10 @@ func (o *stackOp) pushCAS(r atomics.Result) {
 	if r.OK {
 		o.s.pushes++
 		o.done()
+		return
+	}
+	if o.s.elim != nil {
+		o.park(r.Old)
 		return
 	}
 	o.pushAttempt(r.Old)
@@ -319,12 +331,17 @@ func (o *stackOp) popCAS(rc atomics.Result) {
 		return
 	}
 	o.th.lastSeen = rc.Old
+	if o.s.elim != nil {
+		o.probe()
+		return
+	}
 	o.pop()
 }
 
 // mutex is implemented by the mutual-exclusion locks, whose every
 // completed acquire-release cycle increments the protected data line
-// exactly once; Run verifies that after every lock cell.
+// exactly once; Run verifies that after every lock cell. A mutex runs
+// write sections only.
 type mutex interface{ mutex() }
 
 // lockKind selects a spinlock's acquisition protocol.
@@ -339,14 +356,13 @@ const (
 
 // lockApp is a spinlock for the lock comparison experiments. An
 // acquire-release cycle with a critical-section update of a shared data
-// line is one Step.
+// line is one Step. Its attempts count acquisition-loop iterations: TAS
+// issues for the test-and-set family, serving-counter refetches (reads
+// observing a new value, i.e. line transfers) for the ticket lock.
 type lockApp struct {
-	name     string
-	kind     lockKind
-	mem      *atomics.Memory
-	crit     sim.Time
-	eng      *sim.Engine
-	attempts uint64
+	section
+	name string
+	kind lockKind
 	// base and max bound lock-ttas-backoff's exponential backoff.
 	base, max sim.Time
 	ops       []*lockOp
@@ -355,43 +371,37 @@ type lockApp struct {
 // lockOp is one thread's in-flight acquire-release cycle: the backoff
 // of a TTAS-backoff acquisition, and a ticket lock's ticket.
 type lockOp struct {
+	sectionOp
 	l       *lockApp
-	th      *Thread
-	done    func()
 	backoff sim.Time
 	ticket  uint64
 
-	tasFn      func(atomics.Result)
-	testFn     func()
-	loadFn     func(atomics.Result)
-	ttasFn     func(atomics.Result)
-	ticketFn   func(atomics.Result)
-	serveFn    func(atomics.Result)
-	critFn     func(atomics.Result)
-	releaseFn  func()
-	releasedFn func(atomics.Result)
+	tasFn    func(atomics.Result)
+	testFn   func()
+	loadFn   func(atomics.Result)
+	ttasFn   func(atomics.Result)
+	ticketFn func(atomics.Result)
+	serveFn  func(atomics.Result)
+}
+
+// newLock returns a spinlock whose section updates dataLine.
+func newLock(name string, kind lockKind, eng *sim.Engine, mem *atomics.Memory, crit sim.Time) *lockApp {
+	return &lockApp{section: section{mem: mem, eng: eng, data: dataLine, crit: crit}, name: name, kind: kind}
 }
 
 func (l *lockApp) Name() string { return l.name }
 
 func (l *lockApp) mutex() {}
 
-// Attempts counts acquisition-loop iterations: TAS issues for the
-// test-and-set family, serving-counter refetches (reads observing a
-// new value, i.e. line transfers) for the ticket lock (RetryStats).
-func (l *lockApp) Attempts() uint64 { return l.attempts }
-
 func (l *lockApp) newOp() *lockOp {
 	o := &lockOp{l: l}
+	o.bind(&l.section, o)
 	o.tasFn = o.tasDone
 	o.testFn = o.test
 	o.loadFn = o.loaded
 	o.ttasFn = o.ttasDone
 	o.ticketFn = o.ticketTaken
 	o.serveFn = o.served
-	o.critFn = o.critDone
-	o.releaseFn = o.release
-	o.releasedFn = o.released
 	return o
 }
 
@@ -419,7 +429,7 @@ func (o *lockOp) spin() {
 
 func (o *lockOp) tasDone(r atomics.Result) {
 	if r.Old == 0 {
-		o.locked()
+		o.enter(true)
 		return
 	}
 	o.spin()
@@ -443,7 +453,7 @@ func (o *lockOp) loaded(r atomics.Result) {
 
 func (o *lockOp) ttasDone(r atomics.Result) {
 	if r.Old == 0 {
-		o.locked()
+		o.enter(true)
 		return
 	}
 	if o.l.kind != lockTTASBackoff {
@@ -473,26 +483,13 @@ func (o *lockOp) served(rs atomics.Result) {
 	o.l.attempts++
 	if rs.Old == o.ticket {
 		o.th.lastSeen = o.ticket
-		o.locked()
+		o.enter(true)
 		return
 	}
 	o.l.mem.AwaitChange(o.th.Core, servingLine, rs.Old, nil, o.serveFn)
 }
 
-// locked runs the critical section: update the protected data, hold,
-// release.
-func (o *lockOp) locked() {
-	o.l.mem.FetchAndAdd(o.th.Core, dataLine, 1, o.critFn)
-}
-
-func (o *lockOp) critDone(atomics.Result) {
-	if o.l.crit > 0 {
-		o.l.eng.Schedule(o.l.crit, o.releaseFn)
-	} else {
-		o.release()
-	}
-}
-
+// release frees the lock once its section exits.
 func (o *lockOp) release() {
 	if o.l.kind == lockTicket {
 		o.l.mem.StoreOp(o.th.Core, servingLine, o.th.lastSeen+1, o.releasedFn)
@@ -501,19 +498,17 @@ func (o *lockOp) release() {
 	o.l.mem.StoreOp(o.th.Core, lockLine, 0, o.releasedFn)
 }
 
-func (o *lockOp) released(atomics.Result) { o.done() }
-
 // NewTASLock returns a test-and-set spinlock: every acquisition attempt
 // is an RFO on the lock line (the line-bouncing worst case).
 func NewTASLock(eng *sim.Engine, mem *atomics.Memory, crit sim.Time) App {
-	return &lockApp{name: "lock-tas", kind: lockTAS, mem: mem, crit: crit, eng: eng}
+	return newLock("lock-tas", lockTAS, eng, mem, crit)
 }
 
 // NewTTASLock returns a test-and-test-and-set spinlock: waiters spin on
 // local shared copies (reads) and only attempt the RFO when the lock
 // looks free — the model-guided fix for TAS.
 func NewTTASLock(eng *sim.Engine, mem *atomics.Memory, crit sim.Time) App {
-	return &lockApp{name: "lock-ttas", kind: lockTTAS, mem: mem, crit: crit, eng: eng}
+	return newLock("lock-ttas", lockTTAS, eng, mem, crit)
 }
 
 // NewTTASBackoffLock returns a TTAS lock with capped exponential
@@ -523,14 +518,16 @@ func NewTTASLock(eng *sim.Engine, mem *atomics.Memory, crit sim.Time) App {
 // transfer, so spacing retries out trades a little handoff latency for
 // far fewer bounces.
 func NewTTASBackoffLock(eng *sim.Engine, mem *atomics.Memory, crit, base, max sim.Time) App {
-	return &lockApp{name: "lock-ttas-backoff", kind: lockTTASBackoff, mem: mem, crit: crit, eng: eng, base: base, max: max}
+	l := newLock("lock-ttas-backoff", lockTTASBackoff, eng, mem, crit)
+	l.base, l.max = base, max
+	return l
 }
 
 // NewTicketLock returns a ticket spinlock: one FAA takes a ticket, then
 // the thread spins reading the serving counter — FIFO-fair by
 // construction, which the fairness experiment demonstrates.
 func NewTicketLock(eng *sim.Engine, mem *atomics.Memory, crit sim.Time) App {
-	return &lockApp{name: "lock-ticket", kind: lockTicket, mem: mem, crit: crit, eng: eng}
+	return newLock("lock-ticket", lockTicket, eng, mem, crit)
 }
 
 // DataValue returns the protected data line's value, for verifying

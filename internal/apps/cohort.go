@@ -19,22 +19,17 @@ const (
 // handoff budget), so the lock's data lines cross QPI once per cohort
 // instead of once per critical section.
 type CohortLock struct {
-	mem  *atomics.Memory
-	eng  *sim.Engine
-	crit sim.Time
+	section
 	// MaxHandoffs bounds same-socket handoffs before the global lock
 	// must be surrendered (fairness across sockets).
 	MaxHandoffs int
 	socketOf    func(core int) int
 
-	cycles uint64
 	// handoffs counts same-socket passes of the global lock.
 	handoffs uint64
-	// attempts counts local TAS and global CAS issues (RetryStats).
-	attempts uint64
-	// globalHeldBy tracks which socket holds the global lock and how
-	// many local handoffs it has consumed (bookkeeping mirrors the
-	// simulated lock words; it never substitutes for them).
+	// passCount counts the local handoffs the socket holding the global
+	// lock has consumed (bookkeeping mirrors the simulated lock words;
+	// it never substitutes for them).
 	passCount int
 	ops       []*cohortOp
 }
@@ -42,18 +37,14 @@ type CohortLock struct {
 // cohortOp is one thread's in-flight acquire-release cycle on its
 // socket's cohort.
 type cohortOp struct {
+	sectionOp
 	l      *CohortLock
-	th     *Thread
-	done   func()
 	socket int
 
 	localFn     func(atomics.Result)
 	globalFn    func(atomics.Result)
 	casFn       func(atomics.Result)
-	critFn      func(atomics.Result)
-	finishFn    func()
 	surrenderFn func(atomics.Result)
-	releasedFn  func(atomics.Result)
 }
 
 // NewCohortLock builds the lock for machine-described socket mapping.
@@ -61,7 +52,11 @@ func NewCohortLock(eng *sim.Engine, mem *atomics.Memory, socketOf func(core int)
 	if maxHandoffs < 1 {
 		maxHandoffs = 16
 	}
-	return &CohortLock{mem: mem, eng: eng, crit: crit, MaxHandoffs: maxHandoffs, socketOf: socketOf}
+	return &CohortLock{
+		section:     section{mem: mem, eng: eng, data: dataLine, crit: crit},
+		MaxHandoffs: maxHandoffs,
+		socketOf:    socketOf,
+	}
 }
 
 func (l *CohortLock) Name() string { return "lock-cohort" }
@@ -72,22 +67,17 @@ func (l *CohortLock) mutex() {}
 // traffic avoided).
 func (l *CohortLock) Handoffs() uint64 { return l.handoffs }
 
-// Attempts counts local TAS and global CAS issues (RetryStats).
-func (l *CohortLock) Attempts() uint64 { return l.attempts }
-
 func (l *CohortLock) localLine(socket int) coherence.LineID {
 	return cohortLocalBase + coherence.LineID(socket)*512
 }
 
 func (l *CohortLock) newOp() *cohortOp {
 	o := &cohortOp{l: l}
+	o.bind(&l.section, o)
 	o.localFn = o.localTAS
 	o.globalFn = o.globalLoaded
 	o.casFn = o.globalCAS
-	o.critFn = o.critDone
-	o.finishFn = o.finishCrit
 	o.surrenderFn = o.surrendered
-	o.releasedFn = o.released
 	return o
 }
 
@@ -117,7 +107,7 @@ func (o *cohortOp) localTAS(r atomics.Result) {
 
 func (o *cohortOp) globalLoaded(rg atomics.Result) {
 	if rg.Old == uint64(o.socket+1) {
-		o.locked() // inherited via local handoff
+		o.enter(true) // inherited via local handoff
 		return
 	}
 	o.acquireGlobal()
@@ -134,28 +124,13 @@ func (o *cohortOp) globalCAS(r atomics.Result) {
 		return
 	}
 	o.l.passCount = 0
-	o.locked()
+	o.enter(true)
 }
 
-// locked runs the critical section: update shared data.
-func (o *cohortOp) locked() {
-	o.l.mem.FetchAndAdd(o.th.Core, dataLine, 1, o.critFn)
-}
-
-func (o *cohortOp) critDone(atomics.Result) {
-	if o.l.crit > 0 {
-		o.l.eng.Schedule(o.l.crit, o.finishFn)
-	} else {
-		o.finishCrit()
-	}
-}
-
-// finishCrit releases: it hands off within the socket when the budget
-// allows (keep the global lock, free the local one), else surrenders
-// both.
-func (o *cohortOp) finishCrit() {
+// release hands off within the socket when the budget allows (keep the
+// global lock, free the local one), else surrenders both.
+func (o *cohortOp) release() {
 	l := o.l
-	l.cycles++
 	l.passCount++
 	if l.passCount < l.MaxHandoffs {
 		l.handoffs++
@@ -169,5 +144,3 @@ func (o *cohortOp) finishCrit() {
 func (o *cohortOp) surrendered(atomics.Result) {
 	o.l.mem.StoreOp(o.th.Core, o.l.localLine(o.socket), 0, o.releasedFn)
 }
-
-func (o *cohortOp) released(atomics.Result) { o.done() }

@@ -58,8 +58,9 @@ type RunResult struct {
 	// Eliminations counts operations completed via a collision array
 	// (elimination stacks); zero for other structures.
 	Eliminations uint64 `json:"eliminations,omitempty"`
-	// Violations counts observed mutual-exclusion breaches (RW locks;
-	// must be 0); zero for other structures.
+	// Violations counts overlapping critical sections the locks' shared
+	// section audit observed; Run fails a cell that has any, so a result
+	// always carries zero.
 	Violations int `json:"violations,omitempty"`
 	// Metrics is the per-cell metrics snapshot over the measured window
 	// (nil unless RunConfig.Metrics was set).
@@ -130,7 +131,10 @@ func Run(cfg RunConfig) (*RunResult, error) {
 		res.Eliminations = es.Eliminations()
 	}
 	if vs, ok := d.app.(interface{ Violations() int }); ok {
-		res.Violations = vs.Violations()
+		if v := vs.Violations(); v > 0 {
+			return nil, fmt.Errorf("apps: %s: mutual exclusion breached: %d critical sections overlapped",
+				res.App, v)
+		}
 	}
 	if _, ok := d.app.(mutex); ok {
 		// Each completed acquire-release cycle increments the protected

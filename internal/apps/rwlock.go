@@ -13,137 +13,20 @@ const (
 	rwSlotBase coherence.LineID = 1 << 24
 )
 
-// rwCommon carries the pieces both reader-writer locks share: the mix,
-// the protected data, and exact overlap instrumentation. Because the
-// simulation is one event loop, the activeReaders/activeWriters
-// counters observe true simulated-time overlap — Violations counts
-// real mutual-exclusion breaches, not sampling artifacts.
-type rwCommon struct {
-	mem      *atomics.Memory
-	eng      *sim.Engine
-	readFrac float64
-	crit     sim.Time
-
-	activeReaders int
-	activeWriters int
-	violations    int
-	reads, writes uint64
-	attempts      uint64
-}
-
-// Attempts counts acquisition attempts — the gating CAS/TAS issues and
-// reader announce rounds, successful or not (RetryStats).
-func (c *rwCommon) Attempts() uint64 { return c.attempts }
-
-func (c *rwCommon) enterRead() {
-	if c.activeWriters > 0 {
-		c.violations++
-	}
-	c.activeReaders++
-}
-
-func (c *rwCommon) exitRead() { c.activeReaders-- }
-
-func (c *rwCommon) enterWrite() {
-	if c.activeWriters > 0 || c.activeReaders > 0 {
-		c.violations++
-	}
-	c.activeWriters++
-}
-
-func (c *rwCommon) exitWrite() { c.activeWriters-- }
-
-// Violations reports observed mutual-exclusion breaches (must be 0).
-func (c *rwCommon) Violations() int { return c.violations }
-
-// Ops reports completed read and write sections.
-func (c *rwCommon) Ops() (reads, writes uint64) { return c.reads, c.writes }
-
-// rwOp is one thread's in-flight section on a reader-writer lock: the
-// critical-section and release tail both locks share. Each lock binds
-// its own release for read and write sections when it builds the
-// context.
-type rwOp struct {
-	c    *rwCommon
-	th   *Thread
-	done func()
-
-	releaseRead, releaseWrite       func()
-	readDataFn, writeDataFn         func(atomics.Result)
-	exitReadFn, exitWriteFn         func()
-	readReleasedFn, writeReleasedFn func(atomics.Result)
-}
-
-func (o *rwOp) bind(c *rwCommon, releaseRead, releaseWrite func()) {
-	o.c = c
-	o.releaseRead, o.releaseWrite = releaseRead, releaseWrite
-	o.readDataFn, o.writeDataFn = o.readData, o.writeData
-	o.exitReadFn, o.exitWriteFn = o.exitRead, o.exitWrite
-	o.readReleasedFn, o.writeReleasedFn = o.readReleased, o.writeReleased
-}
-
-// criticalRead performs the protected read section then releases.
-func (o *rwOp) criticalRead() {
-	o.c.enterRead()
-	o.c.mem.LoadOp(o.th.Core, rwDataLine, o.readDataFn)
-}
-
-func (o *rwOp) readData(atomics.Result) {
-	if o.c.crit > 0 {
-		o.c.eng.Schedule(o.c.crit, o.exitReadFn)
-	} else {
-		o.exitRead()
-	}
-}
-
-func (o *rwOp) exitRead() {
-	o.c.exitRead()
-	o.releaseRead()
-}
-
-func (o *rwOp) readReleased(atomics.Result) {
-	o.c.reads++
-	o.done()
-}
-
-// criticalWrite performs the protected update then releases.
-func (o *rwOp) criticalWrite() {
-	o.c.enterWrite()
-	o.c.mem.FetchAndAdd(o.th.Core, rwDataLine, 1, o.writeDataFn)
-}
-
-func (o *rwOp) writeData(atomics.Result) {
-	if o.c.crit > 0 {
-		o.c.eng.Schedule(o.c.crit, o.exitWriteFn)
-	} else {
-		o.exitWrite()
-	}
-}
-
-func (o *rwOp) exitWrite() {
-	o.c.exitWrite()
-	o.releaseWrite()
-}
-
-func (o *rwOp) writeReleased(atomics.Result) {
-	o.c.writes++
-	o.done()
-}
-
 // CentralRWLock is the textbook single-word reader-writer spinlock:
 // bit 0 is the writer flag, the upper bits count readers. Every reader
 // acquisition and release is an RMW on the one lock line, so a
 // read-mostly workload still bounces it — the design the model warns
 // about.
 type CentralRWLock struct {
-	rwCommon
+	section
 	ops []*centralOp
 }
 
 // centralOp is one thread's in-flight section on the central lock: the
 // lock word a read acquisition observed.
 type centralOp struct {
-	rwOp
+	sectionOp
 	l *CentralRWLock
 	v uint64
 
@@ -153,14 +36,14 @@ type centralOp struct {
 // NewCentralRWLock returns the one-line reader-writer lock; readFrac of
 // the Steps are read sections, crit is the section length.
 func NewCentralRWLock(eng *sim.Engine, mem *atomics.Memory, readFrac float64, crit sim.Time) *CentralRWLock {
-	return &CentralRWLock{rwCommon: rwCommon{mem: mem, eng: eng, readFrac: readFrac, crit: crit}}
+	return &CentralRWLock{section: section{mem: mem, eng: eng, data: rwDataLine, readFrac: readFrac, crit: crit}}
 }
 
 func (l *CentralRWLock) Name() string { return "rwlock-central" }
 
 func (l *CentralRWLock) newOp() *centralOp {
 	o := &centralOp{l: l}
-	o.bind(&l.rwCommon, o.readRelease, o.writeRelease)
+	o.bind(&l.section, o)
 	o.rLoadFn, o.rCASFn = o.readLoaded, o.readCAS
 	o.wLoadFn, o.wCASFn = o.writeLoaded, o.writeCAS
 	return o
@@ -196,12 +79,7 @@ func (o *centralOp) readCAS(rc atomics.Result) {
 		o.readAcquire()
 		return
 	}
-	o.criticalRead()
-}
-
-// readRelease subtracts 2 (adds the two's complement).
-func (o *centralOp) readRelease() {
-	o.l.mem.FetchAndAdd(o.th.Core, rwLockLine, ^uint64(1), o.readReleasedFn)
+	o.enter(false)
 }
 
 func (o *centralOp) writeAcquire() {
@@ -223,11 +101,17 @@ func (o *centralOp) writeCAS(rc atomics.Result) {
 		o.writeAcquire()
 		return
 	}
-	o.criticalWrite()
+	o.enter(true)
 }
 
-func (o *centralOp) writeRelease() {
-	o.l.mem.StoreOp(o.th.Core, rwLockLine, 0, o.writeReleasedFn)
+// release clears the writer bit, or subtracts a reader's 2 (adds the
+// two's complement).
+func (o *centralOp) release() {
+	if o.write {
+		o.l.mem.StoreOp(o.th.Core, rwLockLine, 0, o.releasedFn)
+		return
+	}
+	o.l.mem.FetchAndAdd(o.th.Core, rwLockLine, ^uint64(1), o.releasedFn)
 }
 
 // DistributedRWLock is the big-reader design: each thread announces
@@ -236,7 +120,7 @@ func (o *centralOp) writeRelease() {
 // reader slot. Reads scale; writes pay O(threads) — the trade the
 // model prices via its private-vs-shared line distinction.
 type DistributedRWLock struct {
-	rwCommon
+	section
 	slots int
 	ops   []*distOp
 }
@@ -244,7 +128,7 @@ type DistributedRWLock struct {
 // distOp is one thread's in-flight section on the distributed lock:
 // the reader slot a writer's scan has reached.
 type distOp struct {
-	rwOp
+	sectionOp
 	l *DistributedRWLock
 	i int
 
@@ -255,7 +139,7 @@ type distOp struct {
 // NewDistributedRWLock returns the per-reader-slot lock for up to slots
 // reader threads (thread IDs index the slots).
 func NewDistributedRWLock(eng *sim.Engine, mem *atomics.Memory, slots int, readFrac float64, crit sim.Time) *DistributedRWLock {
-	return &DistributedRWLock{rwCommon: rwCommon{mem: mem, eng: eng, readFrac: readFrac, crit: crit}, slots: slots}
+	return &DistributedRWLock{section: section{mem: mem, eng: eng, data: rwDataLine, readFrac: readFrac, crit: crit}, slots: slots}
 }
 
 func (l *DistributedRWLock) Name() string { return "rwlock-distributed" }
@@ -266,7 +150,7 @@ func (l *DistributedRWLock) slot(id int) coherence.LineID {
 
 func (l *DistributedRWLock) newOp() *distOp {
 	o := &distOp{l: l}
-	o.bind(&l.rwCommon, o.readRelease, o.writeRelease)
+	o.bind(&l.section, o)
 	o.flagFn, o.announcedFn = o.flagLoaded, o.announced
 	o.recheckFn, o.withdrawnFn = o.rechecked, o.withdrawn
 	o.flagTASFn, o.scanFn = o.flagTAS, o.scanned
@@ -308,14 +192,10 @@ func (o *distOp) rechecked(r2 atomics.Result) {
 		o.l.mem.StoreOp(o.th.Core, o.l.slot(o.th.ID), 0, o.withdrawnFn)
 		return
 	}
-	o.criticalRead()
+	o.enter(false)
 }
 
 func (o *distOp) withdrawn(atomics.Result) { o.readAcquire() }
-
-func (o *distOp) readRelease() {
-	o.l.mem.StoreOp(o.th.Core, o.l.slot(o.th.ID), 0, o.readReleasedFn)
-}
 
 func (o *distOp) writeAcquire() {
 	o.l.attempts++
@@ -335,7 +215,7 @@ func (o *distOp) flagTAS(r atomics.Result) {
 // section.
 func (o *distOp) scan() {
 	if o.i == o.l.slots {
-		o.criticalWrite()
+		o.enter(true)
 		return
 	}
 	o.l.mem.LoadOp(o.th.Core, o.l.slot(o.i), o.scanFn)
@@ -351,6 +231,11 @@ func (o *distOp) scanned(r atomics.Result) {
 	o.scan()
 }
 
-func (o *distOp) writeRelease() {
-	o.l.mem.StoreOp(o.th.Core, rwFlagLine, 0, o.writeReleasedFn)
+// release lowers the writer flag, or clears the reader's slot.
+func (o *distOp) release() {
+	if o.write {
+		o.l.mem.StoreOp(o.th.Core, rwFlagLine, 0, o.releasedFn)
+		return
+	}
+	o.l.mem.StoreOp(o.th.Core, o.l.slot(o.th.ID), 0, o.releasedFn)
 }

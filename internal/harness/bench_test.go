@@ -90,16 +90,21 @@ func BenchmarkMemoizedCell(b *testing.B) {
 // lock (waiters spin on their local copy of the serving counter, so
 // most of its events are parked re-reads), the distributed reader-
 // writer lock with examples/apps/rwlock-read-mostly.json's mix (readers
-// spin on the writer flag, the writer on reader slots) and the
+// spin on the writer flag, the writer on reader slots), the
 // work-stealing deques (the A suite's most event-heavy structure, with
-// no spin loop). An app cell allocates its structure, per-thread
-// contexts and result once per cell and nothing per operation, so
-// allocs/op is a small per-cell constant.
+// no spin loop), the elimination stack (the Treiber stack's push and
+// pop with its collision-slot diversion) and the cohort lock (scattered
+// over XeonE5's two sockets: local and global lock words, then the
+// section every lock shares). An app cell allocates its structure,
+// per-thread contexts and result once per cell and nothing per
+// operation, so allocs/op is a small per-cell constant.
 func BenchmarkAppCell(b *testing.B) {
 	for _, sp := range []apps.Spec{
 		{Structure: "lock-ticket"},
 		{Structure: "rwlock-distributed", ReadFraction: 0.98, CritPS: 20 * sim.Nanosecond},
 		{Structure: "ws-deque"},
+		{Structure: "elimination-stack"},
+		{Structure: "lock-cohort", Placement: "scatter"},
 	} {
 		b.Run(sp.Structure, func(b *testing.B) {
 			sp.Threads, sp.Seed = 8, 1

@@ -59,9 +59,10 @@ type Thread struct {
 	// spanStart marks the start of the current CAS retry span.
 	spanStart sim.Time
 	inSpan    bool
-	// expected is the CAS expected value captured at issue time, read by
-	// the prebaked casDone callback. Valid in closed-loop runs, where a
-	// thread has at most one operation in flight.
+	// expected is the CAS expected value of the thread's latest issue,
+	// which the fast-forward fingerprint reads and a jump shifts. The
+	// completion (casDone) does not read it: an open-loop thread may have
+	// issued again since.
 	expected uint64
 	// loads counts the re-reads of a parked Load loop (Cell.parkLoads),
 	// as its parked chain settles them; loadsAtMeasure is the count at
@@ -310,10 +311,13 @@ func (c *Cell) ensureThreads(n int) {
 	for len(c.threads) < n {
 		th := &Thread{ID: len(c.threads)}
 		th.opDone = func(res atomics.Result) { c.complete(th, res, true) }
+		// A CAS that succeeded observed its expected value, so the
+		// completion needs no record of the issue: open-loop threads,
+		// with several CASes in flight, share this callback too.
 		th.casDone = func(res atomics.Result) {
 			th.lastSeen = res.Old
 			if res.OK {
-				th.lastSeen = th.expected + 1
+				th.lastSeen = res.Old + 1
 			}
 			c.complete(th, res, res.OK)
 		}

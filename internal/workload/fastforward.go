@@ -63,14 +63,14 @@
 //
 // Eligibility (memoVerdict) is conservative: any knob that draws
 // randomness per operation (jittered think time, read/write mix), is
-// not a closed loop (open-loop arrivals, whose CAS operands live in
-// per-operation closures), or keeps state the fingerprint does not see
-// (non-FIFO arbiters, store buffers, finite link bandwidth, the
-// invariant checker, fault plans) disables the memoizer for that run,
-// and the verdict names the first such knob. A Load loop on one line
-// with no think time is refused too: it parks instead (loopParks). An
-// ineligible or aperiodic cell runs every event as before; the
-// differential tests prove byte-identical results either way.
+// not a closed loop (open-loop arrivals are not periodic), or keeps
+// state the fingerprint does not see (non-FIFO arbiters, store
+// buffers, finite link bandwidth, the invariant checker, fault plans)
+// disables the memoizer for that run, and the verdict names the first
+// such knob. A Load loop on one line with no think time is refused too:
+// it parks instead (loopParks). An ineligible or aperiodic cell runs
+// every event as before; the differential tests prove byte-identical
+// results either way.
 package workload
 
 import (

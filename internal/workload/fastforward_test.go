@@ -97,8 +97,7 @@ func TestMemoVerdict(t *testing.T) {
 		{"cas retry loop", func(c *Config) { c.Primitive, c.CASRetryLoop = atomics.CAS, true }, ""},
 		{"cas2 retry loop", func(c *Config) { c.Primitive, c.CASRetryLoop = atomics.CAS2, true }, ""},
 		{"low-contention cas", func(c *Config) { c.Primitive, c.Mode = atomics.CAS, LowContention }, ""},
-		// An open-loop CAS keeps its expected value in a per-operation
-		// closure the value shift cannot reach.
+		// Open-loop arrivals are not periodic, whatever the primitive.
 		{"open-loop cas", func(c *Config) {
 			c.Primitive, c.OpenLoop, c.OpenLoopInterarrival = atomics.CAS, true, 50*sim.Nanosecond
 		}, "open-loop"},

@@ -400,22 +400,8 @@ func (c *Cell) operate(th *Thread) {
 			th.inSpan = true
 			th.spanStart = c.eng.Now()
 		}
-		expected := th.lastSeen
-		if c.cfg.OpenLoop {
-			// Open-loop threads can have several CASes in flight, each
-			// needing the expected value it was issued with — so this
-			// path keeps the per-op closure.
-			c.mem.Do(p, th.Core, line, expected, expected+1, func(res atomics.Result) {
-				th.lastSeen = res.Old
-				if res.OK {
-					th.lastSeen = expected + 1
-				}
-				c.complete(th, res, res.OK)
-			})
-			return
-		}
-		th.expected = expected
-		c.mem.Do(p, th.Core, line, expected, expected+1, th.casDone)
+		th.expected = th.lastSeen
+		c.mem.Do(p, th.Core, line, th.expected, th.expected+1, th.casDone)
 	default:
 		if p == atomics.Load && c.parkLoads {
 			c.mem.SpinLoad(th.Core, line, th.lastSeen, &th.loads, th.loadDone)
