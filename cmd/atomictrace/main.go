@@ -180,6 +180,7 @@ func traceMachine(m *machine.Machine, p atomics.Primitive, threads, ops int, arb
 	const hot coherence.LineID = 1
 	rec := trace.NewRecorder(hot, 0)
 	mem.System().SetTracer(rec.Observe)
+	line := mem.Handle(hot)
 
 	rng := sim.NewRNG(42)
 	for i := 0; i < threads; i++ {
@@ -189,7 +190,7 @@ func traceMachine(m *machine.Machine, p atomics.Primitive, threads, ops int, arb
 			if remaining == 0 {
 				return
 			}
-			mem.Do(p, core, hot, 1, 2, func(atomics.Result) { issue(remaining - 1) })
+			mem.Do(p, core, line, 1, 2, func(atomics.Result) { issue(remaining - 1) })
 		}
 		left := ops
 		eng.Schedule(rng.Duration(10*sim.Nanosecond), func() { issue(left) })

@@ -87,10 +87,45 @@ func threadOp[T any](ctxs *[]*T, th *Thread, mk func() *T) *T {
 	return o
 }
 
+// A structure names its lines by handles (coherence.Line). Its
+// constructor runs once per cell on a reset memory, so it resolves its
+// fixed lines there, and the handles live as long as the structure.
+
+// lineSet is a family of a structure's lines indexed 0..n-1 — a deque's
+// buffer slots, counter stripes, reader slots, collision slots, per-
+// socket lock words — each resolved the first time an operation names
+// it, so a cell creates the lines it touches and no more. id maps an
+// index to its line's ID.
+type lineSet struct {
+	mem *atomics.Memory
+	id  func(i int) coherence.LineID
+	h   []coherence.Line
+}
+
+func newLineSet(mem *atomics.Memory, n int, id func(i int) coherence.LineID) lineSet {
+	return lineSet{mem: mem, id: id, h: make([]coherence.Line, n)}
+}
+
+// strided returns the ID map of lines base, base+stride, base+2*stride...
+func strided(base, stride coherence.LineID) func(int) coherence.LineID {
+	return func(i int) coherence.LineID { return base + coherence.LineID(i)*stride }
+}
+
+// at returns line i's handle, resolving it on first use.
+func (s *lineSet) at(i int) coherence.Line {
+	h := s.h[i]
+	if h.IsZero() {
+		h = s.mem.Handle(s.id(i))
+		s.h[i] = h
+	}
+	return h
+}
+
 // FAACounter increments a shared counter with one fetch-and-add.
 type FAACounter struct {
-	mem *atomics.Memory
-	ops []*faaOp
+	mem     *atomics.Memory
+	counter coherence.Line
+	ops     []*faaOp
 }
 
 // faaOp is one thread's in-flight increment.
@@ -102,7 +137,9 @@ type faaOp struct {
 func (o *faaOp) added(atomics.Result) { o.done() }
 
 // NewFAACounter returns the FAA-based counter.
-func NewFAACounter(mem *atomics.Memory) *FAACounter { return &FAACounter{mem: mem} }
+func NewFAACounter(mem *atomics.Memory) *FAACounter {
+	return &FAACounter{mem: mem, counter: mem.Handle(counterLine)}
+}
 
 func (c *FAACounter) Name() string { return "counter-faa" }
 
@@ -115,7 +152,7 @@ func (c *FAACounter) newOp() *faaOp {
 func (c *FAACounter) Step(th *Thread, done func()) {
 	o := threadOp(&c.ops, th, c.newOp)
 	o.done = done
-	c.mem.FetchAndAdd(th.Core, counterLine, 1, o.addFn)
+	c.mem.FetchAndAdd(th.Core, c.counter, 1, o.addFn)
 }
 
 // Value returns the counter's current value (for correctness checks).
@@ -126,6 +163,7 @@ func (c *FAACounter) Value() uint64 { return c.mem.System().Value(counterLine) }
 // the design the model tells you to avoid under contention.
 type CASCounter struct {
 	mem      *atomics.Memory
+	counter  coherence.Line
 	attempts uint64
 	ops      []*casOp
 }
@@ -141,7 +179,9 @@ type casOp struct {
 }
 
 // NewCASCounter returns the CAS-loop counter.
-func NewCASCounter(mem *atomics.Memory) *CASCounter { return &CASCounter{mem: mem} }
+func NewCASCounter(mem *atomics.Memory) *CASCounter {
+	return &CASCounter{mem: mem, counter: mem.Handle(counterLine)}
+}
 
 func (c *CASCounter) Name() string { return "counter-cas" }
 
@@ -163,7 +203,7 @@ func (c *CASCounter) Step(th *Thread, done func()) {
 func (o *casOp) issue() {
 	o.expected = o.th.lastSeen
 	o.c.attempts++
-	o.c.mem.CompareAndSwap(o.th.Core, counterLine, o.expected, o.expected+1, o.casFn)
+	o.c.mem.CompareAndSwap(o.th.Core, o.c.counter, o.expected, o.expected+1, o.casFn)
 }
 
 func (o *casOp) cased(r atomics.Result) {
@@ -184,6 +224,7 @@ func (c *CASCounter) Value() uint64 { return c.mem.System().Value(counterLine) }
 // push or a pop (50/50), so the stack stays near its initial depth.
 type TreiberStack struct {
 	mem      *atomics.Memory
+	top      coherence.Line
 	nextID   uint64
 	pushes   uint64
 	pops     uint64
@@ -206,7 +247,7 @@ type stackOp struct {
 	id        uint64
 	top, next uint64
 	freshTop  uint64
-	slot      coherence.LineID
+	slot      coherence.Line
 
 	pushStoredFn, pushCASFn, popTopFn, popNodeFn, popCASFn func(atomics.Result)
 	parkedFn, withdrawFn, matchedFn, probeFn               func(atomics.Result)
@@ -225,6 +266,7 @@ func NewTreiberStack(mem *atomics.Memory, depth int) *TreiberStack {
 		top = id
 	}
 	mem.System().SetValue(topLine, top)
+	s.top = mem.Handle(topLine)
 	return s
 }
 
@@ -238,8 +280,10 @@ func (s *TreiberStack) Stats() (pushes, pops, empties uint64) {
 // Attempts counts CAS issues on the top pointer (RetryStats).
 func (s *TreiberStack) Attempts() uint64 { return s.attempts }
 
-func (s *TreiberStack) nodeLine(id uint64) coherence.LineID {
-	return nodeBase + coherence.LineID(id)
+// nodeLine resolves node id's line where it is used: node IDs grow
+// without bound, so nodes are not kept resolved.
+func (s *TreiberStack) nodeLine(id uint64) coherence.Line {
+	return s.mem.Handle(nodeBase + coherence.LineID(id))
 }
 
 // alloc hands out the next node ID (allocation is not simulated; the
@@ -284,7 +328,7 @@ func (o *stackOp) pushAttempt(oldTop uint64) {
 
 func (o *stackOp) pushStored(atomics.Result) {
 	o.s.attempts++
-	o.s.mem.CompareAndSwap(o.th.Core, topLine, o.top, o.id, o.pushCASFn)
+	o.s.mem.CompareAndSwap(o.th.Core, o.s.top, o.top, o.id, o.pushCASFn)
 }
 
 func (o *stackOp) pushCAS(r atomics.Result) {
@@ -301,7 +345,7 @@ func (o *stackOp) pushCAS(r atomics.Result) {
 }
 
 func (o *stackOp) pop() {
-	o.s.mem.LoadOp(o.th.Core, topLine, o.popTopFn)
+	o.s.mem.LoadOp(o.th.Core, o.s.top, o.popTopFn)
 }
 
 func (o *stackOp) popTop(r atomics.Result) {
@@ -320,7 +364,7 @@ func (o *stackOp) popTop(r atomics.Result) {
 func (o *stackOp) popNode(rn atomics.Result) {
 	o.next = rn.Old
 	o.s.attempts++
-	o.s.mem.CompareAndSwap(o.th.Core, topLine, o.top, o.next, o.popCASFn)
+	o.s.mem.CompareAndSwap(o.th.Core, o.s.top, o.top, o.next, o.popCASFn)
 }
 
 func (o *stackOp) popCAS(rc atomics.Result) {
@@ -363,6 +407,9 @@ type lockApp struct {
 	section
 	name string
 	kind lockKind
+	// lockWord is the test-and-set family's lock line; nextTicket and
+	// serving are the ticket lock's two counters.
+	lockWord, nextTicket, serving coherence.Line
 	// base and max bound lock-ttas-backoff's exponential backoff.
 	base, max sim.Time
 	ops       []*lockOp
@@ -386,7 +433,13 @@ type lockOp struct {
 
 // newLock returns a spinlock whose section updates dataLine.
 func newLock(name string, kind lockKind, eng *sim.Engine, mem *atomics.Memory, crit sim.Time) *lockApp {
-	return &lockApp{section: section{mem: mem, eng: eng, data: dataLine, crit: crit}, name: name, kind: kind}
+	l := &lockApp{section: section{mem: mem, eng: eng, data: mem.Handle(dataLine), crit: crit}, name: name, kind: kind}
+	if kind == lockTicket {
+		l.nextTicket, l.serving = mem.Handle(ticketLine), mem.Handle(servingLine)
+	} else {
+		l.lockWord = mem.Handle(lockLine)
+	}
+	return l
 }
 
 func (l *lockApp) Name() string { return l.name }
@@ -417,14 +470,14 @@ func (l *lockApp) Step(th *Thread, done func()) {
 		o.backoff = l.base
 		o.test()
 	case lockTicket:
-		l.mem.FetchAndAdd(th.Core, ticketLine, 1, o.ticketFn)
+		l.mem.FetchAndAdd(th.Core, l.nextTicket, 1, o.ticketFn)
 	}
 }
 
 // spin is one test-and-set acquisition attempt.
 func (o *lockOp) spin() {
 	o.l.attempts++
-	o.l.mem.TestAndSet(o.th.Core, lockLine, o.tasFn)
+	o.l.mem.TestAndSet(o.th.Core, o.l.lockWord, o.tasFn)
 }
 
 func (o *lockOp) tasDone(r atomics.Result) {
@@ -438,17 +491,17 @@ func (o *lockOp) tasDone(r atomics.Result) {
 // test reads the lock line (spinning on the shared copy) before a
 // test-and-set attempt.
 func (o *lockOp) test() {
-	o.l.mem.LoadOp(o.th.Core, lockLine, o.loadFn)
+	o.l.mem.LoadOp(o.th.Core, o.l.lockWord, o.loadFn)
 }
 
 func (o *lockOp) loaded(r atomics.Result) {
 	if r.Old != 0 {
 		// Spin on the local copy until the holder's release changes it.
-		o.l.mem.AwaitChange(o.th.Core, lockLine, r.Old, nil, o.loadFn)
+		o.l.mem.AwaitChange(o.th.Core, o.l.lockWord, r.Old, nil, o.loadFn)
 		return
 	}
 	o.l.attempts++
-	o.l.mem.TestAndSet(o.th.Core, lockLine, o.ttasFn)
+	o.l.mem.TestAndSet(o.th.Core, o.l.lockWord, o.ttasFn)
 }
 
 func (o *lockOp) ttasDone(r atomics.Result) {
@@ -470,7 +523,7 @@ func (o *lockOp) ttasDone(r atomics.Result) {
 
 func (o *lockOp) ticketTaken(r atomics.Result) {
 	o.ticket = r.Old
-	o.l.mem.LoadOp(o.th.Core, servingLine, o.serveFn)
+	o.l.mem.LoadOp(o.th.Core, o.l.serving, o.serveFn)
 }
 
 // served takes a serving-counter read that observed a new value: the
@@ -486,16 +539,16 @@ func (o *lockOp) served(rs atomics.Result) {
 		o.enter(true)
 		return
 	}
-	o.l.mem.AwaitChange(o.th.Core, servingLine, rs.Old, nil, o.serveFn)
+	o.l.mem.AwaitChange(o.th.Core, o.l.serving, rs.Old, nil, o.serveFn)
 }
 
 // release frees the lock once its section exits.
 func (o *lockOp) release() {
 	if o.l.kind == lockTicket {
-		o.l.mem.StoreOp(o.th.Core, servingLine, o.th.lastSeen+1, o.releasedFn)
+		o.l.mem.StoreOp(o.th.Core, o.l.serving, o.th.lastSeen+1, o.releasedFn)
 		return
 	}
-	o.l.mem.StoreOp(o.th.Core, lockLine, 0, o.releasedFn)
+	o.l.mem.StoreOp(o.th.Core, o.l.lockWord, 0, o.releasedFn)
 }
 
 // NewTASLock returns a test-and-set spinlock: every acquisition attempt

@@ -153,8 +153,8 @@ func (breachLock) Name() string { return "lock-none" }
 func (breachLock) mutex() {}
 
 func (b breachLock) Step(th *Thread, done func()) {
-	b.mem.LoadOp(th.Core, dataLine, func(r atomics.Result) {
-		b.mem.StoreOp(th.Core, dataLine, r.Old+1, func(atomics.Result) { done() })
+	b.mem.LoadOp(th.Core, b.mem.Handle(dataLine), func(r atomics.Result) {
+		b.mem.StoreOp(th.Core, b.mem.Handle(dataLine), r.Old+1, func(atomics.Result) { done() })
 	})
 }
 

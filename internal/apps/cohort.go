@@ -24,6 +24,9 @@ type CohortLock struct {
 	// must be surrendered (fairness across sockets).
 	MaxHandoffs int
 	socketOf    func(core int) int
+	// global is the global lock word; locals holds each socket's.
+	global coherence.Line
+	locals lineSet
 
 	// handoffs counts same-socket passes of the global lock.
 	handoffs uint64
@@ -53,9 +56,11 @@ func NewCohortLock(eng *sim.Engine, mem *atomics.Memory, socketOf func(core int)
 		maxHandoffs = 16
 	}
 	return &CohortLock{
-		section:     section{mem: mem, eng: eng, data: dataLine, crit: crit},
+		section:     section{mem: mem, eng: eng, data: mem.Handle(dataLine), crit: crit},
 		MaxHandoffs: maxHandoffs,
 		socketOf:    socketOf,
+		global:      mem.Handle(cohortGlobalLine),
+		locals:      newLineSet(mem, mem.Machine().Sockets, strided(cohortLocalBase, 512)),
 	}
 }
 
@@ -67,9 +72,7 @@ func (l *CohortLock) mutex() {}
 // traffic avoided).
 func (l *CohortLock) Handoffs() uint64 { return l.handoffs }
 
-func (l *CohortLock) localLine(socket int) coherence.LineID {
-	return cohortLocalBase + coherence.LineID(socket)*512
-}
+func (l *CohortLock) localLine(socket int) coherence.Line { return l.locals.at(socket) }
 
 func (l *CohortLock) newOp() *cohortOp {
 	o := &cohortOp{l: l}
@@ -102,7 +105,7 @@ func (o *cohortOp) localTAS(r atomics.Result) {
 		return
 	}
 	// Local lock held. Does the cohort hold the global lock?
-	o.l.mem.LoadOp(o.th.Core, cohortGlobalLine, o.globalFn)
+	o.l.mem.LoadOp(o.th.Core, o.l.global, o.globalFn)
 }
 
 func (o *cohortOp) globalLoaded(rg atomics.Result) {
@@ -115,7 +118,7 @@ func (o *cohortOp) globalLoaded(rg atomics.Result) {
 
 func (o *cohortOp) acquireGlobal() {
 	o.l.attempts++
-	o.l.mem.CompareAndSwap(o.th.Core, cohortGlobalLine, 0, uint64(o.socket+1), o.casFn)
+	o.l.mem.CompareAndSwap(o.th.Core, o.l.global, 0, uint64(o.socket+1), o.casFn)
 }
 
 func (o *cohortOp) globalCAS(r atomics.Result) {
@@ -138,7 +141,7 @@ func (o *cohortOp) release() {
 		return
 	}
 	// Surrender the global lock first, then the local one.
-	l.mem.StoreOp(o.th.Core, cohortGlobalLine, 0, o.surrenderFn)
+	l.mem.StoreOp(o.th.Core, l.global, 0, o.surrenderFn)
 }
 
 func (o *cohortOp) surrendered(atomics.Result) {

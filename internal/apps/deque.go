@@ -33,6 +33,11 @@ const (
 type WSDeque struct {
 	mem     *atomics.Memory
 	threads int
+	// tops and bottoms are each owner's index lines. slots holds the
+	// buffer slots, owner by owner: a cell touches few of the 256 each
+	// owner has, so they resolve on first use.
+	tops, bottoms []coherence.Line
+	slots         lineSet
 
 	pushes  uint64
 	takes   uint64
@@ -54,12 +59,21 @@ func NewWSDeque(mem *atomics.Memory, threads, depth int) (*WSDeque, error) {
 	if depth < 0 || depth > dequeBufSlots {
 		return nil, fmt.Errorf("apps: ws-deque depth %d out of 0..%d", depth, dequeBufSlots)
 	}
-	d := &WSDeque{mem: mem, threads: threads, ctxs: make([]*dequeOp, threads)}
+	d := &WSDeque{
+		mem:     mem,
+		threads: threads,
+		tops:    make([]coherence.Line, threads),
+		bottoms: make([]coherence.Line, threads),
+		slots:   newLineSet(mem, threads*dequeBufSlots, bufID),
+		ctxs:    make([]*dequeOp, threads),
+	}
 	for i := 0; i < threads; i++ {
 		for j := 0; j < depth; j++ {
-			mem.System().SetValue(d.buf(i, uint64(j)), uint64(j))
+			mem.System().SetValue(bufID(i*dequeBufSlots+j), uint64(j))
 		}
-		mem.System().SetValue(d.bottom(i), uint64(depth))
+		d.tops[i] = mem.Handle(dequeTopBase + coherence.LineID(i)*512)
+		d.bottoms[i] = mem.Handle(dequeBottomBase + coherence.LineID(i)*512)
+		mem.System().SetValue(d.bottoms[i].ID(), uint64(depth))
 		o := &dequeOp{d: d}
 		o.pushLoadBFn = o.pushLoadB
 		o.pushStoreBufFn = o.pushStoreBuf
@@ -90,16 +104,18 @@ func (d *WSDeque) Stats() (pushes, takes, steals, empties uint64) {
 // Attempts counts top-line CAS issues (RetryStats).
 func (d *WSDeque) Attempts() uint64 { return d.attempts }
 
-func (d *WSDeque) top(owner int) coherence.LineID {
-	return dequeTopBase + coherence.LineID(owner)*512
+func (d *WSDeque) top(owner int) coherence.Line { return d.tops[owner] }
+
+func (d *WSDeque) bottom(owner int) coherence.Line { return d.bottoms[owner] }
+
+// buf is owner's buffer slot for index idx.
+func (d *WSDeque) buf(owner int, idx uint64) coherence.Line {
+	return d.slots.at(owner*dequeBufSlots + int(idx%dequeBufSlots))
 }
 
-func (d *WSDeque) bottom(owner int) coherence.LineID {
-	return dequeBottomBase + coherence.LineID(owner)*512
-}
-
-func (d *WSDeque) buf(owner int, idx uint64) coherence.LineID {
-	return dequeBufBase + coherence.LineID(owner)*dequeBufStride + coherence.LineID(idx%dequeBufSlots)
+// bufID is the line ID of buffer slot i, counted owner by owner.
+func bufID(i int) coherence.LineID {
+	return dequeBufBase + coherence.LineID(i/dequeBufSlots)*dequeBufStride + coherence.LineID(i%dequeBufSlots)
 }
 
 func (d *WSDeque) Step(th *Thread, done func()) {

@@ -27,10 +27,11 @@ const elimBase coherence.LineID = 1 << 23
 // a failed pop CAS to probe, the only steps this file adds.
 type EliminationStack struct {
 	*TreiberStack
-	eng    *sim.Engine
-	slots  int
-	window sim.Time
-	elims  uint64
+	eng       *sim.Engine
+	slots     int
+	slotLines lineSet
+	window    sim.Time
+	elims     uint64
 }
 
 // NewEliminationStack returns an elimination stack seeded with depth
@@ -47,6 +48,7 @@ func NewEliminationStack(eng *sim.Engine, mem *atomics.Memory, depth, slots int,
 		TreiberStack: NewTreiberStack(mem, depth),
 		eng:          eng,
 		slots:        slots,
+		slotLines:    newLineSet(mem, slots, strided(elimBase, 256)),
 		window:       window,
 	}
 	s.elim = s
@@ -59,8 +61,8 @@ func (s *EliminationStack) Name() string { return "elimination-stack" }
 // (each exchange finishes one push and one pop).
 func (s *EliminationStack) Eliminations() uint64 { return s.elims }
 
-func (s *EliminationStack) slot(th *Thread) coherence.LineID {
-	return elimBase + coherence.LineID(th.RNG.Intn(s.slots))*256
+func (s *EliminationStack) slot(th *Thread) coherence.Line {
+	return s.slotLines.at(th.RNG.Intn(s.slots))
 }
 
 // bindElim binds the diversion's continuations on a stack op whose

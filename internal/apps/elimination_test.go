@@ -65,7 +65,7 @@ func TestEliminationStackStructureConsistent(t *testing.T) {
 	cur := mem.System().Value(topLine)
 	for cur != 0 && depth <= want+32 {
 		depth++
-		cur = mem.System().Value(st.nodeLine(cur))
+		cur = mem.System().Value(st.nodeLine(cur).ID())
 	}
 	if depth < want-8 || depth > want+8 {
 		t.Fatalf("stack depth %d, want %d +-8 (elims=%d)", depth, want, st.Eliminations())

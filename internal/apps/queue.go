@@ -19,13 +19,14 @@ const (
 // Treiber stack it doubles the number of hot lines, which is exactly
 // the contrast the contention model prices.
 type MSQueue struct {
-	mem      *atomics.Memory
-	nextID   uint64
-	enqueues uint64
-	dequeues uint64
-	empties  uint64
-	attempts uint64
-	ops      []*queueOp
+	mem        *atomics.Memory
+	head, tail coherence.Line
+	nextID     uint64
+	enqueues   uint64
+	dequeues   uint64
+	empties    uint64
+	attempts   uint64
+	ops        []*queueOp
 }
 
 // queueOp is one thread's in-flight enqueue or dequeue: the node being
@@ -55,16 +56,17 @@ type queueOp struct {
 func NewMSQueue(mem *atomics.Memory, depth int) *MSQueue {
 	q := &MSQueue{mem: mem, nextID: 1}
 	dummy := q.alloc()
-	mem.System().SetValue(q.node(dummy), 0)
+	mem.System().SetValue(nodeID(dummy), 0)
 	mem.System().SetValue(headLine, dummy)
 	tail := dummy
 	for i := 0; i < depth; i++ {
 		id := q.alloc()
-		mem.System().SetValue(q.node(id), 0)
-		mem.System().SetValue(q.node(tail), id)
+		mem.System().SetValue(nodeID(id), 0)
+		mem.System().SetValue(nodeID(tail), id)
 		tail = id
 	}
 	mem.System().SetValue(tailLine, tail)
+	q.head, q.tail = mem.Handle(headLine), mem.Handle(tailLine)
 	return q
 }
 
@@ -86,9 +88,11 @@ func (q *MSQueue) alloc() uint64 {
 	return id
 }
 
-func (q *MSQueue) node(id uint64) coherence.LineID {
-	return qNodeBase + coherence.LineID(id)
-}
+func nodeID(id uint64) coherence.LineID { return qNodeBase + coherence.LineID(id) }
+
+// node resolves node id's line where it is used: node IDs grow without
+// bound, so nodes are not kept resolved.
+func (q *MSQueue) node(id uint64) coherence.Line { return q.mem.Handle(nodeID(id)) }
 
 func (q *MSQueue) newOp() *queueOp {
 	o := &queueOp{q: q}
@@ -134,7 +138,7 @@ func (q *MSQueue) dequeue(th *Thread, done func()) { q.op(th, done).dequeue() }
 func (o *queueOp) enqInit(atomics.Result) { o.enqueueLoop() }
 
 func (o *queueOp) enqueueLoop() {
-	o.q.mem.LoadOp(o.th.Core, tailLine, o.enqTailFn)
+	o.q.mem.LoadOp(o.th.Core, o.q.tail, o.enqTailFn)
 }
 
 func (o *queueOp) enqTail(rt atomics.Result) {
@@ -146,7 +150,7 @@ func (o *queueOp) enqNext(rn atomics.Result) {
 	o.next = rn.Old
 	if o.next != 0 {
 		// Tail lags: help swing it, then retry.
-		o.q.mem.CompareAndSwap(o.th.Core, tailLine, o.tail, o.next, o.enqHelpFn)
+		o.q.mem.CompareAndSwap(o.th.Core, o.q.tail, o.tail, o.next, o.enqHelpFn)
 		return
 	}
 	o.q.attempts++
@@ -162,7 +166,7 @@ func (o *queueOp) enqLinked(rc atomics.Result) {
 	}
 	// Published; swing the tail (best effort — failure means someone
 	// helped already).
-	o.q.mem.CompareAndSwap(o.th.Core, tailLine, o.tail, o.id, o.enqSwingFn)
+	o.q.mem.CompareAndSwap(o.th.Core, o.q.tail, o.tail, o.id, o.enqSwingFn)
 }
 
 func (o *queueOp) enqSwung(atomics.Result) {
@@ -171,12 +175,12 @@ func (o *queueOp) enqSwung(atomics.Result) {
 }
 
 func (o *queueOp) dequeue() {
-	o.q.mem.LoadOp(o.th.Core, headLine, o.deqHeadFn)
+	o.q.mem.LoadOp(o.th.Core, o.q.head, o.deqHeadFn)
 }
 
 func (o *queueOp) deqHead(rh atomics.Result) {
 	o.head = rh.Old
-	o.q.mem.LoadOp(o.th.Core, tailLine, o.deqTailFn)
+	o.q.mem.LoadOp(o.th.Core, o.q.tail, o.deqTailFn)
 }
 
 func (o *queueOp) deqTail(rt atomics.Result) {
@@ -194,11 +198,11 @@ func (o *queueOp) deqNext(rn atomics.Result) {
 	}
 	if o.head == o.tail {
 		// Tail lags behind a concurrent enqueue: help.
-		o.q.mem.CompareAndSwap(o.th.Core, tailLine, o.tail, o.next, o.deqHelpFn)
+		o.q.mem.CompareAndSwap(o.th.Core, o.q.tail, o.tail, o.next, o.deqHelpFn)
 		return
 	}
 	o.q.attempts++
-	o.q.mem.CompareAndSwap(o.th.Core, headLine, o.head, o.next, o.deqSwingFn)
+	o.q.mem.CompareAndSwap(o.th.Core, o.q.head, o.head, o.next, o.deqSwingFn)
 }
 
 func (o *queueOp) deqHelped(atomics.Result) { o.dequeue() }

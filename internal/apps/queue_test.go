@@ -49,11 +49,11 @@ func TestMSQueueStructureConsistent(t *testing.T) {
 	want := 16 + int64(enq) - int64(deq)
 	length := int64(0)
 	cur := mem.System().Value(headLine) // dummy
-	next := mem.System().Value(q.node(cur))
+	next := mem.System().Value(nodeID(cur))
 	for next != 0 && length <= want+16 {
 		length++
 		cur = next
-		next = mem.System().Value(q.node(cur))
+		next = mem.System().Value(nodeID(cur))
 	}
 	if length < want-8 || length > want+8 {
 		t.Fatalf("queue length %d, want %d +-8", length, want)
@@ -64,7 +64,7 @@ func TestMSQueueStructureConsistent(t *testing.T) {
 	tail := mem.System().Value(tailLine)
 	lag := 0
 	for tail != cur && lag <= 8 {
-		tail = mem.System().Value(q.node(tail))
+		tail = mem.System().Value(nodeID(tail))
 		lag++
 		if tail == 0 {
 			t.Fatal("tail chain fell off the queue")

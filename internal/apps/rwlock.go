@@ -20,7 +20,8 @@ const (
 // about.
 type CentralRWLock struct {
 	section
-	ops []*centralOp
+	word coherence.Line
+	ops  []*centralOp
 }
 
 // centralOp is one thread's in-flight section on the central lock: the
@@ -36,7 +37,10 @@ type centralOp struct {
 // NewCentralRWLock returns the one-line reader-writer lock; readFrac of
 // the Steps are read sections, crit is the section length.
 func NewCentralRWLock(eng *sim.Engine, mem *atomics.Memory, readFrac float64, crit sim.Time) *CentralRWLock {
-	return &CentralRWLock{section: section{mem: mem, eng: eng, data: rwDataLine, readFrac: readFrac, crit: crit}}
+	return &CentralRWLock{
+		section: section{mem: mem, eng: eng, data: mem.Handle(rwDataLine), readFrac: readFrac, crit: crit},
+		word:    mem.Handle(rwLockLine),
+	}
 }
 
 func (l *CentralRWLock) Name() string { return "rwlock-central" }
@@ -60,18 +64,18 @@ func (l *CentralRWLock) Step(th *Thread, done func()) {
 }
 
 func (o *centralOp) readAcquire() {
-	o.l.mem.LoadOp(o.th.Core, rwLockLine, o.rLoadFn)
+	o.l.mem.LoadOp(o.th.Core, o.l.word, o.rLoadFn)
 }
 
 func (o *centralOp) readLoaded(r atomics.Result) {
 	if r.Old&1 == 1 {
 		// Writer active: spin on the shared copy.
-		o.l.mem.AwaitChange(o.th.Core, rwLockLine, r.Old, nil, o.rLoadFn)
+		o.l.mem.AwaitChange(o.th.Core, o.l.word, r.Old, nil, o.rLoadFn)
 		return
 	}
 	o.v = r.Old
 	o.l.attempts++
-	o.l.mem.CompareAndSwap(o.th.Core, rwLockLine, o.v, o.v+2, o.rCASFn)
+	o.l.mem.CompareAndSwap(o.th.Core, o.l.word, o.v, o.v+2, o.rCASFn)
 }
 
 func (o *centralOp) readCAS(rc atomics.Result) {
@@ -83,17 +87,17 @@ func (o *centralOp) readCAS(rc atomics.Result) {
 }
 
 func (o *centralOp) writeAcquire() {
-	o.l.mem.LoadOp(o.th.Core, rwLockLine, o.wLoadFn)
+	o.l.mem.LoadOp(o.th.Core, o.l.word, o.wLoadFn)
 }
 
 func (o *centralOp) writeLoaded(r atomics.Result) {
 	if r.Old != 0 {
 		// Busy: spin on the shared copy.
-		o.l.mem.AwaitChange(o.th.Core, rwLockLine, r.Old, nil, o.wLoadFn)
+		o.l.mem.AwaitChange(o.th.Core, o.l.word, r.Old, nil, o.wLoadFn)
 		return
 	}
 	o.l.attempts++
-	o.l.mem.CompareAndSwap(o.th.Core, rwLockLine, 0, 1, o.wCASFn)
+	o.l.mem.CompareAndSwap(o.th.Core, o.l.word, 0, 1, o.wCASFn)
 }
 
 func (o *centralOp) writeCAS(rc atomics.Result) {
@@ -108,10 +112,10 @@ func (o *centralOp) writeCAS(rc atomics.Result) {
 // two's complement).
 func (o *centralOp) release() {
 	if o.write {
-		o.l.mem.StoreOp(o.th.Core, rwLockLine, 0, o.releasedFn)
+		o.l.mem.StoreOp(o.th.Core, o.l.word, 0, o.releasedFn)
 		return
 	}
-	o.l.mem.FetchAndAdd(o.th.Core, rwLockLine, ^uint64(1), o.releasedFn)
+	o.l.mem.FetchAndAdd(o.th.Core, o.l.word, ^uint64(1), o.releasedFn)
 }
 
 // DistributedRWLock is the big-reader design: each thread announces
@@ -121,8 +125,10 @@ func (o *centralOp) release() {
 // model prices via its private-vs-shared line distinction.
 type DistributedRWLock struct {
 	section
-	slots int
-	ops   []*distOp
+	slots     int
+	flag      coherence.Line
+	slotLines lineSet
+	ops       []*distOp
 }
 
 // distOp is one thread's in-flight section on the distributed lock:
@@ -139,14 +145,17 @@ type distOp struct {
 // NewDistributedRWLock returns the per-reader-slot lock for up to slots
 // reader threads (thread IDs index the slots).
 func NewDistributedRWLock(eng *sim.Engine, mem *atomics.Memory, slots int, readFrac float64, crit sim.Time) *DistributedRWLock {
-	return &DistributedRWLock{section: section{mem: mem, eng: eng, data: rwDataLine, readFrac: readFrac, crit: crit}, slots: slots}
+	return &DistributedRWLock{
+		section:   section{mem: mem, eng: eng, data: mem.Handle(rwDataLine), readFrac: readFrac, crit: crit},
+		slots:     slots,
+		flag:      mem.Handle(rwFlagLine),
+		slotLines: newLineSet(mem, slots, strided(rwSlotBase, 512)),
+	}
 }
 
 func (l *DistributedRWLock) Name() string { return "rwlock-distributed" }
 
-func (l *DistributedRWLock) slot(id int) coherence.LineID {
-	return rwSlotBase + coherence.LineID(id)*512
-}
+func (l *DistributedRWLock) slot(id int) coherence.Line { return l.slotLines.at(id) }
 
 func (l *DistributedRWLock) newOp() *distOp {
 	o := &distOp{l: l}
@@ -168,13 +177,13 @@ func (l *DistributedRWLock) Step(th *Thread, done func()) {
 }
 
 func (o *distOp) readAcquire() {
-	o.l.mem.LoadOp(o.th.Core, rwFlagLine, o.flagFn)
+	o.l.mem.LoadOp(o.th.Core, o.l.flag, o.flagFn)
 }
 
 func (o *distOp) flagLoaded(r atomics.Result) {
 	if r.Old != 0 {
 		// Writer present: spin on the flag.
-		o.l.mem.AwaitChange(o.th.Core, rwFlagLine, r.Old, nil, o.flagFn)
+		o.l.mem.AwaitChange(o.th.Core, o.l.flag, r.Old, nil, o.flagFn)
 		return
 	}
 	// Announce, then re-check the flag (Dekker-style handshake).
@@ -183,7 +192,7 @@ func (o *distOp) flagLoaded(r atomics.Result) {
 }
 
 func (o *distOp) announced(atomics.Result) {
-	o.l.mem.LoadOp(o.th.Core, rwFlagLine, o.recheckFn)
+	o.l.mem.LoadOp(o.th.Core, o.l.flag, o.recheckFn)
 }
 
 func (o *distOp) rechecked(r2 atomics.Result) {
@@ -199,7 +208,7 @@ func (o *distOp) withdrawn(atomics.Result) { o.readAcquire() }
 
 func (o *distOp) writeAcquire() {
 	o.l.attempts++
-	o.l.mem.TestAndSet(o.th.Core, rwFlagLine, o.flagTASFn)
+	o.l.mem.TestAndSet(o.th.Core, o.l.flag, o.flagTASFn)
 }
 
 func (o *distOp) flagTAS(r atomics.Result) {
@@ -234,7 +243,7 @@ func (o *distOp) scanned(r atomics.Result) {
 // release lowers the writer flag, or clears the reader's slot.
 func (o *distOp) release() {
 	if o.write {
-		o.l.mem.StoreOp(o.th.Core, rwFlagLine, 0, o.releasedFn)
+		o.l.mem.StoreOp(o.th.Core, o.l.flag, 0, o.releasedFn)
 		return
 	}
 	o.l.mem.StoreOp(o.th.Core, o.l.slot(o.th.ID), 0, o.releasedFn)

@@ -17,7 +17,7 @@ import (
 type section struct {
 	mem  *atomics.Memory
 	eng  *sim.Engine
-	data coherence.LineID
+	data coherence.Line
 	crit sim.Time
 	// readFrac is the share of a reader-writer lock's Steps that are
 	// read sections; the mutexes run write sections only.

@@ -41,14 +41,14 @@ func (l *earlyReleaseLock) Step(th *Thread, done func()) {
 	o.spin()
 }
 
-func (o *earlyReleaseOp) spin() { o.l.mem.TestAndSet(o.th.Core, lockLine, o.tasFn) }
+func (o *earlyReleaseOp) spin() { o.l.mem.TestAndSet(o.th.Core, o.l.mem.Handle(lockLine), o.tasFn) }
 
 func (o *earlyReleaseOp) tasDone(r atomics.Result) {
 	if r.Old != 0 {
 		o.spin()
 		return
 	}
-	o.l.mem.StoreOp(o.th.Core, lockLine, 0, o.freeFn)
+	o.l.mem.StoreOp(o.th.Core, o.l.mem.Handle(lockLine), 0, o.freeFn)
 }
 
 func (o *earlyReleaseOp) freed(atomics.Result) { o.enter(true) }
@@ -64,7 +64,7 @@ func TestSectionAuditCatchesOverlap(t *testing.T) {
 	// The section outlasts a lock handoff, so the next winner enters
 	// while the early releaser is still inside.
 	_, err := Run(appCfg(machine.Ideal(8), 8, func(e *sim.Engine, m *atomics.Memory) App {
-		lk = &earlyReleaseLock{section: section{mem: m, eng: e, data: dataLine, crit: 500 * sim.Nanosecond}}
+		lk = &earlyReleaseLock{section: section{mem: m, eng: e, data: m.Handle(dataLine), crit: 500 * sim.Nanosecond}}
 		return lk
 	}))
 	if lk.Violations() == 0 {

@@ -15,8 +15,9 @@ const stripeBase coherence.LineID = 1 << 22
 // trading read cost for write scalability — and the contention-
 // spreading experiment (F15) quantifies the trade.
 type StripedCounter struct {
-	mem     *atomics.Memory
-	stripes int
+	mem         *atomics.Memory
+	stripes     int
+	stripeLines lineSet
 	// ReadFraction is the probability a Step is a full read instead of
 	// an increment.
 	ReadFraction float64
@@ -44,7 +45,12 @@ func NewStripedCounter(mem *atomics.Memory, stripes int, readFraction float64) *
 	if stripes < 1 {
 		stripes = 1
 	}
-	return &StripedCounter{mem: mem, stripes: stripes, ReadFraction: readFraction}
+	return &StripedCounter{
+		mem:          mem,
+		stripes:      stripes,
+		stripeLines:  newLineSet(mem, stripes, strided(stripeBase, 512)),
+		ReadFraction: readFraction,
+	}
 }
 
 func (c *StripedCounter) Name() string { return "counter-striped" }
@@ -52,15 +58,13 @@ func (c *StripedCounter) Name() string { return "counter-striped" }
 // Stats reports (increments, reads) performed.
 func (c *StripedCounter) Stats() (incs, reads uint64) { return c.incs, c.reads }
 
-func (c *StripedCounter) stripe(i int) coherence.LineID {
-	return stripeBase + coherence.LineID(i)*512
-}
+func (c *StripedCounter) stripe(i int) coherence.Line { return c.stripeLines.at(i) }
 
 // Value sums the stripes without simulating accesses (assertions).
 func (c *StripedCounter) Value() uint64 {
 	var sum uint64
 	for i := 0; i < c.stripes; i++ {
-		sum += c.mem.System().Value(c.stripe(i))
+		sum += c.mem.System().Value(c.stripeLines.id(i))
 	}
 	return sum
 }

@@ -134,9 +134,13 @@ type Result struct {
 
 // Memory binds a machine description to a coherence system and exposes
 // the primitives. It is the public surface workloads program against.
+// Every primitive names its line by a coherence.Line handle, resolved
+// once with Handle.
 type Memory struct {
 	sys *coherence.System
 	m   *machine.Machine
+	// exec is m's ExecCost of each primitive, read on every issue.
+	exec [Fence + 1]sim.Time
 	// Store buffering (opt-in via machine.StoreBufferDepth).
 	bufDepth int
 	bufs     map[int]*storeBuf
@@ -233,20 +237,29 @@ func NewMemory(eng *sim.Engine, m *machine.Machine, arb coherence.Arbiter) (*Mem
 	if err != nil {
 		return nil, err
 	}
-	return &Memory{sys: sys, m: m, bufDepth: m.StoreBufferDepth}, nil
+	mem := &Memory{sys: sys}
+	mem.Rebind(m)
+	return mem, nil
 }
 
 // Rebind points the memory at m, a machine of the same content as the
 // one it was built from (equal Key, latencies, forwarding, link
 // occupancy and store-buffer depth): a pooled memory reused for
 // another value of the same machine reads that value, not the one it
-// was built for.
+// was built for, and refills the execution-cost table from it.
 func (mem *Memory) Rebind(m *machine.Machine) {
 	mem.m, mem.bufDepth = m, m.StoreBufferDepth
+	for p := range mem.exec {
+		mem.exec[p] = ExecCost(m, Primitive(p))
+	}
 }
 
 // System exposes the underlying coherence system (stats, tracer, setup).
 func (mem *Memory) System() *coherence.System { return mem.sys }
+
+// Handle resolves line id to the handle the primitives take
+// (coherence.System.Handle); it is valid until the next Reset.
+func (mem *Memory) Handle(id coherence.LineID) coherence.Line { return mem.sys.Handle(id) }
 
 // Reset returns the memory (and its coherence system) to the
 // just-constructed state while keeping the operation-context pool and
@@ -267,7 +280,7 @@ func (mem *Memory) Reset() {
 	}
 	mem.spinPool = mem.spinPool[:0]
 	for _, c := range mem.allSpins {
-		c.done, c.loads = nil, nil
+		c.done, c.loads, c.line = nil, nil, coherence.Line{}
 		mem.spinPool = append(mem.spinPool, c)
 	}
 }
@@ -305,7 +318,7 @@ func (mem *Memory) ShiftValues(ids []coherence.LineID, delta uint64) {
 // Machine returns the machine description this memory simulates.
 func (mem *Memory) Machine() *machine.Machine { return mem.m }
 
-func (mem *Memory) rmw(core int, line coherence.LineID, c *opCtx) {
+func (mem *Memory) rmw(core int, line coherence.Line, c *opCtx) {
 	if c.p.IsRMW() && mem.bufDepth > 0 {
 		// The lock prefix implies a full fence: drain pending stores
 		// first. (Latency reported covers the RFO only; the drain wait
@@ -318,14 +331,14 @@ func (mem *Memory) rmw(core int, line coherence.LineID, c *opCtx) {
 	mem.issueRMW(core, line, c)
 }
 
-func (mem *Memory) issueRMW(core int, line coherence.LineID, c *opCtx) {
-	mem.sys.Access(core, line, coherence.RFO, ExecCost(mem.m, c.p), c.applyFn, c.doneFn)
+func (mem *Memory) issueRMW(core int, line coherence.Line, c *opCtx) {
+	mem.sys.Access(core, line, coherence.RFO, mem.exec[c.p], c.applyFn, c.doneFn)
 }
 
 // CompareAndSwap2 is the double-width CAS: identical semantics to
 // CompareAndSwap on the simulated 64-bit line value, but charged the
 // cmpxchg16b execution occupancy.
-func (mem *Memory) CompareAndSwap2(core int, line coherence.LineID, old, new uint64, done func(Result)) {
+func (mem *Memory) CompareAndSwap2(core int, line coherence.Line, old, new uint64, done func(Result)) {
 	mem.rmw(core, line, mem.getCtx(CAS2, old, new, done))
 }
 
@@ -333,30 +346,30 @@ func (mem *Memory) CompareAndSwap2(core int, line coherence.LineID, old, new uin
 // equals old. done receives OK=false and the observed value on failure.
 // A failing CAS still acquires the line exclusively (as lock cmpxchg
 // does), so it costs the same transfer as a success.
-func (mem *Memory) CompareAndSwap(core int, line coherence.LineID, old, new uint64, done func(Result)) {
+func (mem *Memory) CompareAndSwap(core int, line coherence.Line, old, new uint64, done func(Result)) {
 	mem.rmw(core, line, mem.getCtx(CAS, old, new, done))
 }
 
 // FetchAndAdd atomically adds delta, returning the prior value in done.
-func (mem *Memory) FetchAndAdd(core int, line coherence.LineID, delta uint64, done func(Result)) {
+func (mem *Memory) FetchAndAdd(core int, line coherence.Line, delta uint64, done func(Result)) {
 	mem.rmw(core, line, mem.getCtx(FAA, delta, 0, done))
 }
 
 // Swap atomically replaces the value with v, returning the prior value.
-func (mem *Memory) Swap(core int, line coherence.LineID, v uint64, done func(Result)) {
+func (mem *Memory) Swap(core int, line coherence.Line, v uint64, done func(Result)) {
 	mem.rmw(core, line, mem.getCtx(SWAP, v, 0, done))
 }
 
 // TestAndSet atomically sets the value to 1, returning the prior value
 // (0 means the caller acquired it).
-func (mem *Memory) TestAndSet(core int, line coherence.LineID, done func(Result)) {
+func (mem *Memory) TestAndSet(core int, line coherence.Line, done func(Result)) {
 	mem.rmw(core, line, mem.getCtx(TAS, 0, 0, done))
 }
 
 // LoadOp issues a plain load.
-func (mem *Memory) LoadOp(core int, line coherence.LineID, done func(Result)) {
+func (mem *Memory) LoadOp(core int, line coherence.Line, done func(Result)) {
 	c := mem.getCtx(Load, 0, 0, done)
-	mem.sys.Access(core, line, coherence.Read, ExecCost(mem.m, Load), nil, c.doneFn)
+	mem.sys.Access(core, line, coherence.Read, mem.exec[Load], nil, c.doneFn)
 }
 
 // SpinLoad issues one plain load from core, exactly as LoadOp does, for
@@ -368,9 +381,9 @@ func (mem *Memory) LoadOp(core int, line coherence.LineID, done func(Result)) {
 // (coherence.System.SettleParked), and done receives only the
 // completion the loop wakes with. Unparked, done receives every
 // completion and *loads stays put.
-func (mem *Memory) SpinLoad(core int, line coherence.LineID, seen uint64, loads *uint64, done func(Result)) {
+func (mem *Memory) SpinLoad(core int, line coherence.Line, seen uint64, loads *uint64, done func(Result)) {
 	c := mem.getCtx(Load, 0, 0, done)
-	mem.sys.Await(core, line, ExecCost(mem.m, Load), seen, loads, c.doneFn)
+	mem.sys.Await(core, line, mem.exec[Load], seen, loads, c.doneFn)
 }
 
 // spinCtx is one in-flight AwaitChange spin, pooled like opCtx, with
@@ -378,7 +391,7 @@ func (mem *Memory) SpinLoad(core int, line coherence.LineID, seen uint64, loads 
 type spinCtx struct {
 	mem    *Memory
 	core   int
-	line   coherence.LineID
+	line   coherence.Line
 	seen   uint64
 	loads  *uint64
 	done   func(Result)
@@ -397,7 +410,7 @@ type spinCtx struct {
 // own earlier one — and the parked re-reads as they are settled
 // (coherence.System.SettleParked), so a spin still running at the
 // horizon has counted exactly the loads the loop issued by then.
-func (mem *Memory) AwaitChange(core int, line coherence.LineID, seen uint64, loads *uint64, done func(Result)) {
+func (mem *Memory) AwaitChange(core int, line coherence.Line, seen uint64, loads *uint64, done func(Result)) {
 	var c *spinCtx
 	if n := len(mem.spinPool); n > 0 {
 		c = mem.spinPool[n-1]
@@ -416,7 +429,7 @@ func (c *spinCtx) load() {
 	if c.loads != nil {
 		*c.loads++
 	}
-	c.mem.sys.Await(c.core, c.line, ExecCost(c.mem.m, Load), c.seen, c.loads, c.stepFn)
+	c.mem.sys.Await(c.core, c.line, c.mem.exec[Load], c.seen, c.loads, c.stepFn)
 }
 
 // step re-issues the spin's load while it observes seen; otherwise it
@@ -435,7 +448,7 @@ func (c *spinCtx) step(r coherence.AccessResult) {
 // StoreOp issues a plain store of v. With store buffering enabled the
 // store retires locally in about a cycle and drains asynchronously;
 // otherwise it is a synchronous RFO.
-func (mem *Memory) StoreOp(core int, line coherence.LineID, v uint64, done func(Result)) {
+func (mem *Memory) StoreOp(core int, line coherence.Line, v uint64, done func(Result)) {
 	if mem.bufDepth > 0 {
 		mem.bufferedStore(core, line, v, done)
 		return
@@ -459,7 +472,7 @@ func (mem *Memory) FenceOp(core int, done func(Result)) {
 
 // fence starts a fence's pipeline drain once its store buffer is empty.
 func (c *opCtx) fence() {
-	c.mem.sys.Engine().Schedule(ExecCost(c.mem.m, Fence), c.fenceEndFn)
+	c.mem.sys.Engine().Schedule(c.mem.exec[Fence], c.fenceEndFn)
 }
 
 // fenceEnd completes a fence: it recycles the context and reports the
@@ -478,7 +491,7 @@ func (c *opCtx) fenceEnd() {
 // FAA adds arg1, SWAP/Store write arg1, TAS and Load ignore the args,
 // Fence ignores the line entirely.
 // Workload sweeps use this to treat the primitive as a parameter.
-func (mem *Memory) Do(p Primitive, core int, line coherence.LineID, arg1, arg2 uint64, done func(Result)) {
+func (mem *Memory) Do(p Primitive, core int, line coherence.Line, arg1, arg2 uint64, done func(Result)) {
 	switch p {
 	case Fence:
 		mem.FenceOp(core, done)

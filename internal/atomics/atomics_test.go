@@ -71,7 +71,7 @@ func TestExecCostTable(t *testing.T) {
 func TestFetchAndAdd(t *testing.T) {
 	eng, mem := testMemory(t)
 	mem.System().SetValue(1, 10)
-	r := run(t, eng, func(done func(Result)) { mem.FetchAndAdd(0, 1, 5, done) })
+	r := run(t, eng, func(done func(Result)) { mem.FetchAndAdd(0, mem.Handle(1), 5, done) })
 	if r.Old != 10 || !r.OK {
 		t.Fatalf("FAA old=%d ok=%v", r.Old, r.OK)
 	}
@@ -83,11 +83,11 @@ func TestFetchAndAdd(t *testing.T) {
 func TestCASSuccessAndFailure(t *testing.T) {
 	eng, mem := testMemory(t)
 	mem.System().SetValue(1, 7)
-	r := run(t, eng, func(done func(Result)) { mem.CompareAndSwap(0, 1, 7, 8, done) })
+	r := run(t, eng, func(done func(Result)) { mem.CompareAndSwap(0, mem.Handle(1), 7, 8, done) })
 	if !r.OK || r.Old != 7 || mem.System().Value(1) != 8 {
 		t.Fatalf("CAS success: %+v value=%d", r, mem.System().Value(1))
 	}
-	r = run(t, eng, func(done func(Result)) { mem.CompareAndSwap(1, 1, 7, 9, done) })
+	r = run(t, eng, func(done func(Result)) { mem.CompareAndSwap(1, mem.Handle(1), 7, 9, done) })
 	if r.OK || r.Old != 8 || mem.System().Value(1) != 8 {
 		t.Fatalf("CAS failure: %+v value=%d", r, mem.System().Value(1))
 	}
@@ -96,7 +96,7 @@ func TestCASSuccessAndFailure(t *testing.T) {
 func TestSwap(t *testing.T) {
 	eng, mem := testMemory(t)
 	mem.System().SetValue(1, 3)
-	r := run(t, eng, func(done func(Result)) { mem.Swap(0, 1, 44, done) })
+	r := run(t, eng, func(done func(Result)) { mem.Swap(0, mem.Handle(1), 44, done) })
 	if r.Old != 3 || mem.System().Value(1) != 44 {
 		t.Fatalf("swap old=%d value=%d", r.Old, mem.System().Value(1))
 	}
@@ -104,11 +104,11 @@ func TestSwap(t *testing.T) {
 
 func TestTestAndSet(t *testing.T) {
 	eng, mem := testMemory(t)
-	r := run(t, eng, func(done func(Result)) { mem.TestAndSet(0, 1, done) })
+	r := run(t, eng, func(done func(Result)) { mem.TestAndSet(0, mem.Handle(1), done) })
 	if r.Old != 0 {
 		t.Fatalf("first TAS old = %d, want 0 (acquired)", r.Old)
 	}
-	r = run(t, eng, func(done func(Result)) { mem.TestAndSet(1, 1, done) })
+	r = run(t, eng, func(done func(Result)) { mem.TestAndSet(1, mem.Handle(1), done) })
 	if r.Old != 1 {
 		t.Fatalf("second TAS old = %d, want 1 (busy)", r.Old)
 	}
@@ -116,11 +116,11 @@ func TestTestAndSet(t *testing.T) {
 
 func TestLoadAndStore(t *testing.T) {
 	eng, mem := testMemory(t)
-	r := run(t, eng, func(done func(Result)) { mem.StoreOp(0, 1, 99, done) })
+	r := run(t, eng, func(done func(Result)) { mem.StoreOp(0, mem.Handle(1), 99, done) })
 	if !r.OK {
 		t.Fatal("store not OK")
 	}
-	r = run(t, eng, func(done func(Result)) { mem.LoadOp(1, 1, done) })
+	r = run(t, eng, func(done func(Result)) { mem.LoadOp(1, mem.Handle(1), done) })
 	if r.Old != 99 {
 		t.Fatalf("load = %d, want 99", r.Old)
 	}
@@ -142,7 +142,7 @@ func TestDoDispatch(t *testing.T) {
 		{Store, 7, 0, func(r Result) bool { return mem.System().Value(2) == 7 }},
 	}
 	for _, c := range cases {
-		r := run(t, eng, func(done func(Result)) { mem.Do(c.p, 0, 2, c.a, c.b, done) })
+		r := run(t, eng, func(done func(Result)) { mem.Do(c.p, 0, mem.Handle(2), c.a, c.b, done) })
 		if !c.check(r) {
 			t.Fatalf("%v dispatch failed: %+v value=%d", c.p, r, mem.System().Value(2))
 		}
@@ -152,17 +152,17 @@ func TestDoDispatch(t *testing.T) {
 func TestCAS2SemanticsAndCost(t *testing.T) {
 	eng, mem := testMemory(t)
 	mem.System().SetValue(1, 7)
-	r := run(t, eng, func(done func(Result)) { mem.CompareAndSwap2(0, 1, 7, 8, done) })
+	r := run(t, eng, func(done func(Result)) { mem.CompareAndSwap2(0, mem.Handle(1), 7, 8, done) })
 	if !r.OK || mem.System().Value(1) != 8 {
 		t.Fatalf("CAS2 success: %+v", r)
 	}
-	r = run(t, eng, func(done func(Result)) { mem.CompareAndSwap2(0, 1, 7, 9, done) })
+	r = run(t, eng, func(done func(Result)) { mem.CompareAndSwap2(0, mem.Handle(1), 7, 9, done) })
 	if r.OK || mem.System().Value(1) != 8 {
 		t.Fatalf("CAS2 failure: %+v", r)
 	}
 	// CAS2 costs more than CAS on an owned line.
-	rc := run(t, eng, func(done func(Result)) { mem.CompareAndSwap(0, 1, 8, 9, done) })
-	r2 := run(t, eng, func(done func(Result)) { mem.CompareAndSwap2(0, 1, 9, 10, done) })
+	rc := run(t, eng, func(done func(Result)) { mem.CompareAndSwap(0, mem.Handle(1), 8, 9, done) })
+	r2 := run(t, eng, func(done func(Result)) { mem.CompareAndSwap2(0, mem.Handle(1), 9, 10, done) })
 	if r2.Latency <= rc.Latency {
 		t.Fatalf("CAS2 (%v) should cost more than CAS (%v)", r2.Latency, rc.Latency)
 	}
@@ -180,7 +180,7 @@ func TestFenceIsCoreLocal(t *testing.T) {
 		t.Fatal("fence generated coherence traffic")
 	}
 	// Via the generic dispatcher, the line argument is ignored.
-	r2 := run(t, eng, func(done func(Result)) { mem.Do(Fence, 3, 999, 0, 0, done) })
+	r2 := run(t, eng, func(done func(Result)) { mem.Do(Fence, 3, mem.Handle(999), 0, 0, done) })
 	if r2.Latency != m.Lat.ExecFence || !r2.OK {
 		t.Fatalf("dispatched fence: %+v", r2)
 	}
@@ -190,14 +190,14 @@ func TestRMWLatencyIncludesExec(t *testing.T) {
 	eng, mem := testMemory(t)
 	m := mem.Machine()
 	// Warm the line so the second op is a pure local hit.
-	run(t, eng, func(done func(Result)) { mem.FetchAndAdd(0, 1, 1, done) })
-	r := run(t, eng, func(done func(Result)) { mem.FetchAndAdd(0, 1, 1, done) })
+	run(t, eng, func(done func(Result)) { mem.FetchAndAdd(0, mem.Handle(1), 1, done) })
+	r := run(t, eng, func(done func(Result)) { mem.FetchAndAdd(0, mem.Handle(1), 1, done) })
 	want := m.Lat.L1Hit + m.Lat.ExecFAA
 	if r.Latency != want {
 		t.Fatalf("owned-line FAA latency = %v, want %v", r.Latency, want)
 	}
 	// A load on the owned line is cheaper than the FAA.
-	rl := run(t, eng, func(done func(Result)) { mem.LoadOp(0, 1, done) })
+	rl := run(t, eng, func(done func(Result)) { mem.LoadOp(0, mem.Handle(1), done) })
 	if rl.Latency >= r.Latency {
 		t.Fatalf("load (%v) should be cheaper than FAA (%v)", rl.Latency, r.Latency)
 	}
@@ -206,9 +206,9 @@ func TestRMWLatencyIncludesExec(t *testing.T) {
 func TestFailedCASStillTransfersLine(t *testing.T) {
 	eng, mem := testMemory(t)
 	mem.System().SetValue(1, 5)
-	run(t, eng, func(done func(Result)) { mem.FetchAndAdd(0, 1, 0, done) }) // owner: core 0
+	run(t, eng, func(done func(Result)) { mem.FetchAndAdd(0, mem.Handle(1), 0, done) }) // owner: core 0
 	before := mem.System().Stats()
-	r := run(t, eng, func(done func(Result)) { mem.CompareAndSwap(3, 1, 999, 1, done) })
+	r := run(t, eng, func(done func(Result)) { mem.CompareAndSwap(3, mem.Handle(1), 999, 1, done) })
 	if r.OK {
 		t.Fatal("CAS should have failed")
 	}
@@ -228,7 +228,7 @@ func TestContendedFAALinearizable(t *testing.T) {
 		if n == 0 {
 			return
 		}
-		mem.FetchAndAdd(core, 7, 1, func(Result) { issue(core, n-1) })
+		mem.FetchAndAdd(core, mem.Handle(7), 1, func(Result) { issue(core, n-1) })
 	}
 	for c := 0; c < threads; c++ {
 		issue(c, opsEach)
@@ -251,7 +251,7 @@ func TestFAAReturnValuesAreUniqueTickets(t *testing.T) {
 	seen := make(map[uint64]int)
 	for c := 0; c < 8; c++ {
 		for i := 0; i < n/8; i++ {
-			mem.FetchAndAdd(c, 9, 1, func(r Result) { seen[r.Old]++ })
+			mem.FetchAndAdd(c, mem.Handle(9), 1, func(r Result) { seen[r.Old]++ })
 		}
 	}
 	eng.Drain()
@@ -276,8 +276,8 @@ func TestShiftValuesTranslatesInFlightCAS(t *testing.T) {
 	const line = coherence.LineID(3)
 	mem.System().SetValue(line, 5)
 	var cas, faa *Result
-	mem.CompareAndSwap(0, line, 5, 6, func(r Result) { cas = &r })
-	mem.FetchAndAdd(1, line, 1, func(r Result) { faa = &r })
+	mem.CompareAndSwap(0, mem.Handle(line), 5, 6, func(r Result) { cas = &r })
+	mem.FetchAndAdd(1, mem.Handle(line), 1, func(r Result) { faa = &r })
 	mem.ShiftValues([]coherence.LineID{line}, 10)
 	eng.Drain()
 	if cas == nil || faa == nil {

@@ -26,9 +26,10 @@ import (
 // once per context, so Read and Update are allocation-free in steady
 // state.
 type BigAtomic struct {
-	mem   *Memory
-	base  coherence.LineID // version line; word i lives at base+1+i
-	words int
+	mem     *Memory
+	version coherence.Line   // the version line, at base
+	word    []coherence.Line // word i's line, at base+1+i
+	words   int
 
 	reads   uint64
 	updates uint64
@@ -48,11 +49,21 @@ type BigAtomic struct {
 
 // NewBigAtomic builds a words-wide atomic object whose lines start at
 // base (base is the version line, base+1..base+words the data words).
+// It resolves the object's lines, so it lives until mem's next Reset.
+// The one-word baseline never touches its version line and does not
+// resolve it.
 func NewBigAtomic(mem *Memory, base coherence.LineID, words int) (*BigAtomic, error) {
 	if words < 1 {
 		return nil, fmt.Errorf("atomics: big atomic needs words >= 1, got %d", words)
 	}
-	return &BigAtomic{mem: mem, base: base, words: words}, nil
+	b := &BigAtomic{mem: mem, word: make([]coherence.Line, words), words: words}
+	if words > 1 {
+		b.version = mem.Handle(base)
+	}
+	for i := range b.word {
+		b.word[i] = mem.Handle(base + 1 + coherence.LineID(i))
+	}
+	return b, nil
 }
 
 // Words returns the object's width.
@@ -74,8 +85,6 @@ func (b *BigAtomic) Attempts() uint64 {
 	return b.reads + b.updates + b.readRetries + b.commitRetries
 }
 
-func (b *BigAtomic) word(i int) coherence.LineID { return b.base + 1 + coherence.LineID(i) }
-
 // bigReadOp is one in-flight seqlock read; its callbacks are built once
 // so pooled contexts keep the read path allocation-free.
 type bigReadOp struct {
@@ -96,13 +105,13 @@ func (o *bigReadOp) start(r Result) {
 	if r.Old&1 == 1 {
 		// A writer holds the version: spin on the shared copy. Each
 		// load follows a read of the held version, so each is a retry.
-		o.b.mem.AwaitChange(o.core, o.b.base, r.Old, &o.b.readRetries, o.startFn)
+		o.b.mem.AwaitChange(o.core, o.b.version, r.Old, &o.b.readRetries, o.startFn)
 		return
 	}
 	o.v = r.Old
 	o.i = 0
 	o.mismatch = false
-	o.b.mem.LoadOp(o.core, o.b.word(0), o.wordFn)
+	o.b.mem.LoadOp(o.core, o.b.word[0], o.wordFn)
 }
 
 func (o *bigReadOp) onWord(r Result) {
@@ -113,17 +122,17 @@ func (o *bigReadOp) onWord(r Result) {
 	}
 	o.i++
 	if o.i < o.b.words {
-		o.b.mem.LoadOp(o.core, o.b.word(o.i), o.wordFn)
+		o.b.mem.LoadOp(o.core, o.b.word[o.i], o.wordFn)
 		return
 	}
-	o.b.mem.LoadOp(o.core, o.b.base, o.checkFn)
+	o.b.mem.LoadOp(o.core, o.b.version, o.checkFn)
 }
 
 func (o *bigReadOp) check(r Result) {
 	if r.Old != o.v {
 		// A writer intervened: the snapshot is invalid, start over.
 		o.b.readRetries++
-		o.b.mem.LoadOp(o.core, o.b.base, o.startFn)
+		o.b.mem.LoadOp(o.core, o.b.version, o.startFn)
 		return
 	}
 	if o.mismatch || o.gen != o.v/2 {
@@ -158,10 +167,10 @@ func (b *BigAtomic) Read(core int, done func()) {
 	o.core, o.done = core, done
 	if b.words == 1 {
 		// One-word baseline: a single load of the data line.
-		b.mem.LoadOp(core, b.word(0), o.singleFn)
+		b.mem.LoadOp(core, b.word[0], o.singleFn)
 		return
 	}
-	b.mem.LoadOp(core, b.base, o.startFn)
+	b.mem.LoadOp(core, b.version, o.startFn)
 }
 
 func (o *bigReadOp) singleDone(Result) { o.finish() }
@@ -185,31 +194,31 @@ func (o *bigUpdateOp) onLoad(r Result) {
 	if r.Old&1 == 1 {
 		// Locked: spin on the shared copy until the writer publishes;
 		// each load follows a read of the held version, a retry.
-		o.b.mem.AwaitChange(o.core, o.b.base, r.Old, &o.b.commitRetries, o.loadFn)
+		o.b.mem.AwaitChange(o.core, o.b.version, r.Old, &o.b.commitRetries, o.loadFn)
 		return
 	}
 	o.v = r.Old
-	o.b.mem.CompareAndSwap2(o.core, o.b.base, o.v, o.v+1, o.casFn)
+	o.b.mem.CompareAndSwap2(o.core, o.b.version, o.v, o.v+1, o.casFn)
 }
 
 func (o *bigUpdateOp) onCAS(r Result) {
 	if !r.OK {
 		o.b.commitRetries++
-		o.b.mem.LoadOp(o.core, o.b.base, o.loadFn)
+		o.b.mem.LoadOp(o.core, o.b.version, o.loadFn)
 		return
 	}
 	o.i = 0
-	o.b.mem.StoreOp(o.core, o.b.word(0), o.v/2+1, o.storeFn)
+	o.b.mem.StoreOp(o.core, o.b.word[0], o.v/2+1, o.storeFn)
 }
 
 func (o *bigUpdateOp) onStore(Result) {
 	o.i++
 	if o.i < o.b.words {
-		o.b.mem.StoreOp(o.core, o.b.word(o.i), o.v/2+1, o.storeFn)
+		o.b.mem.StoreOp(o.core, o.b.word[o.i], o.v/2+1, o.storeFn)
 		return
 	}
 	// Publish: the release store makes the version even again.
-	o.b.mem.StoreOp(o.core, o.b.base, o.v+2, o.relFn)
+	o.b.mem.StoreOp(o.core, o.b.version, o.v+2, o.relFn)
 }
 
 func (o *bigUpdateOp) onRelease(Result) { o.finish() }
@@ -243,22 +252,22 @@ func (b *BigAtomic) Update(core int, done func()) {
 	if b.words == 1 {
 		// One-word baseline: load the value, CAS value -> value+1,
 		// retry with the observed value on failure.
-		b.mem.LoadOp(core, b.word(0), o.sLoadFn)
+		b.mem.LoadOp(core, b.word[0], o.sLoadFn)
 		return
 	}
-	b.mem.LoadOp(core, b.base, o.loadFn)
+	b.mem.LoadOp(core, b.version, o.loadFn)
 }
 
 func (o *bigUpdateOp) onSingleLoad(r Result) {
 	o.v = r.Old
-	o.b.mem.CompareAndSwap(o.core, o.b.word(0), o.v, o.v+1, o.sCASFn)
+	o.b.mem.CompareAndSwap(o.core, o.b.word[0], o.v, o.v+1, o.sCASFn)
 }
 
 func (o *bigUpdateOp) onSingleCAS(r Result) {
 	if !r.OK {
 		o.b.commitRetries++
 		o.v = r.Old
-		o.b.mem.CompareAndSwap(o.core, o.b.word(0), o.v, o.v+1, o.sCASFn)
+		o.b.mem.CompareAndSwap(o.core, o.b.word[0], o.v, o.v+1, o.sCASFn)
 		return
 	}
 	o.finish()

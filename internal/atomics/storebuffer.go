@@ -23,7 +23,7 @@ import (
 
 // pendingStore is one store waiting in a core's buffer.
 type pendingStore struct {
-	line coherence.LineID
+	line coherence.Line
 	val  uint64
 }
 
@@ -50,7 +50,7 @@ func (mem *Memory) buf(core int) *storeBuf {
 }
 
 // bufferedStore retires the store locally and queues the drain.
-func (mem *Memory) bufferedStore(core int, line coherence.LineID, v uint64, done func(Result)) {
+func (mem *Memory) bufferedStore(core int, line coherence.Line, v uint64, done func(Result)) {
 	b := mem.buf(core)
 	if len(b.q) >= mem.bufDepth {
 		// Buffer full: the store stalls until a drain completes.
@@ -87,7 +87,7 @@ func (mem *Memory) drain(core int) {
 		return
 	}
 	head := b.q[0]
-	mem.sys.Access(core, head.line, coherence.RFO, mem.m.Lat.ExecStore,
+	mem.sys.Access(core, head.line, coherence.RFO, mem.exec[Store],
 		func(cur uint64) (uint64, bool) { return head.val, true },
 		func(coherence.AccessResult) {
 			b.q = b.q[1:]

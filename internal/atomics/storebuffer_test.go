@@ -22,7 +22,7 @@ func bufMemory(t *testing.T, depth int) (*sim.Engine, *Memory) {
 
 func TestBufferedStoreRetiresFast(t *testing.T) {
 	eng, mem := bufMemory(t, 42)
-	r := run(t, eng, func(done func(Result)) { mem.StoreOp(0, 1, 7, done) })
+	r := run(t, eng, func(done func(Result)) { mem.StoreOp(0, mem.Handle(1), 7, done) })
 	if r.Latency != mem.Machine().Lat.L1Hit {
 		t.Fatalf("buffered store retire latency %v, want L1 %v", r.Latency, mem.Machine().Lat.L1Hit)
 	}
@@ -38,8 +38,8 @@ func TestBufferedStoreRetiresFast(t *testing.T) {
 func TestBufferedStoresDrainInOrder(t *testing.T) {
 	eng, mem := bufMemory(t, 42)
 	// Two stores to the same line: the later value must win (FIFO drain).
-	mem.StoreOp(0, 1, 1, nil)
-	mem.StoreOp(0, 1, 2, nil)
+	mem.StoreOp(0, mem.Handle(1), 1, nil)
+	mem.StoreOp(0, mem.Handle(1), 2, nil)
 	eng.Drain()
 	if got := mem.System().Value(1); got != 2 {
 		t.Fatalf("final value %d, want 2 (program order)", got)
@@ -52,7 +52,7 @@ func TestBufferFullStalls(t *testing.T) {
 	// must stall, but all must eventually drain.
 	retired := 0
 	for i := 0; i < 5; i++ {
-		mem.StoreOp(0, coherence.LineID(100+i), uint64(i), func(Result) { retired++ })
+		mem.StoreOp(0, mem.Handle(coherence.LineID(100+i)), uint64(i), func(Result) { retired++ })
 	}
 	if mem.PendingStores(0) > 2 {
 		t.Fatalf("buffer overfilled: %d", mem.PendingStores(0))
@@ -75,8 +75,8 @@ func TestAtomicImpliesFence(t *testing.T) {
 	mem.System().SetValue(1, 0)
 	var faaDone sim.Time
 	var storeVisibleAtFAA bool
-	mem.StoreOp(0, 1, 99, nil) // will drain via RFO
-	mem.FetchAndAdd(0, 2, 1, func(Result) {
+	mem.StoreOp(0, mem.Handle(1), 99, nil) // will drain via RFO
+	mem.FetchAndAdd(0, mem.Handle(2), 1, func(Result) {
 		faaDone = eng.Now()
 		storeVisibleAtFAA = mem.System().Value(1) == 99
 	})
@@ -91,7 +91,7 @@ func TestAtomicImpliesFence(t *testing.T) {
 
 func TestFenceWaitsForDrain(t *testing.T) {
 	eng, mem := bufMemory(t, 42)
-	mem.StoreOp(0, 1, 5, nil)
+	mem.StoreOp(0, mem.Handle(1), 5, nil)
 	r := run(t, eng, func(done func(Result)) { mem.FenceOp(0, done) })
 	// The fence's reported latency includes the drain wait: it must
 	// exceed the bare ExecFence.
@@ -105,7 +105,7 @@ func TestFenceWaitsForDrain(t *testing.T) {
 
 func TestUnbufferedSemanticsUnchanged(t *testing.T) {
 	eng, mem := bufMemory(t, 0)
-	r := run(t, eng, func(done func(Result)) { mem.StoreOp(0, 1, 7, done) })
+	r := run(t, eng, func(done func(Result)) { mem.StoreOp(0, mem.Handle(1), 7, done) })
 	// Synchronous store: full miss latency, value observed.
 	if r.Latency <= mem.Machine().Lat.L1Hit {
 		t.Fatalf("unbuffered store too fast: %v", r.Latency)

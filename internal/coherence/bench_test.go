@@ -3,6 +3,7 @@ package coherence
 import (
 	"testing"
 
+	"atomicsmodel/internal/metrics"
 	"atomicsmodel/internal/sim"
 	"atomicsmodel/internal/topology"
 )
@@ -41,12 +42,13 @@ func BenchmarkCoherenceAccess(b *testing.B) {
 	eng, s := benchSystem(b)
 	apply := func(cur uint64) (uint64, bool) { return cur + 1, true }
 	// Warm the line into M state so the steady state is remote handoffs.
-	s.Access(0, 1, RFO, 0, apply, nil)
+	h := s.Handle(1)
+	s.Access(0, h, RFO, 0, apply, nil)
 	eng.Drain()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		s.Access((i+1)%16, 1, RFO, 0, apply, nil)
+		s.Access((i+1)%16, h, RFO, 0, apply, nil)
 		eng.Drain()
 	}
 }
@@ -56,14 +58,15 @@ func BenchmarkCoherenceAccess(b *testing.B) {
 // spinners and read-mostly mixes sit in.
 func BenchmarkCoherenceReadShared(b *testing.B) {
 	eng, s := benchSystem(b)
-	s.Access(0, 1, RFO, 0, func(cur uint64) (uint64, bool) { return 7, true }, nil)
+	h := s.Handle(1)
+	s.Access(0, h, RFO, 0, func(cur uint64) (uint64, bool) { return 7, true }, nil)
 	eng.Drain()
 	s.EvictPrivate(1) // resident at home LLC, no private copies
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		core := i % 16
-		s.Access(core, 1, Read, 0, nil, nil)
+		s.Access(core, h, Read, 0, nil, nil)
 		eng.Drain()
 		s.EvictPrivate(1)
 	}
@@ -73,6 +76,26 @@ func BenchmarkCoherenceReadShared(b *testing.B) {
 // a three-leg requester->home->requester path on the dual ring.
 func BenchmarkPathCost(b *testing.B) {
 	_, s := benchSystem(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	var total sim.Time
+	var hops int
+	for i := 0; i < b.N; i++ {
+		c, h := s.pathCost(4*sim.Nanosecond, [4]int{i % 16, 3, i % 16}, 3)
+		total += c
+		hops += h
+	}
+	_ = total
+	_ = hops
+}
+
+// BenchmarkPathCostMetrics is BenchmarkPathCost with a metrics registry
+// installed and no bandwidth network: every leg also charges each link
+// it crosses its transit time, the per-message work of a metrics-on
+// cell (fleet sweeps).
+func BenchmarkPathCostMetrics(b *testing.B) {
+	_, s := benchSystem(b)
+	s.InstallMetrics(metrics.New())
 	b.ReportAllocs()
 	b.ResetTimer()
 	var total sim.Time

@@ -45,6 +45,23 @@ import (
 // LineID names a cache line.
 type LineID uint64
 
+// Line is a resolved handle to one line's directory entry: what every
+// access names its line by, so the access path never looks a line up.
+// System.Handle resolves one from a LineID, once, and the caller keeps
+// it. A handle lives exactly as long as the entry it points to: from
+// Handle until the system's next Reset, which recycles every entry for
+// the next run's lines. A handle kept across Reset names whichever line
+// reuses its entry, so callers resolve again after every Reset (the
+// cell runtime's drivers do it in Setup). The zero Line is "not
+// resolved yet" (IsZero); accessing it panics.
+type Line struct{ l *lineState }
+
+// ID returns the line's ID.
+func (h Line) ID() LineID { return h.l.id }
+
+// IsZero reports whether h is the zero Line, resolved to nothing.
+func (h Line) IsZero() bool { return h.l == nil }
+
 // Kind distinguishes the two coherence transactions a core can issue.
 type Kind uint8
 
@@ -428,10 +445,6 @@ type System struct {
 	lineOrder []*lineState
 	// keyReqs is AppendCycleKey's reusable sort buffer.
 	keyReqs []*request
-	// lastLine is a one-entry lookup cache in front of the lines map;
-	// workloads hammer one line (or a handful), so most accesses skip
-	// the map entirely.
-	lastLine *lineState
 	// directGrant is set, together with arb, when the arbiter is a
 	// StatelessArbiter: an access to an idle line is then granted
 	// without queueing (see Access).
@@ -468,11 +481,23 @@ type System struct {
 	mOccDir  *metrics.Vector
 	mOccLine *metrics.Vector
 	mOccLink *metrics.Vector
-	// occRouter attributes per-link busy time when the bandwidth network
-	// is off: a dense routing view of the topology, built lazily the
-	// first time a registry is installed and kept across Reset (it is
-	// immutable precomputed state, like the dense hop tables).
-	occRouter *topology.DenseRouter
+	// occLegs attributes per-link busy time when the bandwidth network
+	// is off. It is built the first time a registry is installed on a
+	// routable topology and kept across Reset (it is immutable
+	// precomputed state, like the dense hop tables); nil otherwise.
+	occLegs *linkLegs
+}
+
+// linkLegs lists the links a message crosses between every (source,
+// destination) node pair, in one flat array, and the busy time crossing
+// each link charges it.
+type linkLegs struct {
+	// at indexes links: the pair (a, b)'s links are
+	// links[at[a*tn+b]:at[a*tn+b+1]], in order.
+	at    []int32
+	links []int32
+	// busy is each link's charge: HopLatency times its transit multiple.
+	busy []uint64
 }
 
 // maxTrackedLines bounds the per-line occupancy vector. Shared
@@ -556,8 +581,9 @@ func (s *System) pathCost(proc sim.Time, nodes [4]int, n int) (total sim.Time, h
 			// No bandwidth model: charge each traversed link its transit
 			// time so utilization still names the hottest wire.
 			for i := 1; i < n; i++ {
-				for _, l := range s.occRouter.Path(nodes[i-1], nodes[i]) {
-					s.mOccLink.Add(l, uint64(s.p.HopLatency)*uint64(s.occRouter.LinkTransit(l)))
+				leg, o := nodes[i-1]*s.tn+nodes[i], s.occLegs
+				for _, l := range o.links[o.at[leg]:o.at[leg+1]] {
+					s.mOccLink.Add(int(l), o.busy[l])
 				}
 			}
 		}
@@ -613,27 +639,46 @@ func (s *System) InstallMetrics(r *metrics.Registry) {
 	// Occupancy vectors: directory busy time per home node, line busy
 	// time per tracked line, link busy time per interconnect link. Link
 	// attribution needs routing paths: the bandwidth network carries
-	// them when it is on; otherwise a dense routing view is built once
-	// here (registry installation is setup time, not the hot path) for
-	// topologies that can enumerate links. Non-routable topologies get
-	// no link vector and the rollup reports the link axis as untracked.
+	// them when it is on; otherwise every node pair's links and their
+	// busy times are listed once here (registry installation is setup
+	// time, not the hot path) for topologies that can enumerate links.
+	// Non-routable topologies get no link vector and the rollup reports
+	// the link axis as untracked.
 	s.mOccDir = r.Vector(metrics.CohDirBusy, s.tn)
 	s.mOccLine = r.Vector(metrics.CohLineBusy, maxTrackedLines)
 	if s.net != nil {
 		s.mOccLink = r.Vector(metrics.CohLinkBusy, s.net.router.Links())
 		s.net.mOccLink = s.mOccLink
-	} else {
-		if r != nil && s.occRouter == nil {
-			if rt, ok := s.p.Topo.(topology.Router); ok {
-				s.occRouter = topology.NewDenseRouter(rt)
+		return
+	}
+	s.mOccLink = nil
+	rt, ok := s.p.Topo.(topology.Router)
+	if r == nil || !ok {
+		return
+	}
+	if s.occLegs == nil {
+		s.occLegs = newLinkLegs(rt, s.tn, s.p.HopLatency)
+	}
+	s.mOccLink = r.Vector(metrics.CohLinkBusy, rt.Links())
+}
+
+// newLinkLegs lists rt's links between every pair of its n nodes, and
+// charges each link hop times its transit multiple.
+func newLinkLegs(rt topology.Router, n int, hop sim.Time) *linkLegs {
+	o := &linkLegs{at: make([]int32, 1, n*n+1), busy: make([]uint64, rt.Links())}
+	for a := 0; a < n; a++ {
+		for b := 0; b < n; b++ {
+			for _, l := range rt.Path(a, b) {
+				o.links = append(o.links, int32(l))
 			}
-		}
-		if s.occRouter != nil {
-			s.mOccLink = r.Vector(metrics.CohLinkBusy, s.occRouter.Links())
-		} else {
-			s.mOccLink = nil
+			o.at = append(o.at, int32(len(o.links)))
 		}
 	}
+	o.links = slices.Clone(o.links) // drop append's spare capacity: the table lives with the system
+	for l := range o.busy {
+		o.busy[l] = uint64(hop) * uint64(rt.LinkTransit(l))
+	}
+	return o
 }
 
 // SetArbiter replaces the line arbiter (nil means FIFO). Pooled systems
@@ -653,10 +698,15 @@ func (s *System) Engine() *sim.Engine { return s.eng }
 // Params returns the system's configuration.
 func (s *System) Params() Params { return s.p }
 
+// Handle resolves line id to its handle, creating its directory entry
+// on first use. It is a map lookup: callers resolve each line once and
+// access it by its handle (see Line for how long a handle lives).
+func (s *System) Handle(id LineID) Line { return Line{s.line(id)} }
+
+// line returns line id's directory entry, creating it on first use. The
+// access path never calls it: it is Handle's lookup and the setup and
+// query calls'.
 func (s *System) line(id LineID) *lineState {
-	if l := s.lastLine; l != nil && l.id == id {
-		return l
-	}
 	l, ok := s.lines[id]
 	if !ok {
 		if n := len(s.lineFree); n > 0 {
@@ -676,7 +726,6 @@ func (s *System) line(id LineID) *lineState {
 		s.lines[id] = l
 		s.lineOrder = append(s.lineOrder, l)
 	}
-	s.lastLine = l
 	return l
 }
 
@@ -711,17 +760,21 @@ func (s *System) EvictPrivate(id LineID) {
 	// valid retains its value: an untouched line stays in DRAM.
 }
 
-// Access issues a coherence transaction from core for line id. kind
-// selects Read or RFO; hold is the execution occupancy charged while the
-// line is held at the serialization point (the locked instruction's
-// cycles); apply performs the modification (may be nil for loads);
-// done is invoked when the access completes. Access itself returns
-// immediately — completion is a simulation event.
-func (s *System) Access(core int, id LineID, kind Kind, hold sim.Time, apply Apply, done func(AccessResult)) {
+// Access issues a coherence transaction from core for the line h
+// names. kind selects Read or RFO; hold is the execution occupancy
+// charged while the line is held at the serialization point (the locked
+// instruction's cycles); apply performs the modification (may be nil
+// for loads); done is invoked when the access completes. Access itself
+// returns immediately — completion is a simulation event.
+func (s *System) Access(core int, h Line, kind Kind, hold sim.Time, apply Apply, done func(AccessResult)) {
+	s.access(core, h.l, kind, hold, apply, done)
+}
+
+// access is Access on the line's directory entry.
+func (s *System) access(core int, l *lineState, kind Kind, hold sim.Time, apply Apply, done func(AccessResult)) {
 	if core < 0 || core >= s.p.NumCores {
 		panic(fmt.Sprintf("coherence: core %d out of range", core))
 	}
-	l := s.line(id)
 
 	// Fast path: a read that the core's own cache can satisfy does not
 	// serialize through the directory — real L1s serve shared lines
@@ -813,7 +866,7 @@ func (s *System) Access(core int, id LineID, kind Kind, hold sim.Time, apply App
 	}
 	s.mQueueDepth.Observe(uint64(qlen))
 	if s.aud != nil {
-		s.aud.LineEnqueued(id, qlen)
+		s.aud.LineEnqueued(l.id, qlen)
 	}
 	if s.directGrant && !l.busy {
 		// An idle line has nobody waiting (a waiter is granted the moment
@@ -853,8 +906,8 @@ func (s *System) Access(core int, id LineID, kind Kind, hold sim.Time, apply App
 // gate; Reset turns it off.
 func (s *System) SetParking(on bool) { s.parking = on }
 
-// Await issues a plain load of line id from core, exactly as
-// Access(core, id, Read, hold, nil, done) would, on behalf of a spinner
+// Await issues a plain load of the line h names from core, exactly as
+// Access(core, h, Read, hold, nil, done) would, on behalf of a spinner
 // that re-issues the load for as long as it observes seen
 // (atomics.Memory.AwaitChange). With parking on, a load that hits the
 // core's own valid copy (as its owner or a sharer) of a line holding
@@ -869,9 +922,9 @@ func (s *System) SetParking(on bool) { s.parking = on }
 // the ledger's class 0 and, when loads is non-nil, *loads — settled
 // exactly at every Stats and Classes call and on waking
 // (SettleParked).
-func (s *System) Await(core int, id LineID, hold sim.Time, seen uint64, loads *uint64, done func(AccessResult)) {
+func (s *System) Await(core int, h Line, hold sim.Time, seen uint64, loads *uint64, done func(AccessResult)) {
+	l := h.l
 	if s.parking && s.tracer == nil && core >= 0 && core < s.p.NumCores {
-		l := s.line(id)
 		if l.value == seen && (l.owner == core || l.sharers.has(core)) {
 			if pid, ok := s.eng.Park(s.eng.Owner(), s.p.L1Hit); ok {
 				s.nAccesses++
@@ -886,7 +939,7 @@ func (s *System) Await(core int, id LineID, hold sim.Time, seen uint64, loads *u
 			}
 		}
 	}
-	s.Access(core, id, Read, hold, nil, done)
+	s.access(core, l, Read, hold, nil, done)
 }
 
 // SettleParked credits every parked spinner's re-reads issued so far —
@@ -1446,8 +1499,9 @@ func appendUint64(dst []byte, v uint64) []byte {
 // CheckInvariants validates directory consistency for all lines. It is
 // called by tests after every workload; violations indicate protocol
 // bugs, so it returns a descriptive error rather than panicking. Lines
-// are checked in the order they were first touched, so with several
-// broken lines the error always names the same one.
+// are checked in the order they were first resolved (Handle, or a setup
+// or query call by ID), not the order accesses first touched them, so
+// with several broken lines the error always names the same one.
 func (s *System) CheckInvariants() error {
 	for _, l := range s.lineOrder {
 		id := l.id
@@ -1531,7 +1585,6 @@ func (s *System) Reset() {
 		s.lineFree = s.lineFree[:n]
 	}
 	clear(s.lines)
-	s.lastLine = nil
 	s.tracer = nil
 	s.aud = nil
 	// Parked spinners die with the engine's reset, like any pending
@@ -1557,7 +1610,7 @@ func (s *System) Reset() {
 	s.maxQueueLen = 0
 	clear(s.classes)
 	s.mQueueDepth, s.mQueuedBehind = nil, nil
-	// occRouter survives: it is immutable precomputed topology state.
+	// occLegs survives: it is immutable precomputed topology state.
 	s.mOccDir, s.mOccLine, s.mOccLink = nil, nil, nil
 	if s.net != nil {
 		s.net.Reset()

@@ -38,7 +38,7 @@ func testSystem(t *testing.T, arb Arbiter) (*sim.Engine, *System) {
 func access(t *testing.T, eng *sim.Engine, s *System, core int, id LineID, kind Kind, hold sim.Time, apply Apply) AccessResult {
 	t.Helper()
 	var got *AccessResult
-	s.Access(core, id, kind, hold, apply, func(r AccessResult) { got = &r })
+	s.Access(core, s.Handle(id), kind, hold, apply, func(r AccessResult) { got = &r })
 	eng.Drain()
 	if got == nil {
 		t.Fatal("access did not complete")
@@ -237,7 +237,7 @@ func TestContendedRequestsSerialize(t *testing.T) {
 	var order []int
 	for core := 1; core <= 3; core++ {
 		core := core
-		s.Access(core, 16, RFO, hold, storeApply(uint64(core)), func(r AccessResult) {
+		s.Access(core, s.Handle(16), RFO, hold, storeApply(uint64(core)), func(r AccessResult) {
 			completions = append(completions, eng.Now())
 			order = append(order, core)
 		})
@@ -268,7 +268,7 @@ func TestQueuedBehindCounts(t *testing.T) {
 	access(t, eng, s, 0, 16, RFO, 0, storeApply(0))
 	var behinds []int
 	for core := 1; core <= 4; core++ {
-		s.Access(core, 16, RFO, 0, storeApply(1), func(r AccessResult) {
+		s.Access(core, s.Handle(16), RFO, 0, storeApply(1), func(r AccessResult) {
 			behinds = append(behinds, r.QueuedBehind)
 		})
 	}
@@ -289,13 +289,13 @@ func TestLocalityArbiterPrefersNearCore(t *testing.T) {
 	// arrive while the line is busy serving core 0's warm-up... instead:
 	// enqueue both while line busy with a long first service.
 	var order []int
-	s.Access(0, 16, RFO, 20*sim.Nanosecond, storeApply(0), func(AccessResult) {
+	s.Access(0, s.Handle(16), RFO, 20*sim.Nanosecond, storeApply(0), func(AccessResult) {
 		order = append(order, 0)
 	})
 	// These two queue behind core 0's service; locality should pick 7
 	// (adjacent to owner 0 on the ring) before 4 (opposite side).
-	s.Access(4, 16, RFO, 0, storeApply(4), func(AccessResult) { order = append(order, 4) })
-	s.Access(7, 16, RFO, 0, storeApply(7), func(AccessResult) { order = append(order, 7) })
+	s.Access(4, s.Handle(16), RFO, 0, storeApply(4), func(AccessResult) { order = append(order, 4) })
+	s.Access(7, s.Handle(16), RFO, 0, storeApply(7), func(AccessResult) { order = append(order, 7) })
 	eng.Drain()
 	if len(order) != 3 || order[1] != 7 || order[2] != 4 {
 		t.Fatalf("locality order = %v, want [0 7 4]", order)
@@ -308,15 +308,15 @@ func TestLocalityArbiterStarvationBound(t *testing.T) {
 	// waits; the bound must let core 4 in after 2 skips.
 	served4 := false
 	skips := -1
-	s.Access(0, 16, RFO, sim.Nanosecond, storeApply(0), nil)
-	s.Access(4, 16, RFO, sim.Nanosecond, storeApply(4), func(r AccessResult) {
+	s.Access(0, s.Handle(16), RFO, sim.Nanosecond, storeApply(0), nil)
+	s.Access(4, s.Handle(16), RFO, sim.Nanosecond, storeApply(4), func(r AccessResult) {
 		served4 = true
 		skips = r.QueuedBehind
 	})
 	// A stream of near requests that would otherwise always win.
 	for i := 0; i < 6; i++ {
 		core := i % 2
-		s.Access(core, 16, RFO, sim.Nanosecond, storeApply(uint64(core)), nil)
+		s.Access(core, s.Handle(16), RFO, sim.Nanosecond, storeApply(uint64(core)), nil)
 	}
 	eng.Drain()
 	if !served4 {
@@ -330,10 +330,10 @@ func TestLocalityArbiterStarvationBound(t *testing.T) {
 func TestRandomArbiterServesEveryone(t *testing.T) {
 	eng, s := testSystem(t, NewRandomArbiter(1))
 	served := map[int]bool{}
-	s.Access(0, 16, RFO, sim.Nanosecond, storeApply(0), nil)
+	s.Access(0, s.Handle(16), RFO, sim.Nanosecond, storeApply(0), nil)
 	for core := 1; core < 8; core++ {
 		core := core
-		s.Access(core, 16, RFO, 0, storeApply(uint64(core)), func(AccessResult) { served[core] = true })
+		s.Access(core, s.Handle(16), RFO, 0, storeApply(uint64(core)), func(AccessResult) { served[core] = true })
 	}
 	eng.Drain()
 	if len(served) != 7 {
@@ -382,7 +382,7 @@ func TestValueLinearizability(t *testing.T) {
 			if i == k {
 				return
 			}
-			s.Access(core, 16, RFO, sim.Nanosecond, inc, func(AccessResult) {
+			s.Access(core, s.Handle(16), RFO, sim.Nanosecond, inc, func(AccessResult) {
 				done(core, i+1)
 			})
 		}
@@ -407,8 +407,8 @@ func TestSeparateLinesDoNotSerialize(t *testing.T) {
 	access(t, eng, s, 0, 100, RFO, 0, storeApply(0))
 	access(t, eng, s, 1, 101, RFO, 0, storeApply(0))
 	var t100, t101 sim.Time
-	s.Access(0, 100, RFO, 10*sim.Nanosecond, storeApply(1), func(AccessResult) { t100 = eng.Now() })
-	s.Access(1, 101, RFO, 10*sim.Nanosecond, storeApply(1), func(AccessResult) { t101 = eng.Now() })
+	s.Access(0, s.Handle(100), RFO, 10*sim.Nanosecond, storeApply(1), func(AccessResult) { t100 = eng.Now() })
+	s.Access(1, s.Handle(101), RFO, 10*sim.Nanosecond, storeApply(1), func(AccessResult) { t101 = eng.Now() })
 	eng.Drain()
 	if t100 != t101 {
 		t.Fatalf("independent lines serialized: %v vs %v", t100, t101)
@@ -449,7 +449,7 @@ func TestAccessPanicsOnBadCore(t *testing.T) {
 			t.Fatal("no panic for bad core")
 		}
 	}()
-	s.Access(99, 0, Read, 0, nil, nil)
+	s.Access(99, s.Handle(0), Read, 0, nil, nil)
 }
 
 func TestKindAndSourceStrings(t *testing.T) {
@@ -662,7 +662,7 @@ func TestCycleKeyValueRelative(t *testing.T) {
 	ids := []LineID{16}
 	access(t, eng, s, 0, 16, RFO, 0, storeApply(3))
 	var got *AccessResult
-	s.Access(0, 16, Read, 0, nil, func(r AccessResult) { got = &r }) // local fast-path read, in flight
+	s.Access(0, s.Handle(16), Read, 0, nil, func(r AccessResult) { got = &r }) // local fast-path read, in flight
 	anchor := uint64(3)
 	before := string(s.AppendCycleKey(nil, ids, &anchor))
 	plain := string(s.AppendCycleKey(nil, ids, nil))

@@ -89,7 +89,7 @@ func TestEvictPrivate(t *testing.T) {
 
 func TestEvictPrivatePanicsWhenBusy(t *testing.T) {
 	eng, s := testSystem(t, nil)
-	s.Access(0, 16, RFO, 10*sim.Nanosecond, storeApply(1), nil)
+	s.Access(0, s.Handle(16), RFO, 10*sim.Nanosecond, storeApply(1), nil)
 	// The request was granted synchronously; the line is busy now.
 	defer func() {
 		if recover() == nil {
@@ -153,8 +153,8 @@ func TestReadOrderingAgainstQueuedRFO(t *testing.T) {
 	var readVal uint64
 	var wrote bool
 	// Queue an RFO and immediately a bypassing read from a non-sharer.
-	s.Access(3, 16, RFO, 5*sim.Nanosecond, storeApply(6), func(r AccessResult) { wrote = true })
-	s.Access(4, 16, Read, 0, nil, func(r AccessResult) { readVal = r.Value })
+	s.Access(3, s.Handle(16), RFO, 5*sim.Nanosecond, storeApply(6), func(r AccessResult) { wrote = true })
+	s.Access(4, s.Handle(16), Read, 0, nil, func(r AccessResult) { readVal = r.Value })
 	eng.Drain()
 	if !wrote {
 		t.Fatal("RFO did not complete")

@@ -53,13 +53,13 @@ func FuzzProtocolValueChain(f *testing.F) {
 			issued++
 			if rng.Intn(100) < read {
 				eng.At(at, func() {
-					s.Access(core, 3, Read, 0, nil, func(AccessResult) { completed++ })
+					s.Access(core, s.Handle(3), Read, 0, nil, func(AccessResult) { completed++ })
 				})
 				continue
 			}
 			eng.At(at, func() {
 				var r rec
-				s.Access(core, 3, RFO, sim.Nanosecond, func(cur uint64) (uint64, bool) {
+				s.Access(core, s.Handle(3), RFO, sim.Nanosecond, func(cur uint64) (uint64, bool) {
 					r = rec{observed: cur, next: cur + 1}
 					return cur + 1, true
 				}, func(AccessResult) {

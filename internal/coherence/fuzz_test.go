@@ -73,7 +73,7 @@ func runFuzz(t *testing.T, arb Arbiter, seed uint64) {
 		switch rng.Intn(4) {
 		case 0: // read
 			eng.At(issueAt, func() {
-				s.Access(core, line, Read, 0, nil, func(r AccessResult) {
+				s.Access(core, s.Handle(line), Read, 0, nil, func(r AccessResult) {
 					completed++
 					reads[line] = append(reads[line], r.Value)
 				})
@@ -81,7 +81,7 @@ func runFuzz(t *testing.T, arb Arbiter, seed uint64) {
 		case 1: // store
 			v := rng.Uint64() % 1000
 			eng.At(issueAt, func() {
-				s.Access(core, line, RFO, sim.Nanosecond, func(cur uint64) (uint64, bool) {
+				s.Access(core, s.Handle(line), RFO, sim.Nanosecond, func(cur uint64) (uint64, bool) {
 					return v, true
 				}, func(r AccessResult) {
 					completed++
@@ -91,7 +91,7 @@ func runFuzz(t *testing.T, arb Arbiter, seed uint64) {
 		case 2: // fetch-and-add
 			eng.At(issueAt, func() {
 				var rec rmwRecord
-				s.Access(core, line, RFO, sim.Nanosecond, func(cur uint64) (uint64, bool) {
+				s.Access(core, s.Handle(line), RFO, sim.Nanosecond, func(cur uint64) (uint64, bool) {
 					rec = rmwRecord{observed: cur, wrote: true, next: cur + 1}
 					return cur + 1, true
 				}, func(r AccessResult) {
@@ -103,7 +103,7 @@ func runFuzz(t *testing.T, arb Arbiter, seed uint64) {
 			guess := rng.Uint64() % 1000
 			eng.At(issueAt, func() {
 				var rec rmwRecord
-				s.Access(core, line, RFO, sim.Nanosecond, func(cur uint64) (uint64, bool) {
+				s.Access(core, s.Handle(line), RFO, sim.Nanosecond, func(cur uint64) (uint64, bool) {
 					if cur == guess {
 						rec = rmwRecord{observed: cur, wrote: true, next: guess + 1}
 						return guess + 1, true

@@ -20,12 +20,13 @@ func BenchmarkCoherenceAccessMetricsOff(b *testing.B) {
 	eng, s := benchSystem(b)
 	s.InstallMetrics(nil)
 	apply := func(cur uint64) (uint64, bool) { return cur + 1, true }
-	s.Access(0, 1, RFO, 0, apply, nil)
+	h := s.Handle(1)
+	s.Access(0, h, RFO, 0, apply, nil)
 	eng.Drain()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		s.Access((i+1)%16, 1, RFO, 0, apply, nil)
+		s.Access((i+1)%16, h, RFO, 0, apply, nil)
 		eng.Drain()
 	}
 }
@@ -36,12 +37,13 @@ func BenchmarkCoherenceAccessMetricsOn(b *testing.B) {
 	eng, s := benchSystem(b)
 	s.InstallMetrics(metrics.New())
 	apply := func(cur uint64) (uint64, bool) { return cur + 1, true }
-	s.Access(0, 1, RFO, 0, apply, nil)
+	h := s.Handle(1)
+	s.Access(0, h, RFO, 0, apply, nil)
 	eng.Drain()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		s.Access((i+1)%16, 1, RFO, 0, apply, nil)
+		s.Access((i+1)%16, h, RFO, 0, apply, nil)
 		eng.Drain()
 	}
 }
@@ -61,11 +63,12 @@ func TestAccessDoesNotAllocate(t *testing.T) {
 			eng, s := benchSystem(t)
 			s.InstallMetrics(tc.reg)
 			apply := func(cur uint64) (uint64, bool) { return cur + 1, true }
-			s.Access(0, 1, RFO, 0, apply, nil)
+			h := s.Handle(1)
+			s.Access(0, h, RFO, 0, apply, nil)
 			eng.Drain()
 			i := 0
 			avg := testing.AllocsPerRun(200, func() {
-				s.Access((i+1)%16, 1, RFO, 0, apply, nil)
+				s.Access((i+1)%16, h, RFO, 0, apply, nil)
 				eng.Drain()
 				i++
 			})

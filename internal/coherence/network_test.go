@@ -38,7 +38,7 @@ func TestBandwidthUncontendedMatchesClosedForm(t *testing.T) {
 	seq := func(eng *sim.Engine, s *System) []sim.Time {
 		var lats []sim.Time
 		step := func(core int, kind Kind) {
-			s.Access(core, 16, kind, 0, storeApply(1), func(r AccessResult) {
+			s.Access(core, s.Handle(16), kind, 0, storeApply(1), func(r AccessResult) {
 				lats = append(lats, r.Latency)
 			})
 			eng.Drain()
@@ -65,12 +65,12 @@ func TestBandwidthSerializesSharedLink(t *testing.T) {
 	// Stage two dirty lines on cores 0 and 1 whose home is node 2
 	// (line IDs ≡ 2 mod 8), sequentially so staging itself is
 	// stall-free.
-	s.Access(0, 2, RFO, 0, storeApply(1), nil)
+	s.Access(0, s.Handle(2), RFO, 0, storeApply(1), nil)
 	eng.Drain()
 	// Let the wires drain before the next phase (a message's tail can
 	// still occupy a link right after its transaction completes).
 	eng.Schedule(100*sim.Nanosecond, func() {
-		s.Access(1, 10, RFO, 0, storeApply(1), nil)
+		s.Access(1, s.Handle(10), RFO, 0, storeApply(1), nil)
 	})
 	eng.Drain()
 	base := s.Stats().LinkStall
@@ -80,8 +80,8 @@ func TestBandwidthSerializesSharedLink(t *testing.T) {
 	// Now core 2 pulls both lines at the same instant.
 	var l1, l2 sim.Time
 	eng.Schedule(100*sim.Nanosecond, func() {
-		s.Access(2, 2, RFO, 0, storeApply(2), func(r AccessResult) { l1 = r.Latency })
-		s.Access(2, 10, RFO, 0, storeApply(2), func(r AccessResult) { l2 = r.Latency })
+		s.Access(2, s.Handle(2), RFO, 0, storeApply(2), func(r AccessResult) { l1 = r.Latency })
+		s.Access(2, s.Handle(10), RFO, 0, storeApply(2), func(r AccessResult) { l2 = r.Latency })
 	})
 	eng.Drain()
 	if s.Stats().LinkStall <= base {
@@ -106,7 +106,7 @@ func TestBandwidthCrossLineInterference(t *testing.T) {
 				if n == 0 {
 					return
 				}
-				s.Access(c, 6, RFO, sim.Nanosecond, storeApply(1), func(AccessResult) { issue(n - 1) })
+				s.Access(c, s.Handle(6), RFO, sim.Nanosecond, storeApply(1), func(AccessResult) { issue(n - 1) })
 			}
 			issue(200)
 		}
@@ -119,7 +119,7 @@ func TestBandwidthCrossLineInterference(t *testing.T) {
 			if n == 0 {
 				return
 			}
-			s.Access(core, 14, RFO, sim.Nanosecond, storeApply(1), func(r AccessResult) {
+			s.Access(core, s.Handle(14), RFO, sim.Nanosecond, storeApply(1), func(r AccessResult) {
 				total += r.Latency
 				ops++
 				next := 7
@@ -175,7 +175,7 @@ func TestBandwidthFuzzStillLinearizable(t *testing.T) {
 		at := rng.Duration(100 * sim.Microsecond)
 		eng.At(at, func() {
 			var r rec
-			s.Access(core, 5, RFO, sim.Nanosecond, func(cur uint64) (uint64, bool) {
+			s.Access(core, s.Handle(5), RFO, sim.Nanosecond, func(cur uint64) (uint64, bool) {
 				r = rec{observed: cur, next: cur + 1}
 				return cur + 1, true
 			}, func(AccessResult) { chain = append(chain, r) })

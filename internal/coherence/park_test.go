@@ -13,7 +13,7 @@ import (
 type spinner struct {
 	s     *System
 	core  int
-	id    LineID
+	line  Line
 	seen  uint64
 	loads uint64
 	woke  sim.Time
@@ -22,7 +22,7 @@ type spinner struct {
 }
 
 func newSpinner(s *System, core int, id LineID, seen uint64) *spinner {
-	sp := &spinner{s: s, core: core, id: id, seen: seen}
+	sp := &spinner{s: s, core: core, line: s.Handle(id), seen: seen}
 	sp.fn = func(r AccessResult) {
 		if r.Value == sp.seen {
 			sp.issue()
@@ -35,7 +35,7 @@ func newSpinner(s *System, core int, id LineID, seen uint64) *spinner {
 
 func (sp *spinner) issue() {
 	sp.loads++
-	sp.s.Await(sp.core, sp.id, 0, sp.seen, &sp.loads, sp.fn)
+	sp.s.Await(sp.core, sp.line, 0, sp.seen, &sp.loads, sp.fn)
 }
 
 // parkScript runs one spin scenario on line 16 of the test system with
@@ -86,20 +86,20 @@ func parkScript(t *testing.T, parking, owner bool, trigger string) []string {
 	t0 := eng.Now()
 	eng.At(t0, sp.issue)
 	probe(t0+15*sim.Nanosecond, true)
-	eng.At(t0+20*sim.Nanosecond, func() { s.Access(2, id, Read, 0, nil, nil) })
-	eng.At(t0+30*sim.Nanosecond, func() { s.Access(3, id, Read, 0, nil, nil) })
+	eng.At(t0+20*sim.Nanosecond, func() { s.Access(2, s.Handle(id), Read, 0, nil, nil) })
+	eng.At(t0+30*sim.Nanosecond, func() { s.Access(3, s.Handle(id), Read, 0, nil, nil) })
 	probe(t0+55*sim.Nanosecond, true)
 	switch trigger {
 	case "rfo":
-		eng.At(t0+60*sim.Nanosecond, func() { s.Access(4, id, RFO, 5*sim.Nanosecond, storeApply(7), nil) })
+		eng.At(t0+60*sim.Nanosecond, func() { s.Access(4, s.Handle(id), RFO, 5*sim.Nanosecond, storeApply(7), nil) })
 	case "sibling":
-		eng.At(t0+60*sim.Nanosecond, func() { s.Access(1, id, RFO, 20*sim.Nanosecond, storeApply(3), nil) })
+		eng.At(t0+60*sim.Nanosecond, func() { s.Access(1, s.Handle(id), RFO, 20*sim.Nanosecond, storeApply(3), nil) })
 		probe(t0+70*sim.Nanosecond, true)
 	case "evict":
 		eng.At(t0+60*sim.Nanosecond, func() { s.EvictPrivate(id) })
 		probe(t0+60*sim.Nanosecond, false)
 		probe(t0+100*sim.Nanosecond, true)
-		eng.At(t0+120*sim.Nanosecond, func() { s.Access(0, id, RFO, 0, storeApply(2), nil) })
+		eng.At(t0+120*sim.Nanosecond, func() { s.Access(0, s.Handle(id), RFO, 0, storeApply(2), nil) })
 	}
 	probe(t0+200*sim.Nanosecond, false)
 	eng.Run(t0 + 300*sim.Nanosecond)
@@ -148,20 +148,20 @@ func TestParkingNeedsLocalCopyOfSeen(t *testing.T) {
 	s.SetParking(true)
 	access(t, eng, s, 0, 16, RFO, 0, storeApply(1))
 	var loads uint64
-	s.Await(1, 16, 0, 1, &loads, func(AccessResult) {}) // miss: core 1 has no copy
-	s.Await(0, 16, 0, 2, &loads, func(AccessResult) {}) // hit, but the line holds 1
+	s.Await(1, s.Handle(16), 0, 1, &loads, func(AccessResult) {}) // miss: core 1 has no copy
+	s.Await(0, s.Handle(16), 0, 2, &loads, func(AccessResult) {}) // hit, but the line holds 1
 	if eng.Parked() != 0 {
 		t.Fatalf("%d spinners parked, want 0", eng.Parked())
 	}
 	eng.Drain()
 	s.SetTracer(func(TraceEvent) {})
-	s.Await(0, 16, 0, 1, &loads, func(AccessResult) {})
+	s.Await(0, s.Handle(16), 0, 1, &loads, func(AccessResult) {})
 	if eng.Parked() != 0 {
 		t.Fatal("spinner parked with a tracer installed")
 	}
 	eng.Drain()
 	s.SetTracer(nil)
-	s.Await(0, 16, 0, 1, &loads, func(AccessResult) {})
+	s.Await(0, s.Handle(16), 0, 1, &loads, func(AccessResult) {})
 	if eng.Parked() != 1 {
 		t.Fatal("owner re-reading its value did not park")
 	}

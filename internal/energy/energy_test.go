@@ -79,7 +79,7 @@ func TestLedgerPricesSimulation(t *testing.T) {
 			if n == 0 {
 				return
 			}
-			mem.FetchAndAdd(core, 1, 1, func(atomics.Result) {
+			mem.FetchAndAdd(core, mem.Handle(1), 1, func(atomics.Result) {
 				done++
 				issue(core, n-1)
 			})

@@ -93,9 +93,11 @@ func BenchmarkMemoizedCell(b *testing.B) {
 // spin on the writer flag, the writer on reader slots), the
 // work-stealing deques (the A suite's most event-heavy structure, with
 // no spin loop), the elimination stack (the Treiber stack's push and
-// pop with its collision-slot diversion) and the cohort lock (scattered
+// pop with its collision-slot diversion), the cohort lock (scattered
 // over XeonE5's two sockets: local and global lock words, then the
-// section every lock shares). An app cell allocates its structure,
+// section every lock shares), and the Treiber stack and MS queue, the
+// two structures that resolve a node's line each time they use it (node
+// IDs grow without bound). An app cell allocates its structure,
 // per-thread contexts and result once per cell and nothing per
 // operation, so allocs/op is a small per-cell constant.
 func BenchmarkAppCell(b *testing.B) {
@@ -105,6 +107,8 @@ func BenchmarkAppCell(b *testing.B) {
 		{Structure: "ws-deque"},
 		{Structure: "elimination-stack"},
 		{Structure: "lock-cohort", Placement: "scatter"},
+		{Structure: "treiber-stack"},
+		{Structure: "ms-queue"},
 	} {
 		b.Run(sp.Structure, func(b *testing.B) {
 			sp.Threads, sp.Seed = 8, 1

@@ -222,7 +222,7 @@ func sharedReadLatency(m *machine.Machine, check bool) (sim.Time, error) {
 	}
 	// A line whose home is node 0, shared by two mid-socket cores, read
 	// by their neighbour.
-	line := coherence.LineID(uint64(m.Topo.Nodes()))
+	line := mem.Handle(coherence.LineID(uint64(m.Topo.Nodes())))
 	sharerA := m.CoresPerSocket / 2
 	sharerB := sharerA + 1
 	reader := sharerA + 2

@@ -95,6 +95,7 @@ func stormAndVictim(m *machine.Machine, o Options) (stormMops, victimLatNs, stal
 		stormLine  coherence.LineID = 1
 		victimLine coherence.LineID = 2
 	)
+	storm, victim := mem.Handle(stormLine), mem.Handle(victimLine)
 	slots, err := (machine.Compact{}).Place(m, stormThreads+2)
 	if err != nil {
 		return 0, 0, 0, err
@@ -110,7 +111,7 @@ func stormAndVictim(m *machine.Machine, o Options) (stormMops, victimLatNs, stal
 			if eng.Now() >= end {
 				return
 			}
-			mem.FetchAndAdd(core, stormLine, 1, func(atomics.Result) {
+			mem.FetchAndAdd(core, storm, 1, func(atomics.Result) {
 				if measuring && eng.Now() <= end {
 					stormOps++
 				}
@@ -132,7 +133,7 @@ func stormAndVictim(m *machine.Machine, o Options) (stormMops, victimLatNs, stal
 		if eng.Now() >= end {
 			return
 		}
-		mem.FetchAndAdd(core, victimLine, 1, func(r atomics.Result) {
+		mem.FetchAndAdd(core, victim, 1, func(r atomics.Result) {
 			if measuring && eng.Now() <= end {
 				victimSum += r.Latency
 				victimN++

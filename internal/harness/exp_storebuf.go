@@ -118,10 +118,10 @@ func burstThenOrder(m *machine.Machine, check bool) (faaNs, fenceNs float64, err
 		}
 		// Warm the hot line on the issuing core so the RFO itself is
 		// local: the measured cost is ordering, not transfer.
-		mem.FetchAndAdd(0, 7, 0, nil)
+		mem.FetchAndAdd(0, mem.Handle(7), 0, nil)
 		eng.Drain()
 		for i := 0; i < 8; i++ {
-			mem.StoreOp(0, coherence.LineID(1000+i*64), 1, nil)
+			mem.StoreOp(0, mem.Handle(coherence.LineID(1000+i*64)), 1, nil)
 		}
 		start := eng.Now()
 		var elapsed sim.Time
@@ -130,7 +130,7 @@ func burstThenOrder(m *machine.Machine, check bool) (faaNs, fenceNs float64, err
 		return elapsed.Nanoseconds(), audit()
 	}
 	faaNs, err = measure(func(mem *atomics.Memory, eng *sim.Engine, done func()) {
-		mem.FetchAndAdd(0, 7, 1, func(atomics.Result) { done() })
+		mem.FetchAndAdd(0, mem.Handle(7), 1, func(atomics.Result) { done() })
 	})
 	if err != nil {
 		return 0, 0, err

@@ -40,7 +40,7 @@ func TestCleanRunIsViolationFree(t *testing.T) {
 	// invalidations, and the value chain all get exercised.
 	for round := 0; round < 5; round++ {
 		for core := 0; core < 4; core++ {
-			sys.Access(core, 1, coherence.RFO, 0, faa, func(coherence.AccessResult) {})
+			sys.Access(core, sys.Handle(1), coherence.RFO, 0, faa, func(coherence.AccessResult) {})
 		}
 		eng.Drain()
 	}
@@ -55,7 +55,7 @@ func TestCleanRunIsViolationFree(t *testing.T) {
 func TestSeededDoubleOwnerCaught(t *testing.T) {
 	run := func() error {
 		eng, sys, chk := checkedSystem(t, nil)
-		sys.Access(0, 1, coherence.RFO, 0, faa, func(coherence.AccessResult) {})
+		sys.Access(0, sys.Handle(1), coherence.RFO, 0, faa, func(coherence.AccessResult) {})
 		eng.Drain()
 		sys.BreakLine(1, 2) // ghost sharer alongside owner 0
 		return chk.Finalize()
@@ -85,10 +85,10 @@ func TestSeededDoubleOwnerCaught(t *testing.T) {
 func TestCorruptedParkedLineCaught(t *testing.T) {
 	eng, sys, chk := checkedSystem(t, nil)
 	sys.SetParking(true)
-	sys.Access(0, 1, coherence.RFO, 0, faa, func(coherence.AccessResult) {})
+	sys.Access(0, sys.Handle(1), coherence.RFO, 0, faa, func(coherence.AccessResult) {})
 	eng.Drain()
 	var spin func(coherence.AccessResult)
-	spin = func(r coherence.AccessResult) { sys.Await(0, 1, 0, 1, nil, spin) }
+	spin = func(r coherence.AccessResult) { sys.Await(0, sys.Handle(1), 0, 1, nil, spin) }
 	spin(coherence.AccessResult{})
 	if eng.Parked() != 1 {
 		t.Fatalf("%d spinners parked, want 1", eng.Parked())

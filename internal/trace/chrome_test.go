@@ -34,7 +34,7 @@ func recordContended(t *testing.T, threads, ops int) *Recorder {
 			if remaining == 0 {
 				return
 			}
-			mem.Do(atomics.FAA, core, hot, 1, 0, func(atomics.Result) { issue(remaining - 1) })
+			mem.Do(atomics.FAA, core, mem.Handle(hot), 1, 0, func(atomics.Result) { issue(remaining - 1) })
 		}
 		left := ops
 		eng.Schedule(sim.Time(i)*sim.Nanosecond, func() { issue(left) })

@@ -26,7 +26,7 @@ func contendedRun(t *testing.T, threads, opsEach int) *Recorder {
 			if n == 0 {
 				return
 			}
-			mem.FetchAndAdd(c, 1, 1, func(atomics.Result) { issue(n - 1) })
+			mem.FetchAndAdd(c, mem.Handle(1), 1, func(atomics.Result) { issue(n - 1) })
 		}
 		issue(opsEach)
 	}
@@ -114,7 +114,7 @@ func TestRecorderCap(t *testing.T) {
 		if n == 0 {
 			return
 		}
-		mem.FetchAndAdd(0, 1, 1, func(atomics.Result) { issue(n - 1) })
+		mem.FetchAndAdd(0, mem.Handle(1), 1, func(atomics.Result) { issue(n - 1) })
 	}
 	issue(50)
 	eng.Drain()
@@ -131,7 +131,7 @@ func TestRecorderFiltersOtherLines(t *testing.T) {
 	}
 	rec := NewRecorder(1, 0)
 	mem.System().SetTracer(rec.Observe)
-	mem.FetchAndAdd(0, 2, 1, nil) // different line
+	mem.FetchAndAdd(0, mem.Handle(2), 1, nil) // different line
 	eng.Drain()
 	if len(rec.Events()) != 0 {
 		t.Fatal("recorded an event for another line")

@@ -48,8 +48,9 @@ type Thread struct {
 	Core int
 	RNG  *sim.RNG
 
-	// lines this thread operates on (shared or private per Mode).
-	lines []coherence.LineID
+	// lines this thread operates on (shared or private per Mode),
+	// resolved for the current run.
+	lines []coherence.Line
 	next  int
 	// state says what the thread's one pending event is (thStart,
 	// thThink, thOp); the fast-forward fingerprint reads it.
@@ -237,6 +238,12 @@ func acquireCell(m *machine.Machine) (*Cell, error) {
 // everything it needs: the next run resets the engine and memory.
 func (c *Cell) Release() {
 	c.drv = nil // an app driver holds its structure: do not keep it alive
+	// Nor its threads' line handles: the next Reset recycles the
+	// entries they point to, and keeps no more than that run touches.
+	for _, th := range c.threads {
+		clear(th.lines)
+		th.lines = th.lines[:0]
+	}
 	p := c.pool
 	p.mu.Lock()
 	p.free = append(p.free, c)

@@ -252,7 +252,9 @@ func (c *Cell) memoSetup() {
 	m.values = c.cfg.Primitive == atomics.CAS || c.cfg.Primitive == atomics.CAS2
 	m.lines = m.lines[:0]
 	for _, th := range c.threads[:c.cfg.Threads] {
-		m.lines = append(m.lines, th.lines...)
+		for _, h := range th.lines {
+			m.lines = append(m.lines, h.ID())
+		}
 		if c.cfg.Mode != LowContention {
 			break
 		}

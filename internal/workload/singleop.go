@@ -106,6 +106,7 @@ func MeasureStateLatencyChecked(m *machine.Machine, p atomics.Primitive, st Line
 // from core 0 and returns the latency, once the probe passes audit.
 func measureState(m *machine.Machine, eng *sim.Engine, mem *atomics.Memory, audit func() error, p atomics.Primitive, st LineState) (sim.Time, error) {
 	const line coherence.LineID = 77
+	h := mem.Handle(line)
 	measured, sameSocket, otherSocket := 0, m.CoresPerSocket/2, -1
 	if m.Sockets > 1 {
 		otherSocket = m.CoresPerSocket + m.CoresPerSocket/2
@@ -113,7 +114,7 @@ func measureState(m *machine.Machine, eng *sim.Engine, mem *atomics.Memory, audi
 
 	doOp := func(core int, prim atomics.Primitive) atomics.Result {
 		var out atomics.Result
-		mem.Do(prim, core, line, 1, 2, func(r atomics.Result) { out = r })
+		mem.Do(prim, core, h, 1, 2, func(r atomics.Result) { out = r })
 		eng.Drain()
 		return out
 	}

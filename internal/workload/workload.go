@@ -356,21 +356,18 @@ func (c *Cell) startArrivals(th *Thread) {
 	c.eng.Schedule(th.RNG.Exp(c.cfg.OpenLoopInterarrival), arrive)
 }
 
-// linesFor assigns the lines thread i operates on, reusing the thread's
-// line slice. Shared lines start at ID 1; private regions are spaced
-// far apart so home nodes spread.
+// linesFor resolves the lines thread i operates on, reusing the
+// thread's line slice. Shared lines start at ID 1; private regions are
+// spaced far apart so home nodes spread. It runs in Setup, on the reset
+// memory the handles belong to.
 func (c *Cell) linesFor(th *Thread, i int) {
 	out := th.lines[:0]
-	switch c.cfg.Mode {
-	case LowContention:
-		base := coherence.LineID(1_000_000 + i*4096)
-		for j := 0; j < c.cfg.Lines; j++ {
-			out = append(out, base+coherence.LineID(j))
-		}
-	default:
-		for j := 0; j < c.cfg.Lines; j++ {
-			out = append(out, coherence.LineID(1+j))
-		}
+	base := coherence.LineID(1)
+	if c.cfg.Mode == LowContention {
+		base = coherence.LineID(1_000_000 + i*4096)
+	}
+	for j := 0; j < c.cfg.Lines; j++ {
+		out = append(out, c.mem.Handle(base+coherence.LineID(j)))
 	}
 	th.lines = out
 }

@@ -27,7 +27,8 @@ bench() {
 }
 bench ./internal/sim BenchmarkEngineScheduleRun BenchmarkEventHeapPushPop
 bench ./internal/coherence BenchmarkCoherenceAccess BenchmarkCoherenceReadShared \
-	BenchmarkPathCost BenchmarkCoherenceAccessMetricsOff BenchmarkCoherenceAccessMetricsOn
+	BenchmarkPathCost BenchmarkPathCostMetrics BenchmarkCoherenceAccessMetricsOff \
+	BenchmarkCoherenceAccessMetricsOn
 bench ./internal/harness BenchmarkFullCell BenchmarkFullCellMetrics \
 	BenchmarkMemoizedCell BenchmarkAppCell
 
