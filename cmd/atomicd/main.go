@@ -98,7 +98,7 @@ func main() {
 		QueueDepth:  *queue,
 		PerClient:   *perClient,
 		JobDeadline: *deadline,
-		JobRetries:  *retries,
+		JobRetries:  jobRetries(*retries),
 		CellPar:     *par,
 		CellTimeout: *cellTO,
 		CellRetries: *cellRetry,
@@ -168,4 +168,14 @@ func main() {
 func fatal(err error) {
 	fmt.Fprintln(os.Stderr, err)
 	os.Exit(1)
+}
+
+// jobRetries maps the -retries flag onto jobs.Config.JobRetries, where
+// zero asks for the library default (one retry): a flag value of zero
+// means no retry at all.
+func jobRetries(flagValue int) int {
+	if flagValue == 0 {
+		return -1
+	}
+	return flagValue
 }

@@ -23,10 +23,11 @@
 // (internal/atomics drives Access). serviceCost implements the same
 // per-state transfer table MODEL.md §1 states and §2 takes
 // expectations over — F7 holds simulator and model against each
-// other. The system is the one place accesses are counted: Stats
-// counts them by source as they are issued, and the ledger (Classes)
-// counts each completed one by provenance class, which energy and the
-// window's metrics read when a measured window closes. Optional
+// other. The system is the one place accesses are counted: the ledger
+// (Classes) counts each completed one by provenance class, which
+// energy reads when a measured window closes, and Stats folds the
+// ledger and the accesses still in flight into per-source counters,
+// which the window's metrics read. Optional
 // per-event instrumentation — queueing histograms and occupancy —
 // hooks into internal/metrics via InstallMetrics; with no registry
 // installed the handles are nil and the access path is unchanged.
@@ -285,7 +286,9 @@ type request struct {
 
 // reqPhase is where a request is in its life: pooled, waiting in a line
 // queue, granted and in service, or on one of the fast paths that
-// schedule their completion at issue. Only the cycle key reads it.
+// schedule their completion at issue. The cycle key reads it, and so
+// does Stats, which counts every phase from reqService on: those
+// requests are issued and priced but not yet in the ledger.
 type reqPhase uint8
 
 const (
@@ -419,12 +422,11 @@ type System struct {
 	tracer func(TraceEvent)
 	aud    Auditor // nil unless invariant checking is installed
 
-	// Hot-path lookup tables, built once at NewSystem time: the dense
-	// topology replaces per-message routing arithmetic with array reads,
-	// and nodeOf caches the core-to-node map so accesses never call back
-	// into the machine description. thops/tcross/tn are the dense
-	// topology's raw matrices, indexed a*tn+b without range checks.
-	topo   *topology.Dense
+	// Hot-path lookup tables, built once at NewSystem time so accesses
+	// never call back into the topology or the machine description:
+	// thops and tcross are the hop counts and cross-socket flags of
+	// every node pair, indexed a*tn+b without range checks, and nodeOf
+	// is the core-to-node map.
 	thops  []int32
 	tcross []bool
 	tn     int
@@ -454,15 +456,9 @@ type System struct {
 	parking bool
 	parked  []parkedSpin
 
-	// Stats counters (cheap, always on).
-	nAccesses   uint64
-	nLocal      uint64
-	nRemote     uint64
-	nLLC        uint64
-	nDRAM       uint64
+	// The counters Stats cannot read off the ledger: invalidating RFOs
+	// granted and the longest line queue seen.
 	nInvals     uint64
-	totalHops   uint64
-	nCrossSock  uint64
 	maxQueueLen int
 	// classes is the access ledger: completed accesses per provenance
 	// class (ClassOf), sized at NewSystem for the longest transaction
@@ -481,22 +477,26 @@ type System struct {
 	mOccDir  *metrics.Vector
 	mOccLine *metrics.Vector
 	mOccLink *metrics.Vector
-	// occLegs attributes per-link busy time when the bandwidth network
-	// is off. It is built the first time a registry is installed on a
-	// routable topology and kept across Reset (it is immutable
-	// precomputed state, like the dense hop tables); nil otherwise.
+	// occLegs lists the links between every node pair: the bandwidth
+	// network's routes, built with it, and otherwise the per-link busy
+	// time attribution of a metrics registry, built the first time one
+	// is installed on a routable topology. It is kept across Reset (it
+	// is immutable precomputed state, like the hop tables); nil on a
+	// topology that cannot enumerate links.
 	occLegs *linkLegs
 }
 
 // linkLegs lists the links a message crosses between every (source,
-// destination) node pair, in one flat array, and the busy time crossing
-// each link charges it.
+// destination) node pair, in one flat array, and the time crossing
+// each link takes: the bandwidth network's transit time, and the busy
+// time metrics-on attribution charges the link.
 type linkLegs struct {
 	// at indexes links: the pair (a, b)'s links are
 	// links[at[a*tn+b]:at[a*tn+b+1]], in order.
 	at    []int32
 	links []int32
-	// busy is each link's charge: HopLatency times its transit multiple.
+	// busy is each link's crossing time: HopLatency times its transit
+	// multiple.
 	busy []uint64
 }
 
@@ -521,15 +521,26 @@ func NewSystem(eng *sim.Engine, p Params, arb Arbiter) (*System, error) {
 	for c := range nodeOf {
 		nodeOf[c] = p.NodeOf(c)
 	}
+	n := p.Topo.Nodes()
 	s := &System{
 		eng:    eng,
 		p:      p,
 		lines:  make(map[LineID]*lineState),
-		net:    newNetwork(&p),
-		topo:   topology.NewDense(p.Topo),
+		thops:  make([]int32, n*n),
+		tcross: make([]bool, n*n),
+		tn:     n,
 		nodeOf: nodeOf,
 	}
-	s.thops, s.tcross, s.tn = s.topo.Tables()
+	for a := 0; a < n; a++ {
+		for b := 0; b < n; b++ {
+			s.thops[a*n+b] = int32(p.Topo.Hops(a, b))
+			s.tcross[a*n+b] = p.Topo.CrossSocket(a, b)
+		}
+	}
+	if p.LinkOccupancy > 0 {
+		s.occLegs = newLinkLegs(p.Topo.(topology.Router), n, p.HopLatency)
+		s.net = newNetwork(s.occLegs, p.LinkOccupancy)
+	}
 	s.classes = make([]uint64, ClassOf(SrcDRAM, 3*int(slices.Max(s.thops)), true)+1)
 	s.SetArbiter(arb)
 	return s, nil
@@ -592,7 +603,7 @@ func (s *System) pathCost(proc sim.Time, nodes [4]int, n int) (total sim.Time, h
 	now := s.eng.Now()
 	t := now
 	for i := 1; i < n; i++ {
-		t += s.net.transit(t, nodes[i-1], nodes[i])
+		t += s.net.transit(t, nodes[i-1]*s.tn+nodes[i])
 		if i == 1 {
 			t += proc
 		}
@@ -647,7 +658,7 @@ func (s *System) InstallMetrics(r *metrics.Registry) {
 	s.mOccDir = r.Vector(metrics.CohDirBusy, s.tn)
 	s.mOccLine = r.Vector(metrics.CohLineBusy, maxTrackedLines)
 	if s.net != nil {
-		s.mOccLink = r.Vector(metrics.CohLinkBusy, s.net.router.Links())
+		s.mOccLink = r.Vector(metrics.CohLinkBusy, len(s.occLegs.busy))
 		s.net.mOccLink = s.mOccLink
 		return
 	}
@@ -782,8 +793,6 @@ func (s *System) access(core int, l *lineState, kind Kind, hold sim.Time, apply 
 	// change under a local shared copy without invalidating it first,
 	// and invalidations queue behind in-flight completions).
 	if kind == Read && (l.owner == core || l.sharers.has(core)) {
-		s.nAccesses++
-		s.nLocal++
 		req := s.getReq()
 		req.core, req.kind, req.done, req.line = core, kind, done, l
 		req.phase, req.owner = reqFast, s.eng.Owner()
@@ -835,16 +844,6 @@ func (s *System) access(core int, l *lineState, kind Kind, hold sim.Time, apply 
 		// Even a pipelined read occupies the home agent for its lookup.
 		s.mOccDir.Add(l.home, uint64(s.p.DirLookup))
 		l.sharers.add(core)
-		s.nAccesses++
-		if res.Source == SrcLLC {
-			s.nLLC++
-		} else {
-			s.nRemote++
-			if res.CrossSocket {
-				s.nCrossSock++
-			}
-		}
-		s.totalHops += uint64(res.Hops)
 		res.Latency = cost
 		res.Value = l.value // observed at issue, like the L1 fast path
 		req := s.getReq()
@@ -918,17 +917,14 @@ func (s *System) SetParking(on bool) { s.parking = on }
 // a write to it, EvictPrivate — and the chain's pending tick becomes
 // the real completion of its last re-read, which delivers seen to done
 // at the very (time, sequence) place the unparked run delivers it.
-// Until then each tick's re-read is credited to the access counters,
-// the ledger's class 0 and, when loads is non-nil, *loads — settled
-// exactly at every Stats and Classes call and on waking
-// (SettleParked).
+// Until then each tick's re-read is credited to the ledger's class 0
+// and, when loads is non-nil, *loads — settled exactly at every Stats
+// and Classes call and on waking (SettleParked).
 func (s *System) Await(core int, h Line, hold sim.Time, seen uint64, loads *uint64, done func(AccessResult)) {
 	l := h.l
 	if s.parking && s.tracer == nil && core >= 0 && core < s.p.NumCores {
 		if l.value == seen && (l.owner == core || l.sharers.has(core)) {
 			if pid, ok := s.eng.Park(s.eng.Owner(), s.p.L1Hit); ok {
-				s.nAccesses++
-				s.nLocal++
 				req := s.getReq()
 				req.core, req.kind, req.done, req.line = core, Read, done, l
 				req.phase, req.owner = reqParked, s.eng.Owner()
@@ -943,9 +939,8 @@ func (s *System) Await(core int, h Line, hold sim.Time, seen uint64, loads *uint
 }
 
 // SettleParked credits every parked spinner's re-reads issued so far —
-// one per tick its chain has dispatched — to the access counters, the
-// ledger's class 0 (each tick completes one local hit) and the
-// spinner's load counter. Stats and Classes settle first; a caller
+// one per tick its chain has dispatched — to the ledger's class 0 (each
+// tick completes one local hit) and the spinner's load counter. Stats and Classes settle first; a caller
 // reading a load counter directly settles before it does.
 func (s *System) SettleParked() {
 	for i := range s.parked {
@@ -958,7 +953,7 @@ func (s *System) SettleParked() {
 // Each such tick completed one re-read and stands for the identical
 // re-read issued at t; a caller whose loop stops issuing at t (a
 // workload loop at the end of its window) takes those back from the
-// access counters.
+// Stats it read.
 func (s *System) ParkedIssuedAt(t sim.Time) uint64 {
 	var n uint64
 	for _, r := range s.parked {
@@ -974,8 +969,6 @@ func (s *System) ParkedIssuedAt(t sim.Time) uint64 {
 func (s *System) creditParked(r *parkedSpin, ticks uint64) {
 	d := ticks - r.credited
 	r.credited = ticks
-	s.nAccesses += d
-	s.nLocal += d
 	s.classes[0] += d
 	if r.loads != nil {
 		*r.loads += d
@@ -1132,15 +1125,11 @@ func (s *System) serviceCost(l *lineState, req *request) sim.Time {
 		// Requester already owns the line (M or E): pure cache hit.
 		// An RFO upgrade from E to M is silent.
 		res.Source = SrcLocal
-		s.nLocal++
-		s.nAccesses++
 		return s.p.L1Hit
 
 	case req.kind == Read && l.sharers.has(c):
 		// Shared hit that raced with a queued service; still local.
 		res.Source = SrcLocal
-		s.nLocal++
-		s.nAccesses++
 		return s.p.L1Hit
 
 	case l.owner >= 0:
@@ -1152,14 +1141,10 @@ func (s *System) serviceCost(l *lineState, req *request) sim.Time {
 		cross := s.tcross[cNode*s.tn+oNode]
 		if cross {
 			cost += s.p.CrossSocketPenalty
-			s.nCrossSock++
 		}
 		res.Source = SrcRemoteCache
 		res.Hops = hops
 		res.CrossSocket = cross
-		s.nRemote++
-		s.nAccesses++
-		s.totalHops += uint64(hops)
 		return cost
 
 	case l.valid:
@@ -1181,9 +1166,6 @@ func (s *System) serviceCost(l *lineState, req *request) sim.Time {
 		}
 		res.Source = SrcLLC
 		res.Hops = hops
-		s.nLLC++
-		s.nAccesses++
-		s.totalHops += uint64(hops)
 		return cost
 
 	default:
@@ -1193,9 +1175,6 @@ func (s *System) serviceCost(l *lineState, req *request) sim.Time {
 		cost, hops := s.pathCost(s.p.DirLookup+s.p.DRAM, [4]int{cNode, l.home, cNode}, 3)
 		res.Source = SrcDRAM
 		res.Hops = hops
-		s.nDRAM++
-		s.nAccesses++
-		s.totalHops += uint64(hops)
 		return cost
 	}
 }
@@ -1257,7 +1236,10 @@ func (s *System) finish(l *lineState, core int, kind Kind, res *AccessResult, do
 	}
 }
 
-// Stats is a snapshot of system-wide coherence counters.
+// Stats is a snapshot of system-wide coherence counters. Its access
+// counts cover every access issued on a fast path or granted, whether
+// it has completed yet or not; an access still waiting in a line's
+// queue is not counted yet.
 type Stats struct {
 	Accesses    uint64
 	LocalHits   uint64
@@ -1273,26 +1255,52 @@ type Stats struct {
 	LinkStall sim.Time
 }
 
+// rowLen is the number of ledger classes per hop count: each source,
+// within the socket and across it (ClassOf).
+const rowLen = 2 * numSources
+
 // Stats returns a snapshot of the counters, with the re-reads of
-// parked spinners settled (SettleParked) first.
+// parked spinners settled (SettleParked) first. The access counts are
+// read off the ledger, one hop row at a time, plus every request in
+// service, on a fast path or parked, whose result already names its
+// class.
 func (s *System) Stats() Stats {
 	s.SettleParked()
-	var stall sim.Time
+	st := Stats{Invals: s.nInvals, MaxQueueLen: s.maxQueueLen}
 	if s.net != nil {
-		stall = s.net.Stalled()
+		st.LinkStall = s.net.Stalled()
 	}
-	return Stats{
-		LinkStall:   stall,
-		Accesses:    s.nAccesses,
-		LocalHits:   s.nLocal,
-		RemoteXfers: s.nRemote,
-		LLCFills:    s.nLLC,
-		DRAMFills:   s.nDRAM,
-		Invals:      s.nInvals,
-		TotalHops:   s.totalHops,
-		CrossSocket: s.nCrossSock,
-		MaxQueueLen: s.maxQueueLen,
+	for i, hops := 0, uint64(0); i < len(s.classes); i, hops = i+rowLen, hops+1 {
+		r := (*[rowLen]uint64)(s.classes[i:])
+		local, remote, llc, dram := r[0]+r[1], r[2]+r[3], r[4]+r[5], r[6]+r[7]
+		st.LocalHits += local
+		st.RemoteXfers += remote
+		st.LLCFills += llc
+		st.DRAMFills += dram
+		st.CrossSocket += r[1] + r[3] + r[5] + r[7]
+		st.TotalHops += hops * (local + remote + llc + dram)
 	}
+	for _, r := range s.allReqs {
+		if r.phase < reqService {
+			continue
+		}
+		switch r.res.Source {
+		case SrcLocal:
+			st.LocalHits++
+		case SrcRemoteCache:
+			st.RemoteXfers++
+		case SrcLLC:
+			st.LLCFills++
+		case SrcDRAM:
+			st.DRAMFills++
+		}
+		st.TotalHops += uint64(r.res.Hops)
+		if r.res.CrossSocket {
+			st.CrossSocket++
+		}
+	}
+	st.Accesses = st.LocalHits + st.RemoteXfers + st.LLCFills + st.DRAMFills
+	return st
 }
 
 // Sub returns the counter delta from the earlier snapshot b to st.
@@ -1335,27 +1343,23 @@ func (s *System) Classes() []uint64 {
 	return s.classes
 }
 
-// AddScaledStats adds k copies of the counter delta d and of the
-// ledger delta classes — the hook the steady-state cycle memoizer
+// Invals returns the invalidating RFOs granted so far.
+func (s *System) Invals() uint64 { return s.nInvals }
+
+// MaxQueueLen returns the longest line queue seen so far.
+func (s *System) MaxQueueLen() int { return s.maxQueueLen }
+
+// AddScaled adds k copies of the ledger delta classes and of invals
+// invalidations — the hook the steady-state cycle memoizer
 // (internal/workload) uses to credit the accesses of elided cycles
-// exactly as if they had been simulated. MaxQueueLen is a maximum, not
-// an accumulator, so it is untouched; a periodic schedule cannot raise
-// it past the recorded cycle's value.
-func (s *System) AddScaledStats(d Stats, classes []uint64, k uint64) {
+// exactly as if they had been simulated. Every other Stats counter is
+// read off the ledger and the requests in flight, or is a maximum a
+// periodic schedule cannot raise past the recorded cycle's value.
+func (s *System) AddScaled(classes []uint64, invals, k uint64) {
 	for c, n := range classes {
 		s.classes[c] += n * k
 	}
-	s.nAccesses += d.Accesses * k
-	s.nLocal += d.LocalHits * k
-	s.nRemote += d.RemoteXfers * k
-	s.nLLC += d.LLCFills * k
-	s.nDRAM += d.DRAMFills * k
-	s.nInvals += d.Invals * k
-	s.totalHops += d.TotalHops * k
-	s.nCrossSock += d.CrossSocket * k
-	if d.LinkStall != 0 && s.net != nil {
-		s.net.stalled += d.LinkStall * sim.Time(k)
-	}
+	s.nInvals += invals * k
 }
 
 // ShiftInFlight translates the issue timestamp of every live request by
@@ -1605,9 +1609,7 @@ func (s *System) Reset() {
 		r.res = AccessResult{}
 		s.reqPool = append(s.reqPool, r)
 	}
-	s.nAccesses, s.nLocal, s.nRemote, s.nLLC, s.nDRAM = 0, 0, 0, 0, 0
-	s.nInvals, s.totalHops, s.nCrossSock = 0, 0, 0
-	s.maxQueueLen = 0
+	s.nInvals, s.maxQueueLen = 0, 0
 	clear(s.classes)
 	s.mQueueDepth, s.mQueuedBehind = nil, nil
 	// occLegs survives: it is immutable precomputed topology state.

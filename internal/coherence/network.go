@@ -3,22 +3,20 @@ package coherence
 import (
 	"atomicsmodel/internal/metrics"
 	"atomicsmodel/internal/sim"
-	"atomicsmodel/internal/topology"
 )
 
 // network models finite interconnect bandwidth. When enabled (the
-// params' LinkOccupancy > 0 and the topology is a topology.Router),
+// params' LinkOccupancy > 0, which needs a topology.Router),
 // every coherence message reserves each link it crosses for
 // LinkOccupancy — so a storm on one line delays traffic on every line
 // sharing those links, the cross-line interference infinite-bandwidth
 // simulation misses.
 type network struct {
-	router    *topology.DenseRouter
+	// legs lists the links of every node pair's route, and the transit
+	// time across each link (hop latency times its transit weight), so
+	// the per-message loop is pure table reads.
+	legs      *linkLegs
 	occupancy sim.Time
-	// linkTime[l] is the transit time across link l (hop latency times
-	// the link's transit weight), precomputed so the per-message loop is
-	// pure table reads.
-	linkTime []sim.Time
 	// free[l] is the instant link l next becomes available.
 	free []sim.Time
 	// stalled accumulates total time messages waited for busy links.
@@ -29,45 +27,29 @@ type network struct {
 	mOccLink *metrics.Vector
 }
 
-// newNetwork returns nil when bandwidth modeling is off (zero occupancy
-// or a topology that cannot enumerate links).
-func newNetwork(p *Params) *network {
-	if p.LinkOccupancy <= 0 {
-		return nil
-	}
-	r, ok := p.Topo.(topology.Router)
-	if !ok {
-		return nil
-	}
-	dr := topology.NewDenseRouter(r)
-	linkTime := make([]sim.Time, dr.Links())
-	for l := range linkTime {
-		linkTime[l] = p.HopLatency * sim.Time(dr.LinkTransit(l))
-	}
-	return &network{
-		router:    dr,
-		occupancy: p.LinkOccupancy,
-		linkTime:  linkTime,
-		free:      make([]sim.Time, dr.Links()),
-	}
+// newNetwork models finite bandwidth over the routes legs lists, each
+// message reserving every link it crosses for occupancy.
+func newNetwork(legs *linkLegs, occupancy sim.Time) *network {
+	return &network{legs: legs, occupancy: occupancy, free: make([]sim.Time, len(legs.busy))}
 }
 
-// transit sends one message from node a to node b starting at time at;
-// it reserves each link in order and returns the transit delay (arrival
-// minus at). With no contention the delay is Hops(a,b)*HopLatency,
-// identical to the closed-form cost. The link sequence is an interned
-// read-only path from the dense router — no per-message allocation.
-func (nw *network) transit(at sim.Time, a, b int) sim.Time {
+// transit sends one message along leg, the index of its (source,
+// destination) node pair in legs, starting at time at; it reserves each
+// link in order and returns the transit delay (arrival minus at). With
+// no contention the delay is the pair's hops times HopLatency,
+// identical to the closed-form cost.
+func (nw *network) transit(at sim.Time, leg int) sim.Time {
+	o := nw.legs
 	t := at
-	for _, l := range nw.router.Path(a, b) {
+	for _, l := range o.links[o.at[leg]:o.at[leg+1]] {
 		start := t
 		if nw.free[l] > start {
 			nw.stalled += nw.free[l] - start
 			start = nw.free[l]
 		}
 		nw.free[l] = start + nw.occupancy
-		nw.mOccLink.Add(l, uint64(nw.occupancy))
-		t = start + nw.linkTime[l]
+		nw.mOccLink.Add(int(l), uint64(nw.occupancy))
+		t = start + sim.Time(o.busy[l])
 	}
 	return t - at
 }

@@ -62,7 +62,8 @@ type Config struct {
 	JobDeadline time.Duration
 	// JobRetries is how many times a failed job execution is retried
 	// with capped exponential backoff and jitter before the job fails
-	// terminally (default 1). Deadline-exceeded jobs never retry.
+	// terminally (default 1; negative means no retry). Deadline-exceeded
+	// jobs never retry.
 	JobRetries int
 	// CellPar caps concurrent cells inside one job (default GOMAXPROCS,
 	// via the harness).

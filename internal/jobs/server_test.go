@@ -280,6 +280,28 @@ func TestServerPanicIsolation(t *testing.T) {
 	resp.Body.Close()
 }
 
+// TestServerJobRetries runs a job whose first cell always panics
+// through the job retry loop: with retries off it fails on its first
+// attempt, with one retry on its second.
+func TestServerJobRetries(t *testing.T) {
+	plan, err := faults.Parse("panic=1@0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct{ retries, attempts int }{{-1, 1}, {1, 2}} {
+		s := newTestServer(t, Config{Faults: plan, JobRetries: c.retries})
+		ts := httptest.NewServer(s.Handler())
+		st, _ := submit(t, ts, quickSpec)
+		got := waitDone(t, ts, st.ID)
+		if got.State != StateFailed || got.Attempt != c.attempts {
+			t.Errorf("JobRetries %d: job ended %s on attempt %d, want failed on attempt %d",
+				c.retries, got.State, got.Attempt, c.attempts)
+		}
+		ts.Close()
+		drain(t, s)
+	}
+}
+
 func TestServerDrainRejectsAndReadyzFlips(t *testing.T) {
 	s := newTestServer(t, Config{})
 	ts := httptest.NewServer(s.Handler())

@@ -101,19 +101,16 @@ type Cell struct {
 	// when it closes (creditParkedLoads).
 	parkLoads bool
 
-	// Per-thread op accounting (record): ops and perOps count measured
-	// operations, total every operation completed over the whole run,
-	// lat their latencies in the window.
-	ops    uint64
+	// Per-thread op accounting (record): perOps counts each thread's
+	// measured operations, total every operation completed over the
+	// whole run, and lat the latencies of the window's attempts — failed
+	// CAS attempts among them, which are attempts but not ops. The
+	// measured ops (Ops) and attempts (lat.Count()) are read off them.
 	total  uint64
 	perOps []uint64
 	lat    *stats.Histogram
-
-	// The primitive driver's own accounting: failed CAS attempts count
-	// as attempts but not ops, and slat times whole CAS retry spans.
-	attempts uint64
-	failures uint64
-	slat     *stats.Histogram
+	// slat times whole CAS retry spans (the primitive driver's).
+	slat *stats.Histogram
 
 	// Measurement-window baselines captured by warmupFn, and the
 	// window's coherence counter delta, read when it closes.
@@ -378,7 +375,7 @@ func runCell(cfg Config, drv Driver, recycle *Result) (*Cell, error) {
 	c.measuring, c.parkLoads = false, false
 	c.endAt = cfg.Warmup + cfg.Duration
 	c.memo.phase, c.memo.jumps = memoOff, 0
-	c.ops, c.total, c.attempts, c.failures = 0, 0, 0, 0
+	c.total = 0
 	c.cohAtMeasure = coherence.Stats{}
 	c.clsAtMeasure = append(c.clsAtMeasure[:0], mem.System().Classes()...)
 	c.procAtMeasure = 0
@@ -509,7 +506,6 @@ func (c *Cell) record(th *Thread, lat sim.Time, ok bool) bool {
 	}
 	c.lat.Record(lat)
 	if ok {
-		c.ops++
 		c.perOps[th.ID]++
 	}
 	return true
@@ -535,8 +531,15 @@ func (c *Cell) Threads() []*Thread { return c.threads[:c.cfg.Threads] }
 // Duration returns the length of the measured window, defaulted.
 func (c *Cell) Duration() sim.Time { return c.cfg.Duration }
 
-// Ops returns the operations completed in the measured window.
-func (c *Cell) Ops() uint64 { return c.ops }
+// Ops returns the operations completed in the measured window: the sum
+// of the per-thread counts.
+func (c *Cell) Ops() uint64 {
+	var n uint64
+	for _, k := range c.perOps {
+		n += k
+	}
+	return n
+}
 
 // TotalOps returns the operations completed over the whole run,
 // warmup included.

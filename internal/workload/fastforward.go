@@ -27,19 +27,24 @@
 //     delta.
 //  2. When the fingerprint recurs, one cycle has been recorded: its
 //     event count, duration, queue-time integral, counter deltas (the
-//     coherence access ledger's class by class among them), and a
-//     running hash of the shapes of its trace events.
+//     per-thread ops, the attempts — the latency histogram's count —
+//     the coherence access ledger class by class and the invalidation
+//     count), and a running hash of the shapes of its trace events.
 //  3. Record a second cycle and require it to match the first exactly
-//     (counters delta-by-delta, ledger class by class, and the shape
-//     hash). Two independent matches plus the state fingerprint rule
-//     out coincidental recurrence.
+//     (counters delta-by-delta, ledger class by class, the longest
+//     line queue unchanged, and the shape hash). Two independent
+//     matches plus the state fingerprint rule out coincidental
+//     recurrence. The cell's ops and failures and the coherence Stats
+//     are readings of these counters (Stats also of the requests in
+//     flight, which the fingerprint pins), so they are never recorded
+//     or scaled themselves.
 //  4. Jump: multiply the integer counter deltas by the number of
-//     whole cycles that fit before the pass's boundary — result
-//     counters, latency histograms, coherence stats and the ledger's
-//     per-class counts (coherence.System.AddScaledStats: one integer
-//     add per class, so the cost does not grow with the cycles
-//     elided, and the energy priced from the ledger is bit-identical
-//     because it sums its classes in a fixed order), and with -metrics
+//     whole cycles that fit before the pass's boundary — per-thread
+//     ops, latency histograms, the ledger's per-class counts and the
+//     invalidation count (coherence.System.AddScaled: one integer add
+//     per class, so the cost does not grow with the cycles elided, and
+//     the energy priced from the ledger is bit-identical because it
+//     sums its classes in a fixed order), and with -metrics
 //     the whole registry (counters, vectors, histograms) and the
 //     engine's queue-time integral — translate every pending event,
 //     in-flight request and CAS span start in time, advance every
@@ -155,24 +160,26 @@ type memoState struct {
 	// latest), so other probes skip the fingerprint.
 	owner int32
 
-	// Baselines captured at the current cycle's start.
+	// Baselines captured at the current cycle's start: attB is the
+	// measured attempts (the latency histogram's count), and clsB,
+	// invB and maxQB the coherence ledger, invalidations and longest
+	// queue.
 	t0          sim.Time
 	p0          uint64
 	qt0         sim.Time
-	opsB, attB  uint64
-	failB       uint64
+	attB        uint64
 	perOpsB     []uint64
-	cohB        coherence.Stats
 	clsB        []uint64
+	invB        uint64
+	maxQB       int
 	latB, slatB *stats.Histogram
 	regB        *metrics.Registry
 
 	// The recorded cycle (filled when the fingerprint first recurs).
-	period            uint64
-	dur, dQT          sim.Time
-	dOps, dAtt, dFail uint64
-	dPerOps           []uint64
-	dCoh              coherence.Stats
+	period     uint64
+	dur, dQT   sim.Time
+	dAtt, dInv uint64
+	dPerOps    []uint64
 	// dCls is the recorded cycle's ledger delta, class by class, and
 	// shapeA and shapeB are the two cycles' running hashes of their
 	// trace events' shapes. Nothing is kept per event, so a long search
@@ -343,10 +350,11 @@ func (c *Cell) memoBase() {
 	for _, th := range c.threads[:c.cfg.Threads] {
 		m.spans = append(m.spans, th.spanStart)
 	}
-	m.opsB, m.attB, m.failB = c.ops, c.attempts, c.failures
+	sys := c.mem.System()
+	m.attB = c.lat.Count()
 	m.perOpsB = append(m.perOpsB[:0], c.perOps...)
-	m.cohB = c.mem.System().Stats()
-	m.clsB = append(m.clsB[:0], c.mem.System().Classes()...)
+	m.clsB = append(m.clsB[:0], sys.Classes()...)
+	m.invB, m.maxQB = sys.Invals(), sys.MaxQueueLen()
 	if m.latB == nil {
 		m.latB, m.slatB = stats.NewHistogram(), stats.NewHistogram()
 	}
@@ -493,18 +501,17 @@ func (c *Cell) probe() {
 		m.period = c.eng.Processed() - m.p0
 		m.dur = c.eng.Now() - m.t0
 		m.dQT = c.eng.QueueTimeIntegral() - m.qt0
-		m.dOps = c.ops - m.opsB
-		m.dAtt = c.attempts - m.attB
-		m.dFail = c.failures - m.failB
+		sys := c.mem.System()
+		m.dAtt = c.lat.Count() - m.attB
 		m.dPerOps = m.dPerOps[:0]
 		for i, b := range m.perOpsB {
 			m.dPerOps = append(m.dPerOps, c.perOps[i]-b)
 		}
-		m.dCoh = c.mem.System().Stats().Sub(m.cohB)
 		m.dCls = m.dCls[:0]
-		for i, n := range c.mem.System().Classes() {
+		for i, n := range sys.Classes() {
 			m.dCls = append(m.dCls, n-m.clsB[i])
 		}
+		m.dInv = sys.Invals() - m.invB
 		m.dVal = c.anchor() - m.a0
 		c.memoBase()
 		m.shapeB = shapeSeed
@@ -521,13 +528,16 @@ func (c *Cell) memoJump() {
 	eng, sys := c.eng, c.mem.System()
 	now := eng.Now()
 
+	// The ledger, the invalidations and the longest queue are the
+	// coherence state a jump scales or must leave exact; every other
+	// Stats counter is read off the ledger and the requests in flight,
+	// which the fingerprint pins.
 	ok := eng.Processed()-m.p0 == m.period &&
 		now-m.t0 == m.dur &&
 		eng.QueueTimeIntegral()-m.qt0 == m.dQT &&
-		c.ops-m.opsB == m.dOps &&
-		c.attempts-m.attB == m.dAtt &&
-		c.failures-m.failB == m.dFail &&
-		sys.Stats().Sub(m.cohB) == m.dCoh &&
+		c.lat.Count()-m.attB == m.dAtt &&
+		sys.Invals()-m.invB == m.dInv &&
+		sys.MaxQueueLen() == m.maxQB &&
 		c.anchor()-m.a0 == m.dVal && c.spansRecur(false) &&
 		m.shapeB == m.shapeA &&
 		deltaEqual(c.perOps, m.perOpsB, m.dPerOps) &&
@@ -553,15 +563,12 @@ func (c *Cell) memoJump() {
 		return
 	}
 
-	c.ops += m.dOps * k
-	c.attempts += m.dAtt * k
-	c.failures += m.dFail * k
 	for i := range m.dPerOps {
 		c.perOps[i] += m.dPerOps[i] * k
 	}
 	c.lat.AddScaledDiff(m.latB, k)
 	c.slat.AddScaledDiff(m.slatB, k)
-	sys.AddScaledStats(m.dCoh, m.dCls, k)
+	sys.AddScaled(m.dCls, m.dInv, k)
 	if c.reg != nil {
 		c.reg.AddScaledDiff(m.regB, k)
 	}

@@ -303,25 +303,28 @@ func RunReusing(cfg Config, recycle *Result) (*Result, error) {
 	} else {
 		snap = res.Metrics
 	}
+	// Every measured attempt recorded its latency; the ones that were
+	// not ops are the failed CASes.
+	ops, attempts := c.Ops(), c.lat.Count()
 	*res = Result{
 		Config:         cfg,
-		Ops:            c.ops,
-		Attempts:       c.attempts,
-		Failures:       c.failures,
+		Ops:            ops,
+		Attempts:       attempts,
+		Failures:       attempts - ops,
 		PerThreadOps:   c.perOps,
 		Latency:        c.lat,
 		SuccessLatency: c.slat,
 		MeasuredFor:    cfg.Duration,
-		ThroughputMops: stats.Throughput(c.ops, cfg.Duration) / 1e6,
+		ThroughputMops: stats.Throughput(ops, cfg.Duration) / 1e6,
 		Jain:           stats.JainIndex(c.perOps),
 		CoV:            stats.CoV(c.perOps),
 		MinMax:         stats.MinMaxRatio(c.perOps),
 		Energy: energy.NewReport(cfg.Machine, c.mem.System().Classes(), c.clsAtMeasure,
-			cfg.Duration, cfg.Threads, coresUsed, c.ops),
+			cfg.Duration, cfg.Threads, coresUsed, ops),
 		Coh: c.coh,
 	}
 	if reg != nil {
-		reg.Counter(metrics.WorkCASFailures).Add(c.failures)
+		reg.Counter(metrics.WorkCASFailures).Add(res.Failures)
 		reg.Counter(metrics.SimQueueTime).Add(uint64(eng.QueueTimeIntegral() - c.qtAtMeasure))
 		reg.Counter(metrics.WorkWindow).Add(uint64(cfg.Duration))
 		if snap == nil {
@@ -438,8 +441,6 @@ func (c *Cell) creditParkedLoads() {
 		c.total += th.loads
 		n += d
 	}
-	c.ops += n
-	c.attempts += n
 	sys := c.mem.System()
 	c.lat.RecordN(sys.Params().L1Hit, n)
 	end := sys.ParkedIssuedAt(c.endAt)
@@ -453,14 +454,8 @@ func (c *Cell) creditParkedLoads() {
 
 // complete records one finished attempt and schedules the next step.
 func (c *Cell) complete(th *Thread, res atomics.Result, ok bool) {
-	if c.record(th, res.Latency, ok) {
-		c.attempts++
-		if !ok {
-			c.failures++
-		}
-		if ok && th.inSpan {
-			c.slat.Record(c.eng.Now() - th.spanStart)
-		}
+	if c.record(th, res.Latency, ok) && ok && th.inSpan {
+		c.slat.Record(c.eng.Now() - th.spanStart)
 	}
 	if ok {
 		th.inSpan = false

@@ -1,8 +1,9 @@
 #!/bin/sh
 # Runs a fixed list of the root module's Go benchmarks — the layer
-# numbers of ROADMAP.md: an engine event, a coherence access, a full
-# workload cell, a memoized or parked F3 cell and an app cell — N times
-# each (go test -count N) and writes each one's median and spread to a
+# numbers of ROADMAP.md: an engine event, a coherence access and the
+# Stats fold over a preset machine's ledger, a full workload cell, a
+# memoized or parked F3 cell and an app cell — N times each (go test
+# -count N) and writes each one's median and spread to a
 # JSON file: ns/op as the median, the quartiles, the minimum and the
 # maximum of the N runs, and B/op and allocs/op as medians. It is a
 # tool, not a gate: nothing reads the file back. The host's noise is
@@ -28,7 +29,7 @@ bench() {
 bench ./internal/sim BenchmarkEngineScheduleRun BenchmarkEventHeapPushPop
 bench ./internal/coherence BenchmarkCoherenceAccess BenchmarkCoherenceReadShared \
 	BenchmarkPathCost BenchmarkPathCostMetrics BenchmarkCoherenceAccessMetricsOff \
-	BenchmarkCoherenceAccessMetricsOn
+	BenchmarkCoherenceAccessMetricsOn BenchmarkCoherenceStats
 bench ./internal/harness BenchmarkFullCell BenchmarkFullCellMetrics \
 	BenchmarkMemoizedCell BenchmarkAppCell
 
