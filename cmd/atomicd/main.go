@@ -59,7 +59,6 @@ func main() {
 		retries   = flag.Int("retries", 1, "job retry attempts after a failure (capped exponential backoff with jitter)")
 		par       = flag.Int("par", runtime.NumCPU(), "max concurrent simulation cells per job")
 		cellTO    = flag.Duration("celltimeout", 0, "wall-clock watchdog deadline per simulation cell (0 = none)")
-		cellRetry = flag.Int("cellretries", 0, "extra attempts for a failed cell before giving up")
 		drainTO   = flag.Duration("draintimeout", 2*time.Minute, "max time to let accepted jobs finish on SIGTERM before exiting anyway")
 		faultSpec = flag.String("faults", "", "fault drills: cell faults (jitter=PCT,...) plus the daemon hook crash=N (hard-exit after N completed cells)")
 		checkDir  = flag.String("checkjournal", "", "validate a run directory's job journal, print a summary, and exit")
@@ -101,7 +100,6 @@ func main() {
 		JobRetries:  jobRetries(*retries),
 		CellPar:     *par,
 		CellTimeout: *cellTO,
-		CellRetries: *cellRetry,
 		Faults:      plan,
 		Log:         logger,
 	})

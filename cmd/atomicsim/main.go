@@ -22,8 +22,8 @@
 //	atomicsim -checkmanifest run/ # validate a run directory and exit
 //	atomicsim -check              # audit coherence/engine invariants per cell
 //	atomicsim -faults jitter=10   # inject deterministic faults (see -faults below)
-//	atomicsim -celltimeout 30s    # watchdog: fail cells exceeding the deadline
-//	atomicsim -cellretries 2      # retry failed cells before giving up
+//	atomicsim -celltimeout 30s    # watchdog: fail cells exceeding the deadline;
+//	                              # rerun with -resume to compute only those cells
 package main
 
 import (
@@ -53,7 +53,6 @@ func main() {
 
 		faultSpec   = flag.String("faults", "", "inject deterministic faults: comma-separated seed=N,jitter=PCT,panic=N[@CELL],casfail=N,sleep=DUR@CELL")
 		cellTimeout = flag.Duration("celltimeout", 0, "wall-clock watchdog deadline per simulation cell (0 = none)")
-		cellRetries = flag.Int("cellretries", 0, "extra attempts for a failed cell before giving up")
 	)
 	flag.Parse()
 
@@ -85,7 +84,7 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	opts.Faults, opts.CellTimeout, opts.CellRetries = plan, *cellTimeout, *cellRetries
+	opts.Faults, opts.CellTimeout = plan, *cellTimeout
 	if dir := sweep.ResumeDir(); dir != "" && !*quiet {
 		fmt.Fprintf(os.Stderr, "resume: %d cached cells loaded from %s\n", opts.Cache.Loaded(), dir)
 	}

@@ -132,7 +132,6 @@ const (
 // (for tracing), and the builder RunConfig wires into apps.Run.
 type structureInfo struct {
 	name        string
-	doc         string
 	knobs       int
 	multiSocket bool             // requires Sockets > 1 (lock-cohort)
 	hot         coherence.LineID // most-contended line, for atomictrace
@@ -140,89 +139,90 @@ type structureInfo struct {
 }
 
 // structures is the named-builder registry. Every structure an app
-// spec can name lives here; the F-experiments and the CLIs resolve
-// builders through it rather than hard-coding constructors.
+// spec can name lives here, under a one-line description; the
+// F-experiments and the CLIs resolve builders through it rather than
+// hard-coding constructors.
 var structures = map[string]*structureInfo{
+	// shared counter, fetch-and-add increments
 	"counter-faa": {
-		doc: "shared counter, fetch-and-add increments",
 		hot: counterLine,
 		build: func(d *Spec, m *machine.Machine, eng *sim.Engine, mem *atomics.Memory) App {
 			return NewFAACounter(mem)
 		},
 	},
+	// shared counter, CAS retry-loop increments
 	"counter-cas": {
-		doc: "shared counter, CAS retry-loop increments",
 		hot: counterLine,
 		build: func(d *Spec, m *machine.Machine, eng *sim.Engine, mem *atomics.Memory) App {
 			return NewCASCounter(mem)
 		},
 	},
+	// striped counter: FAA a per-thread stripe, reads sweep all stripes
 	"counter-striped": {
-		doc:   "striped counter: FAA a per-thread stripe, reads sweep all stripes",
 		knobs: knobStripes | knobReadFraction,
 		hot:   stripeBase,
 		build: func(d *Spec, m *machine.Machine, eng *sim.Engine, mem *atomics.Memory) App {
 			return NewStripedCounter(mem, d.Stripes, d.ReadFraction)
 		},
 	},
+	// Treiber lock-free stack, 50/50 push-pop
 	"treiber-stack": {
-		doc:   "Treiber lock-free stack, 50/50 push-pop",
 		knobs: knobDepth,
 		hot:   topLine,
 		build: func(d *Spec, m *machine.Machine, eng *sim.Engine, mem *atomics.Memory) App {
 			return NewTreiberStack(mem, d.Depth)
 		},
 	},
+	// Treiber stack with an elimination collision array
 	"elimination-stack": {
-		doc:   "Treiber stack with an elimination collision array",
 		knobs: knobDepth | knobSlots | knobWindow,
 		hot:   topLine,
 		build: func(d *Spec, m *machine.Machine, eng *sim.Engine, mem *atomics.Memory) App {
 			return NewEliminationStack(eng, mem, d.Depth, d.Slots, d.WindowPS)
 		},
 	},
+	// Michael-Scott lock-free queue, 50/50 enqueue-dequeue
 	"ms-queue": {
-		doc:   "Michael-Scott lock-free queue, 50/50 enqueue-dequeue",
 		knobs: knobDepth,
 		hot:   headLine,
 		build: func(d *Spec, m *machine.Machine, eng *sim.Engine, mem *atomics.Memory) App {
 			return NewMSQueue(mem, d.Depth)
 		},
 	},
+	// test-and-set spinlock guarding a critical section
 	"lock-tas": {
-		doc:   "test-and-set spinlock guarding a critical section",
 		knobs: knobCrit,
 		hot:   lockLine,
 		build: func(d *Spec, m *machine.Machine, eng *sim.Engine, mem *atomics.Memory) App {
 			return NewTASLock(eng, mem, d.CritPS)
 		},
 	},
+	// test-and-test-and-set spinlock
 	"lock-ttas": {
-		doc:   "test-and-test-and-set spinlock",
 		knobs: knobCrit,
 		hot:   lockLine,
 		build: func(d *Spec, m *machine.Machine, eng *sim.Engine, mem *atomics.Memory) App {
 			return NewTTASLock(eng, mem, d.CritPS)
 		},
 	},
+	// TTAS spinlock with exponential backoff
 	"lock-ttas-backoff": {
-		doc:   "TTAS spinlock with exponential backoff",
 		knobs: knobCrit | knobBackoff,
 		hot:   lockLine,
 		build: func(d *Spec, m *machine.Machine, eng *sim.Engine, mem *atomics.Memory) App {
 			return NewTTASBackoffLock(eng, mem, d.CritPS, d.BackoffBasePS, d.BackoffMaxPS)
 		},
 	},
+	// FIFO ticket lock (FAA ticket, spin on serving)
 	"lock-ticket": {
-		doc:   "FIFO ticket lock (FAA ticket, spin on serving)",
 		knobs: knobCrit,
 		hot:   servingLine,
 		build: func(d *Spec, m *machine.Machine, eng *sim.Engine, mem *atomics.Memory) App {
 			return NewTicketLock(eng, mem, d.CritPS)
 		},
 	},
+	// cohort lock: per-socket TAS under a global CAS (multi-socket machines only)
 	"lock-cohort": {
-		doc:         "cohort lock: per-socket TAS under a global CAS (multi-socket machines only)",
 		knobs:       knobCrit | knobHandoffs,
 		multiSocket: true,
 		hot:         cohortGlobalLine,
@@ -230,16 +230,16 @@ var structures = map[string]*structureInfo{
 			return NewCohortLock(eng, mem, m.SocketOf, d.CritPS, d.Handoffs)
 		},
 	},
+	// reader-writer lock, central reader-count word
 	"rwlock-central": {
-		doc:   "reader-writer lock, central reader-count word",
 		knobs: knobReadFraction | knobCrit,
 		hot:   rwLockLine,
 		build: func(d *Spec, m *machine.Machine, eng *sim.Engine, mem *atomics.Memory) App {
 			return NewCentralRWLock(eng, mem, d.ReadFraction, d.CritPS)
 		},
 	},
+	// reader-writer lock, per-slot reader announcements (slots 0 = one per thread)
 	"rwlock-distributed": {
-		doc:   "reader-writer lock, per-slot reader announcements (slots 0 = one per thread)",
 		knobs: knobReadFraction | knobCrit | knobSlots,
 		hot:   rwFlagLine,
 		build: func(d *Spec, m *machine.Machine, eng *sim.Engine, mem *atomics.Memory) App {
@@ -250,8 +250,8 @@ var structures = map[string]*structureInfo{
 			return NewDistributedRWLock(eng, mem, slots, d.ReadFraction, d.CritPS)
 		},
 	},
+	// Chase-Lev work-stealing deques, one per thread, random-victim steals
 	"ws-deque": {
-		doc:   "Chase-Lev work-stealing deques, one per thread, random-victim steals",
 		knobs: knobDepth,
 		hot:   dequeTopBase,
 		build: func(d *Spec, m *machine.Machine, eng *sim.Engine, mem *atomics.Memory) App {
@@ -264,8 +264,8 @@ var structures = map[string]*structureInfo{
 			return dq
 		},
 	},
+	// multi-word atomic object: seqlock reads, CAS2-locked updates (words 1 = single-word CAS baseline)
 	"big-atomic": {
-		doc:   "multi-word atomic object: seqlock reads, CAS2-locked updates (words 1 = single-word CAS baseline)",
 		knobs: knobWords | knobReadFraction,
 		hot:   bigAtomicBase,
 		build: func(d *Spec, m *machine.Machine, eng *sim.Engine, mem *atomics.Memory) App {
@@ -292,14 +292,6 @@ func StructureNames() []string {
 	}
 	sort.Strings(out)
 	return out
-}
-
-// StructureDoc returns a structure's one-line description.
-func StructureDoc(name string) string {
-	if info, ok := structures[strings.ToLower(name)]; ok {
-		return info.doc
-	}
-	return ""
 }
 
 // structureByName resolves a structure case-insensitively.

@@ -16,9 +16,6 @@ func TestStructureRegistry(t *testing.T) {
 		t.Fatalf("only %d structures registered: %v", len(names), names)
 	}
 	for _, name := range names {
-		if StructureDoc(name) == "" {
-			t.Errorf("structure %s has no doc", name)
-		}
 		s := &Spec{Structure: strings.ToUpper(name), Threads: 2} // case-insensitive
 		if _, err := structureByName(s.Structure); err != nil {
 			t.Errorf("case-insensitive lookup of %s failed: %v", name, err)

@@ -115,8 +115,9 @@ func (mem *Memory) waitDrained(core int, fn func()) {
 	b.drainWaiters = append(b.drainWaiters, fn)
 }
 
-// PendingStores reports how many stores core has waiting to drain
-// (tests and experiments).
+// PendingStores reports how many stores core has waiting to drain. Only
+// tests call it: it is the store-buffer tests' one view of buffer
+// occupancy, which no operation's result exposes.
 func (mem *Memory) PendingStores(core int) int {
 	if mem.bufDepth == 0 || mem.bufs == nil {
 		return 0

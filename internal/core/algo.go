@@ -127,7 +127,9 @@ func (md *Model) Compose(steps []AlgoStep, cores []int, work sim.Time, retry flo
 // measurement, a FIFO retry loop succeeds once per n attempts, so
 // every Retry step executes n times per operation, and the
 // winner-keeps-winning dynamics of blind retry loops predict a Jain
-// index of 1/n.
+// index of 1/n. Nothing in the module calls it outside tests: it is
+// public API through the root package's Model alias, shown in
+// example_test.go.
 func (md *Model) PredictAlgorithm(steps []AlgoStep, cores []int, work sim.Time) (Prediction, error) {
 	pred, err := md.Compose(steps, cores, work, float64(len(cores)))
 	if err == nil && pred.SuccessRate < 1 {

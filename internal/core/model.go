@@ -43,7 +43,6 @@ import (
 	"atomicsmodel/internal/energy"
 	"atomicsmodel/internal/machine"
 	"atomicsmodel/internal/sim"
-	"atomicsmodel/internal/topology"
 	"atomicsmodel/internal/workload"
 )
 
@@ -92,6 +91,8 @@ func (md *Model) Machine() *machine.Machine { return md.m }
 func (md *Model) Variant() Variant { return md.variant }
 
 // Constants returns the simple-variant constants (zero for Detailed).
+// Nothing in the module calls it outside tests; it stays as public API
+// through the root package's Model alias.
 func (md *Model) Constants() (tLocal, tSame, tCross sim.Time) {
 	return md.tLocal, md.tSame, md.tCross
 }
@@ -337,7 +338,10 @@ func (md *Model) pairEnergyNJ(o, c int) float64 {
 // table). It mirrors the protocol's cost structure; the simple variant
 // substitutes its calibrated constants for the transfer terms. The
 // states and core choices match workload.MeasureStateLatency so
-// predictions and measurements are directly comparable.
+// predictions and measurements are directly comparable. Nothing in the
+// module calls it outside tests; it stays as public API through the
+// root package's Model alias, and as the low-contention model that
+// TestLowLatencyMatchesMeasuredStates holds to the simulator.
 func (md *Model) LowLatency(p atomics.Primitive, st workload.LineState) (sim.Time, error) {
 	if p == atomics.Fence {
 		// A fence never touches the line: its cost is state-independent.
@@ -395,14 +399,4 @@ func (md *Model) LowLatency(p atomics.Primitive, st workload.LineState) (sim.Tim
 		return lat.DirLookup + lat.DRAM + sim.Time(hops)*lat.HopLatency + exec, nil
 	}
 	return 0, fmt.Errorf("core: unknown line state %d", st)
-}
-
-// MeanHopsAmongCores is a convenience re-export used by experiments to
-// report the expected transfer distance of a placement.
-func MeanHopsAmongCores(m *machine.Machine, cores []int) float64 {
-	nodes := make([]int, len(cores))
-	for i, c := range cores {
-		nodes[i] = m.NodeOf(c)
-	}
-	return topology.MeanHopsAmong(m.Topo, nodes)
 }

@@ -335,10 +335,3 @@ func TestPredictDegenerateInputs(t *testing.T) {
 		t.Error("zero threads low contention")
 	}
 }
-
-func TestMeanHopsAmongCores(t *testing.T) {
-	m := machine.XeonE5()
-	if got := MeanHopsAmongCores(m, []int{0, 1}); got != 1 {
-		t.Errorf("adjacent cores mean hops = %v", got)
-	}
-}

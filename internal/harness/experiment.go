@@ -80,12 +80,6 @@ type Options struct {
 	// a hung run. The abandoned cell goroutine is orphaned (simulation
 	// cells cannot be preempted) but writes only to a discarded channel.
 	CellTimeout time.Duration
-	// CellRetries, when positive, retries a failed cell up to this many
-	// extra attempts with a short backoff before giving up; exhausted
-	// retries surface as a *CellRetriedError wrapping the last attempt's
-	// error. Zero (the default) preserves exact single-attempt error
-	// semantics.
-	CellRetries int
 }
 
 // MetricsOn reports whether cell metrics collection is enabled; runners

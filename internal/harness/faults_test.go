@@ -1,14 +1,12 @@
 package harness
 
 import (
-	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -21,7 +19,7 @@ import (
 )
 
 // The tests in this file cover the fault-injection path end to end:
-// watchdog deadlines, bounded retries, injected simulation panics, and
+// watchdog deadlines, single-run failures, injected simulation panics, and
 // the interaction of all of it with the manifest and resume cache.
 
 func TestWatchdogTimesOutHungCell(t *testing.T) {
@@ -54,96 +52,24 @@ func TestWatchdogLeavesFastCellsAlone(t *testing.T) {
 	}
 }
 
-func TestRetryRecoversTransientFailure(t *testing.T) {
+// TestFailedCellRunsOnce: a failing cell's compute runs exactly once
+// and its error comes back unwrapped. Cells are deterministic, so a
+// retry inside the run would only repeat the failure; the retries that
+// reuse finished work are -resume and atomicd's job retry.
+func TestFailedCellRunsOnce(t *testing.T) {
 	o := quickOpts()
 	o.Par = 1
-	o.CellRetries = 2
-	var attempts atomic.Int64
-	res, err := fanout(o, 3, func(i int) (int, error) {
-		if i == 1 && attempts.Add(1) == 1 {
-			return 0, errors.New("transient")
-		}
-		return i, nil
-	})
-	if err != nil {
-		t.Fatalf("transient failure not retried away: %v", err)
-	}
-	if res[1] != 1 || attempts.Load() != 2 {
-		t.Fatalf("res=%v attempts=%d, want a second attempt to succeed", res, attempts.Load())
-	}
-}
-
-func TestRetriesExhaustedReportAttempts(t *testing.T) {
-	o := quickOpts()
-	o.Par = 1
-	o.CellRetries = 2
-	_, err := fanout(o, 2, func(i int) (int, error) {
-		if i == 1 {
-			panic("persistent fault")
-		}
-		return i, nil
-	})
-	var re *CellRetriedError
-	if !errors.As(err, &re) || re.Cell != 1 || re.Attempts != 3 {
-		t.Fatalf("got %v (%T), want CellRetriedError with 3 attempts", err, err)
-	}
-	// The wrapper must not hide the underlying failure mode.
-	var pe *CellPanicError
-	if !errors.As(err, &pe) || pe.Stack == "" {
-		t.Fatalf("underlying panic unreachable through the retry wrapper: %v", err)
-	}
-	if want := "cell 1 failed all 3 attempts, last: cell 1 panicked: persistent fault"; err.Error() != want {
-		t.Fatalf("message %q, want %q", err.Error(), want)
-	}
-}
-
-// TestCanceledRetriesReportAttemptsMade: a context canceled inside the
-// first attempt stops the retries, and the error (and so the
-// manifest's attempts field) counts the one attempt made, not the
-// budget.
-func TestCanceledRetriesReportAttemptsMade(t *testing.T) {
-	o := quickOpts()
-	o.Par = 1
-	o.CellRetries = 3
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	o.Context = ctx
+	boom := errors.New("one-shot failure")
 	calls := 0
-	_, err := fanout(o, 1, func(i int) (int, error) {
-		calls++
-		cancel()
-		return 0, errors.New("failed while canceled")
+	_, err := fanout(o, 2, func(i int) (int, error) {
+		if i == 0 {
+			calls++
+			return 0, boom
+		}
+		return i, nil
 	})
-	var re *CellRetriedError
-	if !errors.As(err, &re) || re.Attempts != 1 || calls != 1 {
-		t.Fatalf("got %v (%T) after %d calls, want CellRetriedError with 1 attempt", err, err, calls)
-	}
-}
-
-// TestZeroRetriesPreserveSingleAttemptErrors: with no retry budget —
-// zero, or a negative value the CLIs pass through unchecked — the cell
-// still runs once and its error comes back unwrapped.
-func TestZeroRetriesPreserveSingleAttemptErrors(t *testing.T) {
-	for _, retries := range []int{0, -1} {
-		o := quickOpts()
-		o.Par = 1
-		o.CellRetries = retries
-		boom := errors.New("one-shot failure")
-		calls := 0
-		_, err := fanout(o, 2, func(i int) (int, error) {
-			if i == 0 {
-				calls++
-				return 0, boom
-			}
-			return i, nil
-		})
-		if !errors.Is(err, boom) || calls != 1 {
-			t.Fatalf("CellRetries %d: err = %v after %d calls, want the original error after 1", retries, err, calls)
-		}
-		var re *CellRetriedError
-		if errors.As(err, &re) {
-			t.Fatalf("CellRetries %d: single-attempt error wrapped in CellRetriedError: %v", retries, err)
-		}
+	if err != boom || calls != 1 {
+		t.Fatalf("err = %v after %d calls, want the original error after 1", err, calls)
 	}
 }
 

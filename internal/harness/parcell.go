@@ -76,27 +76,6 @@ func (e *CellTimeoutError) Error() string {
 	return fmt.Sprintf("cell %d exceeded its %v watchdog deadline", e.Cell, e.Timeout)
 }
 
-// CellRetriedError reports a cell that failed every attempt under
-// Options.CellRetries. It wraps the final attempt's error (errors.As
-// reaches the underlying *CellPanicError or *CellTimeoutError) and
-// records how many attempts were made, so the manifest distinguishes
-// "failed once" from "failed persistently".
-type CellRetriedError struct {
-	// Cell is the failing cell's index.
-	Cell int
-	// Attempts is the number of attempts actually made: 1 + retries,
-	// or fewer when the run's context was canceled in between.
-	Attempts int
-	// Last is the final attempt's error.
-	Last error
-}
-
-func (e *CellRetriedError) Error() string {
-	return fmt.Sprintf("cell %d failed all %d attempts, last: %v", e.Cell, e.Attempts, e.Last)
-}
-
-func (e *CellRetriedError) Unwrap() error { return e.Last }
-
 // CellCanceledError reports a cell that was not run because the option
 // set's context was canceled or its deadline passed before the cell
 // started. The run aborts promptly between cells: cells already
@@ -130,11 +109,6 @@ func (o Options) canceled(i int) *CellCanceledError {
 	}
 	return nil
 }
-
-// cellRetryBackoff is the base backoff between cell retry attempts
-// (attempt k sleeps k × this). It is wall-clock scheduling only and
-// never affects results.
-const cellRetryBackoff = 25 * time.Millisecond
 
 // safeCell runs fn(i), converting a panic into a *CellPanicError.
 func safeCell(i int, fn func(i int) error) (err error) {
@@ -262,7 +236,7 @@ func FanoutKeyed[S, R any](o Options, specs []S, key func(spec S) string, f func
 			}
 		}
 
-		r, err := computeCell(o, i, specs[i], f)
+		r, err := guardedCell(o, i, specs[i], f)
 		if err != nil {
 			o.recordCell(i, k, "", false, start, r, err)
 			return err
@@ -307,40 +281,13 @@ func FanoutKeyed[S, R any](o Options, specs []S, key func(spec S) string, f func
 	return out, nil
 }
 
-// computeCell runs one cell's compute closure under the watchdog and
-// retry policy. Only the compute is guarded — manifest recording and
-// cache writes happen after it returns, so a timed-out cell can never
-// leave a half-written record behind. With CellTimeout and CellRetries
-// both zero this is exactly the old single-attempt panic guard.
-func computeCell[S, R any](o Options, i int, spec S, f func(i int, spec S) (R, error)) (R, error) {
-	for attempts := 1; ; attempts++ {
-		r, err := guardedCell(o, i, spec, f)
-		if err == nil {
-			return r, nil
-		}
-		// The first attempt always runs, whatever CellRetries says. A
-		// canceled run must not burn its remaining attempts: the retry
-		// budget is for transient failures, not for outliving the
-		// caller's deadline.
-		if attempts > o.CellRetries || (o.Context != nil && o.Context.Err() != nil) {
-			var zero R
-			if o.CellRetries > 0 {
-				return zero, &CellRetriedError{Cell: i, Attempts: attempts, Last: err}
-			}
-			return zero, err
-		}
-		// Bounded linear backoff before each retry: enough to let a
-		// transient resource squeeze (the usual cause of a wall-clock
-		// timeout) pass, small enough not to dominate the run.
-		time.Sleep(time.Duration(attempts) * cellRetryBackoff)
-	}
-}
-
 // guardedCell runs f(i, spec) once with panic recovery and, when
-// Options.CellTimeout is set, a wall-clock watchdog. The scheduler-layer
-// sleep fault (faults.Plan.CellSleep) fires inside the guarded region,
-// which is how a hung cell is simulated against the watchdog in tests.
-// On timeout the cell goroutine is abandoned; it holds no shared state
+// Options.CellTimeout is set, a wall-clock watchdog. Only the compute is
+// guarded: manifest recording and cache writes happen after it returns,
+// so a timed-out cell never leaves a half-written record. The
+// scheduler-layer sleep fault (faults.Plan.CellSleep) fires inside the
+// guarded region, which is how a hung cell is simulated against the
+// watchdog in tests. On timeout the cell goroutine is abandoned; it holds no shared state
 // (cells are isolated by construction) and its only write lands in a
 // channel nobody reads.
 func guardedCell[S, R any](o Options, i int, spec S, f func(i int, spec S) (R, error)) (R, error) {
@@ -419,9 +366,6 @@ func (o Options) recordCell(i int, key, digest string, cached bool, start time.T
 	}
 	if err != nil {
 		rec.Error = err.Error()
-		// errors.As reaches through a *CellRetriedError wrapper, so a
-		// cell that panicked or timed out on every attempt is still
-		// marked with its underlying failure mode.
 		var pe *CellPanicError
 		if errors.As(err, &pe) {
 			rec.Panic = true
@@ -434,10 +378,6 @@ func (o Options) recordCell(i int, key, digest string, cached bool, start time.T
 		var ce *CellCanceledError
 		if errors.As(err, &ce) {
 			rec.Canceled = true
-		}
-		var re *CellRetriedError
-		if errors.As(err, &re) {
-			rec.Attempts = re.Attempts
 		}
 	}
 	// Manifest write failures must not corrupt results; they surface

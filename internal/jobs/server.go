@@ -68,10 +68,12 @@ type Config struct {
 	// CellPar caps concurrent cells inside one job (default GOMAXPROCS,
 	// via the harness).
 	CellPar int
-	// CellTimeout/CellRetries forward to the harness cell watchdog and
-	// cell retry policy (defaults: off), the layer below job retries.
+	// CellTimeout forwards to the harness cell watchdog (default: off).
+	// A failed cell is not retried on its own: cells are deterministic,
+	// so the same cell fails the same way again. JobRetries is the one
+	// retry; it replays the cells the failed attempt finished from the
+	// shared cell cache and computes only the rest.
 	CellTimeout time.Duration
-	CellRetries int
 	// Faults arms the daemon fault hooks (crash-after-N-cells) and, when
 	// simulation-layer faults are present, forwards them into cells —
 	// which re-namespaces their cache keys exactly like the CLIs.
@@ -659,7 +661,6 @@ func (s *Server) executeOnce(ctx context.Context, j *job) (text []byte, err erro
 		Check:       j.spec.Check,
 		Context:     ctx,
 		CellTimeout: s.cfg.CellTimeout,
-		CellRetries: s.cfg.CellRetries,
 		Faults:      s.cfg.Faults.CellLayer(),
 		Progress: func(done, total int) {
 			j.progress(done, total)

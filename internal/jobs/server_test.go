@@ -302,6 +302,35 @@ func TestServerJobRetries(t *testing.T) {
 	}
 }
 
+// TestServerJobRetryReplaysFinishedCells: a job retry recomputes only
+// what its failed attempt did not finish. With one cell worker, the
+// first attempt finishes cells 0..k-1 and panics at cell k; the retry
+// replays those k cells from the shared cell cache (exactly k hits)
+// and fails at cell k again, since a cell fails the same way each run.
+func TestServerJobRetryReplaysFinishedCells(t *testing.T) {
+	const k = 2
+	plan, err := faults.Parse(fmt.Sprintf("panic=1@%d", k))
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := newTestServer(t, Config{Faults: plan, JobRetries: 1, CellPar: 1})
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	before := s.Stats().CacheHits
+	st, _ := submit(t, ts, quickSpec)
+	got := waitDone(t, ts, st.ID)
+	if got.State != StateFailed || got.Attempt != 2 {
+		t.Fatalf("job ended %s on attempt %d, want failed on attempt 2", got.State, got.Attempt)
+	}
+	if !strings.Contains(got.Error, fmt.Sprintf("cell %d panicked", k)) || got.CellsTotal <= k {
+		t.Fatalf("job error %q over %d cells, want cell %d's injected panic", got.Error, got.CellsTotal, k)
+	}
+	if hits := s.Stats().CacheHits - before; hits != k {
+		t.Errorf("retry replayed %d cached cells, want the %d its first attempt finished", hits, k)
+	}
+	drain(t, s)
+}
+
 func TestServerDrainRejectsAndReadyzFlips(t *testing.T) {
 	s := newTestServer(t, Config{})
 	ts := httptest.NewServer(s.Handler())

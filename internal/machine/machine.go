@@ -218,11 +218,6 @@ func (m *Machine) Cycles(n float64) sim.Time {
 	return sim.Time(n * 1000 / m.FreqGHz) // ps = cycles * (1000 ps/ns) / GHz
 }
 
-// ToCycles converts a duration to cycles at this machine's frequency.
-func (m *Machine) ToCycles(t sim.Time) float64 {
-	return float64(t) * m.FreqGHz / 1000
-}
-
 // CoherenceParams assembles the coherence.Params for this machine.
 func (m *Machine) CoherenceParams() coherence.Params {
 	return coherence.Params{

@@ -94,9 +94,6 @@ type CellRecord struct {
 	// Canceled marks cells that never ran because the run's context was
 	// canceled (or past its deadline) when their turn came.
 	Canceled bool `json:"canceled,omitempty"`
-	// Attempts is how many times the cell was attempted when retries
-	// were enabled (recorded only when > 1).
-	Attempts int `json:"attempts,omitempty"`
 }
 
 // ExpRecord summarizes one experiment's cells.

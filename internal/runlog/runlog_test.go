@@ -211,3 +211,40 @@ func TestCacheStatsCountsTraffic(t *testing.T) {
 		t.Fatalf("post-Put stats = %+v, want 2 hits / 1 miss / 1 replayed", s)
 	}
 }
+
+// TestValidateAcceptsRetiredAttemptsField: manifests written while the
+// harness still retried cells carry an "attempts" count on failed cell
+// records. The field is gone from CellRecord, and such manifests must
+// still validate.
+func TestValidateAcceptsRetiredAttemptsField(t *testing.T) {
+	dir := t.TempDir()
+	w, err := Create(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Cell(CellRecord{Exp: "F3", Cell: 0, Key: "k", Error: "cell 0 panicked: boom", Panic: true}); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(dir, "manifest.jsonl")
+	b, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	old := strings.Replace(string(b), `"panic":true`, `"panic":true,"attempts":2`, 1)
+	if old == string(b) {
+		t.Fatal("fixture has no failed cell record to extend")
+	}
+	if err := os.WriteFile(path, []byte(old), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	summary, err := Validate(dir)
+	if err != nil {
+		t.Fatalf("manifest with an attempts field rejected: %v", err)
+	}
+	if !strings.Contains(summary, "1 failed") {
+		t.Fatalf("summary %q does not count the failed cell", summary)
+	}
+}

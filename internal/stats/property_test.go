@@ -162,32 +162,6 @@ func TestHistogramJSONRoundTripExact(t *testing.T) {
 	}
 }
 
-// TestHistogramMergeEquivalence: merging two histograms equals recording
-// everything into one.
-func TestHistogramMergeEquivalence(t *testing.T) {
-	cfg := &quick.Config{MaxCount: 30}
-	if err := quick.Check(func(seed uint64) bool {
-		rng := sim.NewRNG(seed)
-		a, b, all := NewHistogram(), NewHistogram(), NewHistogram()
-		for i := 0; i < 500; i++ {
-			v := sim.Time(rng.Uint64() % uint64(sim.Millisecond))
-			if i%2 == 0 {
-				a.Record(v)
-			} else {
-				b.Record(v)
-			}
-			all.Record(v)
-		}
-		a.Merge(b)
-		return a.Count() == all.Count() &&
-			a.Mean() == all.Mean() &&
-			a.Min() == all.Min() && a.Max() == all.Max() &&
-			a.Quantile(0.5) == all.Quantile(0.5)
-	}, cfg); err != nil {
-		t.Error(err)
-	}
-}
-
 // TestFairnessMetricConsistency ties the three fairness metrics
 // together on random inputs: perfectly balanced input maxes all three;
 // and Jain >= 1/n always.

@@ -199,23 +199,6 @@ func (h *Histogram) Quantile(q float64) sim.Time {
 	return h.max
 }
 
-// Merge adds the contents of other into h.
-func (h *Histogram) Merge(other *Histogram) {
-	for i, c := range other.counts {
-		h.counts[i] += c
-	}
-	h.n += other.n
-	h.sum += other.sum
-	if other.n > 0 {
-		if other.min < h.min {
-			h.min = other.min
-		}
-		if other.max > h.max {
-			h.max = other.max
-		}
-	}
-}
-
 // String summarizes the distribution.
 func (h *Histogram) String() string {
 	return fmt.Sprintf("n=%d mean=%v p50=%v p99=%v max=%v",

@@ -73,31 +73,6 @@ func TestHistogramRecordZeroAndHuge(t *testing.T) {
 	}
 }
 
-func TestHistogramMerge(t *testing.T) {
-	a, b := NewHistogram(), NewHistogram()
-	for i := 1; i <= 50; i++ {
-		a.Record(sim.Time(i) * sim.Nanosecond)
-	}
-	for i := 51; i <= 100; i++ {
-		b.Record(sim.Time(i) * sim.Nanosecond)
-	}
-	a.Merge(b)
-	if a.Count() != 100 {
-		t.Fatalf("merged count = %d", a.Count())
-	}
-	if a.Min() != sim.Nanosecond || a.Max() != 100*sim.Nanosecond {
-		t.Fatalf("merged extrema %v %v", a.Min(), a.Max())
-	}
-	if a.Mean() != sim.Time(50500) {
-		t.Fatalf("merged mean = %d ps", int64(a.Mean()))
-	}
-	// Merging an empty histogram changes nothing.
-	a.Merge(NewHistogram())
-	if a.Count() != 100 {
-		t.Fatal("merge with empty changed count")
-	}
-}
-
 func TestHistogramStringMentionsCount(t *testing.T) {
 	h := NewHistogram()
 	h.Record(5 * sim.Nanosecond)

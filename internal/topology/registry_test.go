@@ -40,8 +40,7 @@ func TestEveryBuilderHasCases(t *testing.T) {
 // rely on: zero self-distance, symmetry, nonzero distance between
 // distinct nodes (connectivity with finite, positive hop counts),
 // symmetric cross-socket classification, and sane aggregate metrics
-// (MeanHops within [min, max] pairwise distance, CrossSocketFraction in
-// [0, 1]).
+// (MeanHops within [min, max] pairwise distance).
 func TestBuilderMetricProperties(t *testing.T) {
 	for kind, cases := range builderCases {
 		for _, params := range cases {
@@ -87,13 +86,6 @@ func TestBuilderMetricProperties(t *testing.T) {
 				}
 			} else if mean < float64(minH) || mean > float64(maxH) {
 				t.Fatalf("%s: MeanHops = %v outside pairwise range [%d, %d]", topo.Name(), mean, minH, maxH)
-			}
-			all := make([]int, n)
-			for i := range all {
-				all[i] = i
-			}
-			if f := CrossSocketFraction(topo, all); f < 0 || f > 1 {
-				t.Fatalf("%s: CrossSocketFraction = %v outside [0,1]", topo.Name(), f)
 			}
 		}
 	}

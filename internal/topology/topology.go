@@ -236,23 +236,3 @@ func MeanHopsAmong(t Topology, nodes []int) float64 {
 	}
 	return float64(sum) / float64(pairs)
 }
-
-// CrossSocketFraction returns the fraction of ordered distinct pairs from
-// the subset whose transfers cross sockets.
-func CrossSocketFraction(t Topology, nodes []int) float64 {
-	if len(nodes) < 2 {
-		return 0
-	}
-	cross, pairs := 0, 0
-	for _, a := range nodes {
-		for _, b := range nodes {
-			if a != b {
-				pairs++
-				if t.CrossSocket(a, b) {
-					cross++
-				}
-			}
-		}
-	}
-	return float64(cross) / float64(pairs)
-}

@@ -177,21 +177,6 @@ func TestMeanHopsAmong(t *testing.T) {
 	}
 }
 
-func TestCrossSocketFraction(t *testing.T) {
-	d := NewDualRing(4, 2)
-	// Two nodes in different sockets: all ordered pairs cross.
-	if got := CrossSocketFraction(d, []int{0, 4}); got != 1 {
-		t.Errorf("fraction = %v, want 1", got)
-	}
-	if got := CrossSocketFraction(d, []int{0, 1}); got != 0 {
-		t.Errorf("fraction = %v, want 0", got)
-	}
-	// Half/half: of the 4*3=12 ordered pairs, 2*2*2=8 cross.
-	if got := CrossSocketFraction(d, []int{0, 1, 4, 5}); got < 0.66 || got > 0.67 {
-		t.Errorf("fraction = %v, want 2/3", got)
-	}
-}
-
 func TestPanicsOnBadNode(t *testing.T) {
 	tops := []Topology{NewRing(4), NewDualRing(4, 1), NewMesh2D(2, 2), NewCrossbar(4)}
 	for _, tp := range tops {

@@ -10,7 +10,8 @@
 # the hottest pooled data structures in the coherence layer), smoke
 # runs of the atomicsim CLI exercising the manifest/resume path (a
 # fresh run, its resume, and a resume after both logs were torn
-# mid-append) and the
+# mid-append, and a run whose watchdog failed a cell, resumed without
+# it) and the
 # observability layer (-metrics tables, byte-identical at -par 1 and
 # -par 4, and -chrome traces) end to end,
 # a full invariant-checked sweep, a cache-corruption/quarantine smoke,
@@ -83,6 +84,31 @@ go run ./cmd/atomicsim -checkmanifest "$dir/run"
 grep -q '"type":"cell"' "$dir/run/manifest.jsonl"
 grep -q '"type":"run"' "$dir/run/manifest.jsonl"
 grep -q '"cached":true' "$dir/run/manifest.jsonl"
+
+echo "== watchdog-then-resume smoke (a timed-out cell is finished by -resume)"
+# No cell is retried inside a run: cells are deterministic, so a retry
+# repeats the failure. A cell the watchdog failed is computed again by
+# -resume, which replays everything the failed run finished.
+# Built, not run with go run, which reports any failure as exit 1.
+go build -o "$dir/atomicsim" ./cmd/atomicsim
+rc=0
+"$dir/atomicsim" -quick -quiet -exp F3 -machine XeonE5 -par 1 \
+    -celltimeout 1ns -manifest "$dir/wdrun" > /dev/null 2> "$dir/wd.log" || rc=$?
+[ "$rc" = 1 ] || {
+    echo "a 1ns watchdog run exited $rc, want 1" >&2
+    exit 1
+}
+"$dir/atomicsim" -checkmanifest "$dir/wdrun" | grep -q 'manifest ok'
+grep -q '"timed_out":true' "$dir/wdrun/manifest.jsonl" || {
+    echo "the manifest records no timed-out cell" >&2
+    exit 1
+}
+"$dir/atomicsim" -quick -quiet -exp F3 -machine XeonE5 \
+    -resume "$dir/wdrun" > "$dir/wd_resumed.txt"
+cmp "$dir/fresh.txt" "$dir/wd_resumed.txt" || {
+    echo "tables resumed after a watchdog failure differ from the fresh run" >&2
+    exit 1
+}
 
 echo "== torn-tail resume smoke (both logs torn mid-append, then resumed twice)"
 # A run killed mid-append leaves a torn final line in manifest.jsonl and
