@@ -43,6 +43,7 @@ import (
 	"atomicsmodel/internal/energy"
 	"atomicsmodel/internal/machine"
 	"atomicsmodel/internal/sim"
+	"atomicsmodel/internal/topology"
 	"atomicsmodel/internal/workload"
 )
 
@@ -69,11 +70,14 @@ type Model struct {
 	// home is the topology node assumed to host the contended line's
 	// directory (line ID 1 in the workloads).
 	home int
+	// pairs is m's node-pair table, which pairCost and pairEnergyNJ
+	// read for every ordered pair of contending cores.
+	pairs *topology.PairTable
 }
 
 // NewDetailed builds the topology-aware model for m.
 func NewDetailed(m *machine.Machine) *Model {
-	return &Model{m: m, variant: Detailed, home: 1 % m.Topo.Nodes()}
+	return &Model{m: m, variant: Detailed, home: 1 % m.Topo.Nodes(), pairs: m.NodePairs()}
 }
 
 // NewSimple builds the three-constant model. tLocal is the cost of an
@@ -81,7 +85,8 @@ func NewDetailed(m *machine.Machine) *Model {
 // costs when the line is in a same-socket / cross-socket cache. For a
 // single-socket machine pass tCross = tSame.
 func NewSimple(m *machine.Machine, tLocal, tSame, tCross sim.Time) *Model {
-	return &Model{m: m, variant: Simple, tLocal: tLocal, tSame: tSame, tCross: tCross, home: 1 % m.Topo.Nodes()}
+	return &Model{m: m, variant: Simple, tLocal: tLocal, tSame: tSame, tCross: tCross,
+		home: 1 % m.Topo.Nodes(), pairs: m.NodePairs()}
 }
 
 // Machine returns the machine the model describes.
@@ -101,7 +106,7 @@ func (md *Model) Constants() (tLocal, tSame, tCross sim.Time) {
 // core c when the line was last owned by core o (excluding execution
 // occupancy), under the chosen variant.
 func (md *Model) pairCost(o, c int) sim.Time {
-	lat := md.m.Lat
+	lat := &md.m.Lat
 	if o == c {
 		if md.variant == Simple {
 			return md.tLocal
@@ -112,19 +117,25 @@ func (md *Model) pairCost(o, c int) sim.Time {
 	// tile (KNL tile-mates have private L1s; their transfers are
 	// cheap — zero-hop legs — but not free).
 	no, nc := md.m.NodeOf(o), md.m.NodeOf(c)
-	cross := md.m.Topo.CrossSocket(nc, no)
+	cross := md.pairs.CrossSocket(nc, no)
 	if md.variant == Simple {
 		if cross {
 			return md.tCross
 		}
 		return md.tSame
 	}
-	hops := md.m.Topo.Hops(nc, md.home) + md.m.Topo.Hops(md.home, no) + md.m.Topo.Hops(no, nc)
-	cost := lat.DirLookup + sim.Time(hops)*lat.HopLatency
+	cost := lat.DirLookup + sim.Time(md.legHops(no, nc))*lat.HopLatency
 	if cross {
 		cost += lat.CrossSocketPenalty
 	}
 	return cost
+}
+
+// legHops is the hop count of a forward from owner node no to
+// requester node nc: requester to the line's home, home to owner, and
+// owner back to requester.
+func (md *Model) legHops(no, nc int) int {
+	return md.pairs.Hops(nc, md.home) + md.pairs.Hops(md.home, no) + md.pairs.Hops(no, nc)
 }
 
 // ServiceTime returns the expected time the contended line is occupied
@@ -328,8 +339,7 @@ func (md *Model) pairEnergyNJ(o, c int) float64 {
 		return energy.ChargeNJ(&md.m.Energy, coherence.ClassOf(coherence.SrcLocal, 0, false))
 	}
 	no, nc := md.m.NodeOf(o), md.m.NodeOf(c)
-	hops := md.m.Topo.Hops(nc, md.home) + md.m.Topo.Hops(md.home, no) + md.m.Topo.Hops(no, nc)
-	cls := coherence.ClassOf(coherence.SrcRemoteCache, hops, md.m.Topo.CrossSocket(no, nc))
+	cls := coherence.ClassOf(coherence.SrcRemoteCache, md.legHops(no, nc), md.pairs.CrossSocket(no, nc))
 	return energy.ChargeNJ(&md.m.Energy, cls)
 }
 

@@ -2,6 +2,7 @@ package harness
 
 import (
 	"atomicsmodel/internal/atomics"
+	"atomicsmodel/internal/core"
 	"atomicsmodel/internal/machine"
 	"atomicsmodel/internal/sim"
 )
@@ -32,24 +33,31 @@ func runT3(o Options) ([]*Table, error) {
 		{"LLCHit", func(l *machine.Latencies, f float64) { l.LLCHit = scale(l.LLCHit, f) }},
 		{"DRAM", func(l *machine.Latencies, f float64) { l.DRAM = scale(l.DRAM, f) }},
 	}
+	threads := []int{1, 2, 16, 36}
 	var tables []*Table
 	for _, base := range o.machines() {
 		t := NewTable("T3 ("+base.Name+"): elasticity of FAA throughput to +10% in each constant",
 			"constant", "uncontended", "2 threads", "16 threads", "36 threads")
+		// Every knob's row compares against the same unperturbed
+		// predictions. A thread count that fits cannot fail to predict.
+		baseX := make([]core.Prediction, len(threads))
+		for i, n := range threads {
+			if n <= base.NumCores() {
+				baseX[i], _ = predictHigh(base, atomics.FAA, n, 0)
+			}
+		}
 		for _, k := range knobs {
 			row := []string{k.name}
-			for _, n := range []int{1, 2, 16, 36} {
+			for i, n := range threads {
 				if n > base.NumCores() {
 					row = append(row, "-")
 					continue
 				}
-				// n fits (checked above), so neither prediction can fail.
-				baseX, _ := predictHigh(base, atomics.FAA, n, 0)
 				pert := *base
-				pert.Lat = base.Lat
 				k.set(&pert.Lat, 1.10)
 				pertX, _ := predictHigh(&pert, atomics.FAA, n, 0)
-				elasticity := (pertX.ThroughputMops - baseX.ThroughputMops) / baseX.ThroughputMops / 0.10 * 100
+				x := baseX[i].ThroughputMops
+				elasticity := (pertX.ThroughputMops - x) / x / 0.10 * 100
 				row = append(row, pct(elasticity))
 			}
 			t.AddRow(row...)

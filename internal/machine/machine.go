@@ -29,6 +29,7 @@ package machine
 
 import (
 	"fmt"
+	"sync"
 
 	"atomicsmodel/internal/coherence"
 	"atomicsmodel/internal/sim"
@@ -113,6 +114,32 @@ type Machine struct {
 	// built from (empty for hand-assembled machines in tests and
 	// ablations). It is the content half of Key.
 	digest string
+	// pairs holds Topo's node-pair table once NodePairs has built it.
+	// Copies of the machine share it, so T3's perturbed copies, which
+	// keep Topo, reuse the table their base built.
+	pairs *nodePairs
+}
+
+// nodePairs is the node-pair table of one topology value, built on
+// first use.
+type nodePairs struct {
+	once  sync.Once
+	topo  topology.Topology
+	table *topology.PairTable
+}
+
+// NodePairs returns the node-pair table of m.Topo: every node pair's
+// hop count and cross-socket flag. A machine from Spec.Build builds it
+// once, on first use, and shares it with its copies; concurrent callers
+// wait for that one build. A machine assembled by hand, or a copy
+// whose Topo was replaced, gets a new table on each call.
+func (m *Machine) NodePairs() *topology.PairTable {
+	p := m.pairs
+	if p == nil || p.topo != m.Topo {
+		return topology.NewPairTable(m.Topo)
+	}
+	p.once.Do(func() { p.table = topology.NewPairTable(p.topo) })
+	return p.table
 }
 
 // SpecDigest returns the content digest of the spec this machine was

@@ -1,9 +1,11 @@
 package machine
 
 import (
+	"sync"
 	"testing"
 
 	"atomicsmodel/internal/sim"
+	"atomicsmodel/internal/topology"
 )
 
 func TestXeonE5Shape(t *testing.T) {
@@ -319,5 +321,43 @@ func TestIdealMachine(t *testing.T) {
 	}
 	if m.Topo.Hops(0, 7) != 1 {
 		t.Error("ideal should be 1-hop")
+	}
+}
+
+// TestNodePairsSharedAcrossCopies: a built machine and its copies,
+// read from several goroutines at once, share one node-pair table that
+// agrees with Topo, and a copy given another Topo gets that topology's
+// table instead.
+func TestNodePairsSharedAcrossCopies(t *testing.T) {
+	base := XeonE5()
+	tables := make([]*topology.PairTable, 8)
+	var wg sync.WaitGroup
+	for i := range tables {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			cp := *base
+			cp.Lat.HopLatency *= 2
+			tables[i] = cp.NodePairs()
+		}(i)
+	}
+	wg.Wait()
+	for i, pt := range tables {
+		if pt != base.NodePairs() {
+			t.Fatalf("copy %d built its own node-pair table", i)
+		}
+	}
+	n := base.Topo.Nodes()
+	for a := 0; a < n; a++ {
+		for b := 0; b < n; b++ {
+			if tables[0].Hops(a, b) != base.Topo.Hops(a, b) || tables[0].CrossSocket(a, b) != base.Topo.CrossSocket(a, b) {
+				t.Fatalf("node pair (%d,%d) disagrees with %s", a, b, base.Topo.Name())
+			}
+		}
+	}
+	other := *base
+	other.Topo = topology.NewCrossbar(n)
+	if pt := other.NodePairs(); pt == tables[0] || pt.Hops(0, n-1) != 1 || pt.CrossSocket(0, n-1) {
+		t.Fatal("a copy with a replaced Topo read its base's node-pair table")
 	}
 }

@@ -191,6 +191,7 @@ func (s *Spec) Build() (*Machine, error) {
 		ForwardSharer:    s.ForwardSharer,
 		StoreBufferDepth: s.StoreBufferDepth,
 		digest:           digest,
+		pairs:            &nodePairs{topo: topo},
 	}
 	switch s.NodeMap.Kind {
 	case "", "identity":

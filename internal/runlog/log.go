@@ -83,6 +83,12 @@ func (l *Log) Append(v any) error {
 	if err != nil {
 		return err
 	}
+	return l.appendLine(b)
+}
+
+// appendLine writes one encoded record, b without its '\n', as one
+// line. It is the log's only write path.
+func (l *Log) appendLine(b []byte) error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	if l.err == nil {

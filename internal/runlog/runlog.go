@@ -14,6 +14,17 @@
 //	                 re-simulating, so only missing, failed, or changed
 //	                 cells run again.
 //
+// A cache line has the canonical form
+//
+//	{"key":K,"digest":"D","value":V}
+//
+// with K the JSON-quoted config key, D the digest of V, and V the
+// cell's compact JSON result: the bytes json.Marshal writes for the
+// entry. Put writes it by splicing, and a load reads it in one pass,
+// checking V with json.Valid and then against D. A value or line in any
+// other form goes through json.Marshal or json.Unmarshal instead, so
+// both paths write the same bytes and load the same entries.
+//
 // Both files, and the job journal atomicd keeps beside them
 // (internal/jobs), are one Log each: append-only, one Write per
 // record, read back by one reader (ReadLog). A run killed mid-write
@@ -39,6 +50,7 @@
 package runlog
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
@@ -350,11 +362,19 @@ func OpenCacheReadOnly(dir string) (*Cache, error) {
 }
 
 // replay loads one cells.jsonl line into the cache, or quarantines it.
+// A line in the canonical form Put writes is read in one pass; any
+// other line goes through json.Unmarshal. Both reach the same digest
+// check with the same entry, so a line is kept, or quarantined with
+// the same reason, whichever way it was read.
 func (c *Cache) replay(n int, line []byte) error {
-	var e cacheEntry
-	if err := json.Unmarshal(line, &e); err != nil {
-		c.quarantined = append(c.quarantined, Quarantine{Line: n, Reason: fmt.Sprintf("unparseable entry: %v", err)})
-	} else if got := Digest(e.Value); got != e.Digest {
+	e, ok := canonicalEntry(line)
+	if !ok {
+		if err := json.Unmarshal(line, &e); err != nil {
+			c.quarantined = append(c.quarantined, Quarantine{Line: n, Reason: fmt.Sprintf("unparseable entry: %v", err)})
+			return nil
+		}
+	}
+	if got := Digest(e.Value); got != e.Digest {
 		c.quarantined = append(c.quarantined, Quarantine{Line: n, Key: e.Key,
 			Reason: fmt.Sprintf("digest mismatch: stored %s, payload hashes to %s", e.Digest, got)})
 	} else {
@@ -363,6 +383,58 @@ func (c *Cache) replay(n int, line []byte) error {
 	}
 	return nil
 }
+
+// canonicalEntry parses a cells.jsonl line of the canonical form
+//
+//	{"key":"K","digest":"D","value":V}
+//
+// where K and D are printable ASCII without a backslash (no escapes)
+// and V is one valid JSON value with no whitespace at either end. The
+// entry's Value aliases line. ok is false for any other line, which
+// json.Unmarshal then decodes: it yields the same entry for every line
+// accepted here.
+func canonicalEntry(line []byte) (e cacheEntry, ok bool) {
+	rest, ok := bytes.CutPrefix(line, []byte(`{"key":"`))
+	if !ok {
+		return e, false
+	}
+	key, rest, ok := plainString(rest)
+	if !ok {
+		return e, false
+	}
+	if rest, ok = bytes.CutPrefix(rest, []byte(`,"digest":"`)); !ok {
+		return e, false
+	}
+	digest, rest, ok := plainString(rest)
+	if !ok {
+		return e, false
+	}
+	if rest, ok = bytes.CutPrefix(rest, []byte(`,"value":`)); !ok {
+		return e, false
+	}
+	v, ok := bytes.CutSuffix(rest, []byte("}"))
+	if !ok || len(v) == 0 || isSpace(v[0]) || isSpace(v[len(v)-1]) || !json.Valid(v) {
+		return e, false
+	}
+	return cacheEntry{Key: string(key), Digest: string(digest), Value: v}, true
+}
+
+// plainString splits b after its first '"' and returns the bytes
+// before it, if they are all printable ASCII other than a backslash: a
+// JSON string body that decodes to itself.
+func plainString(b []byte) (s, rest []byte, ok bool) {
+	for i, c := range b {
+		switch {
+		case c == '"':
+			return b[:i], b[i+1:], true
+		case c < 0x20 || c > 0x7e || c == '\\':
+			return nil, nil, false
+		}
+	}
+	return nil, nil, false
+}
+
+func isSpace(c byte) bool { return c == ' ' || c == '\t' || c == '\n' || c == '\r' }
 
 // loadedWith finishes a load: it quarantines the torn final line, if
 // any, and counts the entries read from disk.
@@ -405,7 +477,61 @@ func (c *Cache) Put(key string, value json.RawMessage) (string, error) {
 	c.mu.Lock()
 	c.entries[key] = e
 	c.mu.Unlock()
-	return e.Digest, c.log.Append(e)
+	line, err := e.line()
+	if err != nil {
+		return e.Digest, err
+	}
+	return e.Digest, c.log.appendLine(line)
+}
+
+// line encodes e as its cells.jsonl line, the bytes json.Marshal(e)
+// writes. A value that json.Marshal would copy unchanged (see
+// compactJSON) is spliced in as it is; any other value is left to
+// json.Marshal, which compacts and escapes it or fails. The digest is
+// Digest's hex, which needs no escaping.
+func (e cacheEntry) line() ([]byte, error) {
+	if !compactJSON(e.Value) {
+		return json.Marshal(e)
+	}
+	key, err := json.Marshal(e.Key)
+	if err != nil {
+		return nil, err
+	}
+	// One spare byte for the '\n' appendLine adds.
+	b := make([]byte, 0, len(`{"key":,"digest":"","value":}`)+len(key)+len(e.Digest)+len(e.Value)+1)
+	b = append(b, `{"key":`...)
+	b = append(b, key...)
+	b = append(b, `,"digest":"`...)
+	b = append(b, e.Digest...)
+	b = append(b, `","value":`...)
+	b = append(b, e.Value...)
+	return append(b, '}'), nil
+}
+
+// compactJSON reports whether v is one valid JSON value that
+// json.Marshal embeds byte for byte: it has no whitespace outside
+// strings and none of the runes json.Marshal escapes for HTML safety
+// ('<', '>', '&', U+2028, U+2029).
+func compactJSON(v []byte) bool {
+	if !json.Valid(v) {
+		return false
+	}
+	inString := false
+	for i := 0; i < len(v); i++ {
+		switch c := v[i]; {
+		case c == '<' || c == '>' || c == '&':
+			return false
+		case c == 0xE2 && i+2 < len(v) && v[i+1] == 0x80 && v[i+2]&^1 == 0xA8:
+			return false
+		case inString && c == '\\':
+			i++ // skip the escaped byte, which may be a quote
+		case c == '"':
+			inString = !inString
+		case !inString && isSpace(c):
+			return false
+		}
+	}
+	return true
 }
 
 // Len returns the number of cached cells.

@@ -39,8 +39,9 @@ func TestEveryBuilderHasCases(t *testing.T) {
 // parameter set, the properties the simulator and the analytical model
 // rely on: zero self-distance, symmetry, nonzero distance between
 // distinct nodes (connectivity with finite, positive hop counts),
-// symmetric cross-socket classification, and sane aggregate metrics
-// (MeanHops within [min, max] pairwise distance).
+// symmetric cross-socket classification, a mean hop distance within
+// the [min, max] pairwise distance, and a PairTable that reads back
+// every pair's Hops and CrossSocket.
 func TestBuilderMetricProperties(t *testing.T) {
 	for kind, cases := range builderCases {
 		for _, params := range cases {
@@ -79,13 +80,22 @@ func TestBuilderMetricProperties(t *testing.T) {
 					}
 				}
 			}
-			mean := MeanHops(topo)
+			mean := meanHops(topo)
 			if n < 2 {
 				if mean != 0 {
-					t.Fatalf("%s: MeanHops = %v on a single node", topo.Name(), mean)
+					t.Fatalf("%s: mean hops = %v on a single node", topo.Name(), mean)
 				}
 			} else if mean < float64(minH) || mean > float64(maxH) {
-				t.Fatalf("%s: MeanHops = %v outside pairwise range [%d, %d]", topo.Name(), mean, minH, maxH)
+				t.Fatalf("%s: mean hops = %v outside pairwise range [%d, %d]", topo.Name(), mean, minH, maxH)
+			}
+			pt := NewPairTable(topo)
+			for a := 0; a < n; a++ {
+				for b := 0; b < n; b++ {
+					if pt.Hops(a, b) != topo.Hops(a, b) || pt.CrossSocket(a, b) != topo.CrossSocket(a, b) {
+						t.Fatalf("%s: PairTable(%d,%d) = %d, %v; topology says %d, %v", topo.Name(), a, b,
+							pt.Hops(a, b), pt.CrossSocket(a, b), topo.Hops(a, b), topo.CrossSocket(a, b))
+					}
+				}
 			}
 		}
 	}
@@ -178,9 +188,25 @@ func TestStarShape(t *testing.T) {
 	if NewStar(8, 2, false).CrossSocket(0, 5) {
 		t.Fatal("CrossSocket should be false without socketperleaf")
 	}
-	if got := MeanHops(s); got != 4 {
-		t.Fatalf("MeanHops = %v, want uniform 4", got)
+	if got := meanHops(s); got != 4 {
+		t.Fatalf("mean hops = %v, want uniform 4", got)
 	}
+}
+
+// meanHops is the mean hop distance over all ordered pairs of distinct
+// nodes, 0 for a single node.
+func meanHops(t Topology) float64 {
+	n := t.Nodes()
+	if n < 2 {
+		return 0
+	}
+	sum := 0
+	for a := 0; a < n; a++ {
+		for b := 0; b < n; b++ {
+			sum += t.Hops(a, b)
+		}
+	}
+	return float64(sum) / float64(n*(n-1))
 }
 
 func TestParamsClone(t *testing.T) {

@@ -199,40 +199,33 @@ func (c *Crossbar) Hops(a, b int) int {
 
 func (c *Crossbar) CrossSocket(a, b int) bool { return false }
 
-// MeanHops returns the average hop distance over all ordered pairs of
-// distinct nodes. The analytical model uses it as the expected transfer
-// distance when requesters are uniformly spread.
-func MeanHops(t Topology) float64 {
-	n := t.Nodes()
-	if n < 2 {
-		return 0
-	}
-	sum := 0
-	for a := 0; a < n; a++ {
-		for b := 0; b < n; b++ {
-			if a != b {
-				sum += t.Hops(a, b)
-			}
-		}
-	}
-	return float64(sum) / float64(n*(n-1))
+// PairTable is a topology's hop count and cross-socket flag for every
+// ordered pair of nodes, read by index instead of by a call through
+// the Topology interface. It is immutable once built, so any number of
+// goroutines may read one.
+type PairTable struct {
+	n     int
+	hops  []int32
+	cross []bool
 }
 
-// MeanHopsAmong returns the average hop distance over ordered pairs of
-// distinct nodes drawn from the given subset. This is the expected
-// line-transfer distance when only those nodes contend.
-func MeanHopsAmong(t Topology, nodes []int) float64 {
-	if len(nodes) < 2 {
-		return 0
-	}
-	sum, pairs := 0, 0
-	for _, a := range nodes {
-		for _, b := range nodes {
-			if a != b {
-				sum += t.Hops(a, b)
-				pairs++
-			}
+// NewPairTable tabulates t's Hops and CrossSocket over all node pairs.
+func NewPairTable(t Topology) *PairTable {
+	n := t.Nodes()
+	p := &PairTable{n: n, hops: make([]int32, n*n), cross: make([]bool, n*n)}
+	for a := 0; a < n; a++ {
+		for b := 0; b < n; b++ {
+			p.hops[a*n+b] = int32(t.Hops(a, b))
+			p.cross[a*n+b] = t.CrossSocket(a, b)
 		}
 	}
-	return float64(sum) / float64(pairs)
+	return p
 }
+
+// Hops is the topology's Hops(a, b). Like it, it panics on an
+// out-of-range node: a row of the table is sliced first, so a node
+// outside it never reads another pair's entry.
+func (p *PairTable) Hops(a, b int) int { return int(p.hops[a*p.n : (a+1)*p.n][b]) }
+
+// CrossSocket is the topology's CrossSocket(a, b).
+func (p *PairTable) CrossSocket(a, b int) bool { return p.cross[a*p.n : (a+1)*p.n][b] }

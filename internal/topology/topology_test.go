@@ -147,36 +147,6 @@ func TestCrossbar(t *testing.T) {
 	}
 }
 
-func TestMeanHops(t *testing.T) {
-	// Crossbar: every distinct pair is 1 hop.
-	if got := MeanHops(NewCrossbar(7)); got != 1 {
-		t.Errorf("crossbar MeanHops = %v, want 1", got)
-	}
-	// Ring of 4: distances from any node: 1,2,1 -> mean 4/3.
-	if got := MeanHops(NewRing(4)); got < 1.333 || got > 1.334 {
-		t.Errorf("ring4 MeanHops = %v, want 4/3", got)
-	}
-	if got := MeanHops(NewRing(1)); got != 0 {
-		t.Errorf("degenerate MeanHops = %v, want 0", got)
-	}
-}
-
-func TestMeanHopsAmong(t *testing.T) {
-	m := NewMesh2D(4, 4)
-	// Adjacent pair only.
-	if got := MeanHopsAmong(m, []int{0, 1}); got != 1 {
-		t.Errorf("MeanHopsAmong adjacent = %v, want 1", got)
-	}
-	if got := MeanHopsAmong(m, []int{5}); got != 0 {
-		t.Errorf("MeanHopsAmong singleton = %v, want 0", got)
-	}
-	// Subset mean never exceeds diameter.
-	sub := []int{0, 3, 12, 15}
-	if got := MeanHopsAmong(m, sub); got > 6 {
-		t.Errorf("MeanHopsAmong corners = %v exceeds diameter", got)
-	}
-}
-
 func TestPanicsOnBadNode(t *testing.T) {
 	tops := []Topology{NewRing(4), NewDualRing(4, 1), NewMesh2D(2, 2), NewCrossbar(4)}
 	for _, tp := range tops {
@@ -188,6 +158,18 @@ func TestPanicsOnBadNode(t *testing.T) {
 			}()
 			tp.Hops(0, 99)
 		}()
+		// The node-pair table keeps the contract, including for a pair
+		// whose flat index would fall inside the table.
+		for _, pair := range [][2]int{{0, 99}, {0, tp.Nodes()}, {-1, 1}} {
+			func() {
+				defer func() {
+					if recover() == nil {
+						t.Errorf("%s: PairTable read node pair %v without a panic", tp.Name(), pair)
+					}
+				}()
+				NewPairTable(tp).Hops(pair[0], pair[1])
+			}()
+		}
 	}
 }
 
