@@ -139,6 +139,10 @@ type Params struct {
 	// Topo is the interconnect. NodeOf maps a core to its network stop.
 	Topo   topology.Topology
 	NodeOf func(core int) int
+	// Pairs is Topo's node-pair table, which a system reads instead of
+	// calling Topo and shares with every other reader of the table
+	// (machine.Machine.NodePairs). Nil builds one for the system.
+	Pairs *topology.PairTable
 
 	// L1Hit is the cost of an access that the core's own cache satisfies.
 	L1Hit sim.Time
@@ -178,6 +182,10 @@ func (p *Params) validate() error {
 	}
 	if p.Topo == nil || p.NodeOf == nil {
 		return fmt.Errorf("coherence: Topo and NodeOf are required")
+	}
+	if p.Pairs != nil && p.Pairs.Nodes() != p.Topo.Nodes() {
+		return fmt.Errorf("coherence: node-pair table covers %d nodes, topology %s has %d",
+			p.Pairs.Nodes(), p.Topo.Name(), p.Topo.Nodes())
 	}
 	for c := 0; c < p.NumCores; c++ {
 		n := p.NodeOf(c)
@@ -422,11 +430,11 @@ type System struct {
 	tracer func(TraceEvent)
 	aud    Auditor // nil unless invariant checking is installed
 
-	// Hot-path lookup tables, built once at NewSystem time so accesses
-	// never call back into the topology or the machine description:
-	// thops and tcross are the hop counts and cross-socket flags of
-	// every node pair, indexed a*tn+b without range checks, and nodeOf
-	// is the core-to-node map.
+	// Hot-path lookup tables, so accesses never call back into the
+	// topology or the machine description: thops and tcross are the
+	// hop counts and cross-socket flags of every node pair, indexed
+	// a*tn+b without range checks (Params.Pairs' arrays, read only),
+	// and nodeOf is the core-to-node map, built at NewSystem time.
 	thops  []int32
 	tcross []bool
 	tn     int
@@ -521,22 +529,18 @@ func NewSystem(eng *sim.Engine, p Params, arb Arbiter) (*System, error) {
 	for c := range nodeOf {
 		nodeOf[c] = p.NodeOf(c)
 	}
+	if p.Pairs == nil {
+		p.Pairs = topology.NewPairTable(p.Topo)
+	}
 	n := p.Topo.Nodes()
 	s := &System{
 		eng:    eng,
 		p:      p,
 		lines:  make(map[LineID]*lineState),
-		thops:  make([]int32, n*n),
-		tcross: make([]bool, n*n),
 		tn:     n,
 		nodeOf: nodeOf,
 	}
-	for a := 0; a < n; a++ {
-		for b := 0; b < n; b++ {
-			s.thops[a*n+b] = int32(p.Topo.Hops(a, b))
-			s.tcross[a*n+b] = p.Topo.CrossSocket(a, b)
-		}
-	}
+	s.thops, s.tcross = p.Pairs.Flat()
 	if p.LinkOccupancy > 0 {
 		s.occLegs = newLinkLegs(p.Topo.(topology.Router), n, p.HopLatency)
 		s.net = newNetwork(s.occLegs, p.LinkOccupancy)

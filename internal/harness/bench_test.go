@@ -1,11 +1,13 @@
 package harness
 
 import (
+	"fmt"
 	"testing"
 
 	"atomicsmodel/internal/apps"
 	"atomicsmodel/internal/atomics"
 	"atomicsmodel/internal/machine"
+	"atomicsmodel/internal/runlog"
 	"atomicsmodel/internal/sim"
 	"atomicsmodel/internal/workload"
 )
@@ -125,6 +127,45 @@ func BenchmarkAppCell(b *testing.B) {
 				}
 			}
 		})
+	}
+}
+
+// BenchmarkReplayCell measures one cached cell through FanoutKeyed, the
+// unit of a resume: the cache lookup, the decode of the stored result,
+// and the manifest record of the replay. The cell is F3-sized: the
+// 72-thread high-contention FAA cell of full F3 on XeonE5.
+func BenchmarkReplayCell(b *testing.B) {
+	dir := b.TempDir()
+	w, err := runlog.Create(dir)
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer w.Close()
+	c, err := runlog.OpenCache(dir)
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer c.Close()
+	o := Options{Exp: "F3", Seed: 42, Manifest: w, Cache: c}
+	cfg := workload.Config{
+		Machine: machine.XeonE5(), Threads: 72, Primitive: atomics.FAA,
+		Mode: workload.HighContention, Seed: 42 + 72,
+	}
+	specs := []workload.Config{cfg}
+	key := func(workload.Config) string { return "XeonE5/FAA/t72" }
+	fresh := func(_ int, cfg workload.Config) (*workload.Result, error) { return workload.Run(cfg) }
+	if _, err := FanoutKeyed(o, specs, key, fresh); err != nil {
+		b.Fatal(err)
+	}
+	replay := func(int, workload.Config) (*workload.Result, error) {
+		return nil, fmt.Errorf("cell simulated instead of replayed")
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := FanoutKeyed(o, specs, key, replay); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"reflect"
 	"runtime"
 	"runtime/debug"
 	"sync"
@@ -225,8 +226,7 @@ func FanoutKeyed[S, R any](o Options, specs []S, key func(spec S) string, f func
 		// Resume path: replay the cached result for this config key.
 		if o.Cache != nil {
 			if raw, digest, ok := o.Cache.Get(k); ok {
-				var r R
-				if err := json.Unmarshal(raw, &r); err == nil {
+				if r, err := decodeResult[R](raw); err == nil {
 					out[i] = r
 					o.recordCell(i, k, digest, true, start, r, nil)
 					return nil
@@ -244,7 +244,7 @@ func FanoutKeyed[S, R any](o Options, specs []S, key func(spec S) string, f func
 
 		digest := ""
 		if o.Cache != nil || o.Manifest != nil {
-			raw, merr := json.Marshal(r)
+			raw, merr := encodeResult(r)
 			if merr != nil {
 				return fmt.Errorf("cell %q: encoding result: %w", k, merr)
 			}
@@ -252,11 +252,11 @@ func FanoutKeyed[S, R any](o Options, specs []S, key func(spec S) string, f func
 				// Byte-exact round-trip check: decode the encoding and
 				// re-encode. If information was lost, a resumed run
 				// would render different tables — fail loudly instead.
-				var rt R
-				if uerr := json.Unmarshal(raw, &rt); uerr != nil {
+				rt, uerr := decodeResult[R](raw)
+				if uerr != nil {
 					return fmt.Errorf("cell %q: result type %T does not decode from its own encoding: %w", k, r, uerr)
 				}
-				raw2, merr2 := json.Marshal(rt)
+				raw2, merr2 := encodeResult(rt)
 				if merr2 != nil || !bytes.Equal(raw, raw2) {
 					return fmt.Errorf("cell %q: result type %T does not survive a JSON round trip; "+
 						"cached replays would diverge from fresh runs", k, r)
@@ -279,6 +279,55 @@ func FanoutKeyed[S, R any](o Options, specs []S, key func(spec S) string, f func
 		return nil, err
 	}
 	return out, nil
+}
+
+// resultCodec is a cell result type with its own JSON codec, called
+// directly instead of through encoding/json: *workload.Result and
+// *apps.RunResult. The codec is used only when R is a pointer type.
+// Such a type's MarshalJSON must write compact JSON with its strings
+// escaped as json.Marshal escapes them, and its UnmarshalJSON must
+// accept any valid JSON value, as both codecs do.
+type resultCodec interface {
+	json.Marshaler
+	json.Unmarshaler
+}
+
+// encodeResult returns json.Marshal(r). A resultCodec's MarshalJSON is
+// called directly, which skips the pass in which json.Marshal compacts
+// and HTML-escapes what MarshalJSON returns: that pass copies the
+// codecs' output unchanged, since they write compact JSON with every
+// string HTML-escaped. Other types go through json.Marshal.
+func encodeResult[R any](r R) ([]byte, error) {
+	if c, ok := codecOf(r); ok {
+		return c.MarshalJSON()
+	}
+	return json.Marshal(r)
+}
+
+// decodeResult returns the R that json.Unmarshal decodes from raw. For
+// a resultCodec it allocates the value and calls UnmarshalJSON
+// directly, which skips json.Unmarshal's checkValid pass over raw and
+// the skip pass that finds the value's end: every raw handed here is
+// one valid JSON value with nothing around it, because Cache.replay
+// admits a cached value only after json.Valid, and a fresh one is the
+// codec's own output. null, which json.Unmarshal stores as a nil
+// pointer without calling UnmarshalJSON, and other types go through
+// json.Unmarshal.
+func decodeResult[R any](raw []byte) (R, error) {
+	var r R
+	if _, ok := codecOf(r); ok && string(raw) != "null" {
+		r = reflect.New(reflect.TypeOf(r).Elem()).Interface().(R)
+		return r, any(r).(resultCodec).UnmarshalJSON(raw)
+	}
+	err := json.Unmarshal(raw, &r)
+	return r, err
+}
+
+// codecOf returns r as a resultCodec if R is a pointer type that is
+// one; r may be nil.
+func codecOf[R any](r R) (resultCodec, bool) {
+	c, ok := any(r).(resultCodec)
+	return c, ok && reflect.TypeOf(r).Kind() == reflect.Pointer
 }
 
 // guardedCell runs f(i, spec) once with panic recovery and, when

@@ -247,7 +247,12 @@ func (m *Machine) Cycles(n float64) sim.Time {
 
 // CoherenceParams assembles the coherence.Params for this machine.
 func (m *Machine) CoherenceParams() coherence.Params {
+	var pairs *topology.PairTable
+	if m.Topo != nil {
+		pairs = m.NodePairs()
+	}
 	return coherence.Params{
+		Pairs:              pairs,
 		NumCores:           m.NumCores(),
 		Topo:               m.Topo,
 		NodeOf:             m.nodeOf,

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"math"
 	"path/filepath"
 	"reflect"
 	"testing"
@@ -55,6 +56,61 @@ func TestPutLineMatchesMarshal(t *testing.T) {
 	}
 	if got := readBytes(t, filepath.Join(dir, cacheFile)); !bytes.Equal(got, want.Bytes()) {
 		t.Fatalf("cells.jsonl differs from json.Marshal's lines:\n got %s\nwant %s", got, want.Bytes())
+	}
+}
+
+// TestCellLineMatchesMarshal pins the manifest's hand-written cell
+// record to the bytes json.Marshal writes for it: failed cells with
+// error text, panic stacks, watchdog timeouts and cancellations,
+// replayed and fresh cells, strings that need escaping, floats at the
+// edges of encoding/json's 'f' and 'e' forms, and NaN and ±Inf, which
+// both reject with the same error. The manifest holds exactly those
+// lines.
+func TestCellLineMatchesMarshal(t *testing.T) {
+	recs := []CellRecord{
+		{Exp: "F3", Cell: 0, Key: "F3|seed=42|quick=true|XeonE5@dc7517926042/wl@e3eb36d03610",
+			Digest: "0123456789abcdef", WallMS: 1.25, SimNS: 200000, Ops: 91234},
+		{Exp: "F3", Cell: 7, Key: "k", Digest: "d", Cached: true, WallMS: 0.0031},
+		{Exp: "T1", Cell: 2, Key: "k", WallMS: 3, Error: "cell 2 panicked: <nil> & \"boom\"", Panic: true,
+			Stack: "goroutine 7 [running]:\nmain.f()\n\t/src/x.go:12 +0x1d\n"},
+		{Exp: "F5", Cell: 3, Key: "k", WallMS: 1e21, Error: "cell 3 exceeded its 1ns watchdog deadline", TimedOut: true},
+		{Exp: "F5", Cell: 4, Key: "k", WallMS: 1e-7, Error: "cell 4 canceled before it ran: context canceled", Canceled: true},
+		{Exp: "ünï\u2028", Cell: -1, Key: "bad\xffutf8\ttab", WallMS: -0.5, SimNS: 5e-324, Ops: math.MaxUint64},
+		{Exp: "F1", WallMS: 9.999999999999999e20, SimNS: -1e-6},
+		{},
+		{Exp: "F1", WallMS: math.NaN()},
+		{Exp: "F1", WallMS: 1, SimNS: math.Inf(-1)},
+	}
+	dir := t.TempDir()
+	w, err := Create(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want bytes.Buffer
+	for i, r := range recs {
+		r.Type = TypeCell
+		wantLine, wantErr := json.Marshal(r)
+		got, err := r.line()
+		if (err == nil) != (wantErr == nil) || (err != nil && err.Error() != wantErr.Error()) || !bytes.Equal(got, wantLine) {
+			t.Fatalf("record %d: line() = %s, %v; json.Marshal = %s, %v", i, got, err, wantLine, wantErr)
+		}
+		if err := w.Cell(r); (err != nil) != (wantErr != nil) {
+			t.Fatalf("record %d: Cell error %v, json.Marshal error %v", i, err, wantErr)
+		}
+		if wantErr == nil {
+			want.Write(wantLine)
+			want.WriteByte('\n')
+		}
+	}
+	if cells, _, failed := w.Totals(); cells != len(recs) || failed != 3 {
+		t.Fatalf("Totals = %d cells, %d failed; want %d, 3", cells, failed, len(recs))
+	}
+	got := readBytes(t, filepath.Join(dir, manifestFile))
+	if !bytes.Equal(got, want.Bytes()) {
+		t.Fatalf("manifest differs from json.Marshal's lines:\n got %s\nwant %s", got, want.Bytes())
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
 	}
 }
 

@@ -25,6 +25,12 @@
 // other form goes through json.Marshal or json.Unmarshal instead, so
 // both paths write the same bytes and load the same entries.
 //
+// The manifest's cell record, one per cell of every run, replayed
+// cells included, is written by hand too (CellRecord.line): the bytes
+// json.Marshal writes for the record, built field by field with the
+// shared helpers of internal/canonjson. Its other records go through
+// json.Marshal.
+//
 // Both files, and the job journal atomicd keeps beside them
 // (internal/jobs), are one Log each: append-only, one Write per
 // record, read back by one reader (ReadLog). A run killed mid-write
@@ -59,6 +65,8 @@ import (
 	"path/filepath"
 	"sync"
 	"time"
+
+	"atomicsmodel/internal/canonjson"
 )
 
 // Record types stored in manifest.jsonl, discriminated by Type.
@@ -202,6 +210,7 @@ func newWriter(dir string, resume bool) (w *Writer, err error) {
 // Cell records one completed or failed cell.
 func (w *Writer) Cell(r CellRecord) error {
 	r.Type = TypeCell
+	line, err := r.line()
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	w.cells++
@@ -211,7 +220,65 @@ func (w *Writer) Cell(r CellRecord) error {
 	if r.Error != "" {
 		w.failedCells++
 	}
-	return w.log.Append(r)
+	if err != nil {
+		return err
+	}
+	return w.log.appendLine(line)
+}
+
+// line encodes r as its manifest.jsonl line: the bytes json.Marshal(r)
+// writes, field by field, since the manifest takes one of these for
+// every cell, replayed ones included. The float fields fail as
+// json.Marshal fails on NaN and ±Inf.
+func (r *CellRecord) line() ([]byte, error) {
+	// One spare byte for the '\n' appendLine adds.
+	w := canonjson.Writer{B: make([]byte, 0, 128+len(r.Exp)+len(r.Key)+len(r.Digest)+len(r.Error)+len(r.Stack)+1)}
+	w.Lit(`{"type":`)
+	w.Str(r.Type)
+	w.Lit(`,"exp":`)
+	w.Str(r.Exp)
+	w.Lit(`,"cell":`)
+	w.Int(int64(r.Cell))
+	if r.Key != "" {
+		w.Lit(`,"key":`)
+		w.Str(r.Key)
+	}
+	if r.Digest != "" {
+		w.Lit(`,"digest":`)
+		w.Str(r.Digest)
+	}
+	if r.Cached {
+		w.Lit(`,"cached":true`)
+	}
+	w.Lit(`,"wall_ms":`)
+	w.Float(r.WallMS)
+	if r.SimNS != 0 {
+		w.Lit(`,"sim_ns":`)
+		w.Float(r.SimNS)
+	}
+	if r.Ops != 0 {
+		w.Lit(`,"ops":`)
+		w.Uint(r.Ops)
+	}
+	if r.Error != "" {
+		w.Lit(`,"error":`)
+		w.Str(r.Error)
+	}
+	if r.Panic {
+		w.Lit(`,"panic":true`)
+	}
+	if r.Stack != "" {
+		w.Lit(`,"stack":`)
+		w.Str(r.Stack)
+	}
+	if r.TimedOut {
+		w.Lit(`,"timed_out":true`)
+	}
+	if r.Canceled {
+		w.Lit(`,"canceled":true`)
+	}
+	w.Lit("}")
+	return w.Bytes()
 }
 
 // Totals returns the cell counters accumulated so far: total cells,
@@ -394,44 +461,16 @@ func (c *Cache) replay(n int, line []byte) error {
 // json.Unmarshal then decodes: it yields the same entry for every line
 // accepted here.
 func canonicalEntry(line []byte) (e cacheEntry, ok bool) {
-	rest, ok := bytes.CutPrefix(line, []byte(`{"key":"`))
-	if !ok {
+	p := canonjson.Reader{B: line}
+	var key, digest []byte
+	if !p.Lit(`{"key":`) || !p.Str(&key) || !p.Lit(`,"digest":`) || !p.Str(&digest) || !p.Lit(`,"value":`) {
 		return e, false
 	}
-	key, rest, ok := plainString(rest)
-	if !ok {
-		return e, false
-	}
-	if rest, ok = bytes.CutPrefix(rest, []byte(`,"digest":"`)); !ok {
-		return e, false
-	}
-	digest, rest, ok := plainString(rest)
-	if !ok {
-		return e, false
-	}
-	if rest, ok = bytes.CutPrefix(rest, []byte(`,"value":`)); !ok {
-		return e, false
-	}
-	v, ok := bytes.CutSuffix(rest, []byte("}"))
+	v, ok := bytes.CutSuffix(line[p.I:], []byte("}"))
 	if !ok || len(v) == 0 || isSpace(v[0]) || isSpace(v[len(v)-1]) || !json.Valid(v) {
 		return e, false
 	}
 	return cacheEntry{Key: string(key), Digest: string(digest), Value: v}, true
-}
-
-// plainString splits b after its first '"' and returns the bytes
-// before it, if they are all printable ASCII other than a backslash: a
-// JSON string body that decodes to itself.
-func plainString(b []byte) (s, rest []byte, ok bool) {
-	for i, c := range b {
-		switch {
-		case c == '"':
-			return b[:i], b[i+1:], true
-		case c < 0x20 || c > 0x7e || c == '\\':
-			return nil, nil, false
-		}
-	}
-	return nil, nil, false
 }
 
 func isSpace(c byte) bool { return c == ' ' || c == '\t' || c == '\n' || c == '\r' }
@@ -493,19 +532,16 @@ func (e cacheEntry) line() ([]byte, error) {
 	if !compactJSON(e.Value) {
 		return json.Marshal(e)
 	}
-	key, err := json.Marshal(e.Key)
-	if err != nil {
-		return nil, err
-	}
 	// One spare byte for the '\n' appendLine adds.
-	b := make([]byte, 0, len(`{"key":,"digest":"","value":}`)+len(key)+len(e.Digest)+len(e.Value)+1)
-	b = append(b, `{"key":`...)
-	b = append(b, key...)
-	b = append(b, `,"digest":"`...)
-	b = append(b, e.Digest...)
-	b = append(b, `","value":`...)
-	b = append(b, e.Value...)
-	return append(b, '}'), nil
+	w := canonjson.Writer{B: make([]byte, 0, len(`{"key":"","digest":"","value":}`)+len(e.Key)+len(e.Digest)+len(e.Value)+1)}
+	w.Lit(`{"key":`)
+	w.Str(e.Key)
+	w.Lit(`,"digest":"`)
+	w.Lit(e.Digest)
+	w.Lit(`","value":`)
+	w.B = append(w.B, e.Value...)
+	w.Lit("}")
+	return w.Bytes()
 }
 
 // compactJSON reports whether v is one valid JSON value that

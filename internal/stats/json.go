@@ -3,10 +3,10 @@ package stats
 import (
 	"encoding/json"
 	"fmt"
-	"math"
 	"sort"
 	"strconv"
 
+	"atomicsmodel/internal/canonjson"
 	"atomicsmodel/internal/sim"
 )
 
@@ -28,7 +28,10 @@ import (
 // of every cell. The decoder reads the canonical form in one pass and
 // hands any other input to the generic json.Unmarshal decode, so every
 // input decodes to the same histogram, or fails with the same error,
-// as it does through the generic decode alone.
+// as it does through the generic decode alone. The cell results that
+// hold histograms (internal/workload, internal/apps) write and read
+// them in place, inside their own one-pass codecs, with AppendJSON and
+// ReadHistogram.
 
 type histogramJSON struct {
 	N       uint64         `json:"n"`
@@ -57,7 +60,15 @@ var bucketOrder, bucketRank = func() ([]int, []int) {
 
 // MarshalJSON encodes the histogram with sparse buckets.
 func (h *Histogram) MarshalJSON() ([]byte, error) {
-	b := make([]byte, 0, 96)
+	return h.AppendJSON(make([]byte, 0, 96)), nil
+}
+
+// AppendJSON appends MarshalJSON's encoding of h to b, or null for a
+// nil h, as json.Marshal writes a nil *Histogram field.
+func (h *Histogram) AppendJSON(b []byte) []byte {
+	if h == nil {
+		return append(b, "null"...)
+	}
 	b = append(b, `{"n":`...)
 	b = strconv.AppendUint(b, h.n, 10)
 	b = append(b, `,"sum":`...)
@@ -85,7 +96,7 @@ func (h *Histogram) MarshalJSON() ([]byte, error) {
 	if open {
 		b = append(b, '}')
 	}
-	return append(b, '}'), nil
+	return append(b, '}')
 }
 
 // UnmarshalJSON reconstructs a histogram encoded by MarshalJSON.
@@ -122,98 +133,78 @@ func (h *Histogram) decodeGeneric(b []byte) error {
 	return nil
 }
 
-// decodeCanonical decodes b if it is in the canonical form MarshalJSON
-// writes, with every bucket in range and counts that sum to n, and
-// reports whether it did; h is untouched otherwise. Integers must be
-// plain decimals without leading zeros, bucket keys must come in
-// encoding/json's order (which also rules out duplicates), and no
-// whitespace or other field may appear. The bucket object may be
-// empty.
+// decodeCanonical decodes b if it is one histogram in the canonical
+// form (see ReadJSON) and reports whether it did; h is untouched
+// otherwise.
 func (h *Histogram) decodeCanonical(b []byte) bool {
-	p := canonReader{b: b}
+	p := canonjson.Reader{B: b}
+	var d Histogram
+	if !d.ReadJSON(&p) || !p.Done() {
+		return false
+	}
+	*h = d
+	return true
+}
+
+// ReadHistogram consumes null, which it stores as a nil *h, or a
+// histogram in the canonical form, which it stores as a new one: the
+// reading json.Unmarshal gives a *Histogram field of a value whose
+// codec reads its histograms in place.
+func ReadHistogram(p *canonjson.Reader, h **Histogram) bool {
+	if p.Lit("null") {
+		*h = nil
+		return true
+	}
+	d := &Histogram{}
+	if !d.ReadJSON(p) {
+		return false
+	}
+	*h = d
+	return true
+}
+
+// ReadJSON consumes a histogram in the canonical form MarshalJSON
+// writes from p, with every bucket in range and counts that sum to n,
+// and reports whether it did; h is untouched otherwise, and p is left
+// where reading stopped. Integers must be plain decimals without
+// leading zeros, bucket keys must come in encoding/json's order (which
+// also rules out duplicates), and no whitespace or other field may
+// appear. The bucket object may be empty. Codecs of values that hold
+// a histogram read it in place with this; what follows it in p is
+// theirs to check.
+func (h *Histogram) ReadJSON(p *canonjson.Reader) bool {
 	var n uint64
 	var sum, minT, maxT sim.Time
-	ok := p.lit(`{"n":`) && p.uint(&n) &&
-		p.lit(`,"sum":`) && p.time(&sum) &&
-		p.lit(`,"min":`) && p.time(&minT) &&
-		p.lit(`,"max":`) && p.time(&maxT)
+	ok := p.Lit(`{"n":`) && p.Uint(&n) &&
+		p.Lit(`,"sum":`) && canonjson.Int(p, &sum) &&
+		p.Lit(`,"min":`) && canonjson.Int(p, &minT) &&
+		p.Lit(`,"max":`) && canonjson.Int(p, &maxT)
 	if !ok {
 		return false
 	}
 	counts := make([]uint64, maxBuckets)
 	var total uint64
-	if p.lit(`,"buckets":{`) && !p.lit("}") {
+	if p.Lit(`,"buckets":{`) && !p.Lit("}") {
 		for prev := -1; ; {
 			var bi, c uint64
-			if !p.lit(`"`) || !p.uint(&bi) || bi >= maxBuckets || bucketRank[bi] <= prev ||
-				!p.lit(`":`) || !p.uint(&c) {
+			if !p.Lit(`"`) || !p.Uint(&bi) || bi >= maxBuckets || bucketRank[bi] <= prev ||
+				!p.Lit(`":`) || !p.Uint(&c) {
 				return false
 			}
 			prev = bucketRank[bi]
 			counts[bi] = c
 			total += c
-			if p.lit("}") {
+			if p.Lit("}") {
 				break
 			}
-			if !p.lit(",") {
+			if !p.Lit(",") {
 				return false
 			}
 		}
 	}
-	if !p.lit("}") || p.i != len(b) || total != n {
+	if !p.Lit("}") || total != n {
 		return false
 	}
 	h.counts, h.n, h.sum, h.min, h.max = counts, n, sum, minT, maxT
-	return true
-}
-
-// canonReader consumes the canonical histogram form from b[i:].
-type canonReader struct {
-	b []byte
-	i int
-}
-
-// lit consumes s if b continues with it.
-func (p *canonReader) lit(s string) bool {
-	if len(p.b)-p.i < len(s) || string(p.b[p.i:p.i+len(s)]) != s {
-		return false
-	}
-	p.i += len(s)
-	return true
-}
-
-// uint consumes a decimal without sign or leading zeros that fits in
-// a uint64.
-func (p *canonReader) uint(v *uint64) bool {
-	j := p.i
-	for j < len(p.b) && p.b[j] >= '0' && p.b[j] <= '9' {
-		j++
-	}
-	if j == p.i || (p.b[p.i] == '0' && j > p.i+1) {
-		return false
-	}
-	var x uint64
-	for _, c := range p.b[p.i:j] {
-		d := uint64(c - '0')
-		if x > (math.MaxUint64-d)/10 {
-			return false
-		}
-		x = x*10 + d
-	}
-	*v, p.i = x, j
-	return true
-}
-
-// time consumes an optionally negative decimal that fits in an int64.
-func (p *canonReader) time(v *sim.Time) bool {
-	neg := p.lit("-")
-	var m uint64
-	if !p.uint(&m) || m > 1<<63 || (!neg && m == 1<<63) {
-		return false
-	}
-	if neg {
-		m = -m
-	}
-	*v = sim.Time(m)
 	return true
 }

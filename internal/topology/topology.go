@@ -229,3 +229,12 @@ func (p *PairTable) Hops(a, b int) int { return int(p.hops[a*p.n : (a+1)*p.n][b]
 
 // CrossSocket is the topology's CrossSocket(a, b).
 func (p *PairTable) CrossSocket(a, b int) bool { return p.cross[a*p.n : (a+1)*p.n][b] }
+
+// Nodes is the number of nodes the table covers.
+func (p *PairTable) Nodes() int { return p.n }
+
+// Flat returns the whole table as two flat arrays indexed a*Nodes()+b:
+// the hop counts and the cross-socket flags. They are the table's own
+// arrays, shared with every other reader, so the caller must not write
+// them.
+func (p *PairTable) Flat() (hops []int32, cross []bool) { return p.hops, p.cross }

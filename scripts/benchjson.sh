@@ -3,8 +3,9 @@
 # numbers of ROADMAP.md: an engine event, a coherence access and the
 # Stats fold over a preset machine's ledger, a full workload cell, a
 # memoized or parked F3 cell, an app cell, a run-log cache open (100
-# F3-sized lines) and put, and a histogram through the cache's JSON
-# codec each way — N times each (go test
+# F3-sized lines) and put, a histogram and an F3-sized cell result
+# through the cache's JSON codec each way, and one cached F3 cell
+# replayed through the harness fan-out — N times each (go test
 # -count N) and writes each one's median and spread to a
 # JSON file: ns/op as the median, the quartiles, the minimum and the
 # maximum of the N runs, and B/op and allocs/op as medians. It is a
@@ -33,9 +34,10 @@ bench ./internal/coherence BenchmarkCoherenceAccess BenchmarkCoherenceReadShared
 	BenchmarkPathCost BenchmarkPathCostMetrics BenchmarkCoherenceAccessMetricsOff \
 	BenchmarkCoherenceAccessMetricsOn BenchmarkCoherenceStats
 bench ./internal/harness BenchmarkFullCell BenchmarkFullCellMetrics \
-	BenchmarkMemoizedCell BenchmarkAppCell
+	BenchmarkMemoizedCell BenchmarkAppCell BenchmarkReplayCell
 bench ./internal/runlog BenchmarkCacheOpen BenchmarkCachePut
 bench ./internal/stats BenchmarkHistogramJSON
+bench ./internal/workload BenchmarkResultJSON
 
 awk -v runs="$n" -v gover="$(go env GOVERSION)" -v date="$(date -u +%Y-%m-%d)" '
 # quantile returns the p-quantile of the sorted values v[1..k],

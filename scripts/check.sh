@@ -25,8 +25,8 @@
 # smoke (submit → poll → dedup → SIGTERM drain), a bench smoke
 # enforcing the simulation path's allocation budget, and short
 # native-fuzz passes over the run-log parsers (each one-pass codec of
-# the cell cache, the cache line and the histogram, against
-# encoding/json), topology hop
+# the cell cache, the cache line, the histogram and the workload and
+# app cell results, against encoding/json), topology hop
 # computation, the machine, workload, app and job spec loaders (the
 # first three run the one shared loader property, speckit.Property,
 # each seeded from its own registry), and the event queue's express
@@ -432,11 +432,13 @@ awk '/BenchmarkAppCell/ { if ($(NF-1) + 0 > 400) exit 1 }' "$dir/bench_app.txt" 
     exit 1
 }
 
-echo "== fuzz smoke (runlog parsers, cache line and histogram codecs vs encoding/json, job journal replay, topology hops, coherence value chains, machine/workload/app/job specs, Schedule's express lane vs heap-only, park lane)"
+echo "== fuzz smoke (runlog parsers, cache line, histogram and cell-result codecs vs encoding/json, job journal replay, topology hops, coherence value chains, machine/workload/app/job specs, Schedule's express lane vs heap-only, park lane)"
 go test -run FuzzNothing -fuzz FuzzCacheLoad -fuzztime 5s ./internal/runlog > /dev/null
 go test -run FuzzNothing -fuzz FuzzManifestValidate -fuzztime 5s ./internal/runlog > /dev/null
 go test -run FuzzNothing -fuzz FuzzCacheLine -fuzztime 5s ./internal/runlog > /dev/null
 go test -run FuzzNothing -fuzz FuzzHistogramJSON -fuzztime 5s ./internal/stats > /dev/null
+go test -run FuzzNothing -fuzz FuzzResultJSON -fuzztime 5s ./internal/workload > /dev/null
+go test -run FuzzNothing -fuzz FuzzRunResultJSON -fuzztime 5s ./internal/apps > /dev/null
 go test -run FuzzNothing -fuzz FuzzJournalReplay -fuzztime 5s ./internal/jobs > /dev/null
 go test -run FuzzNothing -fuzz FuzzHops -fuzztime 5s ./internal/topology > /dev/null
 go test -run FuzzNothing -fuzz FuzzProtocolValueChain -fuzztime 5s ./internal/coherence > /dev/null
