@@ -49,13 +49,13 @@ func (a ArbPolicy) String() string {
 func (md *Model) PredictHighArb(p atomics.Primitive, cores []int, work sim.Time, arb ArbPolicy) Prediction {
 	switch arb {
 	case ArbRandom:
-		pred := md.PredictHigh(p, cores, work)
+		pred, dynNJ := md.predictHigh(p, cores, work)
 		if (p == atomics.CAS || p == atomics.CAS2) && len(cores) > 1 {
 			pred.SuccessRate = CASSuccessRateRandom(len(cores))
 			pred.ThroughputMops = pred.AttemptsMops * pred.SuccessRate
 			// Wins are memoryless, so per-thread successes balance out.
 			pred.Jain = 1
-			pred.EnergyPerOpNJ = md.energyPerOp(cores, pred)
+			pred.EnergyPerOpNJ = md.energyPerOp(cores, pred, dynNJ)
 		}
 		return pred
 	case ArbLocality:
@@ -109,18 +109,8 @@ func (md *Model) predictLocality(p atomics.Primitive, cores []int, work sim.Time
 		// are local, distinct-core pairs pay the zero-hop directory
 		// trip. Use the mean over ordered distinct pairs within the
 		// group.
-		var sum sim.Time
-		pairs := 0
-		for i, c := range group {
-			for j, o := range group {
-				if i == j {
-					continue
-				}
-				sum += md.pairCost(o, c)
-				pairs++
-			}
-		}
-		svcSum += sum / sim.Time(pairs)
+		sum, _ := md.pairSums(group)
+		svcSum += sum / sim.Time(len(group)*(len(group)-1))
 		nClusters++
 		if len(group) > maxGroup {
 			maxGroup = len(group)

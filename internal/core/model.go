@@ -70,8 +70,8 @@ type Model struct {
 	// home is the topology node assumed to host the contended line's
 	// directory (line ID 1 in the workloads).
 	home int
-	// pairs is m's node-pair table, which pairCost and pairEnergyNJ
-	// read for every ordered pair of contending cores.
+	// pairs is m's node-pair table, which pairSums reads for every
+	// ordered pair of contending cores.
 	pairs *topology.PairTable
 }
 
@@ -102,74 +102,94 @@ func (md *Model) Constants() (tLocal, tSame, tCross sim.Time) {
 	return md.tLocal, md.tSame, md.tCross
 }
 
-// pairCost returns the expected completion cost of one RMW granted to
-// core c when the line was last owned by core o (excluding execution
-// occupancy), under the chosen variant.
-func (md *Model) pairCost(o, c int) sim.Time {
-	lat := &md.m.Lat
-	if o == c {
-		if md.variant == Simple {
-			return md.tLocal
+// pairSums walks every ordered pair (o, c) of distinct entries of
+// cores, c the core granted the line and o its previous owner, and
+// returns two sums over them: cost, the expected completion cost of
+// the grant (excluding execution occupancy) under the model's variant,
+// and dynNJ, the simulator's energy charge (energy.ChargeNJ) for the
+// transfer. Equal cores (hyperthreads of one core) cost a local hit;
+// distinct cores always pay a directory trip, even on the same tile
+// (KNL tile-mates have private L1s; their transfers are cheap —
+// zero-hop legs — but not free), and a forward from o's cache over
+// the three-leg path through the line's home: requester to home, home
+// to owner, and owner back to requester. The cores are mapped to nodes,
+// and their legs to and from the home looked up, once per call; each
+// pair's hops and cross-socket flag (a property of the two nodes, in
+// either order) serve both sums.
+func (md *Model) pairSums(cores []int) (cost sim.Time, dynNJ float64) {
+	lat, e := &md.m.Lat, &md.m.Energy
+	local := energy.ChargeNJ(e, coherence.ClassOf(coherence.SrcLocal, 0, false))
+	type leg struct{ node, toHome, fromHome int }
+	legs := make([]leg, len(cores))
+	for i, c := range cores {
+		n := md.m.NodeOf(c)
+		legs[i] = leg{n, md.pairs.Hops(n, md.home), md.pairs.Hops(md.home, n)}
+	}
+	for i, c := range cores {
+		nc := legs[i].node
+		for j, o := range cores {
+			switch {
+			case i == j:
+				continue
+			case o == c:
+				if md.variant == Simple {
+					cost += md.tLocal
+				} else {
+					cost += lat.L1Hit
+				}
+				dynNJ += local
+				continue
+			}
+			no := legs[j].node
+			hops := legs[i].toHome + legs[j].fromHome + md.pairs.Hops(no, nc)
+			cross := md.pairs.CrossSocket(no, nc)
+			switch {
+			case md.variant == Simple && cross:
+				cost += md.tCross
+			case md.variant == Simple:
+				cost += md.tSame
+			case cross:
+				cost += lat.DirLookup + sim.Time(hops)*lat.HopLatency + lat.CrossSocketPenalty
+			default:
+				cost += lat.DirLookup + sim.Time(hops)*lat.HopLatency
+			}
+			dynNJ += energy.ChargeNJ(e, coherence.ClassOf(coherence.SrcRemoteCache, hops, cross))
 		}
-		return lat.L1Hit
 	}
-	// Distinct cores always pay a directory trip, even on the same
-	// tile (KNL tile-mates have private L1s; their transfers are
-	// cheap — zero-hop legs — but not free).
-	no, nc := md.m.NodeOf(o), md.m.NodeOf(c)
-	cross := md.pairs.CrossSocket(nc, no)
-	if md.variant == Simple {
-		if cross {
-			return md.tCross
-		}
-		return md.tSame
-	}
-	cost := lat.DirLookup + sim.Time(md.legHops(no, nc))*lat.HopLatency
-	if cross {
-		cost += lat.CrossSocketPenalty
-	}
-	return cost
-}
-
-// legHops is the hop count of a forward from owner node no to
-// requester node nc: requester to the line's home, home to owner, and
-// owner back to requester.
-func (md *Model) legHops(no, nc int) int {
-	return md.pairs.Hops(nc, md.home) + md.pairs.Hops(md.home, no) + md.pairs.Hops(no, nc)
+	return cost, dynNJ
 }
 
 // ServiceTime returns the expected time the contended line is occupied
 // per operation of primitive p when the given physical cores contend.
 // Under FIFO arbitration the grants cycle through the threads in their
 // (random) arrival order, so the expected consecutive-owner transfer
-// cost is the mean of pairCost over all ordered distinct pairs; the
-// primitive's execution occupancy is added on top.
+// cost is the mean of the pair cost over all ordered distinct pairs;
+// the primitive's execution occupancy is added on top.
 func (md *Model) ServiceTime(p atomics.Primitive, cores []int) sim.Time {
+	s, _ := md.service(p, cores)
+	return s
+}
+
+// service returns ServiceTime and the expected dynamic energy of one
+// attempt, in nJ: the mean transfer charge over random consecutive-
+// owner pairs, or a local operation's when one thread runs.
+func (md *Model) service(p atomics.Primitive, cores []int) (sim.Time, float64) {
 	exec := atomics.ExecCost(md.m, p)
 	if len(cores) <= 1 {
 		if md.variant == Simple {
-			return md.tLocal + exec - atomics.ExecCost(md.m, atomics.FAA)
+			return md.tLocal + exec - atomics.ExecCost(md.m, atomics.FAA), md.m.Energy.LocalOpNJ
 		}
-		return md.m.Lat.L1Hit + exec
+		return md.m.Lat.L1Hit + exec, md.m.Energy.LocalOpNJ
 	}
-	var sum sim.Time
-	pairs := 0
-	for i, c := range cores {
-		for j, o := range cores {
-			if i == j {
-				continue
-			}
-			sum += md.pairCost(o, c)
-			pairs++
-		}
-	}
-	mean := sum / sim.Time(pairs)
+	sum, dynNJ := md.pairSums(cores)
+	pairs := len(cores) * (len(cores) - 1)
+	mean, dynNJ := sum/sim.Time(pairs), dynNJ/float64(pairs)
 	if md.variant == Simple {
 		// tLocal/tSame/tCross were calibrated with FAA; adjust by the
 		// primitive's execution delta.
-		return mean + exec - atomics.ExecCost(md.m, atomics.FAA)
+		return mean + exec - atomics.ExecCost(md.m, atomics.FAA), dynNJ
 	}
-	return mean + exec
+	return mean + exec, dynNJ
 }
 
 // Prediction is the model's output for one configuration.
@@ -230,6 +250,14 @@ func CASSuccessRateRandom(n int) float64 {
 // cores (one per thread; repeats mean hyperthread sharing) all hammer
 // one line with primitive p, separated by think time work.
 func (md *Model) PredictHigh(p atomics.Primitive, cores []int, work sim.Time) Prediction {
+	pred, _ := md.predictHigh(p, cores, work)
+	return pred
+}
+
+// predictHigh is PredictHigh, which also returns the dynamic energy of
+// one attempt (service) for a caller that re-prices the energy per
+// operation under another success rate (PredictHighArb).
+func (md *Model) predictHigh(p atomics.Primitive, cores []int, work sim.Time) (Prediction, float64) {
 	n := len(cores)
 	if p == atomics.Fence {
 		// Fences are core-local: no shared line, so "high contention"
@@ -241,12 +269,12 @@ func (md *Model) PredictHigh(p atomics.Primitive, cores []int, work sim.Time) Pr
 			pred.ThroughputMops = pred.AttemptsMops
 			pred.EnergyPerOpNJ = md.energyPerOpLow(n, pred)
 		}
-		return pred
+		return pred, 0
 	}
-	s := md.ServiceTime(p, cores)
+	s, dynNJ := md.service(p, cores)
 	pred := Prediction{Threads: n, ServiceTime: s, SuccessRate: 1, Jain: 1}
 	if n == 0 {
-		return pred
+		return pred, dynNJ
 	}
 	// Closed system around one server: each thread cycles through
 	// think (work) and service; attempts rate is bounded by both the
@@ -265,8 +293,8 @@ func (md *Model) PredictHigh(p atomics.Primitive, cores []int, work sim.Time) Pr
 	}
 	pred.ThroughputMops = pred.AttemptsMops * pred.SuccessRate
 
-	pred.EnergyPerOpNJ = md.energyPerOp(cores, pred)
-	return pred
+	pred.EnergyPerOpNJ = md.energyPerOp(cores, pred, dynNJ)
+	return pred, dynNJ
 }
 
 // PredictLow predicts the low-contention setting: n threads on private
@@ -287,8 +315,9 @@ func (md *Model) PredictLow(p atomics.Primitive, n int, work sim.Time) Predictio
 
 // energyPerOp predicts J/op (in nJ) for the high-contention setting:
 // static+active power divided by successful throughput, plus the
-// dynamic energy of the attempts needed per success.
-func (md *Model) energyPerOp(cores []int, pred Prediction) float64 {
+// dynamic energy dynNJ of one attempt (service) times the attempts
+// needed per success.
+func (md *Model) energyPerOp(cores []int, pred Prediction, dynNJ float64) float64 {
 	if pred.ThroughputMops == 0 {
 		return 0
 	}
@@ -299,25 +328,6 @@ func (md *Model) energyPerOp(cores []int, pred Prediction) float64 {
 	}
 	watts := e.StaticWattsPerCore*float64(len(distinct)) + e.ActiveWattsPerThread*float64(len(cores))
 	staticNJ := watts / (pred.ThroughputMops * 1e6) * 1e9
-
-	// Dynamic energy per attempt: expected transfer energy over random
-	// consecutive-owner pairs (single-thread runs stay local).
-	var dynNJ float64
-	if n := len(cores); n == 1 {
-		dynNJ = e.LocalOpNJ
-	} else {
-		pairs := 0
-		for i, c := range cores {
-			for j, o := range cores {
-				if i == j {
-					continue
-				}
-				dynNJ += md.pairEnergyNJ(o, c)
-				pairs++
-			}
-		}
-		dynNJ /= float64(pairs)
-	}
 	return staticNJ + dynNJ/pred.SuccessRate
 }
 
@@ -328,19 +338,6 @@ func (md *Model) energyPerOpLow(n int, pred Prediction) float64 {
 	e := md.m.Energy
 	watts := (e.StaticWattsPerCore + e.ActiveWattsPerThread) * float64(n)
 	return watts/(pred.ThroughputMops*1e6)*1e9 + e.LocalOpNJ
-}
-
-// pairEnergyNJ is the simulator's charge (energy.ChargeNJ) for a
-// transfer from owner o to requester c: a local hit when they are one
-// core, else a forward from o's cache over the three-leg path through
-// the line's home.
-func (md *Model) pairEnergyNJ(o, c int) float64 {
-	if o == c {
-		return energy.ChargeNJ(&md.m.Energy, coherence.ClassOf(coherence.SrcLocal, 0, false))
-	}
-	no, nc := md.m.NodeOf(o), md.m.NodeOf(c)
-	cls := coherence.ClassOf(coherence.SrcRemoteCache, md.legHops(no, nc), md.pairs.CrossSocket(no, nc))
-	return energy.ChargeNJ(&md.m.Energy, cls)
 }
 
 // LowLatency predicts the latency of a single primitive whose line is

@@ -1,11 +1,14 @@
 package harness
 
 import (
+	"encoding/json"
 	"fmt"
+	"path/filepath"
 	"testing"
 
 	"atomicsmodel/internal/apps"
 	"atomicsmodel/internal/atomics"
+	"atomicsmodel/internal/canonjson"
 	"atomicsmodel/internal/machine"
 	"atomicsmodel/internal/runlog"
 	"atomicsmodel/internal/sim"
@@ -166,6 +169,60 @@ func BenchmarkReplayCell(b *testing.B) {
 		if _, err := FanoutKeyed(o, specs, key, replay); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// BenchmarkValidCompact times the validity check a resume makes on
+// every cached value, over all the values a -quick run of the whole
+// suite on the paper's two machines caches (the cache quick-resume
+// replays): canonjson.ValidCompact, which a load tries first, against
+// json.Valid, which it falls back on. One op is the whole cache.
+func BenchmarkValidCompact(b *testing.B) {
+	dir := b.TempDir()
+	c, err := runlog.OpenCache(dir)
+	if err != nil {
+		b.Fatal(err)
+	}
+	o := Options{Machines: machine.All(), Quick: true, Seed: 42, Cache: c}
+	for _, e := range All() {
+		if _, err := RunExperiment(e, o); err != nil {
+			b.Fatalf("%s: %v", e.ID, err)
+		}
+	}
+	if err := c.Close(); err != nil {
+		b.Fatal(err)
+	}
+	var values [][]byte
+	var size int64
+	_, _, err = runlog.ReadLog(filepath.Join(dir, "cells.jsonl"), func(_ int, line []byte) error {
+		var e struct {
+			Value json.RawMessage `json:"value"`
+		}
+		if err := json.Unmarshal(line, &e); err != nil {
+			return err
+		}
+		values = append(values, e.Value)
+		size += int64(len(e.Value))
+		return nil
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, check := range []struct {
+		name  string
+		valid func([]byte) bool
+	}{{"ValidCompact", canonjson.ValidCompact}, {"Valid", json.Valid}} {
+		b.Run(check.name, func(b *testing.B) {
+			b.SetBytes(size)
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				for _, v := range values {
+					if !check.valid(v) {
+						b.Fatalf("%s rejects a cached value: %.80s", check.name, v)
+					}
+				}
+			}
+		})
 	}
 }
 

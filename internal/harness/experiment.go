@@ -110,7 +110,7 @@ func (o Options) CellFaults(i int) *faults.CellPlan { return o.Faults.ForCell(i)
 // only when enabled, so existing plain caches stay valid and a
 // checked/faulted run never shares cache entries with a clean one.
 func (o Options) cellKey(k string) string {
-	base := fmt.Sprintf("%s|seed=%d|quick=%v", o.Exp, o.Seed, o.Quick)
+	base := o.Exp + "|seed=" + strconv.FormatUint(o.Seed, 10) + "|quick=" + strconv.FormatBool(o.Quick)
 	if o.Metrics != nil {
 		base += "|metrics=on"
 	}

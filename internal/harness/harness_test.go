@@ -1,9 +1,12 @@
 package harness
 
 import (
+	"fmt"
+	"math"
 	"strings"
 	"testing"
 
+	"atomicsmodel/internal/faults"
 	"atomicsmodel/internal/machine"
 )
 
@@ -179,4 +182,43 @@ func TestRegisterValidation(t *testing.T) {
 		}
 	}()
 	Register(&Experiment{})
+}
+
+// TestCellKeyMatchesSprintf: cellKey's prefix, built with strconv,
+// spells the key exactly as the fmt.Sprintf form every cache on disk
+// was written with, for the seed's edges, both Quick values, and each
+// optional suffix.
+func TestCellKeyMatchesSprintf(t *testing.T) {
+	plan, err := faults.Parse("seed=3,jitter=5,casfail=2")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, seed := range []uint64{0, 42, math.MaxUint64} {
+		for _, quick := range []bool{false, true} {
+			for _, edit := range []func(*Options){
+				func(*Options) {},
+				func(o *Options) { o.Metrics = &MetricsCollector{} },
+				func(o *Options) { o.Check = true },
+				func(o *Options) { o.Faults = plan },
+				func(o *Options) { o.Metrics, o.Check, o.Faults = &MetricsCollector{}, true, plan },
+			} {
+				o := Options{Exp: "F3", Seed: seed, Quick: quick}
+				edit(&o)
+				want := fmt.Sprintf("%s|seed=%d|quick=%v", o.Exp, o.Seed, o.Quick)
+				if o.Metrics != nil {
+					want += "|metrics=on"
+				}
+				if o.Check {
+					want += "|check=on"
+				}
+				if o.Faults != nil {
+					want += "|faults=" + o.Faults.Signature()
+				}
+				want += "|XeonE5/n=2/FAA"
+				if got := o.cellKey("XeonE5/n=2/FAA"); got != want {
+					t.Fatalf("cellKey = %q, want %q", got, want)
+				}
+			}
+		}
+	}
 }

@@ -309,8 +309,10 @@ func encodeResult[R any](r R) ([]byte, error) {
 // directly, which skips json.Unmarshal's checkValid pass over raw and
 // the skip pass that finds the value's end: every raw handed here is
 // one valid JSON value with nothing around it, because Cache.replay
-// admits a cached value only after json.Valid, and a fresh one is the
-// codec's own output. null, which json.Unmarshal stores as a nil
+// admits a cached value only once canonjson.ValidCompact or, for a
+// value outside its compact form, json.Valid has accepted it, and a
+// fresh one is the codec's own output. A histogram in the result
+// decodes to its occupied window of buckets (internal/stats). null, which json.Unmarshal stores as a nil
 // pointer without calling UnmarshalJSON, and other types go through
 // json.Unmarshal.
 func decodeResult[R any](raw []byte) (R, error) {

@@ -21,9 +21,14 @@
 // with K the JSON-quoted config key, D the digest of V, and V the
 // cell's compact JSON result: the bytes json.Marshal writes for the
 // entry. Put writes it by splicing, and a load reads it in one pass,
-// checking V with json.Valid and then against D. A value or line in any
-// other form goes through json.Marshal or json.Unmarshal instead, so
-// both paths write the same bytes and load the same entries.
+// checking V's validity and then V against D. The validity check is
+// canonjson.ValidCompact, one tight pass that accepts the compact,
+// escape-free form every cell result is written in, with json.Valid
+// behind it for any V it does not accept; a V Put splices needs the
+// same test (canonjson.Verbatim), which ValidCompact answers at once.
+// A value or line in any other form goes through json.Marshal or
+// json.Unmarshal instead, so both paths write the same bytes and load
+// the same entries.
 //
 // The manifest's cell record, one per cell of every run, replayed
 // cells included, is written by hand too (CellRecord.line): the bytes
@@ -456,7 +461,9 @@ func (c *Cache) replay(n int, line []byte) error {
 //	{"key":"K","digest":"D","value":V}
 //
 // where K and D are printable ASCII without a backslash (no escapes)
-// and V is one valid JSON value with no whitespace at either end. The
+// and V is one valid JSON value with no whitespace at either end:
+// canonjson.ValidCompact shows most values valid in one pass, and
+// json.Valid decides the rest, so the test is json.Valid's. The
 // entry's Value aliases line. ok is false for any other line, which
 // json.Unmarshal then decodes: it yields the same entry for every line
 // accepted here.
@@ -467,7 +474,7 @@ func canonicalEntry(line []byte) (e cacheEntry, ok bool) {
 		return e, false
 	}
 	v, ok := bytes.CutSuffix(line[p.I:], []byte("}"))
-	if !ok || len(v) == 0 || isSpace(v[0]) || isSpace(v[len(v)-1]) || !json.Valid(v) {
+	if !ok || len(v) == 0 || isSpace(v[0]) || isSpace(v[len(v)-1]) || !(canonjson.ValidCompact(v) || json.Valid(v)) {
 		return e, false
 	}
 	return cacheEntry{Key: string(key), Digest: string(digest), Value: v}, true
@@ -525,11 +532,11 @@ func (c *Cache) Put(key string, value json.RawMessage) (string, error) {
 
 // line encodes e as its cells.jsonl line, the bytes json.Marshal(e)
 // writes. A value that json.Marshal would copy unchanged (see
-// compactJSON) is spliced in as it is; any other value is left to
+// canonjson.Verbatim) is spliced in as it is; any other value is left to
 // json.Marshal, which compacts and escapes it or fails. The digest is
 // Digest's hex, which needs no escaping.
 func (e cacheEntry) line() ([]byte, error) {
-	if !compactJSON(e.Value) {
+	if !canonjson.Verbatim(e.Value) {
 		return json.Marshal(e)
 	}
 	// One spare byte for the '\n' appendLine adds.
@@ -542,32 +549,6 @@ func (e cacheEntry) line() ([]byte, error) {
 	w.B = append(w.B, e.Value...)
 	w.Lit("}")
 	return w.Bytes()
-}
-
-// compactJSON reports whether v is one valid JSON value that
-// json.Marshal embeds byte for byte: it has no whitespace outside
-// strings and none of the runes json.Marshal escapes for HTML safety
-// ('<', '>', '&', U+2028, U+2029).
-func compactJSON(v []byte) bool {
-	if !json.Valid(v) {
-		return false
-	}
-	inString := false
-	for i := 0; i < len(v); i++ {
-		switch c := v[i]; {
-		case c == '<' || c == '>' || c == '&':
-			return false
-		case c == 0xE2 && i+2 < len(v) && v[i+1] == 0x80 && v[i+2]&^1 == 0xA8:
-			return false
-		case inString && c == '\\':
-			i++ // skip the escaped byte, which may be a quote
-		case c == '"':
-			inString = !inString
-		case !inString && isSpace(c):
-			return false
-		}
-	}
-	return true
 }
 
 // Len returns the number of cached cells.

@@ -79,7 +79,8 @@ func (h *Histogram) AppendJSON(b []byte) []byte {
 	b = strconv.AppendInt(b, int64(h.max), 10)
 	open := false
 	for _, bi := range bucketOrder {
-		if bi >= len(h.counts) || h.counts[bi] == 0 {
+		i := bi - h.lo
+		if uint(i) >= uint(len(h.counts)) || h.counts[i] == 0 {
 			continue
 		}
 		if open {
@@ -91,7 +92,7 @@ func (h *Histogram) AppendJSON(b []byte) []byte {
 		b = append(b, '"')
 		b = strconv.AppendInt(b, int64(bi), 10)
 		b = append(b, '"', ':')
-		b = strconv.AppendUint(b, h.counts[bi], 10)
+		b = strconv.AppendUint(b, h.counts[i], 10)
 	}
 	if open {
 		b = append(b, '}')
@@ -107,6 +108,19 @@ func (h *Histogram) UnmarshalJSON(b []byte) error {
 	return h.decodeGeneric(b)
 }
 
+// decoded returns an empty histogram with the header a decoder read
+// and the window its buckets should fill: from min's bucket to max's,
+// or none when n is 0 or max's bucket is below min's. A decoded
+// bucket outside the window widens it (add), so an inconsistent
+// header costs memory, not contents.
+func decoded(n uint64, sum, minT, maxT sim.Time) Histogram {
+	d := Histogram{n: n, sum: sum, min: minT, max: maxT}
+	if lo, hi := bucketOf(minT), bucketOf(maxT); n > 0 && hi >= lo {
+		d.lo, d.counts = lo, make([]uint64, hi-lo+1)
+	}
+	return d
+}
+
 // decodeGeneric decodes any JSON form of histogramJSON and checks that
 // each bucket is in range and that the counts sum to n.
 func (h *Histogram) decodeGeneric(b []byte) error {
@@ -114,22 +128,19 @@ func (h *Histogram) decodeGeneric(b []byte) error {
 	if err := json.Unmarshal(b, &dec); err != nil {
 		return err
 	}
-	h.counts = make([]uint64, maxBuckets)
+	d := decoded(dec.N, dec.Sum, dec.Min, dec.Max)
 	var total uint64
 	for bi, c := range dec.Buckets {
 		if bi < 0 || bi >= maxBuckets {
 			return fmt.Errorf("stats: histogram bucket %d out of range", bi)
 		}
-		h.counts[bi] = c
+		d.add(bi, c)
 		total += c
 	}
 	if total != dec.N {
 		return fmt.Errorf("stats: histogram bucket counts sum to %d, n = %d", total, dec.N)
 	}
-	h.n = dec.N
-	h.sum = dec.Sum
-	h.min = dec.Min
-	h.max = dec.Max
+	*h = d
 	return nil
 }
 
@@ -182,7 +193,7 @@ func (h *Histogram) ReadJSON(p *canonjson.Reader) bool {
 	if !ok {
 		return false
 	}
-	counts := make([]uint64, maxBuckets)
+	d := decoded(n, sum, minT, maxT)
 	var total uint64
 	if p.Lit(`,"buckets":{`) && !p.Lit("}") {
 		for prev := -1; ; {
@@ -192,7 +203,7 @@ func (h *Histogram) ReadJSON(p *canonjson.Reader) bool {
 				return false
 			}
 			prev = bucketRank[bi]
-			counts[bi] = c
+			d.add(int(bi), c)
 			total += c
 			if p.Lit("}") {
 				break
@@ -205,6 +216,6 @@ func (h *Histogram) ReadJSON(p *canonjson.Reader) bool {
 	if !p.Lit("}") || total != n {
 		return false
 	}
-	h.counts, h.n, h.sum, h.min, h.max = counts, n, sum, minT, maxT
+	*h = d
 	return true
 }

@@ -3,6 +3,7 @@ package stats
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"reflect"
 	"testing"
 
@@ -13,12 +14,12 @@ import (
 // reproduce byte for byte: json.Marshal of histogramJSON.
 func genericJSON(h *Histogram) ([]byte, error) {
 	enc := histogramJSON{N: h.n, Sum: h.sum, Min: h.min, Max: h.max}
-	for b, c := range h.counts {
+	for i, c := range h.counts {
 		if c != 0 {
 			if enc.Buckets == nil {
 				enc.Buckets = make(map[int]uint64)
 			}
-			enc.Buckets[b] = c
+			enc.Buckets[h.lo+i] = c
 		}
 	}
 	return json.Marshal(enc)
@@ -63,9 +64,145 @@ func TestHistogramMarshalMatchesGeneric(t *testing.T) {
 		if !h2.decodeCanonical(got) {
 			t.Fatalf("histogram %d: canonical decode rejected its own encoding %s", i, got)
 		}
-		if h.counts != nil && !reflect.DeepEqual(h, h2) {
-			t.Fatalf("histogram %d: round trip changed it: %+v -> %+v", i, h, h2)
+		if h.counts != nil {
+			sameContents(t, fmt.Sprintf("histogram %d round trip", i), h2, h)
 		}
+	}
+}
+
+// count returns the count of absolute bucket b, which is zero outside
+// h's window.
+func (h *Histogram) count(b int) uint64 {
+	if i := b - h.lo; i >= 0 && i < len(h.counts) {
+		return h.counts[i]
+	}
+	return 0
+}
+
+// sameContents fails t unless got and want hold the same histogram:
+// n, sum, min and max, and the count of every bucket 0 … maxBuckets-1,
+// wherever their windows lie.
+func sameContents(t *testing.T, what string, got, want *Histogram) {
+	t.Helper()
+	if got.n != want.n || got.sum != want.sum || got.min != want.min || got.max != want.max {
+		t.Fatalf("%s: n, sum, min, max = %d, %d, %d, %d; want %d, %d, %d, %d",
+			what, got.n, got.sum, got.min, got.max, want.n, want.sum, want.min, want.max)
+	}
+	for b := 0; b < maxBuckets; b++ {
+		if g, w := got.count(b), want.count(b); g != w {
+			t.Fatalf("%s: bucket %d holds %d, want %d", what, b, g, w)
+		}
+	}
+}
+
+// TestDecodedHistogramWindow: a decoded histogram holds only the
+// buckets from its minimum's to its maximum's (none when empty), and
+// one whose header is inconsistent with its buckets decodes to every
+// bucket with the same contents through both decoders.
+func TestDecodedHistogramWindow(t *testing.T) {
+	for _, tc := range []struct {
+		in     string
+		lo, nb int
+	}{
+		{`{"n":0,"sum":0,"min":9223372036854775807,"max":0}`, 0, 0},
+		{`{"n":2,"sum":200,"min":100,"max":100,"buckets":{"52":2}}`, 52, 1},
+		{`{"n":2,"sum":300,"min":100,"max":200,"buckets":{"52":1,"60":1}}`, 52, 9},
+		{`{"n":1,"sum":100,"min":100,"max":100,"buckets":{"60":1}}`, 0, maxBuckets},
+		{`{"n":1,"sum":100,"min":200,"max":100,"buckets":{"52":1}}`, 0, maxBuckets},
+		{`{"n":0,"sum":0,"min":0,"max":0,"buckets":{"3":0}}`, 0, maxBuckets},
+	} {
+		for _, dec := range []func(*Histogram, []byte) error{(*Histogram).UnmarshalJSON, (*Histogram).decodeGeneric} {
+			var h Histogram
+			if err := dec(&h, []byte(tc.in)); err != nil {
+				t.Fatalf("%s: %v", tc.in, err)
+			}
+			if h.lo != tc.lo || len(h.counts) != tc.nb {
+				t.Fatalf("%s: window %d+%d, want %d+%d", tc.in, h.lo, len(h.counts), tc.lo, tc.nb)
+			}
+			got, _ := h.MarshalJSON()
+			want, _ := genericJSON(&h)
+			if !bytes.Equal(got, want) {
+				t.Fatalf("%s re-encodes as %s, generic %s", tc.in, got, want)
+			}
+		}
+	}
+}
+
+// TestDecodedHistogramActsFull: Record, RecordN, CopyInto (either
+// way), AddScaledDiff and Reset on a decoded histogram leave it, and
+// what they write, holding what the same calls leave on the full-width
+// histogram it was encoded from.
+func TestDecodedHistogramActsFull(t *testing.T) {
+	for seed := uint64(1); seed <= 60; seed++ {
+		full := randomHistogram(seed, 300)
+		enc, _ := full.MarshalJSON()
+		decode := func() *Histogram {
+			var h Histogram
+			if err := h.UnmarshalJSON(enc); err != nil {
+				t.Fatal(err)
+			}
+			return &h
+		}
+		rng := sim.NewRNG(seed + 1000)
+		v := sim.Time(rng.Uint64() % (1 << (rng.Uint64() % 40)))
+		fullCopy := func() *Histogram {
+			h := NewHistogram()
+			full.CopyInto(h)
+			return h
+		}
+		what := func(op string) string { return fmt.Sprintf("seed %d: %s", seed, op) }
+
+		d, f := decode(), fullCopy()
+		d.Record(v)
+		f.Record(v)
+		sameContents(t, what("Record"), d, f)
+		d, f = decode(), fullCopy()
+		d.RecordN(v, 3)
+		f.RecordN(v, 3)
+		sameContents(t, what("RecordN"), d, f)
+		if d, f := decode(), fullCopy(); d.Quantile(0.5) != f.Quantile(0.5) || d.Quantile(0.99) != f.Quantile(0.99) {
+			t.Fatalf("%s: quantiles differ", what("Quantile"))
+		}
+
+		d, f = decode(), fullCopy()
+		dst, fdst := randomHistogram(seed+7, 50), randomHistogram(seed+7, 50)
+		d.CopyInto(dst)
+		f.CopyInto(fdst)
+		sameContents(t, what("CopyInto from decoded"), dst, fdst)
+		sameContents(t, what("CopyInto source"), d, f)
+		d, f = decode(), fullCopy()
+		src := randomHistogram(seed+9, 50)
+		src.CopyInto(d)
+		src.CopyInto(f)
+		sameContents(t, what("CopyInto to decoded"), d, f)
+
+		// A snapshot, a few more records, then k-fold replay of the
+		// growth, with the decoded histogram as the live one and as
+		// the base in turn.
+		d, f = decode(), fullCopy()
+		base, fbase := NewHistogram(), NewHistogram()
+		d.CopyInto(base)
+		f.CopyInto(fbase)
+		for i := 0; i < 5; i++ {
+			d.Record(v + sim.Time(i))
+			f.Record(v + sim.Time(i))
+		}
+		d.AddScaledDiff(base, 4)
+		f.AddScaledDiff(fbase, 4)
+		sameContents(t, what("AddScaledDiff"), d, f)
+		live, flive := fullCopy(), fullCopy()
+		dbase, fb := decode(), fullCopy()
+		live.Record(v)
+		flive.Record(v)
+		live.AddScaledDiff(dbase, 2)
+		flive.AddScaledDiff(fb, 2)
+		sameContents(t, what("AddScaledDiff on a decoded base"), live, flive)
+
+		d, f = decode(), fullCopy()
+		d.Reset()
+		f.Reset()
+		sameContents(t, what("Reset"), d, f)
+		sameContents(t, what("Reset vs new"), d, NewHistogram())
 	}
 }
 

@@ -9,6 +9,16 @@
 // exact sparse JSON encoding (json.go) so they survive the resume
 // cache's byte-exact round trip; the cheaper always-on event counters
 // live in internal/metrics instead.
+//
+// A histogram stores the counts of one window of consecutive buckets,
+// lo … lo+len(counts)-1, and every bucket outside it is zero. One that
+// records (NewHistogram) holds all 328 buckets. One decoded from the
+// cache holds only the buckets from its minimum's to its maximum's,
+// which is the one bucket of most -quick cells, so a replay allocates
+// a few words instead of 2.6 KB. A bucket outside the window widens
+// the histogram to every bucket the first time it is written, so a
+// decoded histogram records, copies and resets exactly as a full one
+// does.
 package stats
 
 import (
@@ -25,7 +35,8 @@ import (
 // with 8 sub-buckets per octave, giving ≤ ~9% quantile error — ample
 // for latency curves spanning ns to ms.
 type Histogram struct {
-	counts []uint64
+	counts []uint64 // buckets lo … lo+len(counts)-1
+	lo     int
 	n      uint64
 	sum    sim.Time
 	min    sim.Time
@@ -75,18 +86,42 @@ func bucketLow(b int) sim.Time {
 	return sim.Time((uint64(1) << uint(octave)) | (uint64(sub) << (uint(octave) - 3)))
 }
 
-// Reset empties the histogram in place, reusing the bucket array. A
-// reset histogram is indistinguishable from NewHistogram().
-func (h *Histogram) Reset() {
-	for i := range h.counts {
-		h.counts[i] = 0
+// widen makes h's window every bucket, keeping its counts.
+func (h *Histogram) widen() {
+	if len(h.counts) == maxBuckets {
+		return
 	}
+	full := make([]uint64, maxBuckets)
+	copy(full[h.lo:], h.counts)
+	h.counts, h.lo = full, 0
+}
+
+// add adds n to the count of bucket b (0 <= b < maxBuckets), widening
+// h if b is outside its window.
+func (h *Histogram) add(b int, n uint64) {
+	if i, c := b-h.lo, h.counts; uint(i) < uint(len(c)) {
+		c[i] += n
+		return
+	}
+	h.widen()
+	h.counts[b] += n
+}
+
+// Reset empties the histogram in place, reusing the bucket array once
+// it holds every bucket. A reset histogram is indistinguishable from
+// NewHistogram().
+func (h *Histogram) Reset() {
+	h.widen()
+	clear(h.counts)
 	h.n, h.sum, h.max = 0, 0, 0
 	h.min = math.MaxInt64
 }
 
 // CopyInto makes dst an exact copy of h, reusing dst's bucket array.
+// Both end up holding every bucket, so the copy is one flat copy.
 func (h *Histogram) CopyInto(dst *Histogram) {
+	h.widen()
+	dst.widen()
 	copy(dst.counts, h.counts)
 	dst.n, dst.sum, dst.min, dst.max = h.n, h.sum, h.min, h.max
 }
@@ -98,6 +133,8 @@ func (h *Histogram) CopyInto(dst *Histogram) {
 // the extrema cannot move because the recorded cycle already observed
 // every latency the elided cycles would repeat.
 func (h *Histogram) AddScaledDiff(base *Histogram, k uint64) {
+	h.widen()
+	base.widen()
 	for i, c := range h.counts {
 		h.counts[i] = c + (c-base.counts[i])*k
 	}
@@ -107,7 +144,7 @@ func (h *Histogram) AddScaledDiff(base *Histogram, k uint64) {
 
 // Record adds one observation.
 func (h *Histogram) Record(v sim.Time) {
-	h.counts[bucketOf(v)]++
+	h.add(bucketOf(v), 1)
 	h.n++
 	h.sum += v
 	if v < h.min {
@@ -124,7 +161,7 @@ func (h *Histogram) RecordN(v sim.Time, n uint64) {
 	if n == 0 {
 		return
 	}
-	h.counts[bucketOf(v)] += n
+	h.add(bucketOf(v), n)
 	h.n += n
 	h.sum += v * sim.Time(n)
 	if v < h.min {
@@ -183,10 +220,10 @@ func (h *Histogram) Quantile(q float64) sim.Time {
 		rank = 1
 	}
 	var cum uint64
-	for b, c := range h.counts {
+	for i, c := range h.counts {
 		cum += c
 		if cum >= rank {
-			lo := bucketLow(b)
+			lo := bucketLow(h.lo + i)
 			if lo < h.min {
 				lo = h.min
 			}

@@ -4,9 +4,11 @@
 # Stats fold over a preset machine's ledger, a full workload cell, a
 # memoized or parked F3 cell, an app cell, a run-log cache open (100
 # F3-sized lines) and put, a histogram and an F3-sized cell result
-# through the cache's JSON codec each way, and one cached F3 cell
-# replayed through the harness fan-out — N times each (go test
-# -count N) and writes each one's median and spread to a
+# through the cache's JSON codec each way, one cached F3 cell
+# replayed through the harness fan-out, the validity check over every
+# value of a -quick cache (canonjson.ValidCompact against json.Valid),
+# and one detailed-model prediction for 36 threads on XeonE5 — N times
+# each (go test -count N) and writes each one's median and spread to a
 # JSON file: ns/op as the median, the quartiles, the minimum and the
 # maximum of the N runs, and B/op and allocs/op as medians. It is a
 # tool, not a gate: nothing reads the file back. The host's noise is
@@ -34,10 +36,11 @@ bench ./internal/coherence BenchmarkCoherenceAccess BenchmarkCoherenceReadShared
 	BenchmarkPathCost BenchmarkPathCostMetrics BenchmarkCoherenceAccessMetricsOff \
 	BenchmarkCoherenceAccessMetricsOn BenchmarkCoherenceStats
 bench ./internal/harness BenchmarkFullCell BenchmarkFullCellMetrics \
-	BenchmarkMemoizedCell BenchmarkAppCell BenchmarkReplayCell
+	BenchmarkMemoizedCell BenchmarkAppCell BenchmarkReplayCell BenchmarkValidCompact
 bench ./internal/runlog BenchmarkCacheOpen BenchmarkCachePut
 bench ./internal/stats BenchmarkHistogramJSON
 bench ./internal/workload BenchmarkResultJSON
+bench ./internal/core BenchmarkPredictHigh
 
 awk -v runs="$n" -v gover="$(go env GOVERSION)" -v date="$(date -u +%Y-%m-%d)" '
 # quantile returns the p-quantile of the sorted values v[1..k],
