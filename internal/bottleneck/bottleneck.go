@@ -28,8 +28,8 @@ const DefaultThreshold = 0.9
 // the class (the max over the vector, since the hottest instance — not
 // the average — is what bounds throughput) and its busy-fraction of
 // the measured window. OK is false when the cell recorded no vector
-// for the class (e.g. link occupancy on a topology with no router);
-// such resources render as "n/a" and are skipped by Verdict.
+// for the class (a snapshot whose memory system installed no occupancy
+// vectors); such resources render as "n/a" and are skipped by Verdict.
 type Utilization struct {
 	Resource string  // "dir", "line", or "link"
 	Busiest  int     // index of the busiest instance within its vector

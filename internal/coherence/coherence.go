@@ -171,8 +171,8 @@ type Params struct {
 	// LinkOccupancy enables finite interconnect bandwidth: every
 	// message reserves each link it crosses for this long, so traffic
 	// on one line delays traffic on others sharing those links. Zero
-	// (the default) means infinite bandwidth; it requires the topology
-	// to implement topology.Router (all built-ins do).
+	// (the default) means infinite bandwidth. Messages follow the
+	// topology's routes (topology.Topology's Path).
 	LinkOccupancy sim.Time
 }
 
@@ -488,9 +488,9 @@ type System struct {
 	// occLegs lists the links between every node pair: the bandwidth
 	// network's routes, built with it, and otherwise the per-link busy
 	// time attribution of a metrics registry, built the first time one
-	// is installed on a routable topology. It is kept across Reset (it
-	// is immutable precomputed state, like the hop tables); nil on a
-	// topology that cannot enumerate links.
+	// is installed. It is kept across Reset (it is immutable
+	// precomputed state, like the hop tables); nil until one of them
+	// needs it.
 	occLegs *linkLegs
 }
 
@@ -520,11 +520,6 @@ func NewSystem(eng *sim.Engine, p Params, arb Arbiter) (*System, error) {
 	if err := p.validate(); err != nil {
 		return nil, err
 	}
-	if p.LinkOccupancy > 0 {
-		if _, ok := p.Topo.(topology.Router); !ok {
-			return nil, fmt.Errorf("coherence: LinkOccupancy requires a routable topology, %s is not", p.Topo.Name())
-		}
-	}
 	nodeOf := make([]int, p.NumCores)
 	for c := range nodeOf {
 		nodeOf[c] = p.NodeOf(c)
@@ -542,7 +537,7 @@ func NewSystem(eng *sim.Engine, p Params, arb Arbiter) (*System, error) {
 	}
 	s.thops, s.tcross = p.Pairs.Flat()
 	if p.LinkOccupancy > 0 {
-		s.occLegs = newLinkLegs(p.Topo.(topology.Router), n, p.HopLatency)
+		s.occLegs = newLinkLegs(p.Topo, n, p.HopLatency)
 		s.net = newNetwork(s.occLegs, p.LinkOccupancy)
 	}
 	s.classes = make([]uint64, ClassOf(SrcDRAM, 3*int(slices.Max(s.thops)), true)+1)
@@ -656,34 +651,24 @@ func (s *System) InstallMetrics(r *metrics.Registry) {
 	// attribution needs routing paths: the bandwidth network carries
 	// them when it is on; otherwise every node pair's links and their
 	// busy times are listed once here (registry installation is setup
-	// time, not the hot path) for topologies that can enumerate links.
-	// Non-routable topologies get no link vector and the rollup reports
-	// the link axis as untracked.
+	// time, not the hot path).
 	s.mOccDir = r.Vector(metrics.CohDirBusy, s.tn)
 	s.mOccLine = r.Vector(metrics.CohLineBusy, maxTrackedLines)
+	s.mOccLink = r.Vector(metrics.CohLinkBusy, s.p.Topo.Links())
 	if s.net != nil {
-		s.mOccLink = r.Vector(metrics.CohLinkBusy, len(s.occLegs.busy))
 		s.net.mOccLink = s.mOccLink
-		return
+	} else if r != nil && s.occLegs == nil {
+		s.occLegs = newLinkLegs(s.p.Topo, s.tn, s.p.HopLatency)
 	}
-	s.mOccLink = nil
-	rt, ok := s.p.Topo.(topology.Router)
-	if r == nil || !ok {
-		return
-	}
-	if s.occLegs == nil {
-		s.occLegs = newLinkLegs(rt, s.tn, s.p.HopLatency)
-	}
-	s.mOccLink = r.Vector(metrics.CohLinkBusy, rt.Links())
 }
 
-// newLinkLegs lists rt's links between every pair of its n nodes, and
-// charges each link hop times its transit multiple.
-func newLinkLegs(rt topology.Router, n int, hop sim.Time) *linkLegs {
-	o := &linkLegs{at: make([]int32, 1, n*n+1), busy: make([]uint64, rt.Links())}
+// newLinkLegs lists topo's links between every pair of its n nodes,
+// and charges each link hop times its transit multiple.
+func newLinkLegs(topo topology.Topology, n int, hop sim.Time) *linkLegs {
+	o := &linkLegs{at: make([]int32, 1, n*n+1), busy: make([]uint64, topo.Links())}
 	for a := 0; a < n; a++ {
 		for b := 0; b < n; b++ {
-			for _, l := range rt.Path(a, b) {
+			for _, l := range topo.Path(a, b) {
 				o.links = append(o.links, int32(l))
 			}
 			o.at = append(o.at, int32(len(o.links)))
@@ -691,7 +676,7 @@ func newLinkLegs(rt topology.Router, n int, hop sim.Time) *linkLegs {
 	}
 	o.links = slices.Clone(o.links) // drop append's spare capacity: the table lives with the system
 	for l := range o.busy {
-		o.busy[l] = uint64(hop) * uint64(rt.LinkTransit(l))
+		o.busy[l] = uint64(hop) * uint64(topo.LinkTransit(l))
 	}
 	return o
 }

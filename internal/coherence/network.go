@@ -6,11 +6,10 @@ import (
 )
 
 // network models finite interconnect bandwidth. When enabled (the
-// params' LinkOccupancy > 0, which needs a topology.Router),
-// every coherence message reserves each link it crosses for
-// LinkOccupancy — so a storm on one line delays traffic on every line
-// sharing those links, the cross-line interference infinite-bandwidth
-// simulation misses.
+// params' LinkOccupancy > 0), every coherence message reserves each
+// link of its route (the topology's Path) for LinkOccupancy — so a
+// storm on one line delays traffic on every line sharing those links,
+// the cross-line interference infinite-bandwidth simulation misses.
 type network struct {
 	// legs lists the links of every node pair's route, and the transit
 	// time across each link (hop latency times its transit weight), so

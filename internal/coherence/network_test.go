@@ -140,27 +140,6 @@ func TestBandwidthCrossLineInterference(t *testing.T) {
 	}
 }
 
-func TestBandwidthRequiresRouter(t *testing.T) {
-	eng := sim.NewEngine()
-	p := Params{
-		NumCores:      2,
-		Topo:          nonRoutable{topology.NewRing(2)},
-		NodeOf:        func(c int) int { return c },
-		LinkOccupancy: sim.Nanosecond,
-	}
-	if _, err := NewSystem(eng, p, nil); err == nil {
-		t.Fatal("non-routable topology with bandwidth accepted")
-	}
-}
-
-// nonRoutable is a minimal Topology without the Router methods.
-type nonRoutable struct{ r *topology.Ring }
-
-func (n nonRoutable) Name() string              { return "opaque" }
-func (n nonRoutable) Nodes() int                { return n.r.Nodes() }
-func (n nonRoutable) Hops(a, b int) int         { return n.r.Hops(a, b) }
-func (n nonRoutable) CrossSocket(a, b int) bool { return n.r.CrossSocket(a, b) }
-
 func TestBandwidthFuzzStillLinearizable(t *testing.T) {
 	// Re-run the protocol fuzz shape with bandwidth on: invariants and
 	// value chains must survive link queueing.

@@ -37,6 +37,7 @@ package core
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"atomicsmodel/internal/atomics"
 	"atomicsmodel/internal/coherence"
@@ -322,11 +323,13 @@ func (md *Model) energyPerOp(cores []int, pred Prediction, dynNJ float64) float6
 		return 0
 	}
 	e := md.m.Energy
-	distinct := map[int]bool{}
-	for _, c := range cores {
-		distinct[c] = true
+	distinct := 0 // each physical core draws static power once
+	for i, c := range cores {
+		if !slices.Contains(cores[:i], c) {
+			distinct++
+		}
 	}
-	watts := e.StaticWattsPerCore*float64(len(distinct)) + e.ActiveWattsPerThread*float64(len(cores))
+	watts := e.StaticWattsPerCore*float64(distinct) + e.ActiveWattsPerThread*float64(len(cores))
 	staticNJ := watts / (pred.ThroughputMops * 1e6) * 1e9
 	return staticNJ + dynNJ/pred.SuccessRate
 }

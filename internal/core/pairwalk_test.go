@@ -231,3 +231,21 @@ func BenchmarkPredictHigh(b *testing.B) {
 		}
 	})
 }
+
+// TestPredictHighAllocs bounds the allocations of one detailed
+// prediction on 48 compactly placed XeonE5 threads (all 36 cores, 12
+// of them running both hyperthreads): the pair walk's per-call node
+// legs, and nothing per pair or per distinct core.
+func TestPredictHighAllocs(t *testing.T) {
+	m := machine.XeonE5()
+	cores, err := machine.PlaceCores(m, nil, 48)
+	if err != nil {
+		t.Fatal(err)
+	}
+	md := NewDetailed(m)
+	if a := testing.AllocsPerRun(100, func() {
+		predictionSink = md.PredictHigh(atomics.FAA, cores, 0)
+	}); a > 1 {
+		t.Fatalf("PredictHigh allocates %v times per call, want at most 1", a)
+	}
+}

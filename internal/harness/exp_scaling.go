@@ -25,20 +25,32 @@ func runF17(o Options) ([]*Table, error) {
 	for _, s := range socketCounts {
 		cols = append(cols, itoa(s)+"S sim (Mops)", itoa(s)+"S model", itoa(s)+"S xsock")
 	}
+	// Built once: each machine tabulates its node pairs on first use.
+	machines := make([]*machine.Machine, len(socketCounts))
+	models := make([]*core.Model, len(socketCounts))
+	for i, s := range socketCounts {
+		machines[i] = machine.XeonMultiSocket(s)
+		models[i] = core.NewDetailed(machines[i])
+	}
 	// Scatter placement spreads contenders across every socket: the
 	// worst case the extrapolation warns about. The machine key inside
 	// each cell key distinguishes the socket counts (Xeon1S/2S/4S build
-	// from distinct specs).
+	// from distinct specs). cell[r][i] is the index of thread row r's
+	// result on machines[i], or -1 where the row outnumbers the
+	// machine's hardware threads.
 	cells := workloadKind.newCells()
-	for _, n := range threadRows {
-		for _, s := range socketCounts {
-			m := machine.XeonMultiSocket(s)
+	cell := make([][]int, len(threadRows))
+	for r, n := range threadRows {
+		cell[r] = make([]int, len(machines))
+		for i, m := range machines {
+			cell[r][i] = -1
 			if n > m.NumHWThreads() {
 				continue
 			}
 			sp := workloadKind.at(o, n)
 			sp.Primitive = atomics.FAA.String()
 			sp.Placement = "scatter"
+			cell[r][i] = len(cells.cells)
 			cells.add(m, sp)
 		}
 	}
@@ -48,22 +60,19 @@ func runF17(o Options) ([]*Table, error) {
 	}
 
 	t := NewTable("F17: FAA high contention, scatter placement across socket counts", cols...)
-	k := 0
-	for _, n := range threadRows {
+	for r, n := range threadRows {
 		row := []string{itoa(n)}
-		for _, s := range socketCounts {
-			m := machine.XeonMultiSocket(s)
-			if n > m.NumHWThreads() {
+		for i, m := range machines {
+			if cell[r][i] < 0 {
 				row = append(row, "-", "-", "-")
 				continue
 			}
-			res := results[k]
-			k++
+			res := results[cell[r][i]]
 			cores, err := machine.PlaceCores(m, machine.Scatter{}, n)
 			if err != nil {
 				return nil, err
 			}
-			pred := core.NewDetailed(m).PredictHigh(atomics.FAA, cores, 0)
+			pred := models[i].PredictHigh(atomics.FAA, cores, 0)
 			xsock := 0.0
 			if res.Ops > 0 {
 				xsock = float64(res.Coh.CrossSocket) / float64(res.Ops)

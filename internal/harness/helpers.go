@@ -1,14 +1,17 @@
 package harness
 
 import (
-	"fmt"
+	"strconv"
 
 	"atomicsmodel/internal/sim"
 )
 
-func f2(v float64) string  { return fmt.Sprintf("%.2f", v) }
-func f3(v float64) string  { return fmt.Sprintf("%.3f", v) }
-func f1(v float64) string  { return fmt.Sprintf("%.1f", v) }
-func ns(t sim.Time) string { return fmt.Sprintf("%.1f", t.Nanoseconds()) }
-func itoa(n int) string    { return fmt.Sprintf("%d", n) }
-func pct(v float64) string { return fmt.Sprintf("%.1f%%", v) }
+// The table-cell formatters write what fmt's %.Nf, %d and %.1f%% write,
+// NaN, ±Inf and -0 included, without fmt's verb parsing.
+
+func f2(v float64) string  { return strconv.FormatFloat(v, 'f', 2, 64) }
+func f3(v float64) string  { return strconv.FormatFloat(v, 'f', 3, 64) }
+func f1(v float64) string  { return strconv.FormatFloat(v, 'f', 1, 64) }
+func ns(t sim.Time) string { return f1(t.Nanoseconds()) }
+func itoa(n int) string    { return strconv.Itoa(n) }
+func pct(v float64) string { return f1(v) + "%" }

@@ -4,7 +4,7 @@ import "testing"
 
 // FuzzHops is a native Go fuzz target over the metric properties every
 // topology's hop computation must satisfy — identity, symmetry,
-// non-negativity, the triangle inequality — plus Router consistency:
+// non-negativity, the triangle inequality — plus routing consistency:
 // the transit-weighted link path between two stops must cost exactly
 // Hops. All four CLIs' latency math sits on these properties. Run with
 // `go test -fuzz FuzzHops ./internal/topology`.
@@ -55,22 +55,18 @@ func FuzzHops(f *testing.F) {
 			t.Fatalf("%s: CrossSocket(%d,%d) asymmetric", topo.Name(), a, b)
 		}
 
-		r, ok := topo.(Router)
-		if !ok {
-			return
-		}
-		links := r.Links()
+		links := topo.Links()
 		transit := 0
-		for _, link := range r.Path(a, b) {
+		for _, link := range topo.Path(a, b) {
 			if link < 0 || link >= links {
 				t.Fatalf("%s: path %d->%d uses link %d outside [0,%d)", topo.Name(), a, b, link, links)
 			}
-			transit += r.LinkTransit(link)
+			transit += topo.LinkTransit(link)
 		}
 		if transit != hab {
 			t.Fatalf("%s: path transit %d->%d is %d, Hops says %d", topo.Name(), a, b, transit, hab)
 		}
-		if a == b && len(r.Path(a, b)) != 0 {
+		if a == b && len(topo.Path(a, b)) != 0 {
 			t.Fatalf("%s: self-path not empty", topo.Name())
 		}
 	})

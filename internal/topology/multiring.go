@@ -2,33 +2,57 @@ package topology
 
 import "fmt"
 
-// MultiRing generalizes DualRing to S sockets: each socket is a
-// bidirectional ring of PerSocket stops, and the sockets' stop-0
-// nodes are joined by a fully connected inter-socket fabric (one
-// point-to-point channel per socket pair, the QPI/UPI full-mesh of
-// 4-socket Xeon systems). It exists for the socket-count scaling
-// extrapolation (experiment F17): the paper measures two sockets; the
-// model predicts what more sockets would do.
+// MultiRing is the ring-of-rings interconnect of the Xeon family: each
+// of Sockets sockets is a bidirectional ring of PerSocket stops on
+// which a message takes the shorter way around, and the sockets'
+// stop-0 nodes are joined by a fully connected inter-socket fabric
+// (one point-to-point QPI/UPI channel per socket pair). A cross-socket
+// transfer rides its ring to stop 0, crosses the channel (LinkHops
+// hops worth of latency), and rides the other ring to the destination.
+//
+// One socket is the idealized single-socket Xeon E5 uncore (NewRing),
+// two the two-socket Xeon E5 of the paper (NewDualRing), and more the
+// socket-count extrapolation of experiment F17 (NewMultiRing).
 type MultiRing struct {
 	Sockets   int
 	PerSocket int
 	LinkHops  int // hop-equivalent weight of each inter-socket channel
+	name      string
 }
 
-// NewMultiRing returns an s-socket ring-of-rings.
+// NewRing returns a single bidirectional ring with n stops, named
+// ring-N.
+func NewRing(n int) *MultiRing { return newMultiRing("ring", 1, n, 0) }
+
+// NewDualRing returns a two-socket dual ring with perSocket stops per
+// socket and the inter-socket link costed as linkHops ring hops, named
+// dualring-2xN.
+func NewDualRing(perSocket, linkHops int) *MultiRing {
+	return newMultiRing("dualring", 2, perSocket, linkHops)
+}
+
+// NewMultiRing returns an s-socket ring-of-rings, named multiring-SxN.
 func NewMultiRing(sockets, perSocket, linkHops int) *MultiRing {
+	return newMultiRing("multiring", sockets, perSocket, linkHops)
+}
+
+// newMultiRing builds a ring-of-rings named after the builder kind
+// that selects it.
+func newMultiRing(kind string, sockets, perSocket, linkHops int) *MultiRing {
 	if sockets <= 0 || perSocket <= 0 {
-		panic("topology: multiring needs positive sockets and stops")
+		panic("topology: " + kind + " needs positive sockets and stops")
 	}
 	if linkHops < 0 {
 		panic("topology: negative link hops")
 	}
-	return &MultiRing{Sockets: sockets, PerSocket: perSocket, LinkHops: linkHops}
+	name := fmt.Sprintf("%s-%dx%d", kind, sockets, perSocket)
+	if kind == "ring" {
+		name = fmt.Sprintf("ring-%d", perSocket)
+	}
+	return &MultiRing{Sockets: sockets, PerSocket: perSocket, LinkHops: linkHops, name: name}
 }
 
-func (m *MultiRing) Name() string {
-	return fmt.Sprintf("multiring-%dx%d", m.Sockets, m.PerSocket)
-}
+func (m *MultiRing) Name() string { return m.name }
 
 func (m *MultiRing) Nodes() int { return m.Sockets * m.PerSocket }
 
@@ -66,8 +90,9 @@ func (m *MultiRing) CrossSocket(a, b int) bool {
 	return m.socket(a) != m.socket(b)
 }
 
-// Links implements Router: each socket's ring links come first
-// (PerSocket links per socket), then one channel per socket pair.
+// Links implements Topology: each socket's ring links come first
+// (PerSocket links per socket; link base+i joins stops i and i+1 mod
+// PerSocket), then one channel per socket pair.
 func (m *MultiRing) Links() int {
 	return m.Sockets*m.PerSocket + m.Sockets*(m.Sockets-1)/2
 }
@@ -83,7 +108,7 @@ func (m *MultiRing) pairLink(x, y int) int {
 	return m.Sockets*m.PerSocket + idx
 }
 
-// Path implements Router.
+// Path implements Topology.
 func (m *MultiRing) Path(a, b int) []int {
 	checkNode(m, a)
 	checkNode(m, b)
@@ -97,10 +122,32 @@ func (m *MultiRing) Path(a, b int) []int {
 	return append(out, ringPath(0, lb, m.PerSocket, sb*m.PerSocket)...)
 }
 
-// LinkTransit implements Router.
+// LinkTransit implements Topology: an inter-socket channel is LinkHops
+// hop-latencies long, a ring link one.
 func (m *MultiRing) LinkTransit(link int) int {
 	if link >= m.Sockets*m.PerSocket {
 		return m.LinkHops
 	}
 	return 1
+}
+
+// ringPath walks the shorter way around an n-stop ring whose link IDs
+// start at base (link base+i joins stops i and i+1 mod n).
+func ringPath(a, b, n, base int) []int {
+	if a == b {
+		return nil
+	}
+	// Distance going clockwise (increasing indices).
+	cw := (b - a + n) % n
+	var out []int
+	if cw <= n-cw {
+		for s := a; s != b; s = (s + 1) % n {
+			out = append(out, base+s)
+		}
+	} else {
+		for s := a; s != b; s = (s - 1 + n) % n {
+			out = append(out, base+(s-1+n)%n)
+		}
+	}
+	return out
 }

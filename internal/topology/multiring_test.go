@@ -1,21 +1,137 @@
 package topology
 
-import "testing"
+import (
+	"fmt"
+	"slices"
+	"testing"
+)
 
-func TestMultiRingMatchesDualRing(t *testing.T) {
-	// With 2 sockets, MultiRing must agree with DualRing everywhere.
-	mr := NewMultiRing(2, 6, 2)
-	dr := NewDualRing(6, 2)
-	if mr.Nodes() != dr.Nodes() {
-		t.Fatal("node counts differ")
+// refRing and refDualRing are the single-ring and two-socket
+// topologies as separate types, the way they were written before
+// MultiRing took over both shapes. TestMultiRingMatchesDualRing holds
+// MultiRing to them.
+
+// refRing is a single bidirectional ring of n stops; link i joins stop
+// i and stop (i+1) mod n.
+type refRing struct{ n int }
+
+func (r refRing) Name() string              { return fmt.Sprintf("ring-%d", r.n) }
+func (r refRing) Nodes() int                { return r.n }
+func (r refRing) CrossSocket(a, b int) bool { return false }
+func (r refRing) Links() int                { return r.n }
+func (r refRing) LinkTransit(int) int       { return 1 }
+func (r refRing) Path(a, b int) []int       { return ringPath(a, b, r.n, 0) }
+
+func (r refRing) Hops(a, b int) int {
+	d := a - b
+	if d < 0 {
+		d = -d
 	}
-	for a := 0; a < mr.Nodes(); a++ {
-		for b := 0; b < mr.Nodes(); b++ {
-			if mr.Hops(a, b) != dr.Hops(a, b) {
-				t.Fatalf("Hops(%d,%d): multi %d vs dual %d", a, b, mr.Hops(a, b), dr.Hops(a, b))
+	if alt := r.n - d; alt < d {
+		d = alt
+	}
+	return d
+}
+
+// refDualRing is two rings of per stops joined by one channel between
+// their stops 0, weighted linkHops hops. Socket 0's ring links are
+// [0, per), socket 1's [per, 2*per), and the channel is the last ID.
+type refDualRing struct{ per, linkHops int }
+
+func (d refDualRing) Name() string              { return fmt.Sprintf("dualring-2x%d", d.per) }
+func (d refDualRing) Nodes() int                { return 2 * d.per }
+func (d refDualRing) CrossSocket(a, b int) bool { return a/d.per != b/d.per }
+func (d refDualRing) Links() int                { return 2*d.per + 1 }
+
+func (d refDualRing) LinkTransit(link int) int {
+	if link == 2*d.per {
+		return d.linkHops
+	}
+	return 1
+}
+
+func (d refDualRing) Hops(a, b int) int {
+	ring := refRing{d.per}
+	sa, sb := a/d.per, b/d.per
+	la, lb := a%d.per, b%d.per
+	if sa == sb {
+		return ring.Hops(la, lb)
+	}
+	return ring.Hops(la, 0) + d.linkHops + ring.Hops(0, lb)
+}
+
+func (d refDualRing) Path(a, b int) []int {
+	sa, sb := a/d.per, b/d.per
+	la, lb := a%d.per, b%d.per
+	if sa == sb {
+		return ringPath(la, lb, d.per, sa*d.per)
+	}
+	out := ringPath(la, 0, d.per, sa*d.per)
+	out = append(out, 2*d.per)
+	return append(out, ringPath(0, lb, d.per, sb*d.per)...)
+}
+
+// sameRouting fails t unless got and want agree on the node and link
+// counts, every link's transit weight, and every node pair's Hops,
+// CrossSocket and Path.
+func sameRouting(t *testing.T, got, want Topology) {
+	t.Helper()
+	if got.Nodes() != want.Nodes() || got.Links() != want.Links() {
+		t.Fatalf("%s: %d nodes, %d links; %s has %d, %d",
+			got.Name(), got.Nodes(), got.Links(), want.Name(), want.Nodes(), want.Links())
+	}
+	for l := 0; l < want.Links(); l++ {
+		if got.LinkTransit(l) != want.LinkTransit(l) {
+			t.Fatalf("%s: LinkTransit(%d) = %d, want %d", got.Name(), l, got.LinkTransit(l), want.LinkTransit(l))
+		}
+	}
+	for a := 0; a < want.Nodes(); a++ {
+		for b := 0; b < want.Nodes(); b++ {
+			if got.Hops(a, b) != want.Hops(a, b) || got.CrossSocket(a, b) != want.CrossSocket(a, b) {
+				t.Fatalf("%s (%d,%d): Hops %d, cross %v; want %d, %v", got.Name(), a, b,
+					got.Hops(a, b), got.CrossSocket(a, b), want.Hops(a, b), want.CrossSocket(a, b))
 			}
-			if mr.CrossSocket(a, b) != dr.CrossSocket(a, b) {
-				t.Fatalf("CrossSocket(%d,%d) differs", a, b)
+			if p, q := got.Path(a, b), want.Path(a, b); !slices.Equal(p, q) {
+				t.Fatalf("%s: Path(%d,%d) = %v, want %v", got.Name(), a, b, p, q)
+			}
+		}
+	}
+}
+
+// TestMultiRingMatchesDualRing checks the constructors and the three
+// ring builders against the reference ring and dual ring on every node
+// pair, 1-stop rings included. A multiring of one or two sockets routes
+// like the reference of that many sockets but keeps its own name.
+func TestMultiRingMatchesDualRing(t *testing.T) {
+	build := func(kind string, p Params) Topology {
+		topo, err := Build(kind, p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return topo
+	}
+	for _, per := range []int{1, 2, 3, 6, 18} {
+		for _, linkHops := range []int{0, 2, 4} {
+			ring, dual := refRing{per}, refDualRing{per, linkHops}
+			multi1 := build("multiring", Params{"sockets": 1, "persocket": per, "linkhops": linkHops})
+			multi2 := build("multiring", Params{"sockets": 2, "persocket": per, "linkhops": linkHops})
+			for _, c := range []struct {
+				got, want Topology
+				name      string
+			}{
+				{NewRing(per), ring, ring.Name()},
+				{build("ring", Params{"nodes": per}), ring, ring.Name()},
+				{NewDualRing(per, linkHops), dual, dual.Name()},
+				{build("dualring", Params{"persocket": per, "linkhops": linkHops}), dual, dual.Name()},
+				{NewMultiRing(1, per, linkHops), ring, fmt.Sprintf("multiring-1x%d", per)},
+				{multi1, ring, fmt.Sprintf("multiring-1x%d", per)},
+				{NewMultiRing(2, per, linkHops), dual, fmt.Sprintf("multiring-2x%d", per)},
+				{multi2, dual, fmt.Sprintf("multiring-2x%d", per)},
+			} {
+				if c.got.Name() != c.name {
+					t.Fatalf("Name() = %q, want %q", c.got.Name(), c.name)
+				}
+				sameRouting(t, c.got, c.want)
 			}
 		}
 	}

@@ -1,92 +1,5 @@
 package topology
 
-// Router is implemented by topologies that can enumerate the links a
-// message traverses, enabling finite-bandwidth simulation: each link is
-// a serially-occupied resource. Link IDs are dense in [0, Links()).
-//
-// Path returns the link sequence from a to b in traversal order; the
-// empty path means a == b. Paths are deterministic (dimension-ordered /
-// shortest-way routing), consistent with how Hops counts distance:
-// len(Path(a,b)) == Hops(a,b) everywhere except DualRing's inter-socket
-// link, which Hops weights as LinkHops hop-latencies but which is a
-// single channel resource.
-type Router interface {
-	Topology
-	// Links is the number of link resources.
-	Links() int
-	// Path lists the links a message from a to b crosses, in order.
-	Path(a, b int) []int
-	// LinkTransit is the hop-latency multiple for crossing one link
-	// (1 for on-die links; DualRing's inter-socket channel returns its
-	// LinkHops weight so path transit equals Hops everywhere).
-	LinkTransit(link int) int
-}
-
-// Ring links: link i joins stop i and stop (i+1) mod N; a message takes
-// the shorter way around.
-func (r *Ring) Links() int { return r.N }
-
-// LinkTransit implements Router.
-func (r *Ring) LinkTransit(int) int { return 1 }
-
-// Path implements Router.
-func (r *Ring) Path(a, b int) []int {
-	checkNode(r, a)
-	checkNode(r, b)
-	return ringPath(a, b, r.N, 0)
-}
-
-// ringPath walks the shorter way around an n-stop ring whose link IDs
-// start at base (link base+i joins stops i and i+1 mod n).
-func ringPath(a, b, n, base int) []int {
-	if a == b {
-		return nil
-	}
-	// Distance going clockwise (increasing indices).
-	cw := (b - a + n) % n
-	var out []int
-	if cw <= n-cw {
-		for s := a; s != b; s = (s + 1) % n {
-			out = append(out, base+s)
-		}
-	} else {
-		for s := a; s != b; s = (s - 1 + n) % n {
-			out = append(out, base+(s-1+n)%n)
-		}
-	}
-	return out
-}
-
-// DualRing links: socket 0's ring links are [0, PerSocket), socket 1's
-// are [PerSocket, 2*PerSocket), and the inter-socket link is the last
-// ID. (The link's LinkHops hop-equivalent cost stays a latency matter;
-// as a resource it is a single channel.)
-func (d *DualRing) Links() int { return 2*d.PerSocket + 1 }
-
-// LinkTransit implements Router: the inter-socket channel is LinkHops
-// hop-latencies long.
-func (d *DualRing) LinkTransit(link int) int {
-	if link == 2*d.PerSocket {
-		return d.LinkHops
-	}
-	return 1
-}
-
-// Path implements Router.
-func (d *DualRing) Path(a, b int) []int {
-	checkNode(d, a)
-	checkNode(d, b)
-	sa, sb := d.socket(a), d.socket(b)
-	la, lb := d.local(a), d.local(b)
-	if sa == sb {
-		return ringPath(la, lb, d.PerSocket, sa*d.PerSocket)
-	}
-	link := 2 * d.PerSocket
-	out := ringPath(la, 0, d.PerSocket, sa*d.PerSocket)
-	out = append(out, link)
-	return append(out, ringPath(0, lb, d.PerSocket, sb*d.PerSocket)...)
-}
-
 // Mesh2D links: horizontal link (x,y)->(x+1,y) has ID y*(Cols-1)+x;
 // vertical link (x,y)->(x,y+1) has ID H + x*(Rows-1)+y where H is the
 // horizontal link count. Routing is X-then-Y, matching Hops.
@@ -94,10 +7,10 @@ func (m *Mesh2D) Links() int {
 	return m.Rows*(m.Cols-1) + m.Cols*(m.Rows-1)
 }
 
-// LinkTransit implements Router.
+// LinkTransit implements Topology.
 func (m *Mesh2D) LinkTransit(int) int { return 1 }
 
-// Path implements Router.
+// Path implements Topology.
 func (m *Mesh2D) Path(a, b int) []int {
 	checkNode(m, a)
 	checkNode(m, b)
@@ -124,10 +37,10 @@ func (m *Mesh2D) Path(a, b int) []int {
 // destination ports (the switch core is non-blocking).
 func (c *Crossbar) Links() int { return c.N }
 
-// LinkTransit implements Router.
+// LinkTransit implements Topology.
 func (c *Crossbar) LinkTransit(int) int { return 1 }
 
-// Path implements Router.
+// Path implements Topology.
 func (c *Crossbar) Path(a, b int) []int {
 	checkNode(c, a)
 	checkNode(c, b)

@@ -2,8 +2,8 @@ package topology
 
 import "testing"
 
-func routers() []Router {
-	return []Router{NewRing(8), NewDualRing(6, 2), NewMesh2D(4, 3), NewCrossbar(5)}
+func routers() []Topology {
+	return []Topology{NewRing(8), NewDualRing(6, 2), NewMesh2D(4, 3), NewCrossbar(5)}
 }
 
 func TestPathLengthMatchesHops(t *testing.T) {
@@ -12,7 +12,7 @@ func TestPathLengthMatchesHops(t *testing.T) {
 			for b := 0; b < r.Nodes(); b++ {
 				p := r.Path(a, b)
 				want := r.Hops(a, b)
-				if d, ok := r.(*DualRing); ok && d.CrossSocket(a, b) {
+				if d, ok := r.(*MultiRing); ok && d.CrossSocket(a, b) {
 					// The inter-socket link is one resource but
 					// LinkHops hop-latencies.
 					want = want - d.LinkHops + 1

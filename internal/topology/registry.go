@@ -129,23 +129,11 @@ func nonNegative(kind, name string, v int) error {
 }
 
 func init() {
-	// Single bidirectional ring (idealized single-socket Xeon uncore).
-	RegisterBuilder("ring", []string{"nodes"}, nil, func(p Params) (Topology, error) {
-		if err := positive("ring", "nodes", p["nodes"]); err != nil {
-			return nil, err
-		}
-		return NewRing(p["nodes"]), nil
-	})
-	// Two rings bridged by a point-to-point link (two-socket Xeon E5).
-	RegisterBuilder("dualring", []string{"persocket"}, map[string]int{"linkhops": 2}, func(p Params) (Topology, error) {
-		if err := positive("dualring", "persocket", p["persocket"]); err != nil {
-			return nil, err
-		}
-		if err := nonNegative("dualring", "linkhops", p["linkhops"]); err != nil {
-			return nil, err
-		}
-		return NewDualRing(p["persocket"], p["linkhops"]), nil
-	})
+	// Rings of 1 (idealized Xeon uncore), 2 (two-socket Xeon E5) and S
+	// sockets (4S Xeon), bridged at stop 0 by point-to-point links.
+	RegisterBuilder("ring", []string{"nodes"}, nil, ringBuilder("ring", "nodes", 1))
+	RegisterBuilder("dualring", []string{"persocket"}, map[string]int{"linkhops": 2}, ringBuilder("dualring", "persocket", 2))
+	RegisterBuilder("multiring", []string{"sockets", "persocket"}, map[string]int{"linkhops": 2}, ringBuilder("multiring", "persocket", 0))
 	// 2D mesh with dimension-ordered routing (KNL tiles, Xeon Scalable).
 	RegisterBuilder("mesh", []string{"cols", "rows"}, nil, func(p Params) (Topology, error) {
 		if err := positive("mesh", "cols", p["cols"]); err != nil {
@@ -163,19 +151,6 @@ func init() {
 		}
 		return NewCrossbar(p["nodes"]), nil
 	})
-	// S sockets of rings on a full-mesh inter-socket fabric (4S Xeon).
-	RegisterBuilder("multiring", []string{"sockets", "persocket"}, map[string]int{"linkhops": 2}, func(p Params) (Topology, error) {
-		if err := positive("multiring", "sockets", p["sockets"]); err != nil {
-			return nil, err
-		}
-		if err := positive("multiring", "persocket", p["persocket"]); err != nil {
-			return nil, err
-		}
-		if err := nonNegative("multiring", "linkhops", p["linkhops"]); err != nil {
-			return nil, err
-		}
-		return NewMultiRing(p["sockets"], p["persocket"], p["linkhops"]), nil
-	})
 	// Two-level hierarchical star: leaf domains bridged through a hub
 	// (EPYC CCDs through an IO die). socketperleaf=1 charges the
 	// cross-socket penalty on every leaf-to-leaf transfer.
@@ -191,6 +166,29 @@ func init() {
 		}
 		return NewStar(p["leaves"], p["hubhops"], p["socketperleaf"] == 1), nil
 	})
+}
+
+// ringBuilder builds the ring-of-rings kind named kind, whose stop
+// count per socket is the parameter stops. sockets fixes its socket
+// count, or is 0 to read it from the "sockets" parameter. A kind that
+// declares no "linkhops" parameter has none.
+func ringBuilder(kind, stops string, sockets int) BuilderFunc {
+	return func(p Params) (Topology, error) {
+		n := sockets
+		if n == 0 {
+			n = p["sockets"]
+			if err := positive(kind, "sockets", n); err != nil {
+				return nil, err
+			}
+		}
+		if err := positive(kind, stops, p[stops]); err != nil {
+			return nil, err
+		}
+		if err := nonNegative(kind, "linkhops", p["linkhops"]); err != nil {
+			return nil, err
+		}
+		return newMultiRing(kind, n, p[stops], p["linkhops"]), nil
+	}
 }
 
 // Clone returns a copy of p (nil stays nil); machine specs hand their

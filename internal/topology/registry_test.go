@@ -101,9 +101,9 @@ func TestBuilderMetricProperties(t *testing.T) {
 	}
 }
 
-// TestBuilderRouterConsistency checks that every builder whose product
-// routes (implements Router) keeps path transit equal to Hops — the
-// invariant the finite-bandwidth network model depends on.
+// TestBuilderRouterConsistency checks that every builder's product
+// keeps path transit equal to Hops — the invariant the
+// finite-bandwidth network model depends on.
 func TestBuilderRouterConsistency(t *testing.T) {
 	for kind, cases := range builderCases {
 		for _, params := range cases {
@@ -111,19 +111,15 @@ func TestBuilderRouterConsistency(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			r, ok := topo.(Router)
-			if !ok {
-				continue
-			}
 			n := topo.Nodes()
 			for a := 0; a < n; a++ {
 				for b := 0; b < n; b++ {
 					transit := 0
-					for _, link := range r.Path(a, b) {
-						if link < 0 || link >= r.Links() {
-							t.Fatalf("%s: path link %d outside [0,%d)", topo.Name(), link, r.Links())
+					for _, link := range topo.Path(a, b) {
+						if link < 0 || link >= topo.Links() {
+							t.Fatalf("%s: path link %d outside [0,%d)", topo.Name(), link, topo.Links())
 						}
-						transit += r.LinkTransit(link)
+						transit += topo.LinkTransit(link)
 					}
 					if transit != topo.Hops(a, b) {
 						t.Fatalf("%s: path transit %d != Hops(%d,%d) = %d", topo.Name(), transit, a, b, topo.Hops(a, b))
@@ -144,6 +140,22 @@ func TestBuildErrors(t *testing.T) {
 	if _, err := Build("ring", Params{"nodes": 4, "spokes": 2}); err == nil || !strings.Contains(err.Error(), "spokes") {
 		t.Errorf("unknown parameter should be named, got %v", err)
 	}
+	for _, c := range []struct {
+		kind string
+		p    Params
+		bad  string
+	}{
+		{"ring", Params{"nodes": 0}, "nodes"},
+		{"dualring", Params{"persocket": 0}, "persocket"},
+		{"dualring", Params{"persocket": 4, "linkhops": -1}, "linkhops"},
+		{"multiring", Params{"sockets": 0, "persocket": 4}, "sockets"},
+		{"multiring", Params{"sockets": 2, "persocket": -1}, "persocket"},
+		{"multiring", Params{"sockets": 2, "persocket": 4, "linkhops": -2}, "linkhops"},
+	} {
+		if _, err := Build(c.kind, c.p); err == nil || !strings.Contains(err.Error(), c.bad) {
+			t.Errorf("Build(%s, %v) should name %q, got %v", c.kind, c.p, c.bad, err)
+		}
+	}
 	if _, err := Build("mesh", Params{"cols": 0, "rows": 3}); err == nil {
 		t.Error("zero dimension accepted")
 	}
@@ -162,7 +174,7 @@ func TestBuildDefaultsApplied(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if d, ok := topo.(*DualRing); !ok || d.LinkHops != 2 {
+	if d, ok := topo.(*MultiRing); !ok || d.LinkHops != 2 {
 		t.Fatalf("dualring default linkhops: got %#v", topo)
 	}
 	topo, err = Build("star", Params{"leaves": 4})

@@ -58,11 +58,11 @@ func (s *Star) CrossSocket(a, b int) bool {
 	return s.SocketPerLeaf && a != b
 }
 
-// Links implements Router: one channel per leaf; the hub core itself is
+// Links implements Topology: one channel per leaf; the hub core itself is
 // non-blocking.
 func (s *Star) Links() int { return s.Leaves }
 
-// Path implements Router: source channel up, destination channel down.
+// Path implements Topology: source channel up, destination channel down.
 // Each channel's transit is HubHops, so path transit equals Hops.
 func (s *Star) Path(a, b int) []int {
 	checkNode(s, a)
@@ -73,5 +73,5 @@ func (s *Star) Path(a, b int) []int {
 	return []int{a, b}
 }
 
-// LinkTransit implements Router.
+// LinkTransit implements Topology.
 func (s *Star) LinkTransit(int) int { return s.HubHops }

@@ -33,102 +33,23 @@ type Topology interface {
 	// CrossSocket reports whether a transfer between a and b leaves the
 	// socket (and therefore pays the inter-socket link latency).
 	CrossSocket(a, b int) bool
+	// Links is the number of link resources, each serially occupied
+	// under finite bandwidth; link IDs are dense in [0, Links()).
+	Links() int
+	// Path lists the links a message from a to b crosses, in order, by
+	// deterministic dimension-ordered or shortest-way routing; the
+	// LinkTransit weights along it sum to Hops(a, b).
+	Path(a, b int) []int
+	// LinkTransit is the hop-latency multiple for crossing one link: 1
+	// for an on-die link, more for one channel that Hops weights as
+	// several hops (MultiRing's inter-socket, Star's hub channels).
+	LinkTransit(link int) int
 }
 
 func checkNode(t Topology, n int) {
 	if n < 0 || n >= t.Nodes() {
 		panic(fmt.Sprintf("topology: node %d out of range [0,%d)", n, t.Nodes()))
 	}
-}
-
-// Ring is a single bidirectional ring, the idealized single-socket Xeon E5
-// uncore: a message takes the shorter way around.
-type Ring struct {
-	N int // number of stops
-}
-
-// NewRing returns a bidirectional ring with n stops.
-func NewRing(n int) *Ring {
-	if n <= 0 {
-		panic("topology: ring needs at least one stop")
-	}
-	return &Ring{N: n}
-}
-
-func (r *Ring) Name() string { return fmt.Sprintf("ring-%d", r.N) }
-func (r *Ring) Nodes() int   { return r.N }
-
-func (r *Ring) Hops(a, b int) int {
-	checkNode(r, a)
-	checkNode(r, b)
-	d := a - b
-	if d < 0 {
-		d = -d
-	}
-	if alt := r.N - d; alt < d {
-		d = alt
-	}
-	return d
-}
-
-// CrossSocket is always false: a single ring is one socket.
-func (r *Ring) CrossSocket(a, b int) bool { return false }
-
-// DualRing models a two-socket Xeon E5: each socket is a bidirectional
-// ring of PerSocket stops, and the sockets are joined by a point-to-point
-// link (QPI/UPI) attached at stop 0 of each ring. A cross-socket transfer
-// rides ring A to its link stop, crosses the link (LinkHops hops worth of
-// latency), and rides ring B to the destination.
-type DualRing struct {
-	PerSocket int
-	LinkHops  int // hop-equivalent cost of the inter-socket link
-}
-
-// NewDualRing returns a two-socket dual ring with perSocket stops per
-// socket and the inter-socket link costed as linkHops ring hops.
-func NewDualRing(perSocket, linkHops int) *DualRing {
-	if perSocket <= 0 {
-		panic("topology: dual ring needs at least one stop per socket")
-	}
-	if linkHops < 0 {
-		panic("topology: negative link hops")
-	}
-	return &DualRing{PerSocket: perSocket, LinkHops: linkHops}
-}
-
-func (d *DualRing) Name() string { return fmt.Sprintf("dualring-2x%d", d.PerSocket) }
-func (d *DualRing) Nodes() int   { return 2 * d.PerSocket }
-
-func (d *DualRing) socket(n int) int { return n / d.PerSocket }
-func (d *DualRing) local(n int) int  { return n % d.PerSocket }
-
-func (d *DualRing) ringHops(a, b int) int {
-	diff := a - b
-	if diff < 0 {
-		diff = -diff
-	}
-	if alt := d.PerSocket - diff; alt < diff {
-		diff = alt
-	}
-	return diff
-}
-
-func (d *DualRing) Hops(a, b int) int {
-	checkNode(d, a)
-	checkNode(d, b)
-	sa, sb := d.socket(a), d.socket(b)
-	la, lb := d.local(a), d.local(b)
-	if sa == sb {
-		return d.ringHops(la, lb)
-	}
-	// Ride to the link stop (local 0), cross, ride to destination.
-	return d.ringHops(la, 0) + d.LinkHops + d.ringHops(0, lb)
-}
-
-func (d *DualRing) CrossSocket(a, b int) bool {
-	checkNode(d, a)
-	checkNode(d, b)
-	return d.socket(a) != d.socket(b)
 }
 
 // Mesh2D is a 2D mesh with dimension-ordered (X then Y) routing, the KNL

@@ -6,8 +6,9 @@
 # *.md files),
 # the full test suite and the benchmark module's tests (bench/ is its
 # own Go module), a race-detector pass over the packages with real
-# concurrency (the cell scheduler, the run log it writes through, and
-# the hottest pooled data structures in the coherence layer), smoke
+# concurrency (the cell scheduler, the run log it writes through, the
+# hottest pooled data structures in the coherence layer, and the
+# machine's node-pair table that many goroutines share), smoke
 # runs of the atomicsim CLI exercising the manifest/resume path (a
 # fresh run, its resume, and a resume after both logs were torn
 # mid-append, and a run whose watchdog failed a cell, resumed without
@@ -67,8 +68,8 @@ echo "== (cd bench && go test ./...)"
 # smoke test checks every workload against its golden digest.
 (cd bench && go test ./...)
 
-echo "== go test -race ./internal/harness ./internal/coherence ./internal/runlog ./internal/jobs"
-go test -race ./internal/harness ./internal/coherence ./internal/runlog ./internal/jobs
+echo "== go test -race ./internal/harness ./internal/coherence ./internal/runlog ./internal/jobs ./internal/machine"
+go test -race ./internal/harness ./internal/coherence ./internal/runlog ./internal/jobs ./internal/machine
 
 echo "== atomicsim -manifest smoke run"
 dir=$(mktemp -d)
