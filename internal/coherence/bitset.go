@@ -20,8 +20,6 @@ func (s coreSet) has(i int) bool {
 
 func (s coreSet) add(i int) { s.words[i/64] |= 1 << (uint(i) % 64) }
 
-func (s coreSet) remove(i int) { s.words[i/64] &^= 1 << (uint(i) % 64) }
-
 func (s coreSet) clear() {
 	for i := range s.words {
 		s.words[i] = 0

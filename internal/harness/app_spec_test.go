@@ -95,7 +95,7 @@ func TestAppSpecDistinctCacheNamespace(t *testing.T) {
 func TestAppCellKeyCarriesDigest(t *testing.T) {
 	m := machine.Ideal(8)
 	sp := apps.Spec{Structure: "treiber-stack", Threads: 4, Seed: 7}
-	c, err := appKind.cell(m, sp)
+	key, err := appKind.key(m, &sp)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,14 +104,14 @@ func TestAppCellKeyCarriesDigest(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := m.Key() + "/app@" + d
-	if c.key != want {
-		t.Fatalf("cell key = %q, want %q", c.key, want)
+	if key != want {
+		t.Fatalf("cell key = %q, want %q", key, want)
 	}
-	if !strings.Contains(c.key, "/app@") {
-		t.Fatalf("cell key %q lacks the app digest marker", c.key)
+	if !strings.Contains(key, "/app@") {
+		t.Fatalf("cell key %q lacks the app digest marker", key)
 	}
-	if strings.Contains(c.key, "/wl@") {
-		t.Fatalf("cell key %q strays into the workload namespace", c.key)
+	if strings.Contains(key, "/wl@") {
+		t.Fatalf("cell key %q strays into the workload namespace", key)
 	}
 }
 

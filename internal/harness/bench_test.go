@@ -133,7 +133,7 @@ func BenchmarkAppCell(b *testing.B) {
 	}
 }
 
-// BenchmarkReplayCell measures one cached cell through FanoutKeyed, the
+// BenchmarkReplayCell measures one cached cell through fanout, the
 // unit of a resume: the cache lookup, the decode of the stored result,
 // and the manifest record of the replay. The cell is F3-sized: the
 // 72-thread high-contention FAA cell of full F3 on XeonE5.
@@ -154,19 +154,18 @@ func BenchmarkReplayCell(b *testing.B) {
 		Machine: machine.XeonE5(), Threads: 72, Primitive: atomics.FAA,
 		Mode: workload.HighContention, Seed: 42 + 72,
 	}
-	specs := []workload.Config{cfg}
-	key := func(workload.Config) string { return "XeonE5/FAA/t72" }
-	fresh := func(_ int, cfg workload.Config) (*workload.Result, error) { return workload.Run(cfg) }
-	if _, err := FanoutKeyed(o, specs, key, fresh); err != nil {
+	keys := []string{"XeonE5/FAA/t72"}
+	fresh := func(int) (*workload.Result, error) { return workload.Run(cfg) }
+	if _, err := fanout(o, keys, fresh); err != nil {
 		b.Fatal(err)
 	}
-	replay := func(int, workload.Config) (*workload.Result, error) {
+	replay := func(int) (*workload.Result, error) {
 		return nil, fmt.Errorf("cell simulated instead of replayed")
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := FanoutKeyed(o, specs, key, replay); err != nil {
+		if _, err := fanout(o, keys, replay); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -20,7 +20,7 @@ func TestRunCellsContextPreCanceled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	ran := 0
-	_, err := fanout(Options{Par: 1, Context: ctx}, 4, func(i int) (int, error) {
+	_, err := fanoutN(Options{Par: 1, Context: ctx}, 4, func(i int) (int, error) {
 		ran++
 		return i, nil
 	})
@@ -44,7 +44,7 @@ func TestRunCellsContextPreCanceled(t *testing.T) {
 func TestRunCellsContextDeadline(t *testing.T) {
 	ctx, cancel := context.WithDeadline(context.Background(), time.Now().Add(-time.Second))
 	defer cancel()
-	_, err := fanout(Options{Par: 1, Context: ctx}, 1, func(i int) (int, error) { return i, nil })
+	_, err := fanoutN(Options{Par: 1, Context: ctx}, 1, func(i int) (int, error) { return i, nil })
 	if !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("err = %v, want context.DeadlineExceeded through the cell error", err)
 	}
@@ -54,7 +54,7 @@ func TestRunCellsContextDeadline(t *testing.T) {
 // context.Background() — run everything.
 func TestRunCellsNilContextUnchanged(t *testing.T) {
 	ran := 0
-	if _, err := fanout(Options{Par: 1}, 3, func(i int) (int, error) { ran++; return i, nil }); err != nil || ran != 3 {
+	if _, err := fanoutN(Options{Par: 1}, 3, func(i int) (int, error) { ran++; return i, nil }); err != nil || ran != 3 {
 		t.Fatalf("fanout = (%v, %d cells), want (nil, 3)", err, ran)
 	}
 }
@@ -77,14 +77,16 @@ func TestFanoutKeyedContextCancelMidRun(t *testing.T) {
 	type res struct{ V int }
 	o := Options{Par: 1, Exp: "CTX", Manifest: w, Context: ctx}
 	specs := []int{10, 20, 30}
-	_, ferr := FanoutKeyed(o, specs,
-		func(s int) string { return "cell" + itoaCtx(s) },
-		func(i int, s int) (res, error) {
-			if i == 0 {
-				cancel()
-			}
-			return res{V: s}, nil
-		})
+	keys := make([]string, len(specs))
+	for i, s := range specs {
+		keys[i] = "cell" + itoaCtx(s)
+	}
+	_, ferr := fanout(o, keys, func(i int) (res, error) {
+		if i == 0 {
+			cancel()
+		}
+		return res{V: specs[i]}, nil
+	})
 	if werr := w.Close(); werr != nil {
 		t.Fatal(werr)
 	}

@@ -5,6 +5,7 @@ import (
 	"atomicsmodel/internal/atomics"
 	"atomicsmodel/internal/coherence"
 	"atomicsmodel/internal/core"
+	"atomicsmodel/internal/faults"
 	"atomicsmodel/internal/machine"
 	"atomicsmodel/internal/sim"
 	"atomicsmodel/internal/workload"
@@ -49,7 +50,7 @@ func init() {
 				t.AddRow(append(row, f2(pred.ThroughputMops), f3(pred.Jain))...)
 				return nil
 			},
-			note: "locality grants the nearest requester: shorter transfers, starved far cores; the model predicts the resulting monopoly",
+			note: fixedNote("locality grants the nearest requester: shorter transfers, starved far cores; the model predicts the resulting monopoly"),
 		}.run,
 	})
 	Register(&Experiment{
@@ -91,7 +92,7 @@ func init() {
 						f2(writeOnly.ThroughputMops/base), f2(withReads.ThroughputMops))
 					return nil
 				},
-				note: "16 stripes for 16 writers = private lines = the low-contention setting",
+				note: fixedNote("16 stripes for 16 writers = private lines = the low-contention setting"),
 			}.run(o)
 		},
 	})
@@ -100,9 +101,8 @@ func init() {
 func runF14(o Options) ([]*Table, error) {
 	machines := o.machines()
 
-	// This runner mixes cell shapes (latency probes, mix runs, the
-	// crossbar table), so it issues three keyed fan-outs: every cell gets
-	// a stable config key and participates in the manifest/resume cache.
+	// F14 stays code on specCells, not a figure: one of its tables
+	// mixes two cell kinds, and another has a row per machine.
 	// The 16-thread mix rows (and the crossbar row) drop on machines too
 	// small for them; the cold-read probe runs everywhere.
 	const threads = 16
@@ -120,21 +120,17 @@ func runF14(o Options) ([]*Table, error) {
 
 	// Cold read of a Shared line, one probe per protocol variant. The
 	// MESIF clone's Name carries a "+F" suffix, so it keys distinctly.
-	var latMachines []*machine.Machine
+	latCells := sharedReadKind.newCells()
 	for _, p := range pairs {
-		latMachines = append(latMachines, p.base, p.mesif)
+		latCells.add(p.base, struct{}{})
+		latCells.add(p.mesif, struct{}{})
 	}
-	lats, err := FanoutKeyed(o, latMachines, func(m *machine.Machine) string {
-		return "sharedlat/" + m.Key()
-	}, func(_ int, m *machine.Machine) (sim.Time, error) {
-		return sharedReadLatency(m, o.CheckOn())
-	})
+	lats, err := latCells.run(o)
 	if err != nil {
 		return nil, err
 	}
 
-	mixCells := workloadKind.newCells()
-	mixCells.keyPrefix = "mix/"
+	mixCells := workloadKind.prefixed("mix/").newCells()
 	for _, p := range pairs {
 		for _, rf := range p.fracs {
 			for _, m := range []*machine.Machine{p.base, p.mesif} {
@@ -161,8 +157,7 @@ func runF14(o Options) ([]*Table, error) {
 		}
 		topoMachines = append(topoMachines, m)
 	}
-	topoCells := workloadKind.newCells()
-	topoCells.keyPrefix = "topo/"
+	topoCells := workloadKind.prefixed("topo/").newCells()
 	for _, m := range topoMachines {
 		sp := workloadKind.fixed(o, threads)
 		sp.Primitive = atomics.FAA.String()
@@ -211,12 +206,20 @@ func cloneWithForwarding(m *machine.Machine) *machine.Machine {
 	return &c
 }
 
+// sharedReadKind runs F14's cold-read probe, keyed "sharedlat/M".
+var sharedReadKind = specKind[struct{}, sim.Time]{
+	key: func(m *machine.Machine, _ *struct{}) (string, error) { return "sharedlat/" + m.Key(), nil },
+	run: func(o Options, ci int, m *machine.Machine, _ *struct{}) (sim.Time, error) {
+		return sharedReadLatency(m, o.CheckOn(), o.CellFaults(ci))
+	},
+}
+
 // sharedReadLatency stages a line Shared in two mid-machine caches and
 // measures a cold read from an adjacent core: the access MESIF
 // accelerates (the sharer sits next door; the home slice does not).
-// check audits the probe (see workload.NewProbe).
-func sharedReadLatency(m *machine.Machine, check bool) (sim.Time, error) {
-	eng, mem, audit, err := workload.NewProbe(m, check)
+// check and fp audit and fault the probe (see workload.NewProbe).
+func sharedReadLatency(m *machine.Machine, check bool, fp *faults.CellPlan) (sim.Time, error) {
+	eng, mem, audit, err := workload.NewProbe(m, check, fp)
 	if err != nil {
 		return 0, err
 	}

@@ -54,7 +54,7 @@ func init() {
 					f2(simRatio), f2(modelRatio))
 				return nil
 			},
-			note: "model ratio ~ N: every CAS success pays N-1 failed-but-full-cost attempts",
+			note: fixedNote("model ratio ~ N: every CAS success pays N-1 failed-but-full-cost attempts"),
 		}.run,
 	})
 	Register(&Experiment{
@@ -89,7 +89,7 @@ func init() {
 				t.AddRow(row...)
 				return nil
 			},
-			note: "ticket: FIFO-fair by construction; backoff: fewest bounces per handoff; cohort (NUMA machines): global lock crosses sockets once per cohort",
+			note: fixedNote("ticket: FIFO-fair by construction; backoff: fewest bounces per handoff; cohort (NUMA machines): global lock crosses sockets once per cohort"),
 		}.run,
 	})
 }

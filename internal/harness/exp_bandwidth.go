@@ -15,81 +15,63 @@ func init() {
 		ID:    "F16",
 		Title: "Interconnect bandwidth: an atomic storm slows unrelated traffic",
 		Claim: "with finite link bandwidth, contended atomics pollute the interconnect: victims on other lines stall behind the storm's messages",
-		Run:   runF16,
+		// Each row is one storm-and-victim simulation at one link
+		// occupancy (cycles per link per message); occupancy 0 is the
+		// infinite-bandwidth baseline every other experiment uses.
+		// Machines without room for the storm and both victims sit out.
+		Run: func(o Options) ([]*Table, error) {
+			var baseline float64 // the victim's latency at occupancy 0, each table's first row
+			return figure[float64, stormCell, float64]{
+				kind:  stormKind,
+				title: "F16 (%s): 12-thread FAA storm vs 2-thread victim on another line",
+				cols:  columns("link occupancy (cyc)", "storm (Mops)", "victim latency (ns)", "victim slowdown", "stall share"),
+				fits:  fitsThreads(stormThreads + 2),
+				rows: func(o Options, _ *machine.Machine) []float64 {
+					return pick(o, []float64{0, 1, 2, 4, 8}, []float64{0, 2, 8})
+				},
+				cells: func(_ Options, _ *machine.Machine, occ float64) []float64 { return []float64{occ} },
+				row: func(t *Table, _ *machine.Machine, occ float64, res []stormCell) error {
+					c := res[0]
+					if occ == 0 {
+						baseline = c.VictimLat
+					}
+					t.AddRow(f1(occ), f2(c.Storm), f1(c.VictimLat), f2(c.VictimLat/baseline), f3(c.StallShare))
+					return nil
+				},
+				note: fixedNote("victim cores sit across the machine from each other; their transfers share links with the storm"),
+			}.run(o)
+		},
 	})
 }
 
 // stormThreads is F16's storm size; two victim threads run beside it.
 const stormThreads = 12
 
-// runF16 runs, for each machine and link occupancy, a 12-thread FAA
-// storm on one hot line concurrently with a 2-thread ping-pong victim
-// on an unrelated line, and reports how the victim's latency degrades
-// as bandwidth tightens. Occupancy 0 is the infinite-bandwidth baseline
-// every other experiment uses.
-func runF16(o Options) ([]*Table, error) {
-	occupancies := []float64{0, 1, 2, 4, 8} // cycles per link per message
-	if o.Quick {
-		occupancies = []float64{0, 2, 8}
-	}
-	// Each storm-and-victim run is one custom simulation — one cell.
-	// Machines without room for the storm and both victims sit out.
-	var machines []*machine.Machine
-	for _, m := range o.machines() {
-		if stormThreads+2 <= m.NumHWThreads() {
-			machines = append(machines, m)
-		}
-	}
-	type spec struct {
-		base *machine.Machine
-		occ  float64
-	}
-	type cell struct{ Storm, VictimLat, StallShare float64 }
-	var specs []spec
-	for _, base := range machines {
-		for _, occ := range occupancies {
-			specs = append(specs, spec{base, occ})
-		}
-	}
-	results, err := FanoutKeyed(o, specs, func(s spec) string {
-		return fmt.Sprintf("%s/occ=%v", s.base.Key(), s.occ)
-	}, func(ci int, s spec) (cell, error) {
-		m := *s.base
-		m.LinkOccupancy = m.Cycles(s.occ)
-		storm, victimLat, stallShare, err := stormAndVictim(&m, o)
-		return cell{storm, victimLat, stallShare}, err
-	})
-	if err != nil {
-		return nil, err
-	}
+// stormCell is one F16 cell's result.
+type stormCell struct{ Storm, VictimLat, StallShare float64 }
 
-	var tables []*Table
-	k := 0
-	for _, base := range machines {
-		t := NewTable("F16 ("+base.Name+"): 12-thread FAA storm vs 2-thread victim on another line",
-			"link occupancy (cyc)", "storm (Mops)", "victim latency (ns)", "victim slowdown", "stall share")
-		baselineLat := 0.0
-		for _, occ := range occupancies {
-			c := results[k]
-			k++
-			if occ == 0 {
-				baselineLat = c.VictimLat
-			}
-			t.AddRow(f1(occ), f2(c.Storm), f1(c.VictimLat), f2(c.VictimLat/baselineLat), f3(c.StallShare))
-		}
-		t.AddNote("victim cores sit across the machine from each other; their transfers share links with the storm")
-		tables = append(tables, t)
-	}
-	return tables, nil
+// stormKind runs a 12-thread FAA storm on one hot line concurrently
+// with a 2-thread ping-pong victim on an unrelated line, on a copy of
+// the machine whose links take the cell's occupancy in cycles per
+// message. Cells are keyed "M/occ=2".
+var stormKind = specKind[float64, stormCell]{
+	key: func(m *machine.Machine, occ *float64) (string, error) {
+		return fmt.Sprintf("%s/occ=%v", m.Key(), *occ), nil
+	},
+	run: func(o Options, ci int, m *machine.Machine, occ *float64) (stormCell, error) {
+		c := *m
+		c.LinkOccupancy = m.Cycles(*occ)
+		return stormAndVictim(&c, o, ci)
+	},
 }
 
 // stormAndVictim returns the storm's throughput (Mops), the victim's
 // mean per-op latency (ns), and the fraction of total simulated time
-// messages spent stalled on links.
-func stormAndVictim(m *machine.Machine, o Options) (stormMops, victimLatNs, stallShare float64, err error) {
-	eng, mem, audit, err := workload.NewProbe(m, o.CheckOn())
+// messages spent stalled on links, as cell ci.
+func stormAndVictim(m *machine.Machine, o Options, ci int) (stormCell, error) {
+	eng, mem, audit, err := workload.NewProbe(m, o.CheckOn(), o.CellFaults(ci))
 	if err != nil {
-		return 0, 0, 0, err
+		return stormCell{}, err
 	}
 	const (
 		stormLine  coherence.LineID = 1
@@ -98,7 +80,7 @@ func stormAndVictim(m *machine.Machine, o Options) (stormMops, victimLatNs, stal
 	storm, victim := mem.Handle(stormLine), mem.Handle(victimLine)
 	slots, err := (machine.Compact{}).Place(m, stormThreads+2)
 	if err != nil {
-		return 0, 0, 0, err
+		return stormCell{}, err
 	}
 	warm, end := o.warmup(), o.warmup()+o.duration()
 
@@ -154,14 +136,15 @@ func stormAndVictim(m *machine.Machine, o Options) (stormMops, victimLatNs, stal
 	})
 	eng.Run(end)
 	if err := audit(); err != nil {
-		return 0, 0, 0, err
+		return stormCell{}, err
 	}
 	if victimN == 0 {
-		return 0, 0, 0, nil
+		return stormCell{}, nil
 	}
 	stall := mem.System().Stats().LinkStall - stallAtWarm
-	return float64(stormOps) / o.duration().Seconds() / 1e6,
-		(victimSum / sim.Time(victimN)).Nanoseconds(),
-		stall.Seconds() / o.duration().Seconds(),
-		nil
+	return stormCell{
+		Storm:      float64(stormOps) / o.duration().Seconds() / 1e6,
+		VictimLat:  (victimSum / sim.Time(victimN)).Nanoseconds(),
+		StallShare: stall.Seconds() / o.duration().Seconds(),
+	}, nil
 }

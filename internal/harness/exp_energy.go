@@ -45,7 +45,7 @@ func init() {
 					f1(faaHigh.Energy.AvgPowerW))
 				return nil
 			},
-			note: "high contention: threads spin while one op progresses, so J/op grows ~linearly",
+			note: fixedNote("high contention: threads spin while one op progresses, so J/op grows ~linearly"),
 		}.run,
 	})
 }

@@ -44,7 +44,7 @@ func init() {
 				t.AddRow(append(row, f3(locMinMax), f3(res[len(arbs)].Jain))...)
 				return nil
 			},
-			note: "CAS/fifo Jain -> 1/N: the round winner keeps the freshest expected value",
+			note: fixedNote("CAS/fifo Jain -> 1/N: the round winner keeps the freshest expected value"),
 		}.run,
 	})
 }

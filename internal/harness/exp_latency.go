@@ -12,7 +12,34 @@ func init() {
 		ID:    "F1",
 		Title: "Low-contention latency of atomic primitives by initial cache-line state",
 		Claim: "latency in the low-contention setting; atomics cost like plain accesses on owned lines and pay the transfer otherwise",
-		Run:   runF1,
+		Run: figure[stateProbe, sim.Time, atomics.Primitive]{
+			kind:  stateProbeKind,
+			title: "F1 (%s): single-op latency by line state",
+			cols: func(m *machine.Machine) []string {
+				cols := []string{"primitive"}
+				for _, st := range lineStates(m) {
+					cols = append(cols, st.String()+" (ns)")
+				}
+				return cols
+			},
+			rows: func(Options, *machine.Machine) []atomics.Primitive { return atomics.All() },
+			cells: func(_ Options, m *machine.Machine, p atomics.Primitive) []stateProbe {
+				var out []stateProbe
+				for _, st := range lineStates(m) {
+					out = append(out, stateProbe{p, st})
+				}
+				return out
+			},
+			row: func(t *Table, _ *machine.Machine, p atomics.Primitive, lats []sim.Time) error {
+				row := []string{p.String()}
+				for _, l := range lats {
+					row = append(row, ns(l))
+				}
+				t.AddRow(row...)
+				return nil
+			},
+			note: func(m *machine.Machine) string { return "machine: " + m.String() },
+		}.run,
 	})
 	Register(&Experiment{
 		ID:    "F2",
@@ -24,57 +51,32 @@ func init() {
 	})
 }
 
-func runF1(o Options) ([]*Table, error) {
-	machines := o.machines()
-	type spec struct {
-		m  *machine.Machine
-		p  atomics.Primitive
-		st workload.LineState
-	}
-	var specs []spec
-	// states[i] lists the line states machine i has, decided once for
-	// its cells and its table's columns.
-	states := make([][]workload.LineState, len(machines))
-	for i, m := range machines {
-		for _, st := range workload.AllLineStates() {
-			if st == workload.StateRemoteOtherSocket && m.Sockets < 2 {
-				continue
-			}
-			states[i] = append(states[i], st)
-		}
-		for _, p := range atomics.All() {
-			for _, st := range states[i] {
-				specs = append(specs, spec{m, p, st})
-			}
-		}
-	}
-	lats, err := FanoutKeyed(o, specs, func(s spec) string {
-		return s.m.Key() + "/" + s.p.String() + "/" + s.st.String()
-	}, func(ci int, s spec) (sim.Time, error) {
-		return workload.MeasureStateLatencyChecked(s.m, s.p, s.st, o.CheckOn())
-	})
-	if err != nil {
-		return nil, err
-	}
+// stateProbe is one F1 cell: a single op of p on a line staged in
+// state st.
+type stateProbe struct {
+	p  atomics.Primitive
+	st workload.LineState
+}
 
-	var tables []*Table
-	k := 0
-	for i, m := range machines {
-		cols := []string{"primitive"}
-		for _, st := range states[i] {
-			cols = append(cols, st.String()+" (ns)")
+// stateProbeKind runs F1's single-op latency probes, keyed
+// "M/CAS/M-local".
+var stateProbeKind = specKind[stateProbe, sim.Time]{
+	key: func(m *machine.Machine, s *stateProbe) (string, error) {
+		return m.Key() + "/" + s.p.String() + "/" + s.st.String(), nil
+	},
+	run: func(o Options, ci int, m *machine.Machine, s *stateProbe) (sim.Time, error) {
+		return workload.MeasureStateLatencyChecked(m, s.p, s.st, o.CheckOn(), o.CellFaults(ci))
+	},
+}
+
+// lineStates lists the line states machine m can stage: a one-socket
+// machine has no other socket to stage a line on.
+func lineStates(m *machine.Machine) []workload.LineState {
+	var out []workload.LineState
+	for _, st := range workload.AllLineStates() {
+		if st != workload.StateRemoteOtherSocket || m.Sockets >= 2 {
+			out = append(out, st)
 		}
-		t := NewTable("F1 ("+m.Name+"): single-op latency by line state", cols...)
-		for _, p := range atomics.All() {
-			row := []string{p.String()}
-			for range states[i] {
-				row = append(row, ns(lats[k]))
-				k++
-			}
-			t.AddRow(row...)
-		}
-		t.AddNote("machine: %s", m.String())
-		tables = append(tables, t)
 	}
-	return tables, nil
+	return out
 }

@@ -14,7 +14,60 @@ func init() {
 		ID:    "F11",
 		Title: "Thread placement effect on contended atomics (compact vs scatter vs single-socket)",
 		Claim: "the model's transfer costs are placement-dependent: cross-socket bouncing dominates on NUMA",
-		Run:   runF11,
+		Run: figure[workload.Spec, *workload.Result, placedRow]{
+			// F11's FAA cells are keyed by placement, "M/n=8/compact",
+			// not by spec digest, so existing run directories and the
+			// pinned cell keys stay valid.
+			kind: specKind[workload.Spec, *workload.Result]{
+				key: func(m *machine.Machine, s *workload.Spec) (string, error) {
+					return fmt.Sprintf("%s/n=%d/%s", m.Key(), s.Threads, s.Placement), nil
+				},
+				run: workloadKind.run,
+			},
+			title: "F11 (%s): FAA throughput by placement, high contention",
+			cols:  columns(f11Cols...),
+			// placement is immaterial on one socket without SMT
+			fits: func(m *machine.Machine) bool { return m.Sockets >= 2 || m.ThreadsPerCore >= 2 },
+			rows: func(o Options, m *machine.Machine) []placedRow {
+				var rows []placedRow
+				for _, n := range pick(o, []int{2, 4, 8, 16}, []int{2, 8}) {
+					r := placedRow{n: n}
+					for _, p := range f11Placements {
+						cores, _ := machine.PlaceCores(m, p, n) // nil: cannot place n
+						r.cores = append(r.cores, cores)
+					}
+					rows = append(rows, r)
+				}
+				return rows
+			},
+			cells: func(o Options, _ *machine.Machine, r placedRow) []workload.Spec {
+				var out []workload.Spec
+				for i, p := range f11Placements {
+					if r.cores[i] != nil {
+						sp := workloadKind.at(o, r.n)
+						sp.Primitive, sp.Placement = atomics.FAA.String(), p.Name()
+						out = append(out, sp)
+					}
+				}
+				return out
+			},
+			row: func(t *Table, m *machine.Machine, r placedRow, res wlResults) error {
+				md := core.NewDetailed(m)
+				row := []string{itoa(r.n)}
+				for _, cores := range r.cores {
+					if cores == nil {
+						row = append(row, "-", "-")
+						continue
+					}
+					pred := md.PredictHigh(atomics.FAA, cores, 0)
+					row = append(row, f2(res[0].ThroughputMops), f2(pred.ThroughputMops))
+					res = res[1:]
+				}
+				t.AddRow(row...)
+				return nil
+			},
+			note: fixedNote("scatter forces cross-socket transfers on every handoff; smt-first shares L1s"),
+		}.run,
 	})
 	Register(&Experiment{
 		ID:    "T1",
@@ -24,86 +77,25 @@ func init() {
 	})
 }
 
-func runF11(o Options) ([]*Table, error) {
-	placements := []machine.Placement{
-		machine.Compact{}, machine.Scatter{}, machine.SingleSocket{Socket: 0}, machine.SMTFirst{},
-	}
-	sweep := []int{2, 4, 8, 16}
-	if o.Quick {
-		sweep = []int{2, 8}
-	}
-	var eligible []*machine.Machine
-	for _, m := range o.machines() {
-		if m.Sockets < 2 && m.ThreadsPerCore < 2 {
-			continue // placement is immaterial
-		}
-		eligible = append(eligible, m)
-	}
-	// Only placements that can place n threads become cells; the others
-	// render as "-". cell records each decision in assembly order: the
-	// index of the (machine, n, placement) cell, or -1 for a "-".
-	type spec struct {
-		m     *machine.Machine
-		n     int
-		p     machine.Placement
-		cores []int
-	}
-	var specs []spec
-	var cell []int
-	for _, m := range eligible {
-		for _, n := range sweep {
-			for _, p := range placements {
-				cores, err := machine.PlaceCores(m, p, n)
-				if err != nil {
-					cell = append(cell, -1)
-					continue
-				}
-				cell = append(cell, len(specs))
-				specs = append(specs, spec{m, n, p, cores})
-			}
-		}
-	}
-	results, err := FanoutKeyed(o, specs, func(s spec) string {
-		return fmt.Sprintf("%s/n=%d/%s", s.m.Key(), s.n, s.p.Name())
-	}, func(ci int, s spec) (*workload.Result, error) {
-		return workload.Run(workload.Config{
-			Machine: s.m, Threads: s.n, Primitive: atomics.FAA,
-			Mode: workload.HighContention, Placement: s.p,
-			Warmup: o.warmup(), Duration: o.duration(), Seed: o.Seed + uint64(s.n),
-			Metrics: o.MetricsOn(), Check: o.CheckOn(), Faults: o.CellFaults(ci),
-		})
-	})
-	if err != nil {
-		return nil, err
-	}
+// f11Placements are F11's placements, in column order.
+var f11Placements = []machine.Placement{
+	machine.Compact{}, machine.Scatter{}, machine.SingleSocket{Socket: 0}, machine.SMTFirst{},
+}
 
-	var tables []*Table
-	k := 0
-	for _, m := range eligible {
-		md := core.NewDetailed(m)
-		cols := []string{"threads"}
-		for _, p := range placements {
-			cols = append(cols, p.Name()+" (Mops)", p.Name()+" model")
-		}
-		t := NewTable("F11 ("+m.Name+"): FAA throughput by placement, high contention", cols...)
-		for _, n := range sweep {
-			row := []string{itoa(n)}
-			for range placements {
-				i := cell[k]
-				k++
-				if i < 0 {
-					row = append(row, "-", "-")
-					continue
-				}
-				pred := md.PredictHigh(atomics.FAA, specs[i].cores, 0)
-				row = append(row, f2(results[i].ThroughputMops), f2(pred.ThroughputMops))
-			}
-			t.AddRow(row...)
-		}
-		t.AddNote("scatter forces cross-socket transfers on every handoff; smt-first shares L1s")
-		tables = append(tables, t)
+var f11Cols = func() []string {
+	cols := []string{"threads"}
+	for _, p := range f11Placements {
+		cols = append(cols, p.Name()+" (Mops)", p.Name()+" model")
 	}
-	return tables, nil
+	return cols
+}()
+
+// placedRow is one F11 row: a thread count and, per placement, the
+// cores it places them on, or nil where it cannot place them (the row
+// renders "-" there, and no cell is built).
+type placedRow struct {
+	n     int
+	cores [][]int
 }
 
 func runT1(o Options) ([]*Table, error) {

@@ -38,7 +38,7 @@ func init() {
 					itoa(central.Violations+dist.Violations))
 				return nil
 			},
-			note: "violations column is the in-simulator mutual-exclusion check (must be 0)",
+			note: fixedNote("violations column is the in-simulator mutual-exclusion check (must be 0)"),
 		}.run,
 	})
 }

@@ -15,6 +15,8 @@ func init() {
 	})
 }
 
+// runF17 stays code on specCells, not a figure: its machines are
+// table columns, not the selected machines a figure walks.
 func runF17(o Options) ([]*Table, error) {
 	socketCounts := []int{1, 2, 4}
 	threadRows := []int{8, 16, 32, 64}
@@ -50,7 +52,7 @@ func runF17(o Options) ([]*Table, error) {
 			sp := workloadKind.at(o, n)
 			sp.Primitive = atomics.FAA.String()
 			sp.Placement = "scatter"
-			cell[r][i] = len(cells.cells)
+			cell[r][i] = len(cells.keys)
 			cells.add(m, sp)
 		}
 	}

@@ -44,7 +44,7 @@ func init() {
 					f2(e16.ThroughputMops), f3(elimRate), f2(queue.ThroughputMops))
 				return nil
 			},
-			note: "elim rate = fraction of ops completed in the collision array instead of on the top pointer",
+			note: fixedNote("elim rate = fraction of ops completed in the collision array instead of on the top pointer"),
 		}.run,
 	})
 }

@@ -3,6 +3,7 @@ package harness
 import (
 	"atomicsmodel/internal/atomics"
 	"atomicsmodel/internal/coherence"
+	"atomicsmodel/internal/faults"
 	"atomicsmodel/internal/machine"
 	"atomicsmodel/internal/sim"
 	"atomicsmodel/internal/workload"
@@ -13,90 +14,91 @@ func init() {
 		ID:    "F22",
 		Title: "Store buffering (TSO): stores retire locally; atomics pay the implicit fence",
 		Claim: "the asymmetry behind the paper's tables — a plain store looks ~free to its thread while an atomic on the same machine costs tens of cycles — is the store buffer plus the lock prefix's fence",
-		Run:   runF22,
+		// Each table has two halves, each run on the synchronous
+		// machine and its buffered clone: the 16-thread store workload,
+		// which drops on machines too small for it, and the
+		// single-thread burst probe, which runs everywhere.
+		Run: figure[storeBufProbe, storeBufCell, storeBufRow]{
+			kind:  storeBufKind,
+			title: "F22 (%s): synchronous stores vs TSO store buffer",
+			cols:  columns("measurement", "synchronous", "buffered (depth 42)"),
+			rows: func(_ Options, m *machine.Machine) []storeBufRow {
+				sb := cloneWithStoreBuffer(m, 42)
+				return []storeBufRow{{sb: sb}, {burst: true, sb: sb}}
+			},
+			cells: func(o Options, m *machine.Machine, r storeBufRow) []storeBufProbe {
+				if r.burst {
+					return []storeBufProbe{{on: m}, {on: r.sb}}
+				}
+				sp := workloadKind.fixed(o, 16)
+				sp.Primitive = atomics.Store.String()
+				if sp.Threads > m.NumHWThreads() {
+					return nil
+				}
+				return []storeBufProbe{{on: m, store: &sp}, {on: r.sb, store: &sp}}
+			},
+			row: func(t *Table, _ *machine.Machine, r storeBufRow, res []storeBufCell) error {
+				switch {
+				case len(res) == 0: // the store rows did not fit
+				case r.burst:
+					t.AddRow("FAA elapsed after 8-store burst (ns)", f1(res[0].FAANs), f1(res[1].FAANs))
+					t.AddRow("Fence elapsed after 8-store burst (ns)", f1(res[0].FenceNs), f1(res[1].FenceNs))
+				default:
+					t.AddRow("store latency seen by thread, 16t (ns)", f1(res[0].LatNs), f1(res[1].LatNs))
+					t.AddRow("store throughput, 16t (Mops)", f2(res[0].Mops), f2(res[1].Mops))
+				}
+				return nil
+			},
+			note: fixedNote("buffered stores retire at L1 speed; the line still bounds throughput via the drain; locked RMWs inherit the burst's drain time"),
+		}.run,
 	})
 }
 
-func runF22(o Options) ([]*Table, error) {
-	machines := o.machines()
-	// Four independent simulations per machine: the store workload and
-	// the burst probe, each on the synchronous and buffered variants.
-	// The buffered clone's Name carries "+SB", so every cell keys
-	// distinctly; fields are exported for the manifest cache.
-	type cell struct {
-		LatNs, Mops    float64 // store workload
-		FAANs, FenceNs float64 // burst probe
-	}
-	// Store cells are spec-built and keyed by spec digest like every
-	// workload cell; the burst probes are custom simulations and keep
-	// their machine-keyed probe keys.
-	type probe struct {
-		m     *machine.Machine
-		burst bool
-		spec  workload.Spec // store probes only
-		key   string
-	}
-	// The 16-thread store rows drop on machines too small for them; the
-	// single-thread burst probes run everywhere.
-	var specs []probe
-	for _, base := range machines {
-		buffered := cloneWithStoreBuffer(base, 42)
-		for _, m := range []*machine.Machine{base, buffered} {
-			sp := workloadKind.fixed(o, 16)
-			sp.Primitive = atomics.Store.String()
-			if sp.Threads > m.NumHWThreads() {
-				continue
-			}
-			wc, err := workloadKind.cell(m, sp)
-			if err != nil {
-				return nil, err
-			}
-			specs = append(specs, probe{m: m, spec: sp, key: "store/" + wc.key})
+// storeBufRow is one half of an F22 table, the store rows or the burst
+// rows, with the machine's buffered clone, built once per table.
+type storeBufRow struct {
+	burst bool
+	sb    *machine.Machine
+}
+
+// storeBufProbe is one F22 cell: the store workload store, or the burst
+// probe when store is nil, on machine on (the base or its "+SB" clone).
+type storeBufProbe struct {
+	on    *machine.Machine
+	store *workload.Spec
+}
+
+// storeBufCell is one F22 cell's result: the store workload fills the
+// first pair of fields, the burst probe the second.
+type storeBufCell struct {
+	LatNs, Mops    float64 // store workload
+	FAANs, FenceNs float64 // burst probe
+}
+
+// storeBufKind runs F22's cells. Store cells are spec-built workload
+// cells keyed "store/" + their digest key; burst probes are custom
+// simulations keyed "burst/M". The clone's Name carries "+SB", so the
+// two machines' cells key apart.
+var storeBufKind = specKind[storeBufProbe, storeBufCell]{
+	key: func(_ *machine.Machine, s *storeBufProbe) (string, error) {
+		if s.store == nil {
+			return "burst/" + s.on.Key(), nil
 		}
-		specs = append(specs,
-			probe{m: base, burst: true, key: "burst/" + base.Key()},
-			probe{m: buffered, burst: true, key: "burst/" + buffered.Key()})
-	}
-	results, err := FanoutKeyed(o, specs, func(s probe) string {
-		return s.key
-	}, func(ci int, s probe) (cell, error) {
-		var c cell
-		if s.burst {
-			var err error
-			c.FAANs, c.FenceNs, err = burstThenOrder(s.m, o.CheckOn())
-			return c, err
+		k, err := workloadKind.key(s.on, s.store)
+		return "store/" + k, err
+	},
+	run: func(o Options, ci int, _ *machine.Machine, s *storeBufProbe) (storeBufCell, error) {
+		if s.store == nil {
+			return burstThenOrder(s.on, o.CheckOn(), o.CellFaults(ci))
 		}
 		// Mean thread-visible store latency and successful store
 		// throughput at 16 threads on one line.
-		res, err := workloadKind.run(o, ci, s.m, &s.spec)
+		res, err := workloadKind.run(o, ci, s.on, s.store)
 		if err != nil {
-			return c, err
+			return storeBufCell{}, err
 		}
-		c.LatNs, c.Mops = res.Latency.Mean().Nanoseconds(), res.ThroughputMops
-		return c, nil
-	})
-	if err != nil {
-		return nil, err
-	}
-
-	var tables []*Table
-	for _, base := range machines {
-		t := NewTable("F22 ("+base.Name+"): synchronous stores vs TSO store buffer",
-			"measurement", "synchronous", "buffered (depth 42)")
-		if !specs[0].burst { // this machine's store probes were built
-			sStore, bStore := results[0], results[1]
-			specs, results = specs[2:], results[2:]
-			t.AddRow("store latency seen by thread, 16t (ns)", f1(sStore.LatNs), f1(bStore.LatNs))
-			t.AddRow("store throughput, 16t (Mops)", f2(sStore.Mops), f2(bStore.Mops))
-		}
-		sBurst, bBurst := results[0], results[1]
-		specs, results = specs[2:], results[2:]
-		t.AddRow("FAA elapsed after 8-store burst (ns)", f1(sBurst.FAANs), f1(bBurst.FAANs))
-		t.AddRow("Fence elapsed after 8-store burst (ns)", f1(sBurst.FenceNs), f1(bBurst.FenceNs))
-		t.AddNote("buffered stores retire at L1 speed; the line still bounds throughput via the drain; locked RMWs inherit the burst's drain time")
-		tables = append(tables, t)
-	}
-	return tables, nil
+		return storeBufCell{LatNs: res.Latency.Mean().Nanoseconds(), Mops: res.ThroughputMops}, nil
+	},
 }
 
 func cloneWithStoreBuffer(m *machine.Machine, depth int) *machine.Machine {
@@ -108,11 +110,12 @@ func cloneWithStoreBuffer(m *machine.Machine, depth int) *machine.Machine {
 
 // burstThenOrder issues 8 stores to private lines then one FAA on a hot
 // line, and separately 8 stores then a fence; it reports the elapsed
-// simulated time from the FAA/fence issue to its completion. check
-// audits both probes (see workload.NewProbe).
-func burstThenOrder(m *machine.Machine, check bool) (faaNs, fenceNs float64, err error) {
+// simulated time from the FAA/fence issue to its completion in the
+// burst fields of a storeBufCell. check and fp audit and fault both
+// probes (see workload.NewProbe).
+func burstThenOrder(m *machine.Machine, check bool, fp *faults.CellPlan) (c storeBufCell, err error) {
 	measure := func(op func(mem *atomics.Memory, eng *sim.Engine, done func())) (float64, error) {
-		eng, mem, audit, err := workload.NewProbe(m, check)
+		eng, mem, audit, err := workload.NewProbe(m, check, fp)
 		if err != nil {
 			return 0, err
 		}
@@ -129,14 +132,14 @@ func burstThenOrder(m *machine.Machine, check bool) (faaNs, fenceNs float64, err
 		eng.Drain()
 		return elapsed.Nanoseconds(), audit()
 	}
-	faaNs, err = measure(func(mem *atomics.Memory, eng *sim.Engine, done func()) {
+	c.FAANs, err = measure(func(mem *atomics.Memory, eng *sim.Engine, done func()) {
 		mem.FetchAndAdd(0, mem.Handle(7), 1, func(atomics.Result) { done() })
 	})
 	if err != nil {
-		return 0, 0, err
+		return c, err
 	}
-	fenceNs, err = measure(func(mem *atomics.Memory, eng *sim.Engine, done func()) {
+	c.FenceNs, err = measure(func(mem *atomics.Memory, eng *sim.Engine, done func()) {
 		mem.FenceOp(0, func(atomics.Result) { done() })
 	})
-	return faaNs, fenceNs, err
+	return c, err
 }

@@ -31,7 +31,7 @@ func init() {
 				t.AddRow(a.name, ns(p50), ns(lat.Quantile(0.95)), ns(p99), ns(lat.Max()), f2(ratio))
 				return nil
 			},
-			note: "FIFO's round-robin makes contended latency nearly deterministic (p99/p50 ~ 1)",
+			note: fixedNote("FIFO's round-robin makes contended latency nearly deterministic (p99/p50 ~ 1)"),
 		}.run,
 	})
 }

@@ -44,7 +44,7 @@ func init() {
 					f3(core.CASSuccessRateFIFO(n)), f3(core.CASSuccessRateRandom(n)))
 				return nil
 			},
-			note: "FIFO arbitration makes the last winner's expected value fresh: one success per round",
+			note: fixedNote("FIFO arbitration makes the last winner's expected value fresh: one success per round"),
 		}.run,
 	})
 	Register(&Experiment{
@@ -76,7 +76,7 @@ func init() {
 					ns(res[0].Latency.Mean()), ns(pred.AttemptLatency))
 				return nil
 			},
-			note: "crossover where 16/(s+w) < 1/s: beyond it the line is no longer the bottleneck",
+			note: fixedNote("crossover where 16/(s+w) < 1/s: beyond it the line is no longer the bottleneck"),
 		}.run,
 	})
 	Register(&Experiment{
@@ -110,7 +110,7 @@ func init() {
 				t.AddRow(f2(rf), f2(r.ThroughputMops), f3(localRate), f3(remotePerOp))
 				return nil
 			},
-			note: "pure loads leave the line shared: all but the first access per epoch hit locally",
+			note: fixedNote("pure loads leave the line shared: all but the first access per epoch hit locally"),
 		}.run,
 	})
 }
@@ -145,6 +145,6 @@ func primitiveFigure(title, unit string, cell func(*workload.Result) string, not
 			t.AddRow(row...)
 			return nil
 		},
-		note: note,
+		note: fixedNote(note),
 	}
 }

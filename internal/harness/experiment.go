@@ -51,7 +51,7 @@ type Options struct {
 	// keyed cells whose config digest is already present replay the
 	// stored result instead of re-simulating. Results are independent
 	// of the cache by construction — cached results must round-trip
-	// through JSON byte-exactly, which FanoutKeyed enforces.
+	// through JSON byte-exactly, which fanout enforces.
 	Cache *runlog.Cache
 	// Metrics, when non-nil, enables the per-cell observability
 	// registries (internal/metrics): runners set Config.Metrics on their
@@ -99,13 +99,12 @@ func (o Options) CellFaults(i int) *faults.CellPlan { return o.Faults.ForCell(i)
 // key: experiment ID plus every base option that changes results (the
 // seed and the Quick sweep trimming; Par never affects results). The
 // per-cell part must itself identify the machine and every swept knob.
-// Spec-built cells get this from specKind.cell (spec_cells.go), whose
-// keys are machine.Key() — "Name@digest" for spec-built machines —
-// joined with "/wl@" or "/app@" and the spec's content digest (over
-// the defaulted canonical form), so a machine or spec that reuses a
-// name, or one edited between a crash and its resume, occupies its own
-// cache namespace. Hand-written cells (probe sims) spell the machine
-// key and their knobs out directly.
+// It is the cell kind's key (spec_cells.go): spec cells join
+// machine.Key() — "Name@digest" for spec-built machines — with "/wl@"
+// or "/app@" and the spec's content digest (over the defaulted
+// canonical form), so a machine or spec that reuses a name, or one
+// edited between a crash and its resume, occupies its own cache
+// namespace; probe kinds spell the machine key and their knobs out.
 // Metrics collection, invariant checking, and fault plans join the key
 // only when enabled, so existing plain caches stay valid and a
 // checked/faulted run never shares cache entries with a clean one.

@@ -27,7 +27,7 @@ func TestWatchdogTimesOutHungCell(t *testing.T) {
 	o.Par = 4
 	o.CellTimeout = 50 * time.Millisecond
 	o.Faults = &faults.Plan{Seed: 1, SleepCell: 1, SleepFor: 5 * time.Second}
-	_, err := fanout(o, 4, func(i int) (int, error) { return i, nil })
+	_, err := fanoutN(o, 4, func(i int) (int, error) { return i, nil })
 	if err == nil {
 		t.Fatal("hung cell not timed out")
 	}
@@ -43,7 +43,7 @@ func TestWatchdogTimesOutHungCell(t *testing.T) {
 func TestWatchdogLeavesFastCellsAlone(t *testing.T) {
 	o := quickOpts()
 	o.CellTimeout = 10 * time.Second
-	res, err := fanout(o, 8, func(i int) (int, error) { return i * i, nil })
+	res, err := fanoutN(o, 8, func(i int) (int, error) { return i * i, nil })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -61,7 +61,7 @@ func TestFailedCellRunsOnce(t *testing.T) {
 	o.Par = 1
 	boom := errors.New("one-shot failure")
 	calls := 0
-	_, err := fanout(o, 2, func(i int) (int, error) {
+	_, err := fanoutN(o, 2, func(i int) (int, error) {
 		if i == 0 {
 			calls++
 			return 0, boom
@@ -83,12 +83,14 @@ func faultableExperiment() *Experiment {
 		Claim: "test",
 		Run: func(o Options) ([]*Table, error) {
 			specs := []int{1, 2, 3, 4}
-			res, err := FanoutKeyed(o, specs, func(s int) string {
-				return fmt.Sprintf("threads=%d", s)
-			}, func(ci int, s int) (*workload.Result, error) {
+			keys := make([]string, len(specs))
+			for i, s := range specs {
+				keys[i] = fmt.Sprintf("threads=%d", s)
+			}
+			res, err := fanout(o, keys, func(ci int) (*workload.Result, error) {
 				return workload.Run(workload.Config{
 					Machine:   machine.Ideal(8),
-					Threads:   s,
+					Threads:   specs[ci],
 					Primitive: atomics.FAA,
 					Warmup:    2 * sim.Microsecond,
 					Duration:  20 * sim.Microsecond,
@@ -130,6 +132,83 @@ func manifestCells(t *testing.T, dir string) map[string]runlog.CellRecord {
 		cells[c.Key] = c
 	}
 	return cells
+}
+
+// TestProbeCellsTakeFaults targets an injected panic at one probe cell
+// of each experiment that runs probes (F1's state probes, F14's cold
+// read, F16's storm, F22's burst): the probe arms the cell's fault plan
+// as a pooled cell does, so the manifest records that probe's panic.
+func TestProbeCellsTakeFaults(t *testing.T) {
+	for _, c := range []struct {
+		exp, probe string // probe is in the targeted probe's key
+		cell       int
+	}{{"F1", "/CAS/", 3}, {"F14", "sharedlat/", 1}, {"F16", "/occ=", 0}, {"F22", "burst/", 2}} {
+		e, err := ByID(c.exp)
+		if err != nil {
+			t.Fatal(err)
+		}
+		dir := t.TempDir()
+		w, err := runlog.Create(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		o := quickOpts()
+		o.Manifest = w
+		o.Faults = &faults.Plan{Seed: 1, PanicAtEvent: 1, PanicCell: c.cell}
+		_, err = RunExperiment(e, o)
+		if cerr := w.Close(); cerr != nil {
+			t.Fatal(cerr)
+		}
+		if err == nil {
+			t.Errorf("%s ran through a panic targeted at cell %d", c.exp, c.cell)
+			continue
+		}
+		panicked := ""
+		for _, r := range readCellRecords(t, dir) {
+			if r.Panic {
+				panicked = r.Key
+			}
+		}
+		if !strings.Contains(panicked, c.probe) {
+			t.Errorf("%s: the targeted panic hit %q, want the %q probe", c.exp, panicked, c.probe)
+		}
+	}
+}
+
+// TestProbeCellsTakeJitter runs one probe cell of F1, F16 and F22
+// clean and under -faults jitter=20: the jitter perturbs the probe's
+// own engine, so each jittered result differs from the clean one.
+func TestProbeCellsTakeJitter(t *testing.T) {
+	m := machine.XeonE5()
+	clean, jittered := quickOpts(), quickOpts()
+	jittered.Faults = &faults.Plan{Seed: 3, LatencyJitterPct: 20}
+	for _, c := range []struct {
+		exp string
+		run func(o Options) (any, error)
+	}{
+		{"F1", func(o Options) (any, error) {
+			return stateProbeKind.run(o, 0, m, &stateProbe{atomics.CAS, workload.StateShared})
+		}},
+		{"F16", func(o Options) (any, error) {
+			occ := 2.0
+			return stormKind.run(o, 0, m, &occ)
+		}},
+		{"F22", func(o Options) (any, error) {
+			return storeBufKind.run(o, 0, m, &storeBufProbe{on: m})
+		}},
+	} {
+		a, err := c.run(clean)
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, err := c.run(jittered)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if a == b {
+			t.Errorf("%s: the jittered probe returned the clean result %+v", c.exp, a)
+		}
+	}
 }
 
 // TestInjectedPanicDeterministicAcrossPar is the acceptance test for

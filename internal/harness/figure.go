@@ -12,11 +12,13 @@ import (
 )
 
 // figure is one grid-shaped experiment as a value: for every selected
-// machine that fits, one table whose rows each run a few spec variants.
+// machine that fits, one table whose rows each run a few cells.
 // Most of the paper's figures are this shape — a row axis (thread
 // counts, read fractions, local work, ...) crossed with a handful of
-// variants (primitives, arbiters, structures) — so they are written as
-// figure values and run by one walker.
+// variants (primitives, arbiters, structures, line states, probe
+// settings) — so they are written as figure values and run by one
+// walker. A figure's cells are values of one cell kind (spec_cells.go):
+// workload or app specs, or a probe's own values.
 type figure[S, R, X any] struct {
 	kind specKind[S, R]
 	// title is the table title; %s takes the machine name.
@@ -26,13 +28,14 @@ type figure[S, R, X any] struct {
 	fits func(m *machine.Machine) bool
 	// rows is the row axis on one machine.
 	rows func(o Options, m *machine.Machine) []X
-	// cells are the row's spec variants, each built on kind.at or
-	// kind.fixed.
+	// cells are the row's cells: spec variants built on kind.at or
+	// kind.fixed, or a probe kind's values.
 	cells func(o Options, m *machine.Machine, x X) []S
 	// row renders one row (or several) from that row's results only,
-	// in the order cells returned their specs.
-	row  func(t *Table, m *machine.Machine, x X, res []R) error
-	note string
+	// in the order cells returned them.
+	row func(t *Table, m *machine.Machine, x X, res []R) error
+	// note is the table's note on one machine; nil adds none.
+	note func(m *machine.Machine) string
 }
 
 // wlResults and appResults are the result slices row renderers take.
@@ -84,8 +87,8 @@ func (f figure[S, R, X]) run(o Options) ([]*Table, error) {
 			}
 			results = results[n:]
 		}
-		if f.note != "" {
-			t.AddNote("%s", f.note)
+		if f.note != nil {
+			t.AddNote("%s", f.note(sh.m))
 		}
 		tables = append(tables, t)
 	}
@@ -95,6 +98,11 @@ func (f figure[S, R, X]) run(o Options) ([]*Table, error) {
 // columns returns fixed column headings for a figure.
 func columns(cols ...string) func(*machine.Machine) []string {
 	return func(*machine.Machine) []string { return cols }
+}
+
+// fixedNote returns the same table note for every machine.
+func fixedNote(note string) func(*machine.Machine) string {
+	return func(*machine.Machine) string { return note }
 }
 
 // fitsThreads keeps the machines with at least n hardware threads, for

@@ -182,13 +182,12 @@ type cellStats interface {
 	CellStats() (simTime sim.Time, ops uint64)
 }
 
-// FanoutKeyed runs f over every spec on the cell scheduler and returns
-// the results in spec order; f receives the spec's index so it can
-// derive per-cell seeds or fault targets. It is the harness's one
-// fan-out entry point: figure values reach it through specCells, and
-// probe runners that are not spec-shaped call it directly.
+// fanout runs f(0), …, f(len(keys)-1) on the cell scheduler and
+// returns the results in cell order. It is the harness's one fan-out:
+// every experiment reaches it through specCells (spec_cells.go), which
+// keys each cell from its kind and calls the kind's run as f.
 //
-// key(spec) names the cell's full configuration (machine, thread count,
+// keys[i] names cell i's full configuration (machine, thread count,
 // primitive, every swept knob — anything that changes its result). The
 // key is combined with the experiment ID and base options into a config
 // key that addresses the manifest and the resume cache:
@@ -208,11 +207,11 @@ type cellStats interface {
 // result type that loses information in JSON is reported as an error
 // rather than silently producing tables that a resumed run could not
 // reproduce.
-func FanoutKeyed[S, R any](o Options, specs []S, key func(spec S) string, f func(i int, spec S) (R, error)) ([]R, error) {
-	out := make([]R, len(specs))
-	err := runCells(o, len(specs), func(i int) error {
+func fanout[R any](o Options, keys []string, f func(i int) (R, error)) ([]R, error) {
+	out := make([]R, len(keys))
+	err := runCells(o, len(keys), func(i int) error {
 		start := time.Now()
-		k := o.cellKey(key(specs[i]))
+		k := o.cellKey(keys[i])
 
 		// Cancellation is checked between cells, never inside one: a
 		// canceled cell is recorded in the manifest (it has a key and a
@@ -236,7 +235,7 @@ func FanoutKeyed[S, R any](o Options, specs []S, key func(spec S) string, f func
 			}
 		}
 
-		r, err := guardedCell(o, i, specs[i], f)
+		r, err := guardedCell(o, i, f)
 		if err != nil {
 			o.recordCell(i, k, "", false, start, r, err)
 			return err
@@ -332,7 +331,7 @@ func codecOf[R any](r R) (resultCodec, bool) {
 	return c, ok && reflect.TypeOf(r).Kind() == reflect.Pointer
 }
 
-// guardedCell runs f(i, spec) once with panic recovery and, when
+// guardedCell runs f(i) once with panic recovery and, when
 // Options.CellTimeout is set, a wall-clock watchdog. Only the compute is
 // guarded: manifest recording and cache writes happen after it returns,
 // so a timed-out cell never leaves a half-written record. The
@@ -341,12 +340,12 @@ func codecOf[R any](r R) (resultCodec, bool) {
 // watchdog in tests. On timeout the cell goroutine is abandoned; it holds no shared state
 // (cells are isolated by construction) and its only write lands in a
 // channel nobody reads.
-func guardedCell[S, R any](o Options, i int, spec S, f func(i int, spec S) (R, error)) (R, error) {
+func guardedCell[R any](o Options, i int, f func(i int) (R, error)) (R, error) {
 	run := func() (r R, err error) {
 		// Recover here as well as in runCells so the panic is attributed
 		// to this cell's key in the manifest; runCells' own recover
-		// guards the scheduler's bookkeeping around the compute (the key
-		// function, result encoding, cache and manifest writes).
+		// guards the scheduler's bookkeeping around the compute (result
+		// encoding, cache and manifest writes).
 		defer func() {
 			if p := recover(); p != nil {
 				err = &CellPanicError{Cell: i, Value: p, Stack: string(debug.Stack())}
@@ -355,7 +354,7 @@ func guardedCell[S, R any](o Options, i int, spec S, f func(i int, spec S) (R, e
 		if d := o.Faults.CellSleep(i); d > 0 {
 			time.Sleep(d)
 		}
-		return f(i, spec)
+		return f(i)
 	}
 	if o.CellTimeout <= 0 {
 		return run()

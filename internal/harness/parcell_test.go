@@ -10,21 +10,20 @@ import (
 	"atomicsmodel/internal/machine"
 )
 
-// fanout runs f on n cells through FanoutKeyed, the one fan-out entry
-// point, keying each cell by its index the way runners key by content.
-func fanout[R any](o Options, n int, f func(i int) (R, error)) ([]R, error) {
-	specs := make([]int, n)
-	for i := range specs {
-		specs[i] = i
+// fanoutN runs f on n cells through fanout, the one fan-out, keying
+// each cell by its index the way cell kinds key by content.
+func fanoutN[R any](o Options, n int, f func(i int) (R, error)) ([]R, error) {
+	keys := make([]string, n)
+	for i := range keys {
+		keys[i] = fmt.Sprintf("cell=%d", i)
 	}
-	return FanoutKeyed(o, specs, func(s int) string { return fmt.Sprintf("cell=%d", s) },
-		func(i, _ int) (R, error) { return f(i) })
+	return fanout(o, keys, f)
 }
 
 func TestRunCellsCoversEveryIndexOnce(t *testing.T) {
 	for _, par := range []int{1, 3, 8, 100} {
 		hits := make([]atomic.Int32, 50)
-		_, err := fanout(Options{Par: par}, len(hits), func(i int) (int, error) {
+		_, err := fanoutN(Options{Par: par}, len(hits), func(i int) (int, error) {
 			hits[i].Add(1)
 			return i, nil
 		})
@@ -42,7 +41,7 @@ func TestRunCellsCoversEveryIndexOnce(t *testing.T) {
 func TestRunCellsReturnsLowestIndexError(t *testing.T) {
 	wantErr := errors.New("cell 3 failed")
 	for _, par := range []int{1, 4} {
-		_, err := fanout(Options{Par: par}, 20, func(i int) (int, error) {
+		_, err := fanoutN(Options{Par: par}, 20, func(i int) (int, error) {
 			switch i {
 			case 3:
 				return 0, wantErr
@@ -65,7 +64,7 @@ func TestRunCellsReturnsLowestIndexError(t *testing.T) {
 func TestRunCellsProgress(t *testing.T) {
 	var calls int
 	last := -1
-	_, err := fanout(Options{Par: 1, Progress: func(done, total int) {
+	_, err := fanoutN(Options{Par: 1, Progress: func(done, total int) {
 		calls++
 		if total != 10 || done <= last {
 			t.Fatalf("progress(%d, %d) after done=%d", done, total, last)
@@ -78,14 +77,13 @@ func TestRunCellsProgress(t *testing.T) {
 }
 
 func TestFanoutOrdersResults(t *testing.T) {
-	specs := make([]int, 64)
-	for i := range specs {
-		specs[i] = i * i
+	keys := make([]string, 64)
+	for i := range keys {
+		keys[i] = itoa(i * i)
 	}
-	out, err := FanoutKeyed(Options{Par: 8}, specs, func(spec int) string { return itoa(spec) },
-		func(i, spec int) (string, error) {
-			return fmt.Sprintf("%d:%d", i, spec), nil
-		})
+	out, err := fanout(Options{Par: 8}, keys, func(i int) (string, error) {
+		return fmt.Sprintf("%d:%s", i, keys[i]), nil
+	})
 	if err != nil {
 		t.Fatal(err)
 	}

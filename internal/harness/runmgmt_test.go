@@ -20,31 +20,29 @@ import (
 // TestRunCellsRecoversPanicDeterministically covers both panic guards:
 // a panic in a cell's compute (recovered where the manifest can still
 // attribute it to the cell's key) and one in the scheduler's own
-// bookkeeping around it, here the key function (recovered by the
-// worker loop). Either way the process survives and the failure is a
-// deterministic *CellPanicError.
+// bookkeeping around it, here the result encoding for the manifest
+// (recovered by the worker loop). Either way the process survives and
+// the failure is a deterministic *CellPanicError.
 func TestRunCellsRecoversPanicDeterministically(t *testing.T) {
-	for _, where := range []string{"compute", "key"} {
+	for _, where := range []string{"compute", "encode"} {
 		var msgs []string
 		for _, par := range []int{1, 8} {
-			specs := make([]int, 16)
-			for i := range specs {
-				specs[i] = i
+			w, err := runlog.Create(t.TempDir())
+			if err != nil {
+				t.Fatal(err)
 			}
-			_, err := FanoutKeyed(Options{Par: par}, specs, func(s int) string {
-				if where == "key" && s == 3 {
-					panic("kaboom")
-				}
-				return itoa(s)
-			}, func(i, _ int) (int, error) {
+			_, err = fanoutN(Options{Par: par, Manifest: w}, 16, func(i int) (kaboomOnEncode, error) {
 				switch {
 				case where == "compute" && i == 3:
 					panic("kaboom")
 				case i == 9:
 					return 0, errors.New("cell 9 failed")
 				}
-				return i, nil
+				return kaboomOnEncode(i), nil
 			})
+			if cerr := w.Close(); cerr != nil {
+				t.Fatal(cerr)
+			}
 			if err == nil {
 				t.Fatalf("%s par=%d: panic swallowed", where, par)
 			}
@@ -69,11 +67,22 @@ func TestRunCellsRecoversPanicDeterministically(t *testing.T) {
 	}
 }
 
+// kaboomOnEncode is a cell result whose JSON encoding panics for the
+// value 3.
+type kaboomOnEncode int
+
+func (k kaboomOnEncode) MarshalJSON() ([]byte, error) {
+	if k == 3 {
+		panic("kaboom")
+	}
+	return []byte(itoa(int(k))), nil
+}
+
 func TestErrorCellDeterministicAcrossPar(t *testing.T) {
 	run := func(par int) string {
 		o := quickOpts()
 		o.Par = par
-		_, err := fanout(o, 32, func(i int) (int, error) {
+		_, err := fanoutN(o, 32, func(i int) (int, error) {
 			if i >= 5 {
 				return 0, fmt.Errorf("cell %d: simulated mid-experiment failure", i)
 			}
@@ -106,14 +115,16 @@ func panicExperiment(boom *atomic.Bool, fresh *atomic.Int64) *Experiment {
 		Claim: "test",
 		Run: func(o Options) ([]*Table, error) {
 			specs := []int{10, 11, 12, 13}
-			res, err := FanoutKeyed(o, specs, func(s int) string {
-				return fmt.Sprintf("cell=%d", s)
-			}, func(i int, s int) (workCell, error) {
+			keys := make([]string, len(specs))
+			for i, s := range specs {
+				keys[i] = fmt.Sprintf("cell=%d", s)
+			}
+			res, err := fanout(o, keys, func(i int) (workCell, error) {
 				fresh.Add(1)
 				if i == 2 && boom.Load() {
 					panic("boom")
 				}
-				return workCell{Value: s * s}, nil
+				return workCell{Value: specs[i] * specs[i]}, nil
 			})
 			if err != nil {
 				return nil, err

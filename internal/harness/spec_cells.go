@@ -10,30 +10,38 @@ import (
 	"atomicsmodel/internal/workload"
 )
 
-// This file is the bridge between declarative specs and the keyed cell
-// scheduler. Every experiment runner describes its cells as
-// workload.Specs or apps.Specs and keys them by content digest: the
-// cell key is machineKey + "/wl@" (or "/app@") + spec.Digest(), so two
+// This file is the bridge between cell kinds and the keyed cell
+// scheduler: every experiment hands its cells, each a value of one
+// kind, to specCells, which keys them and runs them on the one fan-out.
+// The declarative kinds key workload.Specs and apps.Specs by content
+// digest: machineKey + "/wl@" (or "/app@") + spec.Digest(), so two
 // cells that differ in any effective knob — arbiter, jitter, read
 // fraction, structure depth, seed, window — can never alias a cache
-// entry, and two spellings of the same cell always share one.
+// entry, and two spellings of the same cell always share one. A probe
+// kind (F1's single-op latency, F16's storm, F22's store-buffer burst,
+// F14's cold shared read) is a custom simulation that spells its key
+// from the machine and its own cell value, as in "M/CAS/M-local".
 
-// specKind is one declarative spec kind as the cell bridge sees it.
+// specKind is one cell kind as the cell bridge sees it.
 type specKind[S, R any] struct {
-	infix  string // between the machine key and the digest in cell keys
+	// key spells a cell's key from its machine and cell value;
+	// Options.cellKey prefixes the experiment and base options.
+	key func(m *machine.Machine, s *S) (string, error)
+	// run runs one cell on its machine, forwarding the option set's
+	// observability, checking and fault knobs that the kind supports
+	// (they join the cache key at the cellKey layer, not the key).
+	run func(o Options, ci int, m *machine.Machine, s *S) (R, error)
+
+	// The declarative kinds only, so only they take at, fixed and
+	// suite: the spec's digest, its thread-ladder expansion, and the
+	// fields the harness pins on every cell. Probe kinds leave them nil.
 	digest func(*S) (string, error)
 	expand func(*S) []*S
-	// knobs points at the fields the harness pins on every cell.
-	knobs func(*S) (threads *int, warmup, duration *sim.Time, seed *uint64)
-	// run resolves a pinned spec against a machine and runs it,
-	// forwarding the option set's observability, checking and fault
-	// knobs (which join the cache key at the cellKey layer, not the
-	// digest).
-	run func(o Options, ci int, m *machine.Machine, s *S) (R, error)
+	knobs  func(*S) (threads *int, warmup, duration *sim.Time, seed *uint64)
 }
 
 var workloadKind = specKind[workload.Spec, *workload.Result]{
-	infix:  "/wl@",
+	key:    digestKey("/wl@", (*workload.Spec).Digest),
 	digest: (*workload.Spec).Digest,
 	expand: (*workload.Spec).Expand,
 	knobs: func(s *workload.Spec) (*int, *sim.Time, *sim.Time, *uint64) {
@@ -50,7 +58,7 @@ var workloadKind = specKind[workload.Spec, *workload.Result]{
 }
 
 var appKind = specKind[apps.Spec, *apps.RunResult]{
-	infix:  "/app@",
+	key:    digestKey("/app@", (*apps.Spec).Digest),
 	digest: (*apps.Spec).Digest,
 	expand: (*apps.Spec).Expand,
 	knobs: func(s *apps.Spec) (*int, *sim.Time, *sim.Time, *uint64) {
@@ -66,13 +74,27 @@ var appKind = specKind[apps.Spec, *apps.RunResult]{
 	},
 }
 
-// specCell pairs a machine with a pinned spec and carries the cell's
-// precomputed cache key (FanoutKeyed's key func cannot return an
-// error, so the digest is computed while building the list).
-type specCell[S any] struct {
-	m    *machine.Machine
-	spec *S
-	key  string
+// digestKey keys a pinned spec by content: the machine key, infix and
+// the spec's digest. The spec must carry its full effective
+// configuration, seed and measurement window included, since the
+// digest is the cell's cache identity.
+func digestKey[S any](infix string, digest func(*S) (string, error)) func(*machine.Machine, *S) (string, error) {
+	return func(m *machine.Machine, s *S) (string, error) {
+		d, err := digest(s)
+		return m.Key() + infix + d, err
+	}
+}
+
+// prefixed returns k with every key namespaced by prefix, for cells of
+// one experiment that would otherwise share keys with another of its
+// fan-outs.
+func (k specKind[S, R]) prefixed(prefix string) specKind[S, R] {
+	key := k.key
+	k.key = func(m *machine.Machine, s *S) (string, error) {
+		c, err := key(m, s)
+		return prefix + c, err
+	}
+	return k
 }
 
 // pinned returns a spec pinned to this option set's measurement
@@ -92,44 +114,31 @@ func (k specKind[S, R]) at(o Options, n int) S { return k.pinned(o, n, o.Seed+ui
 // other knob at one thread count.
 func (k specKind[S, R]) fixed(o Options, n int) S { return k.pinned(o, n, o.Seed) }
 
-// cell validates and keys one cell. The spec must be pinned (single
-// thread count) and carry its full effective configuration — including
-// seed and measurement window — since the digest is the cell's cache
-// identity.
-func (k specKind[S, R]) cell(m *machine.Machine, s S) (specCell[S], error) {
-	d, err := k.digest(&s)
-	if err != nil {
-		return specCell[S]{}, err
-	}
-	return specCell[S]{m: m, spec: &s, key: m.Key() + k.infix + d}, nil
-}
-
-// specCells collects one fan-out's cells. add keys each cell as it
-// comes and keeps the first keying error, which run returns, so
-// runners build their grids without an error check per cell.
+// specCells collects one fan-out's cells: each one's machine, value
+// and key. add keys each cell as it comes and keeps the first keying
+// error, which run returns, so runners build their grids without an
+// error check per cell.
 type specCells[S, R any] struct {
-	kind specKind[S, R]
-	// keyPrefix namespaces cells that would otherwise share keys with
-	// another fan-out of the same experiment.
-	keyPrefix string
-	cells     []specCell[S]
-	err       error
+	kind  specKind[S, R]
+	ms    []*machine.Machine
+	specs []*S
+	keys  []string
+	err   error
 }
 
 func (k specKind[S, R]) newCells() *specCells[S, R] { return &specCells[S, R]{kind: k} }
 
-// add appends the cell running pinned spec s on m.
+// add appends the cell running s on m.
 func (c *specCells[S, R]) add(m *machine.Machine, s S) {
 	if c.err != nil {
 		return
 	}
-	cell, err := c.kind.cell(m, s)
+	key, err := c.kind.key(m, &s)
 	if err != nil {
 		c.err = err
 		return
 	}
-	cell.key = c.keyPrefix + cell.key
-	c.cells = append(c.cells, cell)
+	c.ms, c.specs, c.keys = append(c.ms, m), append(c.specs, &s), append(c.keys, key)
 }
 
 // run fans the cells out through the keyed scheduler; results come
@@ -138,10 +147,8 @@ func (c *specCells[S, R]) run(o Options) ([]R, error) {
 	if c.err != nil {
 		return nil, c.err
 	}
-	return FanoutKeyed(o, c.cells, func(sc specCell[S]) string {
-		return sc.key
-	}, func(ci int, sc specCell[S]) (R, error) {
-		return c.kind.run(o, ci, sc.m, sc.spec)
+	return fanout(o, c.keys, func(ci int) (R, error) {
+		return c.kind.run(o, ci, c.ms[ci], c.specs[ci])
 	})
 }
 

@@ -92,7 +92,7 @@ func TestWorkloadSpecDistinctCacheNamespace(t *testing.T) {
 func TestWorkloadCellKeyCarriesDigest(t *testing.T) {
 	m := machine.Ideal(8)
 	sp := workload.Spec{Primitive: "FAA", Threads: 4, Seed: 7}
-	c, err := workloadKind.cell(m, sp)
+	key, err := workloadKind.key(m, &sp)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,10 +101,10 @@ func TestWorkloadCellKeyCarriesDigest(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := m.Key() + "/wl@" + d
-	if c.key != want {
-		t.Fatalf("cell key = %q, want %q", c.key, want)
+	if key != want {
+		t.Fatalf("cell key = %q, want %q", key, want)
 	}
-	if !strings.Contains(c.key, "/wl@") {
-		t.Fatalf("cell key %q lacks the workload digest marker", c.key)
+	if !strings.Contains(key, "/wl@") {
+		t.Fatalf("cell key %q lacks the workload digest marker", key)
 	}
 }

@@ -593,7 +593,10 @@ func (s *Server) runJob(j *job) {
 	var lastErr error
 	for attempt := 1; attempt <= 1+s.cfg.JobRetries; attempt++ {
 		if attempt > 1 {
-			time.Sleep(retryBackoff(attempt - 1))
+			select { // a deadline that passes here frees the worker at once
+			case <-time.After(retryBackoff(attempt - 1)):
+			case <-ctx.Done():
+			}
 			if ctx.Err() != nil {
 				break
 			}
@@ -624,7 +627,7 @@ func (s *Server) runJob(j *job) {
 
 	msg := "job failed: " + lastErr.Error()
 	switch {
-	case errors.Is(lastErr, context.DeadlineExceeded):
+	case errors.Is(lastErr, context.DeadlineExceeded), errors.Is(ctx.Err(), context.DeadlineExceeded): // or it passed in a backoff
 		msg = fmt.Sprintf("job deadline exceeded (%v)", deadline)
 	case errors.Is(lastErr, context.Canceled):
 		msg = "job canceled"
@@ -701,20 +704,15 @@ func (s *Server) executeOnce(ctx context.Context, j *job) (text []byte, err erro
 		tables = append(tables, ts...)
 	}
 
+	if o.Metrics != nil {
+		tables = append(tables, o.Metrics.Tables()...)
+	}
 	var buf bytes.Buffer
 	for _, t := range tables {
 		if err := t.Render(&buf); err != nil {
 			return nil, err
 		}
 		buf.WriteByte('\n')
-	}
-	if o.Metrics != nil {
-		for _, t := range o.Metrics.Tables() {
-			if err := t.Render(&buf); err != nil {
-				return nil, err
-			}
-			buf.WriteByte('\n')
-		}
 	}
 	return buf.Bytes(), nil
 }

@@ -15,6 +15,7 @@ import (
 	"time"
 
 	"atomicsmodel/internal/faults"
+	"atomicsmodel/internal/harness"
 )
 
 // quickSpec is the cheapest real job: one workload, one machine,
@@ -124,6 +125,88 @@ func TestServerSubmitRunResult(t *testing.T) {
 	}
 	if text2 := getResult(t, ts, st.ID); !bytes.Equal(text, text2) {
 		t.Errorf("deduplicated result differs from the original")
+	}
+}
+
+// TestServerMetricsJobMatchesHarness runs a "metrics":true job and
+// requires its result to be exactly what the harness renders for the
+// same selection: the experiment's tables, then the metrics
+// collector's tables, each followed by a blank line.
+func TestServerMetricsJobMatchesHarness(t *testing.T) {
+	const body = `{"machines":["XeonE5"],"workloads":["high-faa"],"quick":true,"metrics":true}`
+	s := newTestServer(t, Config{})
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	defer drain(t, s)
+	st, _ := submit(t, ts, body)
+	if got := waitDone(t, ts, st.ID); got.State != StateDone {
+		t.Fatalf("job = %+v, want done", got)
+	}
+	text := getResult(t, ts, st.ID)
+
+	sp, err := ParseSpec([]byte(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := sp.Resolve()
+	if err != nil {
+		t.Fatal(err)
+	}
+	mc := &harness.MetricsCollector{}
+	tables, err := harness.RunExperiment(harness.WorkloadExperiment(res.Specs),
+		harness.Options{Machines: res.Machines, Quick: true, Seed: res.Seed, Metrics: mc})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want bytes.Buffer
+	for _, tb := range append(tables, mc.Tables()...) {
+		if err := tb.Render(&want); err != nil {
+			t.Fatal(err)
+		}
+		want.WriteByte('\n')
+	}
+	if len(mc.Tables()) == 0 {
+		t.Fatal("the harness rendered no metrics tables")
+	}
+	if !bytes.Equal(text, want.Bytes()) {
+		t.Errorf("metrics job result differs from the harness rendering:\n--- job\n%s\n--- harness\n%s", text, want.Bytes())
+	}
+}
+
+// TestServerListJobs checks GET /jobs: every admitted job, in
+// submission order, with its state.
+func TestServerListJobs(t *testing.T) {
+	s := newTestServer(t, Config{Workers: 1})
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	defer drain(t, s)
+	var ids []string
+	for _, seed := range []int{3, 1, 2} {
+		st, code := submit(t, ts, fmt.Sprintf(`{"machines":["XeonE5"],"workloads":["high-faa"],"quick":true,"seed":%d}`, seed))
+		if code != http.StatusAccepted {
+			t.Fatalf("submit seed %d = %d, want 202", seed, code)
+		}
+		ids = append(ids, st.ID)
+	}
+	for _, id := range ids {
+		waitDone(t, ts, id)
+	}
+	resp, err := http.Get(ts.URL + "/jobs")
+	if err != nil {
+		t.Fatalf("GET /jobs: %v", err)
+	}
+	defer resp.Body.Close()
+	var list []Status
+	if err := json.NewDecoder(resp.Body).Decode(&list); err != nil {
+		t.Fatalf("decoding list: %v", err)
+	}
+	if len(list) != len(ids) {
+		t.Fatalf("GET /jobs listed %d jobs, want %d", len(list), len(ids))
+	}
+	for i, st := range list {
+		if st.ID != ids[i] || st.State != StateDone {
+			t.Errorf("list[%d] = %s %s, want %s done", i, st.ID, st.State, ids[i])
+		}
 	}
 }
 
@@ -299,6 +382,39 @@ func TestServerJobRetries(t *testing.T) {
 		}
 		ts.Close()
 		drain(t, s)
+	}
+}
+
+// TestServerDeadlineCutsRetryBackoff runs jobs whose first cell always
+// panics, with retries left and a deadline shorter than the first
+// backoff (retryBackoff(1) is at least 50ms). The deadline passes while
+// a job waits to retry (or, on a slow host, during its first attempt),
+// and the job must fail then, reporting the deadline, not when the
+// backoff would have ended. The fastest of three jobs (three seeds, so
+// none is deduplicated) is timed, so one stalled by a busy host does
+// not fail the test; a job that waits out its backoff cannot be fast.
+func TestServerDeadlineCutsRetryBackoff(t *testing.T) {
+	plan, err := faults.Parse("panic=1@0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	const deadline = 10 * time.Millisecond
+	s := newTestServer(t, Config{Faults: plan, JobRetries: 5, JobDeadline: deadline})
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	defer drain(t, s)
+	fastest := time.Hour
+	for seed := 1; seed <= 3; seed++ {
+		start := time.Now()
+		st, _ := submit(t, ts, fmt.Sprintf(`{"machines":["XeonE5"],"workloads":["high-faa"],"quick":true,"seed":%d}`, seed))
+		got := waitDone(t, ts, st.ID)
+		fastest = min(fastest, time.Since(start))
+		if got.State != StateFailed || got.Attempt != 1 || !strings.Contains(got.Error, "deadline exceeded") {
+			t.Fatalf("job = %+v, want it failed on its deadline during attempt 1 or its backoff", got)
+		}
+	}
+	if floor := 50 * time.Millisecond; fastest >= floor {
+		t.Errorf("the fastest job failed %v after submit with a %v deadline: it waited out its retry backoff", fastest, deadline)
 	}
 }
 

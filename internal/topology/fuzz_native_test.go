@@ -29,7 +29,7 @@ func FuzzHops(f *testing.F) {
 		case 4:
 			topo = NewStar(per, 1+int(size%3), size%2 == 0)
 		default:
-			topo = NewMultiRing(1+int(size%4), per, 3)
+			topo = newMultiRing("multiring", 1+int(size%4), per, 3)
 		}
 		n := topo.Nodes()
 		a, b, c := int(ra)%n, int(rb)%n, int(rc)%n

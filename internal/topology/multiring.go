@@ -12,7 +12,8 @@ import "fmt"
 //
 // One socket is the idealized single-socket Xeon E5 uncore (NewRing),
 // two the two-socket Xeon E5 of the paper (NewDualRing), and more the
-// socket-count extrapolation of experiment F17 (NewMultiRing).
+// socket-count extrapolation of experiment F17 (the "multiring"
+// builder).
 type MultiRing struct {
 	Sockets   int
 	PerSocket int
@@ -21,19 +22,16 @@ type MultiRing struct {
 }
 
 // NewRing returns a single bidirectional ring with n stops, named
-// ring-N.
+// ring-N. Only tests call it: tests in coherence, invariant and here
+// build rings by shape through it, without the registry's Params and
+// error path. The registry's builders call newMultiRing.
 func NewRing(n int) *MultiRing { return newMultiRing("ring", 1, n, 0) }
 
 // NewDualRing returns a two-socket dual ring with perSocket stops per
 // socket and the inter-socket link costed as linkHops ring hops, named
-// dualring-2xN.
+// dualring-2xN. Like NewRing, it stays as a builder for tests.
 func NewDualRing(perSocket, linkHops int) *MultiRing {
 	return newMultiRing("dualring", 2, perSocket, linkHops)
-}
-
-// NewMultiRing returns an s-socket ring-of-rings, named multiring-SxN.
-func NewMultiRing(sockets, perSocket, linkHops int) *MultiRing {
-	return newMultiRing("multiring", sockets, perSocket, linkHops)
 }
 
 // newMultiRing builds a ring-of-rings named after the builder kind

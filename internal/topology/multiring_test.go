@@ -123,9 +123,7 @@ func TestMultiRingMatchesDualRing(t *testing.T) {
 				{build("ring", Params{"nodes": per}), ring, ring.Name()},
 				{NewDualRing(per, linkHops), dual, dual.Name()},
 				{build("dualring", Params{"persocket": per, "linkhops": linkHops}), dual, dual.Name()},
-				{NewMultiRing(1, per, linkHops), ring, fmt.Sprintf("multiring-1x%d", per)},
 				{multi1, ring, fmt.Sprintf("multiring-1x%d", per)},
-				{NewMultiRing(2, per, linkHops), dual, fmt.Sprintf("multiring-2x%d", per)},
 				{multi2, dual, fmt.Sprintf("multiring-2x%d", per)},
 			} {
 				if c.got.Name() != c.name {
@@ -138,7 +136,7 @@ func TestMultiRingMatchesDualRing(t *testing.T) {
 }
 
 func TestMultiRingFourSockets(t *testing.T) {
-	m := NewMultiRing(4, 4, 2)
+	m := newMultiRing("multiring", 4, 4, 2)
 	if m.Nodes() != 16 {
 		t.Fatalf("nodes = %d", m.Nodes())
 	}
@@ -161,7 +159,7 @@ func TestMultiRingFourSockets(t *testing.T) {
 }
 
 func TestMultiRingPaths(t *testing.T) {
-	m := NewMultiRing(3, 4, 2)
+	m := newMultiRing("multiring", 3, 4, 2)
 	// Link count: 3*4 ring links + 3 pair channels.
 	if m.Links() != 15 {
 		t.Fatalf("links = %d, want 15", m.Links())
@@ -199,9 +197,9 @@ func TestMultiRingPaths(t *testing.T) {
 
 func TestMultiRingConstructorPanics(t *testing.T) {
 	for i, f := range []func(){
-		func() { NewMultiRing(0, 4, 1) },
-		func() { NewMultiRing(2, 0, 1) },
-		func() { NewMultiRing(2, 4, -1) },
+		func() { newMultiRing("multiring", 0, 4, 1) },
+		func() { newMultiRing("multiring", 2, 0, 1) },
+		func() { newMultiRing("multiring", 2, 4, -1) },
 	} {
 		func() {
 			defer func() {

@@ -5,6 +5,7 @@ import (
 
 	"atomicsmodel/internal/atomics"
 	"atomicsmodel/internal/coherence"
+	"atomicsmodel/internal/faults"
 	"atomicsmodel/internal/invariant"
 	"atomicsmodel/internal/machine"
 	"atomicsmodel/internal/sim"
@@ -67,7 +68,7 @@ func AllLineStates() []LineState {
 // error for states the machine cannot express (e.g. a cross-socket
 // state on single-socket KNL).
 func MeasureStateLatency(m *machine.Machine, p atomics.Primitive, st LineState) (sim.Time, error) {
-	return MeasureStateLatencyChecked(m, p, st, false)
+	return MeasureStateLatencyChecked(m, p, st, false, nil)
 }
 
 // NewProbe builds the private engine and memory of a hand-driven probe
@@ -75,8 +76,10 @@ func MeasureStateLatency(m *machine.Machine, p atomics.Primitive, st LineState) 
 // is the probe's closing audit, run whether or not checking is on:
 // with check set (-check) it installs an invariant checker and audit
 // runs the checker's final audit; otherwise audit runs the directory's
-// own invariant check, as every pooled cell does.
-func NewProbe(m *machine.Machine, check bool) (eng *sim.Engine, mem *atomics.Memory, audit func() error, err error) {
+// own invariant check, as every pooled cell does. fp, the cell's fault
+// plan (-faults; nil for none), is armed on the probe's engine and
+// memory as on a pooled cell.
+func NewProbe(m *machine.Machine, check bool, fp *faults.CellPlan) (eng *sim.Engine, mem *atomics.Memory, audit func() error, err error) {
 	if err := m.Validate(); err != nil {
 		return nil, nil, nil, fmt.Errorf("workload: %w", err)
 	}
@@ -88,14 +91,15 @@ func NewProbe(m *machine.Machine, check bool) (eng *sim.Engine, mem *atomics.Mem
 	if check {
 		audit = invariant.Install(eng, mem.System()).Finalize
 	}
+	fp.Install(eng, mem)
 	return eng, mem, audit, nil
 }
 
-// MeasureStateLatencyChecked is MeasureStateLatency with an optional
-// invariant checker on the probe's engine and coherence system, so
-// `-check` runs audit the single-op probes online too.
-func MeasureStateLatencyChecked(m *machine.Machine, p atomics.Primitive, st LineState, check bool) (sim.Time, error) {
-	eng, mem, audit, err := NewProbe(m, check)
+// MeasureStateLatencyChecked is MeasureStateLatency on a probe with an
+// optional invariant checker and fault plan (see NewProbe), so `-check`
+// and `-faults` reach the single-op probes too.
+func MeasureStateLatencyChecked(m *machine.Machine, p atomics.Primitive, st LineState, check bool, fp *faults.CellPlan) (sim.Time, error) {
+	eng, mem, audit, err := NewProbe(m, check, fp)
 	if err != nil {
 		return 0, err
 	}

@@ -112,7 +112,7 @@ func TestLineStateStrings(t *testing.T) {
 func TestStateProbeAudits(t *testing.T) {
 	m := machine.XeonE5()
 	for _, check := range []bool{false, true} {
-		eng, mem, audit, err := NewProbe(m, check)
+		eng, mem, audit, err := NewProbe(m, check, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
