@@ -379,11 +379,14 @@ func (mem *Memory) LoadOp(core int, line coherence.Line, done func(Result)) {
 // (coherence.System.Await): its re-reads run as callback-free engine
 // ticks, each one credited to *loads as it is settled
 // (coherence.System.SettleParked), and done receives only the
-// completion the loop wakes with. Unparked, done receives every
+// completion the loop wakes with. A positive budget says the loop
+// loads at most that many times, this load included, before it does
+// something else: the parked run then ends on its own with the
+// budget-th load's completion. Unparked, done receives every
 // completion and *loads stays put.
-func (mem *Memory) SpinLoad(core int, line coherence.Line, seen uint64, loads *uint64, done func(Result)) {
+func (mem *Memory) SpinLoad(core int, line coherence.Line, seen, budget uint64, loads *uint64, done func(Result)) {
 	c := mem.getCtx(Load, 0, 0, done)
-	mem.sys.Await(core, line, mem.exec[Load], seen, loads, c.doneFn)
+	mem.sys.Await(core, line, mem.exec[Load], seen, budget, loads, c.doneFn)
 }
 
 // spinCtx is one in-flight AwaitChange spin, pooled like opCtx, with
@@ -429,7 +432,7 @@ func (c *spinCtx) load() {
 	if c.loads != nil {
 		*c.loads++
 	}
-	c.mem.sys.Await(c.core, c.line, c.mem.exec[Load], c.seen, c.loads, c.stepFn)
+	c.mem.sys.Await(c.core, c.line, c.mem.exec[Load], c.seen, 0, c.loads, c.stepFn)
 }
 
 // step re-issues the spin's load while it observes seen; otherwise it

@@ -72,6 +72,25 @@ func BenchmarkCoherenceReadShared(b *testing.B) {
 	}
 }
 
+// BenchmarkCoherenceLocalHit measures one L1 read hit: a core loads a
+// line it already shares, the access takes the local fast path, and
+// its completion event runs (the engine is drained after each access,
+// as in BenchmarkCoherenceAccess). It is the unit of every live load of
+// a read-mostly mix and of every owner's private-line read; a run of
+// them that parks costs a tick each instead (Await).
+func BenchmarkCoherenceLocalHit(b *testing.B) {
+	eng, s := benchSystem(b)
+	h := s.Handle(1)
+	s.Access(0, h, Read, 0, nil, nil)
+	eng.Drain()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		s.Access(0, h, Read, 0, nil, nil)
+		eng.Drain()
+	}
+}
+
 // BenchmarkPathCost measures the per-message cost computation alone:
 // a three-leg requester->home->requester path on the dual ring.
 func BenchmarkPathCost(b *testing.B) {

@@ -63,6 +63,11 @@ func (h Line) ID() LineID { return h.l.id }
 // IsZero reports whether h is the zero Line, resolved to nothing.
 func (h Line) IsZero() bool { return h.l == nil }
 
+// Value returns the line's value: what a load that hits a valid copy
+// observes now. A loop that parks its loads on whatever the line holds
+// passes it to Await as seen.
+func (h Line) Value() uint64 { return h.l.value }
+
 // Kind distinguishes the two coherence transactions a core can issue.
 type Kind uint8
 
@@ -264,7 +269,8 @@ type Apply func(cur uint64) (next uint64, write bool)
 // Requests are pooled on the System and recycled after completion, so
 // steady-state accesses do not allocate one per operation; the two
 // completion closures are built once per request object and survive
-// recycling (they read everything through the request pointer).
+// recycling (they read everything through the request pointer), and
+// so is the wake of a run of parked loads that spent its budget.
 type request struct {
 	core   int
 	kind   Kind
@@ -287,7 +293,8 @@ type request struct {
 	// line is the line this request is currently operating on.
 	line *lineState
 	// completeFn finalizes a granted (serialized) service; fastFn
-	// finalizes a fast-path access that never queued.
+	// finalizes a fast-path access that never queued, or a parked one
+	// whose chain woke or spent its budget (completeFast).
 	completeFn func()
 	fastFn     func()
 }
@@ -309,13 +316,14 @@ const (
 
 // parkedSpin is a spinner parked on its valid copy (see Await): the
 // request its wake completes (res.Value holds the value it waits to see
-// change), its engine chain, the chain's ticks already credited, and
-// the caller's load counter.
+// change), its engine chain, the chain's ticks already credited, the
+// caller's load counter, and the chain's budget (0 for none).
 type parkedSpin struct {
 	req      *request
 	park     sim.ParkID
 	credited uint64
 	loads    *uint64
+	budget   uint64
 }
 
 // lineState is the directory entry plus value for one line.
@@ -909,19 +917,27 @@ func (s *System) SetParking(on bool) { s.parking = on }
 // Until then each tick's re-read is credited to the ledger's class 0
 // and, when loads is non-nil, *loads — settled exactly at every Stats
 // and Classes call and on waking (SettleParked).
-func (s *System) Await(core int, h Line, hold sim.Time, seen uint64, loads *uint64, done func(AccessResult)) {
+//
+// A positive budget bounds the run at budget loads, this one included
+// (a loop that knows it loads no more than that before it does
+// something else): the chain ticks budget-1 times at most, and then its
+// pending entry is the real completion of the budget-th load. An early
+// wake ends it the same way as an unbounded one. A budget of 1 has no
+// re-read to park and is issued live.
+func (s *System) Await(core int, h Line, hold sim.Time, seen, budget uint64, loads *uint64, done func(AccessResult)) {
 	l := h.l
-	if s.parking && s.tracer == nil && core >= 0 && core < s.p.NumCores {
+	if s.parking && s.tracer == nil && budget != 1 && core >= 0 && core < s.p.NumCores {
 		if l.value == seen && (l.owner == core || l.sharers.has(core)) {
-			if pid, ok := s.eng.Park(s.eng.Owner(), s.p.L1Hit); ok {
-				req := s.getReq()
+			req := s.getReq()
+			if pid, ok := s.eng.Park(s.eng.Owner(), s.p.L1Hit, budget, req.fastFn); ok {
 				req.core, req.kind, req.done, req.line = core, Read, done, l
 				req.phase, req.owner = reqParked, s.eng.Owner()
 				req.res = AccessResult{Latency: s.p.L1Hit, Value: seen, Source: SrcLocal}
-				s.parked = append(s.parked, parkedSpin{req: req, park: pid, loads: loads})
+				s.parked = append(s.parked, parkedSpin{req: req, park: pid, loads: loads, budget: budget})
 				l.parked++
 				return
 			}
+			s.putReq(req)
 		}
 	}
 	s.access(core, l, Read, hold, nil, done)
@@ -973,14 +989,35 @@ func (s *System) unparkLine(l *lineState) {
 		if r.req.line != l {
 			continue
 		}
-		last := len(s.parked) - 1
-		s.parked[i] = s.parked[last]
-		s.parked[last] = parkedSpin{}
-		s.parked = s.parked[:last]
+		s.dropParked(i)
 		s.creditParked(&r, s.eng.Unpark(r.park, r.req.fastFn))
 		r.req.phase = reqFast
 	}
 	l.parked = 0
+}
+
+// spendParked retires req's bounded chain at its final event: every
+// tick of its budget has run, and its last load completes like any
+// local read.
+func (s *System) spendParked(req *request) {
+	for i := range s.parked {
+		if r := s.parked[i]; r.req == req {
+			s.dropParked(i)
+			s.creditParked(&r, r.budget-1)
+			break
+		}
+	}
+	req.line.parked--
+	req.phase = reqFast
+}
+
+// dropParked removes the i-th parked spinner, moving the last one into
+// its place.
+func (s *System) dropParked(i int) {
+	last := len(s.parked) - 1
+	s.parked[i] = s.parked[last]
+	s.parked[last] = parkedSpin{}
+	s.parked = s.parked[:last]
 }
 
 // nearestSharer returns the sharer core topologically closest to node
@@ -1091,8 +1128,12 @@ func (s *System) completeService(req *request) {
 }
 
 // completeFast finalizes a fast-path access whose result was fully
-// precomputed at issue time.
+// precomputed at issue time. A request still parked here is a bounded
+// chain's final event (an early wake sets reqFast when it unparks).
 func (s *System) completeFast(req *request) {
+	if req.phase == reqParked {
+		s.spendParked(req)
+	}
 	l := req.line
 	res := req.res
 	core, kind, done := req.core, req.kind, req.done

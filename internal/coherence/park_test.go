@@ -10,20 +10,34 @@ import (
 
 // spinner re-issues Await on a line while it observes seen, the way
 // atomics.Memory.AwaitChange does, and records the change it ends on.
+// With a budget it loads in runs of that many loads, each announced to
+// Await as its budget, the way a read mix's runs of loads are (each
+// load's budget is what is left of its run): the spin itself is the
+// same, only its parked chains are bounded.
 type spinner struct {
-	s     *System
-	core  int
-	line  Line
-	seen  uint64
-	loads uint64
-	woke  sim.Time
-	got   uint64
-	fn    func(AccessResult)
+	s      *System
+	core   int
+	line   Line
+	seen   uint64
+	loads  uint64
+	woke   sim.Time
+	got    uint64
+	fn     func(AccessResult)
+	budget uint64
+	// left is the loads left in the current run, issued counts the
+	// loads at the latest issue.
+	left, issued uint64
 }
 
-func newSpinner(s *System, core int, id LineID, seen uint64) *spinner {
-	sp := &spinner{s: s, core: core, line: s.Handle(id), seen: seen}
+func newSpinner(s *System, core int, id LineID, seen, budget uint64) *spinner {
+	sp := &spinner{s: s, core: core, line: s.Handle(id), seen: seen, budget: budget, left: budget}
 	sp.fn = func(r AccessResult) {
+		if sp.budget > 0 {
+			// The completed load and every tick of a parked run.
+			if sp.left -= 1 + sp.loads - sp.issued; sp.left == 0 {
+				sp.left = sp.budget
+			}
+		}
 		if r.Value == sp.seen {
 			sp.issue()
 			return
@@ -35,7 +49,8 @@ func newSpinner(s *System, core int, id LineID, seen uint64) *spinner {
 
 func (sp *spinner) issue() {
 	sp.loads++
-	sp.s.Await(sp.core, sp.line, 0, sp.seen, &sp.loads, sp.fn)
+	sp.issued = sp.loads
+	sp.s.Await(sp.core, sp.line, 0, sp.seen, sp.left, &sp.loads, sp.fn)
 }
 
 // parkScript runs one spin scenario on line 16 of the test system with
@@ -55,8 +70,9 @@ func (sp *spinner) issue() {
 // place, so the spinner refetches, parks again, and a final store by
 // core 0 ends the spin. The sibling's grant wakes the spinner, whose
 // next re-read hits the copy its core now owns and parks again; the
-// sibling's write, not a grant, must wake it this time.
-func parkScript(t *testing.T, parking, owner bool, trigger string) []string {
+// sibling's write, not a grant, must wake it this time. A budget makes
+// the spinner load in runs of that many loads (see spinner).
+func parkScript(t *testing.T, parking, owner bool, trigger string, budget uint64) []string {
 	t.Helper()
 	eng, s := testSystem(t, nil)
 	const id LineID = 16
@@ -68,7 +84,7 @@ func parkScript(t *testing.T, parking, owner bool, trigger string) []string {
 		access(t, eng, s, 1, id, Read, 0, nil)
 	}
 	s.SetParking(parking)
-	sp := newSpinner(s, 1, id, 1)
+	sp := newSpinner(s, 1, id, 1, budget)
 	var log []string
 	probe := func(at sim.Time, wantParked bool) {
 		eng.At(at, func() {
@@ -76,10 +92,10 @@ func parkScript(t *testing.T, parking, owner bool, trigger string) []string {
 			log = append(log, fmt.Sprintf("t=%v loads=%d stats=%+v ledger=%v processed=%d pending=%d",
 				eng.Now(), sp.loads, st, ledger(s), eng.Processed(), eng.Pending()))
 			if parking && (eng.Parked() == 1) != wantParked {
-				t.Errorf("owner=%v %s: at %v parked=%d, want parked=%v", owner, trigger, eng.Now(), eng.Parked(), wantParked)
+				t.Errorf("owner=%v %s budget %d: at %v parked=%d, want parked=%v", owner, trigger, budget, eng.Now(), eng.Parked(), wantParked)
 			}
 			if err := s.CheckInvariants(); err != nil {
-				t.Errorf("owner=%v %s: at %v: %v", owner, trigger, eng.Now(), err)
+				t.Errorf("owner=%v %s budget %d: at %v: %v", owner, trigger, budget, eng.Now(), err)
 			}
 		})
 	}
@@ -125,15 +141,20 @@ func ledger(s *System) string {
 // other cores' reads (an M→S downgrade of the owner's line, a pipelined
 // LLC read adding a sharer) do not, a spinner parked as the owner
 // behaves like one parked as a sharer, and every counter, ledger class
-// and engine count matches the unparked run at each probe.
+// and engine count matches the unparked run at each probe — for an
+// unbounded spinner and for one whose runs of loads park as budgeted
+// chains, which end on their own (runs of 2 and 7 loads) or are woken
+// early (runs of 40 span the triggers).
 func TestParkedSpinnerWakesExactly(t *testing.T) {
-	for _, owner := range []bool{false, true} {
-		for _, trigger := range []string{"rfo", "evict", "sibling"} {
-			ref := parkScript(t, false, owner, trigger)
-			got := parkScript(t, true, owner, trigger)
-			if strings.Join(ref, "\n") != strings.Join(got, "\n") {
-				t.Errorf("owner=%v %s: parked run diverges\n--- unparked ---\n%s\n--- parked ---\n%s",
-					owner, trigger, strings.Join(ref, "\n"), strings.Join(got, "\n"))
+	for _, budget := range []uint64{0, 2, 7, 40} {
+		for _, owner := range []bool{false, true} {
+			for _, trigger := range []string{"rfo", "evict", "sibling"} {
+				ref := parkScript(t, false, owner, trigger, budget)
+				got := parkScript(t, true, owner, trigger, budget)
+				if strings.Join(ref, "\n") != strings.Join(got, "\n") {
+					t.Errorf("owner=%v %s budget %d: parked run diverges\n--- unparked ---\n%s\n--- parked ---\n%s",
+						owner, trigger, budget, strings.Join(ref, "\n"), strings.Join(got, "\n"))
+				}
 			}
 		}
 	}
@@ -148,20 +169,20 @@ func TestParkingNeedsLocalCopyOfSeen(t *testing.T) {
 	s.SetParking(true)
 	access(t, eng, s, 0, 16, RFO, 0, storeApply(1))
 	var loads uint64
-	s.Await(1, s.Handle(16), 0, 1, &loads, func(AccessResult) {}) // miss: core 1 has no copy
-	s.Await(0, s.Handle(16), 0, 2, &loads, func(AccessResult) {}) // hit, but the line holds 1
+	s.Await(1, s.Handle(16), 0, 1, 0, &loads, func(AccessResult) {}) // miss: core 1 has no copy
+	s.Await(0, s.Handle(16), 0, 2, 0, &loads, func(AccessResult) {}) // hit, but the line holds 1
 	if eng.Parked() != 0 {
 		t.Fatalf("%d spinners parked, want 0", eng.Parked())
 	}
 	eng.Drain()
 	s.SetTracer(func(TraceEvent) {})
-	s.Await(0, s.Handle(16), 0, 1, &loads, func(AccessResult) {})
+	s.Await(0, s.Handle(16), 0, 1, 0, &loads, func(AccessResult) {})
 	if eng.Parked() != 0 {
 		t.Fatal("spinner parked with a tracer installed")
 	}
 	eng.Drain()
 	s.SetTracer(nil)
-	s.Await(0, s.Handle(16), 0, 1, &loads, func(AccessResult) {})
+	s.Await(0, s.Handle(16), 0, 1, 0, &loads, func(AccessResult) {})
 	if eng.Parked() != 1 {
 		t.Fatal("owner re-reading its value did not park")
 	}
@@ -174,7 +195,7 @@ func TestCheckInvariantsAuditsParkedSpinners(t *testing.T) {
 	eng, s := testSystem(t, nil)
 	s.SetParking(true)
 	access(t, eng, s, 0, 16, RFO, 0, storeApply(1))
-	sp := newSpinner(s, 0, 16, 1)
+	sp := newSpinner(s, 0, 16, 1, 0)
 	sp.issue()
 	eng.Run(eng.Now() + 10*sim.Nanosecond)
 	if err := s.CheckInvariants(); err != nil {

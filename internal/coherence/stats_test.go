@@ -61,7 +61,7 @@ func TestStatsCountsInFlight(t *testing.T) {
 	s.EvictPrivate(17)
 	access(t, eng, s, 1, 18, RFO, 0, storeApply(1))
 	s.SetParking(true)
-	sp := newSpinner(s, 1, 18, 1)
+	sp := newSpinner(s, 1, 18, 1, 0)
 	hops := s.Params().Topo.Hops
 
 	cases := []struct {

@@ -90,6 +90,38 @@ func BenchmarkMemoizedCell(b *testing.B) {
 	}
 }
 
+// BenchmarkReadMixCell measures the quick read-mix preset's cells on
+// XeonE5 at 2 and 16 threads, as the harness runs them (10µs warmup,
+// 100µs window, seed 42 plus the thread count): 90% loads, whose runs
+// of hits on the thread's own copy park in batches up to the next CAS,
+// among contended CASes. These are the layer numbers behind the
+// read-mix share of the fleet-metrics and atomicd-jobs benchmarks. With
+// the pool and the recycled Result warm, each cell is allocation-free.
+func BenchmarkReadMixCell(b *testing.B) {
+	spec, err := workload.SpecByName("read-mix")
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, n := range []int{2, 16} {
+		b.Run(fmt.Sprint(n), func(b *testing.B) {
+			sp := *spec
+			sp.ThreadLadder, sp.Threads = nil, n
+			sp.WarmupPS, sp.DurationPS, sp.Seed = 10*sim.Microsecond, 100*sim.Microsecond, 42+uint64(n)
+			cfg, err := sp.Config(machine.XeonE5())
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			var res *workload.Result
+			for i := 0; i < b.N; i++ {
+				if res, err = workload.RunReusing(cfg, res); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
 // BenchmarkAppCell measures one complete app cell on the pooled cell
 // runtime at quick-run length, 8 threads each on XeonE5: the ticket
 // lock (waiters spin on their local copy of the serving counter, so

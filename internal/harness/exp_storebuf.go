@@ -5,6 +5,7 @@ import (
 	"atomicsmodel/internal/coherence"
 	"atomicsmodel/internal/faults"
 	"atomicsmodel/internal/machine"
+	"atomicsmodel/internal/metrics"
 	"atomicsmodel/internal/sim"
 	"atomicsmodel/internal/workload"
 )
@@ -69,11 +70,18 @@ type storeBufProbe struct {
 }
 
 // storeBufCell is one F22 cell's result: the store workload fills the
-// first pair of fields, the burst probe the second.
+// first pair of fields and, with metrics on, its snapshot; the burst
+// probe fills the second pair.
 type storeBufCell struct {
 	LatNs, Mops    float64 // store workload
 	FAANs, FenceNs float64 // burst probe
+	// Metrics is the store workload's snapshot (nil unless metrics were
+	// on), delivered to the collector like a workload cell's.
+	Metrics *metrics.Snapshot `json:"metrics,omitempty"`
 }
+
+// MetricsSnapshot exposes a store cell's snapshot to the harness.
+func (c storeBufCell) MetricsSnapshot() *metrics.Snapshot { return c.Metrics }
 
 // storeBufKind runs F22's cells. Store cells are spec-built workload
 // cells keyed "store/" + their digest key; burst probes are custom
@@ -97,7 +105,7 @@ var storeBufKind = specKind[storeBufProbe, storeBufCell]{
 		if err != nil {
 			return storeBufCell{}, err
 		}
-		return storeBufCell{LatNs: res.Latency.Mean().Nanoseconds(), Mops: res.ThroughputMops}, nil
+		return storeBufCell{LatNs: res.Latency.Mean().Nanoseconds(), Mops: res.ThroughputMops, Metrics: res.Metrics}, nil
 	},
 }
 

@@ -102,6 +102,12 @@ func TestMetricsDoNotPerturbResults(t *testing.T) {
 }
 
 func TestMetricsSurviveResume(t *testing.T) {
+	for _, id := range []string{"F3", "F22"} {
+		t.Run(id, func(t *testing.T) { metricsSurviveResume(t, id) })
+	}
+}
+
+func metricsSurviveResume(t *testing.T, id string) {
 	dir := t.TempDir()
 
 	// Fresh run with manifest+cache+metrics.
@@ -116,7 +122,7 @@ func TestMetricsSurviveResume(t *testing.T) {
 	o := quickOpts()
 	o.Par = 4
 	o.Manifest, o.Cache = w, c
-	freshTables, freshMetrics := collectMetricsStr(t, "F3", o)
+	freshTables, freshMetrics := collectMetricsStr(t, id, o)
 	if err := c.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -140,7 +146,7 @@ func TestMetricsSurviveResume(t *testing.T) {
 	o2 := quickOpts()
 	o2.Par = 4
 	o2.Manifest, o2.Cache = w2, c2
-	resumedTables, resumedMetrics := collectMetricsStr(t, "F3", o2)
+	resumedTables, resumedMetrics := collectMetricsStr(t, id, o2)
 	cells, cached, failed := w2.Totals()
 	if err := c2.Close(); err != nil {
 		t.Fatal(err)
@@ -193,5 +199,31 @@ func TestMetricsCollectorTables(t *testing.T) {
 		if !strings.Contains(out, want) {
 			t.Fatalf("metrics table lacks %q:\n%s", want, out)
 		}
+	}
+}
+
+// TestStoreBufMetricsReachCollector runs F22 with metrics on: its two
+// 16-thread store cells run metrics-on workload cells, so each must
+// deliver its snapshot to the collector, and the burst probes, which
+// keep no registry, none. TestMetricsSurviveResume replays them.
+func TestStoreBufMetricsReachCollector(t *testing.T) {
+	o := quickOpts()
+	o.Metrics = &MetricsCollector{}
+	e, err := ByID("F22")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := RunExperiment(e, o); err != nil {
+		t.Fatal(err)
+	}
+	var stores []string
+	for _, cm := range o.Metrics.Cells() {
+		if !strings.HasPrefix(cm.Label, "store/") || cm.Snap == nil {
+			t.Errorf("collected cell %q (snapshot %v), want only store cells with snapshots", cm.Label, cm.Snap != nil)
+		}
+		stores = append(stores, cm.Label)
+	}
+	if len(stores) != 2 {
+		t.Errorf("collected %d store cells %v, want 2", len(stores), stores)
 	}
 }

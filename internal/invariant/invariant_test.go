@@ -88,7 +88,7 @@ func TestCorruptedParkedLineCaught(t *testing.T) {
 	sys.Access(0, sys.Handle(1), coherence.RFO, 0, faa, func(coherence.AccessResult) {})
 	eng.Drain()
 	var spin func(coherence.AccessResult)
-	spin = func(r coherence.AccessResult) { sys.Await(0, sys.Handle(1), 0, 1, nil, spin) }
+	spin = func(r coherence.AccessResult) { sys.Await(0, sys.Handle(1), 0, 1, 0, nil, spin) }
 	spin(coherence.AccessResult{})
 	if eng.Parked() != 1 {
 		t.Fatalf("%d spinners parked, want 1", eng.Parked())

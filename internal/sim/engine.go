@@ -44,10 +44,16 @@
 // period later with the next sequence number, the exact (timestamp,
 // sequence) place of the repeat it stands for. All parked chains share
 // one period, so the ring stays sorted. Unpark turns a chain's pending
-// tick into a real event at that same place. Where nothing but ticks
-// is due for more than a period, the dispatcher crosses the stretch in
-// closed form, at a cost of one step per chain rather than per tick
-// (park.go, jumpTicks).
+// tick into a real event at that same place. A chain parked with a
+// budget of k (a run of k loads the caller knows it will issue, in
+// internal/workload a read-mix thread's loads up to its next RMW)
+// dispatches k-1 ticks, and then its pending entry is dispatched as a
+// real event running the chain's callback at that entry's own
+// (timestamp, sequence): the place of the k-th repeat. Where nothing
+// but ticks is due for more than a period, the dispatcher crosses the
+// stretch in closed form, at a cost of one step per chain rather than
+// per tick, stopping short of the next real event and of the earliest
+// budgeted chain's final one (park.go, jumpTicks).
 //
 // # Owners and fast-forward hooks
 //
@@ -289,6 +295,12 @@ type Engine struct {
 	parkPeriod Time
 	chains     []parkChain
 	chainFree  []int32
+	// budgeted counts the parked chains with a budget; finalAt caches
+	// the earliest instant one of them runs its final event, to be
+	// rescanned when finalStale (nextFinal).
+	budgeted   int
+	finalAt    Time
+	finalStale bool
 	// jumpScratch is jumpTicks' reusable list of jumped chains.
 	jumpScratch []parkJump
 }
@@ -457,6 +469,7 @@ func (e *Engine) ShiftPending(delta Time) bool {
 	for pos := e.parkHead; pos != e.parkTail; pos++ {
 		e.park[pos&e.parkMask].at += delta
 	}
+	e.finalAt += delta
 	fixed := false
 	for i := range e.heap {
 		if e.heap[i].tag() == 0 {
@@ -602,20 +615,25 @@ func (e *Engine) dispatch(limit Time) {
 		if src == srcNone || at > limit {
 			break
 		}
+		var ev event
 		if src == srcPark {
 			if end, ok := e.jumpEnd(at, limit); ok {
 				e.jumpTicks(end)
-			} else {
-				e.tick()
+				continue
 			}
-			continue
+			// A tick runs no callback; a bounded chain's final entry is
+			// dispatched below like any event.
+			if ev = e.tick(); ev.fn == nil {
+				continue
+			}
+		} else {
+			ev = e.pop(src)
 		}
-		ev := e.pop(src)
 		if e.monotone != nil && ev.at < e.now {
 			e.monotone(fmt.Errorf("sim: event time moved backwards: dequeued t=%v seq=%d with clock at %v", ev.at, ev.seq>>ownerBits, e.now))
 		}
-		// pop already took the dequeued event out of pending, so the
-		// count outstanding across [now, ev.at] is pending+1.
+		// The dequeued event is already out of pending, so the count
+		// outstanding across [now, ev.at] is pending+1.
 		e.pendIntegral += Time(e.pending+1) * (ev.at - e.now)
 		e.now = ev.at
 		e.processed++

@@ -1,6 +1,9 @@
 package sim
 
-import "fmt"
+import (
+	"fmt"
+	"math"
+)
 
 // The park lane (see the package doc). A tick re-appends its chain at
 // now+period with the newest sequence number; since every parked chain
@@ -27,10 +30,23 @@ func (p *parkTick) before(at Time, seq uint64) bool {
 }
 
 // parkChain is one chain's state: ticks dispatched since it parked,
-// and the absolute lane position of its pending tick.
+// the absolute lane position of its pending entry, and the tick count
+// at which that entry is no longer a tick but the chain's final event,
+// running fn (unbounded for a chain parked with no budget).
 type parkChain struct {
 	ticks uint64
 	pos   uint64
+	limit uint64
+	fn    func()
+}
+
+// unbounded is the limit of a chain parked with no budget.
+const unbounded = ^uint64(0)
+
+// final returns when a bounded chain whose pending entry is p runs its
+// final event.
+func (e *Engine) final(p *parkTick, ch *parkChain) Time {
+	return p.at + Time(ch.limit-ch.ticks)*e.parkPeriod
 }
 
 // parkMinCap is the ring's initial capacity (a power of two).
@@ -39,11 +55,18 @@ const parkMinCap = 16
 // Park starts a parked chain for owner: its first tick is due after
 // period, with exactly the (time, sequence) place ScheduleAs(owner,
 // period, fn) would give an event, and every tick re-arms the next one
-// a period later. It declines — parking nothing — when a perturbation
-// hook is installed (a perturbed repeat would not keep the period), or
-// when period is not positive or differs from the period of the chains
-// already parked.
-func (e *Engine) Park(owner int32, period Time) (ParkID, bool) {
+// a period later. A positive budget bounds the chain: after budget-1
+// ticks its pending entry is no tick but a real event running fn, at
+// that entry's own (time, sequence) — the place of the budget-th
+// repeat. A zero budget parks an unbounded chain, and fn is unused.
+// Unpark ends either kind early. Park declines — parking nothing —
+// when a perturbation hook is installed (a perturbed repeat would not
+// keep the period), or when period is not positive or differs from the
+// period of the chains already parked.
+func (e *Engine) Park(owner int32, period Time, budget uint64, fn func()) (ParkID, bool) {
+	if budget > 0 && fn == nil {
+		panic("sim: Park with a budget and no final callback")
+	}
 	if e.perturb != nil || period <= 0 {
 		return 0, false
 	}
@@ -62,11 +85,53 @@ func (e *Engine) Park(owner int32, period Time) (ParkID, bool) {
 		id = int32(len(e.chains))
 		e.chains = append(e.chains, parkChain{})
 	}
-	e.chains[id] = parkChain{pos: e.parkTail}
+	e.chains[id] = parkChain{pos: e.parkTail, limit: unbounded}
+	if budget > 0 {
+		e.chains[id].limit, e.chains[id].fn = budget-1, fn
+		f := e.now + Time(budget)*period
+		if e.budgeted == 0 || (!e.finalStale && f < e.finalAt) {
+			e.finalAt, e.finalStale = f, false
+		}
+		e.budgeted++
+	}
 	e.park[e.parkTail&e.parkMask] = parkTick{at: e.now + period, seq: e.nextSeq(ownerTag(owner)), chain: id}
 	e.parkTail++
 	e.addPending()
 	return ParkID(id), true
+}
+
+// freeChain forgets chain id, whose pending entry p has just left the
+// lane (dispatched as its final event, or unparked).
+func (e *Engine) freeChain(id int32, p *parkTick) {
+	ch := &e.chains[id]
+	if ch.limit != unbounded {
+		if e.final(p, ch) == e.finalAt {
+			e.finalStale = true
+		}
+		e.budgeted--
+		ch.fn = nil
+	}
+	e.chainFree = append(e.chainFree, id)
+}
+
+// nextFinal returns the earliest instant a bounded chain runs its final
+// event. It is cached, and rescans the lane only after the chain that
+// set it has left.
+func (e *Engine) nextFinal() Time {
+	if e.finalStale {
+		e.finalAt = Time(math.MaxInt64)
+		for pos := e.parkHead; pos != e.parkTail; pos++ {
+			p := &e.park[pos&e.parkMask]
+			if p.chain < 0 {
+				continue
+			}
+			if ch := &e.chains[p.chain]; ch.limit != unbounded {
+				e.finalAt = min(e.finalAt, e.final(p, ch))
+			}
+		}
+		e.finalStale = false
+	}
+	return e.finalAt
 }
 
 // growPark doubles the ring, keeping every entry at its absolute
@@ -99,8 +164,8 @@ func (e *Engine) Unpark(id ParkID, fn func()) uint64 {
 	ch := &e.chains[id]
 	p := &e.park[ch.pos&e.parkMask]
 	e.heap.push(event{at: p.at, seq: p.seq, fn: fn})
+	e.freeChain(int32(id), p)
 	p.chain = -1
-	e.chainFree = append(e.chainFree, int32(id))
 	e.trimPark()
 	return ch.ticks
 }
@@ -130,9 +195,21 @@ func (e *Engine) trimPark() {
 }
 
 // tick dispatches the lane's head: the bookkeeping of one processed
-// event with no callback, then the chain's re-arm one period later.
-func (e *Engine) tick() {
+// event with no callback, then the chain's re-arm one period later. A
+// bounded chain's final entry is instead taken off the lane and
+// returned as the real event it stands for, for the dispatcher to run;
+// after a tick the returned event has no callback.
+func (e *Engine) tick() event {
 	p := e.park[e.parkHead&e.parkMask]
+	ch := &e.chains[p.chain]
+	if ch.ticks == ch.limit {
+		ev := event{at: p.at, seq: p.seq, fn: ch.fn}
+		e.parkHead++
+		e.freeChain(p.chain, &p)
+		e.trimPark()
+		e.pending--
+		return ev
+	}
 	if e.monotone != nil && p.at < e.now {
 		e.monotone(fmt.Errorf("sim: event time moved backwards: dequeued parked tick t=%v seq=%d with clock at %v", p.at, p.seq>>ownerBits, e.now))
 	}
@@ -146,7 +223,6 @@ func (e *Engine) tick() {
 	tag := seqTag(p.seq)
 	e.cur = tag
 	e.parkHead++
-	ch := &e.chains[p.chain]
 	ch.ticks++
 	ch.pos = e.parkTail
 	e.park[e.parkTail&e.parkMask] = parkTick{at: p.at + e.parkPeriod, seq: e.nextSeq(tag), chain: p.chain}
@@ -155,15 +231,16 @@ func (e *Engine) tick() {
 	if e.idleHook != nil {
 		e.idleHook()
 	}
+	return event{}
 }
 
 // jumpEnd returns the instant a closed-form jump of the park lane may
 // run to — the last before the next real event (on the heap or the
-// express lane), capped at limit — and whether a jump pays there: the
-// lane's head must be due at least two periods' worth of ticks before
-// it. The jump stands down under an event hook, which counts every
-// dispatch, and an idle hook, which runs after every dispatch; then
-// each tick is dispatched on its own.
+// express lane, or a bounded chain's final one), capped at limit — and
+// whether a jump pays there: the lane's head must be due at least two
+// periods' worth of ticks before it. The jump stands down under an
+// event hook, which counts every dispatch, and an idle hook, which runs
+// after every dispatch; then each tick is dispatched on its own.
 func (e *Engine) jumpEnd(head, limit Time) (Time, bool) {
 	if e.eventHook != nil || e.idleHook != nil {
 		return 0, false
@@ -174,6 +251,9 @@ func (e *Engine) jumpEnd(head, limit Time) (Time, bool) {
 	}
 	if len(e.heap) > 0 && e.heap[0].at-1 < end {
 		end = e.heap[0].at - 1
+	}
+	if e.budgeted > 0 {
+		end = min(end, e.nextFinal()-1)
 	}
 	return end, head+e.parkPeriod <= end
 }
@@ -189,7 +269,9 @@ type parkJump struct {
 }
 
 // jumpTicks dispatches, in closed form, every parked tick due at or
-// before end, where nothing but ticks is due (jumpEnd): each chain's
+// before end, where nothing but ticks is due (jumpEnd; a bounded
+// chain's final event is due after end, so no chain passes its budget
+// in the stretch): each chain's
 // tick count grows by its k ticks in the stretch, Processed by their
 // sum, the queue-time integral by pending × the time the stretch
 // covers, and the clock moves to the last tick. Each jumped chain is
@@ -271,6 +353,8 @@ func (e *Engine) jumpTicks(end Time) {
 func (e *Engine) resetPark() {
 	e.parkHead, e.parkTail = 0, 0
 	e.parkPeriod = 0
+	clear(e.chains)
 	e.chains = e.chains[:0]
 	e.chainFree = e.chainFree[:0]
+	e.budgeted, e.finalStale = 0, false
 }

@@ -16,14 +16,15 @@ type parkRun struct {
 	period Time
 	log    []string
 	// Per logical chain: the parked engine's ID, or the reference's
-	// state; done marks a chain already unparked.
+	// state; done marks a chain already unparked or ended.
 	ids  []ParkID
 	refs []*refChain
 	done []bool
 }
 
 // refChain is a reference chain: a real event that repeats itself
-// every period until unparked, then runs fn instead.
+// every period until unparked, then runs fn instead — or, with a
+// budget, until its budget-th repeat, which runs final.
 type refChain struct {
 	ticks    uint64
 	unparked bool
@@ -34,11 +35,20 @@ func (r *parkRun) record(tag string) {
 	r.log = append(r.log, fmt.Sprintf("%s:%d@%d", tag, r.e.Owner(), r.e.Now()))
 }
 
-// park starts a new logical chain owned by owner.
-func (r *parkRun) park(owner int32) {
+// park starts a new logical chain owned by owner: unbounded for a zero
+// budget, else ending in final at its budget-th repeat.
+func (r *parkRun) park(owner int32, budget uint64, final func()) {
+	k := len(r.done)
 	r.done = append(r.done, false)
+	end := func() {
+		r.done[k] = true
+		final()
+	}
 	if r.parked {
-		id, ok := r.e.Park(owner, r.period)
+		if budget == 0 {
+			end = nil
+		}
+		id, ok := r.e.Park(owner, r.period, budget, end)
 		if !ok {
 			panic("park declined")
 		}
@@ -49,12 +59,15 @@ func (r *parkRun) park(owner int32) {
 	r.refs = append(r.refs, c)
 	var tick func()
 	tick = func() {
-		if c.unparked {
+		switch {
+		case c.unparked:
 			c.fn()
-			return
+		case budget > 0 && c.ticks == budget-1:
+			end()
+		default:
+			c.ticks++
+			r.e.Schedule(r.period, tick)
 		}
-		c.ticks++
-		r.e.Schedule(r.period, tick)
 	}
 	r.e.ScheduleAs(owner, r.period, tick)
 }
@@ -84,12 +97,28 @@ func (r *parkRun) unpark(k int, fn func()) {
 // the 1–4ns period and, from 128 up, spreads every event time and
 // delay 250 times wider: gaps of microseconds between real events,
 // which the parked engine crosses in closed form (Engine.jumpTicks)
-// over thousands of ticks.
+// over thousands of ticks. With data[0]&4 set, half the parks give
+// their chain a budget (budgetFor), and its final event logs itself
+// and may park the chain again, as a run of parked loads does.
 func replayParked(data []byte, parked bool) *parkRun {
+	budgets := data[0]&4 != 0
 	r := &parkRun{e: NewEngine(), parked: parked, period: Time(data[0]%4+1) * Nanosecond}
 	unit := Nanosecond
 	if data[0] >= 128 {
 		unit *= 250
+	}
+	var park func(owner int32, b byte)
+	park = func(owner int32, b byte) {
+		if !budgets || b%2 == 0 {
+			r.park(owner, 0, nil)
+			return
+		}
+		r.park(owner, budgetFor(b), func() {
+			r.record("final")
+			if b%3 != 0 {
+				park(owner, b/3)
+			}
+		})
 	}
 	var act func(i int, b byte)
 	act = func(i int, b byte) {
@@ -104,12 +133,12 @@ func replayParked(data []byte, parked bool) *parkRun {
 		case 2:
 			r.e.At(r.e.Now()+d, child)
 		case 3, 4:
-			r.park(int32(i % 7))
+			park(int32(i%7), b/6)
 		case 5:
 			r.unpark(int(b/6)%(len(r.done)+1), func() {
 				r.record("woke")
 				if b%2 == 0 {
-					r.park(int32(i % 5))
+					park(int32(i%5), b/12)
 				}
 			})
 		}
@@ -129,12 +158,48 @@ func replayParked(data []byte, parked bool) *parkRun {
 	return r
 }
 
+// budgetFor picks a chain's budget: from a single repeat (a final
+// event with no tick before it) through a few ticks to thousands,
+// which a wide schedule's jumps must stop short of.
+func budgetFor(b byte) uint64 {
+	return [...]uint64{1, 2, 3, 5, 17, 400, 3000, 20000}[b/2%8]
+}
+
+// diffParked replays data on the park lane and on the reference and
+// fails at the first difference between their logs.
+func diffParked(t *testing.T, data []byte) {
+	ref, got := replayParked(data, false), replayParked(data, true)
+	if len(ref.log) != len(got.log) {
+		t.Fatalf("parked run logged %d entries, reference %d\nref: %v\ngot: %v", len(got.log), len(ref.log), ref.log, got.log)
+	}
+	for i := range ref.log {
+		if ref.log[i] != got.log[i] {
+			t.Fatalf("entry %d: parked %q, reference %q\nref: %v\ngot: %v", i, got.log[i], ref.log[i], ref.log, got.log)
+		}
+	}
+}
+
+// trimFuzz bounds a fuzz input: the reference dispatches every tick of
+// every chain, so wide schedules keep fewer chains.
+func trimFuzz(data []byte) []byte {
+	if data[0] >= 128 && len(data) > 64 {
+		return data[:64]
+	}
+	if len(data) > 512 {
+		return data[:512]
+	}
+	return data
+}
+
 // FuzzParkedLane checks the park lane against a reference run in which
 // every tick is a real no-op event re-scheduling itself: the dispatch
 // order of every real event (owner and time), each chain's tick count
 // at its unpark, Processed, QueueTimeIntegral, MaxPending and Pending
 // must all be identical, however parks, unparks and heap and
-// express-lane events interleave.
+// express-lane events interleave. With data[0]&4 set, bounded chains
+// run among the unbounded ones: each bounded chain's ticks, its final
+// event at its own (time, sequence) — or its early unpark — and every
+// jump across it must match too.
 func FuzzParkedLane(f *testing.F) {
 	f.Add([]byte{0, 3, 3, 5, 11, 17})
 	f.Add([]byte{1, 4, 4, 4, 5, 5, 5, 23, 29, 0, 1, 2})
@@ -146,26 +211,21 @@ func FuzzParkedLane(f *testing.F) {
 	f.Add([]byte{131, 4, 4, 4, 5, 5, 5, 23, 29, 0, 1, 2})
 	f.Add([]byte{130, 3, 255, 3, 255, 4, 200, 5, 10, 9, 15, 21, 27})
 	f.Add([]byte{129, 10, 200, 10, 200, 10, 200, 10, 201, 207, 213, 4, 16})
+	// Budgeted chains.
+	f.Add([]byte{4, 3, 3, 5, 11, 17})
+	f.Add([]byte{5, 9, 15, 21, 27, 33, 39, 45, 51, 0, 1, 2})
+	f.Add([]byte{6, 9, 9, 9, 9, 5, 11, 23, 29, 35, 41})
+	f.Add([]byte{7, 255, 3, 255, 4, 200, 5, 10, 9, 15, 21, 27})
+	// Budgeted chains across microsecond gaps: jumps that must stop
+	// short of a final event, across parks, unparks and re-parks.
+	f.Add([]byte{132, 3, 9, 3, 15, 5, 21, 31, 57, 63})
+	f.Add([]byte{133, 21, 45, 69, 93, 117, 141, 165, 189, 5, 11, 17})
+	f.Add([]byte{135, 9, 33, 57, 81, 9, 33, 57, 81, 0, 1, 2, 23})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) < 2 {
 			return
 		}
-		// The reference dispatches every tick of every chain, so wide
-		// schedules keep fewer chains.
-		if n := 512; data[0] >= 128 && len(data) > 64 {
-			data = data[:64]
-		} else if len(data) > n {
-			data = data[:n]
-		}
-		ref, got := replayParked(data, false), replayParked(data, true)
-		if len(ref.log) != len(got.log) {
-			t.Fatalf("parked run logged %d entries, reference %d\nref: %v\ngot: %v", len(got.log), len(ref.log), ref.log, got.log)
-		}
-		for i := range ref.log {
-			if ref.log[i] != got.log[i] {
-				t.Fatalf("entry %d: parked %q, reference %q\nref: %v\ngot: %v", i, got.log[i], ref.log[i], ref.log, got.log)
-			}
-		}
+		diffParked(t, trimFuzz(data))
 	})
 }
 
@@ -184,7 +244,7 @@ func TestParkLaneMatchesRepeatingEvent(t *testing.T) {
 		}
 	}
 	e := NewEngine()
-	id, ok := e.Park(3, 2*Nanosecond)
+	id, ok := e.Park(3, 2*Nanosecond, 0, nil)
 	if !ok {
 		t.Fatal("Park declined on an idle engine")
 	}
@@ -201,25 +261,25 @@ func TestParkLaneMatchesRepeatingEvent(t *testing.T) {
 
 func TestParkDeclines(t *testing.T) {
 	e := NewEngine()
-	if _, ok := e.Park(0, 0); ok {
+	if _, ok := e.Park(0, 0, 0, nil); ok {
 		t.Fatal("Park accepted a zero period")
 	}
-	if _, ok := e.Park(0, Nanosecond); !ok {
+	if _, ok := e.Park(0, Nanosecond, 0, nil); !ok {
 		t.Fatal("Park declined on an idle engine")
 	}
-	if _, ok := e.Park(1, 2*Nanosecond); ok {
+	if _, ok := e.Park(1, 2*Nanosecond, 0, nil); ok {
 		t.Fatal("Park accepted a second period while a chain is parked")
 	}
 	e.Reset()
 	if e.Pending() != 0 || e.Parked() != 0 {
 		t.Fatalf("Reset left %d pending, %d parked", e.Pending(), e.Parked())
 	}
-	if _, ok := e.Park(1, 2*Nanosecond); !ok {
+	if _, ok := e.Park(1, 2*Nanosecond, 0, nil); !ok {
 		t.Fatal("Park declined a new period after Reset")
 	}
 	e.Reset()
 	e.SetPerturb(func(d Time) Time { return d })
-	if _, ok := e.Park(0, Nanosecond); ok {
+	if _, ok := e.Park(0, Nanosecond, 0, nil); ok {
 		t.Fatal("Park accepted a chain under a perturbation hook")
 	}
 }
@@ -231,7 +291,7 @@ func TestParkLaneGrowsAndWraps(t *testing.T) {
 	e := NewEngine()
 	var ids []ParkID
 	for i := 0; i < 3*parkMinCap; i++ {
-		id, ok := e.Park(int32(i), Nanosecond)
+		id, ok := e.Park(int32(i), Nanosecond, 0, nil)
 		if !ok {
 			t.Fatal("Park declined")
 		}
@@ -273,8 +333,8 @@ func TestParkLaneGrowsAndWraps(t *testing.T) {
 func TestParkJumpTie(t *testing.T) {
 	for _, parked := range []bool{false, true} {
 		r := &parkRun{e: NewEngine(), parked: parked, period: 2 * Nanosecond}
-		r.park(0)
-		r.e.At(6*Nanosecond, func() { r.park(1) })
+		r.park(0, 0, nil)
+		r.e.At(6*Nanosecond, func() { r.park(1, 0, nil) })
 		r.e.At(101*Nanosecond, func() {
 			r.unpark(0, func() { r.record("a") })
 			r.unpark(1, func() { r.record("b") })
@@ -307,7 +367,7 @@ func TestParkJumpStandsDown(t *testing.T) {
 		case "idle":
 			e.SetIdleHook(func() { calls++ })
 		}
-		if _, ok := e.Park(0, Nanosecond); !ok {
+		if _, ok := e.Park(0, Nanosecond, 0, nil); !ok {
 			t.Fatal("Park declined")
 		}
 		e.At(Microsecond, func() {})
@@ -330,7 +390,7 @@ func TestParkJumpCrossesGap(t *testing.T) {
 			e.SetIdleHook(func() {}) // forces tick-by-tick dispatch
 		}
 		for i := int32(0); i < 3; i++ {
-			e.At(Time(i)*Nanosecond, func() { e.Park(i, 3*Nanosecond) })
+			e.At(Time(i)*Nanosecond, func() { e.Park(i, 3*Nanosecond, 0, nil) })
 		}
 		e.At(Microsecond, func() {})
 		e.Run(Microsecond)
@@ -347,5 +407,43 @@ func TestParkJumpCrossesGap(t *testing.T) {
 		if got.ParkTicks(id) != ref.ParkTicks(id) {
 			t.Errorf("chain %d: %d ticks, tick by tick %d", id, got.ParkTicks(id), ref.ParkTicks(id))
 		}
+	}
+}
+
+// TestBudgetedChainEndsExactly runs a bounded chain beside an unbounded
+// one across a microsecond gap: its final event must run at the place
+// of its budget-th repeat, under its owner, with the engine's counters
+// what tick-by-tick dispatch (forced by an idle hook) gives, and the
+// closed-form jump must stop short of it and resume after it.
+func TestBudgetedChainEndsExactly(t *testing.T) {
+	type end struct {
+		at        Time
+		owner     int32
+		processed uint64
+	}
+	run := func(hook bool) (*Engine, end) {
+		e := NewEngine()
+		if hook {
+			e.SetIdleHook(func() {})
+		}
+		var got end
+		e.Park(1, 2*Nanosecond, 1000, func() { got = end{e.Now(), e.Owner(), e.Processed()} })
+		e.At(Nanosecond, func() { e.Park(2, 2*Nanosecond, 0, nil) })
+		e.At(5*Microsecond, func() {})
+		e.Run(5 * Microsecond)
+		return e, got
+	}
+	ref, refEnd := run(true)
+	e, gotEnd := run(false)
+	// 999 ticks of chain 1, the event at 1ns and 999 ticks of chain 2
+	// (3ns to 1999ns) precede the final event at 2000ns.
+	if want := (end{2 * Microsecond, 1, 999 + 1 + 999 + 1}); gotEnd != want || refEnd != want {
+		t.Fatalf("final event %+v, tick by tick %+v, want %+v", gotEnd, refEnd, want)
+	}
+	if e.Now() != ref.Now() || e.Processed() != ref.Processed() || e.QueueTimeIntegral() != ref.QueueTimeIntegral() ||
+		e.MaxPending() != ref.MaxPending() || e.Pending() != ref.Pending() || e.Parked() != 1 {
+		t.Fatalf("jumped: now %v processed %d qt %d peak %d pending %d parked %d; tick by tick: now %v processed %d qt %d peak %d pending %d",
+			e.Now(), e.Processed(), e.QueueTimeIntegral(), e.MaxPending(), e.Pending(), e.Parked(),
+			ref.Now(), ref.Processed(), ref.QueueTimeIntegral(), ref.MaxPending(), ref.Pending())
 	}
 }

@@ -67,15 +67,23 @@ type Thread struct {
 	expected uint64
 	// loads counts the re-reads of a parked Load loop (Cell.parkLoads),
 	// as its parked chain settles them; loadsAtMeasure is the count at
-	// the warmup marker.
+	// the warmup marker, and loadsAtIssue at the latest load of a read
+	// mix (loadRun).
 	loads          uint64
 	loadsAtMeasure uint64
+	loadsAtIssue   uint64
+	// ahead counts a read-mix thread's load coins drawn ahead and not
+	// yet spent, and aheadRMW says an RMW coin was drawn after them
+	// (drawAhead).
+	ahead    uint64
+	aheadRMW bool
 	// Prebaked per-thread callbacks, built once when the thread object is
 	// created (thread objects live as long as their pooled cell) so the
 	// hot issue/complete loop does not allocate a closure per operation.
 	opDone    func(atomics.Result)
 	casDone   func(atomics.Result)
 	loadDone  func(atomics.Result)
+	mixDone   func(atomics.Result)
 	operateFn func()
 	stepFn    func()
 }
@@ -97,8 +105,8 @@ type Cell struct {
 	measuring bool
 	endAt     sim.Time
 	// parkLoads says the primitive driver issues its loads through
-	// atomics.Memory.SpinLoad, whose parked re-reads the window credits
-	// when it closes (creditParkedLoads).
+	// atomics.Memory.SpinLoad (loopParks), whose parked re-reads the
+	// window credits when it closes (creditParkedLoads).
 	parkLoads bool
 
 	// Per-thread op accounting (record): perOps counts each thread's
@@ -327,6 +335,12 @@ func (c *Cell) ensureThreads(n int) {
 		}
 		th.loadDone = func(res atomics.Result) {
 			th.lastSeen = res.Old
+			c.complete(th, res, true)
+		}
+		// A read mix's load leaves lastSeen alone, like any op but a
+		// CAS; a parked run spent one coin drawn ahead per tick.
+		th.mixDone = func(res atomics.Result) {
+			th.ahead -= th.loads - th.loadsAtIssue
 			c.complete(th, res, true)
 		}
 		th.operateFn = func() { c.operate(th) }

@@ -67,15 +67,17 @@
 // exact too.
 //
 // Eligibility (memoVerdict) is conservative: any knob that draws
-// randomness per operation (jittered think time, read/write mix), is
-// not a closed loop (open-loop arrivals are not periodic), or keeps
-// state the fingerprint does not see (non-FIFO arbiters, store
-// buffers, finite link bandwidth, the invariant checker, fault plans)
-// disables the memoizer for that run, and the verdict names the first
-// such knob. A Load loop on one line with no think time is refused too:
-// it parks instead (loopParks). An ineligible or aperiodic cell runs
-// every event as before; the differential tests prove byte-identical
-// results either way.
+// randomness per operation with an uncertain outcome (jittered think
+// time, a read/write mix that loads), is not a closed loop (open-loop
+// arrivals are not periodic), or keeps state the fingerprint does not
+// see (non-FIFO arbiters, store buffers, finite link bandwidth, the
+// invariant checker, fault plans) disables the memoizer for that run,
+// and the verdict names the first such knob. A mix at fraction 0 is an
+// RMW loop: its coins always say RMW and feed nothing else, so skipping
+// their draws in a jump moves nothing. A loop whose loads run back to
+// back on one line is refused too: they park instead (loopParks). An
+// ineligible or aperiodic cell runs every event as before; the
+// differential tests prove byte-identical results either way.
 package workload
 
 import (
@@ -209,10 +211,12 @@ var skipLastSeenShift bool
 // memoVerdict reports why the steady state of cfg under drv cannot be
 // memoized — "app" for a driver other than the primitive loop, else the
 // first disqualifying knob as a short reason — or "" when it can: the
-// schedule must be a closed loop with no per-op randomness, a
-// stateless FIFO grant order, and no state or observer outside the
-// fingerprint. Any primitive, any number of lines, shared or private,
-// constant think time and the CAS retry loop are fine.
+// schedule must be a closed loop with no per-op randomness whose
+// outcome varies, a stateless FIFO grant order, and no state or
+// observer outside the fingerprint. Any primitive, any number of lines,
+// shared or private, constant think time, the CAS retry loop and a read
+// mix at fraction 0 (decided by the coin's outcome, not the mode) are
+// fine.
 func memoVerdict(cfg *Config, drv Driver) string {
 	if _, ok := drv.(primitives); !ok {
 		// A structure's operations branch on line values and draw
@@ -222,7 +226,7 @@ func memoVerdict(cfg *Config, drv Driver) string {
 	}
 	m := cfg.Machine
 	switch {
-	case cfg.Mode == ReadWriteMix:
+	case cfg.Mode == ReadWriteMix && cfg.ReadFraction > 0:
 		return "read-mix"
 	case cfg.WorkJitter && cfg.LocalWork > 0:
 		return "jitter"

@@ -92,6 +92,11 @@ func TestMemoVerdict(t *testing.T) {
 		{"jitter without think time", func(c *Config) { c.WorkJitter = true }, ""},
 		{"jittered think time", func(c *Config) { c.LocalWork, c.WorkJitter = 20*sim.Nanosecond, true }, "jitter"},
 		{"read mix", func(c *Config) { c.Mode, c.ReadFraction = ReadWriteMix, 0.5 }, "read-mix"},
+		{"pure-load read mix", func(c *Config) { c.Mode, c.ReadFraction = ReadWriteMix, 1 }, "read-mix"},
+		// At fraction 0 every coin says RMW: an RMW loop whose coins feed
+		// nothing else, so the outcome decides, not the mode.
+		{"read mix at fraction 0", func(c *Config) { c.Mode = ReadWriteMix }, ""},
+		{"cas read mix at fraction 0", func(c *Config) { c.Mode, c.Primitive = ReadWriteMix, atomics.CAS }, ""},
 		{"open loop", func(c *Config) { c.OpenLoop, c.OpenLoopInterarrival = true, 50*sim.Nanosecond }, "open-loop"},
 		{"cas", func(c *Config) { c.Primitive = atomics.CAS }, ""},
 		{"cas retry loop", func(c *Config) { c.Primitive, c.CASRetryLoop = atomics.CAS, true }, ""},
@@ -172,7 +177,8 @@ func lastRunParked(m *machine.Machine) uint64 {
 // private lines, several shared lines, constant think time, metrics-on
 // cells, and the value-relative CAS and CAS2 loops, with and without
 // the retry loop, on shared and private lines (low-cas settles into
-// all-failing rounds, whose value delta is zero).
+// all-failing rounds, whose value delta is zero), and read mixes at
+// fraction 0, whose every coin says RMW.
 var ffShapes = []struct {
 	name string
 	edit func(*Config)
@@ -194,6 +200,8 @@ var ffShapes = []struct {
 	{"metrics-cas2-retry", func(c *Config) { c.Primitive, c.CASRetryLoop, c.Metrics = atomics.CAS2, true, true }},
 	{"low-think-cas", lowThinkCAS},
 	{"low-cas", func(c *Config) { c.Primitive, c.Mode = atomics.CAS, LowContention }},
+	{"mix0-faa", func(c *Config) { c.Mode = ReadWriteMix }},
+	{"metrics-mix0-cas", func(c *Config) { c.Primitive, c.Mode, c.Metrics = atomics.CAS, ReadWriteMix, true }},
 }
 
 // lowThinkCAS edits a cell into CAS on one private line per thread with
@@ -205,7 +213,8 @@ func lowThinkCAS(c *Config) {
 
 // ffDiff runs cfg with fast-forward off and on and returns both results'
 // JSON and what fast-forward took in the fast run: the number of
-// memoizer jumps, or for a parked Load loop the re-reads it parked.
+// memoizer jumps, or for a loop whose loads park (a Load loop or a read
+// mix) the re-reads it parked.
 func ffDiff(t *testing.T, cfg Config) (slow, fast string, took uint64) {
 	t.Helper()
 	if err := cfg.fillDefaults(); err != nil {

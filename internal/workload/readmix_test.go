@@ -1,0 +1,75 @@
+package workload
+
+import (
+	"fmt"
+	"testing"
+
+	"atomicsmodel/internal/atomics"
+	"atomicsmodel/internal/machine"
+)
+
+// readMixModes are the three ways the read-mix differential runs each
+// cell, each on its own loop so that every path a run of loads meets is
+// covered: blind CAS with metrics off (failed CASes leave spans open
+// for a load to close), FAA with metrics on (the registry's read and
+// per-thread counters and the engine's queue counters), and the CAS
+// retry loop under the invariant checker (a retry tosses its own coin,
+// and parked chains must pass the checker's lane audit).
+var readMixModes = []struct {
+	name string
+	edit func(*Config)
+}{
+	{"cas", func(c *Config) { c.Primitive = atomics.CAS }},
+	{"metrics-faa", func(c *Config) { c.Primitive, c.Metrics = atomics.FAA, true }},
+	{"check-cas-retry", func(c *Config) { c.Primitive, c.CASRetryLoop, c.Check = atomics.CAS, true, true }},
+}
+
+// readMixDiff runs the read-mix cells of the differential — fractions
+// 0.25 to 1.0, at 1, 2 and 8 threads and the machine's maximum, in
+// every mode of readMixModes — on each machine with fast-forward off
+// and on. It returns the cells whose result JSON differs, and the
+// re-reads the fast runs parked per machine, fraction and mode.
+func readMixDiff(t *testing.T, machines ...string) (diffs []string, parked map[string]uint64) {
+	t.Helper()
+	parked = map[string]uint64{}
+	for _, name := range machines {
+		m, err := machine.ByName(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, rf := range []float64{0.25, 0.5, 0.9, 0.99, 1.0} {
+			for _, mode := range readMixModes {
+				group := fmt.Sprintf("%s/%.2f/%s", name, rf, mode.name)
+				for _, n := range []int{1, 2, 8, m.NumHWThreads()} {
+					cfg := quickCfg(m, atomics.CAS, n)
+					cfg.Mode, cfg.ReadFraction = ReadWriteMix, rf
+					mode.edit(&cfg)
+					slow, fast, took := ffDiff(t, cfg)
+					parked[group] += took
+					if slow != fast {
+						diffs = append(diffs, fmt.Sprintf("%s/%d threads\noff: %s\non:  %s", group, n, slow, fast))
+					}
+				}
+			}
+		}
+	}
+	return diffs, parked
+}
+
+// TestReadMixParkDifferential requires every read-mix cell of
+// readMixDiff, on four machines of different topologies, to produce
+// byte-identical Result JSON with fast-forward off (every load a real
+// event) and on (runs of hits parked). So that it cannot pass
+// vacuously, loads must have parked in every mode at every fraction on
+// every machine.
+func TestReadMixParkDifferential(t *testing.T) {
+	diffs, parked := readMixDiff(t, "XeonE5", "KNL", "Grace", "Ideal8")
+	for _, d := range diffs {
+		t.Errorf("parking changed the result: %s", d)
+	}
+	for group, n := range parked {
+		if n == 0 {
+			t.Errorf("%s: no load parked", group)
+		}
+	}
+}

@@ -239,7 +239,8 @@ func (primitives) Setup(c *Cell) error {
 	c.parkLoads = parkingOn(&c.cfg) && loopParks(&c.cfg)
 	for i, th := range c.Threads() {
 		th.next, th.lastSeen, th.expected = 0, 0, 0
-		th.loads, th.loadsAtMeasure = 0, 0
+		th.loads, th.loadsAtMeasure, th.loadsAtIssue = 0, 0, 0
+		th.ahead, th.aheadRMW = 0, false
 		th.spanStart, th.inSpan = 0, false
 		th.state = thStart
 		c.linesFor(th, i)
@@ -385,7 +386,7 @@ func (c *Cell) operate(th *Thread) {
 	th.next = (th.next + 1) % len(th.lines)
 
 	p := c.cfg.Primitive
-	if c.cfg.Mode == ReadWriteMix && th.RNG.Float64() < c.cfg.ReadFraction {
+	if c.cfg.Mode == ReadWriteMix && c.loadCoin(th) {
 		p = atomics.Load
 	}
 	if p == atomics.Load {
@@ -403,21 +404,78 @@ func (c *Cell) operate(th *Thread) {
 		th.expected = th.lastSeen
 		c.mem.Do(p, th.Core, line, th.expected, th.expected+1, th.casDone)
 	default:
-		if p == atomics.Load && c.parkLoads {
-			c.mem.SpinLoad(th.Core, line, th.lastSeen, &th.loads, th.loadDone)
+		// A load whose completion closes a CAS span stays live: slat
+		// times the span to that very completion.
+		if p == atomics.Load && c.parkLoads && !th.inSpan {
+			if c.cfg.Mode == ReadWriteMix {
+				c.loadRun(th, line)
+			} else {
+				c.mem.SpinLoad(th.Core, line, th.lastSeen, 0, &th.loads, th.loadDone)
+			}
 			return
 		}
 		c.mem.Do(p, th.Core, line, 1, 0, th.opDone)
 	}
 }
 
-// loopParks reports whether cfg's loop re-reads one line back to back —
-// loads on one line with no think time in a closed loop, with no read
-// mix — so that a thread holding a valid copy can park on it
-// (atomics.Memory.SpinLoad) under the parking gate.
+// loopParks reports whether cfg's loop issues loads on one line back to
+// back — one line, no think time, a closed loop, and loads that are the
+// primitive or a read mix's load coins — so that a thread holding a
+// valid copy can park its loads on it (atomics.Memory.SpinLoad) under
+// the parking gate. The outcome of the coin decides, not the mode: a
+// mix at fraction 0 never loads and is an RMW loop (memoVerdict).
 func loopParks(cfg *Config) bool {
-	return cfg.Primitive == atomics.Load && cfg.Mode != ReadWriteMix && cfg.Lines == 1 &&
-		cfg.LocalWork == 0 && !cfg.OpenLoop
+	loads := cfg.Primitive == atomics.Load || (cfg.Mode == ReadWriteMix && cfg.ReadFraction > 0)
+	return loads && cfg.Lines == 1 && cfg.LocalWork == 0 && !cfg.OpenLoop
+}
+
+// mixBatch caps the loads one parked run of a read mix stands for, and
+// with it how far ahead a thread draws its coins.
+const mixBatch = 4096
+
+// loadCoin tosses a read-mix thread's coin for its next operation: a
+// load, with probability ReadFraction, or an RMW. Coins drawn ahead
+// (drawAhead) are spent first, in the order they were drawn.
+func (c *Cell) loadCoin(th *Thread) bool {
+	switch {
+	case th.ahead > 0:
+		th.ahead--
+		return true
+	case th.aheadRMW:
+		th.aheadRMW = false
+		return false
+	}
+	return th.RNG.Float64() < c.cfg.ReadFraction
+}
+
+// drawAhead draws a read-mix thread's coins ahead up to its next RMW
+// coin, or until mixBatch-1 load coins are in hand.
+//
+// Drawing early is exact because a thread's RNG stream is its own and,
+// in a loop that parks (loopParks: no think time, closed), feeds
+// nothing but these coins after the start stagger: no think-time draw,
+// no arrival process. Every coin is drawn in stream order and spent in
+// that order, so each operation gets the very coin the one-at-a-time
+// draw gives it; when the window closes on coins never spent, the
+// stream's state is read by nothing.
+func (c *Cell) drawAhead(th *Thread) {
+	for th.ahead < mixBatch-1 && !th.aheadRMW {
+		if th.RNG.Float64() < c.cfg.ReadFraction {
+			th.ahead++
+		} else {
+			th.aheadRMW = true
+		}
+	}
+}
+
+// loadRun issues a read-mix thread's load as the first of the run of
+// loads its coins hold (drawAhead): when it hits the thread's own
+// copy, the run parks for all of them, and the loads its chain ticked
+// spend their coins on completion (mixDone).
+func (c *Cell) loadRun(th *Thread, line coherence.Line) {
+	c.drawAhead(th)
+	th.loadsAtIssue = th.loads
+	c.mem.SpinLoad(th.Core, line, line.Value(), th.ahead+1, &th.loads, th.mixDone)
 }
 
 // skipEndRetract is a mutation hook for tests: set, a parked Load

@@ -1,8 +1,9 @@
 #!/bin/sh
 # Runs a fixed list of the root module's Go benchmarks — the layer
-# numbers of ROADMAP.md: an engine event, a coherence access and the
-# Stats fold over a preset machine's ledger, a full workload cell, a
-# memoized or parked F3 cell, an app cell, a run-log cache open (100
+# numbers of ROADMAP.md: an engine event, a coherence access (a remote
+# RFO handoff and a local L1 read hit) and the Stats fold over a preset
+# machine's ledger, a full workload cell, a memoized or parked F3 cell,
+# a read-mix cell, an app cell, a run-log cache open (100
 # F3-sized lines) and put, a histogram and an F3-sized cell result
 # through the cache's JSON codec each way, one cached F3 cell
 # replayed through the harness fan-out, the validity check over every
@@ -32,11 +33,11 @@ bench() {
 	go test -run '^$' -bench "^(${pat%|})\$" -benchmem -count "$n" "$pkg" >>"$raw"
 }
 bench ./internal/sim BenchmarkEngineScheduleRun BenchmarkEventHeapPushPop
-bench ./internal/coherence BenchmarkCoherenceAccess BenchmarkCoherenceReadShared \
+bench ./internal/coherence BenchmarkCoherenceAccess BenchmarkCoherenceLocalHit BenchmarkCoherenceReadShared \
 	BenchmarkPathCost BenchmarkPathCostMetrics BenchmarkCoherenceAccessMetricsOff \
 	BenchmarkCoherenceAccessMetricsOn BenchmarkCoherenceStats
 bench ./internal/harness BenchmarkFullCell BenchmarkFullCellMetrics \
-	BenchmarkMemoizedCell BenchmarkAppCell BenchmarkReplayCell BenchmarkValidCompact
+	BenchmarkMemoizedCell BenchmarkReadMixCell BenchmarkAppCell BenchmarkReplayCell BenchmarkValidCompact
 bench ./internal/runlog BenchmarkCacheOpen BenchmarkCachePut
 bench ./internal/stats BenchmarkHistogramJSON
 bench ./internal/workload BenchmarkResultJSON

@@ -33,7 +33,8 @@
 # first three run the one shared loader property, speckit.Property,
 # each seeded from its own registry), and the event queue's express
 # lane (Schedule against a heap-only reference) and park lane (parked
-# spinner chains against real repeat events), and finally prints the non-test Go line count per
+# spinner chains, unbounded and with a budget, against real repeat
+# events), and finally prints the non-test Go line count per
 # package (scripts/loc.sh) without gating on it. Run from the repo root.
 set -eu
 
@@ -424,6 +425,14 @@ awk '/BenchmarkMemoizedCell/ { if ($(NF-1) + 0 > 20) exit 1 }' "$dir/bench_memo.
     echo "memoized-cell allocations regressed (allocs/op > 20 at 100 iterations)" >&2
     exit 1
 }
+# The read-mix cells, whose runs of hits park in budgeted chains, hold
+# the same budget.
+go test -run XXX -bench 'BenchmarkReadMixCell$' -benchtime 100x -benchmem \
+    ./internal/harness | tee "$dir/bench_readmix.txt"
+awk '/BenchmarkReadMixCell/ { if ($(NF-1) + 0 > 20) exit 1 }' "$dir/bench_readmix.txt" || {
+    echo "read-mix-cell allocations regressed (allocs/op > 20 at 100 iterations)" >&2
+    exit 1
+}
 # An app cell allocates its structure, per-thread contexts and result
 # once per cell (about 100-200 objects) and nothing per operation; a
 # per-operation allocation adds thousands per cell.
@@ -434,7 +443,7 @@ awk '/BenchmarkAppCell/ { if ($(NF-1) + 0 > 400) exit 1 }' "$dir/bench_app.txt" 
     exit 1
 }
 
-echo "== fuzz smoke (runlog parsers, cache line, histogram and cell-result codecs vs encoding/json, compact-value validator vs json.Valid, job journal replay, topology hops, coherence value chains, machine/workload/app/job specs, Schedule's express lane vs heap-only, park lane)"
+echo "== fuzz smoke (runlog parsers, cache line, histogram and cell-result codecs vs encoding/json, compact-value validator vs json.Valid, job journal replay, topology hops, coherence value chains, machine/workload/app/job specs, Schedule's express lane vs heap-only, park lane with unbounded and budgeted chains)"
 go test -run FuzzNothing -fuzz FuzzCacheLoad -fuzztime 5s ./internal/runlog > /dev/null
 go test -run FuzzNothing -fuzz FuzzManifestValidate -fuzztime 5s ./internal/runlog > /dev/null
 go test -run FuzzNothing -fuzz FuzzCacheLine -fuzztime 5s ./internal/runlog > /dev/null
