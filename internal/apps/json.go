@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 
 	"atomicsmodel/internal/canonjson"
+	"atomicsmodel/internal/metrics"
 	"atomicsmodel/internal/stats"
 )
 
@@ -62,7 +63,7 @@ func (r *RunResult) MarshalJSON() ([]byte, error) {
 	}
 	if r.Metrics != nil {
 		w.Lit(`,"metrics":`)
-		w.Value(r.Metrics)
+		r.Metrics.WriteJSON(&w)
 	}
 	w.Lit("}")
 	return w.Bytes()
@@ -95,7 +96,7 @@ func (r *RunResult) readJSON(b []byte) bool {
 		(!p.Lit(`,"attempts":`) || p.Uint(&v.Attempts)) &&
 		(!p.Lit(`,"eliminations":`) || p.Uint(&v.Eliminations)) &&
 		(!p.Lit(`,"violations":`) || canonjson.Int(&p, &v.Violations)) &&
-		(!p.Lit(`,"metrics":`) || p.Rest(&v.Metrics, "}")) &&
+		(!p.Lit(`,"metrics":`) || metrics.ReadSnapshot(&p, &v.Metrics)) &&
 		p.Lit("}") && p.Done()
 	if ok {
 		v.App = string(app)

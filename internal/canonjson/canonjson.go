@@ -4,9 +4,10 @@
 // floats, escape-free strings, uint64 arrays), and a Writer whose
 // floats and strings come out in encoding/json's exact format.
 //
-// The codecs it serves (the histogram in internal/stats, the cell
-// results in internal/workload and internal/apps, the cache line and
-// the manifest's cell record in internal/runlog) each write the bytes
+// The codecs it serves (the histogram in internal/stats, the metrics
+// snapshot in internal/metrics, the cell results in internal/workload
+// and internal/apps, the cache line and the manifest's cell record in
+// internal/runlog) each write the bytes
 // json.Marshal writes for their type, and each reads its canonical
 // form in one pass. A reader method that meets anything it does not
 // recognise reports false; the codec then hands the whole input to the
@@ -170,19 +171,6 @@ func (p *Reader) Uints(v *[]uint64) bool {
 	return true
 }
 
-// Rest decodes B[I:len(B)-len(end)] into v with json.Unmarshal, if B
-// ends with end, and consumes it: the last field of an object that
-// keeps encoding/json's own codec, end being the bytes that close the
-// object. Whatever json.Unmarshal rejects, Rest reports false for.
-func (p *Reader) Rest(v any, end string) bool {
-	n := len(p.B) - len(end)
-	if n < p.I || string(p.B[n:]) != end || json.Unmarshal(p.B[p.I:n], v) != nil {
-		return false
-	}
-	p.I = n
-	return true
-}
-
 // digits returns the index of the first byte at or after j that is not
 // a decimal digit.
 func (p *Reader) digits(j int) int {
@@ -279,7 +267,7 @@ func (w *Writer) Uints(v []uint64) {
 }
 
 // Value appends json.Marshal(v), which is compact and HTML-safe: for a
-// field that keeps encoding/json's own codec.
+// value the writer has no shortcut for.
 func (w *Writer) Value(v any) {
 	b, err := json.Marshal(v)
 	if err != nil {

@@ -91,6 +91,26 @@ func BenchmarkCoherenceLocalHit(b *testing.B) {
 	}
 }
 
+// BenchmarkCoherenceOwnedWrite measures one write to a line the core
+// already owns: an RFO by the line's owner (M state), which needs no
+// transfer, and its completion event (the engine is drained after each
+// access, as in BenchmarkCoherenceLocalHit). It is the unit of an
+// owner's private-line RMWs and stores, the bulk of a work-stealing
+// deque's accesses.
+func BenchmarkCoherenceOwnedWrite(b *testing.B) {
+	eng, s := benchSystem(b)
+	apply := func(cur uint64) (uint64, bool) { return cur + 1, true }
+	h := s.Handle(1)
+	s.Access(0, h, RFO, 0, apply, nil)
+	eng.Drain()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		s.Access(0, h, RFO, 0, apply, nil)
+		eng.Drain()
+	}
+}
+
 // BenchmarkPathCost measures the per-message cost computation alone:
 // a three-leg requester->home->requester path on the dual ring.
 func BenchmarkPathCost(b *testing.B) {

@@ -342,7 +342,7 @@ type lineState struct {
 	busy bool
 	// queue[qhead:] is the live request window. Grants advance qhead
 	// instead of copying the tail down, so the FIFO common case is O(1)
-	// with no pointer writes; the slice is compacted when it empties.
+	// with no pointer writes; push rewinds or slides the window.
 	queue []*request
 	qhead int
 	// grants counts services granted on this line, ever; paired with
@@ -358,6 +358,31 @@ func (l *lineState) qlen() int { return len(l.queue) - l.qhead }
 // waiting is the live queue window, oldest first. Arbiters index into
 // it; the granted index is relative to this window.
 func (l *lineState) waiting() []*request { return l.queue[l.qhead:] }
+
+// push appends req to the live queue window. An emptied window
+// rewinds so the backing array is reused. A full array whose dead
+// prefix (the granted requests before qhead) is at least half of it
+// slides the live window to the front instead of growing: under
+// sustained contention the head advances but the window stays small,
+// and without the slide the array would double forever. A full array
+// with a shorter dead prefix grows. A slide therefore moves no more
+// pointers than were granted since the previous one, so even under a
+// backlog that outpaces the grants (an open loop past saturation) the
+// moves stay linear in the pushes. Window order (and thus arbiter
+// indices) is unchanged either way.
+func (l *lineState) push(req *request) {
+	switch {
+	case l.qhead > 0 && l.qhead == len(l.queue):
+		l.qhead = 0
+		l.queue = l.queue[:0]
+	case len(l.queue) == cap(l.queue) && 2*l.qhead >= len(l.queue):
+		n := copy(l.queue, l.queue[l.qhead:])
+		clear(l.queue[n:])
+		l.queue = l.queue[:n]
+		l.qhead = 0
+	}
+	l.queue = append(l.queue, req)
+}
 
 // reset returns the line to its never-touched state, keeping the queue
 // and sharer-set capacity for reuse by a pooled system.
@@ -500,17 +525,28 @@ type System struct {
 	// precomputed state, like the hop tables); nil until one of them
 	// needs it.
 	occLegs *linkLegs
+	// With metrics on and no bandwidth network, pathCost does not walk
+	// a leg's links: legRuns counts the messages sent along each node
+	// pair's leg (indexed a*tn+b) since the registry last settled, and
+	// legsRun lists the legs whose count is nonzero. settleLinks folds
+	// them into mOccLink, each link charged count times its busy time
+	// (the same uint64 sums, wrap-around included, as charging each
+	// message), and the registry runs it before anything reads its
+	// instruments (metrics.Registry.SetSettle). settleFn is settleLinks
+	// bound once, with the counts, so installing it again for the next
+	// cell allocates nothing.
+	legRuns  []uint64
+	legsRun  []int32
+	settleFn func()
 }
 
 // linkLegs lists the links a message crosses between every (source,
-// destination) node pair, in one flat array, and the time crossing
-// each link takes: the bandwidth network's transit time, and the busy
-// time metrics-on attribution charges the link.
+// destination) node pair — the route table the system's pair table
+// shares with every other system on the machine — and the time
+// crossing each link takes: the bandwidth network's transit time, and
+// the busy time metrics-on attribution charges the link.
 type linkLegs struct {
-	// at indexes links: the pair (a, b)'s links are
-	// links[at[a*tn+b]:at[a*tn+b+1]], in order.
-	at    []int32
-	links []int32
+	routes *topology.Routes
 	// busy is each link's crossing time: HopLatency times its transit
 	// multiple.
 	busy []uint64
@@ -545,7 +581,7 @@ func NewSystem(eng *sim.Engine, p Params, arb Arbiter) (*System, error) {
 	}
 	s.thops, s.tcross = p.Pairs.Flat()
 	if p.LinkOccupancy > 0 {
-		s.occLegs = newLinkLegs(p.Topo, n, p.HopLatency)
+		s.occLegs = newLinkLegs(&p)
 		s.net = newNetwork(s.occLegs, p.LinkOccupancy)
 	}
 	s.classes = make([]uint64, ClassOf(SrcDRAM, 3*int(slices.Max(s.thops)), true)+1)
@@ -596,13 +632,15 @@ func (s *System) pathCost(proc sim.Time, nodes [4]int, n int) (total sim.Time, h
 	}
 	if s.net == nil {
 		if s.mOccLink != nil {
-			// No bandwidth model: charge each traversed link its transit
-			// time so utilization still names the hottest wire.
+			// No bandwidth model: each traversed link is charged its
+			// transit time, so utilization still names the hottest
+			// wire. Count the leg here; settleLinks charges its links.
 			for i := 1; i < n; i++ {
-				leg, o := nodes[i-1]*s.tn+nodes[i], s.occLegs
-				for _, l := range o.links[o.at[leg]:o.at[leg+1]] {
-					s.mOccLink.Add(int(l), o.busy[l])
+				leg := nodes[i-1]*s.tn + nodes[i]
+				if s.legRuns[leg] == 0 {
+					s.legsRun = append(s.legsRun, int32(leg))
 				}
+				s.legRuns[leg]++
 			}
 		}
 		return proc + sim.Time(hops)*s.p.HopLatency, hops
@@ -657,36 +695,59 @@ func (s *System) InstallMetrics(r *metrics.Registry) {
 	// Occupancy vectors: directory busy time per home node, line busy
 	// time per tracked line, link busy time per interconnect link. Link
 	// attribution needs routing paths: the bandwidth network carries
-	// them when it is on; otherwise every node pair's links and their
-	// busy times are listed once here (registry installation is setup
-	// time, not the hot path).
+	// them when it is on; otherwise the system takes the pair table's
+	// shared routes and its links' busy times once, and counts legs
+	// for r to settle (see legRuns).
 	s.mOccDir = r.Vector(metrics.CohDirBusy, s.tn)
 	s.mOccLine = r.Vector(metrics.CohLineBusy, maxTrackedLines)
 	s.mOccLink = r.Vector(metrics.CohLinkBusy, s.p.Topo.Links())
-	if s.net != nil {
+	s.clearLegRuns()
+	switch {
+	case s.net != nil:
 		s.net.mOccLink = s.mOccLink
-	} else if r != nil && s.occLegs == nil {
-		s.occLegs = newLinkLegs(s.p.Topo, s.tn, s.p.HopLatency)
+	case r != nil:
+		if s.occLegs == nil {
+			s.occLegs = newLinkLegs(&s.p)
+		}
+		if s.legRuns == nil {
+			s.legRuns = make([]uint64, s.tn*s.tn)
+			s.settleFn = s.settleLinks
+		}
+		r.SetSettle(s.settleFn)
 	}
 }
 
-// newLinkLegs lists topo's links between every pair of its n nodes,
-// and charges each link hop times its transit multiple.
-func newLinkLegs(topo topology.Topology, n int, hop sim.Time) *linkLegs {
-	o := &linkLegs{at: make([]int32, 1, n*n+1), busy: make([]uint64, topo.Links())}
-	for a := 0; a < n; a++ {
-		for b := 0; b < n; b++ {
-			for _, l := range topo.Path(a, b) {
-				o.links = append(o.links, int32(l))
-			}
-			o.at = append(o.at, int32(len(o.links)))
-		}
-	}
-	o.links = slices.Clone(o.links) // drop append's spare capacity: the table lives with the system
+// newLinkLegs lists the links between every pair of p's nodes, from
+// the route table p's pair table shares, and charges each link
+// HopLatency times its transit multiple.
+func newLinkLegs(p *Params) *linkLegs {
+	o := &linkLegs{routes: p.Pairs.Routes(), busy: make([]uint64, p.Topo.Links())}
 	for l := range o.busy {
-		o.busy[l] = uint64(hop) * uint64(topo.LinkTransit(l))
+		o.busy[l] = uint64(p.HopLatency) * uint64(p.Topo.LinkTransit(l))
 	}
 	return o
+}
+
+// settleLinks charges each link of every leg pathCost counted its busy
+// time once per message, and clears the counts. It is the registry's
+// settle hook (see legRuns).
+func (s *System) settleLinks() {
+	o := s.occLegs
+	for _, leg := range s.legsRun {
+		k := s.legRuns[leg]
+		for _, l := range o.routes.Leg(int(leg)) {
+			s.mOccLink.Add(int(l), k*o.busy[l])
+		}
+	}
+	s.clearLegRuns()
+}
+
+// clearLegRuns drops the leg counts not yet settled.
+func (s *System) clearLegRuns() {
+	for _, leg := range s.legsRun {
+		s.legRuns[leg] = 0
+	}
+	s.legsRun = s.legsRun[:0]
 }
 
 // SetArbiter replaces the line arbiter (nil means FIFO). Pooled systems
@@ -871,24 +932,7 @@ func (s *System) access(core int, l *lineState, kind Kind, hold sim.Time, apply 
 		s.grant(l, req)
 		return
 	}
-	if l.qhead > 0 && l.qhead == len(l.queue) {
-		// The window emptied: rewind so the backing array is reused.
-		l.qhead = 0
-		l.queue = l.queue[:0]
-	} else if l.qhead > 0 && len(l.queue) == cap(l.queue) {
-		// About to grow: slide the live window to the front instead.
-		// Under sustained contention the head advances but the window
-		// stays small, so without this the backing array would double
-		// forever. Window order (and thus arbiter indices) is
-		// unchanged.
-		n := copy(l.queue, l.queue[l.qhead:])
-		for i := n; i < len(l.queue); i++ {
-			l.queue[i] = nil
-		}
-		l.queue = l.queue[:n]
-		l.qhead = 0
-	}
-	l.queue = append(l.queue, req)
+	l.push(req)
 	if !l.busy {
 		s.serveNext(l)
 	}

@@ -40,7 +40,7 @@ func newNetwork(legs *linkLegs, occupancy sim.Time) *network {
 func (nw *network) transit(at sim.Time, leg int) sim.Time {
 	o := nw.legs
 	t := at
-	for _, l := range o.links[o.at[leg]:o.at[leg+1]] {
+	for _, l := range o.routes.Leg(leg) {
 		start := t
 		if nw.free[l] > start {
 			nw.stalled += nw.free[l] - start

@@ -23,6 +23,13 @@
 //     Marshal/Unmarshal/Marshal cycle byte-identically, which is what
 //     lets cell snapshots ride the internal/runlog resume cache: a
 //     resumed run replays exactly the snapshot the fresh run recorded.
+//     The codec is hand-written (json.go): it writes encoding/json's
+//     bytes for the type and reads that canonical form in one pass,
+//     handing any other input to the generic encoding/json decode.
+//   - A layer may count in its own cheaper form and fold into its
+//     instruments late (SetSettle): the registry runs the fold before
+//     every read of its instruments — Reset, CopyInto, AddScaledDiff
+//     and SnapshotInto — so no reader sees the difference.
 //
 // Registries are single-threaded by design: one registry belongs to one
 // simulation cell (one engine), mirroring the harness rule that
@@ -175,6 +182,9 @@ type Registry struct {
 	hists    map[string]*Histogram
 	// names is SnapshotInto's reusable sort buffer.
 	names []string
+	// settle folds what an instrumented layer counted outside the
+	// registry into its instruments (SetSettle); nil when none does.
+	settle func()
 }
 
 // New returns an empty registry.
@@ -186,12 +196,13 @@ func New() *Registry {
 	}
 }
 
-// Recycle unregisters every instrument, keeping their storage: the
-// registry then behaves exactly like New() (handles taken earlier must
-// not be used again), but registering the same names again reuses the
-// old instruments instead of allocating. Cell runners pool one registry
-// each through it.
+// Recycle unregisters every instrument, keeping their storage, and
+// removes the settle hook: the registry then behaves exactly like New()
+// (handles taken earlier must not be used again), but registering the
+// same names again reuses the old instruments instead of allocating.
+// Cell runners pool one registry each through it.
 func (r *Registry) Recycle() {
+	r.settle = nil
 	for _, c := range r.counters {
 		c.live = false
 	}
@@ -273,13 +284,37 @@ func (r *Registry) Histogram(name string) *Histogram {
 	return h
 }
 
+// SetSettle installs fn as the registry's settle hook (nil removes
+// it): a layer that counts in its own form, cheaper on its hot path
+// than an instrument's, folds those counts into its instruments in fn.
+// The registry runs fn before every read of its instruments — Reset,
+// CopyInto (on the source), AddScaledDiff and SnapshotInto — so each
+// of them sees exactly what direct increments would have left; a
+// direct read of a handle (Vector.Values) does not settle. A registry
+// holds one hook, and Recycle removes it. fn is kept, not copied, so
+// a caller that prebakes it once installs it without allocating.
+func (r *Registry) SetSettle(fn func()) {
+	if r != nil {
+		r.settle = fn
+	}
+}
+
+// settleNow runs the settle hook, if one is installed.
+func (r *Registry) settleNow() {
+	if r.settle != nil {
+		r.settle()
+	}
+}
+
 // Reset zeroes every registered instrument, keeping registrations and
-// handles valid. Workloads call it at the end of warmup so snapshots
+// handles valid; what the settle hook holds is settled first, and so
+// zeroed too. Workloads call it at the end of warmup so snapshots
 // cover exactly the measured window.
 func (r *Registry) Reset() {
 	if r == nil {
 		return
 	}
+	r.settleNow()
 	for _, c := range r.counters {
 		c.v = 0
 	}
@@ -294,8 +329,10 @@ func (r *Registry) Reset() {
 // CopyInto makes dst's instruments an exact copy of r's registered
 // ones, registering them in dst as needed; once dst holds them all it
 // allocates nothing. It is the baseline capture of the fast-forward
-// layer (internal/workload), paired with AddScaledDiff.
+// layer (internal/workload), paired with AddScaledDiff. r is settled
+// first; dst's hook does not run.
 func (r *Registry) CopyInto(dst *Registry) {
+	r.settleNow()
 	for name, c := range r.counters {
 		if c.live {
 			dst.Counter(name).v = c.v
@@ -319,8 +356,9 @@ func (r *Registry) CopyInto(dst *Registry) {
 // their delta. Histogram maxima stay put — the recorded growth already
 // observed every value the k repetitions would repeat. It is the
 // fast-forward hook for crediting elided steady-state cycles, like
-// stats.Histogram.AddScaledDiff.
+// stats.Histogram.AddScaledDiff. r is settled first.
 func (r *Registry) AddScaledDiff(base *Registry, k uint64) {
+	r.settleNow()
 	for name, c := range r.counters {
 		if c.live {
 			c.v += (c.v - base.counters[name].v) * k
@@ -384,9 +422,9 @@ func (h *HistSnap) Mean() float64 {
 }
 
 // Snapshot is a registry's state frozen for transport: sorted by name,
-// integers only, byte-exact under a JSON round trip. Cell results carry
-// one (see workload.Result.Metrics), which is how snapshots persist
-// through run manifests and survive resume.
+// integers only, byte-exact under a JSON round trip (its codec is in
+// json.go). Cell results carry one (see workload.Result.Metrics), which
+// is how snapshots persist through run manifests and survive resume.
 type Snapshot struct {
 	Counters []CounterSnap `json:"counters,omitempty"`
 	Vectors  []VectorSnap  `json:"vectors,omitempty"`
@@ -405,6 +443,7 @@ func (r *Registry) SnapshotInto(s *Snapshot) *Snapshot {
 	if r == nil {
 		return nil
 	}
+	r.settleNow()
 	names := r.names[:0]
 	for name, c := range r.counters {
 		if c.live {

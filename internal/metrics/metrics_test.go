@@ -252,3 +252,46 @@ func TestCopyIntoAddScaledDiff(t *testing.T) {
 		t.Fatalf("scaled registry\n%s\nwant\n%s", got, want)
 	}
 }
+
+// TestSettleBeforeEveryRead: a registry runs its settle hook before
+// each of its four readers, so a layer that counts on the side and
+// folds in the hook is read exactly; Recycle removes the hook.
+func TestSettleBeforeEveryRead(t *testing.T) {
+	r := New()
+	v := r.Vector("v", 2)
+	pending := uint64(0)
+	runs := 0
+	r.SetSettle(func() {
+		runs++
+		v.Add(1, pending)
+		pending = 0
+	})
+	pending = 5
+	if got := r.Snapshot().Vector("v"); got[1] != 5 {
+		t.Fatalf("SnapshotInto read %v before settling", got)
+	}
+	pending = 7
+	r.Reset()
+	if v.Values()[1] != 0 {
+		t.Fatalf("Reset left %v: the settled counts must be zeroed too", v.Values())
+	}
+	pending = 3
+	base := New()
+	r.CopyInto(base)
+	if got := base.Vector("v", 2).Values()[1]; got != 3 {
+		t.Fatalf("CopyInto copied %d before settling, want 3", got)
+	}
+	pending = 2
+	r.AddScaledDiff(base, 4)
+	if got := v.Values()[1]; got != 3+2*5 {
+		t.Fatalf("AddScaledDiff gave %d, want %d", got, 3+2*5)
+	}
+	if runs != 4 {
+		t.Fatalf("hook ran %d times over four reads", runs)
+	}
+	r.Recycle()
+	r.Snapshot()
+	if runs != 4 {
+		t.Fatal("Recycle kept the settle hook")
+	}
+}

@@ -17,7 +17,11 @@
 // covers adding a topology.
 package topology
 
-import "fmt"
+import (
+	"fmt"
+	"slices"
+	"sync"
+)
 
 // Topology describes an interconnect's geometry.
 type Topology interface {
@@ -122,18 +126,23 @@ func (c *Crossbar) CrossSocket(a, b int) bool { return false }
 
 // PairTable is a topology's hop count and cross-socket flag for every
 // ordered pair of nodes, read by index instead of by a call through
-// the Topology interface. It is immutable once built, so any number of
-// goroutines may read one.
+// the Topology interface, and, on demand, its route table (Routes). It
+// is immutable once built, so any number of goroutines may read one.
 type PairTable struct {
 	n     int
 	hops  []int32
 	cross []bool
+	// topo is the tabulated topology; routes is its route table once
+	// Routes has built it.
+	topo       Topology
+	routesOnce sync.Once
+	routes     *Routes
 }
 
 // NewPairTable tabulates t's Hops and CrossSocket over all node pairs.
 func NewPairTable(t Topology) *PairTable {
 	n := t.Nodes()
-	p := &PairTable{n: n, hops: make([]int32, n*n), cross: make([]bool, n*n)}
+	p := &PairTable{n: n, hops: make([]int32, n*n), cross: make([]bool, n*n), topo: t}
 	for a := 0; a < n; a++ {
 		for b := 0; b < n; b++ {
 			p.hops[a*n+b] = int32(t.Hops(a, b))
@@ -159,3 +168,44 @@ func (p *PairTable) Nodes() int { return p.n }
 // arrays, shared with every other reader, so the caller must not write
 // them.
 func (p *PairTable) Flat() (hops []int32, cross []bool) { return p.hops, p.cross }
+
+// Routes returns the route table of the tabulated topology. It is
+// built on the first call and shared by every later one, so each
+// reader of a shared pair table (machine.Machine.NodePairs) shares its
+// routes too; concurrent callers wait for that one build.
+func (p *PairTable) Routes() *Routes {
+	p.routesOnce.Do(func() { p.routes = newRoutes(p.topo) })
+	return p.routes
+}
+
+// Routes lists the links a message crosses between every ordered pair
+// of a topology's nodes (its Path), in one flat table. It is immutable
+// once built, so any number of goroutines may read one.
+type Routes struct {
+	// at indexes links: the pair (a, b)'s links are
+	// links[at[a*n+b]:at[a*n+b+1]], in order.
+	at    []int32
+	links []int32
+}
+
+// newRoutes tabulates t's Path over all node pairs.
+func newRoutes(t Topology) *Routes {
+	n := t.Nodes()
+	r := &Routes{at: make([]int32, 1, n*n+1)}
+	for a := 0; a < n; a++ {
+		for b := 0; b < n; b++ {
+			for _, l := range t.Path(a, b) {
+				r.links = append(r.links, int32(l))
+			}
+			r.at = append(r.at, int32(len(r.links)))
+		}
+	}
+	r.links = slices.Clone(r.links) // drop append's spare capacity: the table is long-lived
+	return r
+}
+
+// Leg returns the links of the pair (a, b) whose index leg is
+// a*Nodes()+b, in order: the route of Path(a, b). The slice is the
+// table's own, shared with every other reader, so the caller must not
+// write it.
+func (r *Routes) Leg(leg int) []int32 { return r.links[r.at[leg]:r.at[leg+1]] }

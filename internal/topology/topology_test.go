@@ -1,6 +1,7 @@
 package topology
 
 import (
+	"sync"
 	"testing"
 	"testing/quick"
 )
@@ -206,5 +207,42 @@ func TestNames(t *testing.T) {
 	}
 	if NewCrossbar(3).Name() != "crossbar-3" {
 		t.Error("crossbar name")
+	}
+}
+
+// TestRoutesBuiltOnce: goroutines asking one pair table for its routes
+// at once all get the one table built for it, and it lists each pair's
+// Path.
+func TestRoutesBuiltOnce(t *testing.T) {
+	topo := NewMesh2D(5, 4)
+	pt := NewPairTable(topo)
+	got := make([]*Routes, 8)
+	var wg sync.WaitGroup
+	for i := range got {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			got[i] = pt.Routes()
+		}(i)
+	}
+	wg.Wait()
+	n := topo.Nodes()
+	for i, r := range got {
+		if r != got[0] {
+			t.Fatalf("goroutine %d got its own route table", i)
+		}
+	}
+	for a := 0; a < n; a++ {
+		for b := 0; b < n; b++ {
+			path, leg := topo.Path(a, b), got[0].Leg(a*n+b)
+			if len(path) != len(leg) {
+				t.Fatalf("route %d->%d = %v, Path = %v", a, b, leg, path)
+			}
+			for k := range path {
+				if int(leg[k]) != path[k] {
+					t.Fatalf("route %d->%d = %v, Path = %v", a, b, leg, path)
+				}
+			}
+		}
 	}
 }

@@ -108,6 +108,10 @@ type Cell struct {
 	// atomics.Memory.SpinLoad (loopParks), whose parked re-reads the
 	// window credits when it closes (creditParkedLoads).
 	parkLoads bool
+	// certainLoads says every read-mix coin comes up load (ReadFraction
+	// 1) in a loop whose thread RNGs feed nothing but the coins
+	// (loopParks), so no coin is drawn (loadCoin, drawAhead).
+	certainLoads bool
 
 	// Per-thread op accounting (record): perOps counts each thread's
 	// measured operations, total every operation completed over the

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 
 	"atomicsmodel/internal/canonjson"
+	"atomicsmodel/internal/metrics"
 	"atomicsmodel/internal/stats"
 )
 
@@ -19,8 +20,8 @@ import (
 // without the line breaks: fields in declaration order, Config left
 // out, null for a nil slice or histogram, histograms in their own
 // canonical form (internal/stats), floats as json.Marshal writes them,
-// and "metrics" only when a snapshot is present, encoded and decoded by
-// encoding/json itself. The writer fails where json.Marshal fails (NaN
+// and "metrics" only when a snapshot is present, in its own canonical
+// form (internal/metrics). The writer fails where json.Marshal fails (NaN
 // or ±Inf). The reader takes exactly that form, in one pass, and hands
 // any other input (whitespace, another field order or spelling, a
 // repeated key) to the generic decode of genericResult, so every input
@@ -98,7 +99,7 @@ func (r *Result) MarshalJSON() ([]byte, error) {
 	w.Lit("}")
 	if r.Metrics != nil {
 		w.Lit(`,"metrics":`)
-		w.Value(r.Metrics)
+		r.Metrics.WriteJSON(&w)
 	}
 	w.Lit("}")
 	return w.Bytes()
@@ -148,7 +149,7 @@ func (r *Result) readJSON(b []byte) bool {
 		p.Lit(`,"MaxQueueLen":`) && canonjson.Int(&p, &c.MaxQueueLen) &&
 		p.Lit(`,"LinkStall":`) && canonjson.Int(&p, &c.LinkStall) &&
 		p.Lit("}") &&
-		(!p.Lit(`,"metrics":`) || p.Rest(&v.Metrics, "}")) &&
+		(!p.Lit(`,"metrics":`) || metrics.ReadSnapshot(&p, &v.Metrics)) &&
 		p.Lit("}") && p.Done()
 	if ok {
 		*r = v

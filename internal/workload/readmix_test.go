@@ -2,10 +2,12 @@ package workload
 
 import (
 	"fmt"
+	"math"
 	"testing"
 
 	"atomicsmodel/internal/atomics"
 	"atomicsmodel/internal/machine"
+	"atomicsmodel/internal/sim"
 )
 
 // readMixModes are the three ways the read-mix differential runs each
@@ -70,6 +72,61 @@ func TestReadMixParkDifferential(t *testing.T) {
 	for group, n := range parked {
 		if n == 0 {
 			t.Errorf("%s: no load parked", group)
+		}
+	}
+}
+
+// TestCertainCoinsSkipDraws holds the undrawn coins of a read mix at
+// fraction 1.00 (certainLoads) to the drawn coins of the same mix at
+// the largest fraction below 1, whose every draw also says load (no
+// Float64 reaches it but the one value 1-2^-53, at odds of 2^-53 a
+// draw): the two results must be byte-identical, with fast-forward
+// off and on. The shapes cover the loop that skips its draws (one
+// line, no think time, closed) and loops whose RNG feeds something
+// else too, which must keep drawing: jittered think time, an open loop
+// and several lines.
+func TestCertainCoinsSkipDraws(t *testing.T) {
+	below := math.Nextafter(1, 0)
+	shapes := []struct {
+		name string
+		edit func(*Config)
+	}{
+		{"parked", func(*Config) {}},
+		{"jitter", func(c *Config) { c.LocalWork, c.WorkJitter = 20*sim.Nanosecond, true }},
+		{"open-loop", func(c *Config) { c.OpenLoop, c.OpenLoopInterarrival = true, 200*sim.Nanosecond }},
+		{"lines4", func(c *Config) { c.Lines = 4 }},
+	}
+	defer SetFastForward(true)
+	for _, name := range []string{"XeonE5", "KNL"} {
+		m, err := machine.ByName(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, sh := range shapes {
+			for _, mode := range readMixModes[:2] {
+				for _, n := range []int{1, 8} {
+					for _, ff := range []bool{false, true} {
+						SetFastForward(ff)
+						cfg := quickCfg(m, atomics.CAS, n)
+						cfg.Mode = ReadWriteMix
+						sh.edit(&cfg)
+						mode.edit(&cfg)
+						var got [2]string
+						for i, rf := range []float64{1, below} {
+							cfg.ReadFraction = rf
+							r, err := Run(cfg)
+							if err != nil {
+								t.Fatal(err)
+							}
+							got[i] = resultJSON(t, r)
+						}
+						if got[0] != got[1] {
+							t.Errorf("%s/%s/%s/%d threads/fast-forward %v: fraction 1 and %v differ\n1:     %s\nbelow: %s",
+								name, sh.name, mode.name, n, ff, below, got[0], got[1])
+						}
+					}
+				}
+			}
 		}
 	}
 }

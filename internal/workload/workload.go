@@ -237,6 +237,7 @@ func (primitives) Setup(c *Cell) error {
 	c.mReads = c.reg.Counter(metrics.WorkReads)
 	c.mRMWs = c.reg.Counter(metrics.WorkRMWs)
 	c.parkLoads = parkingOn(&c.cfg) && loopParks(&c.cfg)
+	c.certainLoads = c.cfg.Mode == ReadWriteMix && c.cfg.ReadFraction >= 1 && loopParks(&c.cfg)
 	for i, th := range c.Threads() {
 		th.next, th.lastSeen, th.expected = 0, 0, 0
 		th.loads, th.loadsAtMeasure, th.loadsAtIssue = 0, 0, 0
@@ -435,7 +436,11 @@ const mixBatch = 4096
 
 // loadCoin tosses a read-mix thread's coin for its next operation: a
 // load, with probability ReadFraction, or an RMW. Coins drawn ahead
-// (drawAhead) are spent first, in the order they were drawn.
+// (drawAhead) are spent first, in the order they were drawn. A coin
+// whose outcome is certain (certainLoads) is not drawn: skipping the
+// draw is exact by drawAhead's argument, since the thread's RNG
+// stream feeds nothing else in such a loop, and only the stream's
+// state, which nothing reads, differs.
 func (c *Cell) loadCoin(th *Thread) bool {
 	switch {
 	case th.ahead > 0:
@@ -444,6 +449,8 @@ func (c *Cell) loadCoin(th *Thread) bool {
 	case th.aheadRMW:
 		th.aheadRMW = false
 		return false
+	case c.certainLoads:
+		return true
 	}
 	return th.RNG.Float64() < c.cfg.ReadFraction
 }
@@ -458,7 +465,14 @@ func (c *Cell) loadCoin(th *Thread) bool {
 // that order, so each operation gets the very coin the one-at-a-time
 // draw gives it; when the window closes on coins never spent, the
 // stream's state is read by nothing.
+//
+// Certain coins (certainLoads) are not drawn: the thread holds
+// mixBatch-1 load coins at once, as the draws would give it.
 func (c *Cell) drawAhead(th *Thread) {
+	if c.certainLoads {
+		th.ahead = mixBatch - 1
+		return
+	}
 	for th.ahead < mixBatch-1 && !th.aheadRMW {
 		if th.RNG.Float64() < c.cfg.ReadFraction {
 			th.ahead++

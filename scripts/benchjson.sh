@@ -1,11 +1,12 @@
 #!/bin/sh
 # Runs a fixed list of the root module's Go benchmarks — the layer
 # numbers of ROADMAP.md: an engine event, a coherence access (a remote
-# RFO handoff and a local L1 read hit) and the Stats fold over a preset
-# machine's ledger, a full workload cell, a memoized or parked F3 cell,
-# a read-mix cell, an app cell, a run-log cache open (100
-# F3-sized lines) and put, a histogram and an F3-sized cell result
-# through the cache's JSON codec each way, one cached F3 cell
+# RFO handoff, a local L1 read hit and a write to an owned line) and
+# the Stats fold over a preset machine's ledger, a full workload cell,
+# a memoized or parked F3 cell, a read-mix cell, an app cell, a run-log
+# cache open (100 F3-sized lines) and put, a histogram, a fleet-sized
+# metrics snapshot and an F3-sized cell result through the cache's
+# JSON codec each way, one cached F3 cell
 # replayed through the harness fan-out, the validity check over every
 # value of a -quick cache (canonjson.ValidCompact against json.Valid),
 # and one detailed-model prediction for 36 threads on XeonE5 — N times
@@ -33,13 +34,15 @@ bench() {
 	go test -run '^$' -bench "^(${pat%|})\$" -benchmem -count "$n" "$pkg" >>"$raw"
 }
 bench ./internal/sim BenchmarkEngineScheduleRun BenchmarkEventHeapPushPop
-bench ./internal/coherence BenchmarkCoherenceAccess BenchmarkCoherenceLocalHit BenchmarkCoherenceReadShared \
+bench ./internal/coherence BenchmarkCoherenceAccess BenchmarkCoherenceLocalHit BenchmarkCoherenceOwnedWrite \
+	BenchmarkCoherenceReadShared \
 	BenchmarkPathCost BenchmarkPathCostMetrics BenchmarkCoherenceAccessMetricsOff \
 	BenchmarkCoherenceAccessMetricsOn BenchmarkCoherenceStats
 bench ./internal/harness BenchmarkFullCell BenchmarkFullCellMetrics \
 	BenchmarkMemoizedCell BenchmarkReadMixCell BenchmarkAppCell BenchmarkReplayCell BenchmarkValidCompact
 bench ./internal/runlog BenchmarkCacheOpen BenchmarkCachePut
 bench ./internal/stats BenchmarkHistogramJSON
+bench ./internal/metrics BenchmarkSnapshotJSON
 bench ./internal/workload BenchmarkResultJSON
 bench ./internal/core BenchmarkPredictHigh
 

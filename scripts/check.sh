@@ -26,8 +26,9 @@
 # smoke (submit → poll → dedup → SIGTERM drain), a bench smoke
 # enforcing the simulation path's allocation budget, and short
 # native-fuzz passes over the run-log parsers (each one-pass codec of
-# the cell cache, the cache line, the histogram and the workload and
-# app cell results, against encoding/json, and the compact-value
+# the cell cache, the cache line, the histogram, the metrics snapshot
+# and the workload and app cell results, against encoding/json, and
+# the compact-value
 # validator against json.Valid), topology hop
 # computation, the machine, workload, app and job spec loaders (the
 # first three run the one shared loader property, speckit.Property,
@@ -443,11 +444,12 @@ awk '/BenchmarkAppCell/ { if ($(NF-1) + 0 > 400) exit 1 }' "$dir/bench_app.txt" 
     exit 1
 }
 
-echo "== fuzz smoke (runlog parsers, cache line, histogram and cell-result codecs vs encoding/json, compact-value validator vs json.Valid, job journal replay, topology hops, coherence value chains, machine/workload/app/job specs, Schedule's express lane vs heap-only, park lane with unbounded and budgeted chains)"
+echo "== fuzz smoke (runlog parsers, cache line, histogram, metrics-snapshot and cell-result codecs vs encoding/json, compact-value validator vs json.Valid, job journal replay, topology hops, coherence value chains, machine/workload/app/job specs, Schedule's express lane vs heap-only, park lane with unbounded and budgeted chains)"
 go test -run FuzzNothing -fuzz FuzzCacheLoad -fuzztime 5s ./internal/runlog > /dev/null
 go test -run FuzzNothing -fuzz FuzzManifestValidate -fuzztime 5s ./internal/runlog > /dev/null
 go test -run FuzzNothing -fuzz FuzzCacheLine -fuzztime 5s ./internal/runlog > /dev/null
 go test -run FuzzNothing -fuzz FuzzHistogramJSON -fuzztime 5s ./internal/stats > /dev/null
+go test -run FuzzNothing -fuzz FuzzSnapshotJSON -fuzztime 5s ./internal/metrics > /dev/null
 go test -run FuzzNothing -fuzz FuzzValidCompact -fuzztime 5s ./internal/canonjson > /dev/null
 go test -run FuzzNothing -fuzz FuzzResultJSON -fuzztime 5s ./internal/workload > /dev/null
 go test -run FuzzNothing -fuzz FuzzRunResultJSON -fuzztime 5s ./internal/apps > /dev/null
