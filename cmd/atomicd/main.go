@@ -13,7 +13,6 @@
 //	atomicd -dir run/ -queue 32   # admission queue depth (full → 429)
 //	atomicd -dir run/ -perclient 8# per-client in-flight cap (→ 429)
 //	atomicd -dir run/ -deadline 5m# per-job wall-clock deadline
-//	atomicd -dir run/ -retries 2  # job retries (capped backoff + jitter)
 //	atomicd -checkjournal run/    # validate a job journal and exit
 //	atomicd -dir run/ -faults crash=20   # crash drill: hard-exit after 20 cells
 //
@@ -21,10 +20,12 @@
 // (useful with -addr :0 under test harnesses), journals every job
 // write-ahead to <dir>/jobs.jsonl, and shares <dir>/cells.jsonl with
 // the CLI tools — a job killed mid-run resumes from its completed
-// cells on the next start. SIGTERM/SIGINT drains: admission stops
-// (429/503), accepted jobs finish, state flushes, then it exits 0. A
-// second signal aborts the drain immediately; the journal recovers
-// whatever was cut off.
+// cells on the next start. A job runs once per submission: a failed
+// job stays failed until a client resubmits it, and the resubmission
+// replays the cells the failed run finished. SIGTERM/SIGINT drains:
+// admission stops (429/503), accepted jobs finish, state flushes, then
+// it exits 0. A second signal aborts the drain immediately; the journal
+// recovers whatever was cut off.
 package main
 
 import (
@@ -56,7 +57,6 @@ func main() {
 		queue     = flag.Int("queue", 16, "admission queue depth; a full queue sheds submits with 429")
 		perClient = flag.Int("perclient", 4, "max queued+running jobs per client (X-Client header or remote host)")
 		deadline  = flag.Duration("deadline", 10*time.Minute, "per-job wall-clock deadline")
-		retries   = flag.Int("retries", 1, "job retry attempts after a failure (capped exponential backoff with jitter)")
 		par       = flag.Int("par", runtime.NumCPU(), "max concurrent simulation cells per job")
 		cellTO    = flag.Duration("celltimeout", 0, "wall-clock watchdog deadline per simulation cell (0 = none)")
 		drainTO   = flag.Duration("draintimeout", 2*time.Minute, "max time to let accepted jobs finish on SIGTERM before exiting anyway")
@@ -97,7 +97,6 @@ func main() {
 		QueueDepth:  *queue,
 		PerClient:   *perClient,
 		JobDeadline: *deadline,
-		JobRetries:  jobRetries(*retries),
 		CellPar:     *par,
 		CellTimeout: *cellTO,
 		Faults:      plan,
@@ -166,14 +165,4 @@ func main() {
 func fatal(err error) {
 	fmt.Fprintln(os.Stderr, err)
 	os.Exit(1)
-}
-
-// jobRetries maps the -retries flag onto jobs.Config.JobRetries, where
-// zero asks for the library default (one retry): a flag value of zero
-// means no retry at all.
-func jobRetries(flagValue int) int {
-	if flagValue == 0 {
-		return -1
-	}
-	return flagValue
 }

@@ -226,14 +226,3 @@ func fetchResult(t *testing.T, addr, id string) []byte {
 	}
 	return b
 }
-
-// TestRetriesFlagZeroMeansNone pins the -retries mapping: zero, the
-// value that asks for no retry, must not reach jobs.Config as zero,
-// which the library reads as "default" (one retry).
-func TestRetriesFlagZeroMeansNone(t *testing.T) {
-	for flagValue, want := range map[int]int{0: -1, 1: 1, 3: 3, -1: -1} {
-		if got := jobRetries(flagValue); got != want {
-			t.Errorf("jobRetries(%d) = %d, want %d", flagValue, got, want)
-		}
-	}
-}

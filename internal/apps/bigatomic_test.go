@@ -1,21 +1,32 @@
-package atomics
+package apps
 
 import (
 	"testing"
 
+	"atomicsmodel/internal/atomics"
 	"atomicsmodel/internal/coherence"
 	"atomicsmodel/internal/machine"
 	"atomicsmodel/internal/sim"
 )
 
-const bigBase coherence.LineID = 1 << 10
+// bigMemory is an 8-core ideal machine's memory for the big-atomic
+// tests, which drive Read and Update directly.
+func bigMemory(t *testing.T) (*sim.Engine, *atomics.Memory) {
+	t.Helper()
+	eng := sim.NewEngine()
+	mem, err := atomics.NewMemory(eng, machine.Ideal(8), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return eng, mem
+}
 
 func TestBigAtomicValidation(t *testing.T) {
-	_, mem := testMemory(t)
-	if _, err := NewBigAtomic(mem, bigBase, 0); err == nil {
+	_, mem := bigMemory(t)
+	if _, err := NewBigAtomic(mem, 0, 0); err == nil {
 		t.Fatal("words=0 accepted")
 	}
-	if _, err := NewBigAtomic(mem, bigBase, 4); err != nil {
+	if _, err := NewBigAtomic(mem, 4, 0); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -23,8 +34,8 @@ func TestBigAtomicValidation(t *testing.T) {
 // TestBigAtomicSequential drives reads and updates from one core and
 // checks the version/word bookkeeping.
 func TestBigAtomicSequential(t *testing.T) {
-	eng, mem := testMemory(t)
-	b, err := NewBigAtomic(mem, bigBase, 4)
+	eng, mem := bigMemory(t)
+	b, err := NewBigAtomic(mem, 4, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -47,11 +58,11 @@ func TestBigAtomicSequential(t *testing.T) {
 	}
 	// After 5 updates the version is 10 and every word carries
 	// generation 5.
-	if v := mem.System().Value(bigBase); v != 10 {
+	if v := mem.System().Value(bigAtomicBase); v != 10 {
 		t.Fatalf("version = %d, want 10", v)
 	}
 	for i := 0; i < 4; i++ {
-		if g := mem.System().Value(bigBase + 1 + coherence.LineID(i)); g != 5 {
+		if g := mem.System().Value(bigAtomicBase + 1 + coherence.LineID(i)); g != 5 {
 			t.Fatalf("word %d generation = %d, want 5", i, g)
 		}
 	}
@@ -66,11 +77,11 @@ func TestBigAtomicSequential(t *testing.T) {
 func TestBigAtomicConcurrent(t *testing.T) {
 	for _, words := range []int{1, 2, 4, 8} {
 		eng := sim.NewEngine()
-		mem, err := NewMemory(eng, machine.XeonE5(), nil)
+		mem, err := atomics.NewMemory(eng, machine.XeonE5(), nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		b, err := NewBigAtomic(mem, bigBase, words)
+		b, err := NewBigAtomic(mem, words, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -101,15 +112,15 @@ func TestBigAtomicConcurrent(t *testing.T) {
 			t.Fatalf("words=%d: %d torn reads", words, torn)
 		}
 		if words > 1 {
-			if v := mem.System().Value(bigBase); v != 2*uint64(updates) {
+			if v := mem.System().Value(bigAtomicBase); v != 2*uint64(updates) {
 				t.Fatalf("words=%d: version %d, want %d", words, v, 2*updates)
 			}
 			for i := 0; i < words; i++ {
-				if g := mem.System().Value(bigBase + 1 + coherence.LineID(i)); g != uint64(updates) {
+				if g := mem.System().Value(bigAtomicBase + 1 + coherence.LineID(i)); g != uint64(updates) {
 					t.Fatalf("words=%d: word %d generation %d, want %d", words, i, g, updates)
 				}
 			}
-		} else if v := mem.System().Value(bigBase + 1); v != uint64(updates) {
+		} else if v := mem.System().Value(bigAtomicBase + 1); v != uint64(updates) {
 			t.Fatalf("words=1: value %d, want %d", v, updates)
 		}
 	}
@@ -121,8 +132,8 @@ func TestBigAtomicConcurrent(t *testing.T) {
 // nothing per operation.
 func TestBigAtomicDoesNotAllocate(t *testing.T) {
 	for _, words := range []int{1, 4} {
-		eng, mem := testMemory(t)
-		b, err := NewBigAtomic(mem, bigBase, words)
+		eng, mem := bigMemory(t)
+		b, err := NewBigAtomic(mem, words, 0)
 		if err != nil {
 			t.Fatal(err)
 		}

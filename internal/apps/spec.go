@@ -269,7 +269,7 @@ var structures = map[string]*structureInfo{
 		knobs: knobWords | knobReadFraction,
 		hot:   bigAtomicBase,
 		build: func(d *Spec, m *machine.Machine, eng *sim.Engine, mem *atomics.Memory) App {
-			a, err := NewBigAtomicApp(mem, d.Words, d.ReadFraction)
+			a, err := NewBigAtomic(mem, d.Words, d.ReadFraction)
 			if err != nil {
 				panic(fmt.Sprintf("apps: big-atomic builder: %v", err))
 			}

@@ -375,7 +375,8 @@ func (mem *Memory) LoadOp(core int, line coherence.Line, done func(Result)) {
 // SpinLoad issues one plain load from core, exactly as LoadOp does, for
 // a loop that issues its next load the moment this one completes. With
 // parking on (coherence.System.SetParking), a load that hits the core's
-// own valid copy of a line holding seen parks the loop
+// own valid copy of the line, still holding the value it held at issue,
+// parks the loop
 // (coherence.System.Await): its re-reads run as callback-free engine
 // ticks, each one credited to *loads as it is settled
 // (coherence.System.SettleParked), and done receives only the
@@ -384,9 +385,9 @@ func (mem *Memory) LoadOp(core int, line coherence.Line, done func(Result)) {
 // something else: the parked run then ends on its own with the
 // budget-th load's completion. Unparked, done receives every
 // completion and *loads stays put.
-func (mem *Memory) SpinLoad(core int, line coherence.Line, seen, budget uint64, loads *uint64, done func(Result)) {
+func (mem *Memory) SpinLoad(core int, line coherence.Line, budget uint64, loads *uint64, done func(Result)) {
 	c := mem.getCtx(Load, 0, 0, done)
-	mem.sys.Await(core, line, mem.exec[Load], seen, budget, loads, c.doneFn)
+	mem.sys.Await(core, line, mem.exec[Load], line.Value(), budget, loads, c.doneFn)
 }
 
 // spinCtx is one in-flight AwaitChange spin, pooled like opCtx, with

@@ -54,8 +54,8 @@ func TestWatchdogLeavesFastCellsAlone(t *testing.T) {
 
 // TestFailedCellRunsOnce: a failing cell's compute runs exactly once
 // and its error comes back unwrapped. Cells are deterministic, so a
-// retry inside the run would only repeat the failure; the retries that
-// reuse finished work are -resume and atomicd's job retry.
+// retry inside the run would only repeat the failure; the re-runs that
+// reuse finished work are -resume and an atomicd job resubmission.
 func TestFailedCellRunsOnce(t *testing.T) {
 	o := quickOpts()
 	o.Par = 1

@@ -8,7 +8,6 @@ import (
 	"fmt"
 	"io"
 	"log"
-	"math/rand"
 	"os"
 	"runtime/debug"
 	"sync"
@@ -60,19 +59,15 @@ type Config struct {
 	// JobDeadline bounds each job's wall-clock execution (default 10m);
 	// a job may lower (never raise) it per request via DeadlineMS.
 	JobDeadline time.Duration
-	// JobRetries is how many times a failed job execution is retried
-	// with capped exponential backoff and jitter before the job fails
-	// terminally (default 1; negative means no retry). Deadline-exceeded
-	// jobs never retry.
-	JobRetries int
 	// CellPar caps concurrent cells inside one job (default GOMAXPROCS,
 	// via the harness).
 	CellPar int
 	// CellTimeout forwards to the harness cell watchdog (default: off).
-	// A failed cell is not retried on its own: cells are deterministic,
-	// so the same cell fails the same way again. JobRetries is the one
-	// retry; it replays the cells the failed attempt finished from the
-	// shared cell cache and computes only the rest.
+	// Nothing is retried, neither a cell nor a job: cells are
+	// deterministic, so the same cell fails the same way again. A failed
+	// job stays failed until a client resubmits it; the resubmission
+	// replays the cells the failed run finished from the shared cell
+	// cache and computes only the rest.
 	CellTimeout time.Duration
 	// Faults arms the daemon fault hooks (crash-after-N-cells) and, when
 	// simulation-layer faults are present, forwards them into cells —
@@ -95,11 +90,6 @@ func (c Config) withDefaults() Config {
 	if c.JobDeadline <= 0 {
 		c.JobDeadline = 10 * time.Minute
 	}
-	if c.JobRetries < 0 {
-		c.JobRetries = 0
-	} else if c.JobRetries == 0 {
-		c.JobRetries = 1
-	}
 	if c.Log == nil {
 		c.Log = log.New(io.Discard, "", 0)
 	}
@@ -113,7 +103,6 @@ type Status struct {
 	State        State  `json:"state"`
 	CellsDone    int    `json:"cellsDone"`
 	CellsTotal   int    `json:"cellsTotal"`
-	Attempt      int    `json:"attempt,omitempty"`
 	ResultDigest string `json:"resultDigest,omitempty"`
 	Error        string `json:"error,omitempty"`
 }
@@ -186,7 +175,6 @@ type job struct {
 	mu           sync.Mutex
 	state        State
 	errMsg       string
-	attempt      int
 	cellsDone    int
 	cellsTotal   int
 	resultDigest string
@@ -214,7 +202,7 @@ func (j *job) statusLocked() Status {
 	return Status{
 		ID: j.id, State: j.state,
 		CellsDone: j.cellsDone, CellsTotal: j.cellsTotal,
-		Attempt: j.attempt, ResultDigest: j.resultDigest, Error: j.errMsg,
+		ResultDigest: j.resultDigest, Error: j.errMsg,
 	}
 }
 
@@ -235,13 +223,6 @@ func (j *job) setState(s State) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	j.state = s
-	j.notifyLocked()
-}
-
-func (j *job) setAttempt(n int) {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	j.attempt = n
 	j.notifyLocked()
 }
 
@@ -268,7 +249,7 @@ func (j *job) rearm(client string, spec *Spec, raw json.RawMessage) {
 	defer j.mu.Unlock()
 	j.client, j.spec, j.raw = client, spec, raw
 	j.state, j.errMsg, j.resultDigest = StateQueued, "", ""
-	j.attempt, j.cellsDone, j.cellsTotal = 0, 0, 0
+	j.cellsDone, j.cellsTotal = 0, 0
 	j.done = make(chan struct{})
 	j.notifyLocked()
 }
@@ -554,25 +535,8 @@ func (s *Server) Draining() bool {
 	return s.draining
 }
 
-// retryBackoff computes the sleep before retry attempt k (1-based):
-// exponential backoff capped at 5 s, with equal jitter (a uniform draw
-// from the upper half of the step), so a burst of failed jobs does not
-// retry in lockstep and no sleep passes the cap. Wall-clock policy
-// only — it can never affect results.
-func retryBackoff(attempt int) time.Duration {
-	const (
-		base = 100 * time.Millisecond
-		cap  = 5 * time.Second
-	)
-	d := base << uint(attempt-1)
-	if d > cap || d <= 0 {
-		d = cap
-	}
-	return d/2 + time.Duration(rand.Int63n(int64(d/2)+1))
-}
-
-// runJob executes one job under the full robustness stack: per-job
-// deadline, capped backoff-with-jitter retries, and panic isolation.
+// runJob executes one job once under a per-job deadline and panic
+// isolation. A failure is terminal until a client resubmits the job.
 // Terminal states are journaled before they are announced.
 func (s *Server) runJob(j *job) {
 	defer s.jobWG.Done()
@@ -590,46 +554,25 @@ func (s *Server) runJob(j *job) {
 	ctx, cancel := context.WithTimeout(context.Background(), deadline)
 	defer cancel()
 
-	var lastErr error
-	for attempt := 1; attempt <= 1+s.cfg.JobRetries; attempt++ {
-		if attempt > 1 {
-			select { // a deadline that passes here frees the worker at once
-			case <-time.After(retryBackoff(attempt - 1)):
-			case <-ctx.Done():
-			}
-			if ctx.Err() != nil {
-				break
-			}
-			s.cfg.Log.Printf("job %s: retrying (attempt %d): %v", j.id, attempt, lastErr)
+	text, err := s.executeOnce(ctx, j)
+	var digest string
+	if err == nil {
+		digest, err = s.storeResult(j.id, text)
+	}
+	if err == nil {
+		if jerr := s.journal.Done(j.id, digest); jerr != nil {
+			s.cfg.Log.Printf("job %s: journaling done: %v", j.id, jerr)
 		}
-		j.setAttempt(attempt)
-		text, err := s.executeOnce(ctx, j)
-		if err == nil {
-			digest, perr := s.storeResult(j.id, text)
-			if perr != nil {
-				lastErr = perr
-				continue
-			}
-			if jerr := s.journal.Done(j.id, digest); jerr != nil {
-				s.cfg.Log.Printf("job %s: journaling done: %v", j.id, jerr)
-			}
-			j.finish(StateDone, digest, "")
-			s.cfg.Log.Printf("job %s: done (result %s)", j.id, digest)
-			return
-		}
-		lastErr = err
-		if ctx.Err() != nil {
-			// The deadline ate the attempt; retrying would just burn
-			// the backoff against a dead clock.
-			break
-		}
+		j.finish(StateDone, digest, "")
+		s.cfg.Log.Printf("job %s: done (result %s)", j.id, digest)
+		return
 	}
 
-	msg := "job failed: " + lastErr.Error()
+	msg := "job failed: " + err.Error()
 	switch {
-	case errors.Is(lastErr, context.DeadlineExceeded), errors.Is(ctx.Err(), context.DeadlineExceeded): // or it passed in a backoff
+	case errors.Is(err, context.DeadlineExceeded):
 		msg = fmt.Sprintf("job deadline exceeded (%v)", deadline)
-	case errors.Is(lastErr, context.Canceled):
+	case errors.Is(err, context.Canceled):
 		msg = "job canceled"
 	}
 	if jerr := s.journal.Failed(j.id, msg); jerr != nil {

@@ -262,7 +262,7 @@ func TestServerShedsUnderLoad(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := newTestServer(t, Config{Workers: 1, QueueDepth: 1, PerClient: 100, Faults: plan, JobRetries: -1})
+	s := newTestServer(t, Config{Workers: 1, QueueDepth: 1, PerClient: 100, Faults: plan})
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 	defer drain(t, s)
@@ -299,12 +299,13 @@ func TestServerShedsUnderLoad(t *testing.T) {
 }
 
 func TestServerDeadlineThenResubmit(t *testing.T) {
-	// A 1ms deadline kills the job (deadline errors never retry); the
-	// job fails terminally. Resubmitting the same content without the
+	// A 1ms deadline kills the job, which fails terminally: nothing
+	// re-runs it on its own. Resubmitting the same content without the
 	// deadline re-arms the same job ID and succeeds — the failed →
-	// queued edge of the state machine. Cell 0 sleeps past the deadline
-	// and cells run one at a time, so the remaining cells always see
-	// the expired context at claim time.
+	// queued edge of the state machine — and replays every cell the
+	// failed run finished from the shared cell cache. Cell 0 sleeps
+	// past the deadline and cells run one at a time, so the remaining
+	// cells always see the expired context at claim time.
 	plan, err := faults.Parse("sleep=50ms@0")
 	if err != nil {
 		t.Fatal(err)
@@ -322,7 +323,11 @@ func TestServerDeadlineThenResubmit(t *testing.T) {
 	if failed.State != StateFailed || !strings.Contains(failed.Error, "deadline") {
 		t.Fatalf("job = %+v, want a deadline failure", failed)
 	}
+	if failed.CellsDone < 1 {
+		t.Fatalf("failed job finished %d cells, want at least cell 0", failed.CellsDone)
+	}
 
+	before := s.Stats().CacheHits
 	st2, code2 := submit(t, ts, quickSpec)
 	if st2.ID != st.ID {
 		t.Fatalf("resubmit got job %s, want the same content-addressed %s", st2.ID, st.ID)
@@ -333,6 +338,9 @@ func TestServerDeadlineThenResubmit(t *testing.T) {
 	if done := waitDone(t, ts, st.ID); done.State != StateDone {
 		t.Fatalf("resubmitted job = %+v, want done", done)
 	}
+	if hits := s.Stats().CacheHits - before; hits != uint64(failed.CellsDone) {
+		t.Errorf("resubmission replayed %d cached cells, want the %d the failed run finished", hits, failed.CellsDone)
+	}
 }
 
 func TestServerPanicIsolation(t *testing.T) {
@@ -342,7 +350,7 @@ func TestServerPanicIsolation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := newTestServer(t, Config{Faults: plan, JobRetries: -1})
+	s := newTestServer(t, Config{Faults: plan})
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 	defer drain(t, s)
@@ -361,90 +369,6 @@ func TestServerPanicIsolation(t *testing.T) {
 		t.Fatalf("readyz after a poisoned job: %v %v", resp, err)
 	}
 	resp.Body.Close()
-}
-
-// TestServerJobRetries runs a job whose first cell always panics
-// through the job retry loop: with retries off it fails on its first
-// attempt, with one retry on its second.
-func TestServerJobRetries(t *testing.T) {
-	plan, err := faults.Parse("panic=1@0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, c := range []struct{ retries, attempts int }{{-1, 1}, {1, 2}} {
-		s := newTestServer(t, Config{Faults: plan, JobRetries: c.retries})
-		ts := httptest.NewServer(s.Handler())
-		st, _ := submit(t, ts, quickSpec)
-		got := waitDone(t, ts, st.ID)
-		if got.State != StateFailed || got.Attempt != c.attempts {
-			t.Errorf("JobRetries %d: job ended %s on attempt %d, want failed on attempt %d",
-				c.retries, got.State, got.Attempt, c.attempts)
-		}
-		ts.Close()
-		drain(t, s)
-	}
-}
-
-// TestServerDeadlineCutsRetryBackoff runs jobs whose first cell always
-// panics, with retries left and a deadline shorter than the first
-// backoff (retryBackoff(1) is at least 50ms). The deadline passes while
-// a job waits to retry (or, on a slow host, during its first attempt),
-// and the job must fail then, reporting the deadline, not when the
-// backoff would have ended. The fastest of three jobs (three seeds, so
-// none is deduplicated) is timed, so one stalled by a busy host does
-// not fail the test; a job that waits out its backoff cannot be fast.
-func TestServerDeadlineCutsRetryBackoff(t *testing.T) {
-	plan, err := faults.Parse("panic=1@0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	const deadline = 10 * time.Millisecond
-	s := newTestServer(t, Config{Faults: plan, JobRetries: 5, JobDeadline: deadline})
-	ts := httptest.NewServer(s.Handler())
-	defer ts.Close()
-	defer drain(t, s)
-	fastest := time.Hour
-	for seed := 1; seed <= 3; seed++ {
-		start := time.Now()
-		st, _ := submit(t, ts, fmt.Sprintf(`{"machines":["XeonE5"],"workloads":["high-faa"],"quick":true,"seed":%d}`, seed))
-		got := waitDone(t, ts, st.ID)
-		fastest = min(fastest, time.Since(start))
-		if got.State != StateFailed || got.Attempt != 1 || !strings.Contains(got.Error, "deadline exceeded") {
-			t.Fatalf("job = %+v, want it failed on its deadline during attempt 1 or its backoff", got)
-		}
-	}
-	if floor := 50 * time.Millisecond; fastest >= floor {
-		t.Errorf("the fastest job failed %v after submit with a %v deadline: it waited out its retry backoff", fastest, deadline)
-	}
-}
-
-// TestServerJobRetryReplaysFinishedCells: a job retry recomputes only
-// what its failed attempt did not finish. With one cell worker, the
-// first attempt finishes cells 0..k-1 and panics at cell k; the retry
-// replays those k cells from the shared cell cache (exactly k hits)
-// and fails at cell k again, since a cell fails the same way each run.
-func TestServerJobRetryReplaysFinishedCells(t *testing.T) {
-	const k = 2
-	plan, err := faults.Parse(fmt.Sprintf("panic=1@%d", k))
-	if err != nil {
-		t.Fatal(err)
-	}
-	s := newTestServer(t, Config{Faults: plan, JobRetries: 1, CellPar: 1})
-	ts := httptest.NewServer(s.Handler())
-	defer ts.Close()
-	before := s.Stats().CacheHits
-	st, _ := submit(t, ts, quickSpec)
-	got := waitDone(t, ts, st.ID)
-	if got.State != StateFailed || got.Attempt != 2 {
-		t.Fatalf("job ended %s on attempt %d, want failed on attempt 2", got.State, got.Attempt)
-	}
-	if !strings.Contains(got.Error, fmt.Sprintf("cell %d panicked", k)) || got.CellsTotal <= k {
-		t.Fatalf("job error %q over %d cells, want cell %d's injected panic", got.Error, got.CellsTotal, k)
-	}
-	if hits := s.Stats().CacheHits - before; hits != k {
-		t.Errorf("retry replayed %d cached cells, want the %d its first attempt finished", hits, k)
-	}
-	drain(t, s)
 }
 
 func TestServerDrainRejectsAndReadyzFlips(t *testing.T) {
@@ -628,14 +552,5 @@ func TestServerHTTPValidation(t *testing.T) {
 				t.Fatalf("%s %s = %d, want %d", c.method, c.path, resp.StatusCode, c.want)
 			}
 		})
-	}
-}
-
-func TestRetryBackoffBounded(t *testing.T) {
-	for attempt := 1; attempt < 20; attempt++ {
-		d := retryBackoff(attempt)
-		if d <= 0 || d > 5*time.Second {
-			t.Fatalf("retryBackoff(%d) = %v, want a bounded positive delay", attempt, d)
-		}
 	}
 }

@@ -14,9 +14,11 @@
 // the internal/runlog JSONL conventions) before they are admitted, so
 // a SIGKILL'd daemon recovers queued and in-flight jobs on restart and
 // replays their completed cells from the shared cell cache; execution
-// runs on a bounded worker pool with per-job deadlines
-// (harness.Options.Context), capped exponential-backoff-with-jitter
-// retries, and job-level panic isolation; admission control sheds load
+// runs once per submission on a bounded worker pool with per-job
+// deadlines (harness.Options.Context) and job-level panic isolation,
+// and a failed job stays failed until a client resubmits it (the
+// resubmission replays the cells the failed run finished from the
+// shared cell cache); admission control sheds load
 // (bounded queue depth and per-client in-flight caps → HTTP 429)
 // instead of growing without bound; and SIGTERM drains gracefully —
 // stop admitting, finish what was accepted, flush, exit.

@@ -68,6 +68,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"sync"
 	"time"
 
@@ -514,11 +515,15 @@ func (c *Cache) Get(key string) (json.RawMessage, string, bool) {
 	return e.Value, e.Digest, ok
 }
 
-// Put stores a cell result under key and returns its digest.
+// Put stores a cell result under key and returns its digest. The entry
+// keeps a copy of value sized to it: the caller's slice may carry an
+// encoder's spare capacity, which would otherwise stay live as long as
+// the cache.
 func (c *Cache) Put(key string, value json.RawMessage) (string, error) {
 	if c.log == nil {
 		return "", ErrReadOnly
 	}
+	value = slices.Clip(bytes.Clone(value)) // nil stays nil, which encodes as null
 	e := cacheEntry{Key: key, Digest: Digest(value), Value: value}
 	c.mu.Lock()
 	c.entries[key] = e

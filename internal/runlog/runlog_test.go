@@ -212,6 +212,30 @@ func TestCacheStatsCountsTraffic(t *testing.T) {
 	}
 }
 
+// TestCachePutKeepsRightSizedValue: Put stores its own copy of the
+// value, sized to it, so an encoder's spare capacity in the caller's
+// slice does not stay live for the cache's lifetime, and a caller that
+// reuses its buffer cannot change the stored value.
+func TestCachePutKeepsRightSizedValue(t *testing.T) {
+	c, err := OpenCache(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	val := append(make(json.RawMessage, 0, 4096), `{"v":1}`...)
+	if _, err := c.Put("k", val); err != nil {
+		t.Fatal(err)
+	}
+	copy(val, `{"v":2}`)
+	got, _, ok := c.Get("k")
+	if !ok {
+		t.Fatal("Put entry missing")
+	}
+	if string(got) != `{"v":1}` || cap(got) != len(got) {
+		t.Fatalf("stored value %q has len %d, cap %d; want {\"v\":1} with cap == len", got, len(got), cap(got))
+	}
+}
+
 // TestValidateAcceptsRetiredAttemptsField: manifests written while the
 // harness still retried cells carry an "attempts" count on failed cell
 // records. The field is gone from CellRecord, and such manifests must

@@ -65,10 +65,10 @@ type Thread struct {
 	// completion (casDone) does not read it: an open-loop thread may have
 	// issued again since.
 	expected uint64
-	// loads counts the re-reads of a parked Load loop (Cell.parkLoads),
+	// loads counts the re-reads of a loop's parked loads (Cell.parkLoads),
 	// as its parked chain settles them; loadsAtMeasure is the count at
-	// the warmup marker, and loadsAtIssue at the latest load of a read
-	// mix (loadRun).
+	// the warmup marker, and loadsAtIssue at the latest parked load
+	// (loadRun).
 	loads          uint64
 	loadsAtMeasure uint64
 	loadsAtIssue   uint64
@@ -83,7 +83,6 @@ type Thread struct {
 	opDone    func(atomics.Result)
 	casDone   func(atomics.Result)
 	loadDone  func(atomics.Result)
-	mixDone   func(atomics.Result)
 	operateFn func()
 	stepFn    func()
 }
@@ -108,9 +107,11 @@ type Cell struct {
 	// atomics.Memory.SpinLoad (loopParks), whose parked re-reads the
 	// window credits when it closes (creditParkedLoads).
 	parkLoads bool
-	// certainLoads says every read-mix coin comes up load (ReadFraction
-	// 1) in a loop whose thread RNGs feed nothing but the coins
-	// (loopParks), so no coin is drawn (loadCoin, drawAhead).
+	// certainLoads says every operation of a loop that parks its loads
+	// (loopParks) is a load: the Load primitive, or a read mix at
+	// ReadFraction 1. Its parked runs are unbounded (loadRun), and no
+	// coin is drawn (loadCoin), since its thread RNGs feed nothing but
+	// the coins.
 	certainLoads bool
 
 	// Per-thread op accounting (record): perOps counts each thread's
@@ -337,14 +338,12 @@ func (c *Cell) ensureThreads(n int) {
 			}
 			c.complete(th, res, res.OK)
 		}
+		// A parked load leaves lastSeen alone, like any op but a CAS;
+		// a budgeted run spent one coin drawn ahead per tick.
 		th.loadDone = func(res atomics.Result) {
-			th.lastSeen = res.Old
-			c.complete(th, res, true)
-		}
-		// A read mix's load leaves lastSeen alone, like any op but a
-		// CAS; a parked run spent one coin drawn ahead per tick.
-		th.mixDone = func(res atomics.Result) {
-			th.ahead -= th.loads - th.loadsAtIssue
+			if !c.certainLoads {
+				th.ahead -= th.loads - th.loadsAtIssue
+			}
 			c.complete(th, res, true)
 		}
 		th.operateFn = func() { c.operate(th) }

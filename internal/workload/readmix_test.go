@@ -130,3 +130,47 @@ func TestCertainCoinsSkipDraws(t *testing.T) {
 		}
 	}
 }
+
+// TestLoadLoopIsCertainMix holds the Load primitive's loop to a read
+// mix at fraction 1.00, whose every coin says load: both park their
+// loads as one unbounded run (loadRun), so the two results must be
+// byte-identical, with metrics and the invariant checker off and on,
+// and with fast-forward on and off (off at up to 8 threads, where
+// every load is a real event, to keep the test short).
+func TestLoadLoopIsCertainMix(t *testing.T) {
+	defer SetFastForward(true)
+	for _, name := range []string{"XeonE5", "KNL", "Grace", "Ideal8"} {
+		m, err := machine.ByName(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, n := range []int{1, 2, 8, m.NumHWThreads()} {
+			for _, ff := range []bool{true, false} {
+				if !ff && n > 8 {
+					continue
+				}
+				SetFastForward(ff)
+				for _, metricsOn := range []bool{false, true} {
+					for _, check := range []bool{false, true} {
+						load := quickCfg(m, atomics.Load, n)
+						mix := quickCfg(m, atomics.FAA, n)
+						mix.Mode, mix.ReadFraction = ReadWriteMix, 1
+						var got [2]string
+						for i, cfg := range []Config{load, mix} {
+							cfg.Metrics, cfg.Check = metricsOn, check
+							r, err := Run(cfg)
+							if err != nil {
+								t.Fatal(err)
+							}
+							got[i] = resultJSON(t, r)
+						}
+						if got[0] != got[1] {
+							t.Errorf("%s/%d threads/fast-forward %v/metrics %v/check %v: Load loop and certain mix differ\nload: %s\nmix:  %s",
+								name, n, ff, metricsOn, check, got[0], got[1])
+						}
+					}
+				}
+			}
+		}
+	}
+}

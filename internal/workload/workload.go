@@ -237,7 +237,8 @@ func (primitives) Setup(c *Cell) error {
 	c.mReads = c.reg.Counter(metrics.WorkReads)
 	c.mRMWs = c.reg.Counter(metrics.WorkRMWs)
 	c.parkLoads = parkingOn(&c.cfg) && loopParks(&c.cfg)
-	c.certainLoads = c.cfg.Mode == ReadWriteMix && c.cfg.ReadFraction >= 1 && loopParks(&c.cfg)
+	c.certainLoads = loopParks(&c.cfg) &&
+		(c.cfg.Primitive == atomics.Load || (c.cfg.Mode == ReadWriteMix && c.cfg.ReadFraction >= 1))
 	for i, th := range c.Threads() {
 		th.next, th.lastSeen, th.expected = 0, 0, 0
 		th.loads, th.loadsAtMeasure, th.loadsAtIssue = 0, 0, 0
@@ -408,11 +409,7 @@ func (c *Cell) operate(th *Thread) {
 		// A load whose completion closes a CAS span stays live: slat
 		// times the span to that very completion.
 		if p == atomics.Load && c.parkLoads && !th.inSpan {
-			if c.cfg.Mode == ReadWriteMix {
-				c.loadRun(th, line)
-			} else {
-				c.mem.SpinLoad(th.Core, line, th.lastSeen, 0, &th.loads, th.loadDone)
-			}
+			c.loadRun(th, line)
 			return
 		}
 		c.mem.Do(p, th.Core, line, 1, 0, th.opDone)
@@ -456,7 +453,8 @@ func (c *Cell) loadCoin(th *Thread) bool {
 }
 
 // drawAhead draws a read-mix thread's coins ahead up to its next RMW
-// coin, or until mixBatch-1 load coins are in hand.
+// coin, or until mixBatch-1 load coins are in hand. Certain coins
+// (certainLoads) are never drawn ahead: their run is unbounded.
 //
 // Drawing early is exact because a thread's RNG stream is its own and,
 // in a loop that parks (loopParks: no think time, closed), feeds
@@ -465,14 +463,7 @@ func (c *Cell) loadCoin(th *Thread) bool {
 // that order, so each operation gets the very coin the one-at-a-time
 // draw gives it; when the window closes on coins never spent, the
 // stream's state is read by nothing.
-//
-// Certain coins (certainLoads) are not drawn: the thread holds
-// mixBatch-1 load coins at once, as the draws would give it.
 func (c *Cell) drawAhead(th *Thread) {
-	if c.certainLoads {
-		th.ahead = mixBatch - 1
-		return
-	}
 	for th.ahead < mixBatch-1 && !th.aheadRMW {
 		if th.RNG.Float64() < c.cfg.ReadFraction {
 			th.ahead++
@@ -482,14 +473,20 @@ func (c *Cell) drawAhead(th *Thread) {
 	}
 }
 
-// loadRun issues a read-mix thread's load as the first of the run of
-// loads its coins hold (drawAhead): when it hits the thread's own
-// copy, the run parks for all of them, and the loads its chain ticked
-// spend their coins on completion (mixDone).
+// loadRun issues a parked-load thread's load as the first of a run of
+// loads: when it hits the thread's own copy, the run parks for all of
+// them. When every coin says load (certainLoads: the Load primitive,
+// or a mix at fraction 1) the run is unbounded; otherwise it holds the
+// load coins drawn ahead (drawAhead), up to the next RMW coin, and the
+// loads its chain ticked spend their coins on completion (loadDone).
 func (c *Cell) loadRun(th *Thread, line coherence.Line) {
-	c.drawAhead(th)
+	var budget uint64
+	if !c.certainLoads {
+		c.drawAhead(th)
+		budget = th.ahead + 1
+	}
 	th.loadsAtIssue = th.loads
-	c.mem.SpinLoad(th.Core, line, line.Value(), th.ahead+1, &th.loads, th.mixDone)
+	c.mem.SpinLoad(th.Core, line, budget, &th.loads, th.loadDone)
 }
 
 // skipEndRetract is a mutation hook for tests: set, a parked Load

@@ -23,7 +23,9 @@
 # the conflict-model prediction column), a fleet-sweep smoke
 # (-fleet cross-architecture run with bottleneck verdicts, resumed
 # byte-identically from the digest-keyed cache), an atomicd job-server
-# smoke (submit → poll → dedup → SIGTERM drain), a bench smoke
+# smoke (submit → poll → dedup → SIGTERM drain, then a second daemon
+# whose first cell always panics: the job fails once with no automatic
+# re-run, and a resubmission runs it once more), a bench smoke
 # enforcing the simulation path's allocation budget, and short
 # native-fuzz passes over the run-log parsers (each one-pass codec of
 # the cell cache, the cache line, the histogram, the metrics snapshot
@@ -343,7 +345,7 @@ grep -q 'FLEET summary' "$dir/fleet_fresh.txt" || {
     exit 1
 }
 
-echo "== atomicd smoke (job server: submit, poll, dedup, drain)"
+echo "== atomicd smoke (job server: submit, poll, dedup, drain; failed job runs once, resubmit re-runs it)"
 # The job daemon must serve a quick job end to end, deduplicate an
 # identical resubmit against the cache (200, not 202, and no second
 # execution), answer health checks, and drain clean on SIGTERM: exit 0,
@@ -351,6 +353,8 @@ echo "== atomicd smoke (job server: submit, poll, dedup, drain)"
 go build -o "$dir/atomicd" ./cmd/atomicd
 "$dir/atomicd" -dir "$dir/adrun" -quiet &
 atomicd_pid=$!
+# A failed check below must not leave the daemon under test running.
+trap 'kill "$atomicd_pid" 2>/dev/null || true; rm -rf "$dir"' EXIT
 for _ in $(seq 1 100); do
     [ -s "$dir/adrun/atomicd.addr" ] && break
     sleep 0.1
@@ -398,6 +402,36 @@ wait "$atomicd_pid" || { echo "atomicd drain exited nonzero" >&2; exit 1; }
 "$dir/atomicd" -checkjournal "$dir/adrun" | grep -q '0 pending' || {
     echo "drained journal still has pending jobs" >&2; exit 1
 }
+# A job runs once per submission. On a daemon whose first cell always
+# panics, a job ends failed after one execution (nothing re-runs it on
+# its own); a resubmission is admitted again (202), runs once more and
+# fails the same way, and the daemon still drains clean.
+"$dir/atomicd" -dir "$dir/adfail" -quiet -faults panic=1@0 -par 1 &
+atomicd_pid=$!
+for _ in $(seq 1 100); do
+    [ -s "$dir/adfail/atomicd.addr" ] && break
+    sleep 0.1
+done
+addr=$(cat "$dir/adfail/atomicd.addr")
+for want in 1 2; do
+    code=$(curl -s -o "$dir/fail_submit.json" -w '%{http_code}' \
+        -X POST "http://$addr/jobs" -d "$job")
+    [ "$code" = 202 ] || { echo "submit $want of a failing job returned $code, want 202" >&2; exit 1; }
+    jobid=$(sed -n 's/.*"id": *"\(j[a-f0-9]*\)".*/\1/p' "$dir/fail_submit.json" | head -n 1)
+    curl -s "http://$addr/jobs/$jobid?wait=60s" | grep -q '"state": *"failed"' || {
+        echo "failing job did not end failed on submit $want" >&2; exit 1
+    }
+    curl -s "http://$addr/healthz" | grep -q "\"executed\": *$want\b" || {
+        echo "after submit $want of a failing job, healthz does not show $want executions:" >&2
+        curl -s "http://$addr/healthz" >&2; exit 1
+    }
+done
+kill -TERM "$atomicd_pid"
+wait "$atomicd_pid" || { echo "atomicd drain after a failed job exited nonzero" >&2; exit 1; }
+"$dir/atomicd" -checkjournal "$dir/adfail" | grep -q '0 pending' || {
+    echo "drained journal still has pending jobs after a failed job" >&2; exit 1
+}
+trap 'rm -rf "$dir"' EXIT
 
 echo "== bench smoke (allocation budget on the simulation path)"
 # The coherence access path must stay allocation-free, and a full cell
